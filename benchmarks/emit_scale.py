@@ -11,9 +11,10 @@ both unrealistic (the paper's large-scale systems have *local* knowledge)
 and an O(n)-per-change cost that would swamp the measurement.
 
 Per size the payload records ``events_per_sec_n<N>`` (higher is better),
-``peak_rss_kb_n<N>`` and ``sim_wall_s_n<N>`` (lower is better) — names
-``repro bench diff`` gates by family, so committing this file as a
-baseline turns scale regressions into CI failures.
+``peak_rss_kb_n<N>``, ``sim_wall_s_n<N>`` and ``setup_s_n<N>`` (lower is
+better; set-up is the spawn loop alone) — names ``repro bench diff``
+gates by family, so committing this file as a baseline turns scale
+regressions into CI failures.
 
 Seed-core reference (same scenario on the pre-refactor core, which always
 notifies joins and pays an O(n log n) neighbor sort per ping):
@@ -25,12 +26,15 @@ Run:  PYTHONPATH=src python benchmarks/emit_scale.py [--output FILE]
 
 ``--smoke`` runs only n in {32, 10k} with short horizons for CI;
 ``--check`` additionally asserts the scale curve's *shape*: per-event cost
-at n=10k must stay within 50x of n=32 (the seed core is ~90x off).
+at n=10k must stay within 50x of n=32 (the seed core is ~90x off), and
+per-entity set-up cost at n=20k within 3x of n=1k (a membership scan per
+spawn — O(n²) set-up — sits at 6-9x; the linear build at 1.4-1.8x).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -53,6 +57,12 @@ PERIOD = 1.0
 SIZES: dict[int, float] = {32: 200.0, 1_000: 60.0, 10_000: 12.0, 100_000: 4.0}
 
 SMOKE_SIZES: dict[int, float] = {32: 50.0, 10_000: 2.0}
+
+#: Set-up-only sizes for ``--check``'s set-up shape assertion.  The pair
+#: has to straddle n ~ 3000: below it the ~20 us/entity of real work (one
+#: Mersenne Twister, the first timer, the JOIN trace line) hides a
+#: per-spawn membership scan.
+SETUP_SHAPE_SIZES = (1_000, 20_000)
 
 #: Seed-core events/sec on this scenario (measured on the growth seed,
 #: Linux x86-64 container, 2026-08).  Machine-dependent — context for the
@@ -83,6 +93,25 @@ def _peak_rss_kb() -> float:
     return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
+def spawn_population(n: int, seed: int = 2007) -> tuple[Simulator, list[int], float]:
+    """Spawn the storm's ``n`` entities; returns (sim, pids, set-up seconds)."""
+    sim = Simulator(seed=seed, complete=True, notify_leaves=False,
+                    notify_joins=False, trace_sink=CountingSink())
+    t0 = time.perf_counter()
+    pids = [sim.spawn(PingNode(1.0)).pid for _ in range(n)]
+    return sim, pids, time.perf_counter() - t0
+
+
+def setup_us_per_entity(n: int, repeats: int = 3) -> float:
+    """Best-of-``repeats`` set-up cost per entity (microseconds) of a
+    set-up-only point: the population is built and thrown away."""
+    best = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        best = min(best, spawn_population(n)[2])
+    return best / n * 1e6
+
+
 def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
     """One ping-storm trial; returns the per-size measurement dict.
 
@@ -90,11 +119,7 @@ def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
     increasing order each value reflects the largest trial so far — only
     the largest n's reading is a true per-trial figure.
     """
-    sim = Simulator(seed=seed, complete=True, notify_leaves=False,
-                    notify_joins=False, trace_sink=CountingSink())
-    t0 = time.perf_counter()
-    pids = [sim.spawn(PingNode(1.0)).pid for _ in range(n)]
-    setup_s = time.perf_counter() - t0
+    sim, pids, setup_s = spawn_population(n, seed)
     rng = sim.rng_for("scale-churn")
     for _ in range(n // 20):
         at = rng.uniform(0.1, horizon)
@@ -106,7 +131,7 @@ def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
     return {
         "n": n,
         "horizon": horizon,
-        "setup_s": round(setup_s, 3),
+        "setup_s": round(setup_s, 6),
         "sim_wall_s": round(sim_wall_s, 3),
         "events": sim.events_executed,
         "events_per_sec": round(sim.events_executed / sim_wall_s, 1)
@@ -123,7 +148,8 @@ def main() -> int:
                         help="only n in {32, 10k}, short horizons (CI)")
     parser.add_argument("--check", action="store_true",
                         help="assert the curve's shape: per-event cost at "
-                        "n=10k within 50x of n=32")
+                        "n=10k within 50x of n=32, per-entity set-up cost "
+                        "at n=20k within 3x of n=1k")
     args = parser.parse_args()
 
     sizes = SMOKE_SIZES if args.smoke else SIZES
@@ -136,7 +162,7 @@ def main() -> int:
             point["speedup_vs_seed"] = round(point["events_per_sec"] / ref, 1)
         print(f"n={n:>6}: {point['events_per_sec']:>9.0f} ev/s "
               f"({point['events']} events in {point['sim_wall_s']}s, "
-              f"setup {point['setup_s']}s, queue={point['queue_backend']}, "
+              f"setup {point['setup_s']:.3f}s, queue={point['queue_backend']}, "
               f"rss {point['peak_rss_kb'] / 1024:.0f} MB)")
         points.append(point)
 
@@ -159,6 +185,7 @@ def main() -> int:
         payload[f"events_per_sec_n{n}"] = point["events_per_sec"]
         payload[f"peak_rss_kb_n{n}"] = point["peak_rss_kb"]
         payload[f"sim_wall_s_n{n}"] = point["sim_wall_s"]
+        payload[f"setup_s_n{n}"] = point["setup_s"]
 
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -177,6 +204,18 @@ def main() -> int:
                 f"scale check failed: per-event cost grew {ratio:.1f}x from "
                 "n=32 to n=10k (> 50x) — an O(n) cost is back on the hot "
                 "path (seed core sits near 90x)"
+            )
+        small_n, large_n = SETUP_SHAPE_SIZES
+        small_us = setup_us_per_entity(small_n)
+        large_us = setup_us_per_entity(large_n)
+        ratio = large_us / small_us
+        print(f"per-entity set-up cost n={large_n}: {large_us:.1f} us, "
+              f"n={small_n}: {small_us:.1f} us, ratio {ratio:.1f}x (limit 3x)")
+        if ratio > 3.0:
+            raise SystemExit(
+                f"scale check failed: per-entity set-up cost grew {ratio:.1f}x "
+                f"from n={small_n} to n={large_n} (> 3x) — spawning an entity "
+                "iterates the membership again (O(n²) population build)"
             )
         print("scale check passed")
     return 0

@@ -60,7 +60,9 @@ BENCH_THRESHOLDS: dict[str, tuple[float, bool]] = {
 
 #: Prefix/suffix rules for BENCH payload metrics with no exact entry above.
 #: ``emit_scale.py`` emits one ``events_per_sec_n<N>`` / ``peak_rss_kb_n<N>``
-#: pair per population size and ``emit_bench.py`` emits a
+#: / ``sim_wall_s_n<N>`` / ``setup_s_n<N>`` scalar per population size (the
+#: size suffix means the ``*_wall_s`` suffix rule below never sees them, so
+#: the two time families are prefixes here) and ``emit_bench.py`` emits a
 #: ``trials_per_sec_<backend>`` pair, so the gate matches metric
 #: *families* by shape: throughput is higher-better, memory and wall time
 #: lower-better, all with the 50% machine-noise slack.  Telemetry and
@@ -71,6 +73,8 @@ _BENCH_PREFIX_RULES: tuple[tuple[str, tuple[float, bool]], ...] = (
     ("events_per_sec", (0.50, True)),
     ("trials_per_sec", (0.50, True)),
     ("peak_rss", (0.50, False)),
+    ("sim_wall_s", (0.50, False)),
+    ("setup_s", (0.50, False)),
     ("telemetry_overhead", (0.05, False)),
     ("checkpoint_overhead", (0.05, False)),
 )
@@ -420,10 +424,11 @@ def diff_bench_payloads(
     Wall-clock fields use generous lower-is-better thresholds; the
     deterministic ``events_executed_total`` and every ``metrics_totals``
     counter are held to exact agreement unless overridden.  Metric
-    *families* — ``events_per_sec_*`` (higher-better), ``peak_rss*`` and
-    ``*_wall_s`` (lower-better) — are gated by shape, so scale-curve
-    payloads with one entry per population size need no per-size
-    configuration.  Metrics absent from either payload are skipped.
+    *families* — ``events_per_sec_*`` (higher-better), ``peak_rss*``,
+    ``sim_wall_s*``, ``setup_s*`` and ``*_wall_s`` (lower-better) — are
+    gated by shape, so scale-curve payloads with one entry per population
+    size need no per-size configuration.  Metrics absent from either
+    payload are skipped.
     """
     overrides = dict(thresholds or {})
     for name, rel in overrides.items():

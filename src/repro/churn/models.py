@@ -139,7 +139,7 @@ class NoChurn(ChurnModel):
 
     def _start(self) -> None:
         if self._n is None:
-            self._n = len(self.sim.network.present())
+            self._n = self.sim.network.population()
 
     def arrival_class(self) -> ArrivalClass:
         return StaticArrival(max(1, self._n or 1))
@@ -203,7 +203,7 @@ class ArrivalDepartureChurn(ChurnModel):
     def _arrive(self) -> None:
         if not self.active_at(self.sim.now):
             return
-        population = len(self.sim.network.present())
+        population = self.sim.network.population()
         if self.concurrency_cap is not None and population >= self.concurrency_cap:
             self.rejected += 1
         else:
@@ -244,7 +244,7 @@ class ReplacementChurn(ChurnModel):
         self._n = 0
 
     def _start(self) -> None:
-        self._n = len(self.sim.network.present())
+        self._n = self.sim.network.population()
         if self.rate > 0 and self._n > 0:
             self._schedule_next()
 
@@ -388,7 +388,7 @@ class PhasedChurn(ChurnModel):
 
     def arrival_class(self) -> ArrivalClass:
         return InfiniteArrivalBounded(
-            max(1, len(self.sim.network.present())) if self._sim else 1
+            max(1, self.sim.network.population()) if self._sim else 1
         )
 
     def __repr__(self) -> str:

@@ -117,7 +117,13 @@ class Network:
 
     def present(self) -> frozenset[int]:
         """Ids of processes currently in the system (omniscient view —
-        available to the analysis layer, never to protocol code)."""
+        available to the analysis layer, never to protocol code).
+
+        An O(n) snapshot: every call copies the whole membership.  Nothing
+        that runs per event may call it; use :meth:`population`,
+        :meth:`degree`, :meth:`is_present` or :meth:`sample_present`
+        (see ``docs/SCALING.md``).
+        """
         return frozenset(self._slot_of)
 
     def population(self) -> int:
@@ -174,14 +180,17 @@ class Network:
         pid = proc.pid
         if pid in self._slot_of:
             raise MembershipError(f"process {pid} is already present")
-        neighbor_ids = set(neighbors)
-        missing = neighbor_ids - self._slot_of.keys()
+        neighbor_ids = sorted(set(neighbors))
+        # Probe per attachment point, O(|neighbors|): a set difference with
+        # ``slot_of.keys()`` walks the whole membership (O(n²) to spawn n).
+        slot_of = self._slot_of
+        missing = [other for other in neighbor_ids if other not in slot_of]
         if missing:
             raise MembershipError(
-                f"cannot attach {pid} to absent processes {sorted(missing)}"
+                f"cannot attach {pid} to absent processes {missing}"
             )
         self._alloc_slot(proc)
-        for other in sorted(neighbor_ids):
+        for other in neighbor_ids:
             self._link(pid, other)
         if self._journals:
             for journal in self._journals.values():
@@ -190,7 +199,7 @@ class Network:
         self._sim.trace.record(
             self._sim.now, tr.JOIN, entity=pid, degree=len(neighbor_ids),
             value=getattr(proc, "value", None),
-            neighbors=tuple(sorted(neighbor_ids)),
+            neighbors=tuple(neighbor_ids),
         )
         proc._alive = True
         proc.on_start()
@@ -198,13 +207,10 @@ class Network:
             return
         # In complete mode every present process is a neighbor of the
         # newcomer, so everyone learns of the join.
+        to_notify = neighbor_ids
         if self.complete:
-            to_notify = set(self._slot_of)
-            to_notify.discard(pid)
-        else:
-            to_notify = neighbor_ids
-        slot_of = self._slot_of
-        for other in sorted(to_notify):
+            to_notify = sorted(other for other in slot_of if other != pid)
+        for other in to_notify:
             other_slot = slot_of.get(other)
             if other_slot is not None:  # may have left during callbacks
                 self._procs[other_slot].on_neighbor_join(pid)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Set
 from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import Metrics
@@ -67,6 +68,7 @@ class Simulator:
         self._pid_counter = itertools.count()
         self._qid_counter = itertools.count()
         self._streams: dict[str, random.Random] = {}
+        self._process_seeds = self.seeds.spawn("process")
         self._process_streams: dict[int, random.Random] = {}
         self._events_executed = 0
 
@@ -96,7 +98,7 @@ class Simulator:
         """Return the per-process random stream for ``pid``."""
         stream = self._process_streams.get(pid)
         if stream is None:
-            stream = self.seeds.spawn("process").stream(pid)
+            stream = self._process_seeds.stream(pid)
             self._process_streams[pid] = stream
         return stream
 
@@ -167,17 +169,21 @@ class Simulator:
         self,
         delay: float,
         make_process: Callable[[], Process],
-        choose_neighbors: Callable[[frozenset[int]], Iterable[int]],
+        choose_neighbors: Callable[[Set[int]], Iterable[int]],
     ) -> Event:
         """Schedule a join: at ``now + delay`` create a process and attach it.
 
         ``choose_neighbors`` receives the set of processes present at join
-        time and returns the attachment points.
+        time and returns the attachment points.  The set is a read-only
+        live *view* of the membership (O(1) to hand over, whatever the
+        population): ``len``, ``in``, ``sorted`` and the set operators
+        work and it cannot be mutated through, but it is valid only during
+        the call — copy it (``frozenset(present)``) to keep it.
         """
 
         def _join() -> None:
             proc = make_process()
-            self.spawn(proc, choose_neighbors(self.network.present()))
+            self.spawn(proc, choose_neighbors(self.network._slot_of.keys()))
 
         return self.schedule(
             delay, _join, priority=PRIORITY_MEMBERSHIP, label="join"

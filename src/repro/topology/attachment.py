@@ -62,7 +62,7 @@ class DegreeProportionalAttachment(AttachmentRule):
         present = sorted(network.present())
         if not present:
             return []
-        weights = [len(network.neighbors(pid)) + 1 for pid in present]
+        weights = [network.degree(pid) + 1 for pid in present]
         chosen: list[int] = []
         candidates = list(present)
         cand_weights = list(weights)

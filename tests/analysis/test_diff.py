@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.diff import (
     BenchDiff,
+    _bench_rule,
     _relative_change,
     diff_bench_payloads,
     diff_documents,
@@ -103,6 +104,44 @@ def test_bench_payload_diff_thresholds():
     dropped = dict(baseline, metrics_totals={})
     assert diff_bench_payloads(baseline, dropped).missing == [
         "metrics_totals.net.sent"]
+
+
+@pytest.mark.parametrize("name", [
+    "sim_wall_s_n32", "sim_wall_s_n10000", "setup_s_n1000", "setup_s_n100000",
+    "serial_wall_s", "stream_wall_s",
+])
+def test_bench_rule_gates_wall_time_families_lower_is_better(name):
+    assert _bench_rule(name) == (0.50, False)
+
+
+def test_bench_rule_leaves_descriptive_fields_ungated():
+    assert _bench_rule("n") is None
+    assert _bench_rule("seed") is None
+    assert _bench_rule("events_per_sec_n32") == (0.50, True)
+
+
+def test_scale_payload_time_families_are_held():
+    baseline = {"benchmark": "scale-curve", "seed": 2007,
+                "events_per_sec_n10000": 35000.0,
+                "sim_wall_s_n10000": 6.5, "setup_s_n10000": 0.25,
+                "sim_wall_s_n100000": 23.0, "setup_s_n100000": 4.4}
+    smoke = {"benchmark": "scale-curve", "seed": 2007,
+             "events_per_sec_n10000": 34000.0,
+             "sim_wall_s_n10000": 7.0, "setup_s_n10000": 0.30}
+    assert diff_bench_payloads(baseline, smoke).ok  # subset, within slack
+    quadratic = dict(smoke, setup_s_n10000=1.2)
+    diff = diff_bench_payloads(baseline, quadratic)
+    assert [e.metric for e in diff.regressions] == ["setup_s_n10000"]
+    slow = dict(smoke, sim_wall_s_n10000=10.0)
+    diff = diff_bench_payloads(baseline, slow)
+    assert [e.metric for e in diff.regressions] == ["sim_wall_s_n10000"]
+    assert diff_bench_payloads(
+        baseline, slow, {"sim_wall_s_n10000": 10.0}).ok
+    # A gated family the committed baseline lacks is schema drift.
+    old_baseline = {k: v for k, v in baseline.items()
+                    if not k.startswith("setup_s")}
+    assert diff_bench_payloads(old_baseline, smoke).missing == [
+        "baseline:setup_s_n10000"]
 
 
 def test_relative_change_edge_cases():
