@@ -18,6 +18,7 @@ same rule as :class:`~repro.engine.results.TrialResult.wall_time`).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
@@ -86,11 +87,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # First bound >= value; past the last bound is the overflow slot.
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -150,7 +148,14 @@ class Metrics:
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` (created on first use)."""
-        self.counter(name).inc(amount)
+        if amount < 0:
+            raise ConfigurationError(
+                f"counter {name!r} cannot decrease (amount={amount})"
+            )
+        instrument = self._counters.get(name)
+        if instrument is None:
+            instrument = self._counters[name] = Counter(name)
+        instrument.value += amount
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (created on first use)."""
@@ -160,7 +165,13 @@ class Metrics:
         self, name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> None:
         """Observe ``value`` in histogram ``name`` (created on first use)."""
-        self.histogram(name, buckets).observe(value)
+        instrument = self._histograms.get(name)
+        if instrument is None:
+            instrument = self._histograms[name] = Histogram(name, buckets)
+        # Histogram.observe, inline: one call per observation, not two.
+        instrument.count += 1
+        instrument.sum += value
+        instrument.counts[bisect_left(instrument.buckets, value)] += 1
 
     @contextmanager
     def timer(self, phase: str) -> Iterator[None]:

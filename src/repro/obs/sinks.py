@@ -61,7 +61,8 @@ class TraceSink(abc.ABC):
         return kind not in TRANSPORT_KINDS
 
     def emit(self, event: "TraceEvent") -> None:
-        """Called once per recorded event, in record order."""
+        """Called once per recorded event, in record order — on sinks that
+        override it; the TraceLog skips the call to this inherited no-op."""
 
     def close(self) -> None:
         """Flush and release any resources (idempotent)."""
@@ -109,12 +110,15 @@ class CountingSink(TraceSink):
         self._by_msg_kind: dict[str, dict[str, int]] = {}
 
     def emit(self, event: "TraceEvent") -> None:
-        if event.kind not in TRANSPORT_KINDS:
+        kind = event.kind
+        if kind not in TRANSPORT_KINDS:
             return
-        msg_kind = event.get("msg_kind")
+        msg_kind = event.data.get("msg_kind")
         if msg_kind is None:
             return
-        breakdown = self._by_msg_kind.setdefault(event.kind, {})
+        breakdown = self._by_msg_kind.get(kind)
+        if breakdown is None:
+            breakdown = self._by_msg_kind[kind] = {}
         breakdown[msg_kind] = breakdown.get(msg_kind, 0) + 1
 
     def summary(self) -> dict[str, dict[str, int]]:

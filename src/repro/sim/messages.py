@@ -27,7 +27,7 @@ class Message:
     receiver: int
     kind: str
     payload: dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     def reply(self, kind: str, payload: dict[str, Any] | None = None) -> "Message":
         """Build a response message addressed back to the sender."""

@@ -15,11 +15,11 @@ globally unique and are never reused — slots are storage, not identity.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.sim import trace as tr
-from repro.sim.errors import MembershipError, TopologyError
-from repro.sim.events import PRIORITY_NORMAL
+from repro.sim.errors import MembershipError, SchedulingError, TopologyError
 from repro.sim.latency import DelayModel, LossModel, NoLoss, UniformDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
@@ -110,6 +110,12 @@ class Network:
         # of how many messages other simulations in this Python process
         # have created.
         self._msg_ids = itertools.count()
+        # Per-event path state (see "Per-event budget" in docs/SCALING.md):
+        # the two names that depend only on the message kind, built once
+        # per kind, and the transport stream, fetched on the first send —
+        # streams are derived from their name, so when does not matter.
+        self._kind_names: dict[str, tuple[str, str]] = {}
+        self._transport_rng: "random.Random | None" = None
 
     # ------------------------------------------------------------------
     # Membership
@@ -401,8 +407,6 @@ class Network:
         self._edge_delays[(min(a, b), max(a, b))] = model
 
     def _delay_for(self, a: int, b: int) -> DelayModel:
-        if not self._edge_delays:
-            return self.delay_model
         return self._edge_delays.get((min(a, b), max(a, b)), self.delay_model)
 
     def send(self, message: Message) -> None:
@@ -415,26 +419,35 @@ class Network:
         sender_slot = self._slot_of.get(sender)
         if sender_slot is None:
             raise MembershipError(f"sender {sender} is not present")
-        if not self.complete and receiver not in self._adj[sender_slot]:
+        if self.complete:
+            if receiver == sender or receiver not in self._slot_of:
+                raise TopologyError(f"process {sender} cannot reach {receiver}")
+        elif receiver not in self._adj[sender_slot]:
             raise TopologyError(
                 f"process {sender} cannot reach {receiver}: not a neighbor"
             )
-        if self.complete and (receiver == sender or receiver not in self._slot_of):
-            raise TopologyError(f"process {sender} cannot reach {receiver}")
         if self.resilience is not None:
             # The recovery layer may wrap the message (session id payload
             # key) and register it for acknowledgement tracking; control
             # traffic and retransmissions pass through unchanged.
             message = self.resilience.outbound(message)
-        now = self._sim.now
+        sim = self._sim
+        metrics = sim.metrics
+        kind = message.kind
+        names = self._kind_names.get(kind)
+        if names is None:
+            names = self._kind_names[kind] = (f"net.sent.{kind}", f"deliver:{kind}")
+        sent_counter, deliver_label = names
         msg_id = next(self._msg_ids)
-        self._sim.metrics.inc("net.sent")
-        self._sim.metrics.inc(f"net.sent.{message.kind}")
-        self._sim.trace.record(
-            now, tr.SEND, msg_id=msg_id, msg_kind=message.kind,
+        metrics.inc("net.sent")
+        metrics.inc(sent_counter)
+        sim.trace.record(
+            sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
             sender=sender, receiver=receiver,
         )
-        rng = self._sim.rng_for("transport")
+        rng = self._transport_rng
+        if rng is None:
+            rng = self._transport_rng = sim.rng_for("transport")
         if self.loss_model.is_lost(rng):
             self._lose(message, msg_id, "loss", counter="net.dropped.loss")
             return
@@ -449,21 +462,26 @@ class Network:
                 counter="net.dropped.fault",
             )
             return
-        delay = self._delay_for(sender, receiver).sample(rng)
-        self._sim.metrics.observe("net.delivery_delay", delay)
+        delay_model = (
+            self._delay_for(sender, receiver) if self._edge_delays
+            else self.delay_model
+        )
+        delay = delay_model.sample(rng)
+        metrics.observe("net.delivery_delay", delay)
         if effect is not None and effect.extra_delay > 0.0:
             delay += effect.extra_delay
-            self._sim.metrics.observe("faults.extra_delay", effect.extra_delay)
-        self._schedule_delivery(message, msg_id, delay)
+            metrics.observe("faults.extra_delay", effect.extra_delay)
+        self._schedule_delivery(message, msg_id, delay, deliver_label)
         if effect is not None and effect.copies > 0:
             # Duplicates reuse the original msg_id (they *are* the same
             # message, redelivered) and draw their delays from the fault
             # stream so transport randomness is untouched.
-            fault_rng = self._sim.rng_for("faults")
-            self._sim.metrics.inc("faults.duplicates", effect.copies)
+            fault_rng = sim.rng_for("faults")
+            metrics.inc("faults.duplicates", effect.copies)
             for _ in range(effect.copies):
-                copy_delay = self._delay_for(sender, receiver).sample(fault_rng)
-                self._schedule_delivery(message, msg_id, copy_delay)
+                self._schedule_delivery(
+                    message, msg_id, delay_model.sample(fault_rng), deliver_label
+                )
 
     def _lose(
         self, message: Message, msg_id: int, reason: str, counter: str
@@ -471,51 +489,58 @@ class Network:
         """Record a message lost in transit: the classic ``drop`` plus a
         ``msg_lost`` event owned by the sender, so causal analysis can tell
         "sent and lost" apart from "never sent"."""
-        now = self._sim.now
-        self._sim.metrics.inc(counter)
-        self._sim.trace.record(
+        sim = self._sim
+        now = sim._now
+        trace = sim.trace
+        sim.metrics.inc(counter)
+        trace.record(
             now, tr.DROP, msg_id=msg_id, msg_kind=message.kind,
             sender=message.sender, receiver=message.receiver, reason=reason,
         )
-        self._sim.trace.record(
+        trace.record(
             now, tr.MSG_LOST, msg_id=msg_id, msg_kind=message.kind,
             entity=message.sender, sender=message.sender,
             receiver=message.receiver, reason=reason,
         )
 
     def _schedule_delivery(
-        self, message: Message, msg_id: int, delay: float
+        self, message: Message, msg_id: int, delay: float, label: str
     ) -> None:
-        deliver_at = self._sim.now + delay
+        sim = self._sim
+        now = sim._now
+        deliver_at = now + delay
         if self.fifo:
             channel = (message.sender, message.receiver)
             deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
             self._last_delivery[channel] = deliver_at
-        self._sim.at(
-            deliver_at,
-            lambda: self._deliver(message, msg_id),
-            priority=PRIORITY_NORMAL,
-            label=f"deliver:{message.kind}",
+        # Straight onto the queue, with the check ``Simulator.at`` makes.
+        if deliver_at < now:
+            raise SchedulingError(
+                f"cannot schedule at {deliver_at} < now ({now})"
+            )
+        sim.queue.push(
+            deliver_at, partial(self._deliver, message, msg_id), label=label
         )
 
     def _deliver(self, message: Message, msg_id: int) -> None:
-        now = self._sim.now
+        sim = self._sim
+        metrics = sim.metrics
         slot = self._slot_of.get(message.receiver)
         receiver = self._procs[slot] if slot is not None else None
         if receiver is None or not receiver._alive:
-            self._sim.metrics.inc("net.dropped.receiver_absent")
-            self._sim.trace.record(
-                now, tr.DROP, msg_id=msg_id, msg_kind=message.kind,
+            metrics.inc("net.dropped.receiver_absent")
+            sim.trace.record(
+                sim._now, tr.DROP, msg_id=msg_id, msg_kind=message.kind,
                 sender=message.sender, receiver=message.receiver,
                 reason="receiver_absent",
             )
             return
-        self._sim.metrics.inc("net.delivered")
+        metrics.inc("net.delivered")
         hops = message.payload.get("hops")
         if isinstance(hops, int):
-            self._sim.metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
-        self._sim.trace.record(
-            now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
+            metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
+        sim.trace.record(
+            sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
             sender=message.sender, receiver=message.receiver,
         )
         if self.resilience is not None:

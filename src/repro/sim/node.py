@@ -11,6 +11,7 @@ membership, which is exactly the paper's locality constraint.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.errors import ProtocolError
@@ -90,7 +91,9 @@ class Process:
         and sorts the whole population.  Draws from the per-process
         stream, so it is deterministic for a fixed seed.
         """
-        return self.sim.network.sample_neighbor(self.pid, self.rng)
+        sim = self._sim or self.sim
+        pid = self.pid
+        return sim.network.sample_neighbor(pid, sim.process_rng(pid))
 
     # ------------------------------------------------------------------
     # Actions
@@ -102,8 +105,8 @@ class Process:
         Raises:
             TopologyError: if ``receiver`` is not currently a neighbor.
         """
-        message = Message(sender=self.pid, receiver=receiver, kind=kind, payload=payload)
-        self.sim.network.send(message)
+        sim = self._sim or self.sim
+        sim.network.send(Message(self.pid, receiver, kind, payload))
 
     def broadcast(self, kind: str, exclude: int | None = None, **payload: Any) -> int:
         """Send ``kind`` to every current neighbor; return how many were sent.
@@ -111,8 +114,9 @@ class Process:
         ``exclude`` skips one neighbor (typically the process the triggering
         message came from).
         """
+        sim = self._sim or self.sim
         sent = 0
-        for neighbor in sorted(self.neighbors()):
+        for neighbor in sorted(sim.network.neighbors(self.pid)):
             if neighbor == exclude:
                 continue
             self.send(neighbor, kind, **payload)
@@ -123,14 +127,13 @@ class Process:
         """Schedule :meth:`on_timer` after ``delay``; return a cancel handle."""
         if delay < 0:
             raise ProtocolError(f"timer delay must be >= 0, got {delay}")
-        self._timer_ids += 1
-        timer_id = self._timer_ids
-        event = self.sim.schedule(
-            delay,
-            lambda: self._fire_timer(timer_id, name, payload),
+        sim = self._sim or self.sim
+        self._timer_ids = timer_id = self._timer_ids + 1
+        self._timers[timer_id] = sim.queue.push(
+            sim._now + delay,
+            partial(self._fire_timer, timer_id, name, payload),
             label=f"timer:{self.pid}:{name}",
         )
-        self._timers[timer_id] = event
         return timer_id
 
     def cancel_timer(self, timer_id: int) -> None:
@@ -143,7 +146,8 @@ class Process:
     def _fire_timer(self, timer_id: int, name: str, payload: Any) -> None:
         self._timers.pop(timer_id, None)
         if self._alive:
-            self.sim.trace.record(self.now, "timer", entity=self.pid, name=name)
+            sim = self._sim or self.sim
+            sim.trace.record(sim._now, "timer", entity=self.pid, name=name)
             self.on_timer(name, payload)
 
     def record(self, kind: str, **data: Any) -> None:

@@ -207,14 +207,18 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute one event; return ``False`` if the queue was empty."""
-        if not self.queue:
+        queue = self.queue
+        # Not ``if not queue``: its count includes events cancelled without
+        # ``note_cancelled()`` until they surface; the peek drops them.
+        if queue.peek_time() is None:
             return False
-        event = self.queue.pop()
-        if event.time < self._now:
+        event = queue.pop()
+        time = event.time
+        if time < self._now:
             raise SchedulingError(
-                f"time went backwards: {event.time} < {self._now} ({event.label})"
+                f"time went backwards: {time} < {self._now} ({event.label})"
             )
-        self._now = event.time
+        self._now = time
         self._events_executed += 1
         event.action()
         return True
@@ -230,17 +234,22 @@ class Simulator:
         Events scheduled exactly at ``until`` are executed.  Returns the
         simulation time when the run stopped.
         """
+        queue = self.queue
+        step = self.step
         executed = 0
-        while self.queue:
-            next_time = self.queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
+        while True:
+            # Looked up per iteration: the queue rebinds it on promotion.
+            next_time = queue.peek_time()
+            if next_time is None:
+                break
+            if until is not None and next_time > until:
                 self._now = until
-                return self._now
+                return until
             if executed >= max_events:
                 raise SchedulingError(
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
-            self.step()
+            step()
             executed += 1
         if until is not None and until > self._now:
             self._now = until

@@ -81,6 +81,9 @@ class TraceLog:
 
     def __init__(self, sink: TraceSink | None = None) -> None:
         self._sink: TraceSink = sink if sink is not None else MemorySink()
+        # ``emit`` is only invoked on sinks that override it: MemorySink and
+        # NullSink (every E-experiment) inherit the no-op.
+        self._emits = type(self._sink).emit is not TraceSink.emit
         self._events: list[TraceEvent] = []
         self._counts: dict[str, int] = {}
         self._total = 0
@@ -108,10 +111,13 @@ class TraceLog:
         """Append an event and return it."""
         event = TraceEvent(time, kind, data)
         self._total += 1
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        if self._sink.retains(kind):
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        sink = self._sink
+        if sink.retains(kind):
             self._events.append(event)
-        self._sink.emit(event)
+        if self._emits:
+            sink.emit(event)
         return event
 
     def close(self) -> None:

@@ -209,3 +209,45 @@ class TestAbstractSink:
         sink.emit(None)
         sink.close()
         assert repr(sink) == "Probe()"
+
+
+class TestEmitIsOnlyCalledWhenOverridden:
+    """The TraceLog skips the inherited no-op ``emit`` (decided once per
+    log); a sink class that overrides it sees every event, retained or
+    not, in record order."""
+
+    def test_inherited_noop_is_skipped(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            TraceSink, "emit", lambda self, event: calls.append(event)
+        )
+        for sink in (MemorySink(), NullSink()):
+            log = TraceLog(sink=sink)
+            log.record(0.0, "join", entity=1)
+            log.record(1.0, "send", msg_id=0, msg_kind="X", sender=1, receiver=2)
+            assert len(log) == 2
+        assert calls == []
+
+    def test_overriding_sinks_see_every_event(self):
+        from repro.obs.check import CheckingSink
+
+        seen = []
+
+        class Spy(TraceSink):
+            name = "spy"
+
+            def emit(self, event):
+                seen.append(event.kind)
+
+        log = TraceLog(sink=CheckingSink(Spy()))
+        log.record(0.0, "join", entity=1, neighbors=(), degree=0, value=None)
+        log.record(1.0, "timer", entity=1, name="t")
+        assert seen == ["join", "timer"]
+        assert log.retained == 1
+
+        counting = CountingSink()
+        log = TraceLog(sink=counting)
+        log.record(1.0, "send", msg_id=0, msg_kind="X", sender=1, receiver=2)
+        log.record(1.0, "send", msg_id=1, msg_kind="X", sender=1, receiver=2)
+        log.record(2.0, "timer", entity=1, name="t")
+        assert counting.summary() == {"send": {"X": 2}}

@@ -11,6 +11,7 @@ event-for-event.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -223,3 +224,85 @@ def test_adaptive_backend_reports_migration():
     queue.push(0.0, lambda: None, label="late")
     first = queue.pop()
     assert first.label != "late"
+
+
+# ----------------------------------------------------------------------
+# Heap entries are (time, priority, seq, event): a comparison must never
+# reach the event or its action
+# ----------------------------------------------------------------------
+
+
+class _Unorderable:
+    """A callable that refuses every comparison, as lambdas and partials do
+    — loudly, so a heap that fell through to its payload fails the test
+    instead of raising a TypeError somewhere inside heapq."""
+
+    def __call__(self) -> None:
+        pass
+
+    def _refuse(self, other):
+        raise AssertionError("the queue compared two event actions")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+def _tie_actions(count):
+    plain = lambda: None  # noqa: E731 - a lambda is the point
+    return [
+        (plain, functools.partial(plain), _Unorderable())[i % 3]
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name, factory", BACKENDS)
+def test_same_instant_events_pop_in_push_order_whatever_the_action(name, factory):
+    queue = factory()
+    handles = [
+        queue.push(7.0, action, label=str(i))
+        for i, action in enumerate(_tie_actions(60))
+    ]
+    assert [queue.pop() for _ in range(60)] == handles
+    assert [handle.label for handle in handles] == [str(i) for i in range(60)]
+
+
+def test_ties_survive_compact_and_drain_live():
+    heap = HeapEventQueue()
+    handles = [heap.push(1.0, action) for action in _tie_actions(200)]
+    for i, handle in enumerate(handles):
+        if i % 3:
+            handle.cancel()
+            heap.note_cancelled()   # tombstones pass live: compacts on the way
+    assert heap.storage_size() < len(handles)
+    heap.compact()
+    survivors = [h for h in handles if not h.cancelled]
+    assert heap.storage_size() == len(heap) == len(survivors)
+    assert sorted(heap.drain_live(), key=lambda e: e.seq) == survivors
+    assert len(heap) == 0 and heap.storage_size() == 0
+
+
+def test_mixed_priorities_at_one_instant_fire_membership_first():
+    for name, factory in BACKENDS:
+        queue = factory()
+        priorities = [PRIORITY_LATE, PRIORITY_NORMAL, PRIORITY_MEMBERSHIP] * 8
+        for priority, action in zip(priorities, _tie_actions(24)):
+            queue.push(3.0, action, priority=priority)
+        order = [queue.pop() for _ in range(24)]
+        assert [e.priority for e in order] == (
+            [PRIORITY_MEMBERSHIP] * 8 + [PRIORITY_NORMAL] * 8 + [PRIORITY_LATE] * 8
+        ), name
+        for a, b in zip(order, order[1:]):
+            assert a.priority < b.priority or a.seq < b.seq, name
+
+
+@pytest.mark.parametrize("name, factory", BACKENDS)
+def test_the_pushed_handle_is_the_queued_event(name, factory):
+    queue = factory()
+    first = queue.push(1.0, _Unorderable(), label="first")
+    doomed = queue.push(1.0, _Unorderable(), label="doomed")
+    for i in range(10):             # enough to migrate the adaptive queue
+        queue.push(2.0 + i, _Unorderable())
+    doomed.cancel()
+    queue.note_cancelled()
+    assert queue.pop() is first
+    assert queue.pop().label == ""  # the cancelled handle was honoured
+    assert first < doomed           # Event itself stays orderable

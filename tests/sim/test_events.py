@@ -6,7 +6,9 @@ import pytest
 
 from repro.sim.errors import SchedulingError
 from repro.sim.events import (
+    CalendarEventQueue,
     EventQueue,
+    HeapEventQueue,
     PRIORITY_LATE,
     PRIORITY_MEMBERSHIP,
     PRIORITY_NORMAL,
@@ -112,3 +114,86 @@ class TestEventQueue:
             q.push(t, noop)
         popped = [q.pop().time for _ in range(500)]
         assert popped == sorted(times)
+
+
+def _physical(queue) -> int:
+    """Entries really held by a backend (cancelled ones included)."""
+    if isinstance(queue, HeapEventQueue):
+        return len(queue._heap)
+    return sum(len(bucket) for bucket in queue._buckets)
+
+
+@pytest.mark.parametrize("backend", [HeapEventQueue, CalendarEventQueue])
+class TestBareCancel:
+    """``Event.cancel()`` without ``note_cancelled()``: the queue finds out
+    when the entry surfaces, and ``physical == live + tombstones`` holds
+    at every step."""
+
+    def _check(self, queue):
+        assert _physical(queue) == len(queue) + queue._tombstones
+        assert queue._tombstones >= 0
+        assert queue.storage_size() == _physical(queue)
+
+    def test_only_event(self, backend):
+        queue = backend()
+        queue.push(1.0, noop).cancel()
+        self._check(queue)
+        assert queue.peek_time() is None
+        assert len(queue) == 0 and not queue
+        self._check(queue)
+        with pytest.raises(SchedulingError):
+            queue.pop()
+
+    def test_pop_skips_head_and_middle(self, backend):
+        queue = backend()
+        events = [queue.push(float(t), noop, label=str(t)) for t in range(1, 6)]
+        events[0].cancel()
+        events[2].cancel()
+        assert [queue.pop().label for _ in range(3)] == ["2", "4", "5"]
+        assert len(queue) == 0
+        self._check(queue)
+
+    def test_mixed_with_noted_cancellations(self, backend):
+        queue = backend()
+        events = [queue.push(float(t), noop, label=str(t)) for t in range(8)]
+        events[1].cancel()                      # bare
+        events[2].cancel()
+        queue.note_cancelled()                  # announced
+        events[2].cancel()                      # a second cancel is a no-op
+        events[5].cancel()                      # bare
+        assert len(queue) == 7
+        self._check(queue)
+        popped = []
+        while queue.peek_time() is not None:
+            popped.append(queue.pop().label)
+            self._check(queue)
+        assert popped == ["0", "3", "4", "6", "7"]
+        assert len(queue) == 0
+
+    def test_compact_counts_what_is_left(self, backend):
+        queue = backend()
+        events = [queue.push(float(t), noop) for t in range(10)]
+        for event in events[::2]:
+            event.cancel()
+        events[1].cancel()
+        queue.note_cancelled()
+        queue.compact()
+        assert len(queue) == 4
+        self._check(queue)
+        assert [queue.pop().time for _ in range(4)] == [3.0, 5.0, 7.0, 9.0]
+
+
+def test_bare_cancel_survives_promotion():
+    queue = EventQueue(calendar_threshold=8)
+    early = [queue.push(float(t), noop, label=str(t)) for t in range(6)]
+    early[0].cancel()
+    early[3].cancel()
+    late = [queue.push(10.0 + t, noop, label=f"late{t}") for t in range(6)]
+    assert queue.backend == "calendar"
+    late[2].cancel()
+    popped = []
+    while queue.peek_time() is not None:
+        popped.append(queue.pop().label)
+    assert popped == ["1", "2", "4", "5", "late0", "late1", "late3", "late4",
+                      "late5"]
+    assert len(queue) == 0 and not queue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.errors import SchedulingError
+from repro.sim.events import EventQueue
 from repro.sim.latency import ConstantDelay
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
@@ -109,6 +110,67 @@ class TestClockAndScheduling:
         sim.schedule(0.5, lambda: order.append("c"))
         sim.run()
         assert order == ["c", "a", "b"]
+
+
+class TestBareEventCancel:
+    """``sim.schedule(...).cancel()`` with no ``note_cancelled()``: the run
+    must end normally on both queue backends (it used to die with ``pop
+    from empty event queue`` once only cancelled entries were left)."""
+
+    @pytest.fixture(params=["heap", "calendar"])
+    def any_sim(self, request):
+        sim = Simulator(seed=1)
+        if request.param == "calendar":
+            sim.queue = EventQueue(calendar_threshold=4)
+            for i in range(6):
+                sim.schedule(50.0 + i, lambda: None)
+            assert sim.queue.backend == "calendar"
+        return sim
+
+    def test_only_event_cancelled(self):
+        sim = Simulator(seed=1)
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1)).cancel()
+        assert sim.run() == 0.0
+        assert fired == [] and len(sim.queue) == 0
+        assert sim.step() is False
+
+    def test_only_event_cancelled_with_until(self):
+        sim = Simulator(seed=1)
+        sim.schedule(1.0, lambda: None).cancel()
+        assert sim.run(until=5.0) == 5.0
+        assert len(sim.queue) == 0
+
+    def test_head_and_middle_cancelled(self, any_sim):
+        sim, fired = any_sim, []
+        events = [
+            sim.schedule(float(t), lambda t=t: fired.append(t))
+            for t in range(1, 6)
+        ]
+        events[0].cancel()
+        events[2].cancel()
+        events[2].cancel()
+        sim.run()
+        assert fired == [2, 4, 5]
+        assert len(sim.queue) == 0
+
+    def test_cancelled_from_inside_an_event(self, any_sim):
+        sim, fired = any_sim, []
+        last = sim.schedule(3.0, lambda: fired.append("last"))
+        sim.schedule(1.0, last.cancel)
+        sim.schedule(2.0, lambda: fired.append("kept"))
+        sim.run(until=100.0)
+        assert fired == ["kept"]
+        assert len(sim.queue) == 0
+
+    def test_step_loop_ends_on_cancelled_tail(self):
+        sim = Simulator(seed=1)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None).cancel()
+        steps = 0
+        while sim.step():
+            steps += 1
+        assert steps == 1 and len(sim.queue) == 0
 
 
 class TestRandomStreams:
