@@ -51,7 +51,7 @@ def build_scaling_plan():
 
 def test_e9_scaling(benchmark):
     plan, topologies = build_scaling_plan()
-    results = SerialExecutor().run(plan)
+    results = SerialExecutor().run_specs(plan.specs)
     rows = []
     data: dict[tuple[str, int], tuple[float, float, int]] = {}
     for result in results:

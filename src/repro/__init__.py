@@ -21,7 +21,7 @@ runnable code:
 * :mod:`repro.obs` — the observability layer: metrics registry and
   pluggable trace sinks;
 * :mod:`repro.bench` — preset scenarios and the callable-based sweep
-  harness (its ``runner`` submodules are deprecated shims);
+  harness;
 * :mod:`repro.api` — the stable public facade re-exporting the blessed
   surface of all of the above.
 

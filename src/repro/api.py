@@ -109,7 +109,6 @@ from repro.engine.executor import (
     SerialExecutor,
     TrialExecutor,
     execute_trial,
-    make_executor,
     run_plan,
     stream_plan,
 )
@@ -386,7 +385,6 @@ __all__ = [
     "execute_trial",
     "executor_preset",
     "load_document",
-    "make_executor",
     "resolve_executor",
     "run_plan",
     "stream_plan",

@@ -1,10 +1,7 @@
 """Benchmark harness: preset scenarios and the callable-based sweep.
 
 The trial runners re-exported here live in :mod:`repro.engine.trials`;
-new code should import them from :mod:`repro.api`.  The submodules
-``repro.bench.runner`` and ``repro.bench.dissemination_runner`` are
-deprecated shims kept for old import sites — importing *them* warns,
-importing this package does not.
+new code should import them from :mod:`repro.api`.
 """
 
 from repro.engine.trials import (

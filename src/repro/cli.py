@@ -30,7 +30,7 @@ flag vocabulary and all run through the layered experiment engine
   ``repro trace export --engine``; result documents are byte-identical
   with telemetry on or off.
 * ``--profile-trials K`` cProfiles the K slowest trials by deterministic
-  re-execution after the run (``--profile`` is the deprecated spelling).
+  re-execution after the run.
 * ``--trace-sink {memory,jsonl,null,counts}`` selects the transport-event
   sink (``jsonl`` needs ``--trace-dir``); verdicts and documents are
   identical under every sink.
@@ -191,10 +191,6 @@ def _engine_parent(trials_default: int = 1) -> argparse.ArgumentParser:
                        "by deterministic re-execution; with --telemetry "
                        "the hottest functions are embedded in the summary "
                        "record")
-    group.add_argument("--profile", action="store_true",
-                       help="deprecated: use --profile-trials K (and "
-                       "--telemetry for a durable record); prints phase "
-                       "timings plus a profile of the slowest trial")
     group.add_argument("--trace-sink", dest="trace_sink", default=None,
                        choices=list(SINK_NAMES),
                        help="transport-event sink (documents are identical "
@@ -230,15 +226,16 @@ def _engine_parent(trials_default: int = 1) -> argparse.ArgumentParser:
 class _ProgressPrinter:
     """Live ``done/total`` progress with an ETA from per-trial wall times.
 
-    Invoked by the executor in completion order; the ETA divides the mean
-    observed trial wall time by the worker count, so it stays meaningful
-    under ``--jobs N``.  The final line reports per-status counts: ``ok``
-    (spec satisfied), ``failed`` (terminated but spec violated), ``skipped``
-    (never reached a verdict — e.g. the query never returned) and — only
-    when the ``--watchdog`` guard tripped — ``quarantined`` (every watchdog
-    attempt overran the wall-clock budget).  Chunked backends additionally
-    report task batches via :meth:`chunk_update`; the summary then carries
-    ``N/M chunks`` (completed/dispatched) alongside the trial counts.
+    Invoked by the executor once per trial, in plan order; the ETA divides
+    the mean observed trial wall time by the worker count, so it stays
+    meaningful under ``--jobs N``.  The final line reports per-status
+    counts: ``ok`` (spec satisfied), ``failed`` (terminated but spec
+    violated), ``skipped`` (never reached a verdict — e.g. the query never
+    returned) and — only when the ``--watchdog`` guard tripped —
+    ``quarantined`` (every watchdog attempt overran the wall-clock budget).
+    Chunked backends additionally report task batches via
+    :meth:`chunk_update`; the summary then carries ``N/M chunks``
+    (completed/dispatched) alongside the trial counts.
     """
 
     def __init__(self, jobs: int = 1, stream: Any = None) -> None:
@@ -407,15 +404,15 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
     ``--executor`` (a builtin preset name or a path to an executor-spec
     JSON file) is the blessed form and excludes the ad-hoc flags;
     without it, ``--jobs``/``--chunk``/``--watchdog``/``--trial-retries``
-    assemble an anonymous spec (``--jobs 1`` stays serial, matching the
-    historical default).
+    assemble an anonymous spec (``--jobs 1``, or no ``--jobs`` at all,
+    stays serial).
     """
     from repro.sim.errors import ConfigurationError
 
     value = getattr(args, "executor", None)
     if value is not None:
         adhoc = []
-        if getattr(args, "jobs", 1) != 1:
+        if getattr(args, "jobs", None) not in (None, 1):
             adhoc.append("--jobs")
         if getattr(args, "chunk", None) is not None:
             adhoc.append("--chunk")
@@ -513,17 +510,13 @@ def _engine_run(
     kind: str,
     base: Mapping[str, Any],
     grid: Mapping[str, Sequence[Any]] | None = None,
-) -> tuple[ExperimentPlan, ResultStore, dict[str, float],
-           "TelemetryRecorder | None"]:
-    """The shared plan → execute → aggregate path, timed per phase."""
-    timings: dict[str, float] = {}
-    start = time.perf_counter()
+) -> tuple[ExperimentPlan, ResultStore, "TelemetryRecorder | None"]:
+    """The shared plan → execute path of the engine commands."""
     plan = build_plan(
         name, kind=kind, grid=grid,
         base=_apply_sink_flags(args, name, dict(base)),
         trials=args.trials, root_seed=args.seed,
     )
-    timings["plan"] = time.perf_counter() - start
 
     spec = _resolve_executor_flag(args)
     progress = (
@@ -531,20 +524,18 @@ def _engine_run(
     )
     recorder = _telemetry_recorder(args)
     checkpoint = _checkpoint_path(args, plan)
-    start = time.perf_counter()
-    executor = spec
     try:
         if args.output and args.output.endswith(".jsonl"):
             # Stream each trial to the output file the moment it finishes —
             # peak memory during execution is one window of in-flight
             # trials, not the whole plan.  The store is reloaded from the
             # stream only to render the summary tables below.
-            stream_plan(plan, args.output, executor=executor,
+            stream_plan(plan, args.output, executor=spec,
                         progress=progress, telemetry=recorder,
                         checkpoint=checkpoint)
             store = ResultStore.load(args.output)
         else:
-            store = run_plan(plan, executor=executor, progress=progress,
+            store = run_plan(plan, executor=spec, progress=progress,
                              telemetry=recorder, checkpoint=checkpoint)
     except BaseException:
         if recorder is not None:
@@ -558,25 +549,17 @@ def _engine_run(
                   "same command (or `repro resume`) to finish the sweep",
                   file=sys.stderr)
         raise
-    timings["execute"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    store.document()
-    timings["aggregate"] = time.perf_counter() - start
-    return plan, store, timings, recorder
+    return plan, store, recorder
 
 
 def _engine_finish(
     args: argparse.Namespace,
     plan: ExperimentPlan,
     store: ResultStore,
-    timings: dict[str, float],
     recorder: "TelemetryRecorder | None" = None,
 ) -> None:
     """Post-table chores shared by the engine commands: output, profiling,
     telemetry close-out."""
-    import warnings
-
     if args.output:
         if args.output.endswith(".jsonl"):
             # Already streamed during execution by _engine_run.
@@ -585,21 +568,6 @@ def _engine_finish(
             store.write(args.output)
             print(f"result document written to {args.output}")
     profile_k = getattr(args, "profile_trials", None)
-    if args.profile:
-        warnings.warn(
-            "--profile is deprecated; use --profile-trials K (add "
-            "--telemetry to keep the profile in the run's summary record)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if profile_k is None:
-            profile_k = 1
-        print(render_table(
-            ["phase", "wall time"],
-            [[phase, f"{timings[phase]:.3f}s"]
-             for phase in ("plan", "execute", "aggregate")],
-            title="phase timing",
-        ))
     if profile_k:
         # Deterministic re-execution: profiling the K slowest trials
         # after the fact reproduces their work exactly without having
@@ -852,8 +820,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "preset name (repro executor) or an executor-spec "
                          "JSON file")
     exp_run.add_argument("--jobs", type=int, default=None,
-                         help="fan trials out over N workers (ignored when "
-                         "--executor or the YAML pins a policy)")
+                         help="fan trials out over N workers, overriding "
+                         "the experiment's executor block (give either "
+                         "--jobs or --executor, not both)")
     exp_run.add_argument("--output", default=None, metavar="FILE",
                          help="write the result document (.json) or stream "
                          "trials to append-only JSONL (.jsonl)")
@@ -895,7 +864,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     }
     if args.churn_rate > 0:
         base["churn"] = ChurnSpec(kind="replacement", rate=args.churn_rate)
-    plan, store, timings, recorder = _engine_run(
+    plan, store, recorder = _engine_run(
         args, "cli-query", "query", base
     )
     rows = []
@@ -915,7 +884,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         title=(f"one-time query: n={args.n}, {args.topology}, "
                f"{args.protocol}, {args.aggregate}, churn={args.churn_rate}"),
     ))
-    _engine_finish(args, plan, store, timings, recorder)
+    _engine_finish(args, plan, store, recorder)
     return 0
 
 
@@ -926,7 +895,7 @@ def _cmd_gossip(args: argparse.Namespace) -> int:
     }
     if args.churn_rate > 0:
         base["churn"] = ChurnSpec(kind="replacement", rate=args.churn_rate)
-    plan, store, timings, recorder = _engine_run(
+    plan, store, recorder = _engine_run(
         args, "cli-gossip", "gossip", base
     )
     for result in store.results:
@@ -935,7 +904,7 @@ def _cmd_gossip(args: argparse.Namespace) -> int:
               f"truth {float(result.truth):.4g}, "
               f"relative error {result.error:.4g}, "
               f"{result.messages} messages")
-    _engine_finish(args, plan, store, timings, recorder)
+    _engine_finish(args, plan, store, recorder)
     return 0
 
 
@@ -1053,7 +1022,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "n": args.n, "topology": args.topology,
         "aggregate": "COUNT", "horizon": 300.0,
     }
-    plan, store, timings, recorder = _engine_run(
+    plan, store, recorder = _engine_run(
         args, "churn-sweep", "query", base, grid={"churn_rate": rates}
     )
     jobs = _resolve_executor_flag(args).effective_jobs()
@@ -1063,7 +1032,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         title=(f"churn sweep: n={args.n}, {args.topology}, "
                f"{args.trials} trials, jobs={jobs}"),
     ))
-    _engine_finish(args, plan, store, timings, recorder)
+    _engine_finish(args, plan, store, recorder)
     return 0
 
 
@@ -1452,23 +1421,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"# trial specs:       {len(exp.to_plan().specs)}")
         return 0
 
-    # run
-    executor: Any = None
-    if args.executor:
-        if args.executor.endswith(".json") or os.path.sep in args.executor:
-            try:
-                with open(args.executor, "r", encoding="utf-8") as handle:
-                    executor = ExecutorSpec.from_json(handle.read())
-            except OSError as error:
-                raise SystemExit(
-                    f"--executor: cannot read {args.executor!r}: {error}")
-            except (ValueError, ConfigurationError) as error:
-                raise SystemExit(f"--executor: {args.executor!r}: {error}")
-        else:
-            try:
-                executor = executor_preset(args.executor)
-            except ConfigurationError as error:
-                raise SystemExit(f"--executor: {error}")
+    # run: either flag overrides the YAML's executor block; with neither,
+    # executor=None lets the block (or the serial default) decide.
+    executor: ExecutorSpec | None = None
+    if args.executor is not None or args.jobs is not None:
+        executor = _resolve_executor_flag(args)
     progress = (
         _ProgressPrinter(jobs=args.jobs or 1) if args.progress else None
     )
@@ -1478,7 +1435,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     try:
         run = run_experiment(
-            exp, executor=executor, jobs=args.jobs, progress=progress,
+            exp, executor=executor, progress=progress,
             telemetry=args.telemetry, stream_path=stream_path,
         )
     except ConfigurationError as error:
@@ -1503,7 +1460,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
         try:
             boundary = refine_experiment(
-                exp, executor=executor, jobs=args.jobs, base_run=run,
+                exp, executor=executor, base_run=run,
             )
         except ConfigurationError as error:
             raise SystemExit(str(error))

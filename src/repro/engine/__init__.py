@@ -25,8 +25,7 @@ watchdog) — the same declarative idiom as ``FaultPlan`` and
     store = run_plan(plan, executor=ExecutorSpec.parallel(jobs=4))
     store.write("results.json")
 
-The single-trial layer lives in :mod:`repro.engine.trials`;
-``repro.bench.runner`` re-exports it for compatibility.
+The single-trial layer lives in :mod:`repro.engine.trials`.
 
 :mod:`repro.engine.telemetry` makes the engine itself observable: pass
 ``telemetry="run.telemetry.jsonl"`` to :func:`run_plan` /
@@ -42,7 +41,6 @@ from repro.engine.executor import (
     SerialExecutor,
     TrialExecutor,
     execute_trial,
-    make_executor,
     run_plan,
     stream_plan,
 )
@@ -112,7 +110,6 @@ __all__ = [
     "find_run",
     "load_document",
     "load_telemetry",
-    "make_executor",
     "plan_digest",
     "profile_slowest",
     "render_profiles",

@@ -4,24 +4,27 @@
 taking a picklable :class:`~repro.engine.plan.TrialSpec` and returning a
 picklable :class:`~repro.engine.results.TrialResult`.
 
-Both backends return results **in plan order** regardless of completion
-order, so a plan's result list (and therefore its
-:class:`~repro.engine.results.ResultStore` document) is identical under
-``SerialExecutor`` and ``ParallelExecutor``: parallelism changes wall-clock
-time, never results.
+There is **one dispatch loop**: :meth:`TrialExecutor.stream` hands each
+result to a consumer strictly in plan order, and batch execution
+(:meth:`TrialExecutor.run_specs`) is "stream, then collect" on every
+backend.  Likewise :func:`run_plan` and :func:`stream_plan` are two faces
+of one private run driver (:func:`_drive`), so healing, checkpointing and
+telemetry attach in exactly one place and a plan's result document is
+identical under ``SerialExecutor`` and ``ParallelExecutor``: parallelism
+changes wall-clock time, never results.
 
-The parallel hot path (rebuilt for sweep-scale plans):
+The parallel hot path (built for sweep-scale plans):
 
 * **persistent warm pool** — the worker pool is created once per
   :class:`ParallelExecutor` (lazily, at first use), pre-imports the trial
-  layer, and is reused across every ``run``/``run_specs``/``stream``/
-  ``map`` call until :meth:`~ParallelExecutor.close`; per-plan pool
-  setup is paid once, not per invocation;
-* **chunked dispatch** — trial specs are batched many-per-task
+  layer, and is reused across every ``run_specs``/``stream``/``map`` call
+  until :meth:`~ParallelExecutor.close`; per-plan pool setup is paid
+  once, not per invocation;
+* **chunked, windowed dispatch** — trial specs are batched many-per-task
   (:func:`_run_chunk`), either a fixed ``chunk`` size or adaptively sized
   from one cheap calibration trial so each task carries about
-  ``chunk_target`` seconds of work, amortising task submission and result
-  pickling over dozens of ~26 ms trials;
+  ``chunk_target`` seconds of work, and at most
+  ``jobs × CHUNKS_PER_WORKER`` tasks are in flight at any moment;
 * **compact result transport** — workers ship back a slim positional
   payload per trial (:func:`_pack_result`) instead of a pickled
   :class:`TrialResult`; the parent reassembles the full result
@@ -31,14 +34,13 @@ The parallel hot path (rebuilt for sweep-scale plans):
 
 Configuration lives in the frozen, picklable
 :class:`~repro.engine.spec.ExecutorSpec` (``run_plan(plan,
-executor=ExecutorSpec.parallel(jobs=4))`` or a preset name); the
-historical :func:`make_executor` and ``jobs=`` keyword arguments remain as
-:class:`DeprecationWarning` shims.
+executor=ExecutorSpec.parallel(jobs=4))`` or a preset name).
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
 import functools
 import itertools
 import math
@@ -47,12 +49,10 @@ import shutil
 import tempfile
 import threading
 import time
-import warnings
 import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from concurrent.futures import as_completed, wait
+from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
@@ -91,11 +91,17 @@ from repro.sim.errors import ConfigurationError
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Chunks per worker, used twice: the windowed dispatch keeps at most
+#: ``jobs × CHUNKS_PER_WORKER`` tasks in flight, and adaptive chunking
+#: never packs a plan's remainder into fewer tasks than that.
+CHUNKS_PER_WORKER = 4
+
 #: Progress callback: ``(done_count, total, just_finished_result)``.
-#: Invoked in *completion* order as work drains — the returned result list
-#: is still in input order, so progress reporting never perturbs results.
-#: A callback may additionally expose a ``chunk_update(dispatched,
-#: completed)`` method; chunked backends call it as task batches move.
+#: Trial execution invokes it in *plan* order on every backend, right
+#: after the result has been consumed (and journalled); only the generic
+#: :meth:`TrialExecutor.map` reports in completion order.  A callback may
+#: additionally expose a ``chunk_update(dispatched, completed)`` method;
+#: chunked backends call it as task batches move.
 ProgressFn = Callable[[int, int, Any], None]
 
 
@@ -142,13 +148,7 @@ def execute_trial(spec: TrialSpec) -> TrialResult:
 
 
 def _summarise(spec: TrialSpec, outcome: Any, wall: float) -> TrialResult:
-    point = tuple(spec.point_dict().items())
     common = {
-        "index": spec.index,
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "trial": spec.trial,
-        "point": point,
         "messages": outcome.messages,
         "events_executed": outcome.events_executed,
         "wall_time": wall,
@@ -156,7 +156,8 @@ def _summarise(spec: TrialSpec, outcome: Any, wall: float) -> TrialResult:
     }
     if isinstance(outcome, QueryOutcome):
         report = getattr(outcome, "coverage_report", None)
-        return TrialResult(
+        return TrialResult.from_spec(
+            spec,
             ok=outcome.ok,
             terminated=outcome.terminated,
             result=jsonable(outcome.record.result),
@@ -169,7 +170,8 @@ def _summarise(spec: TrialSpec, outcome: Any, wall: float) -> TrialResult:
             **common,
         )
     if isinstance(outcome, GossipOutcome):
-        return TrialResult(
+        return TrialResult.from_spec(
+            spec,
             ok=math.isfinite(outcome.error),
             terminated=True,
             result=outcome.estimate,
@@ -181,7 +183,8 @@ def _summarise(spec: TrialSpec, outcome: Any, wall: float) -> TrialResult:
             **common,
         )
     if isinstance(outcome, DisseminationOutcome):
-        return TrialResult(
+        return TrialResult.from_spec(
+            spec,
             ok=outcome.ok,
             terminated=True,
             result=outcome.coverage,
@@ -241,19 +244,19 @@ def execute_trial_guarded(
         if "result" in box:
             return box["result"]
         # Timed out: the daemon thread is abandoned and the attempt retried.
-    return _quarantined_result(spec, watchdog, attempts)
+    return _quarantined_result(spec, watchdog * attempts)
 
 
-def _quarantined_result(
-    spec: TrialSpec, watchdog: float, attempts: int
-) -> TrialResult:
-    """The placeholder record for a trial every watchdog attempt lost."""
-    return TrialResult(
-        index=spec.index,
-        kind=spec.kind,
-        seed=spec.seed,
-        trial=spec.trial,
-        point=tuple(spec.point_dict().items()),
+def _quarantined_result(spec: TrialSpec, wall_time: float) -> TrialResult:
+    """The placeholder record (``status="quarantined"``) for a trial that
+    never finished: one every watchdog attempt lost (``wall_time`` is the
+    budget it burnt), or a poison trial — one that killed its worker
+    outright (segfault, OOM kill) until the self-healing pool gave up on
+    it.  A poison trial's ``wall_time`` is pinned to 0.0: a deterministic
+    value keeps ``include_timing`` documents reproducible.  One schema for
+    both, so downstream consumers need no second case."""
+    return TrialResult.from_spec(
+        spec,
         ok=False,
         terminated=False,
         result=None,
@@ -264,37 +267,7 @@ def _quarantined_result(
         messages=0,
         core_size=0,
         events_executed=0,
-        wall_time=watchdog * attempts,
-        metrics={},
-        status="quarantined",
-    )
-
-
-def _poison_result(spec: TrialSpec, kills: int) -> TrialResult:
-    """The placeholder record for a poison trial — one that killed
-    ``kills`` workers outright (segfault, OOM kill) and was quarantined
-    by the self-healing pool.  Shares the watchdog quarantine's schema
-    (``status="quarantined"``) so downstream consumers need no new case;
-    ``wall_time`` is pinned to 0.0 — the trial never finished, and a
-    deterministic value keeps ``include_timing`` documents reproducible.
-    """
-    return TrialResult(
-        index=spec.index,
-        kind=spec.kind,
-        seed=spec.seed,
-        trial=spec.trial,
-        point=tuple(spec.point_dict().items()),
-        ok=False,
-        terminated=False,
-        result=None,
-        truth=None,
-        error=float("inf"),
-        completeness=0.0,
-        latency=float("inf"),
-        messages=0,
-        core_size=0,
-        events_executed=0,
-        wall_time=0.0,
+        wall_time=wall_time,
         metrics={},
         status="quarantined",
     )
@@ -304,15 +277,11 @@ def _poison_result(spec: TrialSpec, kills: int) -> TrialResult:
 class _ChunkTask:
     """Parent-side bookkeeping for one in-flight worker task.
 
-    ``offsets`` aligns with ``batch``: the position of each spec in the
-    spec list the caller submitted (needed to place results after a
-    redispatch splits the original contiguous chunk).  ``deaths`` counts
-    how many pool breaks this task has been in flight for; ``solo`` marks
-    a suspect task that must run with nothing else in flight so a further
-    break attributes precisely.
+    ``deaths`` counts how many pool breaks this task has been in flight
+    for; ``solo`` marks a suspect task that must run with nothing else in
+    flight so a further break attributes precisely.
     """
 
-    offsets: tuple[int, ...]
     batch: tuple[TrialSpec, ...]
     submitted: float = 0.0
     deaths: int = 0
@@ -361,15 +330,7 @@ def _unpack_result(payload: Sequence[Any], spec: TrialSpec) -> TrialResult:
             f"executor wire payload has {len(payload)} fields, expected "
             f"{len(PAYLOAD_FIELDS)} — worker/parent version mismatch?"
         )
-    values = dict(zip(PAYLOAD_FIELDS, payload))
-    return TrialResult(
-        index=spec.index,
-        kind=spec.kind,
-        seed=spec.seed,
-        trial=spec.trial,
-        point=tuple(spec.point_dict().items()),
-        **values,
-    )
+    return TrialResult.from_spec(spec, **dict(zip(PAYLOAD_FIELDS, payload)))
 
 
 def _mark_heartbeat(directory: str, index: int) -> None:
@@ -460,7 +421,7 @@ class TrialExecutor(abc.ABC):
     #: Watchdog retries per trial before quarantining it.
     retries: int = 0
     #: Task batches submitted / drained during the most recent
-    #: ``run_specs``/``stream`` call (0/0 for unchunked backends).
+    #: :meth:`stream` (0/0 for unchunked backends).
     chunks_dispatched: int = 0
     chunks_completed: int = 0
     #: Telemetry recorder for the current plan, attached by
@@ -501,27 +462,20 @@ class TrialExecutor(abc.ABC):
         if callable(update):
             update(self.chunks_dispatched, self.chunks_completed)
 
-    def run(
-        self,
-        plan: ExperimentPlan,
-        progress: Optional[ProgressFn] = None,
-    ) -> list[TrialResult]:
-        """Execute every spec in ``plan``; results come back in plan order.
-
-        ``progress`` (if given) fires after each trial completes, in
-        completion order, with ``(done, total, result)``.
-        """
-        return self.run_specs(plan.specs, progress=progress)
-
     def run_specs(
         self,
         specs: Sequence[TrialSpec],
         progress: Optional[ProgressFn] = None,
     ) -> list[TrialResult]:
-        """Execute an explicit spec list, preserving input order."""
-        return self.map(
-            self._instrumented_trial_fn(), list(specs), progress=progress
-        )
+        """Execute an explicit spec list, preserving input order.
+
+        Batch execution is "stream, then collect" on every backend:
+        :meth:`stream` consumes strictly in plan order, so the list needs
+        no re-ordering and ``progress`` fires in plan order too.
+        """
+        results: list[TrialResult] = []
+        self.stream(specs, results.append, progress=progress)
+        return results
 
     @abc.abstractmethod
     def map(
@@ -546,9 +500,10 @@ class TrialExecutor(abc.ABC):
         progress: Optional[ProgressFn] = None,
     ) -> int:
         """Execute specs and hand each result to ``consume`` in plan order,
-        retaining nothing — the memory-flat path behind
-        :func:`stream_plan`.  Returns how many trials ran.  ``progress``
-        fires as results are consumed (plan order here, unlike :meth:`map`).
+        retaining nothing — the engine's one dispatch loop, behind
+        :meth:`run_specs`, :func:`run_plan` and :func:`stream_plan` alike.
+        Returns how many trials ran.  ``progress`` fires after each result
+        has been consumed (plan order here, unlike :meth:`map`).
         """
         fn = self._instrumented_trial_fn()
         specs = list(specs)
@@ -609,7 +564,7 @@ class ParallelExecutor(TrialExecutor):
     time).  ``jobs`` defaults to the machine's CPU count.
 
     The pool is created lazily on first use and **reused across calls**
-    (``run`` / ``run_specs`` / ``stream`` / ``map``) until :meth:`close`
+    (``run_specs`` / ``stream`` / ``map``) until :meth:`close`
     — fork once per plan, not once per invocation.  Trial specs are
     dispatched in contiguous plan-order *chunks* (``chunk`` trials per
     task, or adaptively sized from a calibration trial to carry about
@@ -644,8 +599,8 @@ class ParallelExecutor(TrialExecutor):
         self.chunk_target = chunk_target
         self.chunks_dispatched = 0
         self.chunks_completed = 0
-        #: Worker pools respawned during the most recent run_specs/stream
-        #: call (0 on a healthy run).
+        #: Worker pools respawned during the most recent stream (0 on a
+        #: healthy run).
         self.respawns = 0
         self._pool: _ProcessPool | None = None
         self._pool_finalizer: weakref.finalize | None = None
@@ -806,8 +761,8 @@ class ParallelExecutor(TrialExecutor):
     ) -> list[tuple[Any, ...]]:
         """Decide a dead task's fate trial by trial, preserving order.
 
-        Returns an ordered entry list: ``("done", offset, spec, result)``
-        for trials quarantined as poison (kill count reached
+        Returns an ordered entry list: ``("done", spec, result)`` for
+        trials quarantined as poison (kill count reached
         :func:`quarantine_threshold`), ``("run", _ChunkTask)`` for
         everything that re-executes — suspects as isolated single-trial
         tasks, clean trials regrouped into contiguous runs.  A task that
@@ -818,37 +773,26 @@ class ParallelExecutor(TrialExecutor):
         task.deaths += 1
         split_all = len(task.batch) > 1 and task.deaths >= SPLIT_AFTER_DEATHS
         entries: list[tuple[Any, ...]] = []
-        group_offsets: list[int] = []
-        group_specs: list[TrialSpec] = []
+        group: list[TrialSpec] = []
 
         def flush() -> None:
-            if group_specs:
-                entries.append(("run", _ChunkTask(
-                    offsets=tuple(group_offsets),
-                    batch=tuple(group_specs),
-                    deaths=task.deaths,
-                )))
-                group_offsets.clear()
-                group_specs.clear()
-
-        for offset, spec in zip(task.offsets, task.batch):
-            kills = self._kills.get(spec.index, 0)
-            if kills >= threshold:
-                flush()
+            if group:
                 entries.append(
-                    ("done", offset, spec, _poison_result(spec, kills))
+                    ("run", _ChunkTask(batch=tuple(group), deaths=task.deaths))
                 )
+                group.clear()
+
+        for spec in task.batch:
+            if self._kills.get(spec.index, 0) >= threshold:
+                flush()
+                entries.append(("done", spec, _quarantined_result(spec, 0.0)))
             elif split_all or spec.index in suspects:
                 flush()
                 entries.append(("run", _ChunkTask(
-                    offsets=(offset,),
-                    batch=(spec,),
-                    deaths=task.deaths,
-                    solo=True,
+                    batch=(spec,), deaths=task.deaths, solo=True,
                 )))
             else:
-                group_offsets.append(offset)
-                group_specs.append(spec)
+                group.append(spec)
         flush()
         if self.telemetry is not None:
             for entry in entries:
@@ -867,170 +811,14 @@ class ParallelExecutor(TrialExecutor):
 
     def _chunk_size_for(self, calibration_wall: float, remaining: int) -> int:
         """Adaptive chunk size: about ``chunk_target`` seconds per task,
-        but never so large that the plan's remainder fills fewer tasks
-        than there are workers."""
+        but never so large that the plan's remainder fills fewer than
+        :data:`CHUNKS_PER_WORKER` tasks per worker — plans are ordered by
+        grid point and cost rises along the grid, so one chunk per worker
+        leaves the pool idle while the last chunk runs the dear trials."""
         per_trial = max(calibration_wall, 1e-6)
         size = max(1, round(self.chunk_target / per_trial))
-        if remaining > 0:
-            size = min(size, math.ceil(remaining / self.jobs))
-        return size
-
-    def run_specs(
-        self,
-        specs: Sequence[TrialSpec],
-        progress: Optional[ProgressFn] = None,
-    ) -> list[TrialResult]:
-        """Chunked fan-out over the warm pool, results in plan order.
-
-        Worker death mid-chunk (``BrokenProcessPool``) is absorbed, not
-        raised: the pool respawns with exponential backoff, lost chunks
-        re-dispatch, and a trial that repeatedly kills isolated workers is
-        quarantined in place (see docs/RECOVERY.md).
-        """
-        specs = list(specs)
-        self.chunks_dispatched = 0
-        self.chunks_completed = 0
-        self.respawns = 0
-        self._kills = {}
-        self._respawn_streak = 0
-        if not specs:
-            return []
-        if self.jobs == 1 or len(specs) == 1:
-            return super().run_specs(specs, progress=progress)
-        tel = self.telemetry
-        self._ensure_pool()
-        total = len(specs)
-        results: list[TrialResult | None] = [None] * total
-        done = 0
-        start = 0
-        if self.chunk is not None:
-            chunk = self.chunk
-        else:
-            # Calibration: run the first spec in the parent (identical
-            # result — execution is deterministic) and size chunks so each
-            # task carries about chunk_target seconds of work.
-            calib_start = time.time()
-            first = self._trial_fn()(specs[0])
-            if tel is not None:
-                tel.record_trial(
-                    specs[0], first, calib_start, time.time(),
-                    calibration=True,
-                )
-            results[0] = first
-            done = 1
-            start = 1
-            if progress is not None:
-                progress(done, total, first)
-            chunk = self._chunk_size_for(first.wall_time, total - 1)
-        dispatch = tel.begin_dispatch(total, chunk) if tel is not None else None
-        heartbeat = self._ensure_heartbeat_dir()
-        pending: dict[Any, _ChunkTask] = {}
-        deferred: deque[_ChunkTask] = deque()
-
-        def submit(task: _ChunkTask) -> None:
-            task.submitted = time.time()
-            future = self._ensure_pool().submit(
-                _run_chunk, task.batch, self.watchdog, self.retries, heartbeat
-            )
-            pending[future] = task
-            self.chunks_dispatched += 1
-
-        def finish(
-            task: _ChunkTask, payloads: Sequence[tuple], meta: dict[str, Any]
-        ) -> None:
-            nonlocal done
-            self.chunks_completed += 1
-            self._respawn_streak = 0
-            # Chunk counters update before the per-trial callbacks so a
-            # consumer summarising on the final trial sees them current.
-            self._notify_chunks(progress)
-            batch_results: list[TrialResult] = []
-            for offset, spec, payload in zip(
-                task.offsets, task.batch, payloads
-            ):
-                result = _unpack_result(payload, spec)
-                results[offset] = result
-                batch_results.append(result)
-                self._kills.pop(spec.index, None)
-                done += 1
-                if progress is not None:
-                    # Completion order, like map(); the results list is
-                    # still assembled in plan order.
-                    progress(done, total, result)
-            if tel is not None:
-                tel.record_chunk(
-                    task.batch, batch_results, meta, task.submitted,
-                    parent=dispatch,
-                )
-
-        def settle(offset: int, spec: TrialSpec, result: TrialResult) -> None:
-            nonlocal done
-            results[offset] = result
-            done += 1
-            if tel is not None:
-                tel.record_poison(spec.index, self._kills.get(spec.index, 0))
-                now = time.time()
-                tel.record_trial(spec, result, now, now)
-            if progress is not None:
-                progress(done, total, result)
-
-        for offset in range(start, total, chunk):
-            batch = tuple(specs[offset:offset + chunk])
-            submit(_ChunkTask(
-                offsets=tuple(range(offset, offset + len(batch))),
-                batch=batch,
-            ))
-        self._notify_chunks(progress)
-        while pending or deferred:
-            if not pending:
-                # Suspect isolation: exactly one single-trial task in
-                # flight, so a further break attributes precisely.
-                submit(deferred.popleft())
-            ready, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            dead: list[_ChunkTask] = []
-            broke = False
-            for future in ready:
-                task = pending.pop(future)
-                try:
-                    payloads, meta = future.result()
-                except BrokenProcessPool:
-                    broke = True
-                    dead.append(task)
-                    continue
-                finish(task, payloads, meta)
-            if not broke:
-                continue
-            # The pool died: every task still in flight is lost with it,
-            # but a chunk that finished *before* the break still has its
-            # result — harvest those rather than re-running them.
-            for future, task in list(pending.items()):
-                if future.done():
-                    try:
-                        payloads, meta = future.result()
-                        finish(task, payloads, meta)
-                        continue
-                    except BrokenProcessPool:
-                        pass
-                else:
-                    future.cancel()
-                dead.append(task)
-            pending.clear()
-            dead.sort(key=lambda t: t.offsets[0])
-            suspects = self._respawn_pool(
-                spec.index for t in dead for spec in t.batch
-            )
-            for task in dead:
-                for entry in self._partition(task, suspects):
-                    if entry[0] == "done":
-                        settle(entry[1], entry[2], entry[3])
-                    elif entry[1].solo:
-                        deferred.append(entry[1])
-                    else:
-                        submit(entry[1])
-            self._notify_chunks(progress)
-        if tel is not None:
-            tel.end_dispatch(dispatch, chunks=self.chunks_completed)
-        return list(results)  # type: ignore[arg-type]
+        cap = remaining // (self.jobs * CHUNKS_PER_WORKER)
+        return max(1, min(size, cap))
 
     def map(
         self,
@@ -1064,17 +852,19 @@ class ParallelExecutor(TrialExecutor):
     ) -> int:
         """Chunked streaming over the warm pool with windowed submission.
 
-        At most ``jobs * 4`` chunks are in flight or awaiting consumption
-        at any moment, so memory stays flat no matter how long the plan
-        is.  Chunks are contiguous plan slices submitted and drained FIFO,
-        so results are consumed strictly in plan order (the stream file
-        then matches the serial backend's byte for byte).
+        At most ``jobs × CHUNKS_PER_WORKER`` chunks are in flight or
+        awaiting consumption at any moment, so memory stays flat no matter
+        how long the plan is.  Chunks are contiguous plan slices submitted
+        and drained FIFO, so results are consumed strictly in plan order
+        (the stream file then matches the serial backend's byte for byte).
 
         A pool break flips the drain into **cautious mode**: the lost
         window re-executes one task at a time, in plan order (suspects as
         isolated singles, repeat offenders quarantined in place), before
         windowed submission resumes — plan-order consumption is preserved
-        across any number of worker deaths.
+        across any number of worker deaths.  ``BrokenProcessPool`` is
+        absorbed, never raised; only a pool that keeps dying with no
+        completed chunk in between gives up (:class:`WorkerPoolError`).
         """
         specs = list(specs)
         self.chunks_dispatched = 0
@@ -1110,13 +900,10 @@ class ParallelExecutor(TrialExecutor):
         dispatch = tel.begin_dispatch(total, chunk) if tel is not None else None
         heartbeat = self._ensure_heartbeat_dir()
         batches = (
-            _ChunkTask(
-                offsets=tuple(range(offset, min(offset + chunk, total))),
-                batch=tuple(specs[offset:offset + chunk]),
-            )
+            _ChunkTask(batch=tuple(specs[offset:offset + chunk]))
             for offset in range(start, total, chunk)
         )
-        window = self.jobs * 4
+        window = self.jobs * CHUNKS_PER_WORKER
         pending: deque = deque()
         cautious: deque = deque()
 
@@ -1216,7 +1003,7 @@ class ParallelExecutor(TrialExecutor):
             # attribution for any further break.
             entry = cautious.popleft()
             if entry[0] == "done":
-                settle(entry[2], entry[3])
+                settle(entry[1], entry[2])
             elif entry[0] == "ready":
                 finish(entry[1], *entry[2])
             else:
@@ -1225,12 +1012,7 @@ class ParallelExecutor(TrialExecutor):
                 try:
                     payloads, meta = future.result()
                 except BrokenProcessPool:
-                    suspects = self._respawn_pool(
-                        spec.index for spec in task.batch
-                    )
-                    for part in reversed(self._partition(task, suspects)):
-                        cautious.appendleft(part)
-                    self._notify_chunks(progress)
+                    absorb_break(task)
                     continue
                 finish(task, payloads, meta)
             if not cautious:
@@ -1250,38 +1032,6 @@ class ParallelExecutor(TrialExecutor):
         )
 
 
-def _executor_from_jobs(
-    jobs: int | None,
-    watchdog: float | None = None,
-    retries: int = 0,
-) -> TrialExecutor:
-    """The historical ``jobs`` convention: ``None``/``0``/``1`` mean
-    serial; anything larger selects the warm-pool backend."""
-    if jobs is None or jobs <= 1:
-        return SerialExecutor(watchdog=watchdog, retries=retries)
-    return ParallelExecutor(jobs, watchdog=watchdog, retries=retries)
-
-
-def make_executor(
-    jobs: int | None,
-    watchdog: float | None = None,
-    retries: int = 0,
-) -> TrialExecutor:
-    """Deprecated: build an :class:`~repro.engine.spec.ExecutorSpec`
-    instead (``ExecutorSpec.parallel(jobs=4)``, or a preset name like
-    ``"parallel"``) and pass it as ``executor=`` to :func:`run_plan` /
-    :func:`stream_plan`.  This shim keeps the old ``jobs`` semantics —
-    ``None``/``0``/``1`` mean serial — and remains fully functional."""
-    warnings.warn(
-        "make_executor() is deprecated; pass an ExecutorSpec (or a preset "
-        "name like 'parallel') as executor= to run_plan/stream_plan — see "
-        "repro.api.ExecutorSpec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _executor_from_jobs(jobs, watchdog=watchdog, retries=retries)
-
-
 def _describe_backend(backend: TrialExecutor) -> dict[str, Any]:
     """A manifest-ready description of a hand-built backend instance."""
     desc: dict[str, Any] = {
@@ -1299,11 +1049,9 @@ def _describe_backend(backend: TrialExecutor) -> dict[str, Any]:
 
 def _resolve_backend(
     executor: "TrialExecutor | ExecutorSpec | str | None",
-    jobs: int | None,
-    caller: str,
 ) -> tuple[TrialExecutor, bool, dict[str, Any]]:
-    """Normalise the ``executor=``/``jobs=`` arguments of :func:`run_plan`
-    and :func:`stream_plan` to a backend instance.
+    """Normalise the ``executor=`` argument of :func:`run_plan` and
+    :func:`stream_plan` to a backend instance.
 
     Returns ``(backend, owned, description)``: ``owned`` backends were
     built here from a spec / preset / the default and are closed when the
@@ -1313,46 +1061,10 @@ def _resolve_backend(
     dict when a spec/preset selected the backend, or a best-effort
     instance description otherwise.
     """
-    if executor is not None and jobs is not None:
-        raise ConfigurationError("give either 'executor' or 'jobs', not both")
-    if jobs is not None:
-        warnings.warn(
-            f"{caller}(jobs=...) is deprecated; pass "
-            "executor=ExecutorSpec.parallel(jobs=N) or a preset name like "
-            "'parallel' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        backend = _executor_from_jobs(jobs)
-        return backend, True, _describe_backend(backend)
     if isinstance(executor, TrialExecutor):
         return executor, False, _describe_backend(executor)
     spec = resolve_executor(executor)
     return spec.make(), True, spec.to_dict()
-
-
-class _CheckpointProgress:
-    """Progress-hook wrapper: journal each completed trial *before*
-    forwarding to the caller's hook, so an interrupt raised by the hook
-    (Ctrl-C landing between trials) never loses the trial that just
-    finished.  Forwards ``chunk_update`` so chunk-aware consumers keep
-    working through the wrapper."""
-
-    def __init__(
-        self, writer: CheckpointWriter, progress: Optional[ProgressFn]
-    ) -> None:
-        self.writer = writer
-        self.progress = progress
-
-    def __call__(self, done: int, total: int, result: TrialResult) -> None:
-        self.writer.append(result)
-        if self.progress is not None:
-            self.progress(done, total, result)
-
-    def chunk_update(self, dispatched: int, completed: int) -> None:
-        update = getattr(self.progress, "chunk_update", None)
-        if callable(update):
-            update(dispatched, completed)
 
 
 class _ResumeEmitter:
@@ -1391,40 +1103,29 @@ class _ResumeEmitter:
         self._drain()
 
 
-def run_plan(
+def _drive(
     plan: ExperimentPlan,
-    executor: "TrialExecutor | ExecutorSpec | str | None" = None,
-    jobs: int | None = None,
-    progress: Optional[ProgressFn] = None,
-    telemetry: "TelemetryRecorder | str | None" = None,
-    checkpoint: "CheckpointWriter | str | None" = None,
-    resume_from: "CheckpointState | str | None" = None,
-) -> ResultStore:
-    """Execute ``plan`` and aggregate the results into a
-    :class:`ResultStore` — the one-call form of the three-layer pipeline.
+    sink: Any,
+    executor: "TrialExecutor | ExecutorSpec | str | None",
+    progress: Optional[ProgressFn],
+    telemetry: "TelemetryRecorder | str | None",
+    checkpoint: "CheckpointWriter | str | None",
+    resume_from: "CheckpointState | str | None",
+) -> int:
+    """The one run driver behind :func:`run_plan` and :func:`stream_plan`.
 
-    ``executor`` accepts an :class:`~repro.engine.spec.ExecutorSpec`, a
-    builtin preset name (``"serial"``, ``"parallel"``, …), an
-    already-built :class:`TrialExecutor` (whose warm pool is reused and
-    left open), or ``None`` for the serial default.  ``jobs=`` is a
-    deprecated shim.
-
-    ``telemetry`` accepts a :class:`~repro.engine.telemetry.TelemetryRecorder`
-    (left open for the caller to close) or a path string (a recorder is
-    opened there and closed when the run finishes).  Telemetry observes
-    the run but never alters it: the result document is byte-identical
-    with telemetry on or off.
-
-    ``checkpoint`` (a path or :class:`CheckpointWriter`) journals every
-    completed trial to a crash-safe ``repro-run-checkpoint`` file as the
-    run progresses; ``resume_from`` (a path or loaded
-    :class:`CheckpointState`) preloads completed trials from such a
-    journal so only the missing ones re-execute.  A resumed run's
-    document is byte-identical to an uninterrupted one.  Passing the same
-    path as ``checkpoint=`` across invocations is the idempotent resume
-    idiom (an existing journal for the same plan auto-resumes).
+    ``sink`` is a context manager yielding an object with an
+    ``append(result)`` method.  It is entered only after every argument
+    has been resolved and verified — a checkpoint journal that belongs to
+    a different plan raises :class:`CheckpointError` before an existing
+    stream file is touched.  Each fresh trial is journalled, then
+    appended, then reported to ``progress``: the checkpoint is the durable
+    record, the sink is reconstructable from it, and an interrupt raised
+    by the progress hook never loses the trial that just finished.
+    Journalled results are interleaved with fresh ones in plan order
+    (:class:`_ResumeEmitter`).  Returns how many trials the sink received.
     """
-    backend, owned, desc = _resolve_backend(executor, jobs, "run_plan")
+    backend, owned, desc = _resolve_backend(executor)
     recorder, tel_owned = resolve_recorder(telemetry)
     writer, preloaded, ckpt_path = resolve_checkpoint(
         checkpoint, resume_from, plan, executor=desc,
@@ -1437,18 +1138,20 @@ def run_plan(
             resumed_trials=len(preloaded) or None,
         )
         backend.telemetry = recorder
-    hook: Optional[ProgressFn] = progress
-    if writer is not None:
-        hook = _CheckpointProgress(writer, progress)
     failed = False
     try:
-        fresh = backend.run_specs(todo, progress=hook) if todo else []
-        merged = dict(preloaded)
-        for result in fresh:
-            merged[result.index] = result
-        return ResultStore.from_run(
-            plan, [merged[spec.index] for spec in plan.specs]
-        )
+        with sink as target:
+            emit: Callable[[TrialResult], None] = target.append
+            if preloaded:
+                emit = _ResumeEmitter(plan.specs, preloaded, emit)
+
+            def consume(result: TrialResult) -> None:
+                if writer is not None:
+                    writer.append(result)
+                emit(result)
+
+            ran = backend.stream(todo, consume, progress=progress)
+            return ran + len(preloaded)
     except BaseException:
         failed = True
         raise
@@ -1468,11 +1171,52 @@ def run_plan(
             backend.close()
 
 
+def run_plan(
+    plan: ExperimentPlan,
+    executor: "TrialExecutor | ExecutorSpec | str | None" = None,
+    progress: Optional[ProgressFn] = None,
+    telemetry: "TelemetryRecorder | str | None" = None,
+    checkpoint: "CheckpointWriter | str | None" = None,
+    resume_from: "CheckpointState | str | None" = None,
+) -> ResultStore:
+    """Execute ``plan`` and aggregate the results into a
+    :class:`ResultStore` — the one-call form of the three-layer pipeline.
+
+    ``executor`` accepts an :class:`~repro.engine.spec.ExecutorSpec`, a
+    builtin preset name (``"serial"``, ``"parallel"``, …), an
+    already-built :class:`TrialExecutor` (whose warm pool is reused and
+    left open), or ``None`` for the serial default.
+
+    ``progress`` fires once per executed trial, in plan order on every
+    backend, after the trial has been journalled.
+
+    ``telemetry`` accepts a :class:`~repro.engine.telemetry.TelemetryRecorder`
+    (left open for the caller to close) or a path string (a recorder is
+    opened there and closed when the run finishes).  Telemetry observes
+    the run but never alters it: the result document is byte-identical
+    with telemetry on or off.
+
+    ``checkpoint`` (a path or :class:`CheckpointWriter`) journals every
+    completed trial to a crash-safe ``repro-run-checkpoint`` file as the
+    run progresses; ``resume_from`` (a path or loaded
+    :class:`CheckpointState`) preloads completed trials from such a
+    journal so only the missing ones re-execute.  A resumed run's
+    document is byte-identical to an uninterrupted one.  Passing the same
+    path as ``checkpoint=`` across invocations is the idempotent resume
+    idiom (an existing journal for the same plan auto-resumes).
+    """
+    results: list[TrialResult] = []
+    _drive(
+        plan, contextlib.nullcontext(results), executor, progress,
+        telemetry, checkpoint, resume_from,
+    )
+    return ResultStore.from_run(plan, results)
+
+
 def stream_plan(
     plan: ExperimentPlan,
     path: str,
     executor: "TrialExecutor | ExecutorSpec | str | None" = None,
-    jobs: int | None = None,
     progress: Optional[ProgressFn] = None,
     include_timing: bool = False,
     telemetry: "TelemetryRecorder | str | None" = None,
@@ -1485,8 +1229,9 @@ def stream_plan(
     by :class:`~repro.engine.results.StreamingResultStore` the moment it
     finishes, so peak memory is one window of in-flight chunks rather than
     the whole plan.  ``load_document(path)`` later reassembles the exact
-    canonical document.  ``executor`` and ``telemetry`` accept the same
-    forms as :func:`run_plan`.  Returns the number of trials written.
+    canonical document.  ``executor``, ``progress`` and ``telemetry``
+    accept the same forms as :func:`run_plan`.  Returns the number of
+    trials written.
 
     ``checkpoint`` / ``resume_from`` follow :func:`run_plan`'s contract.
     On resume the stream file is rewritten from the start — journalled
@@ -1494,55 +1239,12 @@ def stream_plan(
     finished file is byte-identical to an uninterrupted run's.  Each
     trial is journalled *before* it is streamed: a crash between the two
     writes loses stream bytes (rewritten on resume), never journal state.
+    The file at ``path`` is created only once every argument has been
+    verified, so a rejected call leaves an existing file untouched.
     """
-    backend, owned, desc = _resolve_backend(executor, jobs, "stream_plan")
-    recorder, tel_owned = resolve_recorder(telemetry)
-    writer, preloaded, ckpt_path = resolve_checkpoint(
-        checkpoint, resume_from, plan, executor=desc,
-        run_id=recorder.run_id if recorder is not None else None,
-    )
-    todo = [spec for spec in plan.specs if spec.index not in preloaded]
     meta = plan.meta() if hasattr(plan, "meta") else {}
-    if recorder is not None:
-        recorder.open_run(
-            plan, executor=desc, checkpoint=ckpt_path,
-            resumed_trials=len(preloaded) or None,
-        )
-        backend.telemetry = recorder
-    failed = False
-    try:
-        with StreamingResultStore(
-            path, plan=meta, include_timing=include_timing
-        ) as store:
-            emit: Callable[[TrialResult], None] = store.append
-            if preloaded:
-                emit = _ResumeEmitter(plan.specs, preloaded, store.append)
-            if writer is not None:
-                journal = writer
-
-                def consume(
-                    result: TrialResult, _emit: Any = emit
-                ) -> None:
-                    # Journal first: the checkpoint is the durable record,
-                    # the stream is reconstructable from it.
-                    journal.append(result)
-                    _emit(result)
-            else:
-                consume = emit
-            ran = backend.stream(todo, consume, progress=progress)
-            return ran + len(preloaded)
-    except BaseException:
-        failed = True
-        raise
-    finally:
-        if writer is not None:
-            writer.close()
-        if recorder is not None:
-            backend.telemetry = None
-            if tel_owned:
-                if failed:
-                    recorder.abort()
-                else:
-                    recorder.close()
-        if owned:
-            backend.close()
+    return _drive(
+        plan,
+        StreamingResultStore(path, plan=meta, include_timing=include_timing),
+        executor, progress, telemetry, checkpoint, resume_from,
+    )

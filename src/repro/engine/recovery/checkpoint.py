@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.engine.results import TrialResult, jsonable
+from repro.engine.results import TrialResult, jsonable, record_fields
 from repro.engine.telemetry import plan_digest
 from repro.sim.errors import ConfigurationError
 from repro.version import package_version
@@ -74,27 +74,7 @@ def result_from_record(
     come from the spec — never from disk — mirroring the executor's
     ``_unpack_result``, so rehydrated results group and serialise exactly
     like freshly executed ones."""
-    return TrialResult(
-        index=spec.index,
-        kind=spec.kind,
-        seed=spec.seed,
-        trial=spec.trial,
-        point=tuple(spec.point_dict().items()),
-        ok=record["ok"],
-        terminated=record["terminated"],
-        result=record["result"],
-        truth=record["truth"],
-        error=record["error"],
-        completeness=record["completeness"],
-        latency=record["latency"],
-        messages=record["messages"],
-        core_size=record["core_size"],
-        events_executed=record["events_executed"],
-        wall_time=record.get("wall_time", 0.0),
-        metrics=record.get("metrics", {}),
-        status=record.get("status", ""),
-        coverage=record.get("coverage"),
-    )
+    return TrialResult.from_spec(spec, **record_fields(record))
 
 
 @dataclass

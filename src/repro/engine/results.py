@@ -117,6 +117,21 @@ class TrialResult:
     #: resilience layer with ``partial_results`` ran the trial.
     coverage: Mapping[str, Any] | None = None
 
+    @classmethod
+    def from_spec(cls, spec: Any, **fields: Any) -> "TrialResult":
+        """Build the result of ``spec``: identity (index / kind / seed /
+        trial / point) comes from the parent's own
+        :class:`~repro.engine.plan.TrialSpec` — never from the wire or
+        the disk — and ``fields`` supplies everything else."""
+        return cls(
+            index=spec.index,
+            kind=spec.kind,
+            seed=spec.seed,
+            trial=spec.trial,
+            point=tuple(spec.point_dict().items()),
+            **fields,
+        )
+
     def point_dict(self) -> dict[str, Any]:
         return dict(self.point)
 
@@ -164,21 +179,28 @@ class TrialResult:
             seed=record["seed"],
             trial=record["trial"],
             point=tuple(sorted(point.items(), key=lambda kv: kv[0])),
-            ok=record["ok"],
-            terminated=record["terminated"],
-            result=record["result"],
-            truth=record["truth"],
-            error=record["error"],
-            completeness=record["completeness"],
-            latency=record["latency"],
-            messages=record["messages"],
-            core_size=record["core_size"],
-            events_executed=record["events_executed"],
-            wall_time=record.get("wall_time", 0.0),
-            metrics=record.get("metrics", {}),
-            status=record.get("status", ""),
-            coverage=record.get("coverage"),
+            **record_fields(record),
         )
+
+
+#: Record members every trial record carries; the optional ones default
+#: as the :class:`TrialResult` dataclass does.
+_REQUIRED_RECORD_FIELDS = (
+    "ok", "terminated", "result", "truth", "error", "completeness",
+    "latency", "messages", "core_size", "events_executed",
+)
+
+
+def record_fields(record: Mapping[str, Any]) -> dict[str, Any]:
+    """The non-identity :class:`TrialResult` fields of a trial record, as
+    written by :meth:`TrialResult.to_record` (document, stream line or
+    checkpoint journal entry alike)."""
+    fields = {name: record[name] for name in _REQUIRED_RECORD_FIELDS}
+    fields["wall_time"] = record.get("wall_time", 0.0)
+    fields["metrics"] = record.get("metrics", {})
+    fields["status"] = record.get("status", "")
+    fields["coverage"] = record.get("coverage")
+    return fields
 
 
 def _mean(values: list[float]) -> float:

@@ -19,11 +19,6 @@ fixed plan, every spec — serial or parallel, any worker count, any chunk
 size — produces the byte-identical canonical result document.  The chunk
 layout, worker scheduling and calibration trial can never leak into
 results; ``tests/engine/test_chunking.py`` pins this.
-
-The historical entry points — :func:`repro.engine.executor.make_executor`
-and the scattered ``jobs=`` / ``watchdog=`` / ``trial_retries=`` keyword
-arguments on :func:`run_plan` / :func:`stream_plan` — remain as
-:class:`DeprecationWarning` shims over this spec.
 """
 
 from __future__ import annotations

@@ -7,11 +7,9 @@ delays) and the matching ``run_*`` function executes it on a fresh
 :class:`~repro.sim.scheduler.Simulator` and returns an outcome carrying the
 specification verdict, the ground truth and the cost metrics.
 
-The historical entry points ``repro.bench.runner.run_query`` and
-``repro.bench.runner.run_gossip`` remain as compatibility shims re-exporting
-this module; new code should orchestrate trials through
-:mod:`repro.engine.plan` and :mod:`repro.engine.executor` instead of calling
-these functions in a loop.
+Import the configs and runners from :mod:`repro.api`; orchestrate many
+trials through :mod:`repro.engine.plan` and :mod:`repro.engine.executor`
+instead of calling these functions in a loop.
 """
 
 from __future__ import annotations

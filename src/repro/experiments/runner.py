@@ -139,7 +139,6 @@ def _holds(rule: ExpectSpec, observed: float) -> bool:
 def run_experiment(
     experiment: ExperimentDef,
     executor: Any = None,
-    jobs: int | None = None,
     progress: Callable[..., None] | None = None,
     telemetry: Any = None,
     stream_path: str | None = None,
@@ -163,7 +162,7 @@ def run_experiment(
     chosen = executor if executor is not None else experiment.executor
     if stream_path is not None:
         streamed = stream_plan(
-            plan, stream_path, executor=chosen, jobs=jobs,
+            plan, stream_path, executor=chosen,
             progress=progress, telemetry=telemetry,
             checkpoint=checkpoint, resume_from=resume_from,
         )
@@ -180,7 +179,7 @@ def run_experiment(
             stream_path=stream_path,
         )
     store = run_plan(
-        plan, executor=chosen, jobs=jobs, progress=progress,
+        plan, executor=chosen, progress=progress,
         telemetry=telemetry, checkpoint=checkpoint, resume_from=resume_from,
     )
     summaries = [
@@ -236,7 +235,6 @@ def _context_key(
 def refine_experiment(
     experiment: ExperimentDef,
     executor: Any = None,
-    jobs: int | None = None,
     progress: Callable[..., None] | None = None,
     base_run: ExperimentRun | None = None,
 ) -> dict[str, Any]:
@@ -265,8 +263,7 @@ def refine_experiment(
         store = base_run.store
     else:
         store = run_plan(
-            experiment.to_plan(), executor=chosen, jobs=jobs,
-            progress=progress,
+            experiment.to_plan(), executor=chosen, progress=progress,
         )
 
     # Verdicts over the base grid, grouped by context (= the other axes).
@@ -329,7 +326,7 @@ def refine_experiment(
                     grid=sub_grid,
                     name=f"{experiment.name}/refine-{depth}",
                 ),
-                executor=chosen, jobs=jobs, progress=progress,
+                executor=chosen, progress=progress,
             )
             refined_trials += len(sub_store.results)
             observed_by_mid: dict[float, float] = {}

@@ -78,13 +78,6 @@ class TestProfileFlags:
         assert len(summary["profile"]) == 2
         assert summary["profile"][0]["functions"]
 
-    def test_legacy_profile_warns_deprecation(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--profile-trials"):
-            assert main(["query", "--n", "8", "--trials", "1",
-                         "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "cum s" in out  # still profiles the slowest trial
-
     def test_profile_trials_does_not_warn(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

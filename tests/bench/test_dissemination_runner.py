@@ -1,10 +1,10 @@
-"""Tests for the dissemination runner (repro.bench.dissemination_runner)."""
+"""Tests for the dissemination runner (run_dissemination)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.dissemination_runner import (
+from repro.api import (
     DisseminationConfig,
     run_dissemination,
 )

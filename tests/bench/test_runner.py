@@ -1,10 +1,10 @@
-"""Tests for the experiment runner (repro.bench.runner)."""
+"""Tests for the single-trial runners (run_query / run_gossip)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.runner import (
+from repro.api import (
     GossipConfig,
     QueryConfig,
     reachable_now,

@@ -17,16 +17,19 @@ import time
 import pytest
 
 from repro.engine.executor import (
+    CHUNKS_PER_WORKER,
     PAYLOAD_FIELDS,
     ParallelExecutor,
     SerialExecutor,
     _pack_result,
+    _quarantined_result,
     _unpack_result,
     execute_trial,
     run_plan,
     stream_plan,
 )
 from repro.engine.plan import build_plan
+from repro.engine.recovery import result_from_record
 from repro.engine.results import load_document
 from repro.sim.errors import ConfigurationError
 
@@ -67,6 +70,27 @@ class TestCompactTransport:
         with pytest.raises(ConfigurationError, match="payload"):
             _unpack_result((True, False), PLAN.specs[0])
 
+    # 0.5 s: a watchdog of 0.25 s lost twice; 0.0: a poison trial.
+    @pytest.mark.parametrize("wall_time", [0.5, 0.0])
+    def test_quarantine_placeholder_is_pinned_and_round_trips(self, wall_time):
+        spec = PLAN.specs[7]
+        result = _quarantined_result(spec, wall_time)
+        record = result.to_record(include_timing=True)
+        # The record the placeholders serialised to before they were
+        # built by TrialResult.from_spec.
+        assert record == {
+            "index": 7, "kind": "query", "seed": 17039259473404265729,
+            "trial": 2, "ok": False, "terminated": False, "result": None,
+            "truth": None, "error": float("inf"), "completeness": 0.0,
+            "latency": float("inf"), "messages": 0, "core_size": 0,
+            "events_executed": 0, "metrics": {}, "status": "quarantined",
+            "wall_time": wall_time,
+        }
+        assert result.point == (("churn_rate", 8.0),)
+        # Wire and journal both rebuild it from the parent's spec.
+        assert _unpack_result(_pack_result(result), spec) == result
+        assert result_from_record(record, spec) == result
+
 
 class TestRunIdentity:
     def test_plan_has_mixed_verdicts(self, serial_doc):
@@ -101,6 +125,50 @@ class TestRunIdentity:
             assert executor.chunks_completed == 2
         finally:
             executor.close()
+
+    def test_batch_progress_is_plan_ordered_and_windowed(self):
+        """run_plan is "stream, then collect": progress fires in plan
+        order and at most jobs × CHUNKS_PER_WORKER chunks are in flight,
+        however long the plan is."""
+        plan = build_plan(
+            "window-plan", kind="query", grid={"churn_rate": [0.0, 8.0]},
+            base={"n": 8, "topology": "er", "aggregate": "COUNT",
+                  "horizon": 150.0},
+            trials=12, root_seed=13,
+        )
+
+        class Watch:
+            def __init__(self):
+                self.indices, self.in_flight = [], []
+
+            def __call__(self, done, total, result):
+                self.indices.append(result.index)
+
+            def chunk_update(self, dispatched, completed):
+                self.in_flight.append(dispatched - completed)
+
+        watch = Watch()
+        executor = ParallelExecutor(jobs=2, chunk=1)
+        try:
+            run_plan(plan, executor=executor, progress=watch)
+        finally:
+            executor.close()
+        assert watch.indices == list(range(len(plan)))
+        assert max(watch.in_flight) == 2 * CHUNKS_PER_WORKER
+        assert executor.chunks_completed == len(plan)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    @pytest.mark.parametrize("remaining", [1, 5, 35, 71, 2399])
+    def test_adaptive_chunks_never_starve_the_pool(self, jobs, remaining):
+        executor = ParallelExecutor(jobs=jobs)
+        floor = min(remaining, jobs * CHUNKS_PER_WORKER)
+        # A tiny calibration wall asks for a huge chunk; the cap holds.
+        for wall in (1e-9, 0.0014, 0.026, 5.0):
+            size = executor._chunk_size_for(wall, remaining)
+            assert size >= 1
+            assert -(-remaining // size) >= floor
+        # A slow calibration trial still means per-trial dispatch.
+        assert executor._chunk_size_for(5.0, remaining) == 1
 
     def test_warm_pool_reused_across_plans(self, serial_doc):
         executor = ParallelExecutor(jobs=2, chunk=3)

@@ -12,11 +12,11 @@ from repro.engine.executor import (
     _quarantined_result,
     execute_trial,
     execute_trial_guarded,
-    make_executor,
     run_plan,
 )
 from repro.engine.plan import build_plan
 from repro.engine.results import ResultStore, TrialResult
+from repro.engine.spec import ExecutorSpec
 from repro.sim.errors import ConfigurationError
 
 QUERY_PLAN = build_plan(
@@ -72,16 +72,16 @@ class TestExecuteTrial:
 
 class TestBackends:
     def test_serial_results_in_plan_order(self):
-        results = SerialExecutor().run(QUERY_PLAN)
+        results = SerialExecutor().run_specs(QUERY_PLAN.specs)
         assert [r.index for r in results] == list(range(len(QUERY_PLAN)))
 
     def test_parallel_results_in_plan_order(self):
-        results = ParallelExecutor(jobs=2).run(QUERY_PLAN)
+        results = ParallelExecutor(jobs=2).run_specs(QUERY_PLAN.specs)
         assert [r.index for r in results] == list(range(len(QUERY_PLAN)))
 
     def test_serial_and_parallel_agree(self):
-        serial = SerialExecutor().run(QUERY_PLAN)
-        parallel = ParallelExecutor(jobs=2).run(QUERY_PLAN)
+        serial = SerialExecutor().run_specs(QUERY_PLAN.specs)
+        parallel = ParallelExecutor(jobs=2).run_specs(QUERY_PLAN.specs)
         assert [r.to_record() for r in serial] == [
             r.to_record() for r in parallel
         ]
@@ -104,18 +104,20 @@ class TestBackends:
 
 
 class TestMakeExecutor:
-    """The deprecated shim still honours the historical jobs convention
-    (the warning itself is pinned in test_executor_deprecation.py)."""
+    """``ExecutorSpec.make()`` picks the backend; the ``--jobs``
+    convention (nothing, 0 or 1 mean serial) lives on in the CLI only."""
 
     @pytest.mark.parametrize("jobs", [None, 0, 1])
     def test_serial_selection(self, jobs):
-        with pytest.warns(DeprecationWarning):
-            executor = make_executor(jobs)
-        assert isinstance(executor, SerialExecutor)
+        import argparse
+
+        from repro.cli import _resolve_executor_flag
+
+        spec = _resolve_executor_flag(argparse.Namespace(jobs=jobs))
+        assert isinstance(spec.make(), SerialExecutor)
 
     def test_parallel_selection(self):
-        with pytest.warns(DeprecationWarning):
-            executor = make_executor(3)
+        executor = ExecutorSpec.parallel(jobs=3).make()
         assert isinstance(executor, ParallelExecutor)
         assert executor.jobs == 3
 
@@ -127,18 +129,7 @@ class TestRunPlan:
         assert len(store) == len(QUERY_PLAN)
         assert store.plan == QUERY_PLAN.meta()
 
-    def test_executor_and_jobs_conflict(self):
-        with pytest.raises(ConfigurationError):
-            run_plan(QUERY_PLAN, executor=SerialExecutor(), jobs=2)
-
-    def test_jobs_shortcut(self):
-        with pytest.warns(DeprecationWarning):
-            store = run_plan(QUERY_PLAN, jobs=1)
-        assert len(store) == len(QUERY_PLAN)
-
     def test_spec_accepted(self):
-        from repro.engine.spec import ExecutorSpec
-
         store = run_plan(QUERY_PLAN, executor=ExecutorSpec.serial())
         assert store.to_json() == run_plan(QUERY_PLAN).to_json()
 
@@ -214,7 +205,7 @@ class TestWatchdog:
             execute_trial_guarded(QUERY_PLAN.specs[0], watchdog=5.0)
 
     def test_quarantined_record_round_trips(self):
-        result = _quarantined_result(QUERY_PLAN.specs[0], 1.0, 2)
+        result = _quarantined_result(QUERY_PLAN.specs[0], 2.0)
         record = result.to_record()
         assert record["status"] == "quarantined"
         rebuilt = TrialResult.from_record(record, dict(result.point))
@@ -225,26 +216,28 @@ class TestWatchdog:
         assert "status" not in record
 
     def test_make_executor_threads_the_settings(self):
-        with pytest.warns(DeprecationWarning):
-            serial = make_executor(None, watchdog=5.0, retries=2)
+        serial = ExecutorSpec.serial(watchdog=5.0, trial_retries=2).make()
         assert isinstance(serial, SerialExecutor)
         assert serial.watchdog == 5.0 and serial.retries == 2
-        with pytest.warns(DeprecationWarning):
-            parallel = make_executor(3, watchdog=7.0, retries=1)
+        parallel = ExecutorSpec.parallel(
+            jobs=3, watchdog=7.0, trial_retries=1
+        ).make()
         assert isinstance(parallel, ParallelExecutor)
         assert parallel.watchdog == 7.0 and parallel.retries == 1
 
     def test_watchdogged_run_matches_plain_run(self):
-        plain = SerialExecutor().run(QUERY_PLAN)
-        guarded = SerialExecutor(watchdog=60.0).run(QUERY_PLAN)
+        plain = SerialExecutor().run_specs(QUERY_PLAN.specs)
+        guarded = SerialExecutor(watchdog=60.0).run_specs(QUERY_PLAN.specs)
         assert [r.to_record() for r in plain] == [
             r.to_record() for r in guarded
         ]
 
     def test_watchdog_survives_the_process_pool(self):
         # functools.partial(execute_trial_guarded, ...) must pickle.
-        plain = SerialExecutor().run(QUERY_PLAN)
-        pooled = ParallelExecutor(jobs=2, watchdog=60.0).run(QUERY_PLAN)
+        plain = SerialExecutor().run_specs(QUERY_PLAN.specs)
+        pooled = ParallelExecutor(jobs=2, watchdog=60.0).run_specs(
+            QUERY_PLAN.specs
+        )
         assert [r.to_record() for r in plain] == [
             r.to_record() for r in pooled
         ]
@@ -296,7 +289,7 @@ class TestProgressPrinter:
         from repro.cli import _ProgressPrinter
 
         printer = _ProgressPrinter(jobs=1, stream=io.StringIO())
-        printer(1, 2, _quarantined_result(QUERY_PLAN.specs[0], 1.0, 1))
+        printer(1, 2, _quarantined_result(QUERY_PLAN.specs[0], 1.0))
         printer(2, 2, execute_trial(QUERY_PLAN.specs[0]))
         assert printer.quarantined == 1 and printer.ok == 1
         assert printer.summary().endswith(", 1 quarantined")

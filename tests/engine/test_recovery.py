@@ -264,6 +264,25 @@ class TestResumeIdentity:
         resumed = run_plan(PLAN, checkpoint=ckpt, executor=SerialExecutor())
         assert resumed.to_json() == baseline_json
 
+    def test_pool_journals_in_plan_order_and_resumes_on_the_pool(
+        self, baseline_json, tmp_path
+    ):
+        first = str(tmp_path / "first.jsonl")
+        second = str(tmp_path / "second.jsonl")
+        executor = ParallelExecutor(jobs=2, chunk=1)
+        try:
+            interrupt_run(PLAN, first, 4, executor=executor)
+            # The journal sits in the one dispatch loop's consumer, so its
+            # lines follow plan order whatever order the workers finish in.
+            assert list(load_checkpoint(first).records) == [0, 1, 2, 3]
+            resumed = run_plan(
+                PLAN, executor=executor, checkpoint=second, resume_from=first,
+            )
+        finally:
+            executor.close()
+        assert resumed.to_json() == baseline_json
+        assert list(load_checkpoint(second).records) == list(range(len(PLAN)))
+
     @pytest.mark.parametrize("chunk", [1, 7, len(PLAN)])
     def test_serial_interrupt_resumes_in_parallel(
         self, baseline_json, tmp_path, chunk
@@ -314,6 +333,20 @@ class TestStreamResume:
             assert ran == len(PLAN)
             with open(out, "rb") as fresh, open(reference, "rb") as ref:
                 assert fresh.read() == ref.read()
+
+    def test_foreign_journal_leaves_an_existing_stream_untouched(
+        self, tmp_path
+    ):
+        ckpt = str(tmp_path / "other.ckpt")
+        run_plan(OTHER_PLAN, checkpoint=ckpt)
+        out = tmp_path / "keep.jsonl"
+        stream_plan(OTHER_PLAN, str(out))
+        before = out.read_bytes()
+        # Everything is resolved and verified before the stream file is
+        # created: a rejected call must not truncate what is already there.
+        with pytest.raises(CheckpointError, match="different plan"):
+            stream_plan(PLAN, str(out), checkpoint=ckpt)
+        assert out.read_bytes() == before
 
     def test_stream_resume_document_matches_canonical(
         self, baseline, tmp_path

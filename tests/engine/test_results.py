@@ -47,6 +47,30 @@ def _store() -> ResultStore:
     ])
 
 
+class TestFromSpec:
+    SPEC = build_plan(
+        "from-spec", kind="query", grid={"churn_rate": [0.0, 2.0]},
+        base={"n": 8}, trials=2, root_seed=5,
+    ).specs[3]
+    FIELDS = dict(
+        ok=True, terminated=True, result=8, truth=8, error=0.0,
+        completeness=1.0, latency=3.0, messages=40, core_size=8,
+        events_executed=100, wall_time=0.01,
+    )
+
+    def test_identity_comes_from_the_spec(self):
+        result = TrialResult.from_spec(self.SPEC, **self.FIELDS)
+        assert (result.index, result.kind, result.seed, result.trial) == (
+            self.SPEC.index, "query", self.SPEC.seed, self.SPEC.trial
+        )
+        assert result.point == (("churn_rate", 2.0),)
+        assert result.metrics == {} and result.status == ""
+
+    def test_identity_cannot_arrive_from_elsewhere(self):
+        with pytest.raises(TypeError):
+            TrialResult.from_spec(self.SPEC, index=99, **self.FIELDS)
+
+
 class TestJsonable:
     def test_frozenset_sorted(self):
         assert jsonable(frozenset({3, 1, 2})) == [1, 2, 3]

@@ -139,7 +139,7 @@ class TestAttribution:
 
     def test_partition_isolates_suspects_and_groups_the_rest(self, executor):
         specs = PLAN.specs[2:7]
-        task = _ChunkTask(offsets=tuple(range(5)), batch=tuple(specs))
+        task = _ChunkTask(batch=tuple(specs))
         entries = executor._partition(task, suspects={specs[2].index})
         kinds = [entry[0] for entry in entries]
         assert kinds == ["run", "run", "run"]
@@ -149,19 +149,15 @@ class TestAttribution:
         assert solo.solo and [s.index for s in solo.batch] == [specs[2].index]
         assert [s.index for s in rest.batch] == [specs[3].index,
                                                  specs[4].index]
-        # Offsets survive the split so results land in their slots.
-        assert first.offsets == (0, 1)
-        assert solo.offsets == (2,)
-        assert rest.offsets == (3, 4)
 
     def test_partition_quarantines_at_threshold(self, executor):
         spec = PLAN.specs[3]
         executor._kills[spec.index] = quarantine_threshold(executor.retries)
-        task = _ChunkTask(offsets=(0,), batch=(spec,))
+        task = _ChunkTask(batch=(spec,))
         entries = executor._partition(task, suspects=set())
         assert len(entries) == 1
-        kind, offset, done_spec, result = entries[0]
-        assert (kind, offset, done_spec) == ("done", 0, spec)
+        kind, done_spec, result = entries[0]
+        assert (kind, done_spec) == ("done", spec)
         assert result.status == "quarantined"
         assert result.ok is False and result.wall_time == 0.0
         assert result.error == float("inf")
@@ -169,7 +165,7 @@ class TestAttribution:
 
     def test_heartbeat_less_fallback_splits_after_deaths(self, executor):
         specs = PLAN.specs[0:3]
-        task = _ChunkTask(offsets=(0, 1, 2), batch=tuple(specs))
+        task = _ChunkTask(batch=tuple(specs))
         entries = executor._partition(task, suspects=set())
         assert [e[0] for e in entries] == ["run"]  # first death: regrouped
         survivor = entries[0][1]
