@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import random
+from bisect import bisect_left
 from typing import Callable
 
 from repro.churn.lifetimes import LifetimeModel
@@ -20,7 +21,7 @@ from repro.core.arrival import (
     InfiniteArrivalFinite,
     StaticArrival,
 )
-from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.sim.events import PRIORITY_MEMBERSHIP
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
@@ -46,6 +47,7 @@ class ChurnModel(abc.ABC):
         self.factory = factory
         self.attachment = attachment or UniformAttachment(2)
         self._sim: Simulator | None = None
+        self._rng: random.Random | None = None
         self._stop_at: float | None = None
         self.joins = 0
         self.leaves = 0
@@ -67,6 +69,9 @@ class ChurnModel(abc.ABC):
         if self._sim is not None:
             raise SimulationError("churn model is already installed")
         self._sim = sim
+        # Bound once for the per-event path below; streams are derived
+        # from their name, so fetching it here draws nothing.
+        self._rng = sim.rng_for("churn")
         self._stop_at = stop_at
         self._start()
 
@@ -93,41 +98,78 @@ class ChurnModel(abc.ABC):
         """The entity-dimension class this model's runs belong to."""
 
     # ------------------------------------------------------------------
-    # Helpers for subclasses
+    # Helpers for subclasses: the per-event join/leave path.  Flat on
+    # purpose (see "Per-event budget" in docs/SCALING.md): ``self._sim``
+    # and ``self._rng`` are read directly, not through the checked
+    # properties, and nothing here copies or sorts the membership.
     # ------------------------------------------------------------------
 
     def _join_now(self, lifetime: float | None = None) -> Process:
         """Create, attach and (optionally) doom a new process."""
+        sim = self._sim
+        network = sim.network
         proc = self.factory()
-        neighbors = self.attachment.choose(self.sim.network, self.rng)
-        self.sim.spawn(proc, neighbors)
+        sim.spawn(proc, self.attachment.choose(network, self._rng))
         self.joins += 1
-        self.sim.metrics.inc("churn.joins")
+        sim.metrics.inc("churn.joins")
         if lifetime is not None:
             pid = proc.pid
 
             def _depart() -> None:
-                if self.sim.network.is_present(pid):
-                    self.sim.kill(pid)
+                if network.is_present(pid):
+                    network.remove_process(pid)
                     self.leaves += 1
-                    self.sim.metrics.inc("churn.leaves")
+                    sim.metrics.inc("churn.leaves")
 
             self._schedule(lifetime, _depart, f"churn:lifetime-leave:{pid}")
         return proc
 
     def _leave_random(self) -> int | None:
-        """Remove a uniformly random present, non-immortal process."""
-        present = sorted(self.sim.network.present() - self.immortal)
-        if not present:
+        """Remove a uniformly random present, non-immortal process.
+
+        Draw for draw ``rng.choice(sorted(present() - immortal))`` — one
+        ``randbelow`` over the number of candidates, none when there are
+        no candidates — without building that list: the draw indexes the
+        sorted membership and steps over the immortals' positions.
+        """
+        sim = self._sim
+        network = sim.network
+        view = network.present_sorted()
+        size = len(view)
+        # Where the immortals sit in the view (an absent one sits nowhere).
+        skipped: list[int] = []
+        for pid in self.immortal:
+            position = bisect_left(view, pid)
+            if position < size and view[position] == pid:
+                skipped.append(position)
+        if size == len(skipped):
             return None
-        victim = self.rng.choice(present)
-        self.sim.kill(victim)
+        index = self._rng.randrange(size - len(skipped))
+        skipped.sort()
+        for position in skipped:
+            if position > index:
+                break
+            index += 1
+        victim = view[index]
+        network.remove_process(victim)
         self.leaves += 1
-        self.sim.metrics.inc("churn.leaves")
+        sim.metrics.inc("churn.leaves")
         return victim
 
+    def _replace_one(self) -> None:
+        """A random member leaves and a fresh entity takes its place
+        (nobody joins when nobody could leave)."""
+        if self._leave_random() is not None:
+            self._join_now()
+
     def _schedule(self, delay: float, action: Callable[[], None], label: str) -> None:
-        self.sim.schedule(delay, action, priority=PRIORITY_MEMBERSHIP, label=label)
+        # Straight onto the queue, with the check ``Simulator.schedule`` makes.
+        if delay < 0:
+            raise SchedulingError(f"cannot schedule {delay} in the past")
+        sim = self._sim
+        sim.queue.push(
+            sim._now + delay, action, priority=PRIORITY_MEMBERSHIP, label=label
+        )
 
 
 class NoChurn(ChurnModel):
@@ -184,30 +226,35 @@ class ArrivalDepartureChurn(ChurnModel):
 
     def _start(self) -> None:
         if self.doom_initial:
-            for pid in sorted(self.sim.network.present() - self.immortal):
-                self._doom(pid, self.lifetimes.sample(self.rng))
+            immortal = self.immortal
+            for pid in self._sim.network.present_sorted():
+                if pid not in immortal:
+                    self._doom(pid, self.lifetimes.sample(self._rng))
         self._schedule_next_arrival()
 
     def _doom(self, pid: int, lifetime: float) -> None:
+        network = self._sim.network
+
         def _depart() -> None:
-            if self.sim.network.is_present(pid):
-                self.sim.kill(pid)
+            if network.is_present(pid):
+                network.remove_process(pid)
                 self.leaves += 1
 
         self._schedule(lifetime, _depart, f"churn:lifetime-leave:{pid}")
 
     def _schedule_next_arrival(self) -> None:
-        gap = self.rng.expovariate(self.arrival_rate)
+        gap = self._rng.expovariate(self.arrival_rate)
         self._schedule(gap, self._arrive, "churn:arrival")
 
     def _arrive(self) -> None:
-        if not self.active_at(self.sim.now):
+        sim = self._sim
+        if not self.active_at(sim._now):
             return
-        population = self.sim.network.population()
+        population = sim.network.population()
         if self.concurrency_cap is not None and population >= self.concurrency_cap:
             self.rejected += 1
         else:
-            self._join_now(lifetime=self.lifetimes.sample(self.rng))
+            self._join_now(lifetime=self.lifetimes.sample(self._rng))
         self._schedule_next_arrival()
 
     def arrival_class(self) -> ArrivalClass:
@@ -249,14 +296,13 @@ class ReplacementChurn(ChurnModel):
             self._schedule_next()
 
     def _schedule_next(self) -> None:
-        gap = self.rng.expovariate(self.rate)
+        gap = self._rng.expovariate(self.rate)
         self._schedule(gap, self._replace, "churn:replace")
 
     def _replace(self) -> None:
-        if not self.active_at(self.sim.now):
+        if not self.active_at(self._sim._now):
             return
-        if self._leave_random() is not None:
-            self._join_now()
+        self._replace_one()
         self._schedule_next()
 
     def arrival_class(self) -> ArrivalClass:
@@ -297,13 +343,13 @@ class FiniteArrivalChurn(ChurnModel):
             self._schedule_next_arrival()
 
     def _schedule_next_arrival(self) -> None:
-        gap = self.rng.expovariate(self.arrival_rate)
+        gap = self._rng.expovariate(self.arrival_rate)
         self._schedule(gap, self._arrive, "churn:finite-arrival")
 
     def _arrive(self) -> None:
-        if self._remaining <= 0 or not self.active_at(self.sim.now):
+        if self._remaining <= 0 or not self.active_at(self._sim._now):
             return
-        lifetime = self.lifetimes.sample(self.rng) if self.lifetimes else None
+        lifetime = self.lifetimes.sample(self._rng) if self.lifetimes else None
         self._join_now(lifetime=lifetime)
         self._remaining -= 1
         if self._remaining > 0:
@@ -376,14 +422,13 @@ class PhasedChurn(ChurnModel):
             self._schedule_next_replacement()
 
     def _schedule_next_replacement(self) -> None:
-        gap = self.rng.expovariate(self.storm_rate)
+        gap = self._rng.expovariate(self.storm_rate)
         self._schedule(gap, self._replace, "churn:storm-replace")
 
     def _replace(self) -> None:
-        if not self._in_storm or not self.active_at(self.sim.now):
+        if not self._in_storm or not self.active_at(self._sim._now):
             return
-        if self._leave_random() is not None:
-            self._join_now()
+        self._replace_one()
         self._schedule_next_replacement()
 
     def arrival_class(self) -> ArrivalClass:

@@ -63,17 +63,6 @@ class ConnectivityVerdict:
         )
 
 
-def _is_connected_over(snapshot: Topology, nodes: frozenset[int]) -> bool:
-    """Connectivity of ``snapshot`` restricted to ``nodes``."""
-    if len(nodes) <= 1:
-        return True
-    missing = nodes - set(snapshot.nodes())
-    if missing:
-        return False
-    start = min(nodes)
-    return nodes <= snapshot.reachable_from(start)
-
-
 def classify_snapshots(snapshots: Sequence[Topology]) -> ConnectivityVerdict:
     """Classify a snapshot sequence along the temporal hierarchy."""
     if not snapshots:

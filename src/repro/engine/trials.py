@@ -523,13 +523,11 @@ def run_gossip(config: GossipConfig) -> GossipOutcome:
         node = sim.network.process(reader_pid)
         assert isinstance(node, PushSumNode)
         state["estimate"] = node.read_estimate()
-        present = sim.network.present()
+        present = sim.network.present_sorted()
         if config.mode == "count":
             state["truth"] = float(len(present))
         else:
-            values = [
-                float(sim.network.process(pid).value) for pid in sorted(present)
-            ]
+            values = [float(sim.network.process(pid).value) for pid in present]
             state["truth"] = sum(values) / len(values) if values else float("nan")
 
     sim.at(read_time, read, label="experiment:read-estimate")

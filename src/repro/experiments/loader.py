@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Any
 
 import yaml
 
@@ -101,11 +100,3 @@ def experiment_plan_digest(experiment: ExperimentDef) -> str:
     exact trial specs (grid points, seeds, order) the executor will run.
     """
     return plan_digest(experiment.to_plan())
-
-
-def _jsonable(value: Any) -> Any:
-    """YAML-safe plain data (used by runner documents, re-exported here
-    to keep the loader the single YAML touchpoint)."""
-    from repro.engine.results import jsonable
-
-    return jsonable(value)

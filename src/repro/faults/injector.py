@@ -245,7 +245,9 @@ class FaultInjector:
     def _crash(self, index: int, spec: FaultSpec) -> None:
         sim = self.sim
         network = sim.network
-        candidates = sorted(set(network.present()) - self.protected)
+        candidates = [
+            pid for pid in network.present_sorted() if pid not in self.protected
+        ]
         victims: list[int] = []
         if candidates:
             victims = sorted(

@@ -15,8 +15,9 @@ globally unique and are never reused — slots are storage, not identity.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.sim import trace as tr
 from repro.sim.errors import MembershipError, SchedulingError, TopologyError
@@ -92,7 +93,8 @@ class Network:
         # Slot-backed entity state.  ``_slot_of`` maps pid -> slot; the
         # parallel arrays are indexed by slot and holes are recycled
         # through the ``_free`` stack.  ``_dense`` lists occupied slots
-        # contiguously (swap-remove) for O(1) uniform sampling.
+        # contiguously (swap-remove) for O(1) uniform sampling; ``_sorted``
+        # lists present pids in increasing order (see ``present_sorted``).
         self._slot_of: dict[int, int] = {}
         self._procs: list[Process | None] = []
         self._adj: list[set[int] | None] = []
@@ -100,6 +102,7 @@ class Network:
         self._free: list[int] = []
         self._dense: list[int] = []
         self._dense_pos: list[int] = []
+        self._sorted: list[int] = []
         self._edge_delays: dict[tuple[int, int], DelayModel] = {}
         # Topology journals: incremental consumers (PartitionFault's
         # watchdog) subscribe to joins and new links instead of rescanning
@@ -126,11 +129,22 @@ class Network:
         available to the analysis layer, never to protocol code).
 
         An O(n) snapshot: every call copies the whole membership.  Nothing
-        that runs per event may call it; use :meth:`population`,
-        :meth:`degree`, :meth:`is_present` or :meth:`sample_present`
-        (see ``docs/SCALING.md``).
+        that runs per event may call it; use :meth:`present_sorted`,
+        :meth:`population`, :meth:`degree`, :meth:`is_present` or
+        :meth:`sample_present` (see ``docs/SCALING.md``).
         """
         return frozenset(self._slot_of)
+
+    def present_sorted(self) -> Sequence[int]:
+        """Present pids in increasing order, O(1) to hand over.
+
+        What a per-event step indexes or draws from where it used to build
+        ``sorted(network.present())``: the same sequence, so
+        ``rng.choice``/``rng.sample`` over it consume the same draws.  A
+        read-only live view, valid only until the next join or leave —
+        copy it (``list(...)``) to keep it, never mutate it.
+        """
+        return self._sorted
 
     def population(self) -> int:
         """Number of processes currently present (O(1))."""
@@ -148,62 +162,66 @@ class Network:
     def is_present(self, pid: int) -> bool:
         return pid in self._slot_of
 
-    def _alloc_slot(self, proc: Process) -> int:
-        pid = proc.pid
-        if self._free:
-            slot = self._free.pop()
-            self._procs[slot] = proc
-            self._adj[slot] = set()
-            self._slot_pid[slot] = pid
-            self._dense_pos[slot] = len(self._dense)
-        else:
-            slot = len(self._procs)
-            self._procs.append(proc)
-            self._adj.append(set())
-            self._slot_pid.append(pid)
-            self._dense_pos.append(len(self._dense))
-        self._dense.append(slot)
-        self._slot_of[pid] = slot
-        return slot
-
-    def _release_slot(self, pid: int) -> None:
-        slot = self._slot_of.pop(pid)
-        self._procs[slot] = None
-        self._adj[slot] = None
-        # Swap-remove from the dense slot list.
-        pos = self._dense_pos[slot]
-        last = self._dense.pop()
-        if last != slot:
-            self._dense[pos] = last
-            self._dense_pos[last] = pos
-        self._free.append(slot)
-
     def add_process(self, proc: Process, neighbors: Iterable[int] = ()) -> None:
         """Insert ``proc`` and connect it to ``neighbors``.
 
         The caller (simulator/churn model) must have assigned ``proc.pid``.
         """
         pid = proc.pid
-        if pid in self._slot_of:
+        slot_of = self._slot_of
+        if pid in slot_of:
             raise MembershipError(f"process {pid} is already present")
         neighbor_ids = sorted(set(neighbors))
         # Probe per attachment point, O(|neighbors|): a set difference with
         # ``slot_of.keys()`` walks the whole membership (O(n²) to spawn n).
-        slot_of = self._slot_of
-        missing = [other for other in neighbor_ids if other not in slot_of]
-        if missing:
-            raise MembershipError(
-                f"cannot attach {pid} to absent processes {missing}"
-            )
-        self._alloc_slot(proc)
+        # ``pid`` itself is absent here, so a self-loop fails this check.
         for other in neighbor_ids:
-            self._link(pid, other)
-        if self._journals:
-            for journal in self._journals.values():
+            if other not in slot_of:
+                missing = [p for p in neighbor_ids if p not in slot_of]
+                raise MembershipError(
+                    f"cannot attach {pid} to absent processes {missing}"
+                )
+        # Take a slot (a recycled hole if there is one) and enter the indexes.
+        dense = self._dense
+        if self._free:
+            slot = self._free.pop()
+            self._procs[slot] = proc
+            self._adj[slot] = set()
+            self._slot_pid[slot] = pid
+            self._dense_pos[slot] = len(dense)
+        else:
+            slot = len(self._procs)
+            self._procs.append(proc)
+            self._adj.append(set())
+            self._slot_pid.append(pid)
+            self._dense_pos.append(len(dense))
+        dense.append(slot)
+        slot_of[pid] = slot
+        # Pids are allocated monotonically, so a join is an append; only
+        # an explicit out-of-order ``spawn(pid=...)`` pays the insort.
+        ordered = self._sorted
+        if not ordered or pid > ordered[-1]:
+            ordered.append(pid)
+        else:
+            insort(ordered, pid)
+        journals = self._journals
+        if neighbor_ids:
+            # ``_link`` inlined: the endpoints are known present and distinct.
+            adj = self._adj
+            adj[slot].update(neighbor_ids)
+            for other in neighbor_ids:
+                adj[slot_of[other]].add(pid)
+                if journals:
+                    lo, hi = (pid, other) if pid < other else (other, pid)
+                    for journal in journals.values():
+                        journal.append(("edge", lo, hi))
+        if journals:
+            for journal in journals.values():
                 journal.append(("join", pid, pid))
-        self._sim.metrics.inc("membership.joins")
-        self._sim.trace.record(
-            self._sim.now, tr.JOIN, entity=pid, degree=len(neighbor_ids),
+        sim = self._sim
+        sim.metrics.inc("membership.joins")
+        sim.trace.record(
+            sim._now, tr.JOIN, entity=pid, degree=len(neighbor_ids),
             value=getattr(proc, "value", None),
             neighbors=tuple(neighbor_ids),
         )
@@ -215,7 +233,7 @@ class Network:
         # newcomer, so everyone learns of the join.
         to_notify = neighbor_ids
         if self.complete:
-            to_notify = sorted(other for other in slot_of if other != pid)
+            to_notify = [other for other in self._sorted if other != pid]
         for other in to_notify:
             other_slot = slot_of.get(other)
             if other_slot is not None:  # may have left during callbacks
@@ -229,29 +247,42 @@ class Network:
         notified and no adjacency needs patching.  Otherwise it is
         O(degree) plus the notification fan-out.
         """
-        proc = self.process(pid)
+        slot_of = self._slot_of
+        slot = slot_of.get(pid)
+        if slot is None:
+            raise MembershipError(f"process {pid} is not present")
+        proc = self._procs[slot]
         proc._alive = False
         proc.on_stop()
         former_neighbors: list[int] = []
+        all_adj = self._adj
         if self.complete:
             if self.notify_leaves:
-                former_neighbors = sorted(self._slot_of)
-                former_neighbors.remove(pid)
+                former_neighbors = list(self._sorted)
+                del former_neighbors[bisect_left(former_neighbors, pid)]
         else:
-            adj = self._adj[self._slot_of[pid]]
-            assert adj is not None
+            adj = all_adj[slot]
             if self.notify_leaves:
                 former_neighbors = sorted(adj)
-            slot_of = self._slot_of
             for other in adj:
-                other_adj = self._adj[slot_of[other]]
-                if other_adj is not None:
-                    other_adj.discard(pid)
-        self._release_slot(pid)
-        self._sim.metrics.inc("membership.leaves")
-        self._sim.trace.record(self._sim.now, tr.LEAVE, entity=pid)
+                all_adj[slot_of[other]].discard(pid)
+        # Free the slot: out of the indexes, swap-removed from the dense list.
+        del slot_of[pid]
+        ordered = self._sorted
+        del ordered[bisect_left(ordered, pid)]
+        self._procs[slot] = None
+        all_adj[slot] = None
+        dense = self._dense
+        pos = self._dense_pos[slot]
+        last = dense.pop()
+        if last != slot:
+            dense[pos] = last
+            self._dense_pos[last] = pos
+        self._free.append(slot)
+        sim = self._sim
+        sim.metrics.inc("membership.leaves")
+        sim.trace.record(sim._now, tr.LEAVE, entity=pid)
         if self.notify_leaves:
-            slot_of = self._slot_of
             for other in former_neighbors:
                 other_slot = slot_of.get(other)
                 if other_slot is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.obs.codec import decode_value, encode_event, encode_value
+from repro.obs.codec import decode_value, encode_event
 from repro.obs.sinks import MemorySink, TraceSink
 
 # Canonical event kinds written by the substrate.  Protocols are free to
@@ -215,16 +215,6 @@ class TraceLog:
                 data = {key: decode_value(value) for key, value in record["d"].items()}
                 log.record(record["t"], record["k"], **data)
         return log
-
-
-def _encode(value: Any) -> Any:
-    """Backwards-compatible alias for :func:`repro.obs.codec.encode_value`."""
-    return encode_value(value)
-
-
-def _decode(value: Any) -> Any:
-    """Backwards-compatible alias for :func:`repro.obs.codec.decode_value`."""
-    return decode_value(value)
 
 
 def merge_logs(logs: Iterable[TraceLog]) -> TraceLog:

@@ -39,11 +39,10 @@ class UniformAttachment(AttachmentRule):
         self.k = k
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = sorted(network.present())
+        present = network.present_sorted()
         if not present:
             return []
-        count = min(self.k, len(present))
-        return rng.sample(present, count)
+        return rng.sample(present, min(self.k, len(present)))
 
     def __repr__(self) -> str:
         return f"UniformAttachment(k={self.k})"
@@ -59,14 +58,12 @@ class DegreeProportionalAttachment(AttachmentRule):
         self.k = k
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = sorted(network.present())
-        if not present:
+        candidates = list(network.present_sorted())
+        if not candidates:
             return []
-        weights = [network.degree(pid) + 1 for pid in present]
+        cand_weights = [network.degree(pid) + 1 for pid in candidates]
         chosen: list[int] = []
-        candidates = list(present)
-        cand_weights = list(weights)
-        for _ in range(min(self.k, len(present))):
+        for _ in range(min(self.k, len(candidates))):
             total = sum(cand_weights)
             pick = rng.random() * total
             acc = 0.0
@@ -92,12 +89,12 @@ class ChainAttachment(AttachmentRule):
     """
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = network.present()
+        present = network.present_sorted()
         if not present:
             return []
         # Ids are allocated monotonically, so the newest process has the
         # largest id.
-        return [max(present)]
+        return [present[-1]]
 
     def __repr__(self) -> str:
         return "ChainAttachment()"

@@ -96,7 +96,7 @@ class EdgeRewiringChurn:
         if network.population() > LEGACY_PAIR_ENUMERATION_LIMIT:
             self._do_rewire_sampled(network)
             return
-        present = sorted(network.present())
+        present = network.present_sorted()
         edges = sorted(network.edges())
         all_pairs = {
             (a, b) for i, a in enumerate(present) for b in present[i + 1:]

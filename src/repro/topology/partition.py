@@ -128,7 +128,8 @@ class PartitionFault:
 
     def _split(self) -> None:
         network = self.sim.network
-        present = sorted(network.present())
+        # A copy: ``groups`` is caller-supplied and may keep or reorder it.
+        present = list(network.present_sorted())
         if len(present) < 2:
             return
         rng = self.sim.rng_for("partition")
@@ -136,7 +137,7 @@ class PartitionFault:
         self.active = True
         self._journal_token = network.open_topology_journal()
         self._pending_adoption = {
-            pid for pid in network.present() if pid not in self._assignment
+            pid for pid in present if pid not in self._assignment
         }
         for a, b in sorted(network.edges()):
             side_a = self._assignment.get(a)

@@ -125,6 +125,59 @@ class TestReplacementChurn:
             ReplacementChurn(lambda: Process(), rate=-1.0)
 
 
+class TestLeaveRandomAgainstNaive:
+    """``_leave_random`` indexes the sorted membership and steps over the
+    immortals; the specification is the three-line form it replaced, run on
+    a twin simulator.  Same victims, and the churn stream left in the same
+    state, whatever the immortal set holds."""
+
+    N = 12
+
+    @staticmethod
+    def naive_leave(sim: Simulator, immortal: set[int]) -> int | None:
+        candidates = sorted(sim.network.present() - immortal)
+        if not candidates:
+            return None
+        victim = sim.rng_for("churn").choice(candidates)
+        sim.kill(victim)
+        return victim
+
+    def twins(self, seed: int, immortal_count: int):
+        sims = []
+        for _ in range(2):
+            sim = Simulator(seed=seed)
+            for _ in range(self.N):
+                sim.spawn(Process(value=1.0))
+            sim.kill(3)  # a hole in the pid sequence, and a recycled slot
+            sim.spawn(Process(value=1.0))
+            sims.append(sim)
+        picker = sims[0].rng_for("test-immortals")
+        immortal = set(picker.sample(sorted(sims[0].network.present()), immortal_count))
+        if immortal_count:
+            immortal |= {3, 10_000}  # one that left, one that never existed
+        model = ReplacementChurn(lambda: Process(value=1.0), rate=0.0)
+        model.immortal |= immortal
+        model.install(sims[0])
+        return model, sims[0], sims[1], immortal
+
+    @pytest.mark.parametrize("immortal_count", [0, 1, 4])
+    def test_same_victims_and_same_subsequent_draws(self, immortal_count):
+        for seed in range(60):
+            model, fast, naive, immortal = self.twins(seed, immortal_count)
+            for _ in range(self.N - immortal_count):
+                assert model._leave_random() == self.naive_leave(naive, immortal)
+                assert (fast.rng_for("churn").getstate()
+                        == naive.rng_for("churn").getstate())
+                assert fast.network.present() == naive.network.present()
+            # Only immortals remain: nobody leaves and nothing is drawn.
+            before = fast.rng_for("churn").getstate()
+            assert model._leave_random() is None
+            assert self.naive_leave(naive, immortal) is None
+            assert fast.rng_for("churn").getstate() == before
+            assert model.leaves == self.N - immortal_count
+            assert fast.network.present() == immortal - {3, 10_000}
+
+
 class TestArrivalDepartureChurn:
     def test_population_fluctuates(self):
         sim = seeded_sim(4)

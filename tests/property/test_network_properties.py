@@ -104,3 +104,36 @@ def test_membership_trace_well_formed(script):
             assert entity in seen_join  # no leave before join
             assert entity not in seen_leave  # no double leave
             seen_leave.add(entity)
+
+
+# Membership-only scripts for the sorted index: ("spawn", _) takes the next
+# counter pid, ("spawn_at", p) an explicit pid from a range that interleaves
+# with the counter's (so it lands in the middle of the index, or past its end),
+# ("kill", i) removes the i-th present pid — which frees a slot for recycling.
+membership_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["spawn", "spawn_at", "kill"]),
+        st.integers(min_value=0, max_value=400),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(membership_steps)
+@settings(max_examples=150, deadline=None)
+def test_sorted_index_tracks_membership(steps):
+    """``present_sorted()`` is ``sorted(present())`` after every step of
+    any interleaving of counter spawns, out-of-order explicit-pid spawns
+    and kills, including across slot recycling."""
+    sim = Simulator(seed=1)
+    network = sim.network
+    for kind, value in steps:
+        if kind == "kill":
+            if network.population():
+                sim.kill(network.present_sorted()[value % network.population()])
+        else:
+            pid = sim.new_pid() if kind == "spawn" else value
+            if not network.is_present(pid):  # an explicit spawn may have taken it
+                sim.spawn(Process(value=1.0), pid=pid)
+        assert list(network.present_sorted()) == sorted(network.present())

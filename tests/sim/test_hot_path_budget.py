@@ -10,17 +10,28 @@ ratio to executed events under a ceiling.  The count repeats exactly for a
 given interpreter; the ceilings leave room above what this code measures
 (25.9 / 24.3 / 27.0 when written, against 54.5 / 52.9 / 47.4 before the
 path was flattened) for a cheap, deliberate addition, not for a regression.
+
+The join/leave path has the same budget on the workload the paper's core
+experiment runs (E4: two of every three events are membership events):
+46.5 calls per event when written, 70.5 while each replacement still went
+through ``Simulator.spawn``/``kill``, the checked ``sim``/``rng`` properties
+and three sorted copies of the membership.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
 
+from repro.churn.models import ReplacementChurn
+from repro.core.aggregates import by_name
 from repro.obs.sinks import CountingSink, MemorySink
+from repro.protocols.one_time_query import WaveNode
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
+from repro.topology import generators
 
 PERIOD = 1.0
 HORIZON = 4.0
@@ -46,6 +57,11 @@ def calls_per_event(n: int, sink) -> tuple[float, Simulator]:
     )
     for _ in range(n):
         sim.spawn(PingNode(1.0))
+    return profiled_run(sim, HORIZON), sim
+
+
+def profiled_run(sim: Simulator, horizon: float) -> float:
+    """Run to ``horizon``; Python calls made per executed event."""
     calls = 0
 
     def count(frame, event, arg):
@@ -55,10 +71,10 @@ def calls_per_event(n: int, sink) -> tuple[float, Simulator]:
 
     sys.setprofile(count)
     try:
-        sim.run(until=HORIZON)
+        sim.run(until=horizon)
     finally:
         sys.setprofile(None)
-    return calls / sim.events_executed, sim
+    return calls / sim.events_executed
 
 
 @pytest.mark.parametrize("n, make_sink, backend, ceiling", [
@@ -74,4 +90,36 @@ def test_python_calls_per_executed_event(n, make_sink, backend, ceiling):
         f"{per_event:.1f} Python calls per event at n={n} on the {backend} "
         f"queue (ceiling {ceiling}): something on the per-event path grew "
         "a wrapper, a property chain or a per-call closure"
+    )
+
+
+def test_python_calls_per_executed_event_under_replacement_churn():
+    """One cell of the E4 sweep, built the way ``engine.trials`` builds it:
+    n = 32 wave nodes on an ER overlay, replacement churn at rate 4.0 with
+    the querier immortal, one COUNT query."""
+    n, ceiling = 32, 52.0
+    sim = Simulator(seed=2007)
+    topo = generators.make("er", n, sim.rng_for("topology"))
+    arrivals = itertools.count()
+
+    def factory() -> WaveNode:
+        return WaveNode(float(next(arrivals)))
+
+    pids = [
+        sim.spawn(factory(), [p for p in topo.neighbors(node) if p < node]).pid
+        for node in range(n)
+    ]
+    churn = ReplacementChurn(factory, rate=4.0)
+    churn.immortal.add(pids[0])
+    churn.install(sim)
+    sim.at(
+        5.0, lambda: sim.network.process(pids[0]).issue_query(by_name("COUNT")),
+        label="experiment:issue-query",
+    )
+    per_event = profiled_run(sim, 250.0)
+    assert churn.joins == churn.leaves > 900
+    assert per_event <= ceiling, (
+        f"{per_event:.1f} Python calls per event at n={n} under replacement "
+        f"churn (ceiling {ceiling}): something on the join/leave path grew a "
+        "wrapper, a property chain or a copy of the membership"
     )

@@ -14,7 +14,9 @@ reintroduce a linear cost:
 * building a population is linear: ``add_process`` validates attachment
   points in O(|neighbors|), ``schedule_join`` hands its chooser a view
   instead of a per-join copy of the membership, and ``process_rng``
-  derives its seed namespace once — none of which may move a draw.
+  derives its seed namespace once — none of which may move a draw;
+* a churn join or leave draws from the always-sorted membership index:
+  no event copies or sorts the population.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import time
 
 import pytest
 
+from repro.churn.lifetimes import ExponentialLifetime
+from repro.churn.models import ArrivalDepartureChurn, ReplacementChurn
+from repro.obs.sinks import CountingSink
 from repro.sim.errors import MembershipError
 from repro.sim.events import (
     CalendarEventQueue,
@@ -265,3 +270,59 @@ class TestPopulationBuildIsLinear:
                 reference.random() for _ in range(5)
             ]
             assert sim.process_rng(pid) is stream
+
+
+class TestMembershipEventsNeverCopyThePopulation:
+    """A join or a leave draws from ``Network.present_sorted()``; the O(n)
+    ``present()`` snapshot belongs to set-up and analysis, not to events."""
+
+    @staticmethod
+    def _population(n: int) -> tuple[Simulator, list[int]]:
+        sim = Simulator(seed=2007, trace_sink=CountingSink())
+        pids = [sim.spawn(_Null(0)).pid]
+        for _ in range(n - 1):
+            pids.append(sim.spawn(_Null(0), neighbors=[pids[-1]]).pid)
+        return sim, pids
+
+    @pytest.mark.parametrize("make_churn", [
+        lambda: ReplacementChurn(lambda: _Null(0), rate=20.0),
+        lambda: ArrivalDepartureChurn(
+            lambda: _Null(0), arrival_rate=20.0,
+            lifetimes=ExponentialLifetime(2.0), doom_initial=True,
+        ),
+    ], ids=["replacement", "arrival-departure"])
+    def test_churn_run_never_snapshots_the_membership(self, monkeypatch, make_churn):
+        sim, pids = self._population(64)
+        churn = make_churn()
+        churn.immortal.add(pids[0])
+
+        def trap(self):
+            raise AssertionError("Network.present() called from an event")
+
+        monkeypatch.setattr(Network, "present", trap)
+        churn.install(sim)
+        sim.run(until=10.0)
+        assert churn.joins > 100 and churn.leaves > 100
+        assert sim.network.is_present(pids[0])
+
+    def _replacement_us(self, n: int) -> float:
+        """Best-of-3 wall time per replacement (one leave, one join, one
+        reschedule) with one immortal, the E-suite's shape."""
+        best = float("inf")
+        for _ in range(3):
+            sim, pids = self._population(n)
+            churn = ReplacementChurn(lambda: _Null(0), rate=200.0)
+            churn.immortal.add(pids[0])
+            churn.install(sim)
+            gc.collect()
+            start = time.perf_counter()
+            sim.run(until=10.0)
+            best = min(best, (time.perf_counter() - start) / churn.leaves)
+        return best * 1e6
+
+    def test_per_replacement_cost_does_not_grow_with_population(self):
+        # Two frozenset copies and three sorts of the membership per
+        # replacement sat at ≈ 20x here; the sorted index measures ≈ 1.2x.
+        small = self._replacement_us(500)
+        large = self._replacement_us(20_000)
+        assert large / small < 3.0, (small, large)
