@@ -26,9 +26,14 @@ Run:  PYTHONPATH=src python benchmarks/emit_scale.py [--output FILE]
 
 ``--smoke`` runs only n in {32, 10k} with short horizons for CI;
 ``--check`` additionally asserts the scale curve's *shape*: per-event cost
-at n=10k must stay within 50x of n=32 (the seed core is ~90x off), and
+at n=10k must stay within 50x of n=32 (the seed core is ~90x off),
 per-entity set-up cost at n=20k within 3x of n=1k (a membership scan per
-spawn — O(n²) set-up — sits at 6-9x; the linear build at 1.4-1.8x).
+spawn — O(n²) set-up — sits at 6-9x; the linear build at 1.4-1.8x), and
+the cost of one churn replacement at n=20k within 5x of n=500 (copying or
+sorting the membership per event sits at 20-30x; the sorted index at
+1.2-3.4x depending on the box).  These are the only assertions on measured
+durations in the repository: tier-1 pins the *mechanisms* by counting
+(``tests/sim/test_scale_regressions.py``, ``test_hot_path_budget.py``).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.churn.models import ReplacementChurn
 from repro.obs.sinks import CountingSink
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
@@ -63,6 +69,9 @@ SMOKE_SIZES: dict[int, float] = {32: 50.0, 10_000: 2.0}
 #: Mersenne Twister, the first timer, the JOIN trace line) hides a
 #: per-spawn membership scan.
 SETUP_SHAPE_SIZES = (1_000, 20_000)
+
+#: Line-population sizes for ``--check``'s membership-event shape assertion.
+REPLACEMENT_SHAPE_SIZES = (500, 20_000)
 
 #: Seed-core events/sec on this scenario (measured on the growth seed,
 #: Linux x86-64 container, 2026-08).  Machine-dependent — context for the
@@ -112,6 +121,26 @@ def setup_us_per_entity(n: int, repeats: int = 3) -> float:
     return best / n * 1e6
 
 
+def replacement_us(n: int, repeats: int = 3) -> float:
+    """Best-of-``repeats`` wall time per churn replacement (one leave, one
+    join, one reschedule; microseconds) on a line of ``n`` idle processes
+    with one immortal — the E-suite's shape."""
+    best = float("inf")
+    for _ in range(repeats):
+        sim = Simulator(seed=2007, trace_sink=CountingSink())
+        pids = [sim.spawn(Process(0)).pid]
+        for _ in range(n - 1):
+            pids.append(sim.spawn(Process(0), neighbors=[pids[-1]]).pid)
+        churn = ReplacementChurn(lambda: Process(0), rate=200.0)
+        churn.immortal.add(pids[0])
+        churn.install(sim)
+        gc.collect()
+        start = time.perf_counter()
+        sim.run(until=10.0)
+        best = min(best, (time.perf_counter() - start) / churn.leaves)
+    return best * 1e6
+
+
 def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
     """One ping-storm trial; returns the per-size measurement dict.
 
@@ -149,7 +178,8 @@ def main() -> int:
     parser.add_argument("--check", action="store_true",
                         help="assert the curve's shape: per-event cost at "
                         "n=10k within 50x of n=32, per-entity set-up cost "
-                        "at n=20k within 3x of n=1k")
+                        "at n=20k within 3x of n=1k, per-replacement cost "
+                        "at n=20k within 5x of n=500")
     args = parser.parse_args()
 
     sizes = SMOKE_SIZES if args.smoke else SIZES
@@ -216,6 +246,18 @@ def main() -> int:
                 f"scale check failed: per-entity set-up cost grew {ratio:.1f}x "
                 f"from n={small_n} to n={large_n} (> 3x) — spawning an entity "
                 "iterates the membership again (O(n²) population build)"
+            )
+        small_n, large_n = REPLACEMENT_SHAPE_SIZES
+        small_us = replacement_us(small_n)
+        large_us = replacement_us(large_n)
+        ratio = large_us / small_us
+        print(f"per-replacement cost n={large_n}: {large_us:.1f} us, "
+              f"n={small_n}: {small_us:.1f} us, ratio {ratio:.1f}x (limit 5x)")
+        if ratio > 5.0:
+            raise SystemExit(
+                f"scale check failed: per-replacement cost grew {ratio:.1f}x "
+                f"from n={small_n} to n={large_n} (> 5x) — a churn join or "
+                "leave copies or sorts the membership again"
             )
         print("scale check passed")
     return 0

@@ -17,7 +17,8 @@ from repro.core.aggregates import COUNT
 from repro.core.classes import standard_lattice
 from repro.core.solvability import Solvable, solvability_matrix
 from repro.core.spec import OneTimeQuerySpec
-from repro.engine import build_plan, run_plan
+from repro.engine.executor import run_plan
+from repro.engine.plan import build_plan
 from repro.protocols.one_time_query import WaveNode
 
 SYMBOL = {Solvable.YES: "yes", Solvable.CONDITIONAL: "cond", Solvable.NO: "NO"}

@@ -14,8 +14,7 @@ test pins the asymptotic *shape* at CI-friendly sizes.
 The table also reports set-up (the spawn loop) per entity, but does not
 gate it: at n <= 2000 a per-spawn membership scan is still under half of
 set-up (n=2000 / n=50 per entity: 1.7x with the scan, 1.1x without), so
-these sizes cannot see that class of defect.  The gate lives in tier-1
-(``tests/sim/test_scale_regressions.py``, n=16000 vs n=1000) and in
+these sizes cannot see that class of defect.  The gate lives in
 ``emit_scale.py --check`` (n=20000 vs n=1000).
 """
 

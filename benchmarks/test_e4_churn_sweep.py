@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import render_result_document
-from repro.engine import SerialExecutor, build_plan, execute_trial, run_plan
+from repro.engine.executor import SerialExecutor, execute_trial, run_plan
+from repro.engine.plan import build_plan
 
 RATES = [0.0, 0.25, 1.0, 2.0, 4.0, 8.0]
 N = 32

@@ -13,7 +13,8 @@ import random
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
-from repro.engine import ExperimentPlan, SerialExecutor, TrialSpec, execute_trial
+from repro.engine.executor import SerialExecutor, execute_trial
+from repro.engine.plan import ExperimentPlan, TrialSpec
 from repro.sim.latency import ConstantDelay
 from repro.topology import generators as gen
 

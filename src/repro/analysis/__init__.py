@@ -1,60 +1,1 @@
 """Analysis layer: metrics, statistics and table rendering."""
-
-from repro.analysis.ascii_plot import bar_chart, sparkline, timeline
-from repro.analysis.compare import PairedComparison, paired_compare, sign_test_p_value
-from repro.analysis.metrics import (
-    completeness,
-    delivery_ratio,
-    drop_reasons,
-    message_cost,
-    message_cost_by_kind,
-    population_series,
-    relative_error,
-    turnover,
-    wave_depth,
-)
-from repro.analysis.stats import (
-    Summary,
-    bootstrap_ci,
-    mean,
-    proportion,
-    quantile,
-    sem,
-    stddev,
-    summarize,
-    variance,
-)
-from repro.analysis.tables import render_matrix, render_table
-
-# NOTE: repro.analysis.report sits above the bench layer (it runs
-# experiments) and is intentionally NOT re-exported here to avoid a
-# circular import; use ``from repro.analysis.report import build_report``.
-
-__all__ = [
-    "PairedComparison",
-    "Summary",
-    "paired_compare",
-    "sign_test_p_value",
-    "bar_chart",
-    "sparkline",
-    "timeline",
-    "bootstrap_ci",
-    "completeness",
-    "delivery_ratio",
-    "drop_reasons",
-    "mean",
-    "message_cost",
-    "message_cost_by_kind",
-    "population_series",
-    "proportion",
-    "quantile",
-    "relative_error",
-    "render_matrix",
-    "render_table",
-    "sem",
-    "stddev",
-    "summarize",
-    "turnover",
-    "variance",
-    "wave_depth",
-]

@@ -152,55 +152,58 @@ from repro.engine.telemetry import (
 )
 
 # --- Crash safety: checkpoint/resume, self-healing pool, chaos -----------
-from repro.engine.recovery import (
-    CHECKPOINT_SCHEMA,
-    CHECKPOINT_VERSION,
+from repro.engine.recovery.chaos import (
     ChaosInterrupt,
-    CheckpointError,
-    CheckpointState,
-    CheckpointWriter,
     ENOSPCAfter,
     KillWorkerAtChunk,
     SigintAfter,
-    WorkerPoolError,
-    load_checkpoint,
     tear_file_tail,
 )
+from repro.engine.recovery.checkpoint import (
+    CHECKPOINT_SCHEMA,
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    CheckpointState,
+    CheckpointWriter,
+    load_checkpoint,
+)
+from repro.engine.recovery.healing import WorkerPoolError
 
 # --- Observability: metrics, sinks, causality, checking, export ---------
-from repro.obs import (
+from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
+from repro.obs.sinks import (
     SINK_NAMES,
-    SPAN_KINDS,
-    TELEMETRY_SCHEMA,
-    TELEMETRY_VERSION,
     TRANSPORT_KINDS,
-    CheckingSink,
-    Counter,
     CountingSink,
-    Gauge,
-    HappensBeforeDAG,
-    Histogram,
-    InfluenceReport,
-    InvariantChecker,
     JsonlStreamSink,
     MemorySink,
-    Metrics,
     NullSink,
-    Span,
-    SpanTracer,
     TraceSink,
+    make_sink,
+)
+from repro.obs.causal import HappensBeforeDAG, InfluenceReport, owners_of
+from repro.obs.check import (
+    CheckingSink,
+    InvariantChecker,
     Violation,
-    ascii_timeline,
     check_trace,
     default_checkers,
-    make_sink,
+)
+from repro.obs.export import (
+    ascii_timeline,
     merge_engine_trace,
-    owners_of,
-    read_telemetry,
-    span_tree,
     to_chrome_trace,
     write_chrome_trace,
     write_engine_trace,
+)
+from repro.obs.spans import (
+    SPAN_KINDS,
+    TELEMETRY_SCHEMA,
+    TELEMETRY_VERSION,
+    Span,
+    SpanTracer,
+    read_telemetry,
+    span_tree,
 )
 
 # --- Regression gating: compare result documents ------------------------
@@ -223,65 +226,61 @@ from repro.analysis.stats import (
 from repro.version import package_version
 
 # --- Declarative experiments: YAML in, canonical plans out ---------------
-from repro.experiments import (
-    EXPERIMENT_SCHEMA,
-    EXPERIMENT_VERSION,
-    ExpectSpec,
-    ExperimentDef,
-    ExperimentRun,
-    RefineSpec,
-    VerdictCheck,
+from repro.experiments.loader import (
     dump_experiment,
     experiment_digest,
     experiment_plan_digest,
     load_experiment,
     loads_experiment,
+    save_experiment,
+)
+from repro.experiments.runner import (
+    ExperimentRun,
+    VerdictCheck,
     refine_experiment,
     run_experiment,
-    save_experiment,
+)
+from repro.experiments.schema import (
+    EXPERIMENT_SCHEMA,
+    EXPERIMENT_VERSION,
+    ExpectSpec,
+    ExperimentDef,
+    RefineSpec,
 )
 
 # --- Faults: the deterministic fault-injection plane ---------------------
-from repro.faults import (
-    FAULT_KINDS,
-    FAULT_PRESETS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    fault_preset,
-    install_plan,
-    resolve_faults,
-)
+from repro.faults.injector import FaultInjector, install_plan
+from repro.faults.presets import FAULT_PRESETS, fault_preset
+from repro.faults.spec import FAULT_KINDS, FaultPlan, FaultSpec, resolve_faults
 
 # --- Resilience: the deterministic recovery plane ------------------------
-from repro.resilience import (
-    RESILIENCE_PRESETS,
-    CoverageReport,
-    ReliableTransport,
+from repro.resilience.degradation import CoverageReport
+from repro.resilience.presets import RESILIENCE_PRESETS, resilience_preset
+from repro.resilience.spec import (
     ResilienceSpec,
     backoff_schedule,
-    install_resilience,
-    resilience_preset,
     resolve_resilience,
 )
+from repro.resilience.transport import ReliableTransport, install_resilience
 
 # --- Churn: declarative specs, generative models, adversaries -----------
 from repro.churn.spec import ChurnSpec, resolve_churn
-from repro.churn import (
+from repro.churn.adversary import defeat_ttl
+from repro.churn.lifetimes import ExponentialLifetime, ParetoLifetime
+from repro.churn.models import (
     ArrivalDepartureChurn,
-    ExponentialLifetime,
     FiniteArrivalChurn,
-    ParetoLifetime,
     PhasedChurn,
     ReplacementChurn,
+)
+from repro.churn.traces import (
     TraceReplayChurn,
-    defeat_ttl,
     synthetic_sessions,
     trace_statistics,
 )
 
 # --- The formal model: classes, runs, specifications --------------------
-from repro.core import (
+from repro.core.aggregates import (
     AGGREGATES,
     AVG,
     COUNT,
@@ -290,65 +289,56 @@ from repro.core import (
     SET,
     SUM,
     Aggregate,
-    DisseminationSpec,
+)
+from repro.core.arrival import (
     FiniteArrival,
     InfiniteArrivalBounded,
     InfiniteArrivalFinite,
     InfiniteArrivalUnbounded,
-    OneTimeQuerySpec,
-    Run,
-    Solvable,
     StaticArrival,
-    SystemClass,
-    complete,
-    extract_queries,
-    known_diameter,
-    known_size,
-    local,
+)
+from repro.core.classes import SystemClass, standard_lattice
+from repro.core.dissemination_spec import DisseminationSpec
+from repro.core.geography import complete, known_diameter, known_size, local
+from repro.core.runs import Run
+from repro.core.solvability import (
+    Solvable,
     one_time_query_solvability,
     solvability_matrix,
-    standard_lattice,
 )
+from repro.core.spec import OneTimeQuerySpec, extract_queries
 
 # --- Simulator, topology, protocols, failure detection ------------------
-from repro.sim import (
+from repro.sim.latency import (
     BernoulliLoss,
     ConstantDelay,
     ExponentialDelay,
-    SeedSequence,
-    Simulator,
-    TraceLog,
     UniformDelay,
 )
-from repro.topology import Topology, UniformAttachment, ring
+from repro.sim.rng import SeedSequence
+from repro.sim.scheduler import Simulator
+from repro.sim.trace import TraceLog
 from repro.topology import generators
-from repro.protocols import (
-    AntiEntropyNode,
-    FloodNode,
-    PushSumNode,
-    RequestCollectNode,
-    TreeAggregationNode,
-    WaveNode,
-)
+from repro.topology.attachment import UniformAttachment
+from repro.topology.generators import ring
+from repro.topology.graph import Topology
+from repro.protocols.dissemination import AntiEntropyNode, FloodNode
+from repro.protocols.gossip import PushSumNode
+from repro.protocols.one_time_query import WaveNode
+from repro.protocols.request_collect import RequestCollectNode
+from repro.protocols.tree_aggregation import TreeAggregationNode
 from repro.failure.detector import (
     HeartbeatNode,
     false_suspicions,
     mistake_recovery_count,
 )
-from repro.synchronous import (
-    KnowledgeFlood,
-    SynchronousSystem,
-    build_from_topology,
-)
+from repro.synchronous.flooding import KnowledgeFlood
+from repro.synchronous.runner import SynchronousSystem, build_from_topology
 
 # --- Analysis & presets -------------------------------------------------
-from repro.analysis import (
-    message_cost,
-    relative_error,
-    render_matrix,
-    render_table,
-    sparkline,
-)
+from repro.analysis.ascii_plot import sparkline
+from repro.analysis.metrics import message_cost, relative_error
+from repro.analysis.tables import render_matrix, render_table
 from repro.bench.scenarios import SCENARIOS, make_scenario
 from repro.bench.sweep import SweepPoint, sweep, sweep_table
 

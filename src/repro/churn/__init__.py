@@ -1,64 +1,1 @@
 """Churn substrate: generative churn models, lifetimes, traces, adversaries."""
-
-from repro.churn.adversary import (
-    GrowthAdversary,
-    build_chain,
-    defeat_quiescence,
-    defeat_ttl,
-    diagonalise,
-)
-from repro.churn.composition import CompositeChurn, SequentialChurn
-from repro.churn.lifetimes import (
-    ConstantLifetime,
-    ExponentialLifetime,
-    LifetimeModel,
-    ParetoLifetime,
-    UniformLifetime,
-)
-from repro.churn.models import (
-    ArrivalDepartureChurn,
-    ChurnModel,
-    FiniteArrivalChurn,
-    NoChurn,
-    PhasedChurn,
-    ProcessFactory,
-    ReplacementChurn,
-    ScheduledChurn,
-)
-from repro.churn.traces import (
-    Session,
-    TraceReplayChurn,
-    load_sessions,
-    save_sessions,
-    synthetic_sessions,
-    trace_statistics,
-)
-
-__all__ = [
-    "ArrivalDepartureChurn",
-    "ChurnModel",
-    "CompositeChurn",
-    "ConstantLifetime",
-    "ExponentialLifetime",
-    "FiniteArrivalChurn",
-    "GrowthAdversary",
-    "LifetimeModel",
-    "NoChurn",
-    "ParetoLifetime",
-    "PhasedChurn",
-    "ProcessFactory",
-    "ReplacementChurn",
-    "ScheduledChurn",
-    "SequentialChurn",
-    "Session",
-    "TraceReplayChurn",
-    "UniformLifetime",
-    "build_chain",
-    "defeat_quiescence",
-    "defeat_ttl",
-    "load_sessions",
-    "save_sessions",
-    "diagonalise",
-    "synthetic_sessions",
-    "trace_statistics",
-]

@@ -64,85 +64,31 @@ import argparse
 import os
 import sys
 import time
-from typing import Any, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.analysis.tables import render_matrix, render_result_document, render_table
-from repro.api import (
-    DEFAULT_RUNS_DIR,
-    LARGE_TRIAL_THRESHOLD,
-    SINK_NAMES,
-    TELEMETRY_SUFFIX,
-    ChurnSpec,
-    ExecutorSpec,
-    ExperimentPlan,
-    FaultPlan,
-    ResilienceSpec,
-    ResultStore,
-    TelemetryRecorder,
-    TelemetryTail,
-    build_plan,
-    executor_preset,
-    fault_preset,
-    find_run,
-    package_version,
-    profile_slowest,
-    render_profiles,
-    resilience_preset,
-    run_plan,
-    scan_runs,
-    stream_plan,
-)
-from repro.churn.models import ReplacementChurn
-from repro.core.arrival import (
-    ArrivalClass,
-    FiniteArrival,
-    InfiniteArrivalBounded,
-    InfiniteArrivalFinite,
-    InfiniteArrivalUnbounded,
-    StaticArrival,
-)
-from repro.core.classes import SystemClass, standard_lattice
-from repro.core.geography import (
-    KnowledgeClass,
-    complete,
-    known_diameter,
-    known_size,
-    local,
-)
-from repro.core.solvability import Solvable, one_time_query_solvability, solvability_matrix
+from repro.version import package_version
 
-_ARRIVALS = {
-    "static": lambda n: StaticArrival(n),
-    "finite": lambda n: FiniteArrival(),
-    "inf-bounded": lambda n: InfiniteArrivalBounded(n),
-    "inf-finite": lambda n: InfiniteArrivalFinite(),
-    "inf-unbounded": lambda n: InfiniteArrivalUnbounded(),
-}
-
-_KNOWLEDGE = {
-    "complete": lambda d, s: complete(),
-    "diameter": lambda d, s: known_diameter(d),
-    "size": lambda d, s: known_size(s),
-    "local": lambda d, s: local(),
-}
-
-_MATRIX_SYMBOL = {Solvable.YES: "yes", Solvable.CONDITIONAL: "cond", Solvable.NO: "NO"}
+# Nothing else of ``repro`` is imported up here: each command imports what it
+# runs inside its own functions (pinned by ``tests/test_import_graph.py``).
+if TYPE_CHECKING:
+    from repro.engine.plan import ExperimentPlan
+    from repro.engine.results import ResultStore
+    from repro.engine.spec import ExecutorSpec
+    from repro.engine.telemetry import TelemetryRecorder, TelemetryTail
 
 
 # ----------------------------------------------------------------------
-# Shared engine flags (argparse parent for query / gossip / sweep)
+# Shared engine flags (query / gossip / sweep)
 # ----------------------------------------------------------------------
 
 
-def _engine_parent(trials_default: int = 1) -> argparse.ArgumentParser:
-    """The flag vocabulary every engine-backed command shares.
+def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
+    """Add the flag vocabulary every engine-backed command shares."""
+    from repro.engine.trials import LARGE_TRIAL_THRESHOLD
+    from repro.obs.sinks import SINK_NAMES
 
-    Each subparser gets its own parent instance (argparse shares action
-    objects between a parent and its children, so a single instance would
-    alias defaults across commands).
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("engine")
+    group = parser.add_argument_group("engine")
     group.add_argument("--seed", type=int, default=2007,
                        help="root seed; trial seeds are fanned out "
                        "deterministically")
@@ -220,7 +166,6 @@ def _engine_parent(trials_default: int = 1) -> argparse.ArgumentParser:
                        default=0, metavar="N",
                        help="watchdog retries per trial before quarantine "
                        "(only meaningful with --watchdog)")
-    return parent
 
 
 class _ProgressPrinter:
@@ -290,6 +235,16 @@ class _ProgressPrinter:
         self.stream.flush()
 
 
+def _beside_output(output: str, suffix: str) -> str:
+    """Where a bare ``--telemetry`` / ``--checkpoint`` anchors its file:
+    ``results.json`` or ``results.jsonl`` → ``results<suffix>``."""
+    for extension in (".jsonl", ".json"):
+        if output.endswith(extension):
+            output = output[: -len(extension)]
+            break
+    return output + suffix
+
+
 def _telemetry_recorder(args: argparse.Namespace) -> "TelemetryRecorder | None":
     """Build the run's :class:`TelemetryRecorder` from ``--telemetry``.
 
@@ -302,23 +257,17 @@ def _telemetry_recorder(args: argparse.Namespace) -> "TelemetryRecorder | None":
     value = getattr(args, "telemetry", None)
     if value is None:
         return None
+    from repro.engine.telemetry import TELEMETRY_SUFFIX, TelemetryRecorder
+
     cli_info = {
         "version": f"repro {package_version()}",
         "argv": list(getattr(args, "_argv", sys.argv[1:])),
     }
-    resumed_from = getattr(args, "resumed_from", None)
-    if value != "auto":
-        return TelemetryRecorder(path=value, cli=cli_info,
-                                 resumed_from=resumed_from)
-    if args.output:
-        base = args.output
-        for suffix in (".jsonl", ".json"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
-                break
-        return TelemetryRecorder(path=base + TELEMETRY_SUFFIX, cli=cli_info,
-                                 resumed_from=resumed_from)
-    return TelemetryRecorder(cli=cli_info, resumed_from=resumed_from)
+    if value == "auto":
+        value = (_beside_output(args.output, TELEMETRY_SUFFIX)
+                 if args.output else None)
+    return TelemetryRecorder(path=value, cli=cli_info,
+                             resumed_from=getattr(args, "resumed_from", None))
 
 
 def _checkpoint_path(args: argparse.Namespace,
@@ -332,69 +281,40 @@ def _checkpoint_path(args: argparse.Namespace,
     the same journal and resumes it — no path bookkeeping required.
     """
     value = getattr(args, "checkpoint", None)
-    if value is None:
-        return None
     if value != "auto":
         return value
     if args.output:
-        base = args.output
-        for suffix in (".jsonl", ".json"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
-                break
-        return base + ".checkpoint.jsonl"
-    from repro.engine.telemetry import plan_digest
+        return _beside_output(args.output, ".checkpoint.jsonl")
+    from repro.engine.telemetry import DEFAULT_RUNS_DIR, plan_digest
 
     return os.path.join(DEFAULT_RUNS_DIR,
                         f"checkpoint-{plan_digest(plan)}.jsonl")
 
 
-def _resolve_fault_plan(value: str) -> FaultPlan | str:
-    """Turn a ``--fault-plan`` argument into a plan (or a preset name).
+def _spec_flag(flag: str, value: str, from_json: Callable[[str], Any],
+               preset: Callable[[str], Any]) -> Any:
+    """Turn a ``--fault-plan`` / ``--resilience`` / ``--executor`` argument
+    into a spec, or a validated preset name.
 
-    A path to an existing ``.json`` file is loaded as a serialised
-    :class:`FaultPlan`; anything else must be a builtin preset name, which
-    is validated here (fail at the flag, not inside a pool worker) but
-    passed through as the string so it labels the plan readably.
+    A path to an existing ``.json`` file is loaded through ``from_json``;
+    anything else must be a builtin preset name, which is validated here
+    (fail at the flag, not inside a pool worker) but returned as the
+    string so it labels the plan readably.
     """
     from repro.sim.errors import ConfigurationError
 
     if value.endswith(".json") or os.path.sep in value:
         try:
             with open(value, "r", encoding="utf-8") as handle:
-                return FaultPlan.from_json(handle.read())
+                return from_json(handle.read())
         except OSError as error:
-            raise SystemExit(f"--fault-plan: cannot read {value!r}: {error}")
+            raise SystemExit(f"{flag}: cannot read {value!r}: {error}")
         except (ValueError, ConfigurationError) as error:
-            raise SystemExit(f"--fault-plan: {value!r}: {error}")
+            raise SystemExit(f"{flag}: {value!r}: {error}")
     try:
-        fault_preset(value)
+        preset(value)
     except ConfigurationError as error:
-        raise SystemExit(f"--fault-plan: {error}")
-    return value
-
-
-def _resolve_resilience(value: str) -> ResilienceSpec | str:
-    """Turn a ``--resilience`` argument into a spec (or a preset name).
-
-    Mirrors :func:`_resolve_fault_plan`: a ``.json`` path loads a
-    serialised :class:`ResilienceSpec`; anything else must be a builtin
-    preset name, validated here but passed through as the string.
-    """
-    from repro.sim.errors import ConfigurationError
-
-    if value.endswith(".json") or os.path.sep in value:
-        try:
-            with open(value, "r", encoding="utf-8") as handle:
-                return ResilienceSpec.from_json(handle.read())
-        except OSError as error:
-            raise SystemExit(f"--resilience: cannot read {value!r}: {error}")
-        except (ValueError, ConfigurationError) as error:
-            raise SystemExit(f"--resilience: {value!r}: {error}")
-    try:
-        resilience_preset(value)
-    except ConfigurationError as error:
-        raise SystemExit(f"--resilience: {error}")
+        raise SystemExit(f"{flag}: {error}")
     return value
 
 
@@ -407,6 +327,7 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
     assemble an anonymous spec (``--jobs 1``, or no ``--jobs`` at all,
     stays serial).
     """
+    from repro.engine.spec import ExecutorSpec, executor_preset, resolve_executor
     from repro.sim.errors import ConfigurationError
 
     value = getattr(args, "executor", None)
@@ -425,18 +346,9 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
                 f"--executor replaces {', '.join(adhoc)}; give one or the "
                 "other"
             )
-        if value.endswith(".json") or os.path.sep in value:
-            try:
-                with open(value, "r", encoding="utf-8") as handle:
-                    return ExecutorSpec.from_json(handle.read())
-            except OSError as error:
-                raise SystemExit(f"--executor: cannot read {value!r}: {error}")
-            except (ValueError, ConfigurationError) as error:
-                raise SystemExit(f"--executor: {value!r}: {error}")
-        try:
-            return executor_preset(value)
-        except ConfigurationError as error:
-            raise SystemExit(f"--executor: {error}")
+        return resolve_executor(_spec_flag(
+            "--executor", value, ExecutorSpec.from_json, executor_preset
+        ))
     jobs = getattr(args, "jobs", 1)
     try:
         if jobs is None or jobs <= 1:
@@ -467,6 +379,8 @@ def _resolve_trace_sink(args: argparse.Namespace,
     """
     if args.trace_sink is not None:
         return args.trace_sink
+    from repro.engine.trials import LARGE_TRIAL_THRESHOLD
+
     n = base.get("n", 0)
     if isinstance(n, int) and n >= LARGE_TRIAL_THRESHOLD:
         print(
@@ -483,14 +397,22 @@ def _apply_sink_flags(args: argparse.Namespace, name: str,
                       base: dict[str, Any]) -> dict[str, Any]:
     """Fold ``--trace-sink`` / ``--trace-dir`` / ``--fault-plan`` into the
     plan's base config."""
+    from repro.faults.presets import fault_preset
+    from repro.faults.spec import FaultPlan
+    from repro.resilience.presets import resilience_preset
+    from repro.resilience.spec import ResilienceSpec
+
     base = dict(base)
     base["trace_sink"] = _resolve_trace_sink(args, base)
     if args.check_invariants:
         base["check_invariants"] = True
     if getattr(args, "fault_plan", None):
-        base["faults"] = _resolve_fault_plan(args.fault_plan)
+        base["faults"] = _spec_flag("--fault-plan", args.fault_plan,
+                                    FaultPlan.from_json, fault_preset)
     if getattr(args, "resilience", None):
-        base["resilience"] = _resolve_resilience(args.resilience)
+        base["resilience"] = _spec_flag("--resilience", args.resilience,
+                                        ResilienceSpec.from_json,
+                                        resilience_preset)
     if base["trace_sink"] == "jsonl":
         if not args.trace_dir:
             raise SystemExit("--trace-sink jsonl requires --trace-dir")
@@ -512,6 +434,10 @@ def _engine_run(
     grid: Mapping[str, Sequence[Any]] | None = None,
 ) -> tuple[ExperimentPlan, ResultStore, "TelemetryRecorder | None"]:
     """The shared plan → execute path of the engine commands."""
+    from repro.engine.executor import run_plan, stream_plan
+    from repro.engine.plan import build_plan
+    from repro.engine.results import ResultStore
+
     plan = build_plan(
         name, kind=kind, grid=grid,
         base=_apply_sink_flags(args, name, dict(base)),
@@ -572,6 +498,8 @@ def _engine_finish(
         # Deterministic re-execution: profiling the K slowest trials
         # after the fact reproduces their work exactly without having
         # perturbed the recorded run.
+        from repro.engine.telemetry import profile_slowest, render_profiles
+
         profiles = profile_slowest(plan.specs, store.results, k=profile_k)
         if recorder is not None:
             recorder.record_profiles(profiles)
@@ -587,24 +515,12 @@ def _engine_finish(
 
 
 # ----------------------------------------------------------------------
-# Parser
+# Parser: one ``_configure_*`` per command, run only for the one invoked
 # ----------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from repro.version import package_version
-
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Dynamic distributed systems: the PaCT 2007 definition "
-        "space, executable.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {package_version()}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    query = sub.add_parser("query", parents=[_engine_parent(trials_default=1)],
-                           help="run a one-time query scenario")
+def _configure_query(query: argparse.ArgumentParser) -> None:
+    _engine_flags(query, trials_default=1)
     query.add_argument("--n", type=int, default=32)
     query.add_argument("--topology", default="er")
     query.add_argument("--protocol", default="wave",
@@ -617,34 +533,34 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replacement churn rate (0 = static)")
     query.add_argument("--horizon", type=float, default=300.0)
 
-    gossip = sub.add_parser("gossip", parents=[_engine_parent(trials_default=1)],
-                            help="run a push-sum gossip scenario")
+
+def _configure_gossip(gossip: argparse.ArgumentParser) -> None:
+    _engine_flags(gossip, trials_default=1)
     gossip.add_argument("--n", type=int, default=32)
     gossip.add_argument("--topology", default="er")
     gossip.add_argument("--mode", default="avg", choices=["avg", "count"])
     gossip.add_argument("--rounds", type=int, default=50)
     gossip.add_argument("--churn-rate", type=float, default=0.0)
 
-    sub.add_parser("matrix", help="print the solvability matrix")
 
-    describe = sub.add_parser("describe", help="describe one system class")
-    describe.add_argument("--arrival", required=True, choices=sorted(_ARRIVALS))
-    describe.add_argument("--knowledge", required=True, choices=sorted(_KNOWLEDGE))
+def _configure_describe(describe: argparse.ArgumentParser) -> None:
+    arrivals, knowledge = _class_tables()
+    describe.add_argument("--arrival", required=True, choices=sorted(arrivals))
+    describe.add_argument("--knowledge", required=True, choices=sorted(knowledge))
     describe.add_argument("--n", type=int, default=16)
     describe.add_argument("--diameter", type=int, default=8)
     describe.add_argument("--size-bound", type=int, default=64)
 
-    report = sub.add_parser("report", help="run the standard battery and "
-                            "emit a markdown report")
+
+def _configure_report(report: argparse.ArgumentParser) -> None:
     report.add_argument("--n", type=int, default=24)
     report.add_argument("--trials", type=int, default=3)
     report.add_argument("--seed", type=int, default=2007)
     report.add_argument("--output", default=None,
                         help="write to this file instead of stdout")
 
-    disseminate = sub.add_parser(
-        "disseminate", help="run a dissemination scenario (flood vs anti-entropy)"
-    )
+
+def _configure_disseminate(disseminate: argparse.ArgumentParser) -> None:
     disseminate.add_argument("--n", type=int, default=24)
     disseminate.add_argument("--protocol", default="anti-entropy",
                              choices=["flood", "anti-entropy"])
@@ -652,38 +568,39 @@ def _build_parser() -> argparse.ArgumentParser:
     disseminate.add_argument("--audit-at", type=float, default=80.0)
     disseminate.add_argument("--seed", type=int, default=2007)
 
-    scenario = sub.add_parser("scenario", help="run a named preset scenario")
-    from repro.bench.scenarios import SCENARIOS as _SCENARIOS
 
-    scenario.add_argument("name", choices=sorted(_SCENARIOS))
+def _configure_scenario(scenario: argparse.ArgumentParser) -> None:
+    from repro.bench.scenarios import SCENARIOS
+
+    scenario.add_argument("name", choices=sorted(SCENARIOS))
     scenario.add_argument("--seed", type=int, default=2007)
     scenario.add_argument("--trials", type=int, default=1)
 
-    sweep_cmd = sub.add_parser("sweep", parents=[_engine_parent(trials_default=5)],
-                               help="sweep churn rates (E4 shape)")
+
+def _configure_sweep(sweep_cmd: argparse.ArgumentParser) -> None:
+    _engine_flags(sweep_cmd, trials_default=5)
     sweep_cmd.add_argument("--rates", default="0,0.5,2.0,8.0",
                            help="comma-separated replacement churn rates")
     sweep_cmd.add_argument("--n", type=int, default=32)
     sweep_cmd.add_argument("--topology", default="er")
 
-    faults_cmd = sub.add_parser(
-        "faults", help="list the builtin fault-plan presets"
-    )
-    faults_cmd.add_argument("--show", default=None, metavar="NAME",
-                            help="print one preset as fault-plan JSON "
-                            "(editable, reloadable via --fault-plan FILE)")
 
-    resilience_cmd = sub.add_parser(
-        "resilience", help="list the builtin resilience presets"
-    )
-    resilience_cmd.add_argument("--show", default=None, metavar="NAME",
-                                help="print one preset as resilience-spec "
-                                "JSON (editable, reloadable via "
-                                "--resilience FILE)")
+def _configure_presets(wire: str, flag: str,
+                       parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--show", default=None, metavar="NAME",
+                        help=f"print one preset as {wire} JSON (editable, "
+                        f"reloadable via {flag} FILE)")
 
-    top = sub.add_parser(
-        "top", help="live view of a (possibly running) sweep's telemetry"
-    )
+
+def _runs_dir_flag(parser: argparse.ArgumentParser, purpose: str) -> None:
+    from repro.engine.telemetry import DEFAULT_RUNS_DIR
+
+    parser.add_argument("--dir", dest="runs_dir", default=None,
+                        help=f"ledger directory {purpose} "
+                        f"(default: {DEFAULT_RUNS_DIR})")
+
+
+def _configure_top(top: argparse.ArgumentParser) -> None:
     top.add_argument("target",
                      help="telemetry .jsonl path, or a run-id prefix "
                      "looked up in the ledger directory")
@@ -692,50 +609,30 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="refresh period while the run is live")
     top.add_argument("--once", action="store_true",
                      help="render a single frame and exit")
-    top.add_argument("--dir", dest="runs_dir", default=None,
-                     help="ledger directory for run-id lookup "
-                     f"(default: {DEFAULT_RUNS_DIR})")
+    _runs_dir_flag(top, "for run-id lookup")
 
-    runs_cmd = sub.add_parser(
-        "runs", help="the run ledger: recorded telemetry streams"
-    )
+
+def _configure_runs(runs_cmd: argparse.ArgumentParser) -> None:
     runs_sub = runs_cmd.add_subparsers(dest="runs_command", required=True)
     runs_list = runs_sub.add_parser("list", help="list recorded runs")
-    runs_list.add_argument("--dir", dest="runs_dir", default=None,
-                           help="ledger directory to scan "
-                           f"(default: {DEFAULT_RUNS_DIR})")
+    _runs_dir_flag(runs_list, "to scan")
     runs_show = runs_sub.add_parser(
         "show", help="show one run: manifest, progress, worker health"
     )
     runs_show.add_argument("run_id",
                            help="run-id prefix (unique in the ledger) or "
                            "a telemetry .jsonl path")
-    runs_show.add_argument("--dir", dest="runs_dir", default=None,
-                           help="ledger directory for run-id lookup "
-                           f"(default: {DEFAULT_RUNS_DIR})")
+    _runs_dir_flag(runs_show, "for run-id lookup")
 
-    resume_cmd = sub.add_parser(
-        "resume", help="re-run an interrupted run's exact command; its "
-        "checkpoint journal skips the completed trials"
-    )
+
+def _configure_resume(resume_cmd: argparse.ArgumentParser) -> None:
     resume_cmd.add_argument("run_id",
                             help="run-id prefix (unique in the ledger) or "
                             "a telemetry .jsonl path of the interrupted run")
-    resume_cmd.add_argument("--dir", dest="runs_dir", default=None,
-                            help="ledger directory for run-id lookup "
-                            f"(default: {DEFAULT_RUNS_DIR})")
+    _runs_dir_flag(resume_cmd, "for run-id lookup")
 
-    executor_cmd = sub.add_parser(
-        "executor", help="list the builtin executor presets"
-    )
-    executor_cmd.add_argument("--show", default=None, metavar="NAME",
-                              help="print one preset as executor-spec "
-                              "JSON (editable, reloadable via "
-                              "--executor FILE)")
 
-    trace_cmd = sub.add_parser(
-        "trace", help="analyze, check or export a saved .jsonl trace"
-    )
+def _configure_trace(trace_cmd: argparse.ArgumentParser) -> None:
     trace_sub = trace_cmd.add_subparsers(dest="trace_command", required=True)
 
     analyze = trace_sub.add_parser(
@@ -774,9 +671,8 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--width", type=int, default=72,
                         help="timeline width in characters (ascii only)")
 
-    bench_cmd = sub.add_parser(
-        "bench", help="benchmark utilities (regression gating)"
-    )
+
+def _configure_bench(bench_cmd: argparse.ArgumentParser) -> None:
     bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
 
     diff = bench_sub.add_parser(
@@ -804,10 +700,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       "2 for a missing baseline point or gated metric "
                       "(schema drift)")
 
-    experiment_cmd = sub.add_parser(
-        "experiment",
-        help="declarative YAML experiments (repro-experiment v1)",
-    )
+
+def _configure_experiment(experiment_cmd: argparse.ArgumentParser) -> None:
     exp_sub = experiment_cmd.add_subparsers(dest="experiment_command",
                                             required=True)
 
@@ -848,8 +742,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_validate.add_argument("paths", nargs="+",
                               help="experiment YAML files")
 
-    return parser
-
 
 # ----------------------------------------------------------------------
 # Commands
@@ -857,6 +749,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_table
+    from repro.churn.spec import ChurnSpec
+
     base: dict[str, Any] = {
         "n": args.n, "topology": args.topology, "protocol": args.protocol,
         "aggregate": args.aggregate, "ttl": args.ttl,
@@ -889,6 +784,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_gossip(args: argparse.Namespace) -> int:
+    from repro.churn.spec import ChurnSpec
+
     base: dict[str, Any] = {
         "n": args.n, "topology": args.topology, "mode": args.mode,
         "rounds": args.rounds,
@@ -909,6 +806,12 @@ def _cmd_gossip(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_matrix
+    from repro.core.classes import standard_lattice
+    from repro.core.solvability import Solvable, solvability_matrix
+
+    symbol = {Solvable.YES: "yes", Solvable.CONDITIONAL: "cond",
+              Solvable.NO: "NO"}
     matrix = solvability_matrix(standard_lattice())
     rows: list[str] = []
     cols: list[str] = []
@@ -919,18 +822,41 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             rows.append(row)
         if col not in cols:
             cols.append(col)
-        cells[(row, col)] = _MATRIX_SYMBOL[result.answer]
+        cells[(row, col)] = symbol[result.answer]
     print(render_matrix(rows, cols, cells, corner="arrival \\ knowledge",
                         title="one-time query solvability"))
     return 0
 
 
+def _class_tables() -> tuple[dict[str, Any], dict[str, Any]]:
+    """``describe``'s ``--arrival`` / ``--knowledge`` vocabularies."""
+    from repro.core import arrival, geography
+
+    arrivals = {
+        "static": lambda n: arrival.StaticArrival(n),
+        "finite": lambda n: arrival.FiniteArrival(),
+        "inf-bounded": lambda n: arrival.InfiniteArrivalBounded(n),
+        "inf-finite": lambda n: arrival.InfiniteArrivalFinite(),
+        "inf-unbounded": lambda n: arrival.InfiniteArrivalUnbounded(),
+    }
+    knowledge = {
+        "complete": lambda d, s: geography.complete(),
+        "diameter": lambda d, s: geography.known_diameter(d),
+        "size": lambda d, s: geography.known_size(s),
+        "local": lambda d, s: geography.local(),
+    }
+    return arrivals, knowledge
+
+
 def _cmd_describe(args: argparse.Namespace) -> int:
-    arrival: ArrivalClass = _ARRIVALS[args.arrival](args.n)
-    knowledge: KnowledgeClass = _KNOWLEDGE[args.knowledge](
-        args.diameter, args.size_bound
+    from repro.core.classes import SystemClass
+    from repro.core.solvability import one_time_query_solvability
+
+    arrivals, knowledge = _class_tables()
+    system = SystemClass(
+        arrivals[args.arrival](args.n),
+        knowledge[args.knowledge](args.diameter, args.size_bound),
     )
-    system = SystemClass(arrival, knowledge)
     result = one_time_query_solvability(system)
     print(system.name)
     print()
@@ -960,6 +886,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_disseminate(args: argparse.Namespace) -> int:
+    from repro.churn.models import ReplacementChurn
     from repro.core.dissemination_spec import DisseminationSpec
     from repro.protocols.dissemination import AntiEntropyNode, FloodNode
     from repro.sim.latency import ConstantDelay
@@ -992,8 +919,9 @@ def _cmd_disseminate(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.api import run_query
+    from repro.analysis.tables import render_table
     from repro.bench.scenarios import make_scenario
+    from repro.engine.trials import run_query
     from repro.sim.rng import iter_seeds
 
     rows = []
@@ -1017,6 +945,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_result_document
+
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
     base = {
         "n": args.n, "topology": args.topology,
@@ -1036,111 +966,99 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults.presets import FAULT_PRESETS
-    from repro.sim.errors import ConfigurationError
+def _preset_listing(command: str) -> tuple[Any, ...]:
+    """One spec family's (presets, lookup, columns after ``preset``, row per
+    spec, title) for ``repro faults|resilience|executor``."""
+    if command == "faults":
+        from repro.faults.presets import FAULT_PRESETS, fault_preset
 
-    if args.show:
-        try:
-            plan = fault_preset(args.show)
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
-        print(plan.to_json(), end="")
-        return 0
-    rows = []
-    for name, plan in FAULT_PRESETS.items():
-        rows.append([
-            name,
-            ", ".join(plan.kinds()),
-            len(plan),
-            plan.scheduled_count(),
-            f"{plan.end_time():.1f}",
-        ])
-    print(render_table(
-        ["preset", "fault kinds", "specs", "activations", "quiet after"],
-        rows,
-        title="builtin fault plans (use with --fault-plan NAME)",
-    ))
-    return 0
+        return (
+            FAULT_PRESETS, fault_preset,
+            ["fault kinds", "specs", "activations", "quiet after"],
+            lambda plan: [
+                ", ".join(plan.kinds()),
+                len(plan),
+                plan.scheduled_count(),
+                f"{plan.end_time():.1f}",
+            ],
+            "builtin fault plans (use with --fault-plan NAME)",
+        )
+    if command == "resilience":
+        from repro.resilience.presets import RESILIENCE_PRESETS, resilience_preset
 
+        return (
+            RESILIENCE_PRESETS, resilience_preset,
+            ["retries", "base rto", "rto", "breaker", "detector",
+             "partial results"],
+            lambda spec: [
+                spec.max_retries,
+                f"{spec.base_rto:.1f}",
+                "adaptive" if spec.adaptive_rto else "static",
+                spec.breaker_threshold if spec.breaker_threshold else "off",
+                "adaptive" if spec.adaptive_detector else "static",
+                "yes" if spec.partial_results else "no",
+            ],
+            "builtin resilience specs (use with --resilience NAME)",
+        )
+    from repro.engine.spec import EXECUTOR_PRESETS, executor_preset
 
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.resilience.presets import RESILIENCE_PRESETS
-    from repro.sim.errors import ConfigurationError
-
-    if args.show:
-        try:
-            spec = resilience_preset(args.show)
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
-        print(spec.to_json(), end="")
-        return 0
-    rows = []
-    for name, spec in RESILIENCE_PRESETS.items():
-        rows.append([
-            name,
-            spec.max_retries,
-            f"{spec.base_rto:.1f}",
-            "adaptive" if spec.adaptive_rto else "static",
-            spec.breaker_threshold if spec.breaker_threshold else "off",
-            "adaptive" if spec.adaptive_detector else "static",
-            "yes" if spec.partial_results else "no",
-        ])
-    print(render_table(
-        ["preset", "retries", "base rto", "rto", "breaker", "detector",
-         "partial results"],
-        rows,
-        title="builtin resilience specs (use with --resilience NAME)",
-    ))
-    return 0
-
-
-def _cmd_executor(args: argparse.Namespace) -> int:
-    from repro.engine.spec import EXECUTOR_PRESETS
-    from repro.sim.errors import ConfigurationError
-
-    if args.show:
-        try:
-            spec = executor_preset(args.show)
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
-        print(spec.to_json(), end="")
-        return 0
-    rows = []
-    for name, spec in EXECUTOR_PRESETS.items():
-        rows.append([
-            name,
+    return (
+        EXECUTOR_PRESETS, executor_preset,
+        ["backend", "jobs", "chunk", "watchdog", "retries"],
+        lambda spec: [
             spec.backend,
             spec.jobs if spec.jobs is not None else "all cores",
             spec.chunk if spec.chunk is not None else "adaptive",
             f"{spec.watchdog:.0f}s" if spec.watchdog is not None else "off",
             spec.trial_retries,
-        ])
+        ],
+        "builtin executor specs (use with --executor NAME)",
+    )
+
+
+def _cmd_presets(args: argparse.Namespace) -> int:
+    """``repro faults|resilience|executor``: list the family's builtin
+    presets, or print one as its editable JSON wire format."""
+    from repro.analysis.tables import render_table
+    from repro.sim.errors import ConfigurationError
+
+    presets, lookup, columns, row, title = _preset_listing(args.command)
+    if args.show:
+        try:
+            spec = lookup(args.show)
+        except ConfigurationError as error:
+            raise SystemExit(str(error))
+        print(spec.to_json(), end="")
+        return 0
     print(render_table(
-        ["preset", "backend", "jobs", "chunk", "watchdog", "retries"],
-        rows,
-        title="builtin executor specs (use with --executor NAME)",
+        ["preset"] + columns,
+        [[name] + row(spec) for name, spec in presets.items()],
+        title=title,
     ))
     return 0
 
 
-def _resolve_run_target(target: str, runs_dir: str | None) -> str:
-    """A telemetry path argument: an existing file, or a run-id prefix
-    resolved through the ledger."""
+def _open_run(target: str, runs_dir: str | None,
+              need_manifest: bool = True) -> "TelemetryTail":
+    """Tail the telemetry stream a run argument names — an existing file,
+    or a run-id prefix resolved through the ledger — polled once."""
+    from repro.engine.telemetry import DEFAULT_RUNS_DIR, TelemetryTail, find_run
     from repro.sim.errors import ConfigurationError
 
-    if os.path.exists(target):
-        return target
-    try:
-        entry = find_run(target, runs_dir or DEFAULT_RUNS_DIR)
-    except ConfigurationError as error:
-        raise SystemExit(str(error))
-    return entry["path"]
+    if not os.path.exists(target):
+        try:
+            target = find_run(target, runs_dir or DEFAULT_RUNS_DIR)["path"]
+        except ConfigurationError as error:
+            raise SystemExit(str(error))
+    tail = TelemetryTail(target)
+    tail.poll()
+    if need_manifest and tail.manifest is None:
+        raise SystemExit(f"{target}: telemetry stream has no manifest")
+    return tail
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    path = _resolve_run_target(args.target, args.runs_dir)
-    tail = TelemetryTail(path)
+    tail = _open_run(args.target, args.runs_dir, need_manifest=False)
     live_tty = sys.stdout.isatty() and not args.once
     try:
         while True:
@@ -1160,6 +1078,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_table
+    from repro.engine.telemetry import DEFAULT_RUNS_DIR, render_profiles, scan_runs
+
     if args.runs_command == "list":
         entries = scan_runs(args.runs_dir or DEFAULT_RUNS_DIR)
         if not entries:
@@ -1191,16 +1112,12 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         return 0
 
     # show
-    path = _resolve_run_target(args.run_id, args.runs_dir)
-    tail = TelemetryTail(path)
-    tail.poll()
+    tail = _open_run(args.run_id, args.runs_dir)
     manifest = tail.manifest
-    if manifest is None:
-        raise SystemExit(f"{path}: telemetry stream has no manifest")
     print(tail.render())
     print()
     rows = [
-        ["path", path],
+        ["path", tail.path],
         ["started", manifest.to_record()["started_iso"]],
         ["plan digest", manifest.plan.get("digest", "-")],
         ["executor", str(dict(manifest.executor))],
@@ -1233,12 +1150,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     when the path was implicit), so completed trials are skipped and the
     finished document is byte-identical to an uninterrupted run's.
     """
-    path = _resolve_run_target(args.run_id, args.runs_dir)
-    tail = TelemetryTail(path)
-    tail.poll()
+    tail = _open_run(args.run_id, args.runs_dir)
     manifest = tail.manifest
-    if manifest is None:
-        raise SystemExit(f"{path}: telemetry stream has no manifest")
     argv = list(manifest.cli.get("argv", [])) if manifest.cli else []
     if not argv:
         raise SystemExit(
@@ -1382,6 +1295,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_result_document
     from repro.experiments import (
         dump_experiment,
         experiment_digest,
@@ -1495,34 +1409,85 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "query": _cmd_query,
-    "report": _cmd_report,
-    "disseminate": _cmd_disseminate,
-    "scenario": _cmd_scenario,
-    "gossip": _cmd_gossip,
-    "matrix": _cmd_matrix,
-    "describe": _cmd_describe,
-    "sweep": _cmd_sweep,
-    "faults": _cmd_faults,
-    "resilience": _cmd_resilience,
-    "executor": _cmd_executor,
-    "top": _cmd_top,
-    "runs": _cmd_runs,
-    "resume": _cmd_resume,
-    "trace": _cmd_trace,
-    "bench": _cmd_bench,
-    "experiment": _cmd_experiment,
+#: name → (help, configure(subparser) or None, run(args)), in the order
+#: ``repro --help`` lists them.
+_COMMANDS: dict[str, tuple[str, Callable[..., None] | None, Callable[..., int]]] = {
+    "query": ("run a one-time query scenario", _configure_query, _cmd_query),
+    "gossip": ("run a push-sum gossip scenario", _configure_gossip,
+               _cmd_gossip),
+    "matrix": ("print the solvability matrix", None, _cmd_matrix),
+    "describe": ("describe one system class", _configure_describe,
+                 _cmd_describe),
+    "report": ("run the standard battery and emit a markdown report",
+               _configure_report, _cmd_report),
+    "disseminate": ("run a dissemination scenario (flood vs anti-entropy)",
+                    _configure_disseminate, _cmd_disseminate),
+    "scenario": ("run a named preset scenario", _configure_scenario,
+                 _cmd_scenario),
+    "sweep": ("sweep churn rates (E4 shape)", _configure_sweep, _cmd_sweep),
+    "faults": ("list the builtin fault-plan presets",
+               partial(_configure_presets, "fault-plan", "--fault-plan"),
+               _cmd_presets),
+    "resilience": ("list the builtin resilience presets",
+                   partial(_configure_presets, "resilience-spec",
+                           "--resilience"),
+                   _cmd_presets),
+    "top": ("live view of a (possibly running) sweep's telemetry",
+            _configure_top, _cmd_top),
+    "runs": ("the run ledger: recorded telemetry streams", _configure_runs,
+             _cmd_runs),
+    "resume": ("re-run an interrupted run's exact command; its checkpoint "
+               "journal skips the completed trials", _configure_resume,
+               _cmd_resume),
+    "executor": ("list the builtin executor presets",
+                 partial(_configure_presets, "executor-spec", "--executor"),
+                 _cmd_presets),
+    "trace": ("analyze, check or export a saved .jsonl trace",
+              _configure_trace, _cmd_trace),
+    "bench": ("benchmark utilities (regression gating)", _configure_bench,
+              _cmd_bench),
+    "experiment": ("declarative YAML experiments (repro-experiment v1)",
+                   _configure_experiment, _cmd_experiment),
 }
+
+
+class _Version(argparse.Action):
+    # Resolved when asked: looking the installed distribution up costs an
+    # ``importlib.metadata`` import no other invocation needs.
+    def __call__(self, parser: argparse.ArgumentParser, *_: Any) -> None:
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
+def _build_parser(invoked: str | None) -> argparse.ArgumentParser:
+    """Every command is registered (``repro --help`` lists them all); only
+    ``invoked``'s flags are configured, importing what they need."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Dynamic distributed systems: the PaCT 2007 definition "
+        "space, executable.",
+    )
+    parser.add_argument("--version", action=_Version, nargs=0,
+                        help="show program's version number and exit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, configure, _) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if name == invoked and configure is not None:
+            configure(subparser)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # The top-level parser has no option that takes a value, so the command
+    # is the first token that is not an option.
+    invoked = next((token for token in argv if not token.startswith("-")), None)
+    args = _build_parser(invoked).parse_args(argv)
     # The manifest's cli block records exactly what was invoked.
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    args._argv = argv
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except KeyboardInterrupt:
         # 130 = 128 + SIGINT, the conventional interrupted-by-Ctrl-C code.
         # Telemetry/checkpoint state was already flushed line-by-line, so

@@ -14,98 +14,3 @@ A :class:`~repro.core.classes.SystemClass` is a point of the product space.
 against simulation traces, and :mod:`repro.core.solvability` encodes the
 paper's solvability landscape as an executable decision table.
 """
-
-from repro.core.aggregates import AGGREGATES, AVG, COUNT, MAX, MIN, SET, SUM, Aggregate, by_name
-from repro.core.arrival import (
-    ArrivalClass,
-    FiniteArrival,
-    InfiniteArrivalBounded,
-    InfiniteArrivalFinite,
-    InfiniteArrivalUnbounded,
-    StaticArrival,
-    arrival_chain,
-    classify_run,
-)
-from repro.core.classes import SystemClass, standard_lattice
-from repro.core.dissemination_spec import (
-    BCAST_DELIVERED,
-    BCAST_ISSUED,
-    BroadcastRecord,
-    DisseminationSpec,
-    DisseminationVerdict,
-    extract_broadcasts,
-)
-from repro.core.geography import (
-    KnowledgeClass,
-    complete,
-    knowledge_chain,
-    known_diameter,
-    known_size,
-    local,
-)
-from repro.core.journeys import DynamicGraph, JourneyAudit, audit_query_misses
-from repro.core.runs import FOREVER, Interval, Run
-from repro.core.solvability import (
-    Solvable,
-    SolvabilityResult,
-    one_time_query_solvability,
-    solvability_matrix,
-)
-from repro.core.spec import (
-    OneTimeQuerySpec,
-    QUERY_ISSUED,
-    QUERY_RETURNED,
-    QueryRecord,
-    Verdict,
-    extract_queries,
-)
-
-__all__ = [
-    "AGGREGATES",
-    "AVG",
-    "Aggregate",
-    "ArrivalClass",
-    "BCAST_DELIVERED",
-    "BCAST_ISSUED",
-    "BroadcastRecord",
-    "COUNT",
-    "DisseminationSpec",
-    "DisseminationVerdict",
-    "DynamicGraph",
-    "JourneyAudit",
-    "FOREVER",
-    "FiniteArrival",
-    "InfiniteArrivalBounded",
-    "InfiniteArrivalFinite",
-    "InfiniteArrivalUnbounded",
-    "Interval",
-    "KnowledgeClass",
-    "MAX",
-    "MIN",
-    "OneTimeQuerySpec",
-    "QUERY_ISSUED",
-    "QUERY_RETURNED",
-    "QueryRecord",
-    "Run",
-    "SET",
-    "SUM",
-    "Solvable",
-    "SolvabilityResult",
-    "StaticArrival",
-    "SystemClass",
-    "Verdict",
-    "arrival_chain",
-    "audit_query_misses",
-    "extract_broadcasts",
-    "by_name",
-    "classify_run",
-    "complete",
-    "extract_queries",
-    "knowledge_chain",
-    "known_diameter",
-    "known_size",
-    "local",
-    "one_time_query_solvability",
-    "solvability_matrix",
-    "standard_lattice",
-]

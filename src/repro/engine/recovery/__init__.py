@@ -26,55 +26,3 @@ to an uninterrupted run.  This package holds the three recovery layers:
 
 See ``docs/RECOVERY.md`` for the journal format and resume semantics.
 """
-
-from repro.engine.recovery.chaos import (
-    ChaosInterrupt,
-    ENOSPCAfter,
-    KillWorkerAtChunk,
-    SigintAfter,
-    tear_file_tail,
-)
-from repro.engine.recovery.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    CheckpointState,
-    CheckpointWriter,
-    load_checkpoint,
-    record_digest,
-    resolve_checkpoint,
-    result_from_record,
-)
-from repro.engine.recovery.healing import (
-    MAX_RESPAWN_BACKOFF_S,
-    RESPAWN_BACKOFF_S,
-    SPLIT_AFTER_DEATHS,
-    WorkerPoolError,
-    max_consecutive_respawns,
-    quarantine_threshold,
-    respawn_backoff,
-)
-
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CHECKPOINT_VERSION",
-    "ChaosInterrupt",
-    "CheckpointError",
-    "CheckpointState",
-    "CheckpointWriter",
-    "ENOSPCAfter",
-    "KillWorkerAtChunk",
-    "MAX_RESPAWN_BACKOFF_S",
-    "RESPAWN_BACKOFF_S",
-    "SPLIT_AFTER_DEATHS",
-    "SigintAfter",
-    "WorkerPoolError",
-    "load_checkpoint",
-    "max_consecutive_respawns",
-    "quarantine_threshold",
-    "record_digest",
-    "resolve_checkpoint",
-    "respawn_backoff",
-    "result_from_record",
-    "tear_file_tail",
-]

@@ -1,21 +1,1 @@
 """Failure detection substrate."""
-
-from repro.failure.detector import (
-    HEARTBEAT,
-    HeartbeatNode,
-    RESTORE,
-    SUSPECT,
-    detection_latency,
-    false_suspicions,
-    mistake_recovery_count,
-)
-
-__all__ = [
-    "HEARTBEAT",
-    "HeartbeatNode",
-    "RESTORE",
-    "SUSPECT",
-    "detection_latency",
-    "false_suspicions",
-    "mistake_recovery_count",
-]

@@ -16,31 +16,3 @@ The trial runners accept a plan (or preset name) through the ``faults``
 config field; the CLI exposes the same through ``--fault-plan``.  See
 ``docs/FAULTS.md`` for the full tour.
 """
-
-from repro.faults.injector import FaultInjector, SendEffect, install_plan
-from repro.faults.presets import FAULT_PRESETS, PRESET_NAMES, fault_preset
-from repro.faults.spec import (
-    FAULT_KINDS,
-    MESSAGE_KINDS,
-    PLAN_SCHEMA,
-    PLAN_VERSION,
-    FaultPlan,
-    FaultSpec,
-    resolve_faults,
-)
-
-__all__ = [
-    "FAULT_KINDS",
-    "FAULT_PRESETS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "MESSAGE_KINDS",
-    "PLAN_SCHEMA",
-    "PLAN_VERSION",
-    "PRESET_NAMES",
-    "SendEffect",
-    "fault_preset",
-    "install_plan",
-    "resolve_faults",
-]

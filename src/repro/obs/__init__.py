@@ -24,99 +24,3 @@
 
 Import the blessed names from :mod:`repro.api`.
 """
-
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    strip_timings,
-)
-from repro.obs.sinks import (
-    SINK_NAMES,
-    TRANSPORT_KINDS,
-    CountingSink,
-    JsonlStreamSink,
-    MemorySink,
-    NullSink,
-    TraceSink,
-    make_sink,
-)
-from repro.obs.causal import (
-    HappensBeforeDAG,
-    InfluenceReport,
-    owners_of,
-    threads_of,
-)
-from repro.obs.check import (
-    CheckingSink,
-    DeliveryLivenessChecker,
-    InvariantChecker,
-    QueryQuiescenceChecker,
-    SendLivenessChecker,
-    TimeMonotonicityChecker,
-    Violation,
-    check_trace,
-    default_checkers,
-)
-from repro.obs.export import (
-    ascii_timeline,
-    merge_engine_trace,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_engine_trace,
-)
-from repro.obs.spans import (
-    SPAN_KINDS,
-    TELEMETRY_SCHEMA,
-    TELEMETRY_VERSION,
-    Span,
-    SpanTracer,
-    read_telemetry,
-    span_tree,
-    validate_manifest,
-)
-
-__all__ = [
-    "CheckingSink",
-    "Counter",
-    "CountingSink",
-    "DEFAULT_BUCKETS",
-    "DeliveryLivenessChecker",
-    "Gauge",
-    "HappensBeforeDAG",
-    "Histogram",
-    "InfluenceReport",
-    "InvariantChecker",
-    "JsonlStreamSink",
-    "MemorySink",
-    "Metrics",
-    "NullSink",
-    "QueryQuiescenceChecker",
-    "SINK_NAMES",
-    "SPAN_KINDS",
-    "SendLivenessChecker",
-    "Span",
-    "SpanTracer",
-    "TELEMETRY_SCHEMA",
-    "TELEMETRY_VERSION",
-    "TRANSPORT_KINDS",
-    "TimeMonotonicityChecker",
-    "TraceSink",
-    "Violation",
-    "ascii_timeline",
-    "check_trace",
-    "default_checkers",
-    "make_sink",
-    "merge_engine_trace",
-    "owners_of",
-    "read_telemetry",
-    "span_tree",
-    "strip_timings",
-    "threads_of",
-    "to_chrome_trace",
-    "validate_manifest",
-    "write_chrome_trace",
-    "write_engine_trace",
-]

@@ -14,75 +14,4 @@ Four families, four trade-offs:
 * **continuous** (:mod:`~repro.protocols.tree_aggregation`) — a maintained
   spanning tree convergecasts the aggregate continuously; repair by
   periodic rebuild.
-
-:mod:`~repro.protocols.expanding_ring` buys back the missing diameter
-knowledge with probe feedback.
 """
-
-from repro.protocols.adaptive import QUERY_DEFERRED, AdaptiveWaveNode
-from repro.protocols.base import AggregatingProcess, QueryResult, merge_contributions
-from repro.protocols.dissemination import (
-    AntiEntropyNode,
-    DIGEST,
-    FLOOD,
-    FloodNode,
-    MISSING,
-)
-from repro.protocols.expanding_ring import ExpandingRingNode
-from repro.protocols.ft_wave import FaultTolerantWaveNode
-from repro.protocols.extrema import (
-    CENSUS_ESTIMATE,
-    EXCHANGE,
-    ExtremaNode,
-    estimate_from_vector,
-    expected_relative_error,
-)
-from repro.protocols.gossip import GOSSIP_ESTIMATE, PushSumNode
-from repro.protocols.one_time_query import (
-    UNBOUNDED,
-    WAVE_DECLINE,
-    WAVE_ECHO,
-    WAVE_QUERY,
-    WaveNode,
-)
-from repro.protocols.request_collect import REQUEST, RESPONSE, RequestCollectNode
-from repro.protocols.tree_aggregation import (
-    BUILD,
-    REPORT,
-    TREE_ESTIMATE,
-    TreeAggregationNode,
-)
-
-__all__ = [
-    "AdaptiveWaveNode",
-    "AggregatingProcess",
-    "AntiEntropyNode",
-    "DIGEST",
-    "FLOOD",
-    "FloodNode",
-    "MISSING",
-    "QUERY_DEFERRED",
-    "BUILD",
-    "CENSUS_ESTIMATE",
-    "EXCHANGE",
-    "ExpandingRingNode",
-    "ExtremaNode",
-    "FaultTolerantWaveNode",
-    "GOSSIP_ESTIMATE",
-    "PushSumNode",
-    "QueryResult",
-    "REPORT",
-    "REQUEST",
-    "RESPONSE",
-    "RequestCollectNode",
-    "TREE_ESTIMATE",
-    "TreeAggregationNode",
-    "UNBOUNDED",
-    "WAVE_DECLINE",
-    "WAVE_ECHO",
-    "WAVE_QUERY",
-    "WaveNode",
-    "estimate_from_vector",
-    "expected_relative_error",
-    "merge_contributions",
-]

@@ -108,9 +108,8 @@ class WaveNode(AggregatingProcess):
         """Launch a raw wave (no query announcement) with a completion
         callback.
 
-        This is the building block composite protocols reuse — e.g. the
-        expanding-ring querier launches one wave per probe round and only
-        announces the logical query once.
+        This is the building block :meth:`issue_query` wraps with the
+        query announcement and the resolving callback.
         """
         state = _WaveState(
             qid=qid,

@@ -15,45 +15,3 @@ Determinism contract: ``None`` or a disabled spec installs nothing and is
 byte-identical to no resilience at all; enabling it never perturbs the
 transport or fault RNG streams.  See ``docs/RESILIENCE.md``.
 """
-
-from repro.resilience.degradation import CoverageReport
-from repro.resilience.presets import (
-    PRESET_NAMES,
-    RESILIENCE_PRESETS,
-    resilience_preset,
-)
-from repro.resilience.spec import (
-    SPEC_SCHEMA,
-    SPEC_VERSION,
-    ResilienceSpec,
-    backoff_schedule,
-    resolve_resilience,
-    retry_delay,
-)
-from repro.resilience.transport import (
-    ACK,
-    RID_KEY,
-    CircuitBreaker,
-    LinkRtt,
-    ReliableTransport,
-    install_resilience,
-)
-
-__all__ = [
-    "ACK",
-    "PRESET_NAMES",
-    "RESILIENCE_PRESETS",
-    "RID_KEY",
-    "SPEC_SCHEMA",
-    "SPEC_VERSION",
-    "CircuitBreaker",
-    "CoverageReport",
-    "LinkRtt",
-    "ReliableTransport",
-    "ResilienceSpec",
-    "backoff_schedule",
-    "install_resilience",
-    "resilience_preset",
-    "resolve_resilience",
-    "retry_delay",
-]

@@ -10,60 +10,3 @@ The substrate provides:
 * :class:`~repro.sim.trace.TraceLog` — the structured record of a run that
   the formal layer (:mod:`repro.core`) checks specifications against.
 """
-
-from repro.sim.errors import (
-    ConfigurationError,
-    MembershipError,
-    ProtocolError,
-    SchedulingError,
-    SimulationError,
-    TopologyError,
-)
-from repro.sim.events import Event, EventQueue
-from repro.sim.latency import (
-    BernoulliLoss,
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    LossModel,
-    NoLoss,
-    UniformDelay,
-)
-from repro.sim.messages import Message
-from repro.sim.network import Network
-from repro.sim.node import Process
-from repro.sim.rng import SeedSequence, iter_seeds
-from repro.sim.scheduler import Simulator
-from repro.sim.trace import DELIVER, DROP, JOIN, LEAVE, SEND, TIMER, TraceEvent, TraceLog
-
-__all__ = [
-    "BernoulliLoss",
-    "ConfigurationError",
-    "ConstantDelay",
-    "DELIVER",
-    "DROP",
-    "DelayModel",
-    "Event",
-    "EventQueue",
-    "ExponentialDelay",
-    "JOIN",
-    "LEAVE",
-    "LossModel",
-    "MembershipError",
-    "Message",
-    "Network",
-    "NoLoss",
-    "Process",
-    "ProtocolError",
-    "SEND",
-    "SchedulingError",
-    "SeedSequence",
-    "SimulationError",
-    "Simulator",
-    "TIMER",
-    "TopologyError",
-    "TraceEvent",
-    "TraceLog",
-    "UniformDelay",
-    "iter_seeds",
-]

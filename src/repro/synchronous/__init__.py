@@ -1,17 +1,1 @@
 """Synchronous-rounds execution model (the paper's native framing)."""
-
-from repro.synchronous.flooding import KnowledgeFlood
-from repro.synchronous.runner import (
-    RoundMessage,
-    SyncProcess,
-    SynchronousSystem,
-    build_from_topology,
-)
-
-__all__ = [
-    "KnowledgeFlood",
-    "RoundMessage",
-    "SyncProcess",
-    "SynchronousSystem",
-    "build_from_topology",
-]

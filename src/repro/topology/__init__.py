@@ -1,59 +1,1 @@
 """Communication-topology substrate: graphs, generators and attachment rules."""
-
-from repro.topology.partition import PartitionFault, isolate, random_bisection
-from repro.topology.dynamic import (
-    EdgeRewiringChurn,
-    edge_timeline,
-    interval_connectivity,
-    snapshot,
-)
-from repro.topology.attachment import (
-    AttachmentRule,
-    ChainAttachment,
-    DegreeProportionalAttachment,
-    UniformAttachment,
-)
-from repro.topology.generators import (
-    FAMILIES,
-    barabasi_albert,
-    binary_tree,
-    complete_graph,
-    erdos_renyi,
-    geometric,
-    grid,
-    line,
-    make,
-    random_regular,
-    ring,
-    star,
-    torus,
-)
-from repro.topology.graph import Topology
-
-__all__ = [
-    "AttachmentRule",
-    "EdgeRewiringChurn",
-    "edge_timeline",
-    "interval_connectivity",
-    "snapshot",
-    "ChainAttachment",
-    "DegreeProportionalAttachment",
-    "FAMILIES",
-    "PartitionFault",
-    "Topology",
-    "UniformAttachment",
-    "barabasi_albert",
-    "binary_tree",
-    "complete_graph",
-    "erdos_renyi",
-    "geometric",
-    "grid",
-    "isolate",
-    "line",
-    "make",
-    "random_bisection",
-    "random_regular",
-    "ring",
-    "star",
-    "torus",
-]

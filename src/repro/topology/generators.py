@@ -5,14 +5,14 @@ ids ``0 .. n-1`` and is deterministic given its ``rng``.  The families cover
 the regimes the experiments sweep: constant-diameter (complete, star),
 low-diameter expanders (random regular, Erdős–Rényi), lattice topologies
 with large diameter (ring, torus, line) and heavy-tailed degree
-(Barabási–Albert).
+(Barabási–Albert).  The three families that lean on :mod:`networkx`
+(random regular, geometric, Barabási–Albert) import it when called, so a
+trial on any other family never loads it.
 """
 
 from __future__ import annotations
 
 import random
-
-import networkx as nx
 
 from repro.sim.errors import ConfigurationError
 from repro.topology.graph import Topology
@@ -126,6 +126,8 @@ def random_regular(n: int, d: int, rng: random.Random) -> Topology:
         raise ConfigurationError(
             f"random regular graph needs d < n and n*d even, got n={n}, d={d}"
         )
+    import networkx as nx
+
     graph = nx.random_regular_graph(d, n, seed=rng.randint(0, 2**31 - 1))
     return Topology.from_networkx(graph)
 
@@ -135,6 +137,8 @@ def geometric(n: int, radius: float, rng: random.Random, connected: bool = True)
     _require_positive(n)
     if radius <= 0:
         raise ConfigurationError(f"radius must be > 0, got {radius}")
+    import networkx as nx
+
     graph = nx.random_geometric_graph(n, radius, seed=rng.randint(0, 2**31 - 1))
     topo = Topology.from_networkx(graph)
     if connected and n > 1:
@@ -150,6 +154,8 @@ def barabasi_albert(n: int, m: int, rng: random.Random) -> Topology:
     _require_positive(n)
     if m < 1 or m >= n:
         raise ConfigurationError(f"barabasi_albert needs 1 <= m < n, got m={m}, n={n}")
+    import networkx as nx
+
     graph = nx.barabasi_albert_graph(n, m, seed=rng.randint(0, 2**31 - 1))
     return Topology.from_networkx(graph)
 

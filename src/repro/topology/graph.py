@@ -9,11 +9,12 @@ lean on it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.sim.errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology:
@@ -159,6 +160,8 @@ class Topology:
     # ------------------------------------------------------------------
 
     def to_networkx(self) -> "nx.Graph":
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._adj)
         graph.add_edges_from(self.edges())

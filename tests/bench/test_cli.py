@@ -87,7 +87,7 @@ class TestSweepCommand:
             "sweep", "--rates", "0,4.0", "--n", "12", "--trials", "2",
             "--output", str(path),
         ]) == 0
-        from repro.engine import ResultStore
+        from repro.engine.results import ResultStore
 
         store = ResultStore.load(str(path))
         assert len(store) == 4

@@ -8,9 +8,10 @@ import os
 
 import pytest
 
-import repro.cli as cli
+import repro.engine.executor as engine_executor
 from repro.cli import main
-from repro.engine.recovery import SigintAfter, load_checkpoint
+from repro.engine.recovery.chaos import SigintAfter
+from repro.engine.recovery.checkpoint import load_checkpoint
 from repro.engine.telemetry import TELEMETRY_SUFFIX, load_telemetry
 
 SWEEP = ["sweep", "--rates", "0,8", "--trials", "2", "--n", "8"]
@@ -20,13 +21,13 @@ def arm_interrupt(mp, k):
     """Monkeypatch the CLI's run_plan so the k-th completion raises the
     chaos SIGINT — the only way to land a deterministic Ctrl-C through
     ``main()`` without a real signal race."""
-    real = cli.run_plan
+    real = engine_executor.run_plan
 
     def interrupted(plan, **kwargs):
         kwargs["progress"] = SigintAfter(k, progress=kwargs.get("progress"))
         return real(plan, **kwargs)
 
-    mp.setattr(cli, "run_plan", interrupted)
+    mp.setattr(engine_executor, "run_plan", interrupted)
 
 
 class TestCheckpointFlag:

@@ -32,7 +32,7 @@ class TestTraceSinkDefault:
             captured.update(kwargs["base"])
             raise SystemExit(0)  # stop before actually running 10k entities
 
-        monkeypatch.setattr("repro.cli.build_plan", fake_build_plan)
+        monkeypatch.setattr("repro.engine.plan.build_plan", fake_build_plan)
         with pytest.raises(SystemExit):
             main(["sweep", "--n", str(LARGE_TRIAL_THRESHOLD),
                   "--rates", "0", "--trials", "1"])
@@ -48,7 +48,7 @@ class TestTraceSinkDefault:
             captured.update(kwargs["base"])
             raise SystemExit(0)
 
-        monkeypatch.setattr("repro.cli.build_plan", fake_build_plan)
+        monkeypatch.setattr("repro.engine.plan.build_plan", fake_build_plan)
         with pytest.raises(SystemExit):
             main(["sweep", "--n", str(LARGE_TRIAL_THRESHOLD),
                   "--rates", "0", "--trace-sink", "memory"])

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.protocols.one_time_query import WaveNode
 from repro.sim.latency import ConstantDelay
 from repro.sim.scheduler import Simulator
+
+# Registered here, before any test module is imported, because a test's
+# ``@settings(...)`` inherits from the profile loaded at decoration time.
+# ``tier1`` makes the gate deterministic: the same examples on every run
+# and every box, no example database.  ``explore`` is the random search
+# (its own non-blocking CI job; a test's explicit ``max_examples`` still
+# wins): whatever it falsifies is committed as an ``@example``.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("explore", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

@@ -26,14 +26,14 @@ from repro.engine.executor import (
     stream_plan,
 )
 from repro.engine.plan import build_plan
-from repro.engine.recovery import (
+from repro.engine.recovery.chaos import (
     ChaosInterrupt,
     ENOSPCAfter,
     KillWorkerAtChunk,
     SigintAfter,
-    load_checkpoint,
     tear_file_tail,
 )
+from repro.engine.recovery.checkpoint import load_checkpoint
 from repro.engine.results import StreamingResultStore
 from repro.sim.errors import ConfigurationError
 

@@ -12,7 +12,7 @@ unobservable in the document.
 from __future__ import annotations
 
 import multiprocessing
-import time
+import threading
 
 import pytest
 
@@ -29,7 +29,7 @@ from repro.engine.executor import (
     stream_plan,
 )
 from repro.engine.plan import build_plan
-from repro.engine.recovery import result_from_record
+from repro.engine.recovery.checkpoint import result_from_record
 from repro.engine.results import load_document
 from repro.sim.errors import ConfigurationError
 
@@ -225,7 +225,9 @@ class TestQuarantineIdentity:
     and the watchdog quarantines it identically everywhere.
     """
 
-    WATCHDOG = 0.25
+    #: Orders of magnitude above an innocent trial's 1-30 ms, so a host
+    #: stall cannot quarantine one; the poisoned trial never returns at all.
+    WATCHDOG = 2.0
     HANG_INDEX = 3
 
     @pytest.fixture()
@@ -233,10 +235,11 @@ class TestQuarantineIdentity:
         import repro.engine.executor as executor_module
 
         real = execute_trial
+        never = threading.Event()
 
         def selective(spec):
             if spec.index == self.HANG_INDEX:
-                time.sleep(self.WATCHDOG * 20)
+                never.wait()  # the abandoned daemon thread dies with its process
             return real(spec)
 
         monkeypatch.setattr(executor_module, "execute_trial", selective)

@@ -23,17 +23,16 @@ from repro.engine.executor import (
     stream_plan,
 )
 from repro.engine.plan import build_plan
-from repro.engine.recovery import (
+from repro.engine.recovery.chaos import SigintAfter, tear_file_tail
+from repro.engine.recovery.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointState,
     CheckpointWriter,
-    SigintAfter,
     load_checkpoint,
     record_digest,
     result_from_record,
-    tear_file_tail,
 )
 from repro.engine.results import load_document
 from repro.engine.telemetry import (

@@ -27,11 +27,11 @@ from repro.engine.executor import (
     run_plan,
 )
 from repro.engine.plan import build_plan
-from repro.engine.recovery import (
+from repro.engine.recovery.chaos import KillWorkerAtChunk
+from repro.engine.recovery.healing import (
     MAX_RESPAWN_BACKOFF_S,
     RESPAWN_BACKOFF_S,
     SPLIT_AFTER_DEATHS,
-    KillWorkerAtChunk,
     WorkerPoolError,
     max_consecutive_respawns,
     quarantine_threshold,

@@ -111,7 +111,9 @@ class TestByteIdentity:
 class TestQuarantineIdentity:
     """Telemetry on a quarantining run changes nothing in the document."""
 
-    WATCHDOG = 0.25
+    #: Orders of magnitude above an innocent trial's 1-30 ms, so a host
+    #: stall cannot quarantine one; the poisoned trial never returns at all.
+    WATCHDOG = 2.0
     HANG_INDEX = 3
 
     @pytest.fixture()
@@ -119,10 +121,11 @@ class TestQuarantineIdentity:
         import repro.engine.executor as executor_module
 
         real = execute_trial
+        never = threading.Event()
 
         def selective(spec):
             if spec.index == self.HANG_INDEX:
-                time.sleep(self.WATCHDOG * 20)
+                never.wait()  # the abandoned daemon thread dies with its process
             return real(spec)
 
         monkeypatch.setattr(executor_module, "execute_trial", selective)

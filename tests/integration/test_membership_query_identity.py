@@ -17,7 +17,7 @@ import pytest
 
 from repro.churn.lifetimes import ExponentialLifetime
 from repro.churn.models import ArrivalDepartureChurn, NoChurn, ReplacementChurn
-from repro.engine.recovery import record_digest
+from repro.engine.recovery.checkpoint import record_digest
 from repro.obs.codec import encode_event
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator

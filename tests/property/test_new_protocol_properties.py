@@ -7,9 +7,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregates import COUNT
-from repro.core.spec import OneTimeQuerySpec
-from repro.protocols.expanding_ring import ExpandingRingNode
 from repro.protocols.extrema import ExtremaNode, estimate_from_vector
 from repro.protocols.tree_aggregation import TreeAggregationNode
 from repro.sim.latency import ConstantDelay, UniformDelay
@@ -27,20 +24,6 @@ def spawn_all(sim, topo, make):
         neighbors = [p for p in topo.neighbors(node) if p < node]
         pids.append(sim.spawn(make(node), neighbors).pid)
     return pids
-
-
-@given(families, sizes, seeds)
-@settings(max_examples=25, deadline=None)
-def test_expanding_ring_static_always_complete(family, n, seed):
-    """Expanding ring solves the static case on every connected topology
-    without any global knowledge."""
-    sim = Simulator(seed=seed, delay_model=ConstantDelay(1.0))
-    topo = gen.make(family, n, sim.rng_for("topo"))
-    pids = spawn_all(sim, topo, lambda node: ExpandingRingNode(1.0))
-    sim.network.process(pids[0]).issue_adaptive_query(COUNT)
-    sim.run(until=100_000)
-    verdict = OneTimeQuerySpec().check(sim.trace)[0]
-    assert verdict.ok
 
 
 @given(families, sizes, seeds)
