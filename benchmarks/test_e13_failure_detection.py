@@ -15,6 +15,7 @@ from __future__ import annotations
 from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.failure.detector import HeartbeatNode, false_suspicions, mistake_recovery_count
+from repro.obs.sinks import NullSink
 from repro.sim.latency import ConstantDelay, ExponentialDelay, UniformDelay
 from repro.sim.rng import iter_seeds
 from repro.sim.scheduler import Simulator
@@ -26,7 +27,8 @@ TRIALS = 3
 
 
 def trial(delay_model, timeout: float, seed: int) -> tuple[int, int]:
-    sim = Simulator(seed=seed, delay_model=delay_model)
+    # Only suspect/restore events are read back; drop the heartbeat firehose.
+    sim = Simulator(seed=seed, delay_model=delay_model, trace_sink=NullSink())
     topo = gen.ring(N)
     pids = []
     for node in sorted(topo.nodes()):

@@ -14,6 +14,7 @@ from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.core.aggregates import COUNT
 from repro.core.spec import OneTimeQuerySpec
+from repro.obs.sinks import NullSink
 from repro.protocols.ft_wave import FaultTolerantWaveNode
 from repro.protocols.one_time_query import WaveNode
 from repro.sim.latency import ConstantDelay
@@ -32,8 +33,9 @@ CRASH_AT = 3.0
 
 def trial(make_node, seed: int) -> tuple[bool, float]:
     """Crash a mid-line relay during the wave; returns (terminated, latency)."""
+    # The verdict reads membership and query milestones only.
     sim = Simulator(seed=seed, delay_model=ConstantDelay(0.5),
-                    notify_leaves=False)
+                    notify_leaves=False, trace_sink=NullSink())
     topo = gen.line(N)
     pids = []
     for node in sorted(topo.nodes()):

@@ -85,7 +85,6 @@ if TYPE_CHECKING:
 
 def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
     """Add the flag vocabulary every engine-backed command shares."""
-    from repro.engine.trials import LARGE_TRIAL_THRESHOLD
     from repro.obs.sinks import SINK_NAMES
 
     group = parser.add_argument_group("engine")
@@ -140,8 +139,9 @@ def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
     group.add_argument("--trace-sink", dest="trace_sink", default=None,
                        choices=list(SINK_NAMES),
                        help="transport-event sink (documents are identical "
-                       "under every sink; default: memory, or counts when "
-                       f"n >= {LARGE_TRIAL_THRESHOLD})")
+                       "under every sink; default: null — a trial retains "
+                       "what its checker reads; ask for memory or jsonl to "
+                       "read send/deliver events)")
     group.add_argument("--trace-dir", dest="trace_dir", default=None,
                        help="directory for per-trial .jsonl event streams "
                        "(required by --trace-sink jsonl)")
@@ -366,33 +366,6 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
         raise SystemExit(str(error))
 
 
-def _resolve_trace_sink(args: argparse.Namespace,
-                        base: Mapping[str, Any]) -> str:
-    """Pick the trace sink when ``--trace-sink`` was not given.
-
-    Small runs keep the historical in-memory default.  At
-    ``LARGE_TRIAL_THRESHOLD``-plus entities the retained trace events
-    would dominate memory, so large runs default to the ``counts`` sink
-    (kind counters only — verdicts and documents are identical) with a
-    one-line notice; ``--trace-sink memory`` restores the old behaviour
-    explicitly.
-    """
-    if args.trace_sink is not None:
-        return args.trace_sink
-    from repro.engine.trials import LARGE_TRIAL_THRESHOLD
-
-    n = base.get("n", 0)
-    if isinstance(n, int) and n >= LARGE_TRIAL_THRESHOLD:
-        print(
-            f"note: n={n} >= {LARGE_TRIAL_THRESHOLD}; defaulting "
-            "--trace-sink to 'counts' (pass --trace-sink memory to retain "
-            "every trace event)",
-            file=sys.stderr,
-        )
-        return "counts"
-    return "memory"
-
-
 def _apply_sink_flags(args: argparse.Namespace, name: str,
                       base: dict[str, Any]) -> dict[str, Any]:
     """Fold ``--trace-sink`` / ``--trace-dir`` / ``--fault-plan`` into the
@@ -403,7 +376,8 @@ def _apply_sink_flags(args: argparse.Namespace, name: str,
     from repro.resilience.spec import ResilienceSpec
 
     base = dict(base)
-    base["trace_sink"] = _resolve_trace_sink(args, base)
+    if args.trace_sink is not None:
+        base["trace_sink"] = args.trace_sink
     if args.check_invariants:
         base["check_invariants"] = True
     if getattr(args, "fault_plan", None):
@@ -413,7 +387,7 @@ def _apply_sink_flags(args: argparse.Namespace, name: str,
         base["resilience"] = _spec_flag("--resilience", args.resilience,
                                         ResilienceSpec.from_json,
                                         resilience_preset)
-    if base["trace_sink"] == "jsonl":
+    if args.trace_sink == "jsonl":
         if not args.trace_dir:
             raise SystemExit("--trace-sink jsonl requires --trace-dir")
         os.makedirs(args.trace_dir, exist_ok=True)

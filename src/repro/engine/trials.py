@@ -57,8 +57,8 @@ ChurnBuilder = Callable[[Callable[[], Process]], ChurnModel]
 
 #: Population size at which an in-memory trace sink becomes a memory
 #: hazard: a 10⁴-entity trial records millions of TraceEvents, and the
-#: MemorySink keeps every one.  Above this, trials warn (once per process)
-#: and the CLI defaults sweeps to the ``"counts"`` sink instead.
+#: MemorySink keeps every one.  Above this, a trial that asks for
+#: ``trace_sink="memory"`` warns (once per process).
 LARGE_TRIAL_THRESHOLD = 10_000
 
 _warned_memory_sink_scale = False
@@ -75,8 +75,8 @@ def _warn_memory_sink_at_scale(n: int) -> None:
     warnings.warn(
         f"in-memory trace sink with n={n} >= {LARGE_TRIAL_THRESHOLD}: every "
         "trace event is retained, which dominates memory at this scale. "
-        "Use trace_sink='counts' (kind counters only) or 'null' for large "
-        "runs; 'repro sweep' already defaults to 'counts' at this size.",
+        "Leave trace_sink at its default ('null') or use 'counts' / "
+        "'jsonl' for large runs.",
         ResourceWarning,
         stacklevel=3,
     )
@@ -93,8 +93,8 @@ def _make_simulator(config: Any, **kwargs: Any) -> Simulator:
     four trace invariants are verified online and any violations are
     counted under ``check.violations`` in the trial's metrics block.
 
-    Large populations (``n >=`` :data:`LARGE_TRIAL_THRESHOLD`) with the
-    default in-memory sink trigger a one-time :class:`ResourceWarning` —
+    Large populations (``n >=`` :data:`LARGE_TRIAL_THRESHOLD`) with an
+    explicit in-memory sink trigger a one-time :class:`ResourceWarning` —
     the run still proceeds, but peak memory will be dominated by retained
     trace events.
     """
@@ -143,10 +143,13 @@ class QueryConfig:
             and a disabled spec install nothing and are byte-identical.
         trace_sink: transport-event sink — a name from
             :data:`repro.obs.sinks.SINK_NAMES` (``"memory"``/``"jsonl"``/
-            ``"null"``/``"counts"``) or a prebuilt sink instance.
-            Membership and protocol-milestone events are always retained
-            in memory, so verdicts and documents are identical under every
-            sink.
+            ``"null"``/``"counts"``) or a prebuilt sink instance.  A trial
+            retains what its checker reads: the default ``"null"`` keeps
+            the membership and protocol-milestone events (so verdicts and
+            documents are identical under every sink) and drops the
+            transport firehose; ask for ``"memory"`` (or ``"jsonl"``) when
+            you will read ``send``/``deliver``/… events off the outcome —
+            reading a dropped kind raises ``ConfigurationError``.
         trace_path: output file for the ``"jsonl"`` sink.
         check_invariants: verify the four trace invariants online (see
             :mod:`repro.obs.check`); violations are counted under
@@ -178,7 +181,7 @@ class QueryConfig:
     protect_querier: bool = True
     notify_leaves: bool = True
     detector_timeout: float = 3.0
-    trace_sink: str | TraceSink = "memory"
+    trace_sink: str | TraceSink = "null"
     trace_path: str | None = None
     check_invariants: bool = False
 
@@ -456,7 +459,7 @@ class GossipConfig:
     resilience: ResilienceSpec | str | None = None
     value_of: Callable[[int], float] = field(default=float)
     protect_reader: bool = True
-    trace_sink: str | TraceSink = "memory"
+    trace_sink: str | TraceSink = "null"
     trace_path: str | None = None
     check_invariants: bool = False
 
@@ -585,7 +588,7 @@ class DisseminationConfig:
     resilience: ResilienceSpec | str | None = None
     protect_origin: bool = True
     value: object = "payload"
-    trace_sink: str | TraceSink = "memory"
+    trace_sink: str | TraceSink = "null"
     trace_path: str | None = None
     check_invariants: bool = False
 

@@ -25,10 +25,12 @@ The DAG is built from two edge families:
 Both families only ever point from earlier record positions to later ones,
 so the result is a DAG and longest-path depths are a single forward pass.
 
-Build one from a live :class:`~repro.sim.trace.TraceLog` (memory sink) or
-from a streamed JSONL file — the two yield the identical DAG for the same
-trial, which is covered by tests::
+Build one from a live :class:`~repro.sim.trace.TraceLog` that retained
+everything (a raw ``Simulator``, or a trial run with
+``trace_sink="memory"``) or from a streamed JSONL file — the two yield the
+identical DAG for the same trial, which is covered by tests::
 
+    outcome = run_query(QueryConfig(..., trace_sink="memory"))
     dag = HappensBeforeDAG.from_trace(outcome.trace)
     dag = HappensBeforeDAG.from_jsonl("trial.jsonl")
     report = dag.influence()          # the first returned query
@@ -162,10 +164,11 @@ class HappensBeforeDAG:
     def from_trace(cls, log: TraceLog | Iterable[TraceEvent]) -> "HappensBeforeDAG":
         """Build from a trace log (or any event iterable) in record order.
 
-        With a space-saving sink the log only retains the low-volume kinds,
-        so the DAG will lack transport edges; analyse memory-sink logs or
-        streamed JSONL files when message causality matters.
+        A :class:`TraceLog` whose sink dropped events is refused (the DAG
+        would lack transport edges): analyse ``trace_sink="memory"`` logs
+        or streamed JSONL files.
         """
+        tr.require_complete(log, "HappensBeforeDAG.from_trace")
         return cls(log)
 
     @classmethod

@@ -301,12 +301,13 @@ def check_trace(
 
     ``source`` is a :class:`~repro.sim.trace.TraceLog`, any event iterable,
     or a path to a JSONL trace file.  Fresh default checkers are used
-    unless an explicit list is given.
+    unless an explicit list is given.  A ``TraceLog`` whose sink dropped
+    events is refused (:class:`~repro.sim.errors.ConfigurationError`):
+    check such trials online with ``check_invariants=True`` instead.
     """
-    from repro.sim.trace import TraceLog
-
     if isinstance(source, (str, Path)):
-        source = TraceLog.load_jsonl(source)
+        source = tr.TraceLog.load_jsonl(source)
+    tr.require_complete(source, "check_trace")
     active = list(checkers) if checkers is not None else default_checkers()
     for event in source:
         for checker in active:

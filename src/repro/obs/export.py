@@ -12,9 +12,10 @@ Two human-facing views of the same event stream:
 * :func:`ascii_timeline` — a per-node lane chart for the terminal, one
   character per time bucket, highest-significance event wins the cell.
 
-Both consume any event iterable — a live memory-sink
-:class:`~repro.sim.trace.TraceLog` or a loaded JSONL stream — and are wired
-into the CLI as ``repro trace export``.
+Both consume any event iterable — a live :class:`~repro.sim.trace.TraceLog`
+that retained everything (``trace_sink="memory"``; a log that dropped
+events is refused) or a loaded JSONL stream — and are wired into the CLI as
+``repro trace export``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ def to_chrome_trace(
         slice_duration: displayed slice length in microseconds (purely
             cosmetic; instant events are hard to see at 0 width).
     """
+    tr.require_complete(events, "to_chrome_trace")
     trace_events: list[dict[str, Any]] = []
     lanes: set[int] = set()
     for event in events:
@@ -342,6 +344,7 @@ def ascii_timeline(
     """
     if width < 8:
         raise ConfigurationError(f"timeline width must be >= 8, got {width}")
+    tr.require_complete(events, "ascii_timeline")
     stream = list(events)
     if not stream:
         return "(empty trace)"

@@ -7,15 +7,17 @@ build *runs* and to check problem specifications, so the trace is the single
 source of truth connecting the simulator to the paper's definitions.
 
 Storage is delegated to a pluggable :class:`repro.obs.sinks.TraceSink`.
-The default :class:`~repro.obs.sinks.MemorySink` keeps every event in
-memory (the historical behavior); space-saving sinks
-(:class:`~repro.obs.sinks.JsonlStreamSink`,
+A raw :class:`TraceLog` (and a raw ``Simulator``) defaults to
+:class:`~repro.obs.sinks.MemorySink`, which keeps every event in memory;
+space-saving sinks (:class:`~repro.obs.sinks.JsonlStreamSink`,
 :class:`~repro.obs.sinks.CountingSink`,
-:class:`~repro.obs.sinks.NullSink`) stream or drop the high-volume
-transport events while the membership and protocol-milestone events the
-specification checker relies on are always retained.  Per-kind counts are
-maintained unconditionally, so :meth:`TraceLog.count` and
-:meth:`TraceLog.summary` are exact under every sink.
+:class:`~repro.obs.sinks.NullSink` — the trial configs' default) stream or
+drop the high-volume transport events while the membership and
+protocol-milestone events the specification checker relies on are always
+retained.  Per-kind counts are maintained unconditionally, so
+:meth:`TraceLog.count` and :meth:`TraceLog.summary` are exact under every
+sink; *reading* a kind that was recorded but dropped raises
+:class:`~repro.sim.errors.ConfigurationError` instead of returning nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.obs.codec import decode_value, encode_event
 from repro.obs.sinks import MemorySink, TraceSink
+from repro.sim.errors import ConfigurationError
 
 # Canonical event kinds written by the substrate.  Protocols are free to
 # record additional kinds (e.g. "query_issued").
@@ -52,6 +55,8 @@ FAULT_CLEARED = "fault_cleared"
 # read it back).
 RETRANSMIT = "retransmit"
 DELIVERY_ABANDONED = "delivery_abandoned"
+
+_ASK_FOR_MEMORY = 'run with trace_sink="memory" (or load a "jsonl" stream)'
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +89,8 @@ class TraceLog:
         # ``emit`` is only invoked on sinks that override it: MemorySink and
         # NullSink (every E-experiment) inherit the no-op.
         self._emits = type(self._sink).emit is not TraceSink.emit
+        # ``sink.retains(kind)``, asked once per kind.
+        self._retains: dict[str, bool] = {}
         self._events: list[TraceEvent] = []
         self._counts: dict[str, int] = {}
         self._total = 0
@@ -107,17 +114,24 @@ class TraceLog:
         """How many events are held in memory (== ``len`` for MemorySink)."""
         return len(self._events)
 
-    def record(self, time: float, kind: str, **data: Any) -> TraceEvent:
-        """Append an event and return it."""
-        event = TraceEvent(time, kind, data)
+    def record(self, time: float, kind: str, **data: Any) -> TraceEvent | None:
+        """Count an event and hand it to whoever keeps it; when the sink
+        neither retains the kind nor observes the stream, no
+        :class:`TraceEvent` is built and ``None`` is returned."""
         self._total += 1
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
-        sink = self._sink
-        if sink.retains(kind):
+        try:
+            retained = self._retains[kind]
+        except KeyError:
+            retained = self._retains[kind] = self._sink.retains(kind)
+        if not retained and not self._emits:
+            return None
+        event = TraceEvent(time, kind, data)
+        if retained:
             self._events.append(event)
         if self._emits:
-            sink.emit(event)
+            self._sink.emit(event)
         return event
 
     def close(self) -> None:
@@ -128,10 +142,21 @@ class TraceLog:
     # Queries
     # ------------------------------------------------------------------
 
+    def _require_retained(self, kind: str) -> None:
+        """Refuse to answer "none" for a kind the sink dropped."""
+        if not self._retains.get(kind, True):
+            raise ConfigurationError(
+                f"{self._counts[kind]} {kind!r} events were recorded but not "
+                f"retained by the trace sink ({self._sink!r}); "
+                f"{_ASK_FOR_MEMORY} to read them"
+            )
+
     def events(self, kind: str | None = None) -> list[TraceEvent]:
-        """Return the retained events, optionally filtered by kind."""
+        """Return the retained events, optionally filtered by kind (an
+        error for a kind that was recorded but not retained)."""
         if kind is None:
             return list(self._events)
+        self._require_retained(kind)
         return [e for e in self._events if e.kind == kind]
 
     def count(self, kind: str) -> int:
@@ -141,6 +166,7 @@ class TraceLog:
 
     def first(self, kind: str) -> TraceEvent | None:
         """Return the earliest retained event of ``kind``, or ``None``."""
+        self._require_retained(kind)
         for event in self._events:
             if event.kind == kind:
                 return event
@@ -148,6 +174,7 @@ class TraceLog:
 
     def last(self, kind: str) -> TraceEvent | None:
         """Return the latest retained event of ``kind``, or ``None``."""
+        self._require_retained(kind)
         for event in reversed(self._events):
             if event.kind == kind:
                 return event
@@ -155,6 +182,8 @@ class TraceLog:
 
     def between(self, t0: float, t1: float, kind: str | None = None) -> list[TraceEvent]:
         """Return retained events with ``t0 <= time <= t1``."""
+        if kind is not None:
+            self._require_retained(kind)
         return [
             e
             for e in self._events
@@ -215,6 +244,17 @@ class TraceLog:
                 data = {key: decode_value(value) for key, value in record["d"].items()}
                 log.record(record["t"], record["k"], **data)
         return log
+
+
+def require_complete(source: Any, reader: str) -> None:
+    """Refuse a whole-stream ``reader`` a :class:`TraceLog` that dropped
+    events (any other event iterable is taken to be complete)."""
+    if isinstance(source, TraceLog) and source.retained < len(source):
+        raise ConfigurationError(
+            f"{reader} reads the whole event stream, but the trace sink "
+            f"({source.sink!r}) retained {source.retained} of {len(source)} "
+            f"events; {_ASK_FOR_MEMORY}"
+        )
 
 
 def merge_logs(logs: Iterable[TraceLog]) -> TraceLog:

@@ -1,5 +1,5 @@
-"""CLI behaviour added for the scale work: sink defaults, the in-memory
-guardrail, and `.jsonl` streaming output."""
+"""CLI behaviour added for the scale work: the sink default (the same at
+every n), the in-memory guardrail, and `.jsonl` streaming output."""
 
 from __future__ import annotations
 
@@ -19,13 +19,13 @@ from repro.engine.trials import (
 
 
 class TestTraceSinkDefault:
-    def test_small_runs_keep_the_memory_default(self, capsys):
+    def test_small_runs_print_no_sink_notice(self, capsys):
         assert main(["query", "--n", "8", "--trials", "1"]) == 0
         err = capsys.readouterr().err
         assert "defaulting --trace-sink" not in err
 
-    def test_large_sweep_defaults_to_counts_with_notice(self, capsys,
-                                                        monkeypatch):
+    def test_large_sweep_leaves_sink_to_config_default(self, capsys,
+                                                       monkeypatch):
         captured = {}
 
         def fake_build_plan(name, **kwargs):
@@ -37,8 +37,8 @@ class TestTraceSinkDefault:
             main(["sweep", "--n", str(LARGE_TRIAL_THRESHOLD),
                   "--rates", "0", "--trials", "1"])
         err = capsys.readouterr().err
-        assert "defaulting --trace-sink to 'counts'" in err
-        assert captured["trace_sink"] == "counts"
+        assert "defaulting --trace-sink" not in err
+        assert "trace_sink" not in captured
 
     def test_explicit_memory_flag_overrides_the_scale_default(self, capsys,
                                                               monkeypatch):
@@ -62,32 +62,33 @@ class TestMemorySinkGuardrail:
     def _reset_warn_once(self, monkeypatch):
         monkeypatch.setattr(trials_mod, "_warned_memory_sink_scale", False)
 
-    def test_memory_sink_at_scale_warns_once(self):
-        config = GossipConfig(n=LARGE_TRIAL_THRESHOLD, seed=1)
+    @staticmethod
+    def _scale_warnings(config, times=1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _make_simulator(config)
-            _make_simulator(config)
-        scale_warnings = [w for w in caught
-                         if issubclass(w.category, ResourceWarning)]
+            for _ in range(times):
+                _make_simulator(config)
+        return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_memory_sink_at_scale_warns_once(self):
+        scale_warnings = self._scale_warnings(
+            GossipConfig(n=LARGE_TRIAL_THRESHOLD, seed=1, trace_sink="memory"),
+            times=2,
+        )
         assert len(scale_warnings) == 1
         assert "in-memory trace sink" in str(scale_warnings[0].message)
 
     def test_small_populations_do_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _make_simulator(GossipConfig(n=32, seed=1))
-        assert not [w for w in caught
-                    if issubclass(w.category, ResourceWarning)]
+        assert not self._scale_warnings(
+            GossipConfig(n=32, seed=1, trace_sink="memory"))
+
+    def test_default_sink_at_scale_does_not_warn(self):
+        assert not self._scale_warnings(
+            GossipConfig(n=LARGE_TRIAL_THRESHOLD, seed=1))
 
     def test_counts_sink_at_scale_does_not_warn(self):
-        config = GossipConfig(n=LARGE_TRIAL_THRESHOLD, seed=1,
-                              trace_sink="counts")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _make_simulator(config)
-        assert not [w for w in caught
-                    if issubclass(w.category, ResourceWarning)]
+        assert not self._scale_warnings(
+            GossipConfig(n=LARGE_TRIAL_THRESHOLD, seed=1, trace_sink="counts"))
 
 
 class TestJsonlOutput:

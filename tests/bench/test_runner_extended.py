@@ -56,7 +56,7 @@ class TestFtWaveProtocol:
 class TestMetricsHelpers:
     def test_message_cost_by_kind(self):
         outcome = run_query(QueryConfig(n=10, topology="ring", seed=1,
-                                        horizon=100))
+                                        horizon=100, trace_sink="memory"))
         by_kind = message_cost_by_kind(outcome.trace)
         assert "WAVE_QUERY" in by_kind
         assert "WAVE_ECHO" in by_kind
@@ -67,7 +67,8 @@ class TestMetricsHelpers:
 
     def test_wave_depth_counts_reach(self):
         outcome = run_query(QueryConfig(n=8, topology="line", seed=1,
-                                        delay=ConstantDelay(1.0), horizon=100))
+                                        delay=ConstantDelay(1.0), horizon=100,
+                                        trace_sink="memory"))
         depth = wave_depth(outcome.trace, qid=0)
         assert depth == 7  # every non-querier received the wave
 

@@ -116,6 +116,7 @@ def test_verdict_index_errors_name_the_qid():
 def test_static_trial_verdict_covers_all_live():
     outcome = run_query(QueryConfig(
         n=12, topology="er", aggregate="COUNT", horizon=100.0, seed=2007,
+        trace_sink="memory",
     ))
     assert outcome.ok
     report = HappensBeforeDAG.from_trace(outcome.trace).influence()
@@ -128,7 +129,7 @@ def test_churn_trial_leaves_live_entities_outside_causal_past():
     # verdict cannot causally cover entities that joined behind the wave.
     outcome = run_query(QueryConfig(
         n=12, topology="er", aggregate="COUNT", horizon=120.0, seed=2007,
-        churn=ChurnSpec(kind="replacement", rate=4.0),
+        churn=ChurnSpec(kind="replacement", rate=4.0), trace_sink="memory",
     ))
     report = HappensBeforeDAG.from_trace(outcome.trace).influence()
     assert len(report.outside_causal_past) >= 1
@@ -139,7 +140,7 @@ def test_churn_trial_leaves_live_entities_outside_causal_past():
 def test_jsonl_and_memory_sinks_yield_identical_dag(tmp_path):
     config = QueryConfig(
         n=10, topology="er", aggregate="COUNT", horizon=80.0, seed=11,
-        churn=ChurnSpec(kind="replacement", rate=2.0),
+        churn=ChurnSpec(kind="replacement", rate=2.0), trace_sink="memory",
     )
     memory_outcome = run_query(config)
     path = tmp_path / "trial.jsonl"

@@ -82,6 +82,7 @@ def test_write_chrome_trace_roundtrips_as_json(tmp_path):
 def test_write_chrome_trace_on_a_real_trial(tmp_path):
     outcome = run_query(QueryConfig(
         n=8, topology="er", aggregate="COUNT", horizon=60.0, seed=3,
+        trace_sink="memory",
     ))
     path = tmp_path / "trial.json"
     write_chrome_trace(outcome.trace, path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.check import CheckingSink
 from repro.obs.codec import decode_value, encode_value
 from repro.obs.sinks import (
     SINK_NAMES,
@@ -77,8 +78,147 @@ class TestRetentionPolicy:
         log.record(0.0, "join", entity=1)
         log.record(1.0, "send", src=1, dst=2)
         assert [e.kind for e in log.membership_events()] == ["join"]
-        assert log.events("send") == []
+        with pytest.raises(ConfigurationError, match="'send'.*memory"):
+            log.events("send")
         assert log.count("send") == 1
+
+
+class TestDroppedIsLoud:
+    """Reading a kind that was recorded but not retained is an error that
+    names the kind and the remedy; a kind never recorded is just absent."""
+
+    @pytest.fixture
+    def lean(self):
+        log = TraceLog(sink=NullSink())
+        log.record(0.0, "join", entity=1)
+        log.record(1.0, "send", msg_id=0, msg_kind="X", sender=1, receiver=2)
+        log.record(2.0, "drop", msg_id=0, msg_kind="X", reason="loss")
+        return log
+
+    @pytest.mark.parametrize("read", [
+        lambda log: log.events("send"),
+        lambda log: log.first("send"),
+        lambda log: log.last("drop"),
+        lambda log: log.between(0.0, 9.0, kind="send"),
+    ], ids=["events", "first", "last", "between"])
+    def test_kind_reads_raise(self, lean, read):
+        with pytest.raises(ConfigurationError,
+                           match=r"'(send|drop)'.*trace_sink=\"memory\""):
+            read(lean)
+
+    def test_never_recorded_kinds_are_empty_not_errors(self, lean):
+        assert lean.events("deliver") == []
+        assert lean.first("timer") is None
+        assert lean.last("retransmit") is None
+        assert lean.between(0.0, 9.0, kind="msg_lost") == []
+
+    def test_retained_kinds_and_unfiltered_reads_still_answer(self, lean):
+        assert [e.kind for e in lean.events("join")] == ["join"]
+        assert lean.first("join") is lean.last("join")
+        assert [e.kind for e in lean.events()] == ["join"]
+        assert [e.kind for e in lean.between(0.0, 9.0)] == ["join"]
+
+    def test_metrics_helpers_inherit_the_error(self, lean):
+        from repro.analysis.metrics import (
+            drop_reasons,
+            message_cost,
+            message_cost_by_kind,
+            wave_depth,
+        )
+
+        assert message_cost(lean) == 1  # counts stay exact
+        for helper in (message_cost_by_kind, drop_reasons,
+                       lambda log: wave_depth(log, qid=0),
+                       lambda log: message_cost(log, kind="X")):
+            with pytest.raises(ConfigurationError, match="memory"):
+                helper(lean)
+
+    def test_whole_stream_readers_refuse_a_log_that_dropped_events(self, lean):
+        from repro.obs.causal import HappensBeforeDAG
+        from repro.obs.check import check_trace
+        from repro.obs.export import ascii_timeline, to_chrome_trace
+
+        for reader in (HappensBeforeDAG.from_trace, to_chrome_trace,
+                       ascii_timeline, check_trace):
+            with pytest.raises(ConfigurationError,
+                               match="retained 1 of 3 events"):
+                reader(lean)
+        # The retained events, handed over as a plain iterable, are the
+        # caller's own choice of stream.
+        assert "1 events" in ascii_timeline(list(lean))
+
+    def test_whole_stream_readers_accept_a_complete_log(self):
+        from repro.obs.check import check_trace
+
+        log = TraceLog(sink=NullSink())
+        log.record(0.0, "join", entity=1)
+        assert log.retained == len(log)
+        assert check_trace(log) == []
+
+
+class TestNoEventIsBuiltForNobody:
+    """``record`` constructs a TraceEvent only when the sink retains the
+    kind or observes the stream — counted, not timed."""
+
+    @staticmethod
+    def _constructions(monkeypatch, sink):
+        import repro.sim.trace as trace_mod
+
+        built = []
+
+        def counting_event(time, kind, data):
+            built.append(kind)
+            return real(time, kind, data)
+
+        real = trace_mod.TraceEvent
+        monkeypatch.setattr(trace_mod, "TraceEvent", counting_event)
+        log = TraceLog(sink=sink)
+        log.record(0.0, "join", entity=1)
+        for i in range(20):
+            log.record(float(i), "send", msg_id=i, msg_kind="X",
+                       sender=1, receiver=2)
+            log.record(float(i), "deliver", msg_id=i, msg_kind="X",
+                       sender=1, receiver=2)
+        log.record(21.0, "query_issued", qid=0, entity=1)
+        return log, built
+
+    def test_null_sink_builds_exactly_the_retained_events(self, monkeypatch):
+        log, built = self._constructions(monkeypatch, NullSink())
+        assert len(log) == 42
+        assert log.retained == 2
+        assert built == ["join", "query_issued"]
+
+    @pytest.mark.parametrize("make", [
+        CountingSink,
+        MemorySink,
+        lambda: CheckingSink(NullSink()),
+    ], ids=["counts", "memory", "checking(null)"])
+    def test_observing_or_retaining_sinks_build_every_event(
+        self, monkeypatch, make
+    ):
+        log, built = self._constructions(monkeypatch, make())
+        assert len(built) == len(log) == 42
+
+    def test_record_returns_none_only_for_an_unbuilt_event(self):
+        log = TraceLog(sink=NullSink())
+        assert log.record(0.0, "join", entity=1).kind == "join"
+        assert log.record(1.0, "send", msg_id=0) is None
+        assert TraceLog().record(1.0, "send", msg_id=0).kind == "send"
+
+    def test_retains_is_asked_once_per_kind(self):
+        asked = []
+
+        class Probe(NullSink):
+            def retains(self, kind):
+                asked.append(kind)
+                return super().retains(kind)
+
+        log = TraceLog(sink=Probe())
+        for i in range(5):
+            log.record(float(i), "send", msg_id=i)
+            log.record(float(i), "join", entity=i)
+        assert asked == ["send", "join"]
+        assert log.retained == 5
 
 
 class TestConstantMemory:
@@ -229,8 +369,6 @@ class TestEmitIsOnlyCalledWhenOverridden:
         assert calls == []
 
     def test_overriding_sinks_see_every_event(self):
-        from repro.obs.check import CheckingSink
-
         seen = []
 
         class Spy(TraceSink):
