@@ -15,11 +15,11 @@ journalling must each stay under 5% overhead).
 Run:  PYTHONPATH=src python benchmarks/emit_bench.py [--jobs N] [--output FILE]
 
 The committed ``benchmarks/BENCH_engine.json`` is the regression
-baseline for these families; re-emit it (4 workers) when the engine's
-perf profile intentionally changes.  ``--smoke`` shrinks the plan to a
-seconds-scale run for CI, which executes it with DeprecationWarnings
-promoted to errors — any internal code path that still routes through a
-deprecated shim fails the build.
+baseline for these families; re-emit it (``--jobs 2``, as CI runs it)
+when the engine's perf profile intentionally changes.  ``--smoke``
+shrinks the plan to a seconds-scale run for CI, which executes it with
+DeprecationWarnings promoted to errors — any internal code path that
+still routes through a deprecated shim fails the build.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.engine.results import TrialResult, jsonable, record_fields
+from repro.engine.results import TrialResult, jsonable, record_fields, timed_record
 from repro.engine.telemetry import plan_digest
 from repro.sim.errors import ConfigurationError
 from repro.version import package_version
@@ -60,10 +60,15 @@ class CheckpointError(ConfigurationError):
     handlers keep working."""
 
 
+def _encode_record(record: Mapping[str, Any]) -> tuple[str, str]:
+    """One trial record as canonical JSON, and the digest of those bytes."""
+    blob = json.dumps(record, sort_keys=True)
+    return blob, hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
 def record_digest(record: Mapping[str, Any]) -> str:
     """Integrity digest of one trial record (canonical JSON, sha256/16)."""
-    blob = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return _encode_record(record)[1]
 
 
 def result_from_record(
@@ -281,13 +286,13 @@ class CheckpointWriter:
             }
             if run_id is not None:
                 header["run_id"] = run_id
-            self._write_line(header)
+            self._write_line(json.dumps(header, sort_keys=True))
 
-    def _write_line(self, entry: Mapping[str, Any]) -> None:
+    def _write_line(self, line: str) -> None:
         # One write + flush per line: a crash between appends loses
         # nothing, a crash mid-append leaves a torn tail the loader
         # truncates away.
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
 
     @property
@@ -295,18 +300,20 @@ class CheckpointWriter:
         return set(self._completed)
 
     def append(self, result: TrialResult) -> None:
-        """Journal one completed trial (idempotent per plan index)."""
+        """Journal one completed trial (idempotent per plan index).  The
+        record (shared with the trial's stream line) is encoded once: the
+        digest is taken over the very bytes spliced into the line, which is
+        what ``json.dumps(entry, sort_keys=True)`` writes for the entry
+        ``{"digest", "index", "record", "type"}``, byte for byte."""
         if self._handle is None:
             raise CheckpointError(f"{self.path}: checkpoint writer is closed")
         if result.index in self._completed:
             return
-        record = result.to_record(include_timing=True)
-        self._write_line({
-            "type": "trial",
-            "index": result.index,
-            "digest": record_digest(record),
-            "record": record,
-        })
+        blob, digest = _encode_record(timed_record(result))
+        self._write_line(
+            f'{{"digest": "{digest}", "index": {result.index:d}, '
+            f'"record": {blob}, "type": "trial"}}'
+        )
         self._completed.add(result.index)
 
     def close(self) -> None:

@@ -11,7 +11,7 @@ can be unit-tested without forking anything.
 
 Poison-trial semantics: a worker death is attributed to the trial the
 dead worker had most recently *started* (its heartbeat mark — see
-``_run_chunk``'s heartbeat file).  Because a single co-incident death is
+``_run_chunk``'s heartbeat slot).  Because a single co-incident death is
 never proof (the chaos suite SIGKILLs perfectly innocent workers), a
 suspect always gets ``trial_retries + 1`` clean re-runs: a trial is
 quarantined only once its kill count reaches

@@ -191,6 +191,20 @@ _REQUIRED_RECORD_FIELDS = (
 )
 
 
+_last_timed: tuple[Any, Any] = (None, None)
+
+
+def timed_record(result: TrialResult) -> dict[str, Any]:
+    """``result.to_record(include_timing=True)``, built once per trial: a
+    run's journal and stream ask for the same result in turn, and the
+    second is handed the first's record (read-only).  One entry, keyed by
+    identity — nothing is kept on the results themselves."""
+    global _last_timed
+    if _last_timed[0] is not result:
+        _last_timed = (result, result.to_record(include_timing=True))
+    return _last_timed[1]
+
+
 def record_fields(record: Mapping[str, Any]) -> dict[str, Any]:
     """The non-identity :class:`TrialResult` fields of a trial record, as
     written by :meth:`TrialResult.to_record` (document, stream line or
@@ -384,13 +398,16 @@ class StreamingResultStore:
         return self
 
     def append(self, result: TrialResult) -> None:
-        """Write one trial line; opens the store on first use."""
+        """Write one trial line; opens the store on first use.  The untimed
+        record is :func:`timed_record` minus ``wall_time`` and
+        ``metrics.timings`` (two shallow copies, no second walk)."""
         if self._handle is None:
             self.open()
-        entry = {
-            "point": jsonable(result.point_dict()),
-            "record": result.to_record(self.include_timing),
-        }
+        record = timed_record(result)
+        if not self.include_timing:
+            record = {k: v for k, v in record.items() if k != "wall_time"}
+            record["metrics"] = strip_timings(record["metrics"])
+        entry = {"point": jsonable(result.point_dict()), "record": record}
         # One write + flush per trial: a crash between appends loses
         # nothing, and a crash mid-append leaves only a torn final line,
         # which load_document tolerates (warn + recover).

@@ -95,6 +95,15 @@ class TestPolicy:
             quarantine_threshold(-1)
 
 
+def mark_as(pid, directory, index):
+    """Write a mark the way a worker does (:func:`_mark_heartbeat`), as
+    the worker ``pid`` that has not marked anything yet."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "getpid", lambda: pid)
+        mp.setattr(executor_module, "_heartbeat_slot", (None, None))
+        executor_module._mark_heartbeat(directory, index)
+
+
 class TestAttribution:
     """Kill attribution and redispatch partitioning, unit-level: the pool
     never forks (``_ensure_pool`` is stubbed out)."""
@@ -113,9 +122,7 @@ class TestAttribution:
         assert executor.respawns == 2
 
     def test_multi_flight_break_uses_heartbeat_marks(self, executor):
-        hb = executor._ensure_heartbeat_dir()
-        with open(os.path.join(hb, "12345.hb"), "w") as handle:
-            handle.write("7")
+        mark_as(12345, executor._ensure_heartbeat_dir(), 7)
         suspects = executor._respawn_pool([5, 7, 9])
         # The heartbeat names trial 7; a multi-flight break is never
         # proof, so no kill is counted yet — 7 just re-runs in isolation.
@@ -123,9 +130,7 @@ class TestAttribution:
         assert executor._kills == {}
 
     def test_heartbeats_are_consumed_per_break(self, executor):
-        hb = executor._ensure_heartbeat_dir()
-        with open(os.path.join(hb, "1.hb"), "w") as handle:
-            handle.write("3")
+        mark_as(1, executor._ensure_heartbeat_dir(), 3)
         assert executor._respawn_pool([3, 4]) == {3}
         # The mark was consumed: the next break sees a clean slate.
         assert executor._respawn_pool([3, 4]) == set()
@@ -176,6 +181,110 @@ class TestAttribution:
         assert survivor.deaths == SPLIT_AFTER_DEATHS
         assert [e[0] for e in entries] == ["run", "run", "run"]
         assert all(e[1].solo and len(e[1].batch) == 1 for e in entries)
+
+
+class TestHeartbeatSlot:
+    """The death-attribution channel itself: one memory-mapped slot per
+    worker pid.  Counted, never timed."""
+
+    @pytest.fixture()
+    def executor(self, monkeypatch):
+        # Every test starts as a worker that has not marked anything.
+        monkeypatch.setattr(executor_module, "_heartbeat_slot", (None, None))
+        ex = ParallelExecutor(jobs=2)
+        yield ex
+        ex.close()
+
+    def test_marks_after_the_first_make_no_system_call(
+        self, executor, monkeypatch
+    ):
+        hb = executor._ensure_heartbeat_dir()
+        executor_module._mark_heartbeat(hb, 0)
+        calls = {"os.open": 0, "open": 0, "os.replace": 0, "os.rename": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "open", counted("os.open", os.open))
+            mp.setattr("builtins.open", counted("open", open))
+            mp.setattr(os, "replace", counted("os.replace", os.replace))
+            mp.setattr(os, "rename", counted("os.rename", os.rename))
+            for index in range(1, 1001):
+                executor_module._mark_heartbeat(hb, index)
+        assert calls == {"os.open": 0, "open": 0, "os.replace": 0, "os.rename": 0}
+        assert os.listdir(hb) == [f"{os.getpid()}.hb"]
+        assert executor._read_heartbeats() == {os.getpid(): 1000}
+
+    @fork_only
+    def test_mark_outlives_a_sigkilled_worker(self, executor):
+        hb = executor._ensure_heartbeat_dir()
+        child = os.fork()
+        if child == 0:  # the worker: mark 0..999, then die mid-"trial"
+            try:
+                for index in range(1000):
+                    executor_module._mark_heartbeat(hb, index)
+                os.kill(os.getpid(), signal.SIGKILL)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(child, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert executor._read_heartbeats() == {child: 999}
+        assert os.listdir(hb) == []
+
+    def test_torn_short_and_empty_slots_yield_no_mark(self, executor):
+        hb = executor._ensure_heartbeat_dir()
+        pack = executor_module._HEARTBEAT.pack
+        for name, content in {
+            "11.hb": pack(3, 4),        # killed between the two stores
+            "12.hb": b"abc",            # short
+            "13.hb": b"",               # created, never written
+            "14.hb": pack(5, 5) + b"x",  # long
+            "15.hb": pack(6, 6),        # the one whole mark
+            "stray": pack(7, 7),        # not a slot at all
+        }.items():
+            with open(os.path.join(hb, name), "wb") as handle:
+                handle.write(content)
+        assert executor._read_heartbeats() == {15: 6}
+        assert os.listdir(hb) == []
+        assert executor._read_heartbeats() == {}
+
+    def test_unreadable_directory_is_no_marks(self, executor):
+        hb = executor._ensure_heartbeat_dir()
+        os.rmdir(hb)
+        assert executor._read_heartbeats() == {}
+        # ... and a worker that cannot open its slot just goes unmarked.
+        executor_module._mark_heartbeat(hb, 1)
+        executor_module._mark_heartbeat(hb, 2)
+        assert not os.path.exists(hb)
+
+    def test_a_change_of_directory_reopens_the_slot(self, executor):
+        first = executor._ensure_heartbeat_dir()
+        other = ParallelExecutor(jobs=2)
+        try:
+            second = other._ensure_heartbeat_dir()
+            executor_module._mark_heartbeat(first, 1)
+            executor_module._mark_heartbeat(first, 2)
+            executor_module._mark_heartbeat(second, 8)
+            executor_module._mark_heartbeat(second, 9)
+            assert executor._read_heartbeats() == {os.getpid(): 2}
+            assert other._read_heartbeats() == {os.getpid(): 9}
+            # Back again: a fresh file, not the consumed (unlinked) one.
+            executor_module._mark_heartbeat(first, 3)
+            assert executor._read_heartbeats() == {os.getpid(): 3}
+        finally:
+            other.close()
+
+    def test_close_removes_the_directory(self, executor):
+        hb = executor._ensure_heartbeat_dir()
+        executor_module._mark_heartbeat(hb, 4)
+        assert os.path.isdir(hb)
+        executor.close()
+        assert not os.path.exists(hb)
+        assert executor._read_heartbeats() == {}
 
 
 @fork_only
