@@ -23,7 +23,6 @@ Two input shapes are understood:
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from typing import Any, Callable, Mapping
 
 from repro.analysis.stats import bootstrap_mean_ci, paired_differences
 from repro.analysis.tables import render_table
-from repro.engine.results import SCHEMA_NAME, load_document, validate_document
+from repro.engine.results import SCHEMA_NAME, read_document, validate_document
 from repro.sim.errors import ConfigurationError
 
 #: Default per-metric relative thresholds for result-document summaries:
@@ -491,25 +490,14 @@ def load_comparable(path: str | Path) -> Mapping[str, Any]:
     """Load a JSON file the gate knows how to compare.
 
     Schema-versioned engine documents are validated (raising the typed
-    :class:`~repro.engine.results.SchemaVersionError` on unknown
+    :class:`~repro.obs.codec.SchemaVersionError` on unknown
     versions); anything with a ``benchmark`` field is treated as an
     ``emit_bench.py`` payload.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first_line = handle.readline()
-        try:
-            header = json.loads(first_line)
-        except json.JSONDecodeError:
-            header = None
-        if isinstance(header, Mapping) and header.get("format") == "jsonl-stream":
-            # A StreamingResultStore stream; load_document reassembles
-            # the canonical document from it.
-            return load_document(str(path))
-        handle.seek(0)
-        document = json.load(handle)
+    document = read_document(str(path))
     if isinstance(document, Mapping) and document.get("schema") == SCHEMA_NAME:
-        return load_document(str(path))
+        validate_document(document)
+        return document
     if isinstance(document, Mapping) and "benchmark" in document:
         return document
     raise ConfigurationError(

@@ -128,7 +128,6 @@ from repro.engine.results import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     ResultStore,
-    SchemaVersionError,
     StreamingResultStore,
     TrialResult,
     load_document,
@@ -170,6 +169,7 @@ from repro.engine.recovery.checkpoint import (
 from repro.engine.recovery.healing import WorkerPoolError
 
 # --- Observability: metrics, sinks, causality, checking, export ---------
+from repro.obs.codec import SchemaVersionError
 from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
 from repro.obs.sinks import (
     SINK_NAMES,

@@ -1019,13 +1019,13 @@ def _open_run(target: str, runs_dir: str | None,
     from repro.engine.telemetry import DEFAULT_RUNS_DIR, TelemetryTail, find_run
     from repro.sim.errors import ConfigurationError
 
-    if not os.path.exists(target):
-        try:
+    try:
+        if not os.path.exists(target):
             target = find_run(target, runs_dir or DEFAULT_RUNS_DIR)["path"]
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
-    tail = TelemetryTail(target)
-    tail.poll()
+        tail = TelemetryTail(target)
+        tail.poll()
+    except ConfigurationError as error:
+        raise SystemExit(str(error))
     if need_manifest and tail.manifest is None:
         raise SystemExit(f"{target}: telemetry stream has no manifest")
     return tail
@@ -1166,73 +1166,78 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
         write_engine_trace,
     )
+    from repro.sim.errors import ConfigurationError
     from repro.sim.trace import TraceLog
 
-    if args.trace_command == "analyze":
-        dag = HappensBeforeDAG.from_jsonl(args.path)
-        print(f"trace: {args.path}")
-        print(f"  events         : {len(dag.events)}")
-        print(f"  program edges  : {dag.program_edges}")
-        print(f"  message edges  : {dag.message_edges}")
-        queries = dag.query_indices()
-        if not queries:
-            print("  no queries in this trace; nothing to analyze")
+    # A file that is not what the command reads exits with one line.
+    try:
+        log = TraceLog.load_jsonl(args.path) if args.path else None
+        if args.trace_command == "analyze":
+            dag = HappensBeforeDAG(log)
+            print(f"trace: {args.path}")
+            print(f"  events         : {len(dag.events)}")
+            print(f"  program edges  : {dag.program_edges}")
+            print(f"  message edges  : {dag.message_edges}")
+            queries = dag.query_indices()
+            if not queries:
+                print("  no queries in this trace; nothing to analyze")
+                return 0
+            report = dag.influence(args.qid)
+            print()
+            print(report)
             return 0
-        report = dag.influence(args.qid)
-        print()
-        print(report)
-        return 0
 
-    if args.trace_command == "check":
-        violations = check_trace(args.path)
-        if not violations:
-            print(f"{args.path}: all trace invariants hold")
+        if args.trace_command == "check":
+            violations = check_trace(log)
+            if not violations:
+                print(f"{args.path}: all trace invariants hold")
+                return 0
+            print(f"{args.path}: {len(violations)} invariant violation(s)")
+            for violation in violations:
+                print(f"  {violation}")
+            return 1
+
+        # export
+        if getattr(args, "engine", None):
+            if args.format != "chrome":
+                raise SystemExit("--engine requires --format chrome")
+            if not args.output:
+                raise SystemExit("--format chrome requires --output FILE")
+            sim_events = None
+            sim_seed = None
+            if args.path:
+                sim_events = log
+                # Per-trial traces are saved as {name}-trial{i}-seed{seed}.jsonl;
+                # the seed picks the matching engine trial span for the flow
+                # arrow when it is recoverable from the filename.
+                import re
+
+                match = re.search(r"seed(\d+)", os.path.basename(args.path))
+                if match:
+                    sim_seed = int(match.group(1))
+            written = write_engine_trace(
+                args.engine, args.output, sim_events=sim_events,
+                sim_seed=sim_seed,
+            )
+            print(f"{written} events (engine spans"
+                  + (" + sim trace" if args.path else "")
+                  + f") written to {args.output} "
+                  "(open in Perfetto or chrome://tracing)")
             return 0
-        print(f"{args.path}: {len(violations)} invariant violation(s)")
-        for violation in violations:
-            print(f"  {violation}")
-        return 1
-
-    # export
-    if getattr(args, "engine", None):
-        if args.format != "chrome":
-            raise SystemExit("--engine requires --format chrome")
-        if not args.output:
-            raise SystemExit("--format chrome requires --output FILE")
-        sim_events = None
-        sim_seed = None
-        if args.path:
-            sim_events = TraceLog.load_jsonl(args.path)
-            # Per-trial traces are saved as {name}-trial{i}-seed{seed}.jsonl;
-            # the seed picks the matching engine trial span for the flow
-            # arrow when it is recoverable from the filename.
-            import re
-
-            match = re.search(r"seed(\d+)", os.path.basename(args.path))
-            if match:
-                sim_seed = int(match.group(1))
-        written = write_engine_trace(
-            args.engine, args.output, sim_events=sim_events,
-            sim_seed=sim_seed,
-        )
-        print(f"{written} events (engine spans"
-              + (" + sim trace" if args.path else "")
-              + f") written to {args.output} "
-              "(open in Perfetto or chrome://tracing)")
+        if not args.path:
+            raise SystemExit("trace export needs a trace PATH "
+                             "(or --engine TELEMETRY)")
+        if args.format == "chrome":
+            if not args.output:
+                raise SystemExit("--format chrome requires --output FILE")
+            written = write_chrome_trace(log, args.output)
+            print(f"{written} trace events written to {args.output} "
+                  "(open in Perfetto or chrome://tracing)")
+            return 0
+        print(ascii_timeline(log, width=args.width))
         return 0
-    if not args.path:
-        raise SystemExit("trace export needs a trace PATH "
-                         "(or --engine TELEMETRY)")
-    log = TraceLog.load_jsonl(args.path)
-    if args.format == "chrome":
-        if not args.output:
-            raise SystemExit("--format chrome requires --output FILE")
-        written = write_chrome_trace(log, args.output)
-        print(f"{written} trace events written to {args.output} "
-              "(open in Perfetto or chrome://tracing)")
-        return 0
-    print(ascii_timeline(log, width=args.width))
-    return 0
+    except ConfigurationError as error:
+        raise SystemExit(str(error))
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

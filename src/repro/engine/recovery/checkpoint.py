@@ -1,6 +1,7 @@
 """The ``repro-run-checkpoint`` v1 journal: durable per-trial run state.
 
-Layout (JSONL, every line flushed the moment it is written):
+Layout (a JSONL journal under the contract of :mod:`repro.obs.codec`:
+header line, one flushed line per trial, torn-tail and corrupt-line rules):
 
 * line 1 — the header: ``{"type": "checkpoint", "schema":
   "repro-run-checkpoint", "version": 1, "plan": {...}, "plan_digest":
@@ -13,18 +14,13 @@ Layout (JSONL, every line flushed the moment it is written):
   ``include_timing`` documents can be reassembled); ``digest`` is
   :func:`record_digest` over it, catching on-disk corruption.
 
-Recovery rules (what makes the journal crash-safe):
-
-* a **torn final line** (crash mid-append) is detected, warned about and
-  truncated away before appending resumes — the journal is always a
-  valid prefix plus the new lines;
-* a complete line that fails to parse or fails its digest stops the scan
-  there (the valid prefix is kept, the suspect tail re-executes);
-* trial identity fields are **not trusted from disk**: a resumed
-  :class:`~repro.engine.results.TrialResult` is rebuilt from the
-  journal's payload fields plus the *parent's* copy of the spec, exactly
-  like the executor's wire transport, so the reassembled document is
-  byte-identical to an uninterrupted run.
+The loader keeps the valid prefix and the writer resumes after it, so the
+journal is always a valid prefix plus new lines.  Trial identity fields
+are **not trusted from disk**: a resumed
+:class:`~repro.engine.results.TrialResult` is rebuilt from the journal's
+payload fields plus the *parent's* copy of the spec, exactly like the
+executor's wire transport, so the reassembled document is byte-identical
+to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -35,10 +31,11 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import IO, TYPE_CHECKING, Any, Mapping
 
 from repro.engine.results import TrialResult, jsonable, record_fields, timed_record
 from repro.engine.telemetry import plan_digest
+from repro.obs.codec import CorruptLineError, JournalScan, check_header, open_journal
 from repro.sim.errors import ConfigurationError
 from repro.version import package_version
 
@@ -138,99 +135,55 @@ class CheckpointState:
 def load_checkpoint(
     path: str, plan: "ExperimentPlan | None" = None
 ) -> CheckpointState:
-    """Load a checkpoint journal, tolerating a torn tail.
+    """Load a checkpoint journal, keeping its valid prefix.
 
-    Scans complete lines only (a trailing line without its newline —
-    a crash mid-append — is dropped with a warning); the scan also stops,
-    with a warning, at the first complete line that fails to parse or
-    fails its integrity digest, keeping the valid prefix.  With ``plan``
-    given, the journal's plan digest is verified up front.
+    A torn final line, a corrupt line, an entry that fails its integrity
+    digest or has an unexpected type each end the scan with a warning;
+    what follows re-executes (:attr:`CheckpointState.valid_bytes` is where
+    a writer resumes).  With ``plan`` given, the journal's plan digest is
+    verified up front.
     """
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint journal at {path!r}")
-    state: CheckpointState | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        while True:
-            start = handle.tell()
-            line = handle.readline()
-            if not line:
-                break
-            if not line.endswith("\n"):
-                warnings.warn(
-                    f"{path}: torn final checkpoint line dropped "
-                    "(crash mid-append); the trial will re-execute",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                entry = json.loads(stripped)
-            except json.JSONDecodeError:
-                if state is None:
-                    raise CheckpointError(
-                        f"{path}: not a {CHECKPOINT_SCHEMA} journal "
-                        "(unparseable header line)"
-                    )
-                warnings.warn(
-                    f"{path}: corrupt checkpoint line at byte {start} "
-                    "dropped along with everything after it",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            if state is None:
-                if entry.get("schema") != CHECKPOINT_SCHEMA:
-                    raise CheckpointError(
-                        f"{path}: not a {CHECKPOINT_SCHEMA} journal "
-                        f"(schema={entry.get('schema')!r})"
-                    )
-                if entry.get("version") not in SUPPORTED_CHECKPOINT_VERSIONS:
-                    raise CheckpointError(
-                        f"{path}: unsupported checkpoint version "
-                        f"{entry.get('version')!r}; this engine resumes "
-                        f"versions {SUPPORTED_CHECKPOINT_VERSIONS}"
-                    )
-                state = CheckpointState(
-                    path=str(path), header=entry, valid_bytes=handle.tell()
-                )
-                continue
-            if entry.get("type") != "trial":
-                warnings.warn(
-                    f"{path}: unexpected checkpoint entry type "
-                    f"{entry.get('type')!r} at byte {start}; scan stopped",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
+    scan = JournalScan(path)
+    entries = iter(scan)
+    try:
+        header = next(entries, None)
+        if header is None:
+            raise CheckpointError(f"{path}: empty checkpoint journal")
+        check_header(header, CHECKPOINT_SCHEMA, SUPPORTED_CHECKPOINT_VERSIONS,
+                     "checkpoint", path)
+    except ConfigurationError as error:
+        raise CheckpointError(str(error)) from None
+    state = CheckpointState(path=str(path), header=header, valid_bytes=scan.offset)
+    problem = ""
+    try:
+        for entry in entries:
             record = entry.get("record")
-            if (
-                not isinstance(record, dict)
-                or entry.get("digest") != record_digest(record)
-            ):
-                warnings.warn(
-                    f"{path}: checkpoint entry for trial "
-                    f"{entry.get('index')!r} failed its integrity digest; "
-                    "it and everything after it will re-execute",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            if entry.get("type") != "trial":
+                problem = (f"unexpected checkpoint entry type "
+                           f"{entry.get('type')!r} at line {scan.line}; scan stopped")
+                break
+            if not isinstance(record, dict) or entry.get("digest") != record_digest(record):
+                problem = (f"checkpoint entry for trial {entry.get('index')!r} "
+                           "failed its integrity digest; it and everything "
+                           "after it will re-execute")
                 break
             index = int(entry["index"])
             if index in state.records:
                 warnings.warn(
-                    f"{path}: duplicate checkpoint entry for trial {index} "
-                    "ignored",
-                    RuntimeWarning,
-                    stacklevel=2,
+                    f"{path}: duplicate checkpoint entry for trial {index} ignored",
+                    RuntimeWarning, stacklevel=2,
                 )
             else:
                 state.records[index] = record
-            state.valid_bytes = handle.tell()
-    if state is None:
-        raise CheckpointError(f"{path}: empty checkpoint journal")
+            state.valid_bytes = scan.offset
+    except CorruptLineError:
+        problem = (f"corrupt checkpoint line {scan.line} dropped along with "
+                   "everything after it")
+    if problem:
+        warnings.warn(f"{path}: {problem}", RuntimeWarning, stacklevel=2)
+    scan.warn_torn("checkpoint", "the trial will re-execute")
     if plan is not None:
         state.verify_plan(plan)
     return state
@@ -258,21 +211,14 @@ class CheckpointWriter:
         self.resumed = False
         self.preloaded: dict[int, TrialResult] = {}
         self._completed: set[int] = set()
-        self._handle: Any = None
-        existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
-        if existing:
+        self._journal: IO[str] | None
+        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             state = load_checkpoint(self.path, plan=plan)
             self.preloaded = state.results_for(plan)
             self._completed = set(self.preloaded)
             self.resumed = True
-            with open(self.path, "r+b") as tail:
-                tail.truncate(state.valid_bytes)
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._journal = open_journal(self.path, keep=state.valid_bytes)
         else:
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            self._handle = open(self.path, "w", encoding="utf-8")
             header = {
                 "type": "checkpoint",
                 "schema": CHECKPOINT_SCHEMA,
@@ -286,14 +232,7 @@ class CheckpointWriter:
             }
             if run_id is not None:
                 header["run_id"] = run_id
-            self._write_line(json.dumps(header, sort_keys=True))
-
-    def _write_line(self, line: str) -> None:
-        # One write + flush per line: a crash between appends loses
-        # nothing, a crash mid-append leaves a torn tail the loader
-        # truncates away.
-        self._handle.write(line + "\n")
-        self._handle.flush()
+            self._journal = open_journal(self.path, header)
 
     @property
     def completed(self) -> set[int]:
@@ -305,21 +244,21 @@ class CheckpointWriter:
         digest is taken over the very bytes spliced into the line, which is
         what ``json.dumps(entry, sort_keys=True)`` writes for the entry
         ``{"digest", "index", "record", "type"}``, byte for byte."""
-        if self._handle is None:
+        if self._journal is None:
             raise CheckpointError(f"{self.path}: checkpoint writer is closed")
         if result.index in self._completed:
             return
         blob, digest = _encode_record(timed_record(result))
-        self._write_line(
+        self._journal.write(
             f'{{"digest": "{digest}", "index": {result.index:d}, '
-            f'"record": {blob}, "type": "trial"}}'
+            f'"record": {blob}, "type": "trial"}}\n'
         )
         self._completed.add(result.index)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def __enter__(self) -> "CheckpointWriter":
         return self

@@ -26,8 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Mapping
 
+from repro.obs.codec import (
+    CorruptLineError,
+    JournalScan,
+    check_header,
+    open_journal,
+)
 from repro.obs.metrics import strip_timings
 from repro.sim.errors import ConfigurationError
 from repro.version import package_version
@@ -39,27 +45,6 @@ SCHEMA_VERSION = 2
 
 #: Versions this engine can still read.
 SUPPORTED_VERSIONS = (1, 2)
-
-
-class SchemaVersionError(ConfigurationError):
-    """A result document declares a schema version this engine cannot read.
-
-    Raised up front by :func:`validate_document` / :func:`load_document`
-    (instead of failing deep in consumer code) and names both the offending
-    version and the supported range.  Subclasses
-    :class:`~repro.sim.errors.ConfigurationError`, so existing broad
-    handlers keep working.
-    """
-
-    def __init__(self, version: Any, supported: tuple[int, ...]) -> None:
-        self.version = version
-        self.supported = tuple(supported)
-        super().__init__(
-            f"unsupported result document schema version {version!r}; this "
-            f"engine reads {SCHEMA_NAME} versions "
-            f"{self.supported[0]}..{self.supported[-1]} "
-            f"({', '.join(str(v) for v in self.supported)})"
-        )
 
 
 def jsonable(value: Any) -> Any:
@@ -381,44 +366,38 @@ class StreamingResultStore:
         self.plan: dict[str, Any] = dict(plan or {})
         self.include_timing = include_timing
         self.count = 0
-        self._handle: Any = None
+        self._journal: IO[str] | None = None
 
     def open(self) -> "StreamingResultStore":
         """Create the file and write the header line (idempotent)."""
-        if self._handle is None:
-            self._handle = open(self.path, "w", encoding="utf-8")
-            header = {
+        if self._journal is None:
+            self._journal = open_journal(self.path, header={
                 "schema": SCHEMA_NAME,
                 "version": SCHEMA_VERSION,
                 "format": self.FORMAT,
                 "repro_version": package_version(),
                 "plan": jsonable(self.plan),
-            }
-            self._handle.write(json.dumps(header, sort_keys=True) + "\n")
+            })
         return self
 
     def append(self, result: TrialResult) -> None:
         """Write one trial line; opens the store on first use.  The untimed
         record is :func:`timed_record` minus ``wall_time`` and
         ``metrics.timings`` (two shallow copies, no second walk)."""
-        if self._handle is None:
+        if self._journal is None:
             self.open()
         record = timed_record(result)
         if not self.include_timing:
             record = {k: v for k, v in record.items() if k != "wall_time"}
             record["metrics"] = strip_timings(record["metrics"])
         entry = {"point": jsonable(result.point_dict()), "record": record}
-        # One write + flush per trial: a crash between appends loses
-        # nothing, and a crash mid-append leaves only a torn final line,
-        # which load_document tolerates (warn + recover).
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
+        self._journal.write(json.dumps(entry, sort_keys=True) + "\n")
         self.count += 1
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def __enter__(self) -> "StreamingResultStore":
         return self.open()
@@ -427,80 +406,42 @@ class StreamingResultStore:
         self.close()
 
 
-def _assemble_stream_document(
-    header: Mapping[str, Any], lines: Iterable[str], path: str = "<stream>"
-) -> dict[str, Any]:
-    """Rebuild the canonical document from a jsonl-stream body.
-
-    A torn **final** line — the aftermath of a crash mid-append — is
-    dropped with a :class:`RuntimeWarning` instead of raising, mirroring
-    :func:`repro.obs.spans.read_telemetry`; the trial it held simply
-    isn't in the document (a checkpointed run re-executes it on resume).
-    A bad line *followed by good ones* is genuine corruption and still
-    raises.
-    """
-    if header.get("schema") != SCHEMA_NAME:
-        raise ConfigurationError(
-            f"not a {SCHEMA_NAME} stream (schema={header.get('schema')!r})"
-        )
-    if header.get("version") not in SUPPORTED_VERSIONS:
-        raise SchemaVersionError(header.get("version"), SUPPORTED_VERSIONS)
-    body = [line.strip() for line in lines]
-    while body and not body[-1]:
-        body.pop()
-    results = []
-    for position, line in enumerate(body):
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if position == len(body) - 1:
-                import warnings
-
-                warnings.warn(
-                    f"{path}: torn final stream line dropped "
-                    "(crash mid-append?); the document omits that trial",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            raise ConfigurationError(
-                f"{path}: corrupt stream line {position + 2} "
-                "(not the final line, so not a torn append)"
-            )
-        results.append(TrialResult.from_record(entry["record"], entry["point"]))
-    store = ResultStore(plan=header.get("plan", {}), results=results)
-    return store.document()
+def read_document(path: str) -> Any:
+    """The JSON at ``path`` as written, before validation: a canonical
+    document as is, a :class:`StreamingResultStore` stream (sniffed from
+    its header line) reassembled into one.  A torn final stream line is
+    dropped with a warning (its trial re-executes on a checkpointed
+    resume); a corrupt line raises (see :mod:`repro.obs.codec`)."""
+    scan = JournalScan(path)
+    lines = iter(scan)
+    try:
+        header = next(lines, None)
+    except CorruptLineError:
+        header = None  # a pretty-printed document: line 1 is "{"
+    if header is None or header.get("format") != StreamingResultStore.FORMAT:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                return json.load(handle)
+            except ValueError:
+                raise ConfigurationError(f"{path}: not a JSON document") from None
+    check_header(header, SCHEMA_NAME, SUPPORTED_VERSIONS,
+                 "result document schema", path)
+    results = [TrialResult.from_record(entry["record"], entry["point"])
+               for entry in lines]
+    scan.warn_torn("stream", "the document omits that trial")
+    return ResultStore(plan=header.get("plan", {}), results=results).document()
 
 
 def load_document(path: str) -> dict[str, Any]:
     """Load and validate a result document, returning the raw JSON object.
 
-    Reads both containers: the canonical JSON file written by
-    :meth:`ResultStore.write` and the JSONL stream written by
-    :class:`StreamingResultStore` (sniffed from the header line).  Either
-    way the returned object has the same schema-v2 document shape.
-
-    Use :meth:`ResultStore.load` to rehydrate :class:`TrialResult`s instead;
+    Reads both containers (:func:`read_document`); either way the returned
+    object has the same schema-v2 document shape.  Use
+    :meth:`ResultStore.load` to rehydrate :class:`TrialResult`s instead;
     this helper is for consumers that want the document verbatim (tables,
     comparisons, archival checks) with the schema guarantee up front.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        first_line = handle.readline()
-        header: Any = None
-        try:
-            header = json.loads(first_line)
-        except json.JSONDecodeError:
-            header = None
-        if (
-            isinstance(header, Mapping)
-            and header.get("format") == StreamingResultStore.FORMAT
-        ):
-            document = _assemble_stream_document(header, handle, path=path)
-        else:
-            handle.seek(0)
-            document = json.load(handle)
+    document = read_document(path)
     validate_document(document)
     return document
 
@@ -510,12 +451,8 @@ def validate_document(document: Mapping[str, Any]) -> None:
     schema this version of the engine writes."""
     if not isinstance(document, Mapping):
         raise ConfigurationError("result document must be a JSON object")
-    if document.get("schema") != SCHEMA_NAME:
-        raise ConfigurationError(
-            f"not a {SCHEMA_NAME} document (schema={document.get('schema')!r})"
-        )
-    if document.get("version") not in SUPPORTED_VERSIONS:
-        raise SchemaVersionError(document.get("version"), SUPPORTED_VERSIONS)
+    check_header(document, SCHEMA_NAME, SUPPORTED_VERSIONS,
+                 "result document schema")
     points = document.get("points")
     if not isinstance(points, list):
         raise ConfigurationError("result document has no 'points' list")

@@ -44,8 +44,9 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+from repro.obs.codec import JournalScan, open_journal
 from repro.obs.spans import (
     Span,
     SpanTracer,
@@ -274,7 +275,7 @@ class TelemetryRecorder:
         self.path = str(path)
         self.manifest: RunManifest | None = None
         self.tracer = SpanTracer(self._write_span)
-        self._handle: Any = None
+        self._journal: IO[str] | None = None
         self._lock = threading.Lock()
         self._run_span: Any = None
         self._counts = {"ok": 0, "failed": 0, "skipped": 0, "quarantined": 0}
@@ -296,13 +297,15 @@ class TelemetryRecorder:
 
     def _write(self, record: Mapping[str, Any]) -> None:
         with self._lock:
-            if self._handle is None:
-                parent = os.path.dirname(self.path)
-                if parent:
-                    os.makedirs(parent, exist_ok=True)
-                self._handle = open(self.path, "w", encoding="utf-8")
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
+            if self._journal is None:
+                self._journal = open_journal(self.path)
+            self._journal.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def _close_journal(self) -> None:
+        with self._lock:
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def _write_span(self, span: Span) -> None:
         self._write(span.to_record())
@@ -390,10 +393,7 @@ class TelemetryRecorder:
         if self._profiles:
             summary["profile"] = list(self._profiles)
         self._write(summary)
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._close_journal()
         return summary
 
     def abort(self) -> None:
@@ -408,10 +408,7 @@ class TelemetryRecorder:
             return
         self._closed = True
         self._run_span = None
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        self._close_journal()
 
     def __enter__(self) -> "TelemetryRecorder":
         return self
@@ -611,7 +608,7 @@ class TelemetryTail:
         self.chunks = 0
         self.workers: dict[int, WorkerHealth] = {}
         self._trial_walls: list[float] = []
-        self._offset = 0
+        self._scan = JournalScan(self.path)
         self._validated = False
 
     @property
@@ -634,31 +631,16 @@ class TelemetryTail:
         return mean * max(0, self.total - self.trials_done) / max(1, jobs)
 
     def poll(self) -> int:
-        """Consume newly appended complete lines; returns how many."""
-        try:
-            handle = open(self.path, "r", encoding="utf-8")
-        except OSError:
-            return 0
+        """Consume newly appended complete lines; returns how many.  A torn
+        trailing line is re-read whole on a later poll; a corrupt line
+        raises (:mod:`repro.obs.codec`)."""
         consumed = 0
-        with handle:
-            handle.seek(self._offset)
-            while True:
-                start = handle.tell()
-                line = handle.readline()
-                if not line or not line.endswith("\n"):
-                    # Torn trailing line: re-read it whole next poll.
-                    self._offset = start
-                    break
-                self._offset = handle.tell()
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
+        try:
+            for record in self._scan:
                 self._ingest(record)
                 consumed += 1
+        except FileNotFoundError:
+            pass  # not written yet
         return consumed
 
     def _ingest(self, record: Mapping[str, Any]) -> None:

@@ -36,12 +36,12 @@ disabled produces byte-identical result documents (pinned by
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
+from repro.obs.codec import JournalScan, check_header
 from repro.sim.errors import ConfigurationError
 
 #: Schema identifier stamped on every telemetry stream's manifest line.
@@ -271,44 +271,22 @@ def read_telemetry(path: str) -> Iterator[dict[str, Any]]:
     """Iterate the records of a telemetry stream, validating the manifest.
 
     Yields each line's JSON object in file order.  The first line must be
-    a v1 ``manifest`` record; a partial trailing line (a writer mid-flush)
-    is silently ignored, so readers can tail a live file.
+    a v1 ``manifest`` record.  Readers tail live files, so a torn trailing
+    line (a writer mid-append) is silently left out; a corrupt line raises
+    (:mod:`repro.obs.codec`).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        first = True
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if first:
-                    raise ConfigurationError(
-                        f"{path}: not a telemetry stream (bad first line)"
-                    )
-                return  # torn trailing line of a live stream
-            if first:
-                validate_manifest(record, path=path)
-                first = False
-            yield record
+    records = iter(JournalScan(path))
+    for manifest in records:
+        validate_manifest(manifest, path=path)
+        yield manifest
+        yield from records
 
 
 def validate_manifest(record: Mapping[str, Any], path: str = "") -> None:
     """Raise unless ``record`` is a readable v1 manifest line."""
-    where = f"{path}: " if path else ""
     if record.get("type") != "manifest":
         raise ConfigurationError(
-            f"{where}telemetry streams must start with a manifest record "
-            f"(got type={record.get('type')!r})"
+            f"{path + ': ' if path else ''}telemetry streams must start with "
+            f"a manifest record (got type={record.get('type')!r})"
         )
-    if record.get("schema") != TELEMETRY_SCHEMA:
-        raise ConfigurationError(
-            f"{where}not a {TELEMETRY_SCHEMA} stream "
-            f"(schema={record.get('schema')!r})"
-        )
-    if record.get("version") != TELEMETRY_VERSION:
-        raise ConfigurationError(
-            f"{where}unsupported telemetry version {record.get('version')!r};"
-            f" this release reads version {TELEMETRY_VERSION}"
-        )
+    check_header(record, TELEMETRY_SCHEMA, (TELEMETRY_VERSION,), "telemetry", path)

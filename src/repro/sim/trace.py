@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.obs.codec import decode_value, encode_event
+from repro.obs.codec import JournalScan, decode_value, encode_event
 from repro.obs.sinks import MemorySink, TraceSink
 from repro.sim.errors import ConfigurationError
 
@@ -233,16 +233,21 @@ class TraceLog:
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "TraceLog":
         """Read a log written by :meth:`save_jsonl` (or streamed by a
-        :class:`~repro.obs.sinks.JsonlStreamSink`)."""
+        :class:`~repro.obs.sinks.JsonlStreamSink`).  A torn final line (a
+        crashed trial's buffered sink) is dropped with a warning; a line
+        that is not a trace event raises :class:`ConfigurationError`."""
         log = cls()
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                data = {key: decode_value(value) for key, value in record["d"].items()}
-                log.record(record["t"], record["k"], **data)
+        scan = JournalScan(path)
+        for record in scan:
+            try:
+                time, kind, data = record["t"], record["k"], record["d"].items()
+            except (KeyError, AttributeError):
+                raise ConfigurationError(
+                    f"{path}: line {scan.line} is not a trace event "
+                    "(a JSON object with 't', 'k' and 'd' members)"
+                ) from None
+            log.record(time, kind, **{key: decode_value(v) for key, v in data})
+        scan.warn_torn("trace", "the log ends before it")
         return log
 
 

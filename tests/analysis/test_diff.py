@@ -18,7 +18,7 @@ from repro.analysis.diff import (
     load_comparable,
 )
 from repro.api import build_plan, run_plan
-from repro.engine.results import SchemaVersionError
+from repro.obs.codec import SchemaVersionError
 from repro.sim.errors import ConfigurationError
 
 

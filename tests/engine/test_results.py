@@ -237,11 +237,8 @@ class TestSchemaVersioning:
         assert loaded["version"] == SCHEMA_VERSION
 
     def test_unknown_version_raises_typed_error_naming_range(self, tmp_path):
-        from repro.engine.results import (
-            SUPPORTED_VERSIONS,
-            SchemaVersionError,
-            load_document,
-        )
+        from repro.engine.results import SUPPORTED_VERSIONS, load_document
+        from repro.obs.codec import SchemaVersionError
 
         document = json.loads(_store().to_json())
         document["version"] = 3

@@ -23,10 +23,10 @@ from repro.engine.executor import (
 from repro.engine.plan import build_plan
 from repro.engine.results import (
     ResultStore,
-    SchemaVersionError,
     StreamingResultStore,
     load_document,
 )
+from repro.obs.codec import SchemaVersionError
 from repro.sim.errors import ConfigurationError
 
 
