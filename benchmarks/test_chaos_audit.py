@@ -40,8 +40,7 @@ from repro.engine.trials import (
     run_query,
 )
 from repro.faults.injector import install_plan
-from repro.faults.presets import FAULT_PRESETS, fault_preset
-from repro.faults.spec import FaultPlan, FaultSpec
+from repro.faults.spec import FAULT_PRESETS, FaultPlan, FaultSpec, fault_preset
 from repro.protocols.ft_wave import FaultTolerantWaveNode
 from repro.sim.latency import ConstantDelay
 from repro.sim.scheduler import Simulator

@@ -23,7 +23,7 @@ from __future__ import annotations
 from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.engine.trials import QueryConfig, run_query
-from repro.faults.presets import FAULT_PRESETS
+from repro.faults.spec import FAULT_PRESETS
 from repro.sim import trace as tr
 
 SEEDS = (2007, 2008, 2009)

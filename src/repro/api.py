@@ -250,15 +250,22 @@ from repro.experiments.schema import (
 
 # --- Faults: the deterministic fault-injection plane ---------------------
 from repro.faults.injector import FaultInjector, install_plan
-from repro.faults.presets import FAULT_PRESETS, fault_preset
-from repro.faults.spec import FAULT_KINDS, FaultPlan, FaultSpec, resolve_faults
+from repro.faults.spec import (
+    FAULT_KINDS,
+    FAULT_PRESETS,
+    FaultPlan,
+    FaultSpec,
+    fault_preset,
+    resolve_faults,
+)
 
 # --- Resilience: the deterministic recovery plane ------------------------
 from repro.resilience.degradation import CoverageReport
-from repro.resilience.presets import RESILIENCE_PRESETS, resilience_preset
 from repro.resilience.spec import (
+    RESILIENCE_PRESETS,
     ResilienceSpec,
     backoff_schedule,
+    resilience_preset,
     resolve_resilience,
 )
 from repro.resilience.transport import ReliableTransport, install_resilience

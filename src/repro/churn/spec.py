@@ -15,6 +15,7 @@ the trial layer can resolve specs without importing the plan layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 from repro.churn.lifetimes import ExponentialLifetime, ParetoLifetime
@@ -31,6 +32,24 @@ from repro.sim.errors import ConfigurationError
 #: Builds a churn model from a process factory (the runner owns the factory
 #: so arrivals get fresh values).
 ChurnBuilder = Callable[[ProcessFactory], ChurnModel]
+
+#: The generative models a spec may name.
+CHURN_KINDS = ("replacement", "arrival-departure", "finite", "phased")
+
+#: Field -> (accepted type, whether ``None`` is allowed).  Checked at
+#: construction, so a bad spec fails where it is written, not inside a
+#: pool worker.
+_FIELD_TYPES = {
+    "rate": (Real, False),
+    "lifetime_mean": (Real, True),
+    "pareto_alpha": (Real, True),
+    "pareto_xm": (Real, True),
+    "cap": (Integral, True),
+    "total_arrivals": (Integral, True),
+    "storm_length": (Real, False),
+    "calm_length": (Real, False),
+    "doom_initial": (bool, False),
+}
 
 
 @dataclass(frozen=True)
@@ -63,9 +82,26 @@ class ChurnSpec:
     calm_length: float = 60.0
     doom_initial: bool = False
 
+    def __post_init__(self) -> None:
+        if self.kind not in CHURN_KINDS:
+            raise ConfigurationError(
+                f"unknown churn kind {self.kind!r}; use "
+                f"{', '.join(map(repr, CHURN_KINDS))}"
+            )
+        for name, (expected, optional) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not (isinstance(value, expected) or (optional and value is None)):
+                raise ConfigurationError(
+                    f"churn spec field {name!r} must be "
+                    f"{expected.__name__}{' or None' if optional else ''}, "
+                    f"got {value!r}"
+                )
+        self._lifetimes()  # the lifetime models check their parameters
+
     def _lifetimes(self):
         if self.pareto_alpha is not None:
-            return ParetoLifetime(alpha=self.pareto_alpha, xm=self.pareto_xm or 1.0)
+            xm = 1.0 if self.pareto_xm is None else self.pareto_xm
+            return ParetoLifetime(alpha=self.pareto_alpha, xm=xm)
         if self.lifetime_mean is not None:
             return ExponentialLifetime(self.lifetime_mean)
         return None
@@ -86,20 +122,17 @@ class ChurnSpec:
         if self.kind == "finite":
             return lambda factory: FiniteArrivalChurn(
                 factory,
-                total_arrivals=self.total_arrivals or 20,
+                total_arrivals=(
+                    20 if self.total_arrivals is None else self.total_arrivals
+                ),
                 arrival_rate=self.rate,
                 lifetimes=self._lifetimes(),
             )
-        if self.kind == "phased":
-            return lambda factory: PhasedChurn(
-                factory,
-                storm_rate=self.rate,
-                storm_length=self.storm_length,
-                calm_length=self.calm_length,
-            )
-        raise ConfigurationError(
-            f"unknown churn kind {self.kind!r}; use 'replacement', "
-            "'arrival-departure', 'finite' or 'phased'"
+        return lambda factory: PhasedChurn(
+            factory,
+            storm_rate=self.rate,
+            storm_length=self.storm_length,
+            calm_length=self.calm_length,
         )
 
 

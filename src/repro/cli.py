@@ -76,6 +76,7 @@ if TYPE_CHECKING:
     from repro.engine.results import ResultStore
     from repro.engine.spec import ExecutorSpec
     from repro.engine.telemetry import TelemetryRecorder, TelemetryTail
+    from repro.wire import WireSpec
 
 
 # ----------------------------------------------------------------------
@@ -291,28 +292,27 @@ def _checkpoint_path(args: argparse.Namespace,
                         f"checkpoint-{plan_digest(plan)}.jsonl")
 
 
-def _spec_flag(flag: str, value: str, from_json: Callable[[str], Any],
-               preset: Callable[[str], Any]) -> Any:
+def _spec_flag(flag: str, value: str, family: type[WireSpec]) -> Any:
     """Turn a ``--fault-plan`` / ``--resilience`` / ``--executor`` argument
-    into a spec, or a validated preset name.
+    into a ``family`` spec, or a validated preset name.
 
-    A path to an existing ``.json`` file is loaded through ``from_json``;
-    anything else must be a builtin preset name, which is validated here
-    (fail at the flag, not inside a pool worker) but returned as the
-    string so it labels the plan readably.
+    A path to an existing ``.json`` file is loaded through
+    ``family.from_json``; anything else must be a builtin preset name,
+    which is validated here (fail at the flag, not inside a pool worker)
+    but returned as the string so it labels the plan readably.
     """
     from repro.sim.errors import ConfigurationError
 
     if value.endswith(".json") or os.path.sep in value:
         try:
             with open(value, "r", encoding="utf-8") as handle:
-                return from_json(handle.read())
+                return family.from_json(handle.read())
         except OSError as error:
             raise SystemExit(f"{flag}: cannot read {value!r}: {error}")
         except (ValueError, ConfigurationError) as error:
             raise SystemExit(f"{flag}: {value!r}: {error}")
     try:
-        preset(value)
+        family.preset(value)
     except ConfigurationError as error:
         raise SystemExit(f"{flag}: {error}")
     return value
@@ -327,7 +327,7 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
     assemble an anonymous spec (``--jobs 1``, or no ``--jobs`` at all,
     stays serial).
     """
-    from repro.engine.spec import ExecutorSpec, executor_preset, resolve_executor
+    from repro.engine.spec import ExecutorSpec
     from repro.sim.errors import ConfigurationError
 
     value = getattr(args, "executor", None)
@@ -346,9 +346,7 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
                 f"--executor replaces {', '.join(adhoc)}; give one or the "
                 "other"
             )
-        return resolve_executor(_spec_flag(
-            "--executor", value, ExecutorSpec.from_json, executor_preset
-        ))
+        return ExecutorSpec.resolve(_spec_flag("--executor", value, ExecutorSpec))
     jobs = getattr(args, "jobs", 1)
     try:
         if jobs is None or jobs <= 1:
@@ -370,9 +368,7 @@ def _apply_sink_flags(args: argparse.Namespace, name: str,
                       base: dict[str, Any]) -> dict[str, Any]:
     """Fold ``--trace-sink`` / ``--trace-dir`` / ``--fault-plan`` into the
     plan's base config."""
-    from repro.faults.presets import fault_preset
     from repro.faults.spec import FaultPlan
-    from repro.resilience.presets import resilience_preset
     from repro.resilience.spec import ResilienceSpec
 
     base = dict(base)
@@ -381,12 +377,10 @@ def _apply_sink_flags(args: argparse.Namespace, name: str,
     if args.check_invariants:
         base["check_invariants"] = True
     if getattr(args, "fault_plan", None):
-        base["faults"] = _spec_flag("--fault-plan", args.fault_plan,
-                                    FaultPlan.from_json, fault_preset)
+        base["faults"] = _spec_flag("--fault-plan", args.fault_plan, FaultPlan)
     if getattr(args, "resilience", None):
         base["resilience"] = _spec_flag("--resilience", args.resilience,
-                                        ResilienceSpec.from_json,
-                                        resilience_preset)
+                                        ResilienceSpec)
     if args.trace_sink == "jsonl":
         if not args.trace_dir:
             raise SystemExit("--trace-sink jsonl requires --trace-dir")
@@ -941,13 +935,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _preset_listing(command: str) -> tuple[Any, ...]:
-    """One spec family's (presets, lookup, columns after ``preset``, row per
-    spec, title) for ``repro faults|resilience|executor``."""
+    """One spec family's (class, columns after ``preset``, row per spec,
+    title) for ``repro faults|resilience|executor``."""
     if command == "faults":
-        from repro.faults.presets import FAULT_PRESETS, fault_preset
+        from repro.faults.spec import FaultPlan
 
         return (
-            FAULT_PRESETS, fault_preset,
+            FaultPlan,
             ["fault kinds", "specs", "activations", "quiet after"],
             lambda plan: [
                 ", ".join(plan.kinds()),
@@ -958,10 +952,10 @@ def _preset_listing(command: str) -> tuple[Any, ...]:
             "builtin fault plans (use with --fault-plan NAME)",
         )
     if command == "resilience":
-        from repro.resilience.presets import RESILIENCE_PRESETS, resilience_preset
+        from repro.resilience.spec import ResilienceSpec
 
         return (
-            RESILIENCE_PRESETS, resilience_preset,
+            ResilienceSpec,
             ["retries", "base rto", "rto", "breaker", "detector",
              "partial results"],
             lambda spec: [
@@ -974,10 +968,10 @@ def _preset_listing(command: str) -> tuple[Any, ...]:
             ],
             "builtin resilience specs (use with --resilience NAME)",
         )
-    from repro.engine.spec import EXECUTOR_PRESETS, executor_preset
+    from repro.engine.spec import ExecutorSpec
 
     return (
-        EXECUTOR_PRESETS, executor_preset,
+        ExecutorSpec,
         ["backend", "jobs", "chunk", "watchdog", "retries"],
         lambda spec: [
             spec.backend,
@@ -996,17 +990,17 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table
     from repro.sim.errors import ConfigurationError
 
-    presets, lookup, columns, row, title = _preset_listing(args.command)
+    family, columns, row, title = _preset_listing(args.command)
     if args.show:
         try:
-            spec = lookup(args.show)
+            spec = family.preset(args.show)
         except ConfigurationError as error:
             raise SystemExit(str(error))
         print(spec.to_json(), end="")
         return 0
     print(render_table(
         ["preset"] + columns,
-        [[name] + row(spec) for name, spec in presets.items()],
+        [[name] + row(spec) for name, spec in family.PRESETS.items()],
         title=title,
     ))
     return 0

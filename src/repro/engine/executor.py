@@ -78,7 +78,7 @@ from repro.engine.results import (
     TrialResult,
     jsonable,
 )
-from repro.engine.spec import ExecutorSpec, resolve_executor
+from repro.engine.spec import ExecutorSpec
 from repro.engine.telemetry import TelemetryRecorder, resolve_recorder
 from repro.engine.trials import (
     DisseminationOutcome,
@@ -1075,7 +1075,7 @@ def _resolve_backend(
     """
     if isinstance(executor, TrialExecutor):
         return executor, False, _describe_backend(executor)
-    spec = resolve_executor(executor)
+    spec = ExecutorSpec.resolve(executor)
     return spec.make(), True, spec.to_dict()
 
 

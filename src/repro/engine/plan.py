@@ -19,13 +19,11 @@ Seed discipline (the contract every consumer relies on):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.churn.spec import ChurnBuilder, ChurnSpec
-from repro.faults.presets import fault_preset
 from repro.faults.spec import FaultPlan
-from repro.resilience.presets import resilience_preset
 from repro.resilience.spec import ResilienceSpec
 from repro.engine.trials import (
     DisseminationConfig,
@@ -34,6 +32,7 @@ from repro.engine.trials import (
 )
 from repro.sim.errors import ConfigurationError
 from repro.sim.rng import iter_seeds
+from repro.wire import field_defaults, reject_unknown
 
 
 def _unit_value(index: int) -> float:
@@ -118,38 +117,14 @@ class TrialSpec:
             # spec picklable end to end.
             params["churn"] = churn_spec
 
-        faults = params.get("faults")
-        if faults is not None:
-            # Preset names stay strings in the spec (maximally picklable,
-            # and they label grid points readably); the plan object is
-            # materialised here, inside the worker.  Empty plans are
-            # dropped so they configure exactly what "no plan" configures.
-            if isinstance(faults, str):
-                params["faults"] = fault_preset(faults)
-            elif isinstance(faults, FaultPlan):
-                if not faults:
-                    params.pop("faults")
-            else:
-                raise ConfigurationError(
-                    "'faults' must be a FaultPlan or a preset name, got "
-                    f"{type(faults).__name__}"
-                )
-
-        resilience = params.get("resilience")
-        if resilience is not None:
-            # Mirrors the faults translation: preset names stay strings in
-            # the spec; disabled specs are dropped so they configure exactly
-            # what "no resilience" configures (byte-identical documents).
-            if isinstance(resilience, str):
-                params["resilience"] = resilience_preset(resilience)
-            elif isinstance(resilience, ResilienceSpec):
-                if not resilience.enabled:
-                    params.pop("resilience")
-            else:
-                raise ConfigurationError(
-                    "'resilience' must be a ResilienceSpec or a preset "
-                    f"name, got {type(resilience).__name__}"
-                )
+        # Preset names stay strings in the spec (picklable, and they label
+        # grid points readably); the kernel materialises them here, inside
+        # the worker, and turns an "off" plan or spec into None — exactly
+        # what configuring none configures (byte-identical documents).
+        if "faults" in params:
+            params["faults"] = FaultPlan.resolve(params["faults"])
+        if "resilience" in params:
+            params["resilience"] = ResilienceSpec.resolve(params["resilience"])
 
         trace_path = params.get("trace_path")
         if isinstance(trace_path, str) and "{" in trace_path:
@@ -167,13 +142,7 @@ class TrialSpec:
                     f"{', '.join(sorted(VALUE_FUNCTIONS))}"
                 ) from None
 
-        known = {f.name for f in fields(config_type)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {self.kind} config field(s) {unknown}; known: "
-                f"{', '.join(sorted(known))}"
-            )
+        reject_unknown(params, field_defaults(config_type), f"{self.kind} config")
         return config_type(**params)
 
 

@@ -4,9 +4,9 @@ The fault plane made the adversary declarative (:class:`FaultPlan`), the
 resilience plane made the defence declarative (:class:`ResilienceSpec`);
 :class:`ExecutorSpec` does the same for *where and how trials run*.  It is
 plain, frozen, picklable data — backend choice, worker count, chunking
-policy, watchdog budget — with the same lossless JSON wire format
-(``repro-executor-spec`` v1), builtin presets and ``resolve_*`` idiom as
-its siblings, and it is the single blessed way to configure execution::
+policy, watchdog budget — sharing the spec wire kernel (:mod:`repro.wire`:
+lossless JSON, builtin presets, ``resolve``) with its siblings, and it is
+the single blessed way to configure execution::
 
     from repro.api import ExecutorSpec, build_plan, run_plan
 
@@ -23,12 +23,12 @@ results; ``tests/engine/test_chunking.py`` pins this.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.errors import ConfigurationError
+from repro.wire import WireSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.executor import TrialExecutor
@@ -42,7 +42,7 @@ BACKENDS = ("serial", "parallel")
 
 
 @dataclass(frozen=True)
-class ExecutorSpec:
+class ExecutorSpec(WireSpec):
     """One complete execution policy for a plan's trials.
 
     Attributes:
@@ -68,7 +68,16 @@ class ExecutorSpec:
             ``trial_retries + 1`` isolated re-runs before being declared
             poison and quarantined in place (see
             :mod:`repro.engine.recovery.healing` and docs/RECOVERY.md).
+
+    The wire format is ``repro-executor-spec`` v1 (:mod:`repro.wire`);
+    ``resolve(None)`` is the ``serial`` preset.  Already-built
+    :class:`~repro.engine.executor.TrialExecutor` instances are accepted
+    directly by :func:`run_plan` / :func:`stream_plan` and never reach
+    ``resolve``.
     """
+
+    SCHEMA = SPEC_SCHEMA
+    LABEL = "executor spec"
 
     name: str = ""
     backend: str = "serial"
@@ -139,59 +148,14 @@ class ExecutorSpec:
             chunk_target=self.chunk_target,
         )
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form (lossless; see :meth:`from_dict`)."""
-        record: dict[str, Any] = {
-            "schema": SPEC_SCHEMA,
-            "version": SPEC_VERSION,
-        }
-        for spec_field in fields(self):
-            record[spec_field.name] = getattr(self, spec_field.name)
-        return record
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, indent 2, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "ExecutorSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        if record.get("schema", SPEC_SCHEMA) != SPEC_SCHEMA:
-            raise ConfigurationError(
-                f"not a {SPEC_SCHEMA} document "
-                f"(schema={record.get('schema')!r})"
-            )
-        version = record.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigurationError(
-                f"unsupported executor spec version {version!r}; this "
-                f"release reads version {SPEC_VERSION}"
-            )
-        params = {
-            key: value for key, value in record.items()
-            if key not in ("schema", "version")
-        }
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown executor spec field(s) {unknown}; known: "
-                f"{', '.join(sorted(known))}"
-            )
-        return cls(**params)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExecutorSpec":
-        return cls.from_dict(json.loads(text))
+    def _active(cls, spec: "ExecutorSpec | None") -> "ExecutorSpec":
+        return spec or cls.PRESETS["serial"]
 
 
 #: Builtin execution policies, selectable by name anywhere a spec is
 #: accepted (``run_plan(plan, executor="parallel")``, CLI ``--executor``).
-EXECUTOR_PRESETS: dict[str, ExecutorSpec] = {
+EXECUTOR_PRESETS = ExecutorSpec.PRESETS = {
     "serial": ExecutorSpec(name="serial", backend="serial"),
     "parallel": ExecutorSpec(name="parallel", backend="parallel"),
     "parallel-unchunked": ExecutorSpec(
@@ -202,38 +166,6 @@ EXECUTOR_PRESETS: dict[str, ExecutorSpec] = {
     ),
 }
 
-
-def executor_preset(name: str) -> ExecutorSpec:
-    """Look up a builtin :class:`ExecutorSpec` by name."""
-    try:
-        return EXECUTOR_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor preset {name!r}; builtin presets: "
-            f"{', '.join(sorted(EXECUTOR_PRESETS))}"
-        ) from None
-
-
-def resolve_executor(
-    executor: "ExecutorSpec | str | None",
-) -> ExecutorSpec:
-    """Normalise an ``executor=`` argument to an :class:`ExecutorSpec`.
-
-    Accepts a spec, a builtin preset name (see :data:`EXECUTOR_PRESETS`)
-    or ``None`` (the serial default) — the same idiom as
-    :func:`repro.faults.spec.resolve_faults` and
-    :func:`repro.resilience.spec.resolve_resilience`.  Already-built
-    :class:`~repro.engine.executor.TrialExecutor` instances are accepted
-    directly by :func:`run_plan` / :func:`stream_plan` and never reach
-    this function.
-    """
-    if executor is None:
-        return EXECUTOR_PRESETS["serial"]
-    if isinstance(executor, str):
-        return executor_preset(executor)
-    if isinstance(executor, ExecutorSpec):
-        return executor
-    raise ConfigurationError(
-        f"'executor' must be an ExecutorSpec, a preset name or None, "
-        f"got {type(executor).__name__}"
-    )
+# The blessed functional spellings (repro.api) of the kernel methods.
+executor_preset = ExecutorSpec.preset
+resolve_executor = ExecutorSpec.resolve

@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from repro.analysis.metrics import message_cost, relative_error
 from repro.churn.models import ChurnModel
-from repro.churn.spec import ChurnSpec, resolve_churn
+from repro.churn.spec import ChurnBuilder, ChurnSpec, resolve_churn
 from repro.core.aggregates import Aggregate, by_name
 from repro.core.dissemination_spec import (
     BroadcastRecord,
@@ -50,10 +50,6 @@ from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
 from repro.topology import generators
 from repro.topology.graph import Topology
-
-#: Builds a churn model from a process factory (the runner owns the factory
-#: so arrivals get fresh values).
-ChurnBuilder = Callable[[Callable[[], Process]], ChurnModel]
 
 #: Population size at which an in-memory trace sink becomes a memory
 #: hazard: a 10⁴-entity trial records millions of TraceEvents, and the
@@ -134,12 +130,12 @@ class QueryConfig:
         churn_stop: freeze churn at this time (finite-arrival phases).
         faults: optional fault plan — a declarative (picklable)
             :class:`~repro.faults.spec.FaultPlan` or a builtin preset name
-            (see :data:`repro.faults.presets.FAULT_PRESETS`).  ``None`` and
+            (see :data:`repro.faults.spec.FAULT_PRESETS`).  ``None`` and
             ``FaultPlan.none()`` install nothing and are byte-identical.
         resilience: optional recovery layer — a declarative (picklable)
             :class:`~repro.resilience.spec.ResilienceSpec` or a builtin
             preset name (see
-            :data:`repro.resilience.presets.RESILIENCE_PRESETS`).  ``None``
+            :data:`repro.resilience.spec.RESILIENCE_PRESETS`).  ``None``
             and a disabled spec install nothing and are byte-identical.
         trace_sink: transport-event sink — a name from
             :data:`repro.obs.sinks.SINK_NAMES` (``"memory"``/``"jsonl"``/

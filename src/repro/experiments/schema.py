@@ -29,12 +29,11 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro import wire
 from repro.churn.spec import ChurnSpec
 from repro.engine.plan import ExperimentPlan, build_plan
-from repro.engine.spec import ExecutorSpec, executor_preset
-from repro.faults.presets import fault_preset
+from repro.engine.spec import ExecutorSpec
 from repro.faults.spec import FaultPlan
-from repro.resilience.presets import resilience_preset
 from repro.resilience.spec import ResilienceSpec
 from repro.sim.errors import ConfigurationError
 
@@ -121,17 +120,8 @@ class ExpectSpec:
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "ExpectSpec":
-        if not isinstance(record, Mapping):
-            raise ConfigurationError(
-                f"each expect rule must be a mapping, got "
-                f"{type(record).__name__}"
-            )
-        unknown = sorted(set(record) - {"where", "metric", "op", "value"})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown expect rule field(s) {unknown}; known: "
-                "metric, op, value, where"
-            )
+        record = wire.mapping(record, "each expect rule")
+        wire.reject_unknown(record, wire.field_defaults(cls), "expect rule")
         where = record.get("where", {})
         if not isinstance(where, Mapping):
             raise ConfigurationError("expect 'where' must be a mapping")
@@ -206,18 +196,8 @@ class RefineSpec:
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "RefineSpec":
-        if not isinstance(record, Mapping):
-            raise ConfigurationError(
-                f"'refine' must be a mapping, got {type(record).__name__}"
-            )
-        known = {"axis", "metric", "op", "threshold", "max_depth", "min_gap"}
-        unknown = sorted(set(record) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown refine field(s) {unknown}; known: "
-                f"{', '.join(sorted(known))}"
-            )
-        params = dict(record)
+        params = wire.mapping(record, "'refine'")
+        wire.reject_unknown(params, wire.field_defaults(cls), "refine")
         if "axis" not in params:
             raise ConfigurationError("refine block needs an 'axis'")
         return cls(
@@ -319,12 +299,9 @@ class ExperimentDef:
                         f"to bisect; got {value!r}"
                     )
         # Fail at definition time, not inside a pool worker.
-        if isinstance(self.faults, str):
-            fault_preset(self.faults)
-        if isinstance(self.resilience, str):
-            resilience_preset(self.resilience)
-        if isinstance(self.executor, str):
-            executor_preset(self.executor)
+        FaultPlan.resolve(self.faults)
+        ResilienceSpec.resolve(self.resilience)
+        ExecutorSpec.resolve(self.executor)
 
     # ------------------------------------------------------------------
     # Lowering to the engine plan
@@ -403,17 +380,11 @@ class ExperimentDef:
             record["trials"] = self.trials
         record["root_seed"] = self.root_seed
         if self.churn is not None:
-            churn: dict[str, Any] = {"kind": self.churn.kind}
-            for churn_field in (
-                "rate", "lifetime_mean", "pareto_alpha", "pareto_xm", "cap",
-                "total_arrivals", "storm_length", "calm_length",
-                "doom_initial",
-            ):
-                value = getattr(self.churn, churn_field)
-                default = getattr(ChurnSpec(), churn_field)
-                if value != default:
-                    churn[churn_field] = value
-            record["churn"] = churn
+            record["churn"] = {"kind": self.churn.kind} | {
+                name: getattr(self.churn, name)
+                for name, default in wire.field_defaults(ChurnSpec).items()
+                if getattr(self.churn, name) != default
+            }
         if self.faults is not None:
             record["faults"] = (
                 self.faults if isinstance(self.faults, str)
@@ -440,33 +411,15 @@ class ExperimentDef:
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "ExperimentDef":
         """Validate and canonicalise a plain-data experiment document."""
-        if not isinstance(record, Mapping):
-            raise ConfigurationError(
-                f"experiment document must be a mapping, got "
-                f"{type(record).__name__}"
-            )
-        if record.get("schema", EXPERIMENT_SCHEMA) != EXPERIMENT_SCHEMA:
-            raise ConfigurationError(
-                f"not a {EXPERIMENT_SCHEMA} document "
-                f"(schema={record.get('schema')!r})"
-            )
-        version = record.get("version", EXPERIMENT_VERSION)
-        if version != EXPERIMENT_VERSION:
-            raise ConfigurationError(
-                f"unsupported experiment schema version {version!r}; this "
-                f"release reads version {EXPERIMENT_VERSION}"
-            )
-        known = {
-            "schema", "version", "name", "description", "kind", "grid",
-            "base", "trials", "root_seed", "seeds", "churn", "faults",
-            "resilience", "executor", "check_invariants", "expect", "refine",
-        }
-        unknown = sorted(set(record) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown experiment field(s) {unknown}; known: "
-                f"{', '.join(sorted(known))}"
-            )
+        record = wire.mapping(record, "experiment document")
+        wire.check_header(record, EXPERIMENT_SCHEMA, EXPERIMENT_VERSION,
+                          "experiment schema")
+        wire.reject_unknown(record, wire.field_defaults(cls), "experiment")
+        with wire.malformed("experiment"):
+            return cls._from_fields(record)
+
+    @classmethod
+    def _from_fields(cls, record: dict[str, Any]) -> "ExperimentDef":
         if "name" not in record:
             raise ConfigurationError("experiment needs a 'name'")
         if "trials" in record and "seeds" in record:
@@ -508,26 +461,19 @@ class ExperimentDef:
         churn_in = record.get("churn")
         churn = None
         if churn_in is not None:
-            if not isinstance(churn_in, Mapping):
-                raise ConfigurationError(
-                    "'churn' must be a mapping of ChurnSpec fields"
-                )
-            try:
-                churn = ChurnSpec(**dict(churn_in))
-            except TypeError as error:
-                raise ConfigurationError(f"bad churn block: {error}") from None
-            churn.builder()  # validate the kind eagerly
-
-        def spec_or_name(key: str, loader: Any) -> Any:
-            value = record.get(key)
-            if value is None or isinstance(value, str):
-                return value
-            if isinstance(value, Mapping):
-                return loader(value)
-            raise ConfigurationError(
-                f"'{key}' must be a builtin preset name or an inline "
-                f"mapping, got {type(value).__name__}"
-            )
+            churn_in = wire.mapping(churn_in, "churn spec")
+            wire.reject_unknown(churn_in, wire.field_defaults(ChurnSpec),
+                                "churn spec")
+            churn = ChurnSpec(**churn_in)
+        # A preset name stays a name (it dumps as one); an inline mapping is
+        # a spec record.  __post_init__ resolves both and refuses the rest.
+        specs = {
+            key: family.from_dict(record[key])
+            if isinstance(record.get(key), Mapping) else record.get(key)
+            for key, family in (("faults", FaultPlan),
+                                ("resilience", ResilienceSpec),
+                                ("executor", ExecutorSpec))
+        }
 
         expect_in = record.get("expect", [])
         if not isinstance(expect_in, (list, tuple)):
@@ -545,9 +491,7 @@ class ExperimentDef:
             root_seed=int(record.get("root_seed", 2007)),
             seeds=seeds,
             churn=churn,
-            faults=spec_or_name("faults", FaultPlan.from_dict),
-            resilience=spec_or_name("resilience", ResilienceSpec.from_dict),
-            executor=spec_or_name("executor", ExecutorSpec.from_dict),
+            **specs,
             check_invariants=bool(record.get("check_invariants", False)),
             expect=tuple(ExpectSpec.from_dict(rule) for rule in expect_in),
             refine=(RefineSpec.from_dict(refine_in)

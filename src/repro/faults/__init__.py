@@ -5,8 +5,7 @@ first-class, declarative, seeded object:
 
 * :mod:`repro.faults.spec` — :class:`FaultSpec` / :class:`FaultPlan`,
   plain frozen data (picklable, JSON round-trippable) describing *when*
-  and *how* the network misbehaves.
-* :mod:`repro.faults.presets` — named builtin plans
+  and *how* the network misbehaves, and the named builtin plans
   (``drop-storm``, ``split-brain``, ``chaos-mix``, …).
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which compiles a
   plan into simulator events and interposes on

@@ -331,9 +331,7 @@ def install_plan(
     plans install nothing and return ``None``, preserving byte-identical
     no-plan behavior.
     """
-    from repro.faults.spec import resolve_faults
-
-    resolved = resolve_faults(plan)
+    resolved = FaultPlan.resolve(plan)
     if resolved is None:
         return None
     injector = FaultInjector(resolved, protected=protected)

@@ -21,11 +21,11 @@ fault window never perturbs the delays of messages outside it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
 from repro.sim.errors import ConfigurationError
+from repro.wire import WireSpec
 
 #: The fault vocabulary, mirroring the adversaries of the paper's two
 #: dimensions: message-level mischief (geography as *quality*), link and
@@ -45,13 +45,9 @@ FAULT_KINDS = (
 #: point (they need an open time window).
 MESSAGE_KINDS = frozenset({"drop_burst", "duplicate", "delay_spike"})
 
-#: JSON schema identifier for serialised plans.
-PLAN_SCHEMA = "repro-fault-plan"
-PLAN_VERSION = 1
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(WireSpec):
     """One scheduled fault: a kind, a time window and its parameters.
 
     Attributes:
@@ -75,7 +71,13 @@ class FaultSpec:
         links: optional link whitelist as ``(a, b)`` pid pairs; restricts
             message-level faults and ``link_flap`` to those links
             (``None`` = every link).
+
+    On the wire a spec is an element of its plan's ``specs`` list (no
+    header; ``links`` appears only when set).
     """
+
+    LABEL = "fault spec"
+    OMIT_NONE = frozenset({"links"})
 
     kind: str
     start: float = 0.0
@@ -177,64 +179,44 @@ class FaultSpec:
             self.fraction, self.rejoin_after, self.links or (),
         )
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form (lossless; see :meth:`from_dict`)."""
-        record: dict[str, Any] = {"kind": self.kind}
-        for spec_field in fields(self):
-            if spec_field.name == "kind":
-                continue
-            value = getattr(self, spec_field.name)
-            if spec_field.name == "links":
-                if value is not None:
-                    record["links"] = [[a, b] for a, b in value]
-                continue
-            record[spec_field.name] = value
-        return record
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "FaultSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(record) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault spec field(s) {unknown}; known: "
-                f"{', '.join(sorted(known))}"
-            )
-        params = dict(record)
-        links = params.get("links")
-        if links is not None:
-            params["links"] = tuple((a, b) for a, b in links)
-        return cls(**params)
-
 
 def _canonical(specs: Iterable[FaultSpec]) -> tuple[FaultSpec, ...]:
     return tuple(sorted(specs, key=FaultSpec._sort_key))
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(WireSpec):
     """A composable, picklable schedule of faults.
 
     Specs are kept in canonical (start-time) order, so two plans built from
     the same specs in any order compare equal and compile to the identical
-    event schedule — composition is order-insensitive by construction.
+    event schedule — composition is order-insensitive by construction.  A
+    spec may be given in its wire form (a mapping, see :class:`FaultSpec`).
+    The wire format is ``repro-fault-plan`` v1 (:mod:`repro.wire`); an empty
+    plan resolves to ``None``.
     """
+
+    SCHEMA = "repro-fault-plan"
+    LABEL = "fault plan"
 
     name: str = ""
     specs: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        for spec in self.specs:
+        specs = tuple(
+            FaultSpec.from_dict(spec) if isinstance(spec, Mapping) else spec
+            for spec in self.specs
+        )
+        for spec in specs:
             if not isinstance(spec, FaultSpec):
                 raise ConfigurationError(
                     f"plan specs must be FaultSpec, got {type(spec).__name__}"
                 )
-        object.__setattr__(self, "specs", _canonical(self.specs))
+        object.__setattr__(self, "specs", _canonical(specs))
+
+    @classmethod
+    def _active(cls, plan: "FaultPlan | None") -> "FaultPlan | None":
+        return plan or None
 
     # ------------------------------------------------------------------
     # Construction & composition
@@ -283,46 +265,6 @@ class FaultPlan:
         """The distinct fault kinds in this plan, sorted."""
         return tuple(sorted({spec.kind for spec in self.specs}))
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": PLAN_SCHEMA,
-            "version": PLAN_VERSION,
-            "name": self.name,
-            "specs": [spec.to_dict() for spec in self.specs],
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, indent 2, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "FaultPlan":
-        if record.get("schema", PLAN_SCHEMA) != PLAN_SCHEMA:
-            raise ConfigurationError(
-                f"not a {PLAN_SCHEMA} document "
-                f"(schema={record.get('schema')!r})"
-            )
-        version = record.get("version", PLAN_VERSION)
-        if version != PLAN_VERSION:
-            raise ConfigurationError(
-                f"unsupported fault plan version {version!r}; this release "
-                f"reads version {PLAN_VERSION}"
-            )
-        return cls(
-            name=record.get("name", ""),
-            specs=tuple(
-                FaultSpec.from_dict(entry) for entry in record.get("specs", ())
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
     def shifted(self, offset: float) -> "FaultPlan":
         """A copy with every spec's start moved by ``offset`` (>= 0 total)."""
         return FaultPlan(
@@ -333,23 +275,59 @@ class FaultPlan:
         )
 
 
-def resolve_faults(faults: "FaultPlan | str | None") -> FaultPlan | None:
-    """Normalise a config's ``faults`` field to a plan (or ``None``).
+#: The builtin plans, by name: the vocabulary of ``--fault-plan NAME`` and of
+#: the string form of the ``faults`` config field.  Each is a small,
+#: representative adversary sized so the stock E1–E21 trials (horizon ≈ 150,
+#: activity in the first few tens of time units) feel it; the chaos audit
+#: (``benchmarks/test_chaos_audit.py``) runs every one under the full
+#: invariant-checker battery.  Plans are frozen, so sharing them is safe.
+FAULT_PRESETS = FaultPlan.PRESETS = {
+    # Message-level mischief: geography degrades in *quality*.
+    "drop-storm": FaultPlan.of(
+        FaultSpec("drop_burst", start=2.0, duration=10.0, probability=0.3),
+        name="drop-storm",
+    ),
+    "dup-flood": FaultPlan.of(
+        FaultSpec("duplicate", start=2.0, duration=10.0, probability=0.5,
+                  copies=2),
+        name="dup-flood",
+    ),
+    "jitter-spike": FaultPlan.of(
+        FaultSpec("delay_spike", start=2.0, duration=10.0, probability=1.0,
+                  magnitude=3.0),
+        name="jitter-spike",
+    ),
+    # Geography degrades in *reachability*.
+    "flaky-links": FaultPlan.of(
+        FaultSpec("link_flap", start=2.0, duration=1.5, probability=0.2,
+                  count=3, period=4.0),
+        name="flaky-links",
+    ),
+    "split-brain": FaultPlan.of(
+        FaultSpec("partition", start=3.0, duration=12.0, fraction=0.5),
+        name="split-brain",
+    ),
+    # The entity dimension, without the courtesy of a goodbye.
+    "silent-crash": FaultPlan.of(
+        FaultSpec("crash", start=3.0, count=2),
+        name="silent-crash",
+    ),
+    "amnesia": FaultPlan.of(
+        FaultSpec("crash_rejoin", start=3.0, count=1, rejoin_after=5.0),
+        name="amnesia",
+    ),
+    # Everything at once: the paper's adversary on a bad day.
+    "chaos-mix": FaultPlan.of(
+        FaultSpec("drop_burst", start=2.0, duration=8.0, probability=0.2),
+        FaultSpec("delay_spike", start=6.0, duration=8.0, probability=0.5,
+                  magnitude=2.0),
+        FaultSpec("link_flap", start=4.0, duration=1.0, probability=0.15,
+                  count=2, period=6.0),
+        FaultSpec("crash", start=5.0, count=1),
+        name="chaos-mix",
+    ),
+}
 
-    Accepts a :class:`FaultPlan`, a builtin preset name (see
-    :data:`repro.faults.presets.FAULT_PRESETS`) or ``None``.  Empty plans
-    normalise to ``None`` — that is what makes ``FaultPlan.none()``
-    byte-identical to configuring no plan at all.
-    """
-    if faults is None:
-        return None
-    if isinstance(faults, str):
-        from repro.faults.presets import fault_preset
-
-        faults = fault_preset(faults)
-    if isinstance(faults, FaultPlan):
-        return faults if faults.specs else None
-    raise ConfigurationError(
-        f"'faults' must be a FaultPlan or a preset name, "
-        f"got {type(faults).__name__}"
-    )
+# The blessed functional spellings (repro.api) of the kernel methods.
+fault_preset = FaultPlan.preset
+resolve_faults = FaultPlan.resolve

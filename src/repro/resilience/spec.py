@@ -20,12 +20,11 @@ never perturbs the delays or drops of the underlying network.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 from repro.sim.errors import ConfigurationError
+from repro.wire import WireSpec
 
 #: JSON schema identifier for serialised specs.
 SPEC_SCHEMA = "repro-resilience-spec"
@@ -33,7 +32,7 @@ SPEC_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ResilienceSpec:
+class ResilienceSpec(WireSpec):
     """One complete recovery policy for the reliable-delivery layer.
 
     Attributes:
@@ -69,7 +68,12 @@ class ResilienceSpec:
         exclude_kinds: message kinds the session layer passes through
             untracked (heartbeats by default: they are their own
             retransmission scheme).
+
+    The wire format is ``repro-resilience-spec`` v1 (:mod:`repro.wire`).
     """
+
+    SCHEMA = SPEC_SCHEMA
+    LABEL = "resilience spec"
 
     name: str = ""
     enabled: bool = True
@@ -130,86 +134,35 @@ class ResilienceSpec:
         """The off switch: resolves to ``None`` and installs nothing."""
         return cls(name="disabled", enabled=False)
 
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form (lossless; see :meth:`from_dict`)."""
-        record: dict[str, Any] = {
-            "schema": SPEC_SCHEMA,
-            "version": SPEC_VERSION,
-        }
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if spec_field.name == "exclude_kinds":
-                record["exclude_kinds"] = list(value)
-                continue
-            record[spec_field.name] = value
-        return record
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys, indent 2, trailing newline)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "ResilienceSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        if record.get("schema", SPEC_SCHEMA) != SPEC_SCHEMA:
-            raise ConfigurationError(
-                f"not a {SPEC_SCHEMA} document "
-                f"(schema={record.get('schema')!r})"
-            )
-        version = record.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigurationError(
-                f"unsupported resilience spec version {version!r}; this "
-                f"release reads version {SPEC_VERSION}"
-            )
-        params = {
-            key: value for key, value in record.items()
-            if key not in ("schema", "version")
-        }
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown resilience spec field(s) {unknown}; known: "
-                f"{', '.join(sorted(known))}"
-            )
-        kinds = params.get("exclude_kinds")
-        if kinds is not None:
-            params["exclude_kinds"] = tuple(kinds)
-        return cls(**params)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResilienceSpec":
-        return cls.from_dict(json.loads(text))
+    def _active(cls, spec: "ResilienceSpec | None") -> "ResilienceSpec | None":
+        return spec if spec is not None and spec.enabled else None
 
 
-def resolve_resilience(
-    resilience: "ResilienceSpec | str | None",
-) -> ResilienceSpec | None:
-    """Normalise a config's ``resilience`` field to a spec (or ``None``).
+#: The builtin policies, by name: the vocabulary of ``--resilience NAME``
+#: and of the string form of the ``resilience`` config field.  Each is one
+#: point on the recovery spectrum, sized for the stock trials (UniformDelay
+#: RTTs around 2 time units): the default ``base_rto`` of 3.0 sits just above
+#: the round-trip ceiling, so loss-free runs never retransmit spuriously.
+#: The E22 recovery audit (``benchmarks/test_e22_recovery_audit.py``)
+#: measures what each buys back under every fault preset.
+RESILIENCE_PRESETS = ResilienceSpec.PRESETS = {
+    # Reliable delivery with adaptive (Jacobson) retransmission timers.
+    "arq": ResilienceSpec(name="arq"),
+    # The same ARQ with a fixed base_rto timer — the ablation arm that
+    # shows what RTT estimation buys under jitter.
+    "arq-static": ResilienceSpec(name="arq-static", adaptive_rto=False),
+    # ARQ plus a per-link circuit breaker (pairs with link_flap faults).
+    "breaker": ResilienceSpec(name="breaker", breaker_threshold=3),
+    # Everything on: breaker + RTT-adaptive failure-detector timeouts.
+    "full": ResilienceSpec(
+        name="full", breaker_threshold=3, adaptive_detector=True
+    ),
+}
 
-    Accepts a :class:`ResilienceSpec`, a builtin preset name (see
-    :data:`repro.resilience.presets.RESILIENCE_PRESETS`) or ``None``.
-    Disabled specs normalise to ``None`` — that is what makes
-    ``ResilienceSpec.disabled()`` byte-identical to configuring no
-    resilience at all.
-    """
-    if resilience is None:
-        return None
-    if isinstance(resilience, str):
-        from repro.resilience.presets import resilience_preset
-
-        resilience = resilience_preset(resilience)
-    if isinstance(resilience, ResilienceSpec):
-        return resilience if resilience.enabled else None
-    raise ConfigurationError(
-        f"'resilience' must be a ResilienceSpec or a preset name, "
-        f"got {type(resilience).__name__}"
-    )
+# The blessed functional spellings (repro.api) of the kernel methods.
+resilience_preset = ResilienceSpec.preset
+resolve_resilience = ResilienceSpec.resolve
 
 
 # ----------------------------------------------------------------------

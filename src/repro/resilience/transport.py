@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.resilience.spec import ResilienceSpec, resolve_resilience, retry_delay
+from repro.resilience.spec import ResilienceSpec, retry_delay
 from repro.sim import trace as tr
 from repro.sim.errors import ConfigurationError
 from repro.sim.messages import Message
@@ -170,7 +170,7 @@ class ReliableTransport:
         if not spec.enabled:
             raise ConfigurationError(
                 "cannot install a disabled ResilienceSpec; "
-                "resolve_resilience() returns None for it"
+                "ResilienceSpec.resolve() returns None for it"
             )
         self.spec = spec
         self._sim: "Simulator | None" = None
@@ -482,7 +482,7 @@ def install_resilience(
     an unset config field all install nothing and leave the simulation
     byte-identical to a run without the resilience plane.
     """
-    spec = resolve_resilience(resilience)
+    spec = ResilienceSpec.resolve(resilience)
     if spec is None:
         return None
     return ReliableTransport(spec).install(sim)

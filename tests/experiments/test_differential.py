@@ -23,7 +23,7 @@ from repro.engine.results import load_document
 from repro.engine.spec import ExecutorSpec
 from repro.engine.telemetry import plan_digest
 from repro.experiments import load_experiment, loads_experiment
-from repro.faults.presets import FAULT_PRESETS
+from repro.faults.spec import FAULT_PRESETS
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "experiments"
 E4_YAML = EXAMPLES / "e4_churn_sweep.yaml"

@@ -6,12 +6,13 @@ import pickle
 
 import pytest
 
-from repro.faults.presets import FAULT_PRESETS, PRESET_NAMES, fault_preset
 from repro.faults.spec import (
     FAULT_KINDS,
+    FAULT_PRESETS,
     MESSAGE_KINDS,
     FaultPlan,
     FaultSpec,
+    fault_preset,
     resolve_faults,
 )
 from repro.sim.errors import ConfigurationError
@@ -173,10 +174,6 @@ class TestPresets:
             kind for plan in FAULT_PRESETS.values() for kind in plan.kinds()
         }
         assert covered == set(FAULT_KINDS)
-
-    def test_preset_names_match_plan_names(self):
-        for name in PRESET_NAMES:
-            assert fault_preset(name).name == name
 
     def test_presets_are_nonempty_and_round_trip(self):
         for plan in FAULT_PRESETS.values():

@@ -6,16 +6,13 @@ import random
 
 import pytest
 
-from repro.resilience.presets import (
-    PRESET_NAMES,
-    RESILIENCE_PRESETS,
-    resilience_preset,
-)
 from repro.resilience.spec import (
+    RESILIENCE_PRESETS,
     SPEC_SCHEMA,
     SPEC_VERSION,
     ResilienceSpec,
     backoff_schedule,
+    resilience_preset,
     resolve_resilience,
     retry_delay,
 )
@@ -120,10 +117,6 @@ class TestResolve:
 
 
 class TestPresets:
-    def test_names_cover_the_table(self):
-        assert PRESET_NAMES == tuple(sorted(RESILIENCE_PRESETS))
-        assert "arq" in PRESET_NAMES and "full" in PRESET_NAMES
-
     @pytest.mark.parametrize("name", sorted(RESILIENCE_PRESETS))
     def test_presets_enabled_and_labelled(self, name):
         spec = resilience_preset(name)
