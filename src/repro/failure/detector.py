@@ -80,8 +80,9 @@ class HeartbeatNode(AggregatingProcess):
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
+        now = self.now
         for neighbor in self.neighbors():
-            self._last_heard[neighbor] = self.now
+            self._last_heard[neighbor] = now
         # Random initial phase desynchronises heartbeats across processes.
         self.set_timer(self.rng.uniform(0, self.period), "fd-beat", None)
         self.set_timer(self.timeout, "fd-check", None)
@@ -95,34 +96,37 @@ class HeartbeatNode(AggregatingProcess):
             self.set_timer(self.period, "fd-check", None)
 
     def _check_silences(self) -> None:
-        # Monitor everyone we hold heartbeat state for, not just the
-        # current neighbor set: under *silent* departures
-        # (``notify_leaves=False``) a crashed neighbor vanishes from the
-        # adjacency without a callback, and its lingering ``_last_heard``
-        # entry is precisely how its silence is noticed.
-        for target in sorted(self._last_heard):
-            heard = self._last_heard[target]
-            if target not in self._suspected and self.now - heard > self._timeout_for(target):
-                self._suspected.add(target)
-                self.suspicions_raised += 1
-                self.sim.metrics.inc("detector.suspicions")
-                self.record(SUSPECT, target=target)
-                self.on_suspect(target)
-
-    def _timeout_for(self, target: int) -> float:
-        """The silence threshold for ``target``.
+        """Suspect every unsuspected target silent for longer than its
+        threshold.
 
         With a resilience layer in adaptive-detector mode the threshold is
         derived from the link's RTT estimate (see
         :meth:`repro.resilience.transport.ReliableTransport.detector_timeout`);
         otherwise the static ``timeout`` applies.
         """
-        transport = getattr(self.sim.network, "resilience", None)
-        if transport is not None and transport.spec.adaptive_detector:
-            return transport.detector_timeout(
-                self.pid, target, fallback=self.timeout, period=self.period
+        now = self.now
+        transport = self._sim.network.resilience
+        if transport is not None and not transport.spec.adaptive_detector:
+            transport = None
+        # Monitor everyone we hold heartbeat state for, not just the
+        # current neighbor set: under *silent* departures
+        # (``notify_leaves=False``) a crashed neighbor vanishes from the
+        # adjacency without a callback, and its lingering ``_last_heard``
+        # entry is precisely how its silence is noticed.
+        for target in sorted(self._last_heard):
+            if target in self._suspected:
+                continue
+            timeout = self.timeout if transport is None else (
+                transport.detector_timeout(
+                    self.pid, target, fallback=self.timeout, period=self.period
+                )
             )
-        return self.timeout
+            if now - self._last_heard[target] > timeout:
+                self._suspected.add(target)
+                self.suspicions_raised += 1
+                self._sim.metrics.inc("detector.suspicions")
+                self.record(SUSPECT, target=target)
+                self.on_suspect(target)
 
     def _restore(self, pid: int) -> None:
         """Retract a suspicion on ``pid`` (no-op if not suspected)."""
@@ -136,8 +140,10 @@ class HeartbeatNode(AggregatingProcess):
 
     def on_message(self, message: Message) -> None:
         if message.kind == HEARTBEAT:
-            self._last_heard[message.sender] = self.now
-            self._restore(message.sender)
+            sender = message.sender
+            self._last_heard[sender] = self.now
+            if sender in self._suspected:
+                self._restore(sender)
 
     def on_neighbor_join(self, pid: int) -> None:
         self._last_heard[pid] = self.now

@@ -9,7 +9,8 @@
 * registers itself as the **single interposition point** on
   :meth:`repro.sim.network.Network.send`: while a message-level window is
   open, each send is offered to :meth:`send_effect`, which may drop it,
-  delay it or duplicate it.
+  delay it or duplicate it (with every window closed, a send costs the
+  injector no call).
 
 Every activation is counted under ``faults.injected`` (and
 ``faults.injected.<kind>``) in the metrics registry and recorded as a
@@ -79,8 +80,10 @@ class FaultInjector:
         self._sim: "Simulator | None" = None
         self._factory: Callable[[], "Process"] | None = None
         self._attachment: AttachmentRule = UniformAttachment(2)
-        #: Open message-level windows as (spec index, spec), in spec order.
-        self._active: list[tuple[int, FaultSpec]] = []
+        #: Open message-level windows as (spec index, spec), in spec order;
+        #: ``Network.send`` offers a message to :meth:`send_effect` only
+        #: while this is non-empty.
+        self.windows: list[tuple[int, FaultSpec]] = []
         self.partitions: list[PartitionFault] = []
 
     # ------------------------------------------------------------------
@@ -179,15 +182,15 @@ class FaultInjector:
     # --- message-level windows ---------------------------------------
 
     def _open_window(self, index: int, spec: FaultSpec) -> None:
-        self._active.append((index, spec))
-        self._active.sort(key=lambda pair: pair[0])
+        self.windows.append((index, spec))
+        self.windows.sort(key=lambda pair: pair[0])
         self._record_injection(
             index, spec, until=spec.start + spec.duration,
             probability=spec.probability,
         )
 
     def _close_window(self, index: int, spec: FaultSpec) -> None:
-        self._active = [pair for pair in self._active if pair[0] != index]
+        self.windows = [pair for pair in self.windows if pair[0] != index]
         self.sim.trace.record(
             self.sim.now, tr.FAULT_CLEARED, fault=spec.kind, spec=index
         )
@@ -293,7 +296,7 @@ class FaultInjector:
         draws, no allocation).  Specs are consulted in plan order; a drop
         short-circuits the rest.
         """
-        if not self._active:
+        if not self.windows:
             return None
         link = (
             min(message.sender, message.receiver),
@@ -301,7 +304,7 @@ class FaultInjector:
         )
         extra_delay = 0.0
         copies = 0
-        for index, spec in self._active:
+        for index, spec in self.windows:
             if spec.links is not None and link not in spec.links:
                 continue
             if spec.kind == "drop_burst":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.failure.detector import HeartbeatNode
+from repro.failure.detector import HEARTBEAT, HeartbeatNode
 from repro.protocols.one_time_query import WaveNode
 from repro.sim.messages import Message
 
@@ -67,8 +67,12 @@ class FaultTolerantWaveNode(WaveNode, HeartbeatNode):
         HeartbeatNode.on_start(self)
 
     def on_message(self, message: Message) -> None:
-        WaveNode.on_message(self, message)
-        HeartbeatNode.on_message(self, message)
+        # Each layer reads only its own kinds: a heartbeat goes straight
+        # to the detector, everything else to the wave.
+        if message.kind == HEARTBEAT:
+            HeartbeatNode.on_message(self, message)
+        else:
+            WaveNode.on_message(self, message)
 
     def on_timer(self, name: str, payload: Any) -> None:
         WaveNode.on_timer(self, name, payload)

@@ -55,7 +55,7 @@ class ResilienceSpec(WireSpec):
         adaptive_detector: let the heartbeat failure detector derive its
             silence threshold from the link RTT estimate instead of the
             static ``timeout`` (see
-            :meth:`repro.failure.detector.HeartbeatNode._timeout_for`).
+            :meth:`repro.failure.detector.HeartbeatNode._check_silences`).
         detector_beta: RTTVAR multiplier for the adaptive detector timeout.
         breaker_threshold: consecutive delivery timeouts on a link before
             its circuit breaker trips open (``0`` disables the breaker).

@@ -462,7 +462,9 @@ class ReliableTransport:
         so the detector can never out-race its own heartbeat cadence.
         Falls back to the static ``fallback`` until samples exist.
         """
-        estimator = self._rtt.get(_link_key(monitor, target))
+        # ``_link_key``, inline: the detector asks once per target per sweep.
+        link = (monitor, target) if monitor <= target else (target, monitor)
+        estimator = self._rtt.get(link)
         if estimator is None or estimator.srtt is None:
             return fallback
         adaptive = (

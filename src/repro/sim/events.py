@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -148,15 +149,28 @@ class HeapEventQueue:
         Raises:
             SchedulingError: if the queue is empty.
         """
+        event = self.pop_due()
+        if event is None:
+            raise SchedulingError("pop from empty event queue")
+        return event
+
+    def pop_due(self, limit: float = math.inf) -> Event | None:
+        """Remove and return the earliest live event if it fires at or
+        before ``limit``; otherwise remove nothing and return ``None``."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
+            entry = heap[0]
+            event = entry[3]
             if event.cancelled:
+                heapq.heappop(heap)
                 _discarded(self)
-                continue
-            self._live -= 1
-            return event
-        raise SchedulingError("pop from empty event queue")
+            elif entry[0] > limit:
+                return None
+            else:
+                heapq.heappop(heap)
+                self._live -= 1
+                return event
+        return None
 
     def peek_time(self) -> float | None:
         """Return the firing time of the earliest live event, or ``None``."""
@@ -303,9 +317,10 @@ class CalendarEventQueue:
             self._maybe_resize()
         return event
 
-    def _scan(self, remove: bool) -> Event | None:
-        """Find (and optionally remove) the earliest live event; ``None``
-        if only cancelled entries were left.
+    def _scan(self, limit: float) -> Event | None:
+        """Find the earliest live event — ``None`` if only cancelled
+        entries were left — and remove it if it fires at or before
+        ``limit``.
 
         Walks forward from the cursor for at most one calendar rotation;
         if nothing lands inside its own "day" (sparse far-future events),
@@ -322,7 +337,7 @@ class CalendarEventQueue:
                 event = bucket[0]
                 if int(event.time / width) == v:
                     self._vcur = v
-                    if remove:
+                    if event.time <= limit:
                         del bucket[0]
                         self._live -= 1
                     return event
@@ -337,7 +352,7 @@ class CalendarEventQueue:
         if best is None:
             return None
         self._vcur = int(best.time / width)
-        if remove:
+        if best.time <= limit:
             del self._buckets[self._vcur & self._mask][0]
             self._live -= 1
         return best
@@ -348,7 +363,15 @@ class CalendarEventQueue:
         Raises:
             SchedulingError: if the queue is empty.
         """
-        # The scan's first probe, inline: a peek has usually just left the
+        event = self.pop_due()
+        if event is None:
+            raise SchedulingError("pop from empty event queue")
+        return event
+
+    def pop_due(self, limit: float = math.inf) -> Event | None:
+        """Remove and return the earliest live event if it fires at or
+        before ``limit``; otherwise remove nothing and return ``None``."""
+        # The scan's first probe, inline: the previous pop usually left the
         # cursor on the bucket whose front is the answer.
         bucket = self._buckets[self._vcur & self._mask]
         if (
@@ -356,27 +379,22 @@ class CalendarEventQueue:
             and not bucket[0].cancelled
             and int(bucket[0].time / self._width) == self._vcur
         ):
-            event = bucket.pop(0)
+            event = bucket[0]
+            if event.time > limit:
+                return None
+            del bucket[0]
             self._live -= 1
         else:
-            event = self._scan(remove=True) if self._live else None
-            if event is None:
-                raise SchedulingError("pop from empty event queue")
+            event = self._scan(limit) if self._live else None
+            if event is None or event.time > limit:
+                return None
         if self._nbuckets > self.MIN_BUCKETS and self._live < self._nbuckets // 4:
             self._maybe_resize()
         return event
 
     def peek_time(self) -> float | None:
         """Return the firing time of the earliest live event, or ``None``."""
-        # Same inline first probe as ``pop``.
-        bucket = self._buckets[self._vcur & self._mask]
-        if (
-            bucket
-            and not bucket[0].cancelled
-            and int(bucket[0].time / self._width) == self._vcur
-        ):
-            return bucket[0].time
-        event = self._scan(remove=False) if self._live else None
+        event = self._scan(-math.inf) if self._live else None
         return None if event is None else event.time
 
     def note_cancelled(self) -> None:
@@ -414,9 +432,10 @@ class EventQueue:
     live-event count exceeds ``calendar_threshold``.  Pass
     ``calendar_threshold=None`` to pin the heap backend.
 
-    The hot-path methods (``push``/``pop``/``peek_time``/``note_cancelled``)
-    are rebound to the backend's bound methods after migration, so the
-    facade adds no steady-state indirection.
+    The facade adds no frame to the hot path: ``push`` is the heap's push
+    inline, and ``pop``/``pop_due``/``peek_time``/``note_cancelled`` are
+    the backend's bound methods — all four, and ``push``, rebound to the
+    calendar's on migration.
     """
 
     def __init__(self, calendar_threshold: int | None = CALENDAR_THRESHOLD) -> None:
@@ -424,10 +443,16 @@ class EventQueue:
         self._impl: HeapEventQueue | CalendarEventQueue = HeapEventQueue(
             counter=self._counter
         )
-        self._threshold = calendar_threshold
-        self.pop = self._impl.pop
-        self.peek_time = self._impl.peek_time
-        self.note_cancelled = self._impl.note_cancelled
+        self._threshold = (
+            math.inf if calendar_threshold is None else calendar_threshold
+        )
+        self._bind(self._impl)
+
+    def _bind(self, impl: "HeapEventQueue | CalendarEventQueue") -> None:
+        self.pop = impl.pop
+        self.pop_due = impl.pop_due
+        self.peek_time = impl.peek_time
+        self.note_cancelled = impl.note_cancelled
 
     def __len__(self) -> int:
         return len(self._impl)
@@ -453,8 +478,16 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Schedule ``action`` at ``time`` and return the event handle."""
-        event = self._impl.push(time, action, priority=priority, label=label)
-        if self._threshold is not None and self._impl._live > self._threshold:
+        # HeapEventQueue.push, inline: one frame per push.  Promotion is
+        # one-way and rebinds ``push`` to the calendar's.
+        if time != time:  # NaN guard
+            raise SchedulingError("event time is NaN")
+        heap = self._impl
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, label)
+        heapq.heappush(heap._heap, (time, priority, seq, event))
+        heap._live += 1
+        if heap._live > self._threshold:
             self._promote()
         return event
 
@@ -465,12 +498,8 @@ class EventQueue:
         calendar = CalendarEventQueue(counter=self._counter)
         calendar._rebuild(live)
         self._impl = calendar
-        # Rebind the hot path straight to the backend; push can too, since
-        # promotion is one-way.
         self.push = calendar.push  # type: ignore[method-assign]
-        self.pop = calendar.pop
-        self.peek_time = calendar.peek_time
-        self.note_cancelled = calendar.note_cancelled
+        self._bind(calendar)
 
     def clear(self) -> None:
         """Drop every pending event."""

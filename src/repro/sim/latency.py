@@ -58,7 +58,8 @@ class UniformDelay(DelayModel):
         self.high = high
 
     def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
+        # ``rng.uniform``'s own expression, without its frame.
+        return self.low + (self.high - self.low) * rng.random()
 
     def bound(self) -> float | None:
         return self.high

@@ -28,6 +28,7 @@ from repro.sim.node import Process
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
 
+    from repro.obs.metrics import Counter, Histogram
     from repro.sim.scheduler import Simulator
 
 #: Bucket bounds for the deliveries-by-hop-count histogram (wave depths,
@@ -59,7 +60,8 @@ class Network:
     ) -> None:
         self._sim = sim
         self.delay_model = delay_model or UniformDelay()
-        self.loss_model = loss_model or NoLoss()
+        #: ``None``: reliable channels, and no call per message to say so.
+        self.loss_model = None if isinstance(loss_model, NoLoss) else loss_model
         self.complete = complete
         #: When False, departures are *silent*: neighbors get no
         #: ``on_neighbor_leave`` callback and must infer the crash from
@@ -79,9 +81,10 @@ class Network:
         self._last_delivery: dict[tuple[int, int], float] = {}
         #: The fault plane's single interposition point: when set (by
         #: :meth:`repro.faults.injector.FaultInjector.install`), every
-        #: accepted message is offered to ``fault_injector.send_effect``,
-        #: which may drop, delay or duplicate it.  ``None`` means faults
-        #: are structurally absent — no extra branches, draws or events.
+        #: message accepted while one of its windows is open is offered to
+        #: ``fault_injector.send_effect``, which may drop, delay or
+        #: duplicate it.  ``None`` means faults are structurally absent —
+        #: no extra branches, draws or events.
         self.fault_injector = None
         #: The resilience plane's interposition point: when set (by
         #: :meth:`repro.resilience.transport.ReliableTransport.install`),
@@ -114,10 +117,15 @@ class Network:
         # have created.
         self._msg_ids = itertools.count()
         # Per-event path state (see "Per-event budget" in docs/SCALING.md):
-        # the two names that depend only on the message kind, built once
-        # per kind, and the transport stream, fetched on the first send —
-        # streams are derived from their name, so when does not matter.
-        self._kind_names: dict[str, tuple[str, str]] = {}
+        # per message kind, the ``net.sent`` counters and the delivery
+        # label; the metric handles the path bumps in place, each bound
+        # where the path first writes it (a snapshot shows an instrument
+        # only once written); and the transport stream, fetched on the
+        # first send — streams are derived from their name, so when does
+        # not matter.
+        self._kinds: dict[str, tuple[Counter, Counter, str]] = {}
+        self._delays: Histogram | None = None
+        self._delivered: Counter | None = None
         self._transport_rng: "random.Random | None" = None
 
     # ------------------------------------------------------------------
@@ -463,28 +471,36 @@ class Network:
             # traffic and retransmissions pass through unchanged.
             message = self.resilience.outbound(message)
         sim = self._sim
-        metrics = sim.metrics
         kind = message.kind
-        names = self._kind_names.get(kind)
-        if names is None:
-            names = self._kind_names[kind] = (f"net.sent.{kind}", f"deliver:{kind}")
-        sent_counter, deliver_label = names
+        per_kind = self._kinds.get(kind)
+        if per_kind is None:
+            metrics = sim.metrics
+            per_kind = self._kinds[kind] = (
+                metrics.counter("net.sent"), metrics.counter(f"net.sent.{kind}"),
+                f"deliver:{kind}",
+            )
+        sent, sent_kind, deliver_label = per_kind
         msg_id = next(self._msg_ids)
-        metrics.inc("net.sent")
-        metrics.inc(sent_counter)
-        sim.trace.record(
-            sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
-            sender=sender, receiver=receiver,
-        )
+        sent.value += 1
+        sent_kind.value += 1
+        trace = sim.trace
+        if tr.SEND in trace.count_only:
+            trace._counts[tr.SEND] += 1
+        else:
+            trace.record(
+                sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
+                sender=sender, receiver=receiver,
+            )
         rng = self._transport_rng
         if rng is None:
             rng = self._transport_rng = sim.rng_for("transport")
-        if self.loss_model.is_lost(rng):
+        if self.loss_model is not None and self.loss_model.is_lost(rng):
             self._lose(message, msg_id, "loss", counter="net.dropped.loss")
             return
+        injector = self.fault_injector
         effect = (
-            self.fault_injector.send_effect(message)
-            if self.fault_injector is not None
+            injector.send_effect(message)
+            if injector is not None and injector.windows
             else None
         )
         if effect is not None and effect.drop:
@@ -498,21 +514,39 @@ class Network:
             else self.delay_model
         )
         delay = delay_model.sample(rng)
-        metrics.observe("net.delivery_delay", delay)
-        if effect is not None and effect.extra_delay > 0.0:
-            delay += effect.extra_delay
-            metrics.observe("faults.extra_delay", effect.extra_delay)
-        self._schedule_delivery(message, msg_id, delay, deliver_label)
-        if effect is not None and effect.copies > 0:
-            # Duplicates reuse the original msg_id (they *are* the same
-            # message, redelivered) and draw their delays from the fault
-            # stream so transport randomness is untouched.
-            fault_rng = sim.rng_for("faults")
-            metrics.inc("faults.duplicates", effect.copies)
-            for _ in range(effect.copies):
-                self._schedule_delivery(
-                    message, msg_id, delay_model.sample(fault_rng), deliver_label
+        histogram = self._delays
+        if histogram is None:
+            histogram = self._delays = sim.metrics.histogram("net.delivery_delay")
+        # Histogram.observe, inline.
+        histogram.count += 1
+        histogram.sum += delay
+        histogram.counts[bisect_left(histogram.buckets, delay)] += 1
+        delays = [delay]
+        if effect is not None:
+            if effect.extra_delay > 0.0:
+                delays[0] += effect.extra_delay
+                sim.metrics.observe("faults.extra_delay", effect.extra_delay)
+            if effect.copies > 0:
+                # Duplicates reuse the original msg_id (they *are* the same
+                # message, redelivered) and draw their delays from the
+                # fault stream so transport randomness is untouched.
+                fault_rng = sim.rng_for("faults")
+                sim.metrics.inc("faults.duplicates", effect.copies)
+                delays += [delay_model.sample(fault_rng) for _ in range(effect.copies)]
+        # Straight onto the queue, with the check ``Simulator.at`` makes.
+        now = sim._now
+        deliver = partial(self._deliver, message, msg_id)
+        for delay in delays:
+            deliver_at = now + delay
+            if self.fifo:
+                channel = (sender, receiver)
+                deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
+                self._last_delivery[channel] = deliver_at
+            if deliver_at < now:
+                raise SchedulingError(
+                    f"cannot schedule at {deliver_at} < now ({now})"
                 )
+            sim.queue.push(deliver_at, deliver, label=deliver_label)
 
     def _lose(
         self, message: Message, msg_id: int, reason: str, counter: str
@@ -534,46 +568,33 @@ class Network:
             receiver=message.receiver, reason=reason,
         )
 
-    def _schedule_delivery(
-        self, message: Message, msg_id: int, delay: float, label: str
-    ) -> None:
-        sim = self._sim
-        now = sim._now
-        deliver_at = now + delay
-        if self.fifo:
-            channel = (message.sender, message.receiver)
-            deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
-            self._last_delivery[channel] = deliver_at
-        # Straight onto the queue, with the check ``Simulator.at`` makes.
-        if deliver_at < now:
-            raise SchedulingError(
-                f"cannot schedule at {deliver_at} < now ({now})"
-            )
-        sim.queue.push(
-            deliver_at, partial(self._deliver, message, msg_id), label=label
-        )
-
     def _deliver(self, message: Message, msg_id: int) -> None:
         sim = self._sim
-        metrics = sim.metrics
         slot = self._slot_of.get(message.receiver)
         receiver = self._procs[slot] if slot is not None else None
         if receiver is None or not receiver._alive:
-            metrics.inc("net.dropped.receiver_absent")
+            sim.metrics.inc("net.dropped.receiver_absent")
             sim.trace.record(
                 sim._now, tr.DROP, msg_id=msg_id, msg_kind=message.kind,
                 sender=message.sender, receiver=message.receiver,
                 reason="receiver_absent",
             )
             return
-        metrics.inc("net.delivered")
+        delivered = self._delivered
+        if delivered is None:
+            delivered = self._delivered = sim.metrics.counter("net.delivered")
+        delivered.value += 1
         hops = message.payload.get("hops")
         if isinstance(hops, int):
-            metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
-        sim.trace.record(
-            sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
-            sender=message.sender, receiver=message.receiver,
-        )
+            sim.metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
+        trace = sim.trace
+        if tr.DELIVER in trace.count_only:
+            trace._counts[tr.DELIVER] += 1
+        else:
+            trace.record(
+                sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
+                sender=message.sender, receiver=message.receiver,
+            )
         if self.resilience is not None:
             # Acks are consumed and data is acknowledged + deduplicated
             # here, after the delivery is traced (the network did deliver

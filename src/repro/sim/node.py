@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any
 from repro.sim.errors import ProtocolError
 from repro.sim.events import Event
 from repro.sim.messages import Message
+from repro.sim.trace import TIMER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulator
@@ -58,7 +59,12 @@ class Process:
     def now(self) -> float:
         """Current simulation time (every process has a perfect local clock;
         the paper's model is about membership, not clock synchronisation)."""
-        return self.sim.now
+        try:
+            return self._sim._now  # type: ignore[union-attr]
+        except AttributeError:
+            raise ProtocolError(
+                f"process {self.pid} is not attached to a simulator"
+            ) from None
 
     @property
     def rng(self) -> random.Random:
@@ -147,7 +153,11 @@ class Process:
         self._timers.pop(timer_id, None)
         if self._alive:
             sim = self._sim or self.sim
-            sim.trace.record(sim._now, "timer", entity=self.pid, name=name)
+            trace = sim.trace
+            if TIMER in trace.count_only:
+                trace._counts[TIMER] += 1
+            else:
+                trace.record(sim._now, TIMER, entity=self.pid, name=name)
             self.on_timer(name, payload)
 
     def record(self, kind: str, **data: Any) -> None:

@@ -8,6 +8,7 @@ deterministic given its configuration and seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Set
 from typing import Any, Callable, Iterable
@@ -207,21 +208,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute one event; return ``False`` if the queue was empty."""
-        queue = self.queue
-        # Not ``if not queue``: its count includes events cancelled without
-        # ``note_cancelled()`` until they surface; the peek drops them.
-        if queue.peek_time() is None:
-            return False
-        event = queue.pop()
-        time = event.time
-        if time < self._now:
-            raise SchedulingError(
-                f"time went backwards: {time} < {self._now} ({event.label})"
-            )
-        self._now = time
-        self._events_executed += 1
-        event.action()
-        return True
+        return self._run_due(math.inf, 1) == 1
 
     def run(self, until: float | None = None, max_events: int = 5_000_000) -> float:
         """Run until the queue drains, ``until`` passes, or ``max_events``.
@@ -233,27 +220,48 @@ class Simulator:
 
         Events scheduled exactly at ``until`` are executed.  Returns the
         simulation time when the run stopped.
+
+        Raises:
+            SchedulingError: if ``until`` is NaN or earlier than
+                :attr:`now` (the clock never moves backwards), or if
+                ``max_events`` events ran and another one is due.
         """
-        queue = self.queue
-        step = self.step
-        executed = 0
-        while True:
-            # Looked up per iteration: the queue rebinds it on promotion.
-            next_time = queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._now = until
-                return until
-            if executed >= max_events:
+        if until is None:
+            limit = math.inf
+        elif until >= self._now:
+            limit = until
+        else:  # earlier than now, or NaN
+            raise SchedulingError(
+                f"cannot run until {until}: the clock is already at {self._now}"
+            )
+        if self._run_due(limit, max_events) == max_events:
+            next_time = self.queue.peek_time()
+            if next_time is not None and next_time <= limit:
                 raise SchedulingError(
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
-            step()
-            executed += 1
-        if until is not None and until > self._now:
+        if until is not None:
             self._now = until
         return self._now
+
+    def _run_due(self, limit: float, budget: int) -> int:
+        """Execute up to ``budget`` events that fire at or before ``limit``;
+        return how many ran.  One queue call per event."""
+        queue = self.queue
+        for executed in range(budget):
+            # Looked up per event: the queue rebinds it on promotion.
+            event = queue.pop_due(limit)
+            if event is None:
+                return executed
+            time = event.time
+            if time < self._now:
+                raise SchedulingError(
+                    f"time went backwards: {time} < {self._now} ({event.label})"
+                )
+            self._now = time
+            self._events_executed += 1
+            event.action()
+        return budget
 
     # ------------------------------------------------------------------
     # Observability

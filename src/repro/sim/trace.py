@@ -91,9 +91,14 @@ class TraceLog:
         self._emits = type(self._sink).emit is not TraceSink.emit
         # ``sink.retains(kind)``, asked once per kind.
         self._retains: dict[str, bool] = {}
+        #: The kinds recorded so far that the sink neither retains nor
+        #: observes.  The per-event call sites (send, deliver, timer fire)
+        #: bump ``_counts[kind]`` for these themselves instead of calling
+        #: :meth:`record`: the same count, without the keyword arguments
+        #: nobody reads.
+        self.count_only: set[str] = set()
         self._events: list[TraceEvent] = []
         self._counts: dict[str, int] = {}
-        self._total = 0
 
     @property
     def sink(self) -> TraceSink:
@@ -102,7 +107,7 @@ class TraceLog:
 
     def __len__(self) -> int:
         """Total number of events *recorded* (under every sink)."""
-        return self._total
+        return sum(self._counts.values())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         """Iterate over the retained events (all of them, with the default
@@ -118,13 +123,14 @@ class TraceLog:
         """Count an event and hand it to whoever keeps it; when the sink
         neither retains the kind nor observes the stream, no
         :class:`TraceEvent` is built and ``None`` is returned."""
-        self._total += 1
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
         try:
             retained = self._retains[kind]
         except KeyError:
             retained = self._retains[kind] = self._sink.retains(kind)
+            if not retained and not self._emits:
+                self.count_only.add(kind)
         if not retained and not self._emits:
             return None
         event = TraceEvent(time, kind, data)

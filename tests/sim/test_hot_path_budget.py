@@ -1,26 +1,34 @@
 """Per-event call budget: how many Python functions one simulated event costs.
 
-The send → queue → deliver → record path is flat on purpose (see "Per-event
-budget" in ``docs/SCALING.md``): hot code reads ``self._sim`` and
-``sim._now`` once, per-kind names are built once per kind, a counter bump is
-one call.  A convenience property or wrapper added to that path costs every
-experiment a few percent and shows in no functional test, so this module
-counts the interpreter's ``call`` events over a ping storm and holds the
-ratio to executed events under a ceiling.  The count repeats exactly for a
-given interpreter; the ceilings leave room above what this code measures
-(25.9 / 24.3 / 27.0 when written, against 54.5 / 52.9 / 47.4 before the
-path was flattened) for a cheap, deliberate addition, not for a regression.
-Since ``TraceLog.record`` asks ``sink.retains`` once per kind the three
-rows measure 24.3 / 22.7 / 25.4, and the ``NullSink`` row — the sink every
-trial config defaults to — 21.2: it neither retains nor observes the
-transport kinds, so ``record`` builds no ``TraceEvent`` for them (one
-dataclass ``__init__`` fewer per record than ``MemorySink``).
+The run → queue → send → deliver → timer → handler path is flat on purpose
+(see "Per-event budget" in ``docs/SCALING.md``): ``run()`` makes one queue
+call per event, hot code reads ``self._sim`` and ``sim._now`` once,
+per-kind names and transport counters are bound once per kind, and a kind
+the sink only counts is counted where it happens.  A convenience property
+or wrapper added to that path costs every experiment a few percent and
+shows in no functional test, so this module counts the interpreter's
+``call`` events over a run and holds the ratio to executed events under a
+ceiling.  The count repeats exactly for a given interpreter; each ceiling
+sits about 15 % above what this code measures, room for a cheap,
+deliberate addition, not for a regression.
 
-The join/leave path has the same budget on the workload the paper's core
-experiment runs (E4: two of every three events are membership events):
-46.5 calls per event when written, 70.5 while each replacement still went
-through ``Simulator.spawn``/``kill``, the checked ``sim``/``rng`` properties
-and three sorted copies of the membership.
+Ping storm (``counts`` / ``memory`` / ``null`` sink on the heap, ``counts``
+on the calendar): 54.5 / 52.9 / — / 47.4 before the send path was
+flattened, 24.3 / 22.7 / 21.2 / 25.4 once ``TraceLog.record`` asked
+``sink.retains`` once per kind, and 16.3 / 14.7 / 11.6 / 18.6 with the
+one-call run loop, bound counter handles and count-only trace kinds.
+
+The join/leave path on the workload the paper's core experiment runs (E4:
+two of every three events are membership events): 70.5 calls per event
+while each replacement still went through ``Simulator.spawn``/``kill``, the
+checked ``sim``/``rng`` properties and three sorted copies of the
+membership, 46.5 when that was removed (44.5 under CPython 3.11 just
+before the run loop went to one queue call), 39.7 now.
+
+The heartbeat path E22 runs (fault-tolerant wave, ``dup-flood``, ``full``
+resilience, null sink): 32.2 calls per event with a ``peek_time`` → ``step``
+→ ``pop`` loop, a ``Metrics.inc`` frame per counter, a ``record`` frame per
+count-only event and a three-frame process clock; 13.6 now.
 """
 
 from __future__ import annotations
@@ -32,8 +40,11 @@ import pytest
 
 from repro.churn.models import ReplacementChurn
 from repro.core.aggregates import by_name
+from repro.faults.injector import install_plan
 from repro.obs.sinks import CountingSink, MemorySink, NullSink
+from repro.protocols.ft_wave import FaultTolerantWaveNode
 from repro.protocols.one_time_query import WaveNode
+from repro.resilience.transport import install_resilience
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
 from repro.topology import generators
@@ -83,10 +94,10 @@ def profiled_run(sim: Simulator, horizon: float) -> float:
 
 
 @pytest.mark.parametrize("n, make_sink, backend, ceiling", [
-    (500, CountingSink, "heap", 32.0),
-    (500, MemorySink, "heap", 30.0),
-    (500, NullSink, "heap", 26.0),
-    (4000, CountingSink, "calendar", 36.0),
+    (500, CountingSink, "heap", 19.0),
+    (500, MemorySink, "heap", 17.0),
+    (500, NullSink, "heap", 13.5),
+    (4000, CountingSink, "calendar", 21.5),
 ])
 def test_python_calls_per_executed_event(n, make_sink, backend, ceiling):
     per_event, sim = calls_per_event(n, make_sink())
@@ -103,7 +114,7 @@ def test_python_calls_per_executed_event_under_replacement_churn():
     """One cell of the E4 sweep, built the way ``engine.trials`` builds it:
     n = 32 wave nodes on an ER overlay, replacement churn at rate 4.0 with
     the querier immortal, one COUNT query."""
-    n, ceiling = 32, 52.0
+    n, ceiling = 32, 46.0
     sim = Simulator(seed=2007)
     topo = generators.make("er", n, sim.rng_for("topology"))
     arrivals = itertools.count()
@@ -128,4 +139,37 @@ def test_python_calls_per_executed_event_under_replacement_churn():
         f"{per_event:.1f} Python calls per event at n={n} under replacement "
         f"churn (ceiling {ceiling}): something on the join/leave path grew a "
         "wrapper, a property chain or a copy of the membership"
+    )
+
+
+def test_python_calls_per_executed_event_in_an_e22_cell():
+    """One cell of E22, built the way ``engine.trials.run_query`` builds
+    it: n = 16 fault-tolerant wave nodes on an ER overlay with silent
+    departures, the ``dup-flood`` plan (a duplication window open from
+    t = 2 to 12) under ``full`` resilience, the null sink, one COUNT query
+    at t = 5, run to t = 150."""
+    n, ceiling = 16, 15.5
+    sim = Simulator(seed=2007, notify_leaves=False, trace_sink=NullSink())
+    topo = generators.make("er", n, sim.rng_for("topology"))
+
+    def factory() -> FaultTolerantWaveNode:
+        return FaultTolerantWaveNode(1.0, period=1.0, timeout=3.0)
+
+    pids = [
+        sim.spawn(factory(), [p for p in topo.neighbors(node) if p < node]).pid
+        for node in range(n)
+    ]
+    install_plan("dup-flood", sim, factory=factory, protected=(pids[0],))
+    install_resilience("full", sim)
+    sim.at(
+        5.0, lambda: sim.network.process(pids[0]).issue_query(by_name("COUNT")),
+        label="experiment:issue-query",
+    )
+    per_event = profiled_run(sim, 150.0)
+    counters = sim.metrics_snapshot()["counters"]
+    assert counters["faults.duplicates"] > 0
+    assert counters["net.sent.FD_HEARTBEAT"] > 0.5 * sim.events_executed
+    assert per_event <= ceiling, (
+        f"{per_event:.1f} Python calls per event in an E22 cell (ceiling "
+        f"{ceiling}): something on the message or timer path grew a frame"
     )
