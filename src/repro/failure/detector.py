@@ -105,33 +105,39 @@ class HeartbeatNode(AggregatingProcess):
         otherwise the static ``timeout`` applies.
         """
         now = self.now
+        timeout = self.timeout
         transport = self._sim.network.resilience
-        if transport is not None and not transport.spec.adaptive_detector:
+        if transport is not None and transport.spec.adaptive_detector:
+            # The adaptive threshold never drops below ``period + min_rto``
+            # (nor is the fallback below ``timeout``): a target heard
+            # within both cannot be suspected, so only the targets silent
+            # for longer ask the transport.
+            floor = min(timeout, self.period + transport.spec.min_rto)
+        else:
             transport = None
+            floor = timeout
         # Monitor everyone we hold heartbeat state for, not just the
         # current neighbor set: under *silent* departures
         # (``notify_leaves=False``) a crashed neighbor vanishes from the
         # adjacency without a callback, and its lingering ``_last_heard``
         # entry is precisely how its silence is noticed.
         for target in sorted(self._last_heard):
-            if target in self._suspected:
+            silence = now - self._last_heard[target]
+            if silence <= floor or target in self._suspected:
                 continue
-            timeout = self.timeout if transport is None else (
-                transport.detector_timeout(
-                    self.pid, target, fallback=self.timeout, period=self.period
-                )
-            )
-            if now - self._last_heard[target] > timeout:
-                self._suspected.add(target)
-                self.suspicions_raised += 1
-                self._sim.metrics.inc("detector.suspicions")
-                self.record(SUSPECT, target=target)
-                self.on_suspect(target)
+            if transport is not None and silence <= transport.detector_timeout(
+                self.pid, target, fallback=timeout, period=self.period
+            ):
+                continue
+            self._suspected.add(target)
+            self.suspicions_raised += 1
+            self._sim.metrics.inc("detector.suspicions")
+            self.record(SUSPECT, target=target)
+            self.on_suspect(target)
 
     def _restore(self, pid: int) -> None:
-        """Retract a suspicion on ``pid`` (no-op if not suspected)."""
-        if pid not in self._suspected:
-            return
+        """Retract the standing suspicion on ``pid`` (callers check that
+        there is one)."""
         self._suspected.discard(pid)
         self.suspicions_retracted += 1
         self.sim.metrics.inc("detector.restorals")
@@ -151,7 +157,8 @@ class HeartbeatNode(AggregatingProcess):
         # definition: clear any standing suspicion immediately rather than
         # waiting for its first heartbeat, so coverage reports never
         # permanently exclude entities that came back.
-        self._restore(pid)
+        if pid in self._suspected:
+            self._restore(pid)
 
     def on_neighbor_leave(self, pid: int) -> None:
         # The perfect notification clears detector state; heartbeat-only

@@ -292,29 +292,28 @@ class FaultInjector:
     def send_effect(self, message: Message) -> SendEffect | None:
         """Decide what the open windows do to one message.
 
-        Returns ``None`` when no window is open (the fast path — no RNG
-        draws, no allocation).  Specs are consulted in plan order; a drop
-        short-circuits the rest.
+        Returns ``None`` when the message comes through untouched (with no
+        window open ``Network.send`` does not ask).  Specs are consulted
+        in plan order; a drop short-circuits the rest.
         """
-        if not self.windows:
-            return None
         link = (
             min(message.sender, message.receiver),
             max(message.sender, message.receiver),
         )
+        rng = self.rng
         extra_delay = 0.0
         copies = 0
         for index, spec in self.windows:
             if spec.links is not None and link not in spec.links:
                 continue
             if spec.kind == "drop_burst":
-                if self.rng.random() < spec.probability:
+                if rng.random() < spec.probability:
                     return SendEffect(drop=True, reason=f"fault:{spec.kind}")
             elif spec.kind == "duplicate":
-                if self.rng.random() < spec.probability:
+                if rng.random() < spec.probability:
                     copies += spec.copies
             elif spec.kind == "delay_spike":
-                if spec.probability >= 1.0 or self.rng.random() < spec.probability:
+                if spec.probability >= 1.0 or rng.random() < spec.probability:
                     extra_delay += spec.magnitude
         if extra_delay == 0.0 and copies == 0:
             return None

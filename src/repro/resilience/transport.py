@@ -462,9 +462,7 @@ class ReliableTransport:
         so the detector can never out-race its own heartbeat cadence.
         Falls back to the static ``fallback`` until samples exist.
         """
-        # ``_link_key``, inline: the detector asks once per target per sweep.
-        link = (monitor, target) if monitor <= target else (target, monitor)
-        estimator = self._rtt.get(link)
+        estimator = self._rtt.get(_link_key(monitor, target))
         if estimator is None or estimator.srtt is None:
             return fallback
         adaptive = (

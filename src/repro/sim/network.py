@@ -485,7 +485,7 @@ class Network:
         sent_kind.value += 1
         trace = sim.trace
         if tr.SEND in trace.count_only:
-            trace._counts[tr.SEND] += 1
+            trace.tallies[tr.SEND] += 1
         else:
             trace.record(
                 sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
@@ -517,7 +517,8 @@ class Network:
         histogram = self._delays
         if histogram is None:
             histogram = self._delays = sim.metrics.histogram("net.delivery_delay")
-        # Histogram.observe, inline.
+        # Histogram.observe, inline (it defines the update; keep the two
+        # in step).
         histogram.count += 1
         histogram.sum += delay
         histogram.counts[bisect_left(histogram.buckets, delay)] += 1
@@ -589,7 +590,7 @@ class Network:
             sim.metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
         trace = sim.trace
         if tr.DELIVER in trace.count_only:
-            trace._counts[tr.DELIVER] += 1
+            trace.tallies[tr.DELIVER] += 1
         else:
             trace.record(
                 sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,

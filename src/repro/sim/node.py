@@ -118,14 +118,17 @@ class Process:
         """Send ``kind`` to every current neighbor; return how many were sent.
 
         ``exclude`` skips one neighbor (typically the process the triggering
-        message came from).
+        message came from).  Each message goes to the network the way
+        :meth:`send` sends it, without a :meth:`send` frame per neighbor.
         """
         sim = self._sim or self.sim
+        network = sim.network
+        pid = self.pid
         sent = 0
-        for neighbor in sorted(sim.network.neighbors(self.pid)):
+        for neighbor in sorted(network.neighbors(pid)):
             if neighbor == exclude:
                 continue
-            self.send(neighbor, kind, **payload)
+            network.send(Message(pid, neighbor, kind, dict(payload)))
             sent += 1
         return sent
 
@@ -155,7 +158,7 @@ class Process:
             sim = self._sim or self.sim
             trace = sim.trace
             if TIMER in trace.count_only:
-                trace._counts[TIMER] += 1
+                trace.tallies[TIMER] += 1
             else:
                 trace.record(sim._now, TIMER, entity=self.pid, name=name)
             self.on_timer(name, payload)

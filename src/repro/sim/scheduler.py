@@ -208,7 +208,21 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute one event; return ``False`` if the queue was empty."""
-        return self._run_due(math.inf, 1) == 1
+        try:
+            event = self.queue.pop()
+        except SchedulingError:
+            # Empty, or only cancelled events left (``pop`` drops those
+            # before it raises).
+            return False
+        time = event.time
+        if time < self._now:
+            raise SchedulingError(
+                f"time went backwards: {time} < {self._now} ({event.label})"
+            )
+        self._now = time
+        self._events_executed += 1
+        event.action()
+        return True
 
     def run(self, until: float | None = None, max_events: int = 5_000_000) -> float:
         """Run until the queue drains, ``until`` passes, or ``max_events``.
@@ -234,34 +248,23 @@ class Simulator:
             raise SchedulingError(
                 f"cannot run until {until}: the clock is already at {self._now}"
             )
-        if self._run_due(limit, max_events) == max_events:
-            next_time = self.queue.peek_time()
-            if next_time is not None and next_time <= limit:
+        queue = self.queue
+        step = self.step
+        executed = 0
+        while True:
+            # Looked up per iteration: the queue rebinds it on promotion.
+            next_time = queue.peek_time()
+            if next_time is None or next_time > limit:
+                break
+            if executed >= max_events:
                 raise SchedulingError(
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
+            step()
+            executed += 1
         if until is not None:
             self._now = until
         return self._now
-
-    def _run_due(self, limit: float, budget: int) -> int:
-        """Execute up to ``budget`` events that fire at or before ``limit``;
-        return how many ran.  One queue call per event."""
-        queue = self.queue
-        for executed in range(budget):
-            # Looked up per event: the queue rebinds it on promotion.
-            event = queue.pop_due(limit)
-            if event is None:
-                return executed
-            time = event.time
-            if time < self._now:
-                raise SchedulingError(
-                    f"time went backwards: {time} < {self._now} ({event.label})"
-                )
-            self._now = time
-            self._events_executed += 1
-            event.action()
-        return budget
 
     # ------------------------------------------------------------------
     # Observability

@@ -92,13 +92,15 @@ class TraceLog:
         # ``sink.retains(kind)``, asked once per kind.
         self._retains: dict[str, bool] = {}
         #: The kinds recorded so far that the sink neither retains nor
-        #: observes.  The per-event call sites (send, deliver, timer fire)
-        #: bump ``_counts[kind]`` for these themselves instead of calling
+        #: observes.  For these the per-event call sites (send, deliver,
+        #: timer fire) bump ``tallies[kind]`` themselves instead of calling
         #: :meth:`record`: the same count, without the keyword arguments
         #: nobody reads.
         self.count_only: set[str] = set()
+        #: Events recorded per kind: what :meth:`count`, :meth:`summary`
+        #: and ``len`` report.
+        self.tallies: dict[str, int] = {}
         self._events: list[TraceEvent] = []
-        self._counts: dict[str, int] = {}
 
     @property
     def sink(self) -> TraceSink:
@@ -107,7 +109,7 @@ class TraceLog:
 
     def __len__(self) -> int:
         """Total number of events *recorded* (under every sink)."""
-        return sum(self._counts.values())
+        return sum(self.tallies.values())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         """Iterate over the retained events (all of them, with the default
@@ -123,8 +125,8 @@ class TraceLog:
         """Count an event and hand it to whoever keeps it; when the sink
         neither retains the kind nor observes the stream, no
         :class:`TraceEvent` is built and ``None`` is returned."""
-        counts = self._counts
-        counts[kind] = counts.get(kind, 0) + 1
+        tallies = self.tallies
+        tallies[kind] = tallies.get(kind, 0) + 1
         try:
             retained = self._retains[kind]
         except KeyError:
@@ -152,7 +154,7 @@ class TraceLog:
         """Refuse to answer "none" for a kind the sink dropped."""
         if not self._retains.get(kind, True):
             raise ConfigurationError(
-                f"{self._counts[kind]} {kind!r} events were recorded but not "
+                f"{self.tallies[kind]} {kind!r} events were recorded but not "
                 f"retained by the trace sink ({self._sink!r}); "
                 f"{_ASK_FOR_MEMORY} to read them"
             )
@@ -168,7 +170,7 @@ class TraceLog:
     def count(self, kind: str) -> int:
         """Return how many events of ``kind`` were recorded (exact under
         every sink)."""
-        return self._counts.get(kind, 0)
+        return self.tallies.get(kind, 0)
 
     def first(self, kind: str) -> TraceEvent | None:
         """Return the earliest retained event of ``kind``, or ``None``."""
@@ -215,7 +217,7 @@ class TraceLog:
     def summary(self) -> dict[str, int]:
         """Return a ``{kind: count}`` summary of the whole log (exact under
         every sink)."""
-        return dict(self._counts)
+        return dict(self.tallies)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -1,8 +1,8 @@
-"""What the one-call run loop and the count-only trace path must keep.
+"""What the run loop and the count-only trace path must keep.
 
-``Simulator.run`` asks the queue for one event per iteration
-(``pop_due(limit)``), and the send, deliver and timer-fire sites count a
-kind the sink neither retains nor observes without entering
+``Simulator.run`` peeks at the queue once per event and executes it
+through ``step`` (one ``pop``), and the send, deliver and timer-fire sites
+count a kind the sink neither retains nor observes without entering
 ``TraceLog.record``.  The first table holds the loop to its contract on
 every queue backend — the heap, the calendar, and a heap that promotes to
 the calendar in the middle of one ``run`` call.  The second pins, per
