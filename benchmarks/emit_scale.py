@@ -16,12 +16,6 @@ better; set-up is the spawn loop alone) — names ``repro bench diff``
 gates by family, so committing this file as a baseline turns scale
 regressions into CI failures.
 
-Seed-core reference (same scenario on the pre-refactor core, which always
-notifies joins and pays an O(n log n) neighbor sort per ping):
-n=32: ~74k ev/s - n=1k: ~17k ev/s - n=10k: ~1.1k ev/s.  The n=10k point
-must beat the seed by >= 10x; ``--check`` asserts a machine-independent
-ratio instead, for CI.
-
 Run:  PYTHONPATH=src python benchmarks/emit_scale.py [--output FILE]
 
 ``--smoke`` runs only n in {32, 10k} with short horizons for CI;
@@ -72,11 +66,6 @@ SETUP_SHAPE_SIZES = (1_000, 20_000)
 
 #: Line-population sizes for ``--check``'s membership-event shape assertion.
 REPLACEMENT_SHAPE_SIZES = (500, 20_000)
-
-#: Seed-core events/sec on this scenario (measured on the growth seed,
-#: Linux x86-64 container, 2026-08).  Machine-dependent — context for the
-#: committed payload, not a gate.
-SEED_REFERENCE = {32: 73_981.0, 1_000: 17_236.0, 10_000: 1_084.5}
 
 
 class PingNode(Process):
@@ -186,10 +175,6 @@ def main() -> int:
     points = []
     for n in sorted(sizes):  # increasing, so ru_maxrss stays interpretable
         point = run_scale_trial(n, sizes[n])
-        ref = SEED_REFERENCE.get(n)
-        if ref:
-            point["seed_reference_events_per_sec"] = ref
-            point["speedup_vs_seed"] = round(point["events_per_sec"] / ref, 1)
         print(f"n={n:>6}: {point['events_per_sec']:>9.0f} ev/s "
               f"({point['events']} events in {point['sim_wall_s']}s, "
               f"setup {point['setup_s']:.3f}s, queue={point['queue_backend']}, "

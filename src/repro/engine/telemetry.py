@@ -35,7 +35,6 @@ stream container — pinned by ``tests/engine/test_telemetry.py``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -75,21 +74,14 @@ def new_run_id() -> str:
 
 
 def plan_digest(plan: "ExperimentPlan") -> str:
-    """A stable hex digest of a plan's full spec list.
+    """A stable hex digest of a plan's full spec list
+    (:attr:`ExperimentPlan.digest <repro.engine.plan.ExperimentPlan.digest>`).
 
     Two runs with the same digest executed the same trials (same grid,
     base config, seeds and order), so ledger consumers can group repeats
     and detect drift without re-reading result documents.
     """
-    from repro.engine.results import jsonable
-
-    specs = [
-        [spec.kind, spec.index, spec.trial, spec.seed,
-         jsonable(spec.point), jsonable(spec.labels), jsonable(spec.overrides)]
-        for spec in plan.specs
-    ]
-    blob = json.dumps([jsonable(plan.meta()), specs], sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return plan.digest
 
 
 def host_info() -> dict[str, Any]:

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
 from repro.obs.codec import encode_event
+from repro.obs.metrics import Counter
 from repro.sim.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace -> sinks)
@@ -44,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace -> sinks)
 TRANSPORT_KINDS = frozenset(
     {"send", "deliver", "drop", "timer", "msg_lost", "retransmit"}
 )
+
+#: The transport kinds a :class:`CountingSink` counts where they happen
+#: rather than through :meth:`TraceSink.emit`.
+_COUNTED_IN_PLACE = frozenset({"send", "deliver", "timer"})
 
 
 class TraceSink(abc.ABC):
@@ -60,9 +65,27 @@ class TraceSink(abc.ABC):
         """
         return kind not in TRANSPORT_KINDS
 
+    def observes(self, kind: str) -> bool:
+        """Should the TraceLog hand events of ``kind`` to :meth:`emit`?
+
+        Asked once per kind per log.  A kind the sink neither retains nor
+        observes is counted where it happens, without a
+        :class:`~repro.sim.trace.TraceEvent` (``TraceLog.count_only``).
+        Default: every kind, exactly when the sink's class overrides
+        :meth:`emit`.
+        """
+        return type(self).emit is not TraceSink.emit
+
     def emit(self, event: "TraceEvent") -> None:
-        """Called once per recorded event, in record order — on sinks that
-        override it; the TraceLog skips the call to this inherited no-op."""
+        """Called once per recorded event of an observed kind, in record
+        order; the TraceLog never calls this inherited no-op."""
+
+    def counter(self, kind: str, msg_kind: str) -> "Counter | None":
+        """The counter this sink keeps for ``kind`` events about
+        ``msg_kind`` messages, for a kind it does not observe: whoever
+        counts such an event — the call site or ``TraceLog.record`` —
+        bumps it in place.  ``None`` (the default): no such count."""
+        return None
 
     def close(self) -> None:
         """Flush and release any resources (idempotent)."""
@@ -101,32 +124,55 @@ class CountingSink(TraceSink):
     The TraceLog already counts events per kind; this sink additionally
     breaks the transport kinds down by protocol message kind, so a perf
     run still answers "how many WAVE_QUERY sends?" without storing any
-    event objects.
+    event objects.  As a log's own sink it observes only the rare
+    transport kinds (``drop``, ``msg_lost``, ``retransmit``): ``send`` and
+    ``deliver`` bump a per-message-kind :meth:`counter` the network binds
+    once per message kind, and a ``timer`` carries no message kind — so
+    none of the three builds an event or calls the sink.  Wrapped (in a
+    :class:`~repro.obs.check.CheckingSink`), it counts everything through
+    :meth:`emit`.
     """
 
     name = "counts"
 
     def __init__(self) -> None:
-        self._by_msg_kind: dict[str, dict[str, int]] = {}
+        self._by_msg_kind: dict[str, dict[str, Counter]] = {}
+
+    def observes(self, kind: str) -> bool:
+        return kind in TRANSPORT_KINDS and kind not in _COUNTED_IN_PLACE
+
+    def counter(self, kind: str, msg_kind: str) -> Counter | None:
+        if kind not in TRANSPORT_KINDS:
+            return None
+        counters = self._by_msg_kind.get(kind)
+        if counters is None:
+            counters = self._by_msg_kind[kind] = {}
+        counter = counters.get(msg_kind)
+        if counter is None:
+            counter = counters[msg_kind] = Counter(f"{kind}.{msg_kind}")
+        return counter
 
     def emit(self, event: "TraceEvent") -> None:
-        kind = event.kind
-        if kind not in TRANSPORT_KINDS:
-            return
         msg_kind = event.data.get("msg_kind")
-        if msg_kind is None:
-            return
-        breakdown = self._by_msg_kind.get(kind)
-        if breakdown is None:
-            breakdown = self._by_msg_kind[kind] = {}
-        breakdown[msg_kind] = breakdown.get(msg_kind, 0) + 1
+        if msg_kind is not None:
+            counter = self.counter(event.kind, msg_kind)
+            if counter is not None:
+                counter.value += 1
 
     def summary(self) -> dict[str, dict[str, int]]:
         """``{event kind: {message kind: count}}`` for transport events."""
-        return {
-            kind: dict(sorted(counts.items()))
-            for kind, counts in sorted(self._by_msg_kind.items())
-        }
+        summary = {}
+        for kind, counters in sorted(self._by_msg_kind.items()):
+            # A counter is bound before its first event (the network binds
+            # the deliver counter at the first send), so skip the zeros.
+            counts = {
+                msg_kind: counter.value
+                for msg_kind, counter in sorted(counters.items())
+                if counter.value
+            }
+            if counts:
+                summary[kind] = counts
+        return summary
 
 
 class JsonlStreamSink(TraceSink):

@@ -249,7 +249,6 @@ class ReliableTransport:
             receiver=message.receiver,
             kind=message.kind,
             payload={**message.payload, RID_KEY: rid},
-            msg_id=message.msg_id,
         )
         state = _Pending(rid, message, wrapped, self.sim.now)
         self._pending[rid] = state
@@ -281,7 +280,6 @@ class ReliableTransport:
             receiver=message.receiver,
             kind=message.kind,
             payload=payload,
-            msg_id=message.msg_id,
         )
 
     def _send_ack(self, acker: int, target: int, rid: int) -> None:

@@ -117,13 +117,16 @@ class Network:
         # have created.
         self._msg_ids = itertools.count()
         # Per-event path state (see "Per-event budget" in docs/SCALING.md):
-        # per message kind, the ``net.sent`` counters and the delivery
-        # label; the metric handles the path bumps in place, each bound
-        # where the path first writes it (a snapshot shows an instrument
-        # only once written); and the transport stream, fetched on the
-        # first send — streams are derived from their name, so when does
-        # not matter.
-        self._kinds: dict[str, tuple[Counter, Counter, str]] = {}
+        # per message kind, the ``net.sent`` counters, the delivery label
+        # and the trace sink's own send and deliver counters (``None``
+        # unless the sink counts by message kind); the metric handles the
+        # path bumps in place, each bound where the path first writes it
+        # (a snapshot shows an instrument only once written); and the
+        # transport stream, fetched on the first send — streams are
+        # derived from their name, so when does not matter.
+        self._kinds: dict[
+            str, tuple[Counter, Counter, str, Counter | None, Counter | None]
+        ] = {}
         self._delays: Histogram | None = None
         self._delivered: Counter | None = None
         self._transport_rng: "random.Random | None" = None
@@ -472,20 +475,24 @@ class Network:
             message = self.resilience.outbound(message)
         sim = self._sim
         kind = message.kind
+        trace = sim.trace
         per_kind = self._kinds.get(kind)
         if per_kind is None:
             metrics = sim.metrics
+            sink = trace.sink
             per_kind = self._kinds[kind] = (
                 metrics.counter("net.sent"), metrics.counter(f"net.sent.{kind}"),
-                f"deliver:{kind}",
+                f"deliver:{kind}", sink.counter(tr.SEND, kind),
+                sink.counter(tr.DELIVER, kind),
             )
-        sent, sent_kind, deliver_label = per_kind
+        sent, sent_kind, deliver_label, sink_sent, sink_delivered = per_kind
         msg_id = next(self._msg_ids)
         sent.value += 1
         sent_kind.value += 1
-        trace = sim.trace
         if tr.SEND in trace.count_only:
             trace.tallies[tr.SEND] += 1
+            if sink_sent is not None:
+                sink_sent.value += 1
         else:
             trace.record(
                 sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
@@ -536,7 +543,7 @@ class Network:
                 delays += [delay_model.sample(fault_rng) for _ in range(effect.copies)]
         # Straight onto the queue, with the check ``Simulator.at`` makes.
         now = sim._now
-        deliver = partial(self._deliver, message, msg_id)
+        deliver = partial(self._deliver, message, msg_id, sink_delivered)
         for delay in delays:
             deliver_at = now + delay
             if self.fifo:
@@ -569,7 +576,9 @@ class Network:
             receiver=message.receiver, reason=reason,
         )
 
-    def _deliver(self, message: Message, msg_id: int) -> None:
+    def _deliver(
+        self, message: Message, msg_id: int, sink_delivered: Counter | None
+    ) -> None:
         sim = self._sim
         slot = self._slot_of.get(message.receiver)
         receiver = self._procs[slot] if slot is not None else None
@@ -591,6 +600,8 @@ class Network:
         trace = sim.trace
         if tr.DELIVER in trace.count_only:
             trace.tallies[tr.DELIVER] += 1
+            if sink_delivered is not None:
+                sink_delivered.value += 1
         else:
             trace.record(
                 sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,

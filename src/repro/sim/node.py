@@ -14,10 +14,14 @@ import random
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.errors import ProtocolError
+from repro.sim.errors import MembershipError, ProtocolError
 from repro.sim.events import Event
 from repro.sim.messages import Message
 from repro.sim.trace import TIMER
+
+# ``Message(sender, receiver, kind, payload)`` without its ``__new__``
+# frame: the per-event send paths build the tuple directly.
+_new_message = tuple.__new__
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulator
@@ -99,7 +103,23 @@ class Process:
         """
         sim = self._sim or self.sim
         pid = self.pid
-        return sim.network.sample_neighbor(pid, sim.process_rng(pid))
+        rng = sim._process_streams.get(pid)
+        if rng is None:
+            rng = sim.process_rng(pid)
+        network = sim.network
+        if not network.complete:
+            return network.sample_neighbor(pid, rng)
+        # ``network.sample_present(rng, exclude=pid)``, inline: the same
+        # draw over the same dense slots, without two more frames.
+        if pid not in network._slot_of:
+            raise MembershipError(f"process {pid} is not present")
+        dense = network._dense
+        last = len(dense) - 1
+        if last <= 0:
+            return None
+        slot_pid = network._slot_pid
+        other = slot_pid[dense[rng.randrange(last)]]
+        return slot_pid[dense[last]] if other == pid else other
 
     # ------------------------------------------------------------------
     # Actions
@@ -112,7 +132,9 @@ class Process:
             TopologyError: if ``receiver`` is not currently a neighbor.
         """
         sim = self._sim or self.sim
-        sim.network.send(Message(self.pid, receiver, kind, payload))
+        sim.network.send(
+            _new_message(Message, (self.pid, receiver, kind, payload))
+        )
 
     def broadcast(self, kind: str, exclude: int | None = None, **payload: Any) -> int:
         """Send ``kind`` to every current neighbor; return how many were sent.
@@ -128,7 +150,9 @@ class Process:
         for neighbor in sorted(network.neighbors(pid)):
             if neighbor == exclude:
                 continue
-            network.send(Message(pid, neighbor, kind, dict(payload)))
+            network.send(
+                _new_message(Message, (pid, neighbor, kind, dict(payload)))
+            )
             sent += 1
         return sent
 

@@ -86,16 +86,17 @@ class TraceLog:
 
     def __init__(self, sink: TraceSink | None = None) -> None:
         self._sink: TraceSink = sink if sink is not None else MemorySink()
-        # ``emit`` is only invoked on sinks that override it: MemorySink and
-        # NullSink (every E-experiment) inherit the no-op.
-        self._emits = type(self._sink).emit is not TraceSink.emit
-        # ``sink.retains(kind)``, asked once per kind.
-        self._retains: dict[str, bool] = {}
+        # Per kind, asked of the sink once: (retained, observed, counted)
+        # — kept in memory, handed to ``emit``, and bumped on the sink's
+        # own per-message-kind ``counter`` (a kind it does not observe).
+        self._policy: dict[str, tuple[bool, bool, bool]] = {}
+        self._sink_counts = type(self._sink).counter is not TraceSink.counter
         #: The kinds recorded so far that the sink neither retains nor
         #: observes.  For these the per-event call sites (send, deliver,
-        #: timer fire) bump ``tallies[kind]`` themselves instead of calling
-        #: :meth:`record`: the same count, without the keyword arguments
-        #: nobody reads.
+        #: timer fire) bump ``tallies[kind]`` — and the sink's ``counter``
+        #: for the message kind, if it keeps one — themselves instead of
+        #: calling :meth:`record`: the same count, without the keyword
+        #: arguments nobody reads.
         self.count_only: set[str] = set()
         #: Events recorded per kind: what :meth:`count`, :meth:`summary`
         #: and ``len`` report.
@@ -123,24 +124,40 @@ class TraceLog:
 
     def record(self, time: float, kind: str, **data: Any) -> TraceEvent | None:
         """Count an event and hand it to whoever keeps it; when the sink
-        neither retains the kind nor observes the stream, no
-        :class:`TraceEvent` is built and ``None`` is returned."""
+        neither retains the kind nor observes it, no :class:`TraceEvent`
+        is built and ``None`` is returned."""
         tallies = self.tallies
         tallies[kind] = tallies.get(kind, 0) + 1
         try:
-            retained = self._retains[kind]
+            retained, observed, counted = self._policy[kind]
         except KeyError:
-            retained = self._retains[kind] = self._sink.retains(kind)
-            if not retained and not self._emits:
-                self.count_only.add(kind)
-        if not retained and not self._emits:
+            retained, observed, counted = self._classify(kind)
+        if counted:
+            msg_kind = data.get("msg_kind")
+            counter = (
+                None if msg_kind is None else self._sink.counter(kind, msg_kind)
+            )
+            if counter is not None:
+                counter.value += 1
+        if not retained and not observed:
             return None
         event = TraceEvent(time, kind, data)
         if retained:
             self._events.append(event)
-        if self._emits:
+        if observed:
             self._sink.emit(event)
         return event
+
+    def _classify(self, kind: str) -> tuple[bool, bool, bool]:
+        """Ask the sink about ``kind`` (once per log)."""
+        retained = self._sink.retains(kind)
+        observed = self._sink.observes(kind)
+        if not retained and not observed:
+            self.count_only.add(kind)
+        policy = self._policy[kind] = (
+            retained, observed, self._sink_counts and not observed,
+        )
+        return policy
 
     def close(self) -> None:
         """Flush and close the sink (idempotent; a no-op for memory)."""
@@ -152,7 +169,8 @@ class TraceLog:
 
     def _require_retained(self, kind: str) -> None:
         """Refuse to answer "none" for a kind the sink dropped."""
-        if not self._retains.get(kind, True):
+        policy = self._policy.get(kind)
+        if policy is not None and not policy[0]:
             raise ConfigurationError(
                 f"{self.tallies[kind]} {kind!r} events were recorded but not "
                 f"retained by the trace sink ({self._sink!r}); "

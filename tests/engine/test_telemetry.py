@@ -225,6 +225,44 @@ class TestTelemetryContent:
         assert recorder.close() == {}
 
 
+def test_plan_is_digested_once_per_plan(tmp_path, monkeypatch):
+    """The manifest, the checkpoint header and every ``verify_plan`` on
+    resume share one digest of the plan instead of re-hashing its specs."""
+    import hashlib
+
+    import repro.engine.plan as plan_module
+
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(plan_module, "hashlib", SimpleNamespace(sha256=sha256))
+    plan = build_plan(
+        "digest-once", kind="query", grid={"n": [6]},
+        base={"topology": "er", "aggregate": "COUNT", "horizon": 40.0},
+        trials=3, root_seed=5,
+    )
+    journal = str(tmp_path / "run.ckpt.jsonl")
+    first = run_plan(plan, telemetry=tpath(tmp_path, "a"), checkpoint=journal)
+    assert len(hashed) == 1
+    # A resume from the journal verifies it against the same plan twice.
+    again = run_plan(plan, telemetry=tpath(tmp_path, "b"), checkpoint=journal)
+    assert len(hashed) == 1
+    assert again.to_json() == first.to_json()
+    manifest = load_telemetry(tpath(tmp_path, "b"))[0]
+    assert manifest.plan["digest"] == plan_digest(plan)
+    # An equal plan built again is another object, digested afresh.
+    rebuilt = build_plan(
+        "digest-once", kind="query", grid={"n": [6]},
+        base={"topology": "er", "aggregate": "COUNT", "horizon": 40.0},
+        trials=3, root_seed=5,
+    )
+    assert plan_digest(rebuilt) == plan_digest(plan)
+    assert len(hashed) == 2
+
+
 class TestResolveRecorder:
     def test_forms(self, tmp_path):
         assert resolve_recorder(None) == (None, False)

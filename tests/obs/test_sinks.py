@@ -188,11 +188,22 @@ class TestNoEventIsBuiltForNobody:
         assert log.retained == 2
         assert built == ["join", "query_issued"]
 
+    def test_counting_sink_builds_exactly_the_retained_events(
+        self, monkeypatch
+    ):
+        """The counting sink observes neither ``send`` nor ``deliver``:
+        ``record`` bumps its per-message-kind counter instead."""
+        sink = CountingSink()
+        log, built = self._constructions(monkeypatch, sink)
+        assert len(log) == 42
+        assert built == ["join", "query_issued"]
+        assert sink.summary() == {"deliver": {"X": 20}, "send": {"X": 20}}
+
     @pytest.mark.parametrize("make", [
-        CountingSink,
         MemorySink,
         lambda: CheckingSink(NullSink()),
-    ], ids=["counts", "memory", "checking(null)"])
+        lambda: CheckingSink(CountingSink()),
+    ], ids=["memory", "checking(null)", "checking(counts)"])
     def test_observing_or_retaining_sinks_build_every_event(
         self, monkeypatch, make
     ):
@@ -389,3 +400,138 @@ class TestEmitIsOnlyCalledWhenOverridden:
         log.record(1.0, "send", msg_id=1, msg_kind="X", sender=1, receiver=2)
         log.record(2.0, "timer", entity=1, name="t")
         assert counting.summary() == {"send": {"X": 2}}
+
+
+# ----------------------------------------------------------------------
+# The count path: CountingSink counts send and deliver where they happen
+# ----------------------------------------------------------------------
+
+
+class EmitCounter(TraceSink):
+    """The reference: a ``{kind: {msg_kind: n}}`` breakdown of the
+    transport kinds, taken from every event in :meth:`emit`."""
+
+    name = "emit-counter"
+
+    def __init__(self):
+        self.counts = {}
+
+    def emit(self, event):
+        msg_kind = event.data.get("msg_kind")
+        if event.kind in TRANSPORT_KINDS and msg_kind is not None:
+            by_msg_kind = self.counts.setdefault(event.kind, {})
+            by_msg_kind[msg_kind] = by_msg_kind.get(msg_kind, 0) + 1
+
+    def summary(self):
+        return {
+            kind: dict(sorted(counts.items()))
+            for kind, counts in sorted(self.counts.items())
+        }
+
+
+def ping_storm(sink, arm: str, n: int = 40, horizon: float = 20.0):
+    """A ping storm on a complete graph (each ping answered with a pong)
+    under silent churn, so messages to departed receivers drop as
+    ``receiver_absent``; ``arm`` adds Bernoulli loss, a duplicate + drop
+    fault plan, or that plan under ``full`` resilience.  Built, not run."""
+    from repro.faults.injector import install_plan
+    from repro.faults.spec import FaultPlan, FaultSpec
+    from repro.resilience.transport import install_resilience
+    from repro.sim.latency import BernoulliLoss
+    from repro.sim.node import Process
+    from repro.sim.scheduler import Simulator
+
+    class Ping(Process):
+        def on_start(self):
+            self.set_timer(self.rng.uniform(0.0, 1.0), "ping")
+
+        def on_timer(self, name, payload):
+            target = self.random_neighbor()
+            if target is not None:
+                self.send(target, "PING")
+            self.set_timer(1.0, "ping")
+
+        def on_message(self, message):
+            if message.kind == "PING" and self.sim.network.is_present(
+                message.sender
+            ):
+                self.send(message.sender, "PONG")
+
+    sim = Simulator(
+        seed=2007, complete=True, notify_leaves=False, notify_joins=False,
+        loss_model=BernoulliLoss(0.1) if arm == "loss" else None,
+        trace_sink=sink,
+    )
+    pids = [sim.spawn(Ping(1.0)).pid for _ in range(n)]
+    if arm in ("faults", "resilience"):
+        install_plan(FaultPlan.of(
+            FaultSpec(kind="duplicate", start=2.0, duration=8.0,
+                      probability=0.3, copies=2),
+            FaultSpec(kind="drop_burst", start=6.0, duration=8.0,
+                      probability=0.2),
+        ), sim, factory=lambda: Ping(1.0), protected=(pids[0],))
+    if arm == "resilience":
+        install_resilience("full", sim)
+    rng = sim.rng_for("churn")
+    for _ in range(n // 4):
+        at = rng.uniform(0.5, horizon)
+        sim.schedule_leave(at, rng.choice(pids))
+        sim.schedule_join(at, lambda: Ping(1.0), lambda present: ())
+    return sim
+
+
+class TestCountPathMatchesEmitPath:
+    """``CountingSink`` counts ``send``/``deliver`` at the call sites and
+    ``drop``/``msg_lost``/``retransmit`` through ``emit``; every event is
+    counted once, exactly as a sink that counts everything in ``emit``."""
+
+    @pytest.mark.parametrize("arm", ["plain", "loss", "faults", "resilience"])
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["counts", "checking(counts)"])
+    def test_same_breakdown_and_counts(self, arm, wrapped):
+        reference = ping_storm(EmitCounter(), arm)
+        reference.run(until=20.0)
+        counting = CountingSink()
+        sim = ping_storm(CheckingSink(counting) if wrapped else counting, arm)
+        sim.run(until=20.0)
+        expected = reference.trace.sink.summary()
+        assert counting.summary() == expected
+        assert sim.trace.summary() == reference.trace.summary()
+        assert len(sim.trace) == len(reference.trace)
+        for kind in TRANSPORT_KINDS:
+            assert sim.trace.count(kind) == reference.trace.count(kind), kind
+        # Each arm reaches the paths it is there for.
+        counters = sim.metrics_snapshot()["counters"]
+        assert {"PING", "PONG"} <= set(expected["deliver"])
+        assert counters["net.dropped.receiver_absent"] > 0
+        assert (arm == "loss") == ("net.dropped.loss" in counters)
+        if arm in ("faults", "resilience"):
+            assert counters["faults.duplicates"] > 0
+            assert counters["net.dropped.fault"] > 0
+        if arm == "resilience":
+            assert expected["retransmit"]
+
+    def test_send_deliver_and_timer_never_enter_record(self, monkeypatch):
+        """Under the counting sink, once the first event of a kind has
+        decided it, the storm's sends, deliveries and timer fires are
+        counted where they happen: ``TraceLog.record`` is not called for
+        any of them again."""
+        from repro.sim import trace as trace_mod
+
+        sim = ping_storm(CountingSink(), "plain")
+        sim.run(until=2.0)
+        before = sim.trace.summary()
+        recorded = []
+        real = trace_mod.TraceLog.record
+
+        def spy(self, time, kind, **data):
+            recorded.append(kind)
+            return real(self, time, kind, **data)
+
+        monkeypatch.setattr(trace_mod.TraceLog, "record", spy)
+        sim.run(until=20.0)
+        after = sim.trace.summary()
+        for kind in ("send", "deliver", "timer"):
+            assert after[kind] - before[kind] > 500, kind
+        assert {"send", "deliver", "timer"}.isdisjoint(recorded)
+        assert "join" in recorded and "drop" in recorded
