@@ -21,7 +21,6 @@ from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.engine.trials import QueryConfig, run_query
 from repro.churn.models import ReplacementChurn
-from repro.core.journeys import audit_query_misses
 from repro.sim.latency import ConstantDelay
 from repro.sim.rng import iter_seeds
 
@@ -41,8 +40,7 @@ def audit_at_rate(rate: float) -> tuple[int, int, int]:
         if not outcome.terminated or not outcome.verdict.missing_core:
             continue
         with_misses += 1
-        audit = audit_query_misses(
-            outcome.trace,
+        audit = outcome.run.audit_query_misses(
             querier=outcome.querier,
             issue_time=outcome.record.issue_time,
             return_time=outcome.record.return_time,

@@ -6,16 +6,29 @@ dimension) are sets of runs, and all solvability claims are statements about
 what protocols can achieve over every run of a class.  Here a run is built
 from a simulation :class:`~repro.sim.trace.TraceLog` observed up to a finite
 horizon.
+
+A run is also the geography dimension's time-varying graph.  A *journey*
+is a time-respecting path over its edge intervals; a wave can only inform
+the querier about a process some journey reaches within the query window,
+so journey reachability is the exact *upper bound* on what any protocol
+can achieve in a run.  Snapshots classify the run along the
+temporal-connectivity hierarchy (Casteigts, *Finding Structure in Dynamic
+Networks*).  Presence intervals and join values come from one scan of the
+trace; edge intervals are read from the same events on the first edge,
+journey or snapshot query, so checking a specification never pays for them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from enum import Enum
+from typing import Iterable, Sequence
 
-from repro.sim import trace as tr
-from repro.sim.trace import TraceLog
+from repro.sim.errors import ConfigurationError
+from repro.sim.trace import JOIN, LEAVE, TraceEvent, TraceLog
+from repro.topology.graph import Topology
 
 #: Stand-in for "still present at the end of the observation window".
 FOREVER = math.inf
@@ -63,43 +76,70 @@ class Run:
             simulation can only ever exhibit finitely many arrivals, so the
             class predicates in :mod:`repro.core.arrival` test consistency
             with the declared generative model, not the model itself.
+        values: each entity's value when it joined.
+        events: the trace events the edge intervals are read from (none:
+            a run without edges).
     """
 
-    def __init__(self, intervals: dict[int, Interval], horizon: float) -> None:
+    def __init__(
+        self, intervals: dict[int, Interval], horizon: float, *,
+        values: dict[int, object] | None = None, events: Iterable[TraceEvent] = (),
+    ) -> None:
         self._intervals = dict(intervals)
         self.horizon = float(horizon)
+        #: Entity id -> the value its join event carried (``None`` if none).
+        self.values = values if values is not None else {}
+        self._events = events
+        # node -> {neighbor: presence intervals of the edge}; one list per
+        # edge, shared by both endpoints.  Built on the first edge query.
+        self._adjacency: dict[int, dict[int, list[Interval]]] | None = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_trace(cls, log: TraceLog, horizon: float | None = None) -> "Run":
+    def from_trace(
+        cls, events: TraceLog | Iterable[TraceEvent], horizon: float | None = None
+    ) -> "Run":
         """Build a run from the join/leave events of a trace.
+
+        ``events`` is a :class:`TraceLog` or any iterable of trace events in
+        record order.  ``horizon`` defaults to the last membership event.
 
         Raises:
             ValueError: on malformed membership sequences (leave without
                 join, double join — entity ids are never reused).
         """
+        if iter(events) is events:  # one-shot: keep it for the edge query
+            events = list(events)
         joins: dict[int, float] = {}
+        values: dict[int, object] = {}
         intervals: dict[int, Interval] = {}
         last_time = 0.0
-        for event in log.membership_events():
-            entity = event["entity"]
-            last_time = max(last_time, event.time)
-            if event.kind == tr.JOIN:
-                if entity in joins or entity in intervals:
+        for event in events:
+            kind = event.kind
+            if kind == JOIN:
+                data = event.data
+                entity = data["entity"]
+                if entity in values:
                     raise ValueError(f"entity {entity} joined twice")
                 joins[entity] = event.time
-            else:  # LEAVE
+                values[entity] = data.get("value")
+            elif kind == LEAVE:
+                entity = event.data["entity"]
                 if entity not in joins:
                     raise ValueError(f"entity {entity} left without joining")
                 intervals[entity] = Interval(joins.pop(entity), event.time)
+            else:
+                continue
+            if event.time > last_time:
+                last_time = event.time
         for entity, join_time in joins.items():
             intervals[entity] = Interval(join_time, FOREVER)
         if horizon is None:
             horizon = last_time
-        return cls(intervals, horizon)
+        return cls(intervals, horizon, values=values, events=events)
 
     @classmethod
     def static(cls, n: int, horizon: float) -> "Run":
@@ -153,6 +193,127 @@ class Run:
             e
             for e, iv in self._intervals.items()
             if iv.overlaps(t0, t1) and not iv.covers(t0, t1)
+        )
+
+    # ------------------------------------------------------------------
+    # Edge intervals: the time-varying graph
+    # ------------------------------------------------------------------
+
+    def _adjacent(self) -> dict[int, dict[int, list[Interval]]]:
+        """The edge intervals, read from the run's events on first use."""
+        if self._adjacency is None:
+            self._adjacency = _edge_intervals(self._events)
+        return self._adjacency
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge that ever existed, as sorted pairs."""
+        return sorted(
+            (a, b) for a, near in self._adjacent().items() for b in near if a < b
+        )
+
+    def presence(self, a: int, b: int) -> list[Interval]:
+        """Presence intervals of the edge (a, b), in time order."""
+        return list(self._adjacent().get(a, {}).get(b, ()))
+
+    def edge_present(self, a: int, b: int, t: float) -> bool:
+        return any(iv.contains(t) for iv in self.presence(a, b))
+
+    def edges_at(self, t: float) -> list[tuple[int, int]]:
+        """The edges present at instant ``t``."""
+        return [
+            (a, b)
+            for a, near in self._adjacent().items()
+            for b, intervals in near.items()
+            if a < b and any(iv.contains(t) for iv in intervals)
+        ]
+
+    def snapshot(self, t: float) -> Topology:
+        """The static graph at instant ``t``: the present entities (isolated
+        ones included) and the edges present at ``t``."""
+        return Topology(nodes=self.present_at(t), edges=self.edges_at(t))
+
+    def snapshots(self, times: Sequence[float]) -> list[Topology]:
+        """:meth:`snapshot` at each of ``times``, in time order."""
+        if not times:
+            raise ConfigurationError("need at least one sample time")
+        return [self.snapshot(t) for t in sorted(times)]
+
+    # ------------------------------------------------------------------
+    # Journeys
+    # ------------------------------------------------------------------
+
+    def earliest_arrivals(
+        self, source: int, start: float, deadline: float = FOREVER, hop_time: float = 0.0
+    ) -> dict[int, float]:
+        """Earliest-arrival times of journeys from ``(source, start)``.
+
+        A hop over edge ``(u, v)`` departing at time ``d`` requires the edge
+        to be continuously present over ``[d, d + hop_time]`` and arrives at
+        ``d + hop_time``.  Departure may wait for an edge to appear.  Only
+        arrivals at or before ``deadline`` count.
+
+        Returns a map ``{node: earliest arrival time}`` (the source maps to
+        ``start``).
+        """
+        if hop_time < 0:
+            raise ValueError(f"hop time must be >= 0, got {hop_time}")
+        adjacency = self._adjacent()
+        best: dict[int, float] = {source: start}
+        heap: list[tuple[float, int]] = [(start, source)]
+        while heap:
+            arrival, node = heapq.heappop(heap)
+            if arrival > best[node]:
+                continue  # stale entry
+            for other, intervals in adjacency.get(node, {}).items():
+                for interval in intervals:
+                    departure = max(arrival, interval.join)
+                    arrives = departure + hop_time
+                    if arrives > deadline:
+                        continue
+                    # The edge must survive the whole hop.  ``covers`` is
+                    # strict at the right end (half-open interval).
+                    if not interval.covers(departure, arrives):
+                        continue
+                    if arrives < best.get(other, FOREVER):
+                        best[other] = arrives
+                        heapq.heappush(heap, (arrives, other))
+                    break  # later intervals cannot improve on this one
+        return best
+
+    def journey_exists(
+        self, source: int, target: int, start: float, deadline: float, hop_time: float = 0.0
+    ) -> bool:
+        """Is there a journey from ``(source, start)`` to ``target`` by
+        ``deadline``?"""
+        return target in self.reachable(source, start, deadline, hop_time)
+
+    def reachable(
+        self, source: int, start: float, deadline: float, hop_time: float = 0.0
+    ) -> frozenset[int]:
+        """Every node journey-reachable from ``(source, start)`` by
+        ``deadline`` (the information-flow upper bound for any protocol)."""
+        arrivals = self.earliest_arrivals(source, start, deadline, hop_time)
+        return frozenset(
+            node for node, when in arrivals.items() if when <= deadline
+        )
+
+    def audit_query_misses(
+        self, querier: int, issue_time: float, return_time: float,
+        missing: frozenset[int], hop_time: float = 0.0,
+    ) -> "JourneyAudit":
+        """Classify a query's missed stable-core members.
+
+        ``hop_time`` should be a lower bound on the per-hop message delay:
+        with a lower bound the reachable set over-approximates what any
+        protocol could do, so members outside it were *provably*
+        uncountable.
+        """
+        reachable = self.reachable(querier, issue_time, return_time, hop_time)
+        impossible = frozenset(m for m in missing if m not in reachable)
+        return JourneyAudit(
+            reachable=reachable,
+            impossible=impossible,
+            unexplained_misses=missing - impossible,
         )
 
     # ------------------------------------------------------------------
@@ -240,3 +401,165 @@ def union_entities(runs: Iterable[Run]) -> frozenset[int]:
     for run in runs:
         result |= run.entities()
     return frozenset(result)
+
+
+def _edge_intervals(events: Iterable[TraceEvent]) -> dict[int, dict[int, list[Interval]]]:
+    """Replay a trace's topology events into per-edge presence intervals.
+
+    A join opens an edge to each attachment neighbor that is present,
+    ``edge_up``/``edge_down`` open and close one edge, and a leave closes
+    the leaver's open edges (found through ``open_at``, its incident index).
+    """
+    adjacency: dict[int, dict[int, list[Interval]]] = {}
+    open_at: dict[int, dict[int, float]] = {}
+    present: set[int] = set()
+
+    def open_edge(a: int, b: int, when: float) -> None:
+        if b not in open_at.setdefault(a, {}):
+            open_at[a][b] = when
+            open_at.setdefault(b, {})[a] = when
+
+    def close_edge(a: int, b: int, when: float) -> None:
+        started = open_at.get(a, {}).pop(b, None)
+        if started is None:
+            return
+        del open_at[b][a]
+        near = adjacency.setdefault(a, {})
+        if b not in near:
+            near[b] = adjacency.setdefault(b, {})[a] = []
+        near[b].append(Interval(started, when))
+
+    for event in events:
+        kind = event.kind
+        if kind == JOIN:
+            entity = event["entity"]
+            present.add(entity)
+            for neighbor in event.get("neighbors", ()):
+                if neighbor in present:
+                    open_edge(entity, neighbor, event.time)
+        elif kind == LEAVE:
+            entity = event["entity"]
+            present.discard(entity)
+            for neighbor in list(open_at.get(entity, ())):
+                close_edge(entity, neighbor, event.time)
+        elif kind == "edge_up":
+            open_edge(event["a"], event["b"], event.time)
+        elif kind == "edge_down":
+            close_edge(event["a"], event["b"], event.time)
+    for a, near in list(open_at.items()):
+        for b in list(near):
+            if a < b:
+                close_edge(a, b, FOREVER)
+    return adjacency
+
+
+@dataclass(frozen=True)
+class JourneyAudit:
+    """Cross-check of a query verdict against journey reachability.
+
+    ``unexplained_misses`` are stable-core members the protocol missed even
+    though a journey existed — protocol inefficiency rather than topological
+    impossibility.  ``impossible`` members had no journey: *no* protocol
+    could have counted them.
+    """
+
+    reachable: frozenset[int]
+    impossible: frozenset[int]
+    unexplained_misses: frozenset[int]
+
+
+# ----------------------------------------------------------------------
+# Temporal-connectivity classes
+# ----------------------------------------------------------------------
+
+
+class ConnectivityClass(Enum):
+    """The temporal-connectivity classes a finite observation can tell
+    apart, strongest first.  *Recurrently connected* (every disconnection
+    heals) and *eventually connected* coincide on a finite observation:
+    both hold exactly when the last snapshot is connected.
+
+    T-interval connectivity (Kuhn–Lynch–Oshman: every ``T`` consecutive
+    snapshots share a connected spanning subgraph) is reported as
+    :attr:`ConnectivityVerdict.max_interval`; for ``T >= 2`` it is
+    *stronger* than always connected, which is ``T = 1``.
+    """
+
+    ALWAYS = "always connected"
+    RECURRENT = "recurrently connected"
+    DISCONNECTED = "not eventually connected"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+@dataclass(frozen=True)
+class ConnectivityVerdict:
+    """Result of classifying a snapshot sequence."""
+
+    klass: ConnectivityClass
+    #: Largest T for which the sequence is T-interval connected (0 if none).
+    max_interval: int
+    connected_fraction: float
+    first_connected_suffix: int | None
+
+    def __str__(self) -> str:
+        return (
+            f"{self.klass} (max T={self.max_interval}, "
+            f"{self.connected_fraction:.0%} of snapshots connected)"
+        )
+
+
+def classify_snapshots(snapshots: Sequence[Topology]) -> ConnectivityVerdict:
+    """Classify a snapshot sequence (e.g. :meth:`Run.snapshots`).
+
+    Like the arrival classes, the verdict states consistency with the
+    class over the observation window.
+    """
+    if not snapshots:
+        raise ConfigurationError("cannot classify an empty snapshot sequence")
+    connected = [snap.is_connected() and len(snap) > 0 for snap in snapshots]
+    fraction = sum(connected) / len(connected)
+
+    # Largest T-interval connectivity (0 when even T=1 fails).
+    max_interval = 0
+    for window in range(1, len(snapshots) + 1):
+        if not interval_connectivity(snapshots, window):
+            break
+        max_interval = window
+
+    # First index from which every snapshot is connected.
+    suffix = len(connected)
+    while suffix and connected[suffix - 1]:
+        suffix -= 1
+
+    if suffix == 0:
+        klass = ConnectivityClass.ALWAYS
+    elif suffix < len(connected):
+        klass = ConnectivityClass.RECURRENT
+    else:
+        klass, suffix = ConnectivityClass.DISCONNECTED, None
+    return ConnectivityVerdict(klass, max_interval, fraction, suffix)
+
+
+def interval_connectivity(snapshots: Sequence[Topology], window: int) -> bool:
+    """Check T-interval connectivity over a sequence of graph snapshots.
+
+    The sequence is T-interval connected if every ``window`` consecutive
+    snapshots share a connected spanning subgraph over their common nodes.
+    ``window = 1`` degenerates to "each snapshot is connected".
+    """
+    if window < 1:
+        raise ConfigurationError(f"window must be >= 1, got {window}")
+    if not snapshots:
+        return True
+    for start in range(0, max(1, len(snapshots) - window + 1)):
+        group = snapshots[start:start + window]
+        common_nodes = set.intersection(*(set(snap.nodes()) for snap in group))
+        if len(common_nodes) <= 1:
+            continue
+        # An edge in every snapshot has both endpoints in every snapshot.
+        common_edges = set.intersection(*(set(snap.edges()) for snap in group))
+        if not Topology(nodes=common_nodes, edges=common_edges).is_connected():
+            return False
+    return True

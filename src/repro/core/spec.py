@@ -120,14 +120,6 @@ def extract_queries(log: TraceLog) -> list[QueryRecord]:
     return records
 
 
-def _value_map(log: TraceLog) -> dict[int, object]:
-    """Map every entity to the value it held when it joined."""
-    return {
-        event["entity"]: event.get("value")
-        for event in log.events(tr.JOIN)
-    }
-
-
 class OneTimeQuerySpec:
     """Checks one-time-query occurrences in a trace against the spec.
 
@@ -163,23 +155,23 @@ class OneTimeQuerySpec:
                 notes=("query never returned",),
             )
         assert record.return_time is not None
-        core = run.stable_core(record.issue_time, record.return_time)
-        if self.restrict_core_to is not None:
-            core = core & self.restrict_core_to
+        stable = run.stable_core(record.issue_time, record.return_time)
+        restrict = self.restrict_core_to
+        core = stable if restrict is None else stable & restrict
         contributors = frozenset(record.contributors)
         duplicates = frozenset(
             pid
             for pid in contributors
             if record.contributors.count(pid) > 1
         )
-        window_present = run.stable_core(record.issue_time, record.return_time) | run.transients(
+        window_present = stable | run.transients(
             record.issue_time, record.return_time
         )
         phantom = contributors - window_present
         missing = core - contributors
         integral = not duplicates and not phantom
         if self.check_result and integral:
-            integral = self._result_consistent(log, record, notes)
+            integral = self._result_consistent(run, record, notes)
         return Verdict(
             terminated=True,
             complete=not missing,
@@ -193,9 +185,9 @@ class OneTimeQuerySpec:
         )
 
     def _result_consistent(
-        self, log: TraceLog, record: QueryRecord, notes: list[str]
+        self, run: Run, record: QueryRecord, notes: list[str]
     ) -> bool:
-        values = _value_map(log)
+        values = run.values
         unknown = [pid for pid in record.contributors if pid not in values]
         if unknown:
             notes.append(f"contributors with unknown values: {unknown}")

@@ -353,7 +353,7 @@ def run_query(config: QueryConfig) -> QueryOutcome:
         verdict = spec.check_query(trace, record, run)
 
         truth, error = _ground_truth(
-            config, run, trace, record, issue_state["reachable"]
+            config, run, record, issue_state["reachable"]
         )
 
     coverage_report = None
@@ -396,7 +396,6 @@ def run_query(config: QueryConfig) -> QueryOutcome:
 def _ground_truth(
     config: QueryConfig,
     run: Run,
-    trace: tr.TraceLog,
     record: QueryRecord,
     reachable: frozenset[int],
 ) -> tuple[Any, float]:
@@ -406,9 +405,6 @@ def _ground_truth(
     with the entities reachable from the querier at issue time — exactly
     what the specification's validity clause requires of any protocol.
     """
-    values = {
-        event["entity"]: event.get("value") for event in trace.events(tr.JOIN)
-    }
     window_end = record.return_time if record.return_time is not None else run.horizon
     obligation = run.stable_core(record.issue_time, window_end)
     if reachable:
@@ -416,7 +412,7 @@ def _ground_truth(
     if not obligation:
         return None, float("inf")
     aggregate = config.aggregate_obj()
-    truth = aggregate.of(values[pid] for pid in sorted(obligation))
+    truth = aggregate.of(run.values[pid] for pid in sorted(obligation))
     if record.result is None:
         return truth, float("inf")
     if isinstance(truth, (int, float)) and isinstance(record.result, (int, float)):

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.core.runs import Run
 from repro.sim import trace as tr
 from repro.sim.errors import ConfigurationError
 
@@ -104,7 +105,7 @@ class InfluenceReport:
         influencing_entities: entities with at least one event in the
             verdict's causal past — exactly the entities whose state could
             have influenced the answer.
-        live_at_verdict: entities present in the system at verdict time.
+        present_at_verdict: entities present in the system at verdict time.
         outside_causal_past: live entities the verdict does *not* causally
             depend on.  Non-empty means no protocol run along this causal
             structure could have counted them — the paper's unsolvability
@@ -119,7 +120,7 @@ class InfluenceReport:
     causal_depth: int
     past_events: int
     influencing_entities: frozenset[int]
-    live_at_verdict: frozenset[int]
+    present_at_verdict: frozenset[int]
     outside_causal_past: frozenset[int]
 
     @property
@@ -276,26 +277,6 @@ class HappensBeforeDAG:
         return frozenset(owners)
 
     # ------------------------------------------------------------------
-    # Membership view (for influence accounting)
-    # ------------------------------------------------------------------
-
-    def live_at(self, time: float) -> frozenset[int]:
-        """Entities present at instant ``time`` (half-open ``[join, leave)``
-        intervals, matching :class:`repro.core.runs.Interval`)."""
-        joined: dict[int, float] = {}
-        left: dict[int, float] = {}
-        for event in self.events:
-            if event.kind == tr.JOIN:
-                joined[event["entity"]] = event.time
-            elif event.kind == tr.LEAVE:
-                left[event["entity"]] = event.time
-        return frozenset(
-            pid
-            for pid, t_join in joined.items()
-            if t_join <= time and not (pid in left and left[pid] <= time)
-        )
-
-    # ------------------------------------------------------------------
     # Query influence
     # ------------------------------------------------------------------
 
@@ -343,7 +324,7 @@ class HappensBeforeDAG:
         )
         past = self.causal_past(verdict_index)
         influencing = self.entities_in(past)
-        live = self.live_at(verdict.time)
+        live = Run.from_trace(self.events).present_at(verdict.time)
         return InfluenceReport(
             qid=verdict["qid"],
             querier=verdict["entity"],
@@ -353,7 +334,7 @@ class HappensBeforeDAG:
             causal_depth=self.depth(verdict_index),
             past_events=len(past),
             influencing_entities=influencing,
-            live_at_verdict=live,
+            present_at_verdict=live,
             outside_causal_past=live - influencing,
         )
 

@@ -217,16 +217,12 @@ class TraceLog:
         ]
 
     # ------------------------------------------------------------------
-    # Membership helpers (consumed by repro.core.runs)
+    # Membership and cost helpers
     # ------------------------------------------------------------------
 
     def membership_events(self) -> list[TraceEvent]:
         """Return join/leave events in time order (retained by every sink)."""
         return [e for e in self._events if e.kind in (JOIN, LEAVE)]
-
-    def entities_ever(self) -> set[int]:
-        """Return the ids of every entity that ever joined."""
-        return {e["entity"] for e in self._events if e.kind == JOIN}
 
     def message_count(self) -> int:
         """Total number of message sends (the standard cost metric)."""

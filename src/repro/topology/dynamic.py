@@ -6,8 +6,9 @@ a protocol, and the paper's geography dimension covers both: neighbor
 knowledge is only ever knowledge of the *current* neighbors.
 
 :class:`EdgeRewiringChurn` rewires the overlay at a configurable rate while
-(optionally) preserving connectivity; :func:`interval_connectivity` checks
-the classical T-interval-connectivity property over a recorded trace.
+(optionally) preserving connectivity.  The rewiring is recorded as
+``edge_up``/``edge_down`` trace events, which :class:`repro.core.runs.Run`
+reads into edge intervals.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import TYPE_CHECKING
 
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.events import PRIORITY_MEMBERSHIP
-from repro.sim.trace import TraceLog
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -159,54 +159,6 @@ class EdgeRewiringChurn:
 
     def __repr__(self) -> str:
         return f"EdgeRewiringChurn(rate={self.rate})"
-
-
-def edge_timeline(log: TraceLog) -> list[tuple[float, str, tuple[int, int]]]:
-    """Extract the (time, 'up'|'down', edge) sequence from a trace.
-
-    Only edges changed through :meth:`Network.add_edge` / ``remove_edge``
-    appear; join-time attachments are reconstructed from join degrees by
-    :func:`graph_at` instead.
-    """
-    timeline = []
-    for event in log:
-        if event.kind == "edge_up":
-            timeline.append((event.time, "up", (event["a"], event["b"])))
-        elif event.kind == "edge_down":
-            timeline.append((event.time, "down", (event["a"], event["b"])))
-    return timeline
-
-
-def interval_connectivity(
-    snapshots: list[Topology], window: int
-) -> bool:
-    """Check T-interval connectivity over a sequence of graph snapshots.
-
-    The sequence is T-interval connected if every ``window`` consecutive
-    snapshots share a connected spanning subgraph over their common nodes.
-    ``window = 1`` degenerates to "each snapshot is connected".
-    """
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    if not snapshots:
-        return True
-    for start in range(0, max(1, len(snapshots) - window + 1)):
-        group = snapshots[start:start + window]
-        common_nodes = set(group[0].nodes())
-        for snap in group[1:]:
-            common_nodes &= set(snap.nodes())
-        if len(common_nodes) <= 1:
-            continue
-        common_edges = set(group[0].edges())
-        for snap in group[1:]:
-            common_edges &= set(snap.edges())
-        core = Topology(nodes=common_nodes)
-        for a, b in common_edges:
-            if a in common_nodes and b in common_nodes:
-                core.add_edge(a, b)
-        if not core.is_connected():
-            return False
-    return True
 
 
 def snapshot(network) -> Topology:

@@ -1,15 +1,10 @@
-"""Tests for temporal-connectivity classification (repro.core.connectivity)."""
+"""Tests for temporal-connectivity classification (repro.core.runs)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.connectivity import (
-    ConnectivityClass,
-    classify_snapshots,
-    classify_trace,
-    snapshots_from_trace,
-)
+from repro.core.runs import ConnectivityClass, Run, classify_snapshots
 from repro.sim.errors import ConfigurationError
 from repro.topology.generators import line, ring
 from repro.topology.graph import Topology
@@ -73,6 +68,26 @@ class TestClassifySnapshots:
         verdict = classify_snapshots([ring(3)] * 2)
         assert "always connected" in str(verdict)
 
+    def test_reachable_classes(self):
+        """Over every connected/disconnected pattern up to length 7 the
+        classifier reaches exactly its three classes: always connected,
+        recurrent iff the observation ends connected, disconnected
+        otherwise."""
+        seen = set()
+        for length in range(1, 8):
+            for mask in range(2 ** length):
+                pattern = [bool(mask >> i & 1) for i in range(length)]
+                snaps = [ring(4) if ok else disconnected() for ok in pattern]
+                klass = classify_snapshots(snaps).klass
+                if all(pattern):
+                    assert klass is ConnectivityClass.ALWAYS
+                elif pattern[-1]:
+                    assert klass is ConnectivityClass.RECURRENT
+                else:
+                    assert klass is ConnectivityClass.DISCONNECTED
+                seen.add(klass)
+        assert seen == set(ConnectivityClass)
+
 
 class TestSnapshotsFromTrace:
     def make_trace(self):
@@ -85,7 +100,7 @@ class TestSnapshotsFromTrace:
         return log
 
     def test_static_snapshots(self):
-        snaps = snapshots_from_trace(self.make_trace(), [1.0, 5.0])
+        snaps = Run.from_trace(self.make_trace()).snapshots([1.0, 5.0])
         assert len(snaps) == 2
         assert all(s.is_connected() for s in snaps)
         assert all(len(s) == 3 for s in snaps)
@@ -93,16 +108,18 @@ class TestSnapshotsFromTrace:
     def test_isolated_members_included(self):
         log = self.make_trace()
         log.record(2.0, "join", entity=9, value=1.0, neighbors=())
-        snaps = snapshots_from_trace(log, [3.0])
+        snaps = Run.from_trace(log).snapshots([3.0])
         assert 9 in snaps[0]
         assert not snaps[0].is_connected()
 
     def test_no_times_rejected(self):
         with pytest.raises(ConfigurationError):
-            snapshots_from_trace(self.make_trace(), [])
+            Run.from_trace(self.make_trace()).snapshots([])
 
     def test_classify_trace_static(self):
-        verdict = classify_trace(self.make_trace(), [1.0, 2.0, 3.0])
+        verdict = classify_snapshots(
+            Run.from_trace(self.make_trace()).snapshots([1.0, 2.0, 3.0])
+        )
         assert verdict.klass is ConnectivityClass.ALWAYS
 
 
@@ -122,6 +139,8 @@ class TestEndToEnd:
             pids.append(sim.spawn(Process(value=1.0), neighbors).pid)
         ReplacementChurn(lambda: Process(value=1.0), rate=1.0).install(sim)
         sim.run(until=60)
-        verdict = classify_trace(sim.trace, [float(t) for t in range(5, 60, 5)])
+        verdict = classify_snapshots(
+            Run.from_trace(sim.trace).snapshots([float(t) for t in range(5, 60, 5)])
+        )
         assert verdict.klass in ConnectivityClass
         assert 0.0 <= verdict.connected_fraction <= 1.0

@@ -1,11 +1,10 @@
-"""Tests for time-varying graphs and journeys (repro.core.journeys)."""
+"""Tests for time-varying graphs and journeys (repro.core.runs)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.journeys import DynamicGraph, audit_query_misses
-from repro.core.runs import FOREVER
+from repro.core.runs import FOREVER, Run
 from repro.sim.trace import TraceLog
 
 
@@ -20,7 +19,7 @@ def static_line_log(n: int = 4) -> TraceLog:
 
 class TestReconstruction:
     def test_static_edges(self):
-        graph = DynamicGraph.from_trace(static_line_log(4))
+        graph = Run.from_trace(static_line_log(4))
         assert graph.edges() == [(0, 1), (1, 2), (2, 3)]
         assert graph.edge_present(0, 1, 5.0)
         assert graph.presence(0, 1)[0].leave == FOREVER
@@ -28,7 +27,7 @@ class TestReconstruction:
     def test_leave_closes_edges(self):
         log = static_line_log(3)
         log.record(5.0, "leave", entity=1)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         assert graph.edge_present(0, 1, 4.0)
         assert not graph.edge_present(0, 1, 5.0)
         assert not graph.edge_present(1, 2, 6.0)
@@ -37,7 +36,7 @@ class TestReconstruction:
         log = static_line_log(3)
         log.record(2.0, "edge_up", a=0, b=2)
         log.record(7.0, "edge_down", a=0, b=2)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         assert not graph.edge_present(0, 2, 1.0)
         assert graph.edge_present(0, 2, 4.0)
         assert not graph.edge_present(0, 2, 7.5)
@@ -46,37 +45,37 @@ class TestReconstruction:
         log = TraceLog()
         log.record(0.0, "join", entity=0, neighbors=())
         log.record(1.0, "join", entity=1, neighbors=(0, 99))  # 99 absent
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         assert graph.edges() == [(0, 1)]
 
     def test_snapshot(self):
         log = static_line_log(3)
         log.record(5.0, "leave", entity=2)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         assert graph.snapshot(1.0).edge_count() == 2
         assert graph.snapshot(6.0).edge_count() == 1
 
     def test_edges_at(self):
-        graph = DynamicGraph.from_trace(static_line_log(3))
+        graph = Run.from_trace(static_line_log(3))
         assert set(graph.edges_at(1.0)) == {(0, 1), (1, 2)}
 
 
 class TestJourneys:
     def test_static_reachability(self):
-        graph = DynamicGraph.from_trace(static_line_log(5))
+        graph = Run.from_trace(static_line_log(5))
         arrivals = graph.earliest_arrivals(0, start=0.0, hop_time=1.0)
         assert arrivals == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
 
     def test_deadline_truncates(self):
-        graph = DynamicGraph.from_trace(static_line_log(5))
+        graph = Run.from_trace(static_line_log(5))
         assert graph.reachable(0, 0.0, deadline=2.5, hop_time=1.0) == {0, 1, 2}
 
     def test_zero_hop_time(self):
-        graph = DynamicGraph.from_trace(static_line_log(5))
+        graph = Run.from_trace(static_line_log(5))
         assert graph.reachable(0, 0.0, deadline=0.0) == {0, 1, 2, 3, 4}
 
     def test_negative_hop_rejected(self):
-        graph = DynamicGraph.from_trace(static_line_log(2))
+        graph = Run.from_trace(static_line_log(2))
         with pytest.raises(ValueError):
             graph.earliest_arrivals(0, 0.0, hop_time=-1.0)
 
@@ -86,7 +85,7 @@ class TestJourneys:
         log.record(0.0, "join", entity=0, neighbors=())
         log.record(0.0, "join", entity=1, neighbors=())
         log.record(5.0, "edge_up", a=0, b=1)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         arrivals = graph.earliest_arrivals(0, start=0.0, hop_time=1.0)
         assert arrivals[1] == 6.0  # waited until the edge appeared
 
@@ -95,7 +94,7 @@ class TestJourneys:
         far end is unreachable — the canonical completeness failure."""
         log = static_line_log(3)
         log.record(0.5, "leave", entity=1)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         # hop_time 1.0: the first hop 0->1 cannot complete inside [0, 0.5).
         assert not graph.journey_exists(0, 2, start=0.0, deadline=100.0,
                                         hop_time=1.0)
@@ -104,7 +103,7 @@ class TestJourneys:
         """A relay that stays just long enough carries the journey."""
         log = static_line_log(3)
         log.record(2.5, "leave", entity=1)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         # hops at [0,1] and [1,2]: both complete before 1 leaves at 2.5.
         assert graph.journey_exists(0, 2, start=0.0, deadline=10.0,
                                     hop_time=1.0)
@@ -119,7 +118,7 @@ class TestJourneys:
         log.record(0.0, "edge_up", a=0, b=1)
         log.record(2.0, "edge_down", a=0, b=1)
         log.record(3.0, "edge_up", a=1, b=2)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         # 0 -> 1 (early) then wait, then 1 -> 2 (late): journey exists.
         assert graph.journey_exists(0, 2, 0.0, 10.0, hop_time=1.0)
         # 2 -> 1 possible only after t=3, but 1 -> 0 edge died at 2: no
@@ -131,8 +130,8 @@ class TestAuditQueryMisses:
     def test_impossible_miss_classified(self):
         log = static_line_log(3)
         log.record(0.5, "leave", entity=1)
-        audit = audit_query_misses(
-            log, querier=0, issue_time=0.0, return_time=10.0,
+        audit = Run.from_trace(log).audit_query_misses(
+            querier=0, issue_time=0.0, return_time=10.0,
             missing=frozenset({2}), hop_time=1.0,
         )
         assert audit.impossible == {2}
@@ -140,8 +139,8 @@ class TestAuditQueryMisses:
 
     def test_unexplained_miss_classified(self):
         log = static_line_log(3)  # fully connected forever
-        audit = audit_query_misses(
-            log, querier=0, issue_time=0.0, return_time=10.0,
+        audit = Run.from_trace(log).audit_query_misses(
+            querier=0, issue_time=0.0, return_time=10.0,
             missing=frozenset({2}), hop_time=1.0,
         )
         assert audit.impossible == frozenset()
@@ -165,8 +164,7 @@ class TestAuditQueryMisses:
             if not outcome.terminated or not outcome.verdict.missing_core:
                 continue
             found_miss = True
-            audit = audit_query_misses(
-                outcome.trace,
+            audit = outcome.run.audit_query_misses(
                 querier=outcome.querier,
                 issue_time=outcome.record.issue_time,
                 return_time=outcome.record.return_time,

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.runs import FOREVER, Interval, Run, union_entities
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 
 def make_run() -> Run:
@@ -102,6 +102,39 @@ class TestRunConstruction:
         run = Run.static(5, horizon=100.0)
         assert len(run) == 5
         assert run.present_at(50.0) == frozenset(range(5))
+
+    def test_join_values_and_event_iterables(self):
+        events = [
+            TraceEvent(0.0, "join", {"entity": 0, "value": 3}),
+            TraceEvent(1.0, "join", {"entity": 1}),
+            TraceEvent(2.0, "edge_up", {"a": 0, "b": 1}),
+        ]
+        run = Run.from_trace(iter(events))
+        assert run.values == {0: 3, 1: None}
+        assert run.horizon == 1.0  # the last membership event
+        assert run.edges() == [(0, 1)]  # a one-shot iterator is kept
+
+    def test_a_run_without_events_has_no_edges(self):
+        run = Run.static(3, horizon=1.0)
+        assert run.edges() == []
+        assert run.reachable(0, 0.0, deadline=1.0) == {0}
+        assert run.snapshot(0.5).edge_count() == 0
+
+
+class TestLazyEdgeIntervals:
+    """Checking a trial's specification reads presence only: the edge
+    intervals are built on the first edge, journey or snapshot query."""
+
+    def test_a_checked_trial_builds_no_edge_intervals(self):
+        from repro.engine.trials import QueryConfig, run_query
+
+        outcome = run_query(QueryConfig(n=12, topology="ring", seed=3))
+        assert outcome.verdict.terminated
+        assert outcome.run._adjacency is None
+        assert outcome.run.edges()  # the first query builds them ...
+        built = outcome.run._adjacency
+        assert outcome.run.snapshot(1.0).is_connected()
+        assert outcome.run._adjacency is built  # ... once
 
 
 class TestMembershipQueries:

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.core.aggregates import COUNT
-from repro.core.journeys import DynamicGraph
+from repro.core.runs import Run
 from repro.core.spec import OneTimeQuerySpec
 from repro.protocols.one_time_query import WaveNode
 from repro.sim.latency import ConstantDelay
@@ -60,7 +60,7 @@ class TestThreeWayAgreement:
         for node in sorted(topo.nodes()):
             neighbors = tuple(p for p in topo.neighbors(node) if p < node)
             log.record(0.0, "join", entity=node, value=1.0, neighbors=neighbors)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         for radius in (1, 2, 4):
             reachable = graph.reachable(0, start=0.0, deadline=float(radius),
                                         hop_time=1.0)

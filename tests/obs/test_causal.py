@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import ChurnSpec, QueryConfig, run_query
+from repro.core.runs import Run
 from repro.obs.causal import HappensBeforeDAG, owners_of, threads_of
 from repro.sim.errors import ConfigurationError
 from repro.sim.trace import TraceEvent
@@ -85,7 +86,7 @@ def test_influence_report_flags_unseen_live_entity():
     assert report.qid == 0 and report.querier == 0
     assert report.issue_time == 1.0 and report.verdict_time == 4.0
     assert report.influencing_entities == frozenset({0, 1})
-    assert report.live_at_verdict == frozenset({0, 1, 2})
+    assert report.present_at_verdict == frozenset({0, 1, 2})
     # Entity 2 is live at the verdict but causally invisible to it.
     assert report.outside_causal_past == frozenset({2})
     assert not report.covers_all_live
@@ -98,10 +99,10 @@ def test_live_at_half_open_intervals():
         ev(5.0, "join", entity=1),
         ev(9.0, "leave", entity=1),
     ]
-    dag = HappensBeforeDAG(events)
-    assert dag.live_at(4.0) == frozenset({0})
-    assert dag.live_at(5.0) == frozenset({0, 1})
-    assert dag.live_at(9.0) == frozenset({0})       # [join, leave)
+    run = Run.from_trace(HappensBeforeDAG(events).events)
+    assert run.present_at(4.0) == frozenset({0})
+    assert run.present_at(5.0) == frozenset({0, 1})
+    assert run.present_at(9.0) == frozenset({0})    # [join, leave)
 
 
 def test_verdict_index_errors_name_the_qid():
@@ -134,7 +135,7 @@ def test_churn_trial_leaves_live_entities_outside_causal_past():
     report = HappensBeforeDAG.from_trace(outcome.trace).influence()
     assert len(report.outside_causal_past) >= 1
     assert not report.covers_all_live
-    assert report.outside_causal_past <= report.live_at_verdict
+    assert report.outside_causal_past <= report.present_at_verdict
 
 
 def test_jsonl_and_memory_sinks_yield_identical_dag(tmp_path):

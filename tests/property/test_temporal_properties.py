@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.journeys import DynamicGraph
+from repro.core.runs import Run
 from repro.sim.trace import TraceLog
 from repro.synchronous.flooding import KnowledgeFlood
 from repro.synchronous.runner import SynchronousSystem, build_from_topology
@@ -19,7 +19,9 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 
 def random_membership_trace(seed: int, n: int) -> TraceLog:
-    """A random join/leave trace over a chain-ish overlay."""
+    """A random join/leave trace over a chain-ish overlay, rewired by
+    ``edge_up``/``edge_down`` events between present entities (some of
+    them no-ops, some at the instant of a join or leave)."""
     rng = random.Random(seed)
     log = TraceLog()
     alive: list[int] = []
@@ -29,6 +31,12 @@ def random_membership_trace(seed: int, n: int) -> TraceLog:
         neighbors = tuple(rng.sample(alive, min(len(alive), 2))) if alive else ()
         log.record(t, "join", entity=entity, value=1.0, neighbors=neighbors)
         alive.append(entity)
+        for _ in range(rng.randrange(3)):
+            a, b = sorted(rng.sample(alive, 2)) if len(alive) > 1 else (0, 0)
+            if a != b:
+                t += rng.choice((0.0, rng.uniform(0.0, 1.0)))
+                kind = rng.choice(("edge_up", "edge_down"))
+                log.record(t, kind, a=a, b=b)
         if len(alive) > 3 and rng.random() < 0.3:
             victim = rng.choice(alive)
             alive.remove(victim)
@@ -37,12 +45,52 @@ def random_membership_trace(seed: int, n: int) -> TraceLog:
     return log
 
 
+def replay(log: TraceLog, t: float) -> tuple[set[int], set[tuple[int, int]]]:
+    """The naive reference: the live node and edge sets after applying, in
+    order, every event at or before ``t``."""
+    nodes: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    for event in log:
+        if event.time > t:
+            break
+        if event.kind == "join":
+            entity = event["entity"]
+            nodes.add(entity)
+            edges |= {
+                (min(entity, n), max(entity, n))
+                for n in event["neighbors"] if n in nodes
+            }
+        elif event.kind == "leave":
+            nodes.discard(event["entity"])
+            edges = {edge for edge in edges if event["entity"] not in edge}
+        elif event.kind == "edge_up":
+            edges.add((event["a"], event["b"]))
+        elif event.kind == "edge_down":
+            edges.discard((event["a"], event["b"]))
+    return nodes, edges
+
+
+class TestSnapshotsMatchReplay:
+    @given(seeds, st.integers(min_value=3, max_value=14))
+    @settings(max_examples=40, deadline=None)
+    def test_snapshot_equals_naive_replay(self, seed, n):
+        """``Run.snapshot(t)`` is the live graph at every event time and at
+        every midpoint between consecutive event times."""
+        log = random_membership_trace(seed, n)
+        run = Run.from_trace(log)
+        times = sorted({event.time for event in log})
+        probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])]
+        for t in probes:
+            snap = run.snapshot(t)
+            assert (set(snap.nodes()), set(snap.edges())) == replay(log, t), t
+
+
 class TestJourneyProperties:
     @given(seeds, st.integers(min_value=3, max_value=14))
     @settings(max_examples=30, deadline=None)
     def test_reachable_monotone_in_deadline(self, seed, n):
         log = random_membership_trace(seed, n)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         source = 0
         early = graph.reachable(source, 0.0, deadline=5.0, hop_time=0.5)
         late = graph.reachable(source, 0.0, deadline=50.0, hop_time=0.5)
@@ -52,7 +100,7 @@ class TestJourneyProperties:
     @settings(max_examples=30, deadline=None)
     def test_reachable_antitone_in_hop_time(self, seed, n):
         log = random_membership_trace(seed, n)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         fast = graph.reachable(0, 0.0, deadline=20.0, hop_time=0.1)
         slow = graph.reachable(0, 0.0, deadline=20.0, hop_time=2.0)
         assert slow <= fast
@@ -61,7 +109,7 @@ class TestJourneyProperties:
     @settings(max_examples=30, deadline=None)
     def test_arrivals_never_before_start(self, seed, n):
         log = random_membership_trace(seed, n)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         arrivals = graph.earliest_arrivals(0, start=1.0, hop_time=0.5)
         assert all(when >= 1.0 for when in arrivals.values())
         assert arrivals.get(0) == 1.0
@@ -70,7 +118,7 @@ class TestJourneyProperties:
     @settings(max_examples=20, deadline=None)
     def test_source_always_reachable(self, seed, n):
         log = random_membership_trace(seed, n)
-        graph = DynamicGraph.from_trace(log)
+        graph = Run.from_trace(log)
         assert 0 in graph.reachable(0, 0.0, deadline=100.0)
 
 

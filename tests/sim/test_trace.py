@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.runs import Run
 from repro.sim.trace import DELIVER, JOIN, LEAVE, SEND, TraceLog, merge_logs
 
 
@@ -60,7 +61,7 @@ class TestTraceLog:
         assert [e.kind for e in events] == [JOIN, JOIN, LEAVE]
 
     def test_entities_ever(self):
-        assert build_log().entities_ever() == {0, 1}
+        assert Run.from_trace(build_log()).entities() == {0, 1}
 
     def test_message_count(self):
         assert build_log().message_count() == 1

@@ -7,12 +7,8 @@ import pytest
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
-from repro.topology.dynamic import (
-    EdgeRewiringChurn,
-    edge_timeline,
-    interval_connectivity,
-    snapshot,
-)
+from repro.core.runs import Interval, Run, interval_connectivity
+from repro.topology.dynamic import EdgeRewiringChurn, snapshot
 from repro.topology.generators import ring
 from repro.topology.graph import Topology
 
@@ -117,13 +113,17 @@ class TestEdgeRewiringChurn:
 class TestEdgeTimeline:
     def test_records_ups_and_downs(self):
         sim = ring_system(5)
-        a, b = sorted(sim.network.present())[:2]
-        c = sorted(sim.network.present())[2]
-        sim.network.remove_edge(a, b)
-        sim.network.add_edge(a, c) if c not in sim.network.neighbors(a) else None
-        timeline = edge_timeline(sim.trace)
-        kinds = [k for _, k, _ in timeline]
-        assert "down" in kinds
+        a, b, c = sorted(sim.network.present())[:3]  # (a, b) a ring edge, (a, c) not
+
+        def rewire() -> None:
+            sim.network.remove_edge(a, b)
+            sim.network.add_edge(a, c)
+
+        sim.at(2.0, rewire)
+        sim.run(until=5.0)
+        run = Run.from_trace(sim.trace)
+        assert run.presence(a, b) == [Interval(0.0, 2.0)]
+        assert run.presence(a, c) == [Interval(2.0)]
 
 
 class TestIntervalConnectivity:
