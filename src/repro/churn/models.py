@@ -113,16 +113,26 @@ class ChurnModel(abc.ABC):
         self.joins += 1
         sim.metrics.inc("churn.joins")
         if lifetime is not None:
-            pid = proc.pid
-
-            def _depart() -> None:
-                if network.is_present(pid):
-                    network.remove_process(pid)
-                    self.leaves += 1
-                    sim.metrics.inc("churn.leaves")
-
-            self._schedule(lifetime, _depart, f"churn:lifetime-leave:{pid}")
+            self._doom(proc.pid, lifetime)
         return proc
+
+    def _depart(self, pid: int) -> None:
+        """The one leave path: ``pid`` leaves and is counted, on the model
+        (:attr:`leaves`) and in the ``churn.leaves`` metric alike."""
+        sim = self._sim
+        sim.network.remove_process(pid)
+        self.leaves += 1
+        sim.metrics.inc("churn.leaves")
+
+    def _doom(self, pid: int, lifetime: float) -> None:
+        """``pid`` leaves ``lifetime`` from now, unless it has left by then."""
+        network = self._sim.network
+
+        def _expire() -> None:
+            if network.is_present(pid):
+                self._depart(pid)
+
+        self._schedule(lifetime, _expire, f"churn:lifetime-leave:{pid}")
 
     def _leave_random(self) -> int | None:
         """Remove a uniformly random present, non-immortal process.
@@ -132,9 +142,7 @@ class ChurnModel(abc.ABC):
         no candidates — without building that list: the draw indexes the
         sorted membership and steps over the immortals' positions.
         """
-        sim = self._sim
-        network = sim.network
-        view = network.present_sorted()
+        view = self._sim.network.present_sorted()
         size = len(view)
         # Where the immortals sit in the view (an absent one sits nowhere).
         skipped: list[int] = []
@@ -151,9 +159,7 @@ class ChurnModel(abc.ABC):
                 break
             index += 1
         victim = view[index]
-        network.remove_process(victim)
-        self.leaves += 1
-        sim.metrics.inc("churn.leaves")
+        self._depart(victim)
         return victim
 
     def _replace_one(self) -> None:
@@ -231,16 +237,6 @@ class ArrivalDepartureChurn(ChurnModel):
                 if pid not in immortal:
                     self._doom(pid, self.lifetimes.sample(self._rng))
         self._schedule_next_arrival()
-
-    def _doom(self, pid: int, lifetime: float) -> None:
-        network = self._sim.network
-
-        def _depart() -> None:
-            if network.is_present(pid):
-                network.remove_process(pid)
-                self.leaves += 1
-
-        self._schedule(lifetime, _depart, f"churn:lifetime-leave:{pid}")
 
     def _schedule_next_arrival(self) -> None:
         gap = self._rng.expovariate(self.arrival_rate)
@@ -488,8 +484,7 @@ class ScheduledChurn(ChurnModel):
 
     def _scheduled_leave(self, pid: int) -> None:
         if self.sim.network.is_present(pid):
-            self.sim.kill(pid)
-            self.leaves += 1
+            self._depart(pid)
 
     def arrival_class(self) -> ArrivalClass:
         if self._declared_arrival is not None:

@@ -4,35 +4,23 @@
 taking a picklable :class:`~repro.engine.plan.TrialSpec` and returning a
 picklable :class:`~repro.engine.results.TrialResult`.
 
-There is **one dispatch loop**: :meth:`TrialExecutor.stream` hands each
-result to a consumer strictly in plan order, and batch execution
-(:meth:`TrialExecutor.run_specs`) is "stream, then collect" on every
-backend.  Likewise :func:`run_plan` and :func:`stream_plan` are two faces
-of one private run driver (:func:`_drive`), so healing, checkpointing and
-telemetry attach in exactly one place and a plan's result document is
-identical under ``SerialExecutor`` and ``ParallelExecutor``: parallelism
-changes wall-clock time, never results.
+There is **one dispatch loop**, :func:`_run_loop`: it takes results in
+plan order from a *source* and journals, consumes and reports each one.
+The sources are the trial run in process (the serial backend, and the
+pool's calibration trial), the warm pool (:class:`ParallelExecutor`,
+healed by :class:`~repro.engine.recovery.healing.PoolHealer`) and the
+checkpoint (:func:`_resumed`, interleaving journalled results).
+:meth:`TrialExecutor.stream`, :func:`run_plan` and :func:`stream_plan` all
+run through it — the last two via one private run driver
+(:func:`_drive`) — so healing, checkpointing and telemetry attach in
+exactly one place and a plan's result document is identical under
+``SerialExecutor`` and ``ParallelExecutor``: parallelism changes
+wall-clock time, never results.
 
-The parallel hot path (built for sweep-scale plans):
-
-* **persistent warm pool** — the worker pool is created once per
-  :class:`ParallelExecutor` (lazily, at first use), pre-imports the trial
-  layer, and is reused across every ``run_specs``/``stream``/``map`` call
-  until :meth:`~ParallelExecutor.close`; per-plan pool setup is paid
-  once, not per invocation;
-* **chunked, windowed dispatch** — trial specs are batched many-per-task
-  (:func:`_run_chunk`), either a fixed ``chunk`` size or adaptively sized
-  from one cheap calibration trial so each task carries about
-  ``chunk_target`` seconds of work, and at most
-  ``jobs × CHUNKS_PER_WORKER`` tasks are in flight at any moment;
-* **compact result transport** — workers ship back a slim positional
-  payload per trial (:func:`_pack_result`) instead of a pickled
-  :class:`TrialResult`; the parent reassembles the full result
-  deterministically from the payload plus its own copy of the spec
-  (:func:`_unpack_result`), so identity fields never cross the process
-  boundary twice.
-
-Configuration lives in the frozen, picklable
+The parallel hot path — a persistent warm pool, chunked windowed
+dispatch (:func:`_run_chunk`) and a compact result transport
+(:func:`_pack_result`) — is described in docs/ENGINE.md.  Configuration
+lives in the frozen, picklable
 :class:`~repro.engine.spec.ExecutorSpec` (``run_plan(plan,
 executor=ExecutorSpec.parallel(jobs=4))`` or a preset name).
 """
@@ -44,20 +32,13 @@ import contextlib
 import functools
 import itertools
 import math
-import mmap
 import os
-import shutil
-import struct
-import tempfile
 import threading
 import time
 import weakref
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from repro.engine.plan import ExperimentPlan, TrialSpec
 from repro.engine.recovery.checkpoint import (
@@ -66,12 +47,12 @@ from repro.engine.recovery.checkpoint import (
     resolve_checkpoint,
 )
 from repro.engine.recovery.healing import (
-    SPLIT_AFTER_DEATHS,
-    WorkerPoolError,
-    max_consecutive_respawns,
-    quarantine_threshold,
+    ChunkTask,
+    PoolHealer,
+    _mark_heartbeat,
     respawn_backoff,
 )
+from repro.engine.recovery.healing import quarantined_result as _quarantined_result
 from repro.engine.results import (
     ResultStore,
     StreamingResultStore,
@@ -89,6 +70,10 @@ from repro.engine.trials import (
     run_query,
 )
 from repro.sim.errors import ConfigurationError
+
+#: A source: ``(result, fresh)`` pairs in plan order; ``fresh`` is false
+#: only for a result resumed from a checkpoint journal.
+Source = Iterator[tuple[TrialResult, bool]]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -208,17 +193,14 @@ def execute_trial_guarded(
     """Run :func:`execute_trial` under a wall-clock watchdog.
 
     The trial runs on a daemon thread with ``watchdog`` seconds per
-    attempt.  A trial that overruns is retried from scratch (determinism
-    makes retries exact re-runs, so they only help against *environmental*
-    stalls — an overloaded worker, a paging storm — never against a
-    genuinely divergent simulation).  After ``retries + 1`` overruns the
-    trial is **quarantined**: a schema-compatible failure record with
-    ``status="quarantined"`` takes its place, the hung thread is abandoned
-    (daemon threads die with the worker process), and the rest of the plan
+    attempt.  A trial that overruns is retried from scratch (an exact
+    re-run, so it only helps against *environmental* stalls).  After
+    ``retries + 1`` overruns the trial is **quarantined**: a
+    ``status="quarantined"`` record takes its place, the hung thread is
+    abandoned (daemon threads die with the worker process), and the plan
     proceeds.  A trial that *errors* re-raises immediately — the watchdog
-    guards time, not correctness.
-
-    With ``watchdog=None`` this is exactly :func:`execute_trial`.
+    guards time, not correctness.  With ``watchdog=None`` this is exactly
+    :func:`execute_trial`.
     """
     if watchdog is None:
         return execute_trial(spec)
@@ -249,47 +231,6 @@ def execute_trial_guarded(
     return _quarantined_result(spec, watchdog * attempts)
 
 
-def _quarantined_result(spec: TrialSpec, wall_time: float) -> TrialResult:
-    """The placeholder record (``status="quarantined"``) for a trial that
-    never finished: one every watchdog attempt lost (``wall_time`` is the
-    budget it burnt), or a poison trial — one that killed its worker
-    outright (segfault, OOM kill) until the self-healing pool gave up on
-    it.  A poison trial's ``wall_time`` is pinned to 0.0: a deterministic
-    value keeps ``include_timing`` documents reproducible.  One schema for
-    both, so downstream consumers need no second case."""
-    return TrialResult.from_spec(
-        spec,
-        ok=False,
-        terminated=False,
-        result=None,
-        truth=None,
-        error=float("inf"),
-        completeness=0.0,
-        latency=float("inf"),
-        messages=0,
-        core_size=0,
-        events_executed=0,
-        wall_time=wall_time,
-        metrics={},
-        status="quarantined",
-    )
-
-
-@dataclass
-class _ChunkTask:
-    """Parent-side bookkeeping for one in-flight worker task.
-
-    ``deaths`` counts how many pool breaks this task has been in flight
-    for; ``solo`` marks a suspect task that must run with nothing else in
-    flight so a further break attributes precisely.
-    """
-
-    batch: tuple[TrialSpec, ...]
-    submitted: float = 0.0
-    deaths: int = 0
-    solo: bool = False
-
-
 # ----------------------------------------------------------------------
 # Compact result transport (worker -> parent)
 # ----------------------------------------------------------------------
@@ -300,20 +241,9 @@ class _ChunkTask:
 #: so the wire cost per trial is the verdict fields, the metrics block
 #: and the timings, nothing else.
 PAYLOAD_FIELDS: tuple[str, ...] = (
-    "ok",
-    "terminated",
-    "result",
-    "truth",
-    "error",
-    "completeness",
-    "latency",
-    "messages",
-    "core_size",
-    "events_executed",
-    "wall_time",
-    "metrics",
-    "status",
-    "coverage",
+    "ok", "terminated", "result", "truth", "error", "completeness", "latency",
+    "messages", "core_size", "events_executed", "wall_time", "metrics",
+    "status", "coverage",
 )
 
 
@@ -335,37 +265,6 @@ def _unpack_result(payload: Sequence[Any], spec: TrialSpec) -> TrialResult:
     return TrialResult.from_spec(spec, **dict(zip(PAYLOAD_FIELDS, payload)))
 
 
-#: A heartbeat slot holds the trial's plan index twice: a worker killed
-#: between the two stores leaves halves that differ, which reads as no mark.
-_HEARTBEAT = struct.Struct("<qq")
-#: This process's slot, ``(directory, mapping or None)``.
-_heartbeat_slot: tuple[Any, Any] = (None, None)
-
-
-def _mark_heartbeat(directory: str, index: int) -> None:
-    """Worker-side heartbeat: record "this worker is about to run trial
-    ``index``" in ``<directory>/<pid>.hb``.  The file is created and
-    memory-mapped at the worker's first mark (again only if ``directory``
-    changes); every later mark is two stores into the mapping — no system
-    call — and, the mapping being shared and file-backed, it outlives a
-    SIGKILLed worker.  After a pool break the parent reads the dead
-    workers' last marks to attribute the break to specific in-flight
-    trials (poison-trial detection); a slot that cannot be opened only
-    costs attribution precision, never correctness."""
-    global _heartbeat_slot
-    where, slot = _heartbeat_slot
-    if where != directory:
-        slot = None
-        with contextlib.suppress(OSError, ValueError):
-            path = os.path.join(directory, f"{os.getpid()}.hb")
-            with open(path, "w+b", buffering=0) as handle:
-                handle.write(_HEARTBEAT.pack(index, index))
-                slot = mmap.mmap(handle.fileno(), _HEARTBEAT.size)
-        _heartbeat_slot = (directory, slot)
-    elif slot is not None:
-        _HEARTBEAT.pack_into(slot, 0, index, index)
-
-
 def _run_chunk(
     specs: Sequence[TrialSpec],
     watchdog: float | None = None,
@@ -376,21 +275,14 @@ def _run_chunk(
 
     One pool task per *chunk* instead of per trial: submission overhead,
     future bookkeeping and result pickling are paid once per batch.  The
-    payloads come back in batch order (which is plan order — chunks are
-    contiguous plan slices), so the parent's merge is a zip.
-
-    Alongside the payloads, every chunk ships a small telemetry ``meta``
-    dict — worker pid, chunk endpoints, per-trial endpoints (Unix epoch
-    seconds, comparable across same-host processes) and the worker's peak
-    RSS.  It is always measured (a handful of clock reads per chunk) and
-    simply discarded by the parent when no telemetry recorder is
-    attached; it never reaches result documents, so it cannot perturb
-    byte-identity.
-
-    ``heartbeat`` (a directory path) enables the self-healing pool's
+    payloads come back in batch (= plan) order, so the parent's merge is
+    a zip.  Every chunk also ships a small telemetry ``meta`` dict —
+    worker pid, chunk and per-trial endpoints (Unix epoch seconds) and
+    the worker's peak RSS — which the parent drops unless a telemetry
+    recorder is attached; it never reaches result documents.
+    ``heartbeat`` (a directory) is the self-healing pool's
     death-attribution channel: the worker marks each trial it is about to
-    run (:func:`_mark_heartbeat`), so a crash points at its trial.  The
-    healthy path makes no system call per trial for it.
+    run (:func:`_mark_heartbeat`), with no system call per trial.
     """
     t0 = time.time()
     out = []
@@ -399,10 +291,7 @@ def _run_chunk(
         if heartbeat is not None:
             _mark_heartbeat(heartbeat, spec.index)
         trial_start = time.time()
-        if watchdog is None:
-            result = execute_trial(spec)
-        else:
-            result = execute_trial_guarded(spec, watchdog=watchdog, retries=retries)
+        result = execute_trial_guarded(spec, watchdog=watchdog, retries=retries)
         trial_times.append((trial_start, time.time()))
         out.append(_pack_result(result))
     meta = {
@@ -423,11 +312,6 @@ def _warm_worker() -> None:
     import repro.engine.trials  # noqa: F401 - imported for the side effect
 
 
-def _shutdown_pool(pool: _ProcessPool) -> None:
-    """GC-time cleanup for a pool whose executor was never closed."""
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 class TrialExecutor(abc.ABC):
     """Runs a plan's trial specs; backends differ only in *where* they run."""
 
@@ -443,25 +327,19 @@ class TrialExecutor(abc.ABC):
     chunks_dispatched: int = 0
     chunks_completed: int = 0
     #: Telemetry recorder for the current plan, attached by
-    #: :func:`run_plan` / :func:`stream_plan` (``telemetry=...``) and
-    #: detached when the call finishes.  ``None`` — the default — is the
-    #: historical code path; attaching a recorder adds wall-clock span
-    #: records to a side stream and never touches results.
+    #: :func:`run_plan` / :func:`stream_plan` for the call's duration; it
+    #: adds wall-clock span records to a side stream, never to results.
     telemetry: "TelemetryRecorder | None" = None
 
-    def _trial_fn(self) -> Callable[[TrialSpec], TrialResult]:
-        """The per-spec work function, honouring the watchdog settings."""
-        if self.watchdog is None:
-            return execute_trial
-        return functools.partial(
+    def _trial_fn(
+        self, calibration: bool = False
+    ) -> Callable[[TrialSpec], TrialResult]:
+        """The per-spec work function in this process: honours the
+        watchdog settings and, with a telemetry recorder attached, emits
+        one ``trial`` (or ``calibration``) span per call."""
+        fn = functools.partial(
             execute_trial_guarded, watchdog=self.watchdog, retries=self.retries
         )
-
-    def _instrumented_trial_fn(self) -> Callable[[TrialSpec], TrialResult]:
-        """The work function, wrapped to emit one ``trial`` span per call
-        when a telemetry recorder is attached (parent-side execution:
-        the serial backend and degraded 1-job parallel paths)."""
-        fn = self._trial_fn()
         tel = self.telemetry
         if tel is None:
             return fn
@@ -469,7 +347,7 @@ class TrialExecutor(abc.ABC):
         def timed(spec: TrialSpec) -> TrialResult:
             t0 = time.time()
             result = fn(spec)
-            tel.record_trial(spec, result, t0, time.time())
+            tel.record_trial(spec, result, t0, time.time(), calibration=calibration)
             return result
 
         return timed
@@ -479,6 +357,13 @@ class TrialExecutor(abc.ABC):
         update = getattr(progress, "chunk_update", None)
         if callable(update):
             update(self.chunks_dispatched, self.chunks_completed)
+
+    def _results(
+        self, specs: list[TrialSpec], progress: Optional[ProgressFn]
+    ) -> Source:
+        """This backend's source: every spec run in this process, in order."""
+        fn = self._trial_fn()
+        return ((fn(spec), True) for spec in specs)
 
     def run_specs(
         self,
@@ -495,7 +380,6 @@ class TrialExecutor(abc.ABC):
         self.stream(specs, results.append, progress=progress)
         return results
 
-    @abc.abstractmethod
     def map(
         self,
         fn: Callable[[T], R],
@@ -510,6 +394,13 @@ class TrialExecutor(abc.ABC):
         items are dispatched one per task (chunking applies only to trial
         specs, where the work function is known).
         """
+        items = list(items)
+        results: list[R] = []
+        for item in items:
+            results.append(fn(item))
+            if progress is not None:
+                progress(len(results), len(items), results[-1])
+        return results
 
     def stream(
         self,
@@ -518,21 +409,14 @@ class TrialExecutor(abc.ABC):
         progress: Optional[ProgressFn] = None,
     ) -> int:
         """Execute specs and hand each result to ``consume`` in plan order,
-        retaining nothing — the engine's one dispatch loop, behind
-        :meth:`run_specs`, :func:`run_plan` and :func:`stream_plan` alike.
+        retaining nothing — :func:`_run_loop` over this backend's source.
         Returns how many trials ran.  ``progress`` fires after each result
         has been consumed (plan order here, unlike :meth:`map`).
         """
-        fn = self._instrumented_trial_fn()
         specs = list(specs)
-        done = 0
-        for spec in specs:
-            result = fn(spec)
-            done += 1
-            consume(result)
-            if progress is not None:
-                progress(done, len(specs), result)
-        return done
+        return _run_loop(
+            self._results(specs, progress), consume, progress, len(specs)
+        )
 
     def close(self) -> None:
         """Release backend resources (a no-op for in-process backends)."""
@@ -555,20 +439,6 @@ class SerialExecutor(TrialExecutor):
         self.watchdog = watchdog
         self.retries = retries
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        progress: Optional[ProgressFn] = None,
-    ) -> list[R]:
-        items = list(items)
-        results: list[R] = []
-        for item in items:
-            results.append(fn(item))
-            if progress is not None:
-                progress(len(results), len(items), results[-1])
-        return results
-
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
@@ -582,14 +452,13 @@ class ParallelExecutor(TrialExecutor):
     time).  ``jobs`` defaults to the machine's CPU count.
 
     The pool is created lazily on first use and **reused across calls**
-    (``run_specs`` / ``stream`` / ``map``) until :meth:`close`
-    — fork once per plan, not once per invocation.  Trial specs are
-    dispatched in contiguous plan-order *chunks* (``chunk`` trials per
-    task, or adaptively sized from a calibration trial to carry about
-    ``chunk_target`` seconds each); workers return compact payloads that
-    the parent reassembles deterministically, so the canonical result
-    document is byte-identical at every chunk size, worker count and
-    backend.
+    (``run_specs`` / ``stream`` / ``map``) until :meth:`close`.  Trial
+    specs go out in contiguous plan-order *chunks* (``chunk`` trials per
+    task, or sized from a calibration trial to carry about
+    ``chunk_target`` seconds each), so the document is byte-identical at
+    every chunk size and worker count.  Worker death is absorbed by a
+    :class:`~repro.engine.recovery.healing.PoolHealer`, which reaches the
+    pool through :meth:`submit_chunk` and :meth:`replace_pool`.
     """
 
     def __init__(
@@ -615,17 +484,15 @@ class ParallelExecutor(TrialExecutor):
         self.retries = retries
         self.chunk = chunk
         self.chunk_target = chunk_target
-        self.chunks_dispatched = 0
-        self.chunks_completed = 0
-        #: Worker pools respawned during the most recent stream (0 on a
-        #: healthy run).
-        self.respawns = 0
         self._pool: _ProcessPool | None = None
         self._pool_finalizer: weakref.finalize | None = None
-        self._heartbeat_dir: str | None = None
-        self._hb_finalizer: weakref.finalize | None = None
-        self._kills: dict[int, int] = {}
-        self._respawn_streak = 0
+        self._healer = PoolHealer(self, retries)
+
+    @property
+    def respawns(self) -> int:
+        """Worker pools respawned during the most recent stream (0 on a
+        healthy run)."""
+        return self._healer.respawns
 
     # ------------------------------------------------------------------
     # Warm pool lifecycle
@@ -641,13 +508,21 @@ class ParallelExecutor(TrialExecutor):
             # If the executor is dropped without close(), shut the pool
             # down at GC instead of leaking worker processes.
             self._pool_finalizer = weakref.finalize(
-                self, _shutdown_pool, self._pool
+                self, self._pool.shutdown, wait=False, cancel_futures=True
             )
             if self.telemetry is not None:
                 self.telemetry.record_warmup(
                     warm_start, time.time(), jobs=self.jobs
                 )
         return self._pool
+
+    def _drop_pool(self, wait: bool) -> None:
+        """Shut the pool down — waiting for it, or (a broken pool) not
+        waiting on its corpse."""
+        if self._pool is not None:
+            self._pool_finalizer.detach()
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
+            self._pool = None
 
     @property
     def pool_active(self) -> bool:
@@ -665,157 +540,39 @@ class ParallelExecutor(TrialExecutor):
 
     def close(self) -> None:
         """Shut the warm pool down; the next use forks a fresh one."""
-        if self._pool is not None:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._heartbeat_dir is not None:
-            if self._hb_finalizer is not None:
-                self._hb_finalizer.detach()
-                self._hb_finalizer = None
-            shutil.rmtree(self._heartbeat_dir, ignore_errors=True)
-            self._heartbeat_dir = None
+        self._drop_pool(wait=True)
+        self._healer.close()
 
     # ------------------------------------------------------------------
-    # Self-healing (worker death mid-chunk) — see docs/RECOVERY.md
+    # The pool as the healer reaches it — see docs/RECOVERY.md
     # ------------------------------------------------------------------
 
-    def _discard_pool(self) -> None:
-        """Drop a broken pool without waiting on its corpse."""
-        if self._pool is not None:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+    def submit_chunk(self, task: ChunkTask, heartbeat: str) -> Any:
+        """Submit one chunk to the warm pool; its worker marks each trial
+        in the ``heartbeat`` directory before running it."""
+        task.submitted = time.time()
+        future = self._ensure_pool().submit(
+            _run_chunk, task.batch, self.watchdog, self.retries, heartbeat
+        )
+        self.chunks_dispatched += 1
+        return future
 
-    def _ensure_heartbeat_dir(self) -> str:
-        """The per-executor directory workers write trial heartbeats to."""
-        if self._heartbeat_dir is None:
-            self._heartbeat_dir = tempfile.mkdtemp(prefix="repro-hb-")
-            self._hb_finalizer = weakref.finalize(
-                self, shutil.rmtree, self._heartbeat_dir, True
-            )
-        return self._heartbeat_dir
-
-    def _read_heartbeats(self) -> dict[int, int]:
-        """Consume every worker heartbeat slot: pid → last started trial.
-
-        Files are deleted as they are read so each pool break sees only
-        marks written since the last one; a short, torn or unreadable slot
-        simply yields no mark (attribution then falls back to whole-task
-        death counting).
-        """
-        marks: dict[int, int] = {}
-        directory = self._heartbeat_dir
-        if directory is None or not os.path.isdir(directory):
-            return marks
-        for name in os.listdir(directory):
-            path = os.path.join(directory, name)
-            with contextlib.suppress(OSError, ValueError, struct.error):
-                with open(path, "rb") as handle:
-                    first, second = _HEARTBEAT.unpack(handle.read())
-                if first == second and name.endswith(".hb"):
-                    marks[int(name[:-3])] = first
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        return marks
-
-    def _respawn_pool(self, incomplete: Iterable[int]) -> set[int]:
-        """Absorb one pool break: discard the corpse, back off, fork a
-        fresh pool, and return the *suspect* trial indices.
-
-        Attribution: with exactly one trial in flight the break is
-        precisely attributed — its kill count increments (and only such
-        isolated kills ever count toward quarantine).  Otherwise the dead
-        workers' heartbeat marks name the trials that were running; those
-        suspects are re-run in isolation so a repeat offence *is* precise.
-        Raises :class:`WorkerPoolError` after
-        :func:`max_consecutive_respawns` breaks with no completed chunk in
-        between (the streak resets on every healthy chunk).
-        """
+    def replace_pool(self, streak: int | None) -> None:
+        """Discard a broken pool; unless giving up (``streak`` is
+        ``None``), back off for the ``streak``-th respawn in a row
+        (:func:`respawn_backoff`) and fork a fresh one."""
         broke = time.time()
-        self._discard_pool()
-        self.respawns += 1
-        self._respawn_streak += 1
-        limit = max_consecutive_respawns(self.retries)
-        if self._respawn_streak > limit:
-            raise WorkerPoolError(
-                f"worker pool broke {self._respawn_streak} consecutive "
-                f"times with no completed chunk in between; giving up "
-                f"after {limit} respawns (see docs/RECOVERY.md)"
-            )
-        incomplete_set = set(incomplete)
-        marks = self._read_heartbeats()
-        if len(incomplete_set) == 1:
-            lone = next(iter(incomplete_set))
-            self._kills[lone] = self._kills.get(lone, 0) + 1
-            suspects = {lone}
-        else:
-            suspects = {i for i in marks.values() if i in incomplete_set}
-        delay = respawn_backoff(self._respawn_streak)
+        self._drop_pool(wait=False)
+        if streak is None:
+            return
+        delay = respawn_backoff(streak)
         time.sleep(delay)
         self._ensure_pool()
         if self.telemetry is not None:
             self.telemetry.record_respawn(
-                broke,
-                time.time(),
-                jobs=self.jobs,
-                backoff_s=delay,
-                consecutive=self._respawn_streak,
+                broke, time.time(), jobs=self.jobs, backoff_s=delay,
+                consecutive=streak,
             )
-        return suspects
-
-    def _partition(
-        self, task: _ChunkTask, suspects: set[int]
-    ) -> list[tuple[Any, ...]]:
-        """Decide a dead task's fate trial by trial, preserving order.
-
-        Returns an ordered entry list: ``("done", spec, result)`` for
-        trials quarantined as poison (kill count reached
-        :func:`quarantine_threshold`), ``("run", _ChunkTask)`` for
-        everything that re-executes — suspects as isolated single-trial
-        tasks, clean trials regrouped into contiguous runs.  A task that
-        has been in flight for :data:`SPLIT_AFTER_DEATHS` breaks splits
-        entirely into isolated singles (the heartbeat-less fallback).
-        """
-        threshold = quarantine_threshold(self.retries)
-        task.deaths += 1
-        split_all = len(task.batch) > 1 and task.deaths >= SPLIT_AFTER_DEATHS
-        entries: list[tuple[Any, ...]] = []
-        group: list[TrialSpec] = []
-
-        def flush() -> None:
-            if group:
-                entries.append(
-                    ("run", _ChunkTask(batch=tuple(group), deaths=task.deaths))
-                )
-                group.clear()
-
-        for spec in task.batch:
-            if self._kills.get(spec.index, 0) >= threshold:
-                flush()
-                entries.append(("done", spec, _quarantined_result(spec, 0.0)))
-            elif split_all or spec.index in suspects:
-                flush()
-                entries.append(("run", _ChunkTask(
-                    batch=(spec,), deaths=task.deaths, solo=True,
-                )))
-            else:
-                group.append(spec)
-        flush()
-        if self.telemetry is not None:
-            for entry in entries:
-                if entry[0] == "run":
-                    redispatched: _ChunkTask = entry[1]
-                    self.telemetry.record_redispatch(
-                        len(redispatched.batch),
-                        redispatched.deaths,
-                        split=redispatched.solo,
-                    )
-        return entries
 
     # ------------------------------------------------------------------
     # Chunked trial dispatch
@@ -839,10 +596,8 @@ class ParallelExecutor(TrialExecutor):
         progress: Optional[ProgressFn] = None,
     ) -> list[R]:
         items = list(items)
-        if not items:
-            return []
-        if self.jobs == 1 or len(items) == 1:
-            return SerialExecutor().map(fn, items, progress=progress)
+        if self.jobs == 1 or len(items) <= 1:
+            return super().map(fn, items, progress=progress)
         pool = self._ensure_pool()
         futures = [pool.submit(fn, item) for item in items]
         if progress is not None:
@@ -856,185 +611,73 @@ class ParallelExecutor(TrialExecutor):
         # into the result list.
         return [future.result() for future in futures]
 
-    def stream(
-        self,
-        specs: Sequence[TrialSpec],
-        consume: Callable[[TrialResult], None],
-        progress: Optional[ProgressFn] = None,
-    ) -> int:
-        """Chunked streaming over the warm pool with windowed submission.
-
-        At most ``jobs × CHUNKS_PER_WORKER`` chunks are in flight or
-        awaiting consumption at any moment, so memory stays flat no matter
-        how long the plan is.  Chunks are contiguous plan slices submitted
-        and drained FIFO, so results are consumed strictly in plan order
-        (the stream file then matches the serial backend's byte for byte).
-
-        A pool break flips the drain into **cautious mode**: the lost
-        window re-executes one task at a time, in plan order (suspects as
-        isolated singles, repeat offenders quarantined in place), before
-        windowed submission resumes — plan-order consumption is preserved
-        across any number of worker deaths.  ``BrokenProcessPool`` is
-        absorbed, never raised; only a pool that keeps dying with no
-        completed chunk in between gives up (:class:`WorkerPoolError`).
-        """
-        specs = list(specs)
+    def _results(
+        self, specs: list[TrialSpec], progress: Optional[ProgressFn]
+    ) -> Source:
+        """The warm pool as a source — or this process, when one spec or
+        one job leaves nothing to share out."""
         self.chunks_dispatched = 0
         self.chunks_completed = 0
-        self.respawns = 0
-        self._kills = {}
-        self._respawn_streak = 0
-        if not specs:
-            return 0
-        if self.jobs == 1 or len(specs) == 1:
-            return super().stream(specs, consume, progress=progress)
+        self._healer.reset(self.telemetry)
+        if self.jobs == 1 or len(specs) <= 1:
+            return super()._results(specs, progress)
+        return self._pool_results(specs, progress)
+
+    def _pool_results(
+        self, specs: list[TrialSpec], progress: Optional[ProgressFn]
+    ) -> Source:
+        """Chunked streaming over the warm pool with windowed submission.
+
+        Without a fixed ``chunk``, the first spec is the calibration
+        trial, run in this process; its wall time sizes the chunks.  At
+        most ``jobs × CHUNKS_PER_WORKER`` chunks are in flight or awaiting
+        consumption, so memory stays flat however long the plan is.  The
+        healer hands chunk outcomes back FIFO — strictly plan order — and
+        after a pool break nothing new is submitted until it has replayed
+        the lost window (``BrokenProcessPool`` is absorbed, never raised).
+        """
         tel = self.telemetry
+        healer = self._healer
         self._ensure_pool()
-        total = len(specs)
-        done = 0
-        start = 0
-        if self.chunk is not None:
-            chunk = self.chunk
-        else:
-            calib_start = time.time()
-            first = self._trial_fn()(specs[0])
-            if tel is not None:
-                tel.record_trial(
-                    specs[0], first, calib_start, time.time(),
-                    calibration=True,
-                )
-            done = 1
-            start = 1
-            consume(first)
-            if progress is not None:
-                progress(done, total, first)
-            chunk = self._chunk_size_for(first.wall_time, total - 1)
-        dispatch = tel.begin_dispatch(total, chunk) if tel is not None else None
-        heartbeat = self._ensure_heartbeat_dir()
-        batches = (
-            _ChunkTask(batch=tuple(specs[offset:offset + chunk]))
-            for offset in range(start, total, chunk)
+        start, chunk = 0, self.chunk
+        if chunk is None:
+            first = self._trial_fn(calibration=True)(specs[0])
+            yield first, True
+            start, chunk = 1, self._chunk_size_for(first.wall_time, len(specs) - 1)
+        dispatch = tel.begin_dispatch(len(specs), chunk) if tel is not None else None
+        tasks = (
+            ChunkTask(batch=tuple(specs[offset:offset + chunk]))
+            for offset in range(start, len(specs), chunk)
         )
-        window = self.jobs * CHUNKS_PER_WORKER
-        pending: deque = deque()
-        cautious: deque = deque()
-
-        def submit(task: _ChunkTask) -> Any:
-            task.submitted = time.time()
-            future = self._ensure_pool().submit(
-                _run_chunk, task.batch, self.watchdog, self.retries, heartbeat
-            )
-            self.chunks_dispatched += 1
-            return future
-
-        def enqueue(task: _ChunkTask) -> None:
-            pending.append((submit(task), task))
-
-        def finish(
-            task: _ChunkTask, payloads: Sequence[tuple], meta: dict[str, Any]
-        ) -> None:
-            nonlocal done
-            self.chunks_completed += 1
-            self._respawn_streak = 0
-            self._notify_chunks(progress)
-            batch_results: list[TrialResult] = []
-            for spec, payload in zip(task.batch, payloads):
-                result = _unpack_result(payload, spec)
-                batch_results.append(result)
-                self._kills.pop(spec.index, None)
-                done += 1
-                consume(result)
-                if progress is not None:
-                    progress(done, total, result)
-            if tel is not None:
-                tel.record_chunk(
-                    task.batch, batch_results, meta, task.submitted,
-                    parent=dispatch,
-                )
-
-        def settle(spec: TrialSpec, result: TrialResult) -> None:
-            nonlocal done
-            done += 1
-            if tel is not None:
-                tel.record_poison(spec.index, self._kills.get(spec.index, 0))
-                now = time.time()
-                tel.record_trial(spec, result, now, now)
-            consume(result)
-            if progress is not None:
-                progress(done, total, result)
-
-        def absorb_break(first_dead: _ChunkTask) -> None:
-            """Convert the whole in-flight window into cautious entries,
-            in plan order, harvesting chunks that finished pre-break."""
-            tail: list[tuple[str, Any, Any]] = [("dead", first_dead, None)]
-            for future2, task2 in pending:
-                outcome = None
-                if future2.done():
-                    try:
-                        outcome = future2.result()
-                    except BrokenProcessPool:
-                        outcome = None
-                else:
-                    future2.cancel()
-                if outcome is not None:
-                    tail.append(("ready", task2, outcome))
-                else:
-                    tail.append(("dead", task2, None))
-            pending.clear()
-            suspects = self._respawn_pool(
-                spec.index
-                for kind, task2, _ in tail if kind == "dead"
-                for spec in task2.batch
-            )
-            for kind, task2, outcome in reversed(tail):
-                if kind == "ready":
-                    cautious.appendleft(("ready", task2, outcome))
-                else:
-                    for entry in reversed(self._partition(task2, suspects)):
-                        cautious.appendleft(entry)
-            self._notify_chunks(progress)
-
-        for task in itertools.islice(batches, window):
-            enqueue(task)
-        self._notify_chunks(progress)
-        while pending or cautious:
-            if pending:
-                future, task = pending.popleft()
-                try:
-                    payloads, meta = future.result()
-                except BrokenProcessPool:
-                    absorb_break(task)
-                    continue
-                finish(task, payloads, meta)
-                for task in itertools.islice(batches, 1):
-                    enqueue(task)
+        cap = self.jobs * CHUNKS_PER_WORKER
+        while True:
+            if not healer.replay:
+                for task in itertools.islice(tasks, cap - len(healer.window)):
+                    healer.dispatch(task)
                 self._notify_chunks(progress)
-                continue
-            # Cautious mode: replay the lost window strictly one entry at
-            # a time — order is consumption order, isolation is precise
-            # attribution for any further break.
-            entry = cautious.popleft()
-            if entry[0] == "done":
-                settle(entry[1], entry[2])
-            elif entry[0] == "ready":
-                finish(entry[1], *entry[2])
+            if not healer.pending:
+                break
+            outcome = healer.step()
+            if outcome is None:  # a break: the lost window is queued
+                self._notify_chunks(progress)
+            elif isinstance(outcome, TrialResult):  # quarantined poison
+                yield outcome, True
             else:
-                task = entry[1]
-                future = submit(task)
-                try:
-                    payloads, meta = future.result()
-                except BrokenProcessPool:
-                    absorb_break(task)
-                    continue
-                finish(task, payloads, meta)
-            if not cautious:
-                # Lost window fully replayed: back to full speed.
-                for task in itertools.islice(batches, window):
-                    enqueue(task)
+                task, payloads, meta = outcome
+                self.chunks_completed += 1
                 self._notify_chunks(progress)
+                results = [
+                    _unpack_result(payload, spec)
+                    for spec, payload in zip(task.batch, payloads)
+                ]
+                for result in results:
+                    yield result, True
+                if tel is not None:
+                    tel.record_chunk(
+                        task.batch, results, meta, task.submitted, parent=dispatch
+                    )
         if tel is not None:
             tel.end_dispatch(dispatch, chunks=self.chunks_completed)
-        return done
 
     def __repr__(self) -> str:
         chunk = self.chunk if self.chunk is not None else "adaptive"
@@ -1044,75 +687,73 @@ class ParallelExecutor(TrialExecutor):
         )
 
 
-def _describe_backend(backend: TrialExecutor) -> dict[str, Any]:
-    """A manifest-ready description of a hand-built backend instance."""
-    desc: dict[str, Any] = {
-        "backend": "parallel" if isinstance(backend, ParallelExecutor)
-        else "serial",
-        "jobs": backend.jobs,
-        "watchdog": backend.watchdog,
-        "trial_retries": backend.retries,
-    }
-    if isinstance(backend, ParallelExecutor):
-        desc["chunk"] = backend.chunk
-        desc["chunk_target"] = backend.chunk_target
-    return desc
+def _run_loop(
+    source: Source,
+    consume: Callable[[TrialResult], None],
+    progress: Optional[ProgressFn],
+    total: int,
+    journal: "CheckpointWriter | None" = None,
+) -> int:
+    """The engine's one loop body, whatever the backend and the run.
+
+    Takes ``(result, fresh)`` pairs from ``source`` in plan order;
+    journals each result, hands it to ``consume``, then — if ``fresh``,
+    i.e. executed now rather than resumed — reports it as
+    ``progress(done, total, result)``.  The journal is the durable record
+    and comes first, so an interrupt raised by the progress hook never
+    loses the trial it was told about; a resumed result is journalled
+    already, and the writer skips it.  Returns how many fresh results
+    went through.
+    """
+    done = 0
+    for result, fresh in source:
+        if journal is not None:
+            journal.append(result)
+        consume(result)
+        if fresh:
+            done += 1
+            if progress is not None:
+                progress(done, total, result)
+    return done
+
+
+def _resumed(
+    specs: Sequence[TrialSpec], preloaded: dict[int, TrialResult], fresh: Source
+) -> Source:
+    """The checkpoint as a source: every journalled result of ``specs``,
+    interleaved in plan order with ``fresh`` — the missing specs' results,
+    which arrive in plan order among themselves — so a resumed stream is
+    byte-identical to an uninterrupted run's."""
+    for spec in specs:
+        if spec.index in preloaded:
+            yield preloaded[spec.index], False
+        else:
+            yield next(fresh)
 
 
 def _resolve_backend(
     executor: "TrialExecutor | ExecutorSpec | str | None",
 ) -> tuple[TrialExecutor, bool, dict[str, Any]]:
     """Normalise the ``executor=`` argument of :func:`run_plan` and
-    :func:`stream_plan` to a backend instance.
-
-    Returns ``(backend, owned, description)``: ``owned`` backends were
-    built here from a spec / preset / the default and are closed when the
-    call finishes; caller-supplied :class:`TrialExecutor` instances stay
-    open so their warm pool survives for the next plan.  ``description``
-    is the executor block of the run manifest — the spec's lossless wire
-    dict when a spec/preset selected the backend, or a best-effort
-    instance description otherwise.
-    """
-    if isinstance(executor, TrialExecutor):
-        return executor, False, _describe_backend(executor)
-    spec = ExecutorSpec.resolve(executor)
-    return spec.make(), True, spec.to_dict()
-
-
-class _ResumeEmitter:
-    """Interleaves preloaded (journalled) results with freshly executed
-    ones so a downstream consumer sees strict plan order — the resumed
-    stream file is then byte-identical to an uninterrupted run's.
-
-    Fresh results arrive in plan order restricted to the missing indices
-    (the executor's streaming contract), so emitting each fresh result
-    then draining any journalled successors restores the full order.
-    """
-
-    def __init__(
-        self,
-        specs: Sequence[TrialSpec],
-        preloaded: dict[int, TrialResult],
-        emit: Callable[[TrialResult], None],
-    ) -> None:
-        self.order = [spec.index for spec in specs]
-        self.preloaded = dict(preloaded)
-        self.emit = emit
-        self.cursor = 0
-        self._drain()
-
-    def _drain(self) -> None:
-        while self.cursor < len(self.order):
-            index = self.order[self.cursor]
-            if index not in self.preloaded:
-                break
-            self.emit(self.preloaded.pop(index))
-            self.cursor += 1
-
-    def __call__(self, result: TrialResult) -> None:
-        self.emit(result)
-        self.cursor += 1
-        self._drain()
+    :func:`stream_plan` to ``(backend, owned, description)``.  ``owned``
+    backends were built here (from a spec, a preset or the default) and
+    are closed when the call finishes; a caller's :class:`TrialExecutor`
+    stays open so its warm pool survives.  ``description`` is the run
+    manifest's executor block: the spec's wire dict, or a best-effort
+    description of the instance."""
+    if not isinstance(executor, TrialExecutor):
+        spec = ExecutorSpec.resolve(executor)
+        return spec.make(), True, spec.to_dict()
+    parallel = isinstance(executor, ParallelExecutor)
+    desc: dict[str, Any] = {
+        "backend": "parallel" if parallel else "serial",
+        "jobs": executor.jobs,
+        "watchdog": executor.watchdog,
+        "trial_retries": executor.retries,
+    }
+    if parallel:
+        desc.update(chunk=executor.chunk, chunk_target=executor.chunk_target)
+    return executor, False, desc
 
 
 def _drive(
@@ -1127,15 +768,12 @@ def _drive(
     """The one run driver behind :func:`run_plan` and :func:`stream_plan`.
 
     ``sink`` is a context manager yielding an object with an
-    ``append(result)`` method.  It is entered only after every argument
-    has been resolved and verified — a checkpoint journal that belongs to
-    a different plan raises :class:`CheckpointError` before an existing
-    stream file is touched.  Each fresh trial is journalled, then
-    appended, then reported to ``progress``: the checkpoint is the durable
-    record, the sink is reconstructable from it, and an interrupt raised
-    by the progress hook never loses the trial that just finished.
-    Journalled results are interleaved with fresh ones in plan order
-    (:class:`_ResumeEmitter`).  Returns how many trials the sink received.
+    ``append(result)`` method, entered only once every argument has been
+    resolved and verified (a checkpoint journal of another plan raises
+    :class:`CheckpointError` before an existing stream file is touched).
+    The missing trials run through :func:`_run_loop` into the sink, with
+    journalled results interleaved in plan order (:func:`_resumed`).
+    Returns how many trials the sink received.
     """
     backend, owned, desc = _resolve_backend(executor)
     recorder, tel_owned = resolve_recorder(telemetry)
@@ -1153,16 +791,12 @@ def _drive(
     failed = False
     try:
         with sink as target:
-            emit: Callable[[TrialResult], None] = target.append
+            source = backend._results(todo, progress)
             if preloaded:
-                emit = _ResumeEmitter(plan.specs, preloaded, emit)
-
-            def consume(result: TrialResult) -> None:
-                if writer is not None:
-                    writer.append(result)
-                emit(result)
-
-            ran = backend.stream(todo, consume, progress=progress)
+                source = _resumed(plan.specs, preloaded, source)
+            ran = _run_loop(
+                source, target.append, progress, len(todo), journal=writer
+            )
             return ran + len(preloaded)
     except BaseException:
         failed = True
@@ -1200,22 +834,18 @@ def run_plan(
     left open), or ``None`` for the serial default.
 
     ``progress`` fires once per executed trial, in plan order on every
-    backend, after the trial has been journalled.
-
-    ``telemetry`` accepts a :class:`~repro.engine.telemetry.TelemetryRecorder`
-    (left open for the caller to close) or a path string (a recorder is
-    opened there and closed when the run finishes).  Telemetry observes
-    the run but never alters it: the result document is byte-identical
-    with telemetry on or off.
+    backend, after the trial has been journalled.  ``telemetry`` accepts
+    a :class:`~repro.engine.telemetry.TelemetryRecorder` (left open for
+    the caller to close) or a path (opened there, closed at the end);
+    the document is byte-identical with telemetry on or off.
 
     ``checkpoint`` (a path or :class:`CheckpointWriter`) journals every
-    completed trial to a crash-safe ``repro-run-checkpoint`` file as the
-    run progresses; ``resume_from`` (a path or loaded
-    :class:`CheckpointState`) preloads completed trials from such a
-    journal so only the missing ones re-execute.  A resumed run's
-    document is byte-identical to an uninterrupted one.  Passing the same
-    path as ``checkpoint=`` across invocations is the idempotent resume
-    idiom (an existing journal for the same plan auto-resumes).
+    completed trial to a crash-safe ``repro-run-checkpoint`` file;
+    ``resume_from`` (a path or loaded :class:`CheckpointState`) preloads
+    completed trials from such a journal so only the missing ones
+    re-execute, to a byte-identical document.  Passing the same path as
+    ``checkpoint=`` again is the idempotent resume idiom (an existing
+    journal for the same plan auto-resumes).
     """
     results: list[TrialResult] = []
     _drive(
@@ -1239,20 +869,16 @@ def stream_plan(
 
     The memory-flat counterpart of :func:`run_plan`: each trial is written
     by :class:`~repro.engine.results.StreamingResultStore` the moment it
-    finishes, so peak memory is one window of in-flight chunks rather than
-    the whole plan.  ``load_document(path)`` later reassembles the exact
-    canonical document.  ``executor``, ``progress`` and ``telemetry``
-    accept the same forms as :func:`run_plan`.  Returns the number of
-    trials written.
+    finishes, and ``load_document(path)`` later reassembles the exact
+    canonical document.  The other arguments are :func:`run_plan`'s.
+    Returns the number of trials written.
 
-    ``checkpoint`` / ``resume_from`` follow :func:`run_plan`'s contract.
-    On resume the stream file is rewritten from the start — journalled
-    results are interleaved with fresh ones in plan order, so the
-    finished file is byte-identical to an uninterrupted run's.  Each
-    trial is journalled *before* it is streamed: a crash between the two
-    writes loses stream bytes (rewritten on resume), never journal state.
-    The file at ``path`` is created only once every argument has been
-    verified, so a rejected call leaves an existing file untouched.
+    On resume the stream file is rewritten from the start, journalled
+    results interleaved with fresh ones in plan order, so the finished
+    file is byte-identical to an uninterrupted run's.  Each trial is
+    journalled *before* it is streamed, so a crash between the two writes
+    loses stream bytes, never journal state.  The file at ``path`` is
+    created only once every argument has been verified.
     """
     meta = plan.meta() if hasattr(plan, "meta") else {}
     return _drive(

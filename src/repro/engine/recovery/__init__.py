@@ -13,11 +13,13 @@ to an uninterrupted run.  This package holds the three recovery layers:
   pins the plan digest and executor.  ``run_plan`` / ``stream_plan`` /
   ``run_experiment`` accept ``checkpoint=`` (write one, auto-resuming if
   it already exists) and ``resume_from=`` (seed a run from one).
-* :mod:`repro.engine.recovery.healing` — the self-healing policy for the
-  warm worker pool: respawn backoff schedule, redispatch bounds, and
-  poison-trial quarantine thresholds used by
-  :class:`~repro.engine.executor.ParallelExecutor` when a worker dies
-  mid-chunk (``BrokenProcessPool``).
+* :mod:`repro.engine.recovery.healing` — self-healing for the warm
+  worker pool: the policy (respawn backoff, redispatch bounds,
+  poison-trial quarantine), the workers' heartbeat slot, and
+  :class:`~repro.engine.recovery.healing.PoolHealer`, the fork-free
+  break → suspects → replay state machine that
+  :class:`~repro.engine.executor.ParallelExecutor` drives when a worker
+  dies mid-chunk (``BrokenProcessPool``).
 * :mod:`repro.engine.recovery.chaos` — a deterministic engine-level
   fault injector (SIGINT after N trials, SIGKILL a warm worker at the
   Nth chunk, ENOSPC on store append, torn tails) driving the

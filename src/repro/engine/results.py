@@ -121,7 +121,11 @@ class TrialResult:
         return dict(self.point)
 
     def to_record(self, include_timing: bool = False) -> dict[str, Any]:
-        """The per-trial JSON record (deterministic unless timing is on)."""
+        """The per-trial JSON record (deterministic unless timing is on).
+
+        ``metrics`` is a :meth:`Metrics.snapshot <repro.obs.metrics.Metrics.snapshot>`
+        (or a loaded record's copy of one), JSON-native already, so the
+        record shares its sections: copied at the top level, never walked."""
         record = {
             "index": self.index,
             "kind": self.kind,
@@ -137,7 +141,7 @@ class TrialResult:
             "messages": self.messages,
             "core_size": self.core_size,
             "events_executed": self.events_executed,
-            "metrics": jsonable(strip_timings(self.metrics)),
+            "metrics": strip_timings(self.metrics),
         }
         # Optional members, emitted only when set: absent watchdog and
         # absent resilience keep the record layout (and bytes) unchanged,
@@ -148,9 +152,9 @@ class TrialResult:
             record["coverage"] = jsonable(self.coverage)
         if include_timing:
             record["wall_time"] = self.wall_time
-            timings = dict(self.metrics or {}).get("timings")
+            timings = self.metrics.get("timings")
             if timings:
-                record["metrics"]["timings"] = jsonable(timings)
+                record["metrics"]["timings"] = timings
         return record
 
     @classmethod
@@ -367,6 +371,8 @@ class StreamingResultStore:
         self.include_timing = include_timing
         self.count = 0
         self._journal: IO[str] | None = None
+        #: The last grid point written, and its JSON form.
+        self._point: tuple[Any, Any] = (None, None)
 
     def open(self) -> "StreamingResultStore":
         """Create the file and write the header line (idempotent)."""
@@ -383,14 +389,17 @@ class StreamingResultStore:
     def append(self, result: TrialResult) -> None:
         """Write one trial line; opens the store on first use.  The untimed
         record is :func:`timed_record` minus ``wall_time`` and
-        ``metrics.timings`` (two shallow copies, no second walk)."""
+        ``metrics.timings`` (two shallow copies, no second walk); the
+        point's JSON form is made once per run of same-point trials."""
         if self._journal is None:
             self.open()
         record = timed_record(result)
         if not self.include_timing:
             record = {k: v for k, v in record.items() if k != "wall_time"}
             record["metrics"] = strip_timings(record["metrics"])
-        entry = {"point": jsonable(result.point_dict()), "record": record}
+        if result.point != self._point[0]:
+            self._point = (result.point, jsonable(result.point_dict()))
+        entry = {"point": self._point[1], "record": record}
         self._journal.write(json.dumps(entry, sort_keys=True) + "\n")
         self.count += 1
 

@@ -210,6 +210,9 @@ class Metrics:
         The ``timings`` section (non-deterministic wall clock) only appears
         when ``include_timing`` is true; everything else is a pure function
         of the simulation and therefore deterministic for a fixed seed.
+        The output must stay JSON-native — str keys; ints, floats, lists
+        and dicts only — because trial records embed it as is
+        (:meth:`repro.engine.results.TrialResult.to_record` never walks it).
         """
         snapshot: dict[str, Any] = {
             "counters": {

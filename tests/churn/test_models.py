@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.churn.lifetimes import ConstantLifetime, ExponentialLifetime
+from repro.churn.adversary import GrowthAdversary
 from repro.churn.models import (
     ArrivalDepartureChurn,
     FiniteArrivalChurn,
     NoChurn,
+    PhasedChurn,
     ReplacementChurn,
     ScheduledChurn,
 )
+from repro.churn.traces import Session, TraceReplayChurn
 from repro.core.arrival import (
     FiniteArrival,
     InfiniteArrivalBounded,
@@ -307,3 +310,55 @@ class TestScheduledChurn:
             lambda: Process(), schedule=[(5.0, "join"), (1.0, "join")]
         )
         assert [t for t, _ in model.schedule] == [1.0, 5.0]
+
+
+#: One of every churn model, each with a leave path it can take by t = 30
+#: on an 8-process ring (``seeded_sim``): random victims, expiring
+#: lifetimes of joiners and of doomed initial members, scheduled leaves.
+LEAVING_MODELS = {
+    "no-churn": lambda: NoChurn(),
+    "arrival-departure": lambda: ArrivalDepartureChurn(
+        lambda: Process(), arrival_rate=0.8,
+        lifetimes=ExponentialLifetime(6.0), attachment=UniformAttachment(1),
+    ),
+    "arrival-departure-doomed": lambda: ArrivalDepartureChurn(
+        lambda: Process(), arrival_rate=0.8,
+        lifetimes=ExponentialLifetime(6.0), attachment=UniformAttachment(1),
+        doom_initial=True,
+    ),
+    "replacement": lambda: ReplacementChurn(
+        lambda: Process(), rate=0.6, attachment=UniformAttachment(1),
+    ),
+    "finite-arrival": lambda: FiniteArrivalChurn(
+        lambda: Process(), total_arrivals=6, arrival_rate=1.0,
+        lifetimes=ConstantLifetime(4.0), attachment=UniformAttachment(1),
+    ),
+    "phased": lambda: PhasedChurn(
+        lambda: Process(), storm_rate=1.0, storm_length=5.0,
+        calm_length=5.0, attachment=UniformAttachment(1),
+    ),
+    "scheduled": lambda: ScheduledChurn(
+        lambda: Process(), attachment=UniformAttachment(1),
+        schedule=[(2.0, "join"), (4.0, ("leave", 7)), (6.0, ("leave", 6)),
+                  (8.0, ("leave", 999))],
+    ),
+    "trace-replay": lambda: TraceReplayChurn(
+        lambda: Process(), [Session(arrival=1.0, duration=3.0),
+                            Session(arrival=2.0, duration=20.0)],
+        attachment=UniformAttachment(1),
+    ),
+    "growth-adversary": lambda: GrowthAdversary(lambda: Process(), max_joins=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAVING_MODELS))
+def test_every_leave_is_counted_in_the_churn_leaves_metric(name):
+    sim = seeded_sim()
+    model = LEAVING_MODELS[name]()
+    model.install(sim)
+    sim.run(until=30)
+    counters = sim.metrics_snapshot()["counters"]
+    assert counters.get("churn.leaves", 0) == model.leaves
+    assert counters.get("churn.joins", 0) == model.joins
+    if name not in ("no-churn", "growth-adversary"):
+        assert model.leaves > 0  # the leave path was taken

@@ -15,14 +15,16 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import repro.engine.executor as executor_module
+import repro.engine.recovery.healing as healing
 from repro.engine.executor import (
     ParallelExecutor,
     SerialExecutor,
-    _ChunkTask,
     execute_trial,
     run_plan,
 )
@@ -32,6 +34,8 @@ from repro.engine.recovery.healing import (
     MAX_RESPAWN_BACKOFF_S,
     RESPAWN_BACKOFF_S,
     SPLIT_AFTER_DEATHS,
+    ChunkTask,
+    PoolHealer,
     WorkerPoolError,
     max_consecutive_respawns,
     quarantine_threshold,
@@ -100,18 +104,41 @@ def mark_as(pid, directory, index):
     the worker ``pid`` that has not marked anything yet."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "getpid", lambda: pid)
-        mp.setattr(executor_module, "_heartbeat_slot", (None, None))
-        executor_module._mark_heartbeat(directory, index)
+        mp.setattr(healing, "_heartbeat_slot", (None, None))
+        healing._mark_heartbeat(directory, index)
+
+
+class StubPool:
+    """The two calls a :class:`PoolHealer` makes on its pool, with no pool
+    behind them: every chunk finishes at submission (its payloads are its
+    trials' plan indices), except the submissions numbered in ``broken``,
+    which die with the pool."""
+
+    def __init__(self, broken=()):
+        self.broken = set(broken)
+        self.submitted = []
+        self.replaced = []
+
+    def submit_chunk(self, task, heartbeat):
+        future = Future()
+        if len(self.submitted) in self.broken:
+            future.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result(([spec.index for spec in task.batch], {}))
+        self.submitted.append(task)
+        return future
+
+    def replace_pool(self, streak):
+        self.replaced.append(streak)
 
 
 class TestAttribution:
-    """Kill attribution and redispatch partitioning, unit-level: the pool
-    never forks (``_ensure_pool`` is stubbed out)."""
+    """Kill attribution and redispatch partitioning, unit-level: the
+    healer drives a stand-in pool, so nothing forks."""
 
     @pytest.fixture()
     def executor(self, monkeypatch, no_backoff):
-        ex = ParallelExecutor(jobs=2)
-        monkeypatch.setattr(ex, "_ensure_pool", lambda: None)
+        ex = PoolHealer(StubPool())
         yield ex
         ex.close()
 
@@ -144,7 +171,7 @@ class TestAttribution:
 
     def test_partition_isolates_suspects_and_groups_the_rest(self, executor):
         specs = PLAN.specs[2:7]
-        task = _ChunkTask(batch=tuple(specs))
+        task = ChunkTask(batch=tuple(specs))
         entries = executor._partition(task, suspects={specs[2].index})
         kinds = [entry[0] for entry in entries]
         assert kinds == ["run", "run", "run"]
@@ -158,7 +185,7 @@ class TestAttribution:
     def test_partition_quarantines_at_threshold(self, executor):
         spec = PLAN.specs[3]
         executor._kills[spec.index] = quarantine_threshold(executor.retries)
-        task = _ChunkTask(batch=(spec,))
+        task = ChunkTask(batch=(spec,))
         entries = executor._partition(task, suspects=set())
         assert len(entries) == 1
         kind, done_spec, result = entries[0]
@@ -170,7 +197,7 @@ class TestAttribution:
 
     def test_heartbeat_less_fallback_splits_after_deaths(self, executor):
         specs = PLAN.specs[0:3]
-        task = _ChunkTask(batch=tuple(specs))
+        task = ChunkTask(batch=tuple(specs))
         entries = executor._partition(task, suspects=set())
         assert [e[0] for e in entries] == ["run"]  # first death: regrouped
         survivor = entries[0][1]
@@ -183,6 +210,35 @@ class TestAttribution:
         assert all(e[1].solo and len(e[1].batch) == 1 for e in entries)
 
 
+class TestReplayOrder:
+    """What happens after a break, stepped by hand on a stand-in pool."""
+
+    def test_a_chunk_finished_behind_the_dead_one_follows_its_rerun(self):
+        pool = StubPool(broken={0})
+        healer = PoolHealer(pool)
+        try:
+            dead = ChunkTask(batch=tuple(PLAN.specs[0:3]))
+            finished = ChunkTask(batch=tuple(PLAN.specs[3:5]))
+            healer.dispatch(dead)
+            healer.dispatch(finished)
+            assert healer.step() is None  # the break, absorbed
+            assert [entry[0] for entry in healer.replay] == ["run", "ready"]
+            outcomes = []
+            while healer.pending:
+                outcomes.append(healer.step())
+        finally:
+            healer.close()
+        rerun, harvested = (task for task, _, _ in outcomes)
+        assert [s.index for s in rerun.batch] == [0, 1, 2]
+        assert rerun.deaths == 1 and not rerun.solo
+        assert harvested is finished
+        consumed = [index for _, payloads, _ in outcomes for index in payloads]
+        assert consumed == [0, 1, 2, 3, 4]
+        # Only the dead chunk ran again; the harvested one kept its result.
+        assert pool.submitted == [dead, finished, rerun]
+        assert pool.replaced == [1] and healer.respawns == 1
+
+
 class TestHeartbeatSlot:
     """The death-attribution channel itself: one memory-mapped slot per
     worker pid.  Counted, never timed."""
@@ -190,8 +246,8 @@ class TestHeartbeatSlot:
     @pytest.fixture()
     def executor(self, monkeypatch):
         # Every test starts as a worker that has not marked anything.
-        monkeypatch.setattr(executor_module, "_heartbeat_slot", (None, None))
-        ex = ParallelExecutor(jobs=2)
+        monkeypatch.setattr(healing, "_heartbeat_slot", (None, None))
+        ex = PoolHealer(StubPool())
         yield ex
         ex.close()
 
@@ -199,7 +255,7 @@ class TestHeartbeatSlot:
         self, executor, monkeypatch
     ):
         hb = executor._ensure_heartbeat_dir()
-        executor_module._mark_heartbeat(hb, 0)
+        healing._mark_heartbeat(hb, 0)
         calls = {"os.open": 0, "open": 0, "os.replace": 0, "os.rename": 0}
 
         def counted(name, real):
@@ -214,7 +270,7 @@ class TestHeartbeatSlot:
             mp.setattr(os, "replace", counted("os.replace", os.replace))
             mp.setattr(os, "rename", counted("os.rename", os.rename))
             for index in range(1, 1001):
-                executor_module._mark_heartbeat(hb, index)
+                healing._mark_heartbeat(hb, index)
         assert calls == {"os.open": 0, "open": 0, "os.replace": 0, "os.rename": 0}
         assert os.listdir(hb) == [f"{os.getpid()}.hb"]
         assert executor._read_heartbeats() == {os.getpid(): 1000}
@@ -226,7 +282,7 @@ class TestHeartbeatSlot:
         if child == 0:  # the worker: mark 0..999, then die mid-"trial"
             try:
                 for index in range(1000):
-                    executor_module._mark_heartbeat(hb, index)
+                    healing._mark_heartbeat(hb, index)
                 os.kill(os.getpid(), signal.SIGKILL)
             finally:
                 os._exit(1)
@@ -237,7 +293,7 @@ class TestHeartbeatSlot:
 
     def test_torn_short_and_empty_slots_yield_no_mark(self, executor):
         hb = executor._ensure_heartbeat_dir()
-        pack = executor_module._HEARTBEAT.pack
+        pack = healing._HEARTBEAT.pack
         for name, content in {
             "11.hb": pack(3, 4),        # killed between the two stores
             "12.hb": b"abc",            # short
@@ -257,30 +313,30 @@ class TestHeartbeatSlot:
         os.rmdir(hb)
         assert executor._read_heartbeats() == {}
         # ... and a worker that cannot open its slot just goes unmarked.
-        executor_module._mark_heartbeat(hb, 1)
-        executor_module._mark_heartbeat(hb, 2)
+        healing._mark_heartbeat(hb, 1)
+        healing._mark_heartbeat(hb, 2)
         assert not os.path.exists(hb)
 
     def test_a_change_of_directory_reopens_the_slot(self, executor):
         first = executor._ensure_heartbeat_dir()
-        other = ParallelExecutor(jobs=2)
+        other = PoolHealer(StubPool())
         try:
             second = other._ensure_heartbeat_dir()
-            executor_module._mark_heartbeat(first, 1)
-            executor_module._mark_heartbeat(first, 2)
-            executor_module._mark_heartbeat(second, 8)
-            executor_module._mark_heartbeat(second, 9)
+            healing._mark_heartbeat(first, 1)
+            healing._mark_heartbeat(first, 2)
+            healing._mark_heartbeat(second, 8)
+            healing._mark_heartbeat(second, 9)
             assert executor._read_heartbeats() == {os.getpid(): 2}
             assert other._read_heartbeats() == {os.getpid(): 9}
             # Back again: a fresh file, not the consumed (unlinked) one.
-            executor_module._mark_heartbeat(first, 3)
+            healing._mark_heartbeat(first, 3)
             assert executor._read_heartbeats() == {os.getpid(): 3}
         finally:
             other.close()
 
     def test_close_removes_the_directory(self, executor):
         hb = executor._ensure_heartbeat_dir()
-        executor_module._mark_heartbeat(hb, 4)
+        healing._mark_heartbeat(hb, 4)
         assert os.path.isdir(hb)
         executor.close()
         assert not os.path.exists(hb)

@@ -53,18 +53,21 @@ CHURN = {
 }
 
 #: ``record_digest`` (canonical JSON, sha256/16) of the trial record, taken
-#: at the parent of the linear-time population build (commit c15db79).
+#: at the parent of the linear-time population build (commit c15db79).  The
+#: six ``arrival-departure*`` cells were re-pinned when the departures of
+#: doomed initial members started counting in ``churn.leaves``; nothing
+#: else in those records moved.
 EXPECTED = {
-    ("chain", "arrival-departure"): "add5911703b839c1",
-    ("chain", "arrival-departure-cap"): "f9bea333a3fb3436",
+    ("chain", "arrival-departure"): "95dfe0ff11599e6e",
+    ("chain", "arrival-departure-cap"): "2b83b6a4d0dc9824",
     ("chain", "none"): "cac981a6778dcd92",
     ("chain", "replacement"): "4a0745a0660f7c1d",
-    ("degree", "arrival-departure"): "ea38bab45f8a351e",
-    ("degree", "arrival-departure-cap"): "ffd0dd8d32a42171",
+    ("degree", "arrival-departure"): "cfbf076227f94138",
+    ("degree", "arrival-departure-cap"): "643d89e3e08667bd",
     ("degree", "none"): "c3d46708a5e4cb44",
     ("degree", "replacement"): "96a34da4695c7874",
-    ("uniform", "arrival-departure"): "13e1ab9c82753060",
-    ("uniform", "arrival-departure-cap"): "88f2533740069ae7",
+    ("uniform", "arrival-departure"): "36f69c6a85680efd",
+    ("uniform", "arrival-departure-cap"): "37ab8f3732b7e408",
     ("uniform", "none"): "783859be15deae53",
     ("uniform", "replacement"): "625e51d53dc34c8a",
 }
