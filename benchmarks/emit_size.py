@@ -31,6 +31,7 @@ if __name__ == "__main__":
         "benchmark": "size",
         "src_loc": sum(loc(path) for path in SRC.rglob("*.py")),
         "executor_loc": loc(SRC / "engine" / "executor.py"),
+        "telemetry_loc": loc(SRC / "engine" / "telemetry.py"),
         "cli_loc": loc(SRC / "cli.py"),
         "api_names": len(repro.api.__all__),
     }

@@ -135,15 +135,17 @@ from repro.engine.results import (
     validate_document,
 )
 from repro.engine.telemetry import (
-    DEFAULT_RUNS_DIR,
     TELEMETRY_SUFFIX,
-    RunManifest,
     TelemetryRecorder,
+    plan_digest,
+)
+from repro.obs.ledger import (
+    DEFAULT_RUNS_DIR,
+    RunManifest,
     TelemetryTail,
     WorkerHealth,
     find_run,
     load_telemetry,
-    plan_digest,
     profile_slowest,
     render_profiles,
     run_status,

@@ -75,7 +75,8 @@ if TYPE_CHECKING:
     from repro.engine.plan import ExperimentPlan
     from repro.engine.results import ResultStore
     from repro.engine.spec import ExecutorSpec
-    from repro.engine.telemetry import TelemetryRecorder, TelemetryTail
+    from repro.engine.telemetry import TelemetryRecorder
+    from repro.obs.ledger import TelemetryTail
     from repro.wire import WireSpec
 
 
@@ -172,43 +173,39 @@ def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
 class _ProgressPrinter:
     """Live ``done/total`` progress with an ETA from per-trial wall times.
 
-    Invoked by the executor once per trial, in plan order; the ETA divides
-    the mean observed trial wall time by the worker count, so it stays
-    meaningful under ``--jobs N``.  The final line reports per-status
-    counts: ``ok`` (spec satisfied), ``failed`` (terminated but spec
-    violated), ``skipped`` (never reached a verdict — e.g. the query never
-    returned) and — only when the ``--watchdog`` guard tripped —
-    ``quarantined`` (every watchdog attempt overran the wall-clock budget).
-    Chunked backends additionally report task batches via
-    :meth:`chunk_update`; the summary then carries ``N/M chunks``
-    (completed/dispatched) alongside the trial counts.
+    Invoked by the executor once per trial, in plan order.  Counting and
+    the ETA are the run ledger's fold (:class:`repro.obs.ledger.RunFold`):
+    the ETA divides the mean observed trial wall time by the resolved
+    worker count.  The final line reports per-outcome counts: ``ok`` (spec
+    satisfied), ``failed`` (terminated but spec violated), ``skipped``
+    (never reached a verdict — e.g. the query never returned) and — only
+    when the ``--watchdog`` guard tripped — ``quarantined`` (every
+    watchdog attempt overran the wall-clock budget).  Chunked backends
+    additionally report task batches via :meth:`chunk_update`; the summary
+    then carries ``N/M chunks`` (completed/dispatched) alongside the trial
+    counts.
     """
 
     def __init__(self, jobs: int = 1, stream: Any = None) -> None:
+        from repro.obs.ledger import RunFold
+
         self.jobs = max(1, jobs)
         self.stream = stream if stream is not None else sys.stderr
-        self._walls: list[float] = []
-        self.ok = 0
-        self.failed = 0
-        self.skipped = 0
-        self.quarantined = 0
+        self.fold = RunFold()
         self.chunks_dispatched = 0
         self.chunks_completed = 0
+
+    def __getattr__(self, outcome: str) -> int:
+        # ``printer.ok`` & co.: the fold's count of that outcome.
+        try:
+            return vars(self)["fold"].counts[outcome]
+        except KeyError:
+            raise AttributeError(outcome) from None
 
     def chunk_update(self, dispatched: int, completed: int) -> None:
         """Executor hook: latest task-batch counters (chunked dispatch)."""
         self.chunks_dispatched = dispatched
         self.chunks_completed = completed
-
-    def _classify(self, result: Any) -> None:
-        if getattr(result, "status", "") == "quarantined":
-            self.quarantined += 1
-        elif not getattr(result, "terminated", True):
-            self.skipped += 1
-        elif getattr(result, "ok", False):
-            self.ok += 1
-        else:
-            self.failed += 1
 
     def summary(self) -> str:
         line = f"{self.ok} ok, {self.failed} failed, {self.skipped} skipped"
@@ -220,10 +217,11 @@ class _ProgressPrinter:
         return line
 
     def __call__(self, done: int, total: int, result: Any) -> None:
-        self._walls.append(float(getattr(result, "wall_time", 0.0)))
-        self._classify(result)
-        mean_wall = sum(self._walls) / len(self._walls)
-        eta = mean_wall * (total - done) / self.jobs
+        from repro.obs.ledger import trial_outcome
+
+        outcome = trial_outcome(result.ok, result.terminated, result.status)
+        self.fold.tally(outcome, result.wall_time)
+        eta = self.fold.remaining_s(total, self.jobs)
         if done == total:
             line = f"[{done}/{total}] trials done: {self.summary()}"
         else:
@@ -286,7 +284,8 @@ def _checkpoint_path(args: argparse.Namespace,
         return value
     if args.output:
         return _beside_output(args.output, ".checkpoint.jsonl")
-    from repro.engine.telemetry import DEFAULT_RUNS_DIR, plan_digest
+    from repro.engine.telemetry import plan_digest
+    from repro.obs.ledger import DEFAULT_RUNS_DIR
 
     return os.path.join(DEFAULT_RUNS_DIR,
                         f"checkpoint-{plan_digest(plan)}.jsonl")
@@ -466,7 +465,7 @@ def _engine_finish(
         # Deterministic re-execution: profiling the K slowest trials
         # after the fact reproduces their work exactly without having
         # perturbed the recorded run.
-        from repro.engine.telemetry import profile_slowest, render_profiles
+        from repro.obs.ledger import profile_slowest, render_profiles
 
         profiles = profile_slowest(plan.specs, store.results, k=profile_k)
         if recorder is not None:
@@ -561,7 +560,7 @@ def _configure_presets(wire: str, flag: str,
 
 
 def _runs_dir_flag(parser: argparse.ArgumentParser, purpose: str) -> None:
-    from repro.engine.telemetry import DEFAULT_RUNS_DIR
+    from repro.obs.ledger import DEFAULT_RUNS_DIR
 
     parser.add_argument("--dir", dest="runs_dir", default=None,
                         help=f"ledger directory {purpose} "
@@ -1010,7 +1009,7 @@ def _open_run(target: str, runs_dir: str | None,
               need_manifest: bool = True) -> "TelemetryTail":
     """Tail the telemetry stream a run argument names — an existing file,
     or a run-id prefix resolved through the ledger — polled once."""
-    from repro.engine.telemetry import DEFAULT_RUNS_DIR, TelemetryTail, find_run
+    from repro.obs.ledger import DEFAULT_RUNS_DIR, TelemetryTail, find_run
     from repro.sim.errors import ConfigurationError
 
     try:
@@ -1047,13 +1046,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _cmd_runs(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table
-    from repro.engine.telemetry import DEFAULT_RUNS_DIR, render_profiles, scan_runs
+    from repro.obs.ledger import DEFAULT_RUNS_DIR, render_profiles, scan_runs
 
     if args.runs_command == "list":
-        entries = scan_runs(args.runs_dir or DEFAULT_RUNS_DIR)
+        directory = args.runs_dir or DEFAULT_RUNS_DIR
+        entries = scan_runs(directory)
         if not entries:
-            print(f"no runs recorded under "
-                  f"{args.runs_dir or DEFAULT_RUNS_DIR!r} "
+            print(f"no runs recorded under {directory!r} "
                   "(record one with --telemetry)")
             return 0
         rows = []
@@ -1061,49 +1060,25 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             manifest, summary = entry["manifest"], entry["summary"]
             counts = summary["counts"] if summary else {}
             rows.append([
-                manifest.run_id,
-                manifest.plan.get("name", "?"),
+                manifest.run_id, manifest.plan.get("name", "?"),
                 manifest.plan.get("n_trials", "?"),
-                manifest.executor.get("backend", "?"),
-                entry.get("status", "?"),
+                manifest.executor.get("backend", "?"), entry["status"],
                 f"{summary['wall_s']:.1f}s" if summary else "-",
-                counts.get("ok", "-"),
-                counts.get("failed", "-"),
-                counts.get("quarantined", "-"),
+                *(counts.get(key, "-")
+                  for key in ("ok", "failed", "quarantined")),
             ])
         print(render_table(
             ["run id", "plan", "trials", "backend", "status", "wall", "ok",
              "failed", "quar"],
-            rows,
-            title=f"run ledger ({args.runs_dir or DEFAULT_RUNS_DIR})",
+            rows, title=f"run ledger ({directory})",
         ))
         return 0
 
     # show
     tail = _open_run(args.run_id, args.runs_dir)
-    manifest = tail.manifest
     print(tail.render())
     print()
-    rows = [
-        ["path", tail.path],
-        ["started", manifest.to_record()["started_iso"]],
-        ["plan digest", manifest.plan.get("digest", "-")],
-        ["executor", str(dict(manifest.executor))],
-        ["host", "{hostname} · {platform} · python {python} · "
-         "{cpu_count} cpus".format(**{
-             key: manifest.host.get(key, "?")
-             for key in ("hostname", "platform", "python", "cpu_count")
-         })],
-        ["repro", manifest.repro_version],
-        ["result schema", "{name} v{version}".format(
-            **dict(manifest.result_schema))],
-    ]
-    if manifest.cli:
-        rows.append(["cli", "{version}: {argv}".format(
-            version=manifest.cli.get("version", "?"),
-            argv=" ".join(manifest.cli.get("argv", [])),
-        )])
-    print(render_table(["field", "value"], rows, title="manifest"))
+    print(tail.render_manifest())
     if tail.summary and tail.summary.get("profile"):
         print()
         print(render_profiles(tail.summary["profile"]))
@@ -1309,12 +1284,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 0
 
     # run: either flag overrides the YAML's executor block; with neither,
-    # executor=None lets the block (or the serial default) decide.
-    executor: ExecutorSpec | None = None
-    if args.executor is not None or args.jobs is not None:
-        executor = _resolve_executor_flag(args)
+    # the block (or the serial default) decides.
+    from repro.engine.spec import ExecutorSpec
+
+    executor = (
+        _resolve_executor_flag(args)
+        if args.executor is not None or args.jobs is not None
+        else ExecutorSpec.resolve(exp.executor)
+    )
     progress = (
-        _ProgressPrinter(jobs=args.jobs or 1) if args.progress else None
+        _ProgressPrinter(jobs=executor.effective_jobs())
+        if args.progress else None
     )
     stream_path = (
         args.output if args.output and args.output.endswith(".jsonl")

@@ -1,31 +1,16 @@
-"""Engine run telemetry: the run ledger, live tailing and trial profiling.
+"""Engine run telemetry, the write side: the recorder of the run ledger.
 
-The experiment engine used to be a black box: the warm pool forked, chunks
-flew, and the only artifact was the final result document.  This module
-gives every run a durable, streamable self-description:
-
-* :class:`RunManifest` — who/what/where of a run: ``run_id``, the
-  :class:`~repro.engine.spec.ExecutorSpec`, a plan digest, repro and
-  result-schema versions, host info.  Written as the first line of the
-  telemetry stream, it *is* the run ledger entry.
-* :class:`TelemetryRecorder` — owns the append-only ``telemetry.jsonl``
-  file beside the result document (``repro-run-telemetry`` v1, see
-  :mod:`repro.obs.spans`), receives the executor's hierarchical spans
-  (run → dispatch → chunk → trial, with calibration / warm-up /
-  quarantine annotated), aggregates per-worker health (busy time, queue
-  wait, utilization, trials/sec, peak RSS) and writes the final
-  ``summary`` record.  Every line is flushed on write so a concurrent
-  ``repro top`` can tail the live file.
-* :class:`TelemetryTail` — the incremental reader behind ``repro top``:
-  polls a (possibly still growing) stream, maintains progress / ETA /
-  per-worker state, renders the live table.
-* :func:`scan_runs` / :func:`find_run` — the ledger view behind
-  ``repro runs list|show``: every ``*.telemetry.jsonl`` under a directory
-  is one run, keyed by its manifest.
-* :func:`profile_slowest` — opt-in cProfile sampling: deterministically
-  re-runs the K slowest trials under the profiler *after* the plan
-  finishes (re-running never perturbs the recorded run) and surfaces the
-  hottest functions in the telemetry summary.
+:class:`TelemetryRecorder` gives every run a durable, streamable
+self-description: an append-only ``telemetry.jsonl`` file beside the
+result document (``repro-run-telemetry`` v1, see :mod:`repro.obs.spans`)
+holding the :class:`~repro.obs.ledger.RunManifest` line (``run_id``, the
+:class:`~repro.engine.spec.ExecutorSpec`, a plan digest, versions, host
+info), the executor's hierarchical spans (run → dispatch → chunk → trial,
+with calibration / warm-up / quarantine annotated) and a final
+``summary``.  Every line is flushed on write so ``repro top`` can tail
+the live file.  The summary's counts and per-worker health are the
+:class:`~repro.obs.ledger.RunFold` of the records written — the fold
+``repro top`` runs over the file.  The read side is :mod:`repro.obs.ledger`.
 
 Determinism contract (the faults/resilience idiom): telemetry is pure
 observation.  ``run_plan(plan, telemetry=...)`` produces the byte-identical
@@ -42,17 +27,11 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from repro.obs.codec import JournalScan, open_journal
-from repro.obs.spans import (
-    Span,
-    SpanTracer,
-    TELEMETRY_SCHEMA,
-    TELEMETRY_VERSION,
-    read_telemetry,
-)
+from repro.obs.codec import open_journal
+from repro.obs.ledger import DEFAULT_RUNS_DIR, RunFold, RunManifest
+from repro.obs.spans import Span, SpanTracer
 from repro.sim.errors import ConfigurationError
 from repro.version import package_version
 
@@ -60,11 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan import ExperimentPlan, TrialSpec
     from repro.engine.results import TrialResult
 
-#: Default ledger directory for runs that have no result-document anchor.
-DEFAULT_RUNS_DIR = os.path.join(".repro", "runs")
-
 #: Filename suffix every ledger entry carries.
 TELEMETRY_SUFFIX = ".telemetry.jsonl"
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every line
 
 
 def new_run_id() -> str:
@@ -93,140 +71,6 @@ def host_info() -> dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "pid": os.getpid(),
     }
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """The durable identity of one engine run — the ledger entry.
-
-    Serialised as the first line of the telemetry stream.  ``executor``
-    holds the :class:`~repro.engine.spec.ExecutorSpec` wire dict (or a
-    best-effort description of a hand-built backend); ``cli`` is present
-    only for runs launched through ``repro`` and carries the
-    ``repro --version`` banner plus the argv.
-    """
-
-    run_id: str
-    started: float
-    plan: Mapping[str, Any]
-    executor: Mapping[str, Any]
-    host: Mapping[str, Any]
-    repro_version: str
-    result_schema: Mapping[str, Any]
-    cli: Mapping[str, Any] | None = None
-    #: Path of the run's ``repro-run-checkpoint`` journal, when one was
-    #: written — what ``repro resume`` follows.
-    checkpoint: str | None = None
-    #: The run id this run resumed (``repro resume``); ``None`` for
-    #: first attempts.
-    resumed_from: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        record: dict[str, Any] = {
-            "type": "manifest",
-            "schema": TELEMETRY_SCHEMA,
-            "version": TELEMETRY_VERSION,
-            "run_id": self.run_id,
-            "started": self.started,
-            "started_iso": time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime(self.started)
-            ),
-            "plan": dict(self.plan),
-            "executor": dict(self.executor),
-            "host": dict(self.host),
-            "repro_version": self.repro_version,
-            "result_schema": dict(self.result_schema),
-        }
-        if self.cli is not None:
-            record["cli"] = dict(self.cli)
-        if self.checkpoint is not None:
-            record["checkpoint"] = self.checkpoint
-        if self.resumed_from is not None:
-            record["resumed_from"] = self.resumed_from
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "RunManifest":
-        return cls(
-            run_id=record["run_id"],
-            started=record["started"],
-            plan=dict(record.get("plan", {})),
-            executor=dict(record.get("executor", {})),
-            host=dict(record.get("host", {})),
-            repro_version=record.get("repro_version", ""),
-            result_schema=dict(record.get("result_schema", {})),
-            cli=dict(record["cli"]) if record.get("cli") else None,
-            checkpoint=record.get("checkpoint"),
-            resumed_from=record.get("resumed_from"),
-        )
-
-
-@dataclass
-class WorkerHealth:
-    """Accumulated health metrics for one worker process.
-
-    ``busy_s`` sums chunk wall times; ``queue_wait_s`` sums each chunk's
-    submit→start latency; utilization is busy time over the worker's
-    observed lifetime (first chunk start to last chunk end).  The parent
-    process itself appears as a worker for serial runs and calibration
-    trials.
-    """
-
-    pid: int
-    chunks: int = 0
-    trials: int = 0
-    busy_s: float = 0.0
-    queue_wait_s: float = 0.0
-    rss_kb_max: float = 0.0
-    first_start: float = field(default=float("inf"))
-    last_end: float = 0.0
-
-    def observe_chunk(
-        self,
-        t0: float,
-        t1: float,
-        trials: int,
-        queue_wait: float,
-        rss_kb: float,
-    ) -> None:
-        self.chunks += 1
-        self.trials += trials
-        self.busy_s += max(0.0, t1 - t0)
-        self.queue_wait_s += max(0.0, queue_wait)
-        self.rss_kb_max = max(self.rss_kb_max, rss_kb)
-        self.first_start = min(self.first_start, t0)
-        self.last_end = max(self.last_end, t1)
-
-    @property
-    def lifetime_s(self) -> float:
-        if self.last_end <= self.first_start:
-            return 0.0
-        return self.last_end - self.first_start
-
-    @property
-    def utilization(self) -> float:
-        life = self.lifetime_s
-        return min(1.0, self.busy_s / life) if life > 0 else 1.0
-
-    @property
-    def trials_per_sec(self) -> float:
-        return self.trials / self.busy_s if self.busy_s > 0 else 0.0
-
-    @property
-    def queue_wait_mean_s(self) -> float:
-        return self.queue_wait_s / self.chunks if self.chunks else 0.0
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "pid": self.pid,
-            "chunks": self.chunks,
-            "trials": self.trials,
-            "busy_s": round(self.busy_s, 6),
-            "utilization": round(self.utilization, 4),
-            "trials_per_sec": round(self.trials_per_sec, 3),
-            "queue_wait_mean_s": round(self.queue_wait_mean_s, 6),
-            "rss_kb_max": self.rss_kb_max,
-        }
 
 
 class TelemetryRecorder:
@@ -270,16 +114,14 @@ class TelemetryRecorder:
         self._journal: IO[str] | None = None
         self._lock = threading.Lock()
         self._run_span: Any = None
-        self._counts = {"ok": 0, "failed": 0, "skipped": 0, "quarantined": 0}
-        self._trials = 0
-        self._workers: dict[int, WorkerHealth] = {}
+        #: The fold of every record written: the summary's counts and
+        #: per-worker health.
+        self.fold = RunFold()
         self._profiles: list[dict[str, Any]] = []
-        self._recovery = {
-            "worker_respawns": 0,
-            "chunks_redispatched": 0,
-            "trials_redispatched": 0,
-            "poison_quarantined": 0,
-        }
+        self._recovery = dict.fromkeys((
+            "worker_respawns", "chunks_redispatched", "trials_redispatched",
+            "poison_quarantined",
+        ), 0)
         self._resumed_trials: int | None = None
         self._closed = False
 
@@ -289,9 +131,10 @@ class TelemetryRecorder:
 
     def _write(self, record: Mapping[str, Any]) -> None:
         with self._lock:
+            self.fold.add(record)
             if self._journal is None:
                 self._journal = open_journal(self.path)
-            self._journal.write(json.dumps(record, sort_keys=True) + "\n")
+            self._journal.write(_encode(record) + "\n")
 
     def _close_journal(self) -> None:
         with self._lock:
@@ -358,17 +201,17 @@ class TelemetryRecorder:
             return {}
         self._closed = True
         if self._run_span is not None:
-            self.tracer.finish(self._run_span, trials=self._trials)
+            self.tracer.finish(self._run_span, trials=self.fold.trials_done)
             self._run_span = None
         summary: dict[str, Any] = {
             "type": "summary",
             "run_id": self.run_id,
             "finished": time.time(),
-            "trials": self._trials,
-            "counts": dict(self._counts),
+            "trials": self.fold.trials_done,
+            "counts": dict(self.fold.counts),
             "workers": [
-                self._workers[pid].to_record()
-                for pid in sorted(self._workers)
+                health.to_record()
+                for _, health in sorted(self.fold.workers.items())
             ],
         }
         if self.manifest is not None:
@@ -412,24 +255,14 @@ class TelemetryRecorder:
     # Executor hooks
     # ------------------------------------------------------------------
 
-    def _count(self, result: "TrialResult") -> None:
-        self._trials += 1
-        if getattr(result, "status", "") == "quarantined":
-            self._counts["quarantined"] += 1
-        elif not getattr(result, "terminated", True):
-            self._counts["skipped"] += 1
-        elif getattr(result, "ok", False):
-            self._counts["ok"] += 1
-        else:
-            self._counts["failed"] += 1
-
     def _trial_attrs(
-        self, spec: "TrialSpec", result: "TrialResult"
+        self, spec: "TrialSpec", result: "TrialResult", worker: int
     ) -> dict[str, Any]:
         attrs: dict[str, Any] = {
             "index": spec.index,
             "seed": spec.seed,
             "ok": bool(getattr(result, "ok", False)),
+            "worker": worker,
         }
         if not getattr(result, "terminated", True):
             attrs["terminated"] = False
@@ -450,19 +283,13 @@ class TelemetryRecorder:
         calibration: bool = False,
     ) -> None:
         """One parent-side trial (serial loop or the calibration trial)."""
-        pid = worker if worker is not None else os.getpid()
-        attrs = self._trial_attrs(spec, result)
-        attrs["worker"] = pid
-        name = "calibration" if calibration else "trial"
-        self.tracer.emit(
-            name, t0, t1,
-            parent=parent if parent is not None else self._run_span,
-            **attrs,
+        attrs = self._trial_attrs(
+            spec, result, worker if worker is not None else os.getpid()
         )
-        health = self._workers.setdefault(pid, WorkerHealth(pid))
-        health.observe_chunk(t0, t1, trials=1, queue_wait=0.0,
-                             rss_kb=attrs.get("rss_kb", 0.0))
-        self._count(result)
+        self.tracer.emit(
+            "calibration" if calibration else "trial", t0, t1,
+            parent=parent if parent is not None else self._run_span, **attrs,
+        )
 
     def record_warmup(self, t0: float, t1: float, jobs: int) -> None:
         """The pool fork + pre-import window."""
@@ -497,29 +324,23 @@ class TelemetryRecorder:
         pid = int(meta.get("pid", 0))
         t0 = float(meta.get("t0", submitted))
         t1 = float(meta.get("t1", t0))
-        rss_kb = float(meta.get("rss_kb", 0.0))
-        queue_wait = max(0.0, t0 - submitted)
         chunk_span = self.tracer.emit(
             "chunk", t0, t1, parent=parent,
             worker=pid, trials=len(specs),
-            queue_wait_s=round(queue_wait, 6), rss_kb=rss_kb,
+            queue_wait_s=round(max(0.0, t0 - submitted), 6),
+            rss_kb=float(meta.get("rss_kb", 0.0)),
         )
         trial_times = meta.get("trials", ())
         for spec, result, times in zip(specs, results, trial_times):
-            attrs = self._trial_attrs(spec, result)
-            attrs["worker"] = pid
+            attrs = self._trial_attrs(spec, result, pid)
             self.tracer.emit(
                 "trial", float(times[0]), float(times[1]),
                 parent=chunk_span, **attrs,
             )
-            self._count(result)
-        health = self._workers.setdefault(pid, WorkerHealth(pid))
-        health.observe_chunk(
-            t0, t1, trials=len(specs), queue_wait=queue_wait, rss_kb=rss_kb
-        )
 
     def record_profiles(self, profiles: Iterable[Mapping[str, Any]]) -> None:
-        """Attach :func:`profile_slowest` output to the summary record."""
+        """Attach :func:`~repro.obs.ledger.profile_slowest` output to the
+        summary record."""
         self._profiles.extend(dict(p) for p in profiles)
 
     # ------------------------------------------------------------------
@@ -575,344 +396,3 @@ def resolve_recorder(
         "'telemetry' must be a TelemetryRecorder, a path or None, got "
         f"{type(telemetry).__name__}"
     )
-
-
-# ----------------------------------------------------------------------
-# Live tailing (repro top)
-# ----------------------------------------------------------------------
-
-
-class TelemetryTail:
-    """Incremental reader of a (possibly live) telemetry stream.
-
-    Re-polling picks up only the lines appended since the last poll, so a
-    ``repro top`` loop costs O(new records) per refresh.  State mirrors
-    what the recorder wrote: manifest, per-status trial counts, chunk
-    counters, per-worker health, and the final summary when the run ends.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self.manifest: RunManifest | None = None
-        self.summary: dict[str, Any] | None = None
-        self.trials_done = 0
-        self.counts = {"ok": 0, "failed": 0, "skipped": 0, "quarantined": 0}
-        self.chunks = 0
-        self.workers: dict[int, WorkerHealth] = {}
-        self._trial_walls: list[float] = []
-        self._scan = JournalScan(self.path)
-        self._validated = False
-
-    @property
-    def finished(self) -> bool:
-        return self.summary is not None
-
-    @property
-    def total(self) -> int:
-        if self.manifest is None:
-            return 0
-        return int(self.manifest.plan.get("n_trials", 0))
-
-    def eta_s(self, jobs: int | None = None) -> float:
-        """Remaining wall estimate from observed mean trial duration."""
-        if not self._trial_walls or self.total == 0:
-            return float("nan")
-        if jobs is None:
-            jobs = max(1, len(self.workers))
-        mean = sum(self._trial_walls) / len(self._trial_walls)
-        return mean * max(0, self.total - self.trials_done) / max(1, jobs)
-
-    def poll(self) -> int:
-        """Consume newly appended complete lines; returns how many.  A torn
-        trailing line is re-read whole on a later poll; a corrupt line
-        raises (:mod:`repro.obs.codec`)."""
-        consumed = 0
-        try:
-            for record in self._scan:
-                self._ingest(record)
-                consumed += 1
-        except FileNotFoundError:
-            pass  # not written yet
-        return consumed
-
-    def _ingest(self, record: Mapping[str, Any]) -> None:
-        kind = record.get("type")
-        if kind == "manifest":
-            from repro.obs.spans import validate_manifest
-
-            if not self._validated:
-                validate_manifest(record, path=self.path)
-                self._validated = True
-            self.manifest = RunManifest.from_record(record)
-        elif kind == "span":
-            self._ingest_span(record)
-        elif kind == "summary":
-            self.summary = dict(record)
-
-    def _ingest_span(self, record: Mapping[str, Any]) -> None:
-        name = record.get("name")
-        attrs = record.get("attrs", {})
-        t0 = float(record.get("t0", 0.0))
-        t1 = float(record.get("t1", t0))
-        if name in ("trial", "calibration"):
-            self.trials_done += 1
-            self._trial_walls.append(t1 - t0)
-            status = attrs.get("status", "")
-            if status == "quarantined":
-                self.counts["quarantined"] += 1
-            elif not attrs.get("terminated", True):
-                self.counts["skipped"] += 1
-            elif attrs.get("ok"):
-                self.counts["ok"] += 1
-            else:
-                self.counts["failed"] += 1
-        if name == "chunk":
-            self.chunks += 1
-            pid = int(attrs.get("worker", 0))
-            health = self.workers.setdefault(pid, WorkerHealth(pid))
-            health.observe_chunk(
-                t0, t1,
-                trials=int(attrs.get("trials", 0)),
-                queue_wait=float(attrs.get("queue_wait_s", 0.0)),
-                rss_kb=float(attrs.get("rss_kb", 0.0)),
-            )
-        elif name in ("trial", "calibration"):
-            pid = int(attrs.get("worker", 0))
-            # Parent-side trials (serial / calibration) have no chunk
-            # span; account them to their worker directly.
-            parent = record.get("parent_id")
-            if parent is None or self._is_run_root(parent):
-                health = self.workers.setdefault(pid, WorkerHealth(pid))
-                health.observe_chunk(t0, t1, trials=1, queue_wait=0.0,
-                                     rss_kb=0.0)
-
-    def _is_run_root(self, parent_id: str) -> bool:
-        # The run span is always s1 (first id the recorder allocates).
-        return parent_id == "s1"
-
-    def render(self) -> str:
-        """The ``repro top`` screen: header, progress, worker table."""
-        from repro.analysis.tables import render_table
-
-        lines: list[str] = []
-        if self.manifest is None:
-            return f"{self.path}: waiting for manifest..."
-        m = self.manifest
-        backend = m.executor.get("backend", "?")
-        jobs = m.executor.get("jobs")
-        jobs_label = jobs if jobs is not None else "auto"
-        lines.append(
-            f"run {m.run_id} · plan {m.plan.get('name', '?')!r} "
-            f"({m.plan.get('n_trials', '?')} trials) · "
-            f"executor {backend}/jobs={jobs_label} · repro {m.repro_version}"
-        )
-        total = self.total or max(self.trials_done, 1)
-        done = self.trials_done
-        width = 30
-        filled = int(width * min(1.0, done / total)) if total else 0
-        bar = "#" * filled + "-" * (width - filled)
-        if self.finished:
-            wall = self.summary.get("wall_s", 0.0) if self.summary else 0.0
-            tail = f"done in {wall:.1f}s"
-        else:
-            eta = self.eta_s()
-            tail = f"eta {eta:.1f}s" if eta == eta else "eta --"
-        counts = self.counts
-        lines.append(
-            f"[{bar}] {done}/{total} trials · {counts['ok']} ok, "
-            f"{counts['failed']} failed, {counts['skipped']} skipped, "
-            f"{counts['quarantined']} quarantined · {self.chunks} chunks "
-            f"· {tail}"
-        )
-        if self.workers:
-            rows = []
-            for pid in sorted(self.workers):
-                w = self.workers[pid]
-                rows.append([
-                    pid, w.chunks, w.trials, f"{w.busy_s:.2f}",
-                    f"{w.utilization * 100:.0f}%",
-                    f"{w.trials_per_sec:.2f}",
-                    f"{w.queue_wait_mean_s * 1000:.1f}ms",
-                    f"{w.rss_kb_max:.0f}",
-                ])
-            lines.append(render_table(
-                ["worker", "chunks", "trials", "busy s", "util",
-                 "trials/s", "q-wait", "rss kb"],
-                rows, title="workers",
-            ))
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# The run ledger (repro runs list|show)
-# ----------------------------------------------------------------------
-
-
-def load_telemetry(
-    path: str,
-) -> tuple[RunManifest, list[Span], dict[str, Any] | None]:
-    """Read a whole telemetry stream: (manifest, spans, summary|None)."""
-    manifest: RunManifest | None = None
-    spans: list[Span] = []
-    summary: dict[str, Any] | None = None
-    for record in read_telemetry(path):
-        kind = record.get("type")
-        if kind == "manifest":
-            manifest = RunManifest.from_record(record)
-        elif kind == "span":
-            spans.append(Span.from_record(record))
-        elif kind == "summary":
-            summary = dict(record)
-    if manifest is None:
-        raise ConfigurationError(f"{path}: telemetry stream has no manifest")
-    return manifest, spans, summary
-
-
-def run_status(
-    manifest: RunManifest, summary: Mapping[str, Any] | None
-) -> str:
-    """The ledger disposition of one run.
-
-    ``"completed"`` — the summary record landed; ``"resumed"`` — completed
-    *and* this run was a ``repro resume`` of an earlier one;
-    ``"interrupted"`` — a manifest with no summary, i.e. the run died (or
-    is still live; the stream cannot tell a crash from an in-flight run,
-    so the ledger treats both as resumable).
-    """
-    if summary is None:
-        return "interrupted"
-    if manifest.resumed_from is not None:
-        return "resumed"
-    return "completed"
-
-
-def scan_runs(directory: str = DEFAULT_RUNS_DIR) -> list[dict[str, Any]]:
-    """The ledger: every telemetry stream under ``directory``.
-
-    Returns one entry per readable stream — ``{"path", "manifest",
-    "summary", "status"}`` with ``summary`` ``None`` (and ``status``
-    ``"interrupted"``) for runs whose summary never landed — sorted by
-    start time.  Unreadable files are skipped, so a half-written stream
-    never breaks ``repro runs list``.
-    """
-    entries: list[dict[str, Any]] = []
-    if not os.path.isdir(directory):
-        return entries
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".jsonl"):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            manifest, _, summary = load_telemetry(path)
-        except (ConfigurationError, OSError, KeyError, ValueError):
-            continue
-        entries.append({
-            "path": path, "manifest": manifest, "summary": summary,
-            "status": run_status(manifest, summary),
-        })
-    entries.sort(key=lambda e: e["manifest"].started)
-    return entries
-
-
-def find_run(
-    run_id: str, directory: str = DEFAULT_RUNS_DIR
-) -> dict[str, Any]:
-    """Locate a ledger entry by (a unique prefix of) its run id."""
-    matches = [
-        entry for entry in scan_runs(directory)
-        if entry["manifest"].run_id.startswith(run_id)
-    ]
-    if not matches:
-        raise ConfigurationError(
-            f"no run matching {run_id!r} under {directory!r}"
-        )
-    if len(matches) > 1:
-        ids = ", ".join(e["manifest"].run_id for e in matches)
-        raise ConfigurationError(
-            f"run id {run_id!r} is ambiguous under {directory!r}: {ids}"
-        )
-    return matches[0]
-
-
-# ----------------------------------------------------------------------
-# Opt-in trial profiling
-# ----------------------------------------------------------------------
-
-
-def profile_slowest(
-    specs: Sequence["TrialSpec"],
-    results: Sequence["TrialResult"],
-    k: int = 1,
-    limit: int = 10,
-) -> list[dict[str, Any]]:
-    """cProfile the K slowest trials by deterministic re-execution.
-
-    Trials are deterministic, so re-running one under the profiler *after*
-    the plan finished reproduces its work exactly without ever slowing (or
-    perturbing) the recorded run.  Returns one entry per profiled trial —
-    ``{"index", "seed", "wall_time", "functions": [{"function",
-    "cumtime_s", "ncalls"}, ...]}`` — hottest functions first, ready to
-    embed in the telemetry summary.
-    """
-    import cProfile
-    import pstats
-
-    if k < 1:
-        raise ConfigurationError(f"profile count must be >= 1, got {k}")
-    from repro.engine.executor import execute_trial
-
-    by_index = {spec.index: spec for spec in specs}
-    # Quarantined trials overran the watchdog budget every attempt;
-    # re-running one unguarded could hang the profiler indefinitely.
-    eligible = [r for r in results if getattr(r, "status", "") != "quarantined"]
-    slowest = sorted(eligible, key=lambda r: r.wall_time, reverse=True)[:k]
-    profiles: list[dict[str, Any]] = []
-    for result in slowest:
-        spec = by_index.get(result.index)
-        if spec is None:
-            continue
-        profiler = cProfile.Profile()
-        profiler.enable()
-        execute_trial(spec)
-        profiler.disable()
-        stats = pstats.Stats(profiler)
-        rows = sorted(
-            stats.stats.items(),  # type: ignore[attr-defined]
-            key=lambda item: item[1][3],  # cumulative time
-            reverse=True,
-        )
-        functions = []
-        for (filename, lineno, func), row in rows[:limit]:
-            ncalls, _, _, cumtime = row[0], row[1], row[2], row[3]
-            where = f"{os.path.basename(filename)}:{lineno}" \
-                if filename != "~" else "builtin"
-            functions.append({
-                "function": f"{func} ({where})",
-                "cumtime_s": round(cumtime, 6),
-                "ncalls": ncalls,
-            })
-        profiles.append({
-            "index": result.index,
-            "seed": result.seed,
-            "wall_time": round(result.wall_time, 6),
-            "functions": functions,
-        })
-    return profiles
-
-
-def render_profiles(profiles: Sequence[Mapping[str, Any]]) -> str:
-    """Human-readable table of :func:`profile_slowest` output."""
-    from repro.analysis.tables import render_table
-
-    blocks = []
-    for profile in profiles:
-        rows = [
-            [f["function"], f"{f['cumtime_s']:.4f}", f["ncalls"]]
-            for f in profile.get("functions", [])
-        ]
-        blocks.append(render_table(
-            ["function", "cum s", "calls"], rows,
-            title=(f"trial {profile['index']} (seed {profile['seed']}, "
-                   f"{profile['wall_time']:.3f}s wall)"),
-        ))
-    return "\n".join(blocks)

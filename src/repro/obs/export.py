@@ -316,7 +316,7 @@ def write_engine_trace(
     """Load a telemetry stream, merge (optionally with one trial's sim
     trace) via :func:`merge_engine_trace`, write the JSON; returns the
     event count written (metadata records excluded)."""
-    from repro.engine.telemetry import load_telemetry
+    from repro.obs.ledger import load_telemetry
 
     manifest, spans, _ = load_telemetry(str(telemetry_path))
     document = merge_engine_trace(

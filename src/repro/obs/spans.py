@@ -48,9 +48,6 @@ from repro.sim.errors import ConfigurationError
 TELEMETRY_SCHEMA = "repro-run-telemetry"
 TELEMETRY_VERSION = 1
 
-#: The record types a v1 telemetry stream may contain.
-RECORD_TYPES = ("manifest", "span", "summary")
-
 #: Well-known span names the engine emits (consumers may see others).
 SPAN_KINDS = (
     "run",
@@ -225,7 +222,7 @@ class SpanTracer:
             parent_id=span_id_of(parent),
             t0=t0,
             t1=t1,
-            attrs=dict(attrs),
+            attrs=attrs,  # a fresh dict per call: nothing else holds it
         )
         with self._lock:
             self._sink(span)

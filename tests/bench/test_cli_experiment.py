@@ -4,12 +4,13 @@ flag overrides the experiment's own ``executor:`` block."""
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import pytest
 
 from repro.cli import main
-from repro.engine.telemetry import load_telemetry
+from repro.obs.ledger import load_telemetry
 
 YAML = """
 schema: repro-experiment
@@ -83,3 +84,34 @@ class TestExecutorFlags:
         with pytest.raises(SystemExit, match="--executor replaces --jobs"):
             main(["experiment", "run", str(experiment),
                   "--executor", "parallel", "--jobs", "2"])
+
+
+class TestProgressWorkers:
+    """``--progress`` divides its ETA by the workers the run resolves to,
+    wherever the executor came from."""
+
+    @pytest.fixture()
+    def printers(self, monkeypatch):
+        import repro.cli as cli
+
+        built = []
+
+        class Spy(cli._ProgressPrinter):
+            def __init__(self, jobs=1, stream=None):
+                super().__init__(jobs=jobs, stream=stream)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "_ProgressPrinter", Spy)
+        return built
+
+    @pytest.mark.parametrize("flags, block, jobs", [
+        ((), "", 1),
+        ((), "executor:\n  backend: parallel\n  jobs: 2\n", 2),
+        (("--executor", "parallel"), "", os.cpu_count() or 1),
+    ], ids=["serial", "yaml-block", "preset"])
+    def test_printer_workers(self, experiment, printers, capsys, flags,
+                             block, jobs):
+        experiment.write_text(YAML + block)
+        assert main(["experiment", "run", str(experiment), "--progress",
+                     *flags]) == 0
+        assert [printer.jobs for printer in printers] == [jobs]

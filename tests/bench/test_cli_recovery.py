@@ -12,7 +12,8 @@ import repro.engine.executor as engine_executor
 from repro.cli import main
 from repro.engine.recovery.chaos import SigintAfter
 from repro.engine.recovery.checkpoint import load_checkpoint
-from repro.engine.telemetry import TELEMETRY_SUFFIX, load_telemetry
+from repro.engine.telemetry import TELEMETRY_SUFFIX
+from repro.obs.ledger import load_telemetry
 
 SWEEP = ["sweep", "--rates", "0,8", "--trials", "2", "--n", "8"]
 

@@ -11,7 +11,8 @@ import warnings
 import pytest
 
 from repro.cli import main
-from repro.engine.telemetry import TELEMETRY_SUFFIX, load_telemetry
+from repro.engine.telemetry import TELEMETRY_SUFFIX
+from repro.obs.ledger import load_telemetry
 
 
 def run_sweep(tmp_path, *extra):

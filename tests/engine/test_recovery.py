@@ -35,15 +35,9 @@ from repro.engine.recovery.checkpoint import (
     result_from_record,
 )
 from repro.engine.results import load_document
-from repro.engine.telemetry import (
-    TelemetryRecorder,
-    find_run,
-    load_telemetry,
-    plan_digest,
-    run_status,
-    scan_runs,
-)
+from repro.engine.telemetry import TelemetryRecorder, plan_digest
 from repro.experiments.runner import run_experiment
+from repro.obs.ledger import find_run, load_telemetry, run_status, scan_runs
 from repro.sim.errors import ConfigurationError
 
 # Same plan shape as tests/engine/test_chunking.py: churn_rate 8.0 yields

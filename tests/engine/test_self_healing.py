@@ -41,7 +41,8 @@ from repro.engine.recovery.healing import (
     quarantine_threshold,
     respawn_backoff,
 )
-from repro.engine.telemetry import TelemetryRecorder, load_telemetry
+from repro.engine.telemetry import TelemetryRecorder
+from repro.obs.ledger import load_telemetry
 from repro.sim.errors import ConfigurationError
 
 PLAN = build_plan(

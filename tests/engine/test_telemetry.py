@@ -30,13 +30,15 @@ from repro.engine.spec import ExecutorSpec
 from repro.engine.telemetry import (
     TELEMETRY_SUFFIX,
     TelemetryRecorder,
+    plan_digest,
+    resolve_recorder,
+)
+from repro.obs.ledger import (
     TelemetryTail,
     find_run,
     load_telemetry,
-    plan_digest,
     profile_slowest,
     render_profiles,
-    resolve_recorder,
     scan_runs,
 )
 from repro.obs.spans import span_tree

@@ -39,13 +39,13 @@ from repro.engine.executor import ParallelExecutor, run_plan, stream_plan
 from repro.engine.plan import build_plan
 from repro.engine.recovery.checkpoint import CheckpointError, load_checkpoint
 from repro.engine.results import load_document
-from repro.engine.telemetry import TelemetryTail, load_telemetry, scan_runs
 from repro.obs.codec import (
     CorruptLineError,
     JournalScan,
     SchemaVersionError,
     open_journal,
 )
+from repro.obs.ledger import TelemetryTail, load_telemetry, scan_runs
 from repro.obs.metrics import strip_timings
 from repro.obs.spans import read_telemetry
 from repro.sim.errors import ConfigurationError

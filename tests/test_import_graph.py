@@ -154,6 +154,26 @@ class TestCliImports:
         ["executor", "--show", "guarded"],
     ], ids=lambda argv: argv[0])
     def test_a_light_command_loads_neither_the_engine_nor_networkx(self, argv):
+        modules = self.main_in_child(argv)
+        assert "repro.engine.executor" not in modules
+        assert not {"networkx", "yaml", "concurrent.futures.process"} & modules
+
+    @pytest.mark.parametrize("command", [["runs", "list", "--dir"],
+                                         ["top", "--once"]],
+                             ids=lambda command: command[0])
+    def test_the_run_ledger_reads_without_the_engine(self, tmp_path, command):
+        from repro.engine.telemetry import TelemetryRecorder
+
+        recorder = TelemetryRecorder(directory=str(tmp_path))
+        recorder.open_run({"name": "ledger", "n_trials": 0})
+        recorder.close()
+        target = str(tmp_path) if command[0] == "runs" else recorder.path
+        modules = self.main_in_child(command + [target])
+        assert not [m for m in modules if m.startswith("repro.engine")]
+        assert "networkx" not in modules
+
+    @staticmethod
+    def main_in_child(argv: list[str]) -> set[str]:
         modules, report = loaded_after(
             "import io\n"
             "from repro.cli import main\n"
@@ -161,8 +181,7 @@ class TestCliImports:
             f"report.append(str(main({argv!r})))\n"
         )
         assert report == ["0"]
-        assert "repro.engine.executor" not in modules
-        assert not {"networkx", "yaml", "concurrent.futures.process"} & modules
+        return modules
 
     def test_help_lists_every_command_without_configuring_one(self):
         modules, report = loaded_after(
