@@ -3,65 +3,51 @@
 :func:`build_report` runs a compact battery over the definition space — the
 solvability matrix, a churn sweep for the wave protocol, and the
 wave-vs-gossip accuracy comparison — and renders a self-contained markdown
-report.  The CLI exposes it as ``python -m repro report``.
+report.  Each measured section is a ``churn_rate``-grid
+:class:`~repro.experiments.schema.ExperimentDef` run through
+:func:`~repro.experiments.runner.run_experiment`.  The CLI exposes it as
+``python -m repro report``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.tables import render_matrix, render_table
-from repro.engine.trials import GossipConfig, QueryConfig, run_gossip, run_query
-from repro.bench.sweep import sweep
-from repro.churn.models import ReplacementChurn
-from repro.core.classes import standard_lattice
-from repro.core.solvability import Solvable, solvability_matrix
-from repro.sim.rng import iter_seeds
+from typing import Any, Sequence
 
-_SYMBOL = {Solvable.YES: "yes", Solvable.CONDITIONAL: "cond", Solvable.NO: "NO"}
+from repro.analysis.tables import (
+    render_result_document,
+    render_solvability_matrix,
+    render_table,
+)
+from repro.engine.results import ResultStore
+from repro.experiments.runner import run_experiment
+from repro.experiments.schema import ExperimentDef
+
+
+def _churn_grid(
+    name: str, kind: str, rates: Sequence[float], n: int, trials: int,
+    seed: int, **base: Any,
+) -> ResultStore:
+    """Run one ``churn_rate``-grid experiment on an ER overlay of ``n``."""
+    base.update(n=n, topology="er")
+    return run_experiment(ExperimentDef(
+        name=name, kind=kind, grid=(("churn_rate", tuple(rates)),),
+        base=tuple(sorted(base.items())), trials=trials, root_seed=seed,
+    )).store
 
 
 def _matrix_section() -> str:
-    matrix = solvability_matrix(standard_lattice())
-    rows: list[str] = []
-    cols: list[str] = []
-    cells = {}
-    for system, result in matrix.items():
-        row, col = str(system.arrival), str(system.knowledge)
-        if row not in rows:
-            rows.append(row)
-        if col not in cols:
-            cols.append(col)
-        cells[(row, col)] = _SYMBOL[result.answer]
-    table = render_matrix(rows, cols, cells, corner="arrival \\ knowledge")
     return (
         "## Solvability of the one-time query\n\n"
-        "```\n" + table + "\n```\n"
+        "```\n" + render_solvability_matrix() + "\n```\n"
     )
 
 
 def _churn_section(n: int, trials: int, seed: int) -> str:
-    rates = [0.0, 0.5, 2.0, 8.0]
-
-    def trial(rate: float, trial_seed: int):
-        churn = (
-            (lambda f: ReplacementChurn(f, rate=rate)) if rate > 0 else None
-        )
-        return run_query(QueryConfig(
-            n=n, topology="er", aggregate="COUNT", seed=trial_seed,
-            horizon=250.0, churn=churn,
-        ))
-
-    points = sweep(rates, trial, trials=trials, root_seed=seed)
-    rows = [
-        [
-            point.parameter,
-            point.metric(lambda o: o.completeness).mean,
-            point.fraction(lambda o: o.completeness == 1.0),
-            point.metric(lambda o: float(o.messages)).mean,
-        ]
-        for point in points
-    ]
-    table = render_table(
-        ["churn_rate", "completeness", "fully_complete", "messages"], rows
+    store = _churn_grid("report-churn", "query", (0.0, 0.5, 2.0, 8.0), n,
+                        trials, seed, aggregate="COUNT", horizon=250.0)
+    table = render_result_document(
+        store.document(),
+        columns=("completeness", "fully_complete", "messages"), title="",
     )
     return (
         f"## Wave completeness vs churn (n={n}, {trials} trials/point)\n\n"
@@ -70,28 +56,20 @@ def _churn_section(n: int, trials: int, seed: int) -> str:
 
 
 def _gossip_section(n: int, trials: int, seed: int) -> str:
-    rows = []
-    for rate in (0.0, 2.0):
-        churn = (
-            (lambda f, r=rate: ReplacementChurn(f, rate=r)) if rate > 0 else None
-        )
-        wave_errors, gossip_errors = [], []
-        for trial_seed in iter_seeds(seed, trials):
-            wave = run_query(QueryConfig(
-                n=n, topology="er", aggregate="AVG", seed=trial_seed,
-                horizon=250.0, churn=churn,
-            ))
-            wave_errors.append(wave.error if wave.terminated else float("inf"))
-            gossip = run_gossip(GossipConfig(
-                n=n, topology="er", mode="avg", rounds=50, seed=trial_seed,
-                churn=churn,
-            ))
-            gossip_errors.append(gossip.error)
-        rows.append([
-            rate,
-            sum(wave_errors) / trials,
-            sum(gossip_errors) / trials,
-        ])
+    rates = (0.0, 2.0)
+    wave = _churn_grid("report-wave", "query", rates, n, trials, seed,
+                       aggregate="AVG", horizon=250.0).by_point()
+    gossip = _churn_grid("report-gossip", "gossip", rates, n, trials, seed,
+                         mode="avg", rounds=50).by_point()
+    rows = [
+        [
+            dict(point)["churn_rate"],
+            sum(r.error if r.terminated else float("inf")
+                for r in wave[point]) / trials,
+            sum(r.error for r in gossip[point]) / trials,
+        ]
+        for point in wave
+    ]
     table = render_table(
         ["churn_rate", "wave_rel_error", "gossip_rel_error"], rows
     )

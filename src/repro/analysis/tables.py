@@ -71,6 +71,26 @@ def render_matrix(
     return render_table(headers, rows, title=title)
 
 
+def render_solvability_matrix(title: str | None = None) -> str:
+    """The one-time query's solvability over the standard lattice: one row
+    per arrival class, one column per knowledge class, each cell ``yes``,
+    ``cond`` or ``NO`` (``repro matrix`` and the report's first section)."""
+    from repro.core.classes import standard_lattice
+    from repro.core.solvability import Solvable, solvability_matrix
+
+    symbol = {Solvable.YES: "yes", Solvable.CONDITIONAL: "cond",
+              Solvable.NO: "NO"}
+    matrix = solvability_matrix(standard_lattice())
+    cells = {
+        (str(system.arrival), str(system.knowledge)): symbol[result.answer]
+        for system, result in matrix.items()
+    }
+    rows = list(dict.fromkeys(row for row, _ in cells))
+    cols = list(dict.fromkeys(col for _, col in cells))
+    return render_matrix(rows, cols, cells, corner="arrival \\ knowledge",
+                         title=title)
+
+
 #: Default summary columns pulled from an engine result document.
 DEFAULT_RESULT_COLUMNS = (
     "trials", "completeness", "fully_complete", "ok", "messages", "latency",

@@ -9,9 +9,14 @@ Run experiments without writing a script::
     python -m repro describe --arrival inf-bounded --knowledge local
     python -m repro sweep --rates 0,0.5,2,8 --trials 8 --jobs 4
 
-The experiment commands — ``query``, ``gossip`` and ``sweep`` — share one
-flag vocabulary and all run through the layered experiment engine
-(:mod:`repro.engine`):
+Every trial-running command — ``query``, ``gossip``, ``sweep``,
+``scenario``, ``disseminate`` and ``experiment run`` — lowers what it was
+asked for to a declarative :class:`~repro.experiments.schema.ExperimentDef`
+and runs it through :func:`~repro.experiments.runner.run_experiment`, the
+one run path (``report`` runs its sections the same way).  ``query``,
+``gossip`` and ``sweep`` share one flag vocabulary; ``experiment run``
+shares its run flags (``--executor``, ``--jobs``, ``--output``,
+``--progress``, ``--telemetry``), each defined once:
 
 * ``--executor SPEC`` selects the execution policy: a builtin
   :class:`ExecutorSpec` preset name (list them with ``repro executor``)
@@ -72,17 +77,51 @@ from repro.version import package_version
 # Nothing else of ``repro`` is imported up here: each command imports what it
 # runs inside its own functions (pinned by ``tests/test_import_graph.py``).
 if TYPE_CHECKING:
-    from repro.engine.plan import ExperimentPlan
-    from repro.engine.results import ResultStore
     from repro.engine.spec import ExecutorSpec
     from repro.engine.telemetry import TelemetryRecorder
+    from repro.experiments.runner import ExperimentRun
+    from repro.experiments.schema import ExperimentDef
     from repro.obs.ledger import TelemetryTail
     from repro.wire import WireSpec
 
 
 # ----------------------------------------------------------------------
-# Shared engine flags (query / gossip / sweep)
+# Shared flags: the run flags (every command with an --output) and the
+# engine flags (query / gossip / sweep)
 # ----------------------------------------------------------------------
+
+
+def _run_flags(parser: Any) -> None:
+    """Add the flags every trial-running command with an ``--output``
+    shares: the engine commands and ``experiment run``."""
+    parser.add_argument("--executor", default=None, metavar="SPEC",
+                        help="execution policy: a builtin ExecutorSpec "
+                        "preset name (see 'repro executor') or a path to an "
+                        "executor-spec JSON file; overrides an experiment's "
+                        "executor: block; results are identical under every "
+                        "executor")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (1 = serial; give either "
+                        "--jobs or --executor; results are identical either "
+                        "way)")
+    parser.add_argument("--output", default=None,
+                        help="write the engine's result document to this "
+                        "file; a .jsonl suffix streams each trial as it "
+                        "finishes (memory-flat, same document on load)")
+    parser.add_argument("--progress", action="store_true",
+                        help="print live done/total progress with an ETA")
+    parser.add_argument("--telemetry", nargs="?", const="auto", default=None,
+                        metavar="PATH",
+                        help="record the run's telemetry stream "
+                        "(repro-run-telemetry v1): manifest, hierarchical "
+                        "spans, per-worker health; tail it live with "
+                        "'repro top', finish an interrupted run with "
+                        "'repro resume'. With PATH omitted the stream lands "
+                        "beside --output, else under .repro/runs/. Result "
+                        "documents are byte-identical with telemetry on "
+                        "or off")
+    parser.add_argument("--resumed-from", dest="resumed_from", default=None,
+                        help=argparse.SUPPRESS)
 
 
 def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
@@ -95,33 +134,11 @@ def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
                        "deterministically")
     group.add_argument("--trials", type=int, default=trials_default,
                        help="trials per grid point")
-    group.add_argument("--executor", default=None, metavar="SPEC",
-                       help="execution policy: a builtin ExecutorSpec "
-                       "preset name (see 'repro executor') or a path to "
-                       "an executor-spec JSON file; results are identical "
-                       "under every executor")
-    group.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1 = serial; results are "
-                       "identical either way)")
+    _run_flags(group)
     group.add_argument("--chunk", type=int, default=None, metavar="N",
                        help="trials per dispatched task for the parallel "
                        "backend (default: adaptive, ~250 ms of work per "
                        "task; results are identical at every chunk size)")
-    group.add_argument("--output", default=None,
-                       help="write the engine's result document to this "
-                       "file; a .jsonl suffix streams each trial as it "
-                       "finishes (memory-flat, same document on load)")
-    group.add_argument("--progress", action="store_true",
-                       help="print live done/total progress with an ETA")
-    group.add_argument("--telemetry", nargs="?", const="auto", default=None,
-                       metavar="PATH",
-                       help="record the run's telemetry stream "
-                       "(repro-run-telemetry v1): manifest, hierarchical "
-                       "spans, per-worker health; tail it live with "
-                       "'repro top'. With PATH omitted the stream lands "
-                       "beside --output, else under .repro/runs/. Result "
-                       "documents are byte-identical with telemetry on "
-                       "or off")
     group.add_argument("--checkpoint", nargs="?", const="auto", default=None,
                        metavar="PATH",
                        help="journal every completed trial to a crash-safe "
@@ -130,8 +147,6 @@ def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
                        "trials (byte-identical document). With PATH "
                        "omitted the journal lands beside --output, else "
                        "under .repro/runs/ keyed by the plan digest")
-    group.add_argument("--resumed-from", dest="resumed_from", default=None,
-                       help=argparse.SUPPRESS)
     group.add_argument("--profile-trials", dest="profile_trials", type=int,
                        default=None, metavar="K",
                        help="after the run, cProfile the K slowest trials "
@@ -234,14 +249,15 @@ class _ProgressPrinter:
         self.stream.flush()
 
 
-def _beside_output(output: str, suffix: str) -> str:
+def _beside_output(args: argparse.Namespace, suffix: str) -> str | None:
     """Where a bare ``--telemetry`` / ``--checkpoint`` anchors its file:
-    ``results.json`` or ``results.jsonl`` → ``results<suffix>``."""
-    for extension in (".jsonl", ".json"):
-        if output.endswith(extension):
-            output = output[: -len(extension)]
-            break
-    return output + suffix
+    ``results.json`` or ``results.jsonl`` → ``results<suffix>`` beside
+    ``--output``; ``None`` without one."""
+    output = getattr(args, "output", None)
+    if not output:
+        return None
+    root, extension = os.path.splitext(output)
+    return (root if extension in (".json", ".jsonl") else output) + suffix
 
 
 def _telemetry_recorder(args: argparse.Namespace) -> "TelemetryRecorder | None":
@@ -263,14 +279,13 @@ def _telemetry_recorder(args: argparse.Namespace) -> "TelemetryRecorder | None":
         "argv": list(getattr(args, "_argv", sys.argv[1:])),
     }
     if value == "auto":
-        value = (_beside_output(args.output, TELEMETRY_SUFFIX)
-                 if args.output else None)
+        value = _beside_output(args, TELEMETRY_SUFFIX)
     return TelemetryRecorder(path=value, cli=cli_info,
                              resumed_from=getattr(args, "resumed_from", None))
 
 
 def _checkpoint_path(args: argparse.Namespace,
-                     plan: ExperimentPlan) -> str | None:
+                     experiment: ExperimentDef) -> str | None:
     """Resolve ``--checkpoint`` to a journal path.
 
     The sentinel ``"auto"`` (bare ``--checkpoint``) anchors the journal
@@ -282,13 +297,11 @@ def _checkpoint_path(args: argparse.Namespace,
     value = getattr(args, "checkpoint", None)
     if value != "auto":
         return value
-    if args.output:
-        return _beside_output(args.output, ".checkpoint.jsonl")
-    from repro.engine.telemetry import plan_digest
     from repro.obs.ledger import DEFAULT_RUNS_DIR
 
-    return os.path.join(DEFAULT_RUNS_DIR,
-                        f"checkpoint-{plan_digest(plan)}.jsonl")
+    return _beside_output(args, ".checkpoint.jsonl") or os.path.join(
+        DEFAULT_RUNS_DIR, f"checkpoint-{experiment.to_plan().digest}.jsonl"
+    )
 
 
 def _spec_flag(flag: str, value: str, family: type[WireSpec]) -> Any:
@@ -329,57 +342,47 @@ def _resolve_executor_flag(args: argparse.Namespace) -> ExecutorSpec:
     from repro.engine.spec import ExecutorSpec
     from repro.sim.errors import ConfigurationError
 
+    jobs, chunk = getattr(args, "jobs", None), getattr(args, "chunk", None)
+    watchdog = getattr(args, "watchdog", None)
+    retries = getattr(args, "trial_retries", 0)
     value = getattr(args, "executor", None)
     if value is not None:
-        adhoc = []
-        if getattr(args, "jobs", None) not in (None, 1):
-            adhoc.append("--jobs")
-        if getattr(args, "chunk", None) is not None:
-            adhoc.append("--chunk")
-        if getattr(args, "watchdog", None) is not None:
-            adhoc.append("--watchdog")
-        if getattr(args, "trial_retries", 0):
-            adhoc.append("--trial-retries")
+        adhoc = [flag for flag, given in (
+            ("--jobs", jobs not in (None, 1)), ("--chunk", chunk is not None),
+            ("--watchdog", watchdog is not None), ("--trial-retries", retries),
+        ) if given]
         if adhoc:
             raise SystemExit(
                 f"--executor replaces {', '.join(adhoc)}; give one or the "
                 "other"
             )
         return ExecutorSpec.resolve(_spec_flag("--executor", value, ExecutorSpec))
-    jobs = getattr(args, "jobs", 1)
     try:
         if jobs is None or jobs <= 1:
-            return ExecutorSpec.serial(
-                watchdog=getattr(args, "watchdog", None),
-                trial_retries=getattr(args, "trial_retries", 0),
-            )
-        return ExecutorSpec.parallel(
-            jobs=jobs,
-            chunk=getattr(args, "chunk", None),
-            watchdog=getattr(args, "watchdog", None),
-            trial_retries=getattr(args, "trial_retries", 0),
-        )
+            return ExecutorSpec.serial(watchdog=watchdog,
+                                       trial_retries=retries)
+        return ExecutorSpec.parallel(jobs=jobs, chunk=chunk,
+                                     watchdog=watchdog, trial_retries=retries)
     except ConfigurationError as error:
         raise SystemExit(str(error))
 
 
-def _apply_sink_flags(args: argparse.Namespace, name: str,
-                      base: dict[str, Any]) -> dict[str, Any]:
-    """Fold ``--trace-sink`` / ``--trace-dir`` / ``--fault-plan`` into the
-    plan's base config."""
+def _lower(args: argparse.Namespace, name: str, kind: str,
+           base: Mapping[str, Any], grid: tuple[Any, ...] = (),
+           churn_rate: float = 0.0) -> ExperimentDef:
+    """An engine command's flags as the experiment they describe:
+    ``--fault-plan``, ``--resilience``, ``--check-invariants`` and
+    ``--churn-rate`` (replacement churn) fill its own fields,
+    ``--trace-sink`` / ``--trace-dir`` its ``base``; the executor flags
+    are applied by :func:`_engine_run`."""
+    from repro.churn.spec import ChurnSpec
+    from repro.experiments.schema import ExperimentDef
     from repro.faults.spec import FaultPlan
     from repro.resilience.spec import ResilienceSpec
 
     base = dict(base)
     if args.trace_sink is not None:
         base["trace_sink"] = args.trace_sink
-    if args.check_invariants:
-        base["check_invariants"] = True
-    if getattr(args, "fault_plan", None):
-        base["faults"] = _spec_flag("--fault-plan", args.fault_plan, FaultPlan)
-    if getattr(args, "resilience", None):
-        base["resilience"] = _spec_flag("--resilience", args.resilience,
-                                        ResilienceSpec)
     if args.trace_sink == "jsonl":
         if not args.trace_dir:
             raise SystemExit("--trace-sink jsonl requires --trace-dir")
@@ -390,76 +393,85 @@ def _apply_sink_flags(args: argparse.Namespace, name: str,
         )
     elif args.trace_dir:
         raise SystemExit("--trace-dir only applies with --trace-sink jsonl")
-    return base
+    return ExperimentDef(
+        name=name, kind=kind, grid=grid, base=tuple(sorted(base.items())),
+        trials=args.trials, root_seed=args.seed,
+        churn=(ChurnSpec(kind="replacement", rate=churn_rate)
+               if churn_rate > 0 else None),
+        faults=(_spec_flag("--fault-plan", args.fault_plan, FaultPlan)
+                if args.fault_plan else None),
+        resilience=(_spec_flag("--resilience", args.resilience,
+                               ResilienceSpec) if args.resilience else None),
+        check_invariants=args.check_invariants,
+    )
 
 
 def _engine_run(
-    args: argparse.Namespace,
-    name: str,
-    kind: str,
-    base: Mapping[str, Any],
-    grid: Mapping[str, Sequence[Any]] | None = None,
-) -> tuple[ExperimentPlan, ResultStore, "TelemetryRecorder | None"]:
-    """The shared plan → execute path of the engine commands."""
-    from repro.engine.executor import run_plan, stream_plan
-    from repro.engine.plan import build_plan
-    from repro.engine.results import ResultStore
+    args: argparse.Namespace, experiment: ExperimentDef
+) -> tuple[ExperimentRun, "TelemetryRecorder | None"]:
+    """The CLI's one run path: ``experiment`` through
+    :func:`run_experiment` under the run flags.
 
-    plan = build_plan(
-        name, kind=kind, grid=grid,
-        base=_apply_sink_flags(args, name, dict(base)),
-        trials=args.trials, root_seed=args.seed,
-    )
+    ``--executor`` / ``--jobs`` override the experiment's executor block,
+    and an experiment without one runs on what the executor flags say
+    (serial by default).  The progress printer, the CLI-stamped telemetry
+    recorder, the checkpoint journal and a ``.jsonl`` ``--output`` stream
+    are attached here.  Flags a command does not define count as not
+    given.
+    """
+    from dataclasses import replace
 
-    spec = _resolve_executor_flag(args)
-    progress = (
-        _ProgressPrinter(jobs=spec.effective_jobs()) if args.progress else None
-    )
+    from repro.engine.spec import ExecutorSpec
+    from repro.experiments.runner import run_experiment
+    from repro.sim.errors import ConfigurationError
+
+    if (experiment.executor is None
+            or getattr(args, "executor", None) is not None
+            or getattr(args, "jobs", None) is not None):
+        experiment = replace(experiment,
+                             executor=_resolve_executor_flag(args))
+    jobs = ExecutorSpec.resolve(experiment.executor).effective_jobs()
+    progress = (_ProgressPrinter(jobs=jobs)
+                if getattr(args, "progress", False) else None)
     recorder = _telemetry_recorder(args)
-    checkpoint = _checkpoint_path(args, plan)
+    checkpoint = _checkpoint_path(args, experiment)
+    output = getattr(args, "output", None)
     try:
-        if args.output and args.output.endswith(".jsonl"):
-            # Stream each trial to the output file the moment it finishes —
-            # peak memory during execution is one window of in-flight
-            # trials, not the whole plan.  The store is reloaded from the
-            # stream only to render the summary tables below.
-            stream_plan(plan, args.output, executor=spec,
-                        progress=progress, telemetry=recorder,
-                        checkpoint=checkpoint)
-            store = ResultStore.load(args.output)
-        else:
-            store = run_plan(plan, executor=spec, progress=progress,
-                             telemetry=recorder, checkpoint=checkpoint)
-    except BaseException:
+        run = run_experiment(
+            experiment, progress=progress, telemetry=recorder,
+            checkpoint=checkpoint,
+            # Stream each trial to the output file the moment it finishes:
+            # peak memory while running is one window of in-flight trials.
+            stream_path=(output if output and output.endswith(".jsonl")
+                         else None),
+        )
+    except BaseException as error:
         if recorder is not None:
             # Close the stream without a summary: the ledger reports the
             # run as interrupted, and `repro resume` can finish it.
             recorder.abort()
-        if checkpoint is not None and isinstance(
-            sys.exc_info()[1], KeyboardInterrupt
-        ):
+        if checkpoint is not None and isinstance(error, KeyboardInterrupt):
             print(f"checkpoint journal kept at {checkpoint}; re-run the "
                   "same command (or `repro resume`) to finish the sweep",
                   file=sys.stderr)
+        if isinstance(error, ConfigurationError):
+            raise SystemExit(str(error)) from None
         raise
-    return plan, store, recorder
+    return run, recorder
 
 
-def _engine_finish(
-    args: argparse.Namespace,
-    plan: ExperimentPlan,
-    store: ResultStore,
-    recorder: "TelemetryRecorder | None" = None,
-) -> None:
-    """Post-table chores shared by the engine commands: output, profiling,
-    telemetry close-out."""
-    if args.output:
-        if args.output.endswith(".jsonl"):
+def _engine_finish(args: argparse.Namespace, run: ExperimentRun,
+                   recorder: "TelemetryRecorder | None" = None) -> None:
+    """Post-table chores of every run: output, profiling, telemetry
+    close-out."""
+    output = getattr(args, "output", None)
+    if output:
+        if run.stream_path is not None:
             # Already streamed during execution by _engine_run.
-            print(f"result stream written to {args.output}")
+            print(f"result stream written to {output}")
         else:
-            store.write(args.output)
-            print(f"result document written to {args.output}")
+            run.store.write(output)
+            print(f"result document written to {output}")
     profile_k = getattr(args, "profile_trials", None)
     if profile_k:
         # Deterministic re-execution: profiling the K slowest trials
@@ -467,7 +479,8 @@ def _engine_finish(
         # perturbed the recorded run.
         from repro.obs.ledger import profile_slowest, render_profiles
 
-        profiles = profile_slowest(plan.specs, store.results, k=profile_k)
+        profiles = profile_slowest(run.plan.specs, run.store.results,
+                                   k=profile_k)
         if recorder is not None:
             recorder.record_profiles(profiles)
         print(render_profiles(profiles))
@@ -676,21 +689,7 @@ def _configure_experiment(experiment_cmd: argparse.ArgumentParser) -> None:
         "run", help="run a YAML experiment through the engine"
     )
     exp_run.add_argument("path", help="experiment YAML file")
-    exp_run.add_argument("--executor", default=None, metavar="SPEC",
-                         help="override the experiment's executor block: a "
-                         "preset name (repro executor) or an executor-spec "
-                         "JSON file")
-    exp_run.add_argument("--jobs", type=int, default=None,
-                         help="fan trials out over N workers, overriding "
-                         "the experiment's executor block (give either "
-                         "--jobs or --executor, not both)")
-    exp_run.add_argument("--output", default=None, metavar="FILE",
-                         help="write the result document (.json) or stream "
-                         "trials to append-only JSONL (.jsonl)")
-    exp_run.add_argument("--telemetry", default=None, metavar="FILE",
-                         help="record the repro-run-telemetry stream")
-    exp_run.add_argument("--progress", action="store_true",
-                         help="live done/total progress with ETA")
+    _run_flags(exp_run)
     exp_run.add_argument("--no-refine", dest="refine", action="store_false",
                          default=True,
                          help="skip the experiment's refine: block")
@@ -715,83 +714,65 @@ def _configure_experiment(experiment_cmd: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _query_table(run: ExperimentRun, title: str, miss: str,
+                 truth: bool = True) -> str:
+    """One row per query trial: seed, result (and truth), completeness,
+    latency, messages and the spec verdict (``OK`` or ``miss``)."""
     from repro.analysis.tables import render_table
-    from repro.churn.spec import ChurnSpec
 
+    truth_column = ["truth"] if truth else []
+    rows = [
+        [result.seed % 100_000, str(result.result),
+         *([str(result.truth)] if truth else []),
+         f"{result.completeness:.2f}",
+         f"{result.latency:.2f}" if result.terminated else "inf",
+         result.messages, "OK" if result.ok else miss]
+        for result in run.store.results
+    ]
+    return render_table(["seed", "result", *truth_column, "completeness",
+                         "latency", "messages", "spec"], rows, title=title)
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
     base: dict[str, Any] = {
         "n": args.n, "topology": args.topology, "protocol": args.protocol,
         "aggregate": args.aggregate, "ttl": args.ttl,
         "deadline": args.deadline, "horizon": args.horizon,
     }
-    if args.churn_rate > 0:
-        base["churn"] = ChurnSpec(kind="replacement", rate=args.churn_rate)
-    plan, store, recorder = _engine_run(
-        args, "cli-query", "query", base
-    )
-    rows = []
-    for result in store.results:
-        rows.append([
-            result.seed % 100_000,
-            str(result.result),
-            str(result.truth),
-            f"{result.completeness:.2f}",
-            f"{result.latency:.2f}" if result.terminated else "inf",
-            result.messages,
-            "OK" if result.ok else "FAIL",
-        ])
-    print(render_table(
-        ["seed", "result", "truth", "completeness", "latency", "messages", "spec"],
-        rows,
+    run, recorder = _engine_run(args, _lower(
+        args, "cli-query", "query", base, churn_rate=args.churn_rate
+    ))
+    print(_query_table(
+        run, miss="FAIL",
         title=(f"one-time query: n={args.n}, {args.topology}, "
                f"{args.protocol}, {args.aggregate}, churn={args.churn_rate}"),
     ))
-    _engine_finish(args, plan, store, recorder)
+    _engine_finish(args, run, recorder)
     return 0
 
 
 def _cmd_gossip(args: argparse.Namespace) -> int:
-    from repro.churn.spec import ChurnSpec
-
     base: dict[str, Any] = {
         "n": args.n, "topology": args.topology, "mode": args.mode,
         "rounds": args.rounds,
     }
-    if args.churn_rate > 0:
-        base["churn"] = ChurnSpec(kind="replacement", rate=args.churn_rate)
-    plan, store, recorder = _engine_run(
-        args, "cli-gossip", "gossip", base
-    )
-    for result in store.results:
+    run, recorder = _engine_run(args, _lower(
+        args, "cli-gossip", "gossip", base, churn_rate=args.churn_rate
+    ))
+    for result in run.store.results:
         print(f"push-sum {args.mode} (seed {result.seed % 100_000}): "
               f"estimate {float(result.result):.4g}, "
               f"truth {float(result.truth):.4g}, "
               f"relative error {result.error:.4g}, "
               f"{result.messages} messages")
-    _engine_finish(args, plan, store, recorder)
+    _engine_finish(args, run, recorder)
     return 0
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import render_matrix
-    from repro.core.classes import standard_lattice
-    from repro.core.solvability import Solvable, solvability_matrix
+    from repro.analysis.tables import render_solvability_matrix
 
-    symbol = {Solvable.YES: "yes", Solvable.CONDITIONAL: "cond",
-              Solvable.NO: "NO"}
-    matrix = solvability_matrix(standard_lattice())
-    rows: list[str] = []
-    cols: list[str] = []
-    cells = {}
-    for system, result in matrix.items():
-        row, col = str(system.arrival), str(system.knowledge)
-        if row not in rows:
-            rows.append(row)
-        if col not in cols:
-            cols.append(col)
-        cells[(row, col)] = symbol[result.answer]
-    print(render_matrix(rows, cols, cells, corner="arrival \\ knowledge",
-                        title="one-time query solvability"))
+    print(render_solvability_matrix(title="one-time query solvability"))
     return 0
 
 
@@ -853,83 +834,67 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_disseminate(args: argparse.Namespace) -> int:
-    from repro.churn.models import ReplacementChurn
-    from repro.core.dissemination_spec import DisseminationSpec
-    from repro.protocols.dissemination import AntiEntropyNode, FloodNode
-    from repro.sim.latency import ConstantDelay
-    from repro.sim.scheduler import Simulator
-    from repro.topology import generators as topo_gen
+    from repro.experiments.schema import ExperimentDef
 
-    node_cls = FloodNode if args.protocol == "flood" else AntiEntropyNode
-    sim = Simulator(seed=args.seed, delay_model=ConstantDelay(0.5))
-    topo = topo_gen.make("er", args.n, sim.rng_for("topo"))
-    pids = []
-    for node in sorted(topo.nodes()):
-        neighbors = [p for p in topo.neighbors(node) if p < node]
-        pids.append(sim.spawn(node_cls(1.0), neighbors).pid)
-    if args.churn_rate > 0:
-        model = ReplacementChurn(lambda: node_cls(1.0), rate=args.churn_rate)
-        model.immortal.add(pids[0])
-        model.install(sim)
-    origin = sim.network.process(pids[0])
-    sim.at(10.0, lambda: origin.broadcast_value("payload"))
-    sim.run(until=args.audit_at)
-    verdict = DisseminationSpec().check(sim.trace, at=args.audit_at)[0]
+    # One trial seeded with --seed itself; churn_rate > 0 is replacement churn.
+    run, recorder = _engine_run(args, ExperimentDef(
+        name="cli-disseminate", kind="dissemination",
+        base=(("audit_at", args.audit_at), ("churn_rate", args.churn_rate),
+              ("n", args.n), ("protocol", args.protocol.replace("-", "_"))),
+        seeds=(args.seed,),
+    ))
+    result = run.store.results[0]
     print(f"{args.protocol} dissemination, n={args.n}, "
           f"churn={args.churn_rate}, audited at t={args.audit_at}:")
-    print(f"  stable-core coverage : {verdict.coverage:.2f}")
-    print(f"  population coverage  : {verdict.population_coverage:.2f}")
-    print(f"  messages             : {sim.trace.message_count()}")
+    print(f"  stable-core coverage : {result.completeness:.2f}")
+    print(f"  population coverage  : {result.truth:.2f}")
+    print(f"  messages             : {result.messages}")
+    _engine_finish(args, run, recorder)
     return 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    from dataclasses import fields
 
-    from repro.analysis.tables import render_table
     from repro.bench.scenarios import make_scenario
-    from repro.engine.trials import run_query
-    from repro.sim.rng import iter_seeds
+    from repro.experiments.schema import ExperimentDef
 
-    rows = []
-    for seed in iter_seeds(args.seed, args.trials):
-        config = replace(make_scenario(args.name), seed=seed)
-        outcome = run_query(config)
-        rows.append([
-            seed % 100_000,
-            str(outcome.record.result),
-            f"{outcome.completeness:.2f}",
-            f"{outcome.latency:.2f}" if outcome.terminated else "inf",
-            outcome.messages,
-            "OK" if outcome.ok else "partial",
-        ])
-    print(render_table(
-        ["seed", "result", "completeness", "latency", "messages", "spec"],
-        rows,
-        title=f"scenario {args.name!r}",
+    # The preset's non-default fields are the experiment's base.
+    config = make_scenario(args.name)
+    base = {
+        field.name: getattr(config, field.name) for field in fields(config)
+        if field.name not in ("seed", "churn")
+        and getattr(config, field.name) != field.default
+    }
+    run, recorder = _engine_run(args, ExperimentDef(
+        name=f"scenario-{args.name}", base=tuple(sorted(base.items())),
+        trials=args.trials, root_seed=args.seed, churn=config.churn,
     ))
+    print(_query_table(run, title=f"scenario {args.name!r}", miss="partial",
+                       truth=False))
+    _engine_finish(args, run, recorder)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_result_document
 
-    rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    rates = tuple(float(r) for r in args.rates.split(",") if r.strip())
     base = {
         "n": args.n, "topology": args.topology,
         "aggregate": "COUNT", "horizon": 300.0,
     }
-    plan, store, recorder = _engine_run(
-        args, "churn-sweep", "query", base, grid={"churn_rate": rates}
-    )
-    jobs = _resolve_executor_flag(args).effective_jobs()
+    run, recorder = _engine_run(args, _lower(
+        args, "churn-sweep", "query", base, grid=(("churn_rate", rates),)
+    ))
     print(render_result_document(
-        store.document(),
+        run.store.document(),
         columns=("trials", "completeness", "fully_complete", "messages"),
         title=(f"churn sweep: n={args.n}, {args.topology}, "
-               f"{args.trials} trials, jobs={jobs}"),
+               f"{args.trials} trials, "
+               f"jobs={run.experiment.executor.effective_jobs()}"),
     ))
-    _engine_finish(args, plan, store, recorder)
+    _engine_finish(args, run, recorder)
     return 0
 
 
@@ -1103,18 +1068,11 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             "with --telemetry"
         )
     # Strip any prior --resumed-from so resume chains don't accumulate.
-    cleaned: list[str] = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--resumed-from":
-            skip = True
-            continue
-        if token.startswith("--resumed-from="):
-            continue
-        cleaned.append(token)
+    cleaned = [
+        token for before, token in zip([""] + argv, argv)
+        if before != "--resumed-from"
+        and token.split("=", 1)[0] != "--resumed-from"
+    ]
     if not any(token.split("=", 1)[0] == "--checkpoint"
                for token in cleaned):
         print(f"note: run {manifest.run_id} recorded no --checkpoint; "
@@ -1247,10 +1205,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import (
         dump_experiment,
         experiment_digest,
-        experiment_plan_digest,
         load_experiment,
         refine_experiment,
-        run_experiment,
     )
     from repro.sim.errors import ConfigurationError
 
@@ -1267,8 +1223,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"ok   {path}: {exp.name} ({exp.kind}), "
                   f"{len(exp.points())} point(s) x {exp.trials} trial(s) = "
                   f"{len(plan.specs)} spec(s), "
-                  f"digest {experiment_digest(exp)}, "
-                  f"plan {experiment_plan_digest(exp)}")
+                  f"digest {experiment_digest(exp)}, plan {plan.digest}")
         return 1 if failures else 0
 
     try:
@@ -1277,83 +1232,48 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise SystemExit(str(error))
 
     if args.experiment_command == "show":
+        plan = exp.to_plan()
         print(dump_experiment(exp), end="")
         print(f"# experiment digest: {experiment_digest(exp)}")
-        print(f"# plan digest:       {experiment_plan_digest(exp)}")
-        print(f"# trial specs:       {len(exp.to_plan().specs)}")
+        print(f"# plan digest:       {plan.digest}")
+        print(f"# trial specs:       {len(plan.specs)}")
         return 0
 
-    # run: either flag overrides the YAML's executor block; with neither,
-    # the block (or the serial default) decides.
-    from repro.engine.spec import ExecutorSpec
-
-    executor = (
-        _resolve_executor_flag(args)
-        if args.executor is not None or args.jobs is not None
-        else ExecutorSpec.resolve(exp.executor)
-    )
-    progress = (
-        _ProgressPrinter(jobs=executor.effective_jobs())
-        if args.progress else None
-    )
-    stream_path = (
-        args.output if args.output and args.output.endswith(".jsonl")
-        else None
-    )
-    try:
-        run = run_experiment(
-            exp, executor=executor, progress=progress,
-            telemetry=args.telemetry, stream_path=stream_path,
-        )
-    except ConfigurationError as error:
-        raise SystemExit(str(error))
-    if run.store is not None:
-        print(render_result_document(
-            run.store.document(),
-            title=(f"experiment {exp.name} ({exp.kind}): "
-                   f"{len(exp.points())} point(s) x {exp.trials} trial(s), "
-                   f"plan {run.plan_digest}"),
-        ))
-        if args.output:
-            run.store.write(args.output)
-            print(f"result document written to {args.output}")
-    else:
-        print(f"{run.streamed} trial(s) streamed to {run.stream_path} "
-              f"(plan {run.plan_digest})")
+    run, recorder = _engine_run(args, exp)
+    print(render_result_document(
+        run.store.document(),
+        title=(f"experiment {exp.name} ({exp.kind}): "
+               f"{len(exp.points())} point(s) x {exp.trials} trial(s), "
+               f"plan {run.plan_digest}"),
+    ))
+    _engine_finish(args, run, recorder)
     for check in run.verdicts:
         print(check)
     if exp.refine is not None and args.refine:
-        import json as _json
+        import json
 
         try:
-            boundary = refine_experiment(
-                exp, executor=executor, base_run=run,
-            )
+            boundary = refine_experiment(run.experiment, base_run=run)
         except ConfigurationError as error:
             raise SystemExit(str(error))
-        total = sum(
-            len(ctx["brackets"]) for ctx in boundary["contexts"]
-        )
-        converged = sum(
-            1 for ctx in boundary["contexts"]
-            for bracket in ctx["brackets"] if bracket["converged"]
-        )
-        print(f"refine: {total} boundary bracket(s), {converged} converged, "
-              f"{boundary['refined_trials']} refined trial(s) on top of "
-              f"{boundary['base_trials']}")
-        for ctx in boundary["contexts"]:
+        brackets = [(ctx, bracket) for ctx in boundary["contexts"]
+                    for bracket in ctx["brackets"]]
+        converged = sum(1 for _, bracket in brackets if bracket["converged"])
+        print(f"refine: {len(brackets)} boundary bracket(s), {converged} "
+              f"converged, {boundary['refined_trials']} refined trial(s) on "
+              f"top of {boundary['base_trials']}")
+        for ctx, bracket in brackets:
             label = ", ".join(
                 f"{k}={v}" for k, v in sorted(ctx["context"].items())
             ) or "(all)"
-            for bracket in ctx["brackets"]:
-                print(f"  {label}: {boundary['axis']} flips "
-                      f"{boundary['metric']} {boundary['op']} "
-                      f"{boundary['threshold']:g} in "
-                      f"[{bracket['low']:g}, {bracket['high']:g}]"
-                      + (" (converged)" if bracket["converged"] else ""))
+            print(f"  {label}: {boundary['axis']} flips "
+                  f"{boundary['metric']} {boundary['op']} "
+                  f"{boundary['threshold']:g} in "
+                  f"[{bracket['low']:g}, {bracket['high']:g}]"
+                  + (" (converged)" if bracket["converged"] else ""))
         if args.boundary_output:
             with open(args.boundary_output, "w", encoding="utf-8") as handle:
-                _json.dump(boundary, handle, indent=2, sort_keys=True)
+                json.dump(boundary, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"boundary document written to {args.boundary_output}")
     if not run.passed:

@@ -14,9 +14,6 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-import yaml
-
-from repro.engine.telemetry import plan_digest
 from repro.experiments.schema import ExperimentDef
 from repro.sim.errors import ConfigurationError
 
@@ -32,6 +29,8 @@ __all__ = [
 
 def loads_experiment(text: str) -> ExperimentDef:
     """Parse one experiment definition from YAML text."""
+    import yaml
+
     try:
         record = yaml.safe_load(text)
     except yaml.YAMLError as error:
@@ -63,6 +62,8 @@ def dump_experiment(experiment: ExperimentDef) -> str:
     projection: any two texts describing the same experiment dump to the
     same bytes, and dumping is idempotent.
     """
+    import yaml
+
     return yaml.safe_dump(
         experiment.to_dict(),
         sort_keys=False,
@@ -92,11 +93,11 @@ def experiment_digest(experiment: ExperimentDef) -> str:
 
 
 def experiment_plan_digest(experiment: ExperimentDef) -> str:
-    """The engine's :func:`~repro.engine.telemetry.plan_digest` of the
+    """The engine's :attr:`~repro.engine.plan.ExperimentPlan.digest` of the
     lowered plan.
 
     This is the byte-identity anchor: the YAML experiment and its Python
     ``build_plan`` twin must agree on this digest, because it hashes the
     exact trial specs (grid points, seeds, order) the executor will run.
     """
-    return plan_digest(experiment.to_plan())
+    return experiment.to_plan().digest

@@ -1,12 +1,14 @@
 """Execute declarative experiments and refine solvability boundaries.
 
 :func:`run_experiment` lowers an :class:`ExperimentDef` to the engine plan
-and runs it through the ordinary executor stack — :func:`run_plan` into a
-:class:`ResultStore`, or :func:`stream_plan` into append-only JSONL when a
-stream path is given — then checks the experiment's ``expect`` rules
-against the per-point summaries.  Because the lowering is exactly the
-``build_plan`` call a Python experiment would make, the result document is
-byte-identical to the Python twin's under every backend.
+once and runs it through the ordinary executor stack — :func:`run_plan`
+into a :class:`ResultStore`, or :func:`stream_plan` into append-only JSONL
+when a stream path is given — then checks the experiment's ``expect``
+rules against the per-point summaries.  Because the lowering is exactly
+the ``build_plan`` call a Python experiment would make, the result
+document is byte-identical to the Python twin's under every backend.  It
+is also the one way the ``repro`` CLI runs trials: every trial-running
+command lowers its flags to an :class:`ExperimentDef` first.
 
 :func:`refine_experiment` implements the ``refine:`` block: after the base
 grid, every pair of axis-adjacent cells whose verdicts disagree brackets a
@@ -22,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.engine.executor import run_plan, stream_plan
-from repro.engine.results import ResultStore, load_document
-from repro.experiments.loader import experiment_plan_digest
+# ``engine.run_plan`` / ``engine.stream_plan`` are looked up at call time,
+# so a patch of ``repro.engine.executor`` reaches every run.
+from repro.engine import executor as engine
+from repro.engine.plan import ExperimentPlan
+from repro.engine.results import ResultStore
 from repro.experiments.schema import (
     BOUNDARY_SCHEMA,
     BOUNDARY_VERSION,
@@ -65,14 +69,19 @@ class VerdictCheck:
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    """The outcome of one :func:`run_experiment` call."""
+    """The outcome of one :func:`run_experiment` call: the plan it ran
+    and the results (read back from the stream when it streamed)."""
 
     experiment: ExperimentDef
-    plan_digest: str
-    store: ResultStore | None
+    plan: ExperimentPlan
+    store: ResultStore
     verdicts: tuple[VerdictCheck, ...]
     streamed: int | None = None
     stream_path: str | None = None
+
+    @property
+    def plan_digest(self) -> str:
+        return self.plan.digest
 
     @property
     def passed(self) -> bool:
@@ -151,45 +160,38 @@ def run_experiment(
     form :func:`run_plan` accepts — preset name, :class:`ExecutorSpec` or
     executor instance); ``telemetry`` is a recorder or a JSONL path as in
     :func:`run_plan`.  With ``stream_path`` the trials stream to
-    append-only JSONL via :func:`stream_plan` (no in-memory store) and the
-    expectation checks read the per-point summaries back from the stream.
+    append-only JSONL via :func:`stream_plan` (no in-memory store while
+    they run), and the run's store is read back from the stream.
     ``checkpoint`` / ``resume_from`` journal and resume trials exactly as
     in :func:`run_plan` — an interrupted experiment re-executes only the
     missing trials and its verdicts match an uninterrupted run's.
     """
     plan = experiment.to_plan()
-    digest = experiment_plan_digest(experiment)
     chosen = executor if executor is not None else experiment.executor
+    streamed = None
     if stream_path is not None:
-        streamed = stream_plan(
+        streamed = engine.stream_plan(
             plan, stream_path, executor=chosen,
             progress=progress, telemetry=telemetry,
             checkpoint=checkpoint, resume_from=resume_from,
         )
-        document = load_document(stream_path)
-        summaries = [
-            (entry["point"], entry["summary"]) for entry in document["points"]
-        ]
-        return ExperimentRun(
-            experiment=experiment,
-            plan_digest=digest,
-            store=None,
-            verdicts=check_expectations(experiment, summaries),
-            streamed=streamed,
-            stream_path=stream_path,
+        store = ResultStore.load(stream_path)
+    else:
+        store = engine.run_plan(
+            plan, executor=chosen, progress=progress,
+            telemetry=telemetry, checkpoint=checkpoint,
+            resume_from=resume_from,
         )
-    store = run_plan(
-        plan, executor=chosen, progress=progress,
-        telemetry=telemetry, checkpoint=checkpoint, resume_from=resume_from,
-    )
     summaries = [
         (dict(point), summary) for point, summary in store.summary().items()
     ]
     return ExperimentRun(
         experiment=experiment,
-        plan_digest=digest,
+        plan=plan,
         store=store,
         verdicts=check_expectations(experiment, summaries),
+        streamed=streamed,
+        stream_path=stream_path,
     )
 
 
@@ -240,8 +242,8 @@ def refine_experiment(
 ) -> dict[str, Any]:
     """Bisect the solvability boundary named by the ``refine:`` block.
 
-    Runs the base grid (or reuses ``base_run`` from an earlier
-    :func:`run_experiment` with an in-memory store), computes the verdict
+    Runs the base grid (or reuses the store of ``base_run``, an earlier
+    :func:`run_experiment` of the same experiment), computes the verdict
     ``metric op threshold`` at every point, and then — per combination of
     the non-axis grid coordinates — bisects each axis-adjacent pair whose
     verdicts disagree.  Each refinement round batches every pending
@@ -259,10 +261,10 @@ def refine_experiment(
         )
     chosen = executor if executor is not None else experiment.executor
 
-    if base_run is not None and base_run.store is not None:
+    if base_run is not None:
         store = base_run.store
     else:
-        store = run_plan(
+        store = engine.run_plan(
             experiment.to_plan(), executor=chosen, progress=progress,
         )
 
@@ -321,7 +323,7 @@ def refine_experiment(
                     sub_grid[axis_name] = midpoints
                 else:
                     sub_grid[axis_name] = [context[axis_name]]
-            sub_store = run_plan(
+            sub_store = engine.run_plan(
                 experiment.to_plan(
                     grid=sub_grid,
                     name=f"{experiment.name}/refine-{depth}",

@@ -31,7 +31,9 @@ from typing import Any, Mapping
 
 from repro import wire
 from repro.churn.spec import ChurnSpec
-from repro.engine.plan import ExperimentPlan, build_plan
+# Looked up at call time, so a patch of ``repro.engine.plan.build_plan``
+# reaches every lowering.
+from repro.engine import plan as engine_plan
 from repro.engine.spec import ExecutorSpec
 from repro.faults.spec import FaultPlan
 from repro.resilience.spec import ResilienceSpec
@@ -329,7 +331,7 @@ class ExperimentDef:
         grid: Mapping[str, Any] | None = None,
         name: str | None = None,
         extra_base: Mapping[str, Any] | None = None,
-    ) -> ExperimentPlan:
+    ) -> engine_plan.ExperimentPlan:
         """Lower to the engine :class:`ExperimentPlan`.
 
         With no arguments this is exactly the ``build_plan`` call the
@@ -342,7 +344,7 @@ class ExperimentDef:
         base = self.plan_base()
         if extra_base:
             base.update(extra_base)
-        return build_plan(
+        return engine_plan.build_plan(
             name if name is not None else self.name,
             kind=self.kind,
             grid=dict(grid) if grid is not None else self.plan_grid(),

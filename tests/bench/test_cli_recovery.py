@@ -158,6 +158,25 @@ class TestResumeCommand:
         assert "already finished" in err
         assert out.read_bytes() == first
 
+    def test_resume_replays_a_yaml_experiment_run(self, tmp_path, capsys):
+        experiment = tmp_path / "tiny.yaml"
+        experiment.write_text(
+            "name: tiny\ngrid: {churn_rate: [0.0, 8.0]}\n"
+            "base: {n: 8, horizon: 60.0}\ntrials: 2\n"
+        )
+        out = tmp_path / "a.json"
+        telemetry = tmp_path / f"a{TELEMETRY_SUFFIX}"
+        assert main(["experiment", "run", str(experiment), "--telemetry",
+                     str(telemetry), "--output", str(out)]) == 0
+        first = out.read_bytes()
+        manifest, _, _ = load_telemetry(str(telemetry))
+        capsys.readouterr()
+        assert main(["resume", str(telemetry)]) == 0
+        assert f"resuming run {manifest.run_id}" in capsys.readouterr().err
+        assert out.read_bytes() == first
+        replayed, _, _ = load_telemetry(str(telemetry))
+        assert replayed.resumed_from == manifest.run_id
+
     def test_resume_without_telemetry_argv_fails_cleanly(
         self, tmp_path, capsys
     ):

@@ -92,7 +92,8 @@ class TestStreaming:
         stream = tmp_path / "out.jsonl"
         run = run_experiment(loads_experiment(text), stream_path=str(stream))
         in_memory = run_experiment(loads_experiment(text))
-        assert run.store is None
+        # The store is read back from the stream: the same document.
+        assert run.store.to_json() == in_memory.store.to_json()
         assert run.streamed == 4
         assert stream.exists()
         assert run.verdicts == in_memory.verdicts

@@ -158,6 +158,17 @@ class TestCliImports:
         assert "repro.engine.executor" not in modules
         assert not {"networkx", "yaml", "concurrent.futures.process"} & modules
 
+    @pytest.mark.parametrize("argv", [
+        ["query", "--n", "6", "--trials", "1"],
+        ["sweep", "--n", "6", "--trials", "1", "--rates", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_an_engine_command_runs_its_experiment_without_yaml(self, argv):
+        # The commands lower to an ExperimentDef; only reading or writing
+        # an experiment file needs the YAML parser.
+        modules = self.main_in_child(argv)
+        assert "repro.experiments.runner" in modules
+        assert "yaml" not in modules
+
     @pytest.mark.parametrize("command", [["runs", "list", "--dir"],
                                          ["top", "--once"]],
                              ids=lambda command: command[0])
