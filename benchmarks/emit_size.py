@@ -1,6 +1,7 @@
-"""Emit the size ledger: physical lines under ``src/repro`` and the width of
-the ``repro.api`` facade, as a flat BENCH payload that ``repro bench diff``
-gates in CI (every metric lower-is-better; see ROADMAP aim 2).
+"""Emit the size ledger: physical lines under ``src/repro`` and under
+``tests``, and the width of the ``repro.api`` facade, as a flat BENCH
+payload that ``repro bench diff`` gates in CI (every metric
+lower-is-better; see ROADMAP aim 2).
 
 Run:  python benchmarks/emit_size.py [--output FILE]
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 sys.path.insert(0, str(ROOT / "src"))
 
 import repro.api  # noqa: E402 - needs the path set up above
@@ -30,6 +32,7 @@ if __name__ == "__main__":
     payload = {
         "benchmark": "size",
         "src_loc": sum(loc(path) for path in SRC.rglob("*.py")),
+        "test_loc": sum(loc(path) for path in TESTS.rglob("*.py")),
         "executor_loc": loc(SRC / "engine" / "executor.py"),
         "telemetry_loc": loc(SRC / "engine" / "telemetry.py"),
         "cli_loc": loc(SRC / "cli.py"),

@@ -121,7 +121,7 @@ class GrowthAdversary(ChurnModel):
     def _grow(self) -> None:
         if self.joins >= self.max_joins or not self.active_at(self.sim.now):
             return
-        self._join_now()
+        self._step()
         self._gap = max(self.min_gap, self._gap * self.acceleration)
         self._schedule(self._gap, self._grow, "churn:growth")
 

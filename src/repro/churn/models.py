@@ -11,7 +11,9 @@ from __future__ import annotations
 import abc
 import random
 from bisect import bisect_left
-from typing import Callable
+from functools import partial
+from math import log
+from typing import TYPE_CHECKING, Callable
 
 from repro.churn.lifetimes import LifetimeModel
 from repro.core.arrival import (
@@ -27,6 +29,9 @@ from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
 from repro.topology.attachment import AttachmentRule, UniformAttachment
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs.metrics import Counter
+
 #: Creates a fresh process (with its local value) for each arriving entity.
 ProcessFactory = Callable[[], Process]
 
@@ -34,10 +39,19 @@ ProcessFactory = Callable[[], Process]
 class ChurnModel(abc.ABC):
     """Base class for generative churn processes.
 
+    Every membership change a model makes — a replacement, an arrival, a
+    lifetime running out, a scheduled join or leave — is one call of
+    :meth:`_step`, the model's single join/leave path.
+
     Args:
         factory: builds the process object for each arriving entity.
         attachment: how newcomers pick their first neighbors.
     """
+
+    #: Whether each event of the model's own arrival process replaces a
+    #: random member (it leaves, and a fresh entity joins in its place) or
+    #: only admits a newcomer.
+    _replaces = False
 
     def __init__(
         self,
@@ -51,10 +65,29 @@ class ChurnModel(abc.ABC):
         self._stop_at: float | None = None
         self.joins = 0
         self.leaves = 0
+        #: Arrivals refused because the population was at the cap.
+        self.rejected = 0
         #: Pids that random-victim selection must never remove (e.g. the
         #: querier, when an experiment studies completeness rather than
         #: querier mortality).
         self.immortal: set[int] = set()
+        # The model's own arrival process, run by ``_step`` and set once by
+        # each subclass from its parameters: the rate and queue label of
+        # its next event (rate 0: there is none), whether it runs
+        # (PhasedChurn pauses it between storms), the session lifetimes of
+        # the entities it admits (``None``: they stay), the population at
+        # which arrivals are refused and how many arrivals are left
+        # (``None``: no cap, no end).
+        self._rate = 0.0
+        self._label = "churn"
+        self._running = True
+        self._lifetimes: LifetimeModel | None = None
+        self._cap: int | None = None
+        self._remaining: int | None = None
+        # The ``churn.joins``/``churn.leaves`` counters, each bound where
+        # the step first writes it (a snapshot shows only written ones).
+        self._joined: Counter | None = None
+        self._left: Counter | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -98,75 +131,110 @@ class ChurnModel(abc.ABC):
         """The entity-dimension class this model's runs belong to."""
 
     # ------------------------------------------------------------------
-    # Helpers for subclasses: the per-event join/leave path.  Flat on
-    # purpose (see "Per-event budget" in docs/SCALING.md): ``self._sim``
-    # and ``self._rng`` are read directly, not through the checked
-    # properties, and nothing here copies or sorts the membership.
+    # The membership step.  Flat on purpose (see "Per-event budget" in
+    # docs/SCALING.md): one frame per replacement, ``self._sim`` and
+    # ``self._rng`` read directly, stdlib draws made inline, counters
+    # bumped through bound handles, nothing that copies or sorts the
+    # membership.
     # ------------------------------------------------------------------
 
-    def _join_now(self, lifetime: float | None = None) -> Process:
-        """Create, attach and (optionally) doom a new process."""
+    def _step(self, leaver: int | None = None, lifetime: float | None = None) -> None:
+        """One membership event.
+
+        With a ``leaver``: that pid leaves if it is still present (its
+        lifetime ran out, or a scheduled leave), and nothing else happens.
+
+        Otherwise one event of the model's arrival process, unless churn
+        has stopped (``stop_at``) or is paused.  A model that replaces has
+        a uniformly random present, non-immortal member leave — draw for
+        draw ``rng.choice(sorted(present() - immortal))``, and when nobody
+        could leave nobody joins; a capped model at its cap refuses the
+        arrival.  Then a fresh entity joins, doomed to ``lifetime`` (or to
+        a draw from the model's lifetimes), and the next event is drawn
+        at the model's rate — draw for draw ``rng.expovariate(rate)``.
+        """
         sim = self._sim
         network = sim.network
-        proc = self.factory()
-        sim.spawn(proc, self.attachment.choose(network, self._rng))
-        self.joins += 1
-        sim.metrics.inc("churn.joins")
-        if lifetime is not None:
-            self._doom(proc.pid, lifetime)
-        return proc
+        rng = self._rng
+        # Only an event of the arrival process draws the next one.
+        recurring = arriving = leaver is None
+        if recurring:
+            stop_at = self._stop_at
+            if not self._running or (stop_at is not None and sim._now >= stop_at):
+                return
+            if self._replaces:
+                # ``rng.randrange`` over the candidates, without building
+                # them: the draw indexes the sorted membership and steps
+                # over the immortals' positions (an absent one sits nowhere).
+                view = network._sorted
+                size = len(view)
+                skipped: list[int] = []
+                for pid in self.immortal:
+                    position = bisect_left(view, pid)
+                    if position < size and view[position] == pid:
+                        skipped.append(position)
+                candidates = size - len(skipped)
+                if candidates:
+                    getrandbits = rng.getrandbits
+                    bits = candidates.bit_length()
+                    index = getrandbits(bits)
+                    while index >= candidates:
+                        index = getrandbits(bits)
+                    skipped.sort()
+                    for position in skipped:
+                        if position > index:
+                            break
+                        index += 1
+                    leaver = view[index]
+                else:
+                    arriving = False
+            elif self._cap is not None and len(network._slot_of) >= self._cap:
+                self.rejected += 1
+                arriving = False
+        elif leaver not in network._slot_of:
+            return
+        if leaver is not None:
+            network.remove_process(leaver)
+            self.leaves += 1
+            left = self._left
+            if left is None:
+                left = self._left = sim.metrics.counter("churn.leaves")
+            left.value += 1
+        if arriving:
+            if lifetime is None and self._lifetimes is not None:
+                lifetime = self._lifetimes.sample(rng)
+            # ``Simulator.spawn``, inline.
+            proc = self.factory()
+            proc.pid = pid = next(sim._pid_counter)
+            proc._sim = sim
+            network.add_process(proc, self.attachment.choose(network, rng))
+            self.joins += 1
+            joined = self._joined
+            if joined is None:
+                joined = self._joined = sim.metrics.counter("churn.joins")
+            joined.value += 1
+            if lifetime is not None:
+                self._schedule(
+                    lifetime, partial(self._step, pid),
+                    f"churn:lifetime-leave:{pid}",
+                )
+            if self._remaining is not None:
+                self._remaining -= 1
+                if not self._remaining:
+                    return
+        if recurring and self._rate:
+            # ``_schedule_step``, inline.
+            gap = -log(1.0 - rng.random()) / self._rate
+            sim.queue.push(
+                sim._now + gap, self._step,
+                priority=PRIORITY_MEMBERSHIP, label=self._label,
+            )
 
-    def _depart(self, pid: int) -> None:
-        """The one leave path: ``pid`` leaves and is counted, on the model
-        (:attr:`leaves`) and in the ``churn.leaves`` metric alike."""
-        sim = self._sim
-        sim.network.remove_process(pid)
-        self.leaves += 1
-        sim.metrics.inc("churn.leaves")
-
-    def _doom(self, pid: int, lifetime: float) -> None:
-        """``pid`` leaves ``lifetime`` from now, unless it has left by then."""
-        network = self._sim.network
-
-        def _expire() -> None:
-            if network.is_present(pid):
-                self._depart(pid)
-
-        self._schedule(lifetime, _expire, f"churn:lifetime-leave:{pid}")
-
-    def _leave_random(self) -> int | None:
-        """Remove a uniformly random present, non-immortal process.
-
-        Draw for draw ``rng.choice(sorted(present() - immortal))`` — one
-        ``randbelow`` over the number of candidates, none when there are
-        no candidates — without building that list: the draw indexes the
-        sorted membership and steps over the immortals' positions.
-        """
-        view = self._sim.network.present_sorted()
-        size = len(view)
-        # Where the immortals sit in the view (an absent one sits nowhere).
-        skipped: list[int] = []
-        for pid in self.immortal:
-            position = bisect_left(view, pid)
-            if position < size and view[position] == pid:
-                skipped.append(position)
-        if size == len(skipped):
-            return None
-        index = self._rng.randrange(size - len(skipped))
-        skipped.sort()
-        for position in skipped:
-            if position > index:
-                break
-            index += 1
-        victim = view[index]
-        self._depart(victim)
-        return victim
-
-    def _replace_one(self) -> None:
-        """A random member leaves and a fresh entity takes its place
-        (nobody joins when nobody could leave)."""
-        if self._leave_random() is not None:
-            self._join_now()
+    def _schedule_step(self) -> None:
+        """Queue the arrival process's next event, ``rng.expovariate(rate)``
+        from now (its expression, draw for draw)."""
+        gap = -log(1.0 - self._rng.random()) / self._rate
+        self._schedule(gap, self._step, self._label)
 
     def _schedule(self, delay: float, action: Callable[[], None], label: str) -> None:
         # Straight onto the queue, with the check ``Simulator.schedule`` makes.
@@ -228,30 +296,21 @@ class ArrivalDepartureChurn(ChurnModel):
         #: session lifetimes (instead of staying forever): the whole system
         #: churns, not just the newcomers.
         self.doom_initial = doom_initial
-        self.rejected = 0
+        self._rate = arrival_rate
+        self._label = "churn:arrival"
+        self._lifetimes = lifetimes
+        self._cap = concurrency_cap
 
     def _start(self) -> None:
         if self.doom_initial:
             immortal = self.immortal
             for pid in self._sim.network.present_sorted():
                 if pid not in immortal:
-                    self._doom(pid, self.lifetimes.sample(self._rng))
-        self._schedule_next_arrival()
-
-    def _schedule_next_arrival(self) -> None:
-        gap = self._rng.expovariate(self.arrival_rate)
-        self._schedule(gap, self._arrive, "churn:arrival")
-
-    def _arrive(self) -> None:
-        sim = self._sim
-        if not self.active_at(sim._now):
-            return
-        population = sim.network.population()
-        if self.concurrency_cap is not None and population >= self.concurrency_cap:
-            self.rejected += 1
-        else:
-            self._join_now(lifetime=self.lifetimes.sample(self._rng))
-        self._schedule_next_arrival()
+                    self._schedule(
+                        self.lifetimes.sample(self._rng), partial(self._step, pid),
+                        f"churn:lifetime-leave:{pid}",
+                    )
+        self._schedule_step()
 
     def arrival_class(self) -> ArrivalClass:
         if self.concurrency_cap is not None:
@@ -274,6 +333,8 @@ class ReplacementChurn(ChurnModel):
     ``M_inf_bounded(n)`` where ``n`` is the installed population.
     """
 
+    _replaces = True
+
     def __init__(
         self,
         factory: ProcessFactory,
@@ -285,21 +346,13 @@ class ReplacementChurn(ChurnModel):
             raise ConfigurationError(f"churn rate must be >= 0, got {rate}")
         self.rate = rate
         self._n = 0
+        self._rate = rate
+        self._label = "churn:replace"
 
     def _start(self) -> None:
         self._n = self.sim.network.population()
         if self.rate > 0 and self._n > 0:
-            self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        gap = self._rng.expovariate(self.rate)
-        self._schedule(gap, self._replace, "churn:replace")
-
-    def _replace(self) -> None:
-        if not self.active_at(self._sim._now):
-            return
-        self._replace_one()
-        self._schedule_next()
+            self._schedule_step()
 
     def arrival_class(self) -> ArrivalClass:
         return InfiniteArrivalBounded(max(1, self._n))
@@ -332,24 +385,14 @@ class FiniteArrivalChurn(ChurnModel):
         self.total_arrivals = total_arrivals
         self.arrival_rate = arrival_rate
         self.lifetimes = lifetimes
+        self._rate = arrival_rate
+        self._label = "churn:finite-arrival"
+        self._lifetimes = lifetimes
         self._remaining = total_arrivals
 
     def _start(self) -> None:
         if self._remaining > 0:
-            self._schedule_next_arrival()
-
-    def _schedule_next_arrival(self) -> None:
-        gap = self._rng.expovariate(self.arrival_rate)
-        self._schedule(gap, self._arrive, "churn:finite-arrival")
-
-    def _arrive(self) -> None:
-        if self._remaining <= 0 or not self.active_at(self._sim._now):
-            return
-        lifetime = self.lifetimes.sample(self._rng) if self.lifetimes else None
-        self._join_now(lifetime=lifetime)
-        self._remaining -= 1
-        if self._remaining > 0:
-            self._schedule_next_arrival()
+            self._schedule_step()
 
     def arrival_class(self) -> ArrivalClass:
         return FiniteArrival()
@@ -370,6 +413,8 @@ class PhasedChurn(ChurnModel):
     timing (defer until calm) beats fixed timing — the E15 experiment.
     """
 
+    _replaces = True
+
     def __init__(
         self,
         factory: ProcessFactory,
@@ -388,20 +433,22 @@ class PhasedChurn(ChurnModel):
         self.storm_length = storm_length
         self.calm_length = calm_length
         self.start_calm = start_calm
-        self._in_storm = not start_calm
+        self._rate = storm_rate
+        self._label = "churn:storm-replace"
+        self._running = not start_calm
         self._phase_ends = 0.0
 
     def in_storm(self) -> bool:
         """Whether a storm phase is currently active (omniscient view)."""
-        return self._in_storm
+        return self._running
 
     def _start(self) -> None:
         self._phase_ends = self.sim.now + (
             self.calm_length if self.start_calm else self.storm_length
         )
         self._schedule_phase_flip()
-        if self._in_storm:
-            self._schedule_next_replacement()
+        if self._running:
+            self._schedule_step()
 
     def _schedule_phase_flip(self) -> None:
         delay = self._phase_ends - self.sim.now
@@ -410,22 +457,12 @@ class PhasedChurn(ChurnModel):
     def _flip_phase(self) -> None:
         if not self.active_at(self.sim.now):
             return
-        self._in_storm = not self._in_storm
-        length = self.storm_length if self._in_storm else self.calm_length
+        self._running = not self._running
+        length = self.storm_length if self._running else self.calm_length
         self._phase_ends = self.sim.now + length
         self._schedule_phase_flip()
-        if self._in_storm:
-            self._schedule_next_replacement()
-
-    def _schedule_next_replacement(self) -> None:
-        gap = self._rng.expovariate(self.storm_rate)
-        self._schedule(gap, self._replace, "churn:storm-replace")
-
-    def _replace(self) -> None:
-        if not self._in_storm or not self.active_at(self._sim._now):
-            return
-        self._replace_one()
-        self._schedule_next_replacement()
+        if self._running:
+            self._schedule_step()
 
     def arrival_class(self) -> ArrivalClass:
         return InfiniteArrivalBounded(
@@ -467,24 +504,19 @@ class ScheduledChurn(ChurnModel):
             if action == "join":
                 self.sim.at(
                     time,
-                    lambda: self._join_now(),
+                    self._step,
                     priority=PRIORITY_MEMBERSHIP,
                     label="churn:scheduled-join",
                 )
             elif isinstance(action, tuple) and action[0] == "leave":
-                pid = action[1]
                 self.sim.at(
                     time,
-                    lambda pid=pid: self._scheduled_leave(pid),
+                    partial(self._step, action[1]),
                     priority=PRIORITY_MEMBERSHIP,
                     label="churn:scheduled-leave",
                 )
             else:
                 raise ConfigurationError(f"unknown churn action {action!r}")
-
-    def _scheduled_leave(self, pid: int) -> None:
-        if self.sim.network.is_present(pid):
-            self._depart(pid)
 
     def arrival_class(self) -> ArrivalClass:
         if self._declared_arrival is not None:

@@ -15,6 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.churn.lifetimes import LifetimeModel, ParetoLifetime
@@ -160,15 +161,10 @@ class TraceReplayChurn(ChurnModel):
         for session in self.sessions:
             self.sim.at(
                 session.arrival,
-                lambda duration=session.duration: self._replay_join(duration),
+                partial(self._step, lifetime=session.duration),
                 priority=PRIORITY_MEMBERSHIP,
                 label="churn:trace-join",
             )
-
-    def _replay_join(self, duration: float) -> None:
-        if not self.active_at(self.sim.now):
-            return
-        self._join_now(lifetime=duration)
 
     def arrival_class(self) -> ArrivalClass:
         return InfiniteArrivalFinite()

@@ -16,7 +16,7 @@ and runs it through :func:`~repro.experiments.runner.run_experiment`, the
 one run path (``report`` runs its sections the same way).  ``query``,
 ``gossip`` and ``sweep`` share one flag vocabulary; ``experiment run``
 shares its run flags (``--executor``, ``--jobs``, ``--output``,
-``--progress``, ``--telemetry``), each defined once:
+``--progress``, ``--telemetry``, ``--checkpoint``), each defined once:
 
 * ``--executor SPEC`` selects the execution policy: a builtin
   :class:`ExecutorSpec` preset name (list them with ``repro executor``)
@@ -120,6 +120,14 @@ def _run_flags(parser: Any) -> None:
                         "beside --output, else under .repro/runs/. Result "
                         "documents are byte-identical with telemetry on "
                         "or off")
+    parser.add_argument("--checkpoint", nargs="?", const="auto", default=None,
+                        metavar="PATH",
+                        help="journal every completed trial to a crash-safe "
+                        "repro-run-checkpoint file; re-running the same "
+                        "command resumes it, re-executing only the missing "
+                        "trials (byte-identical document). With PATH "
+                        "omitted the journal lands beside --output, else "
+                        "under .repro/runs/ keyed by the plan digest")
     parser.add_argument("--resumed-from", dest="resumed_from", default=None,
                         help=argparse.SUPPRESS)
 
@@ -139,14 +147,6 @@ def _engine_flags(parser: argparse.ArgumentParser, trials_default: int) -> None:
                        help="trials per dispatched task for the parallel "
                        "backend (default: adaptive, ~250 ms of work per "
                        "task; results are identical at every chunk size)")
-    group.add_argument("--checkpoint", nargs="?", const="auto", default=None,
-                       metavar="PATH",
-                       help="journal every completed trial to a crash-safe "
-                       "repro-run-checkpoint file; re-running the same "
-                       "command resumes it, re-executing only the missing "
-                       "trials (byte-identical document). With PATH "
-                       "omitted the journal lands beside --output, else "
-                       "under .repro/runs/ keyed by the plan digest")
     group.add_argument("--profile-trials", dest="profile_trials", type=int,
                        default=None, metavar="K",
                        help="after the run, cProfile the K slowest trials "
@@ -280,8 +280,19 @@ def _telemetry_recorder(args: argparse.Namespace) -> "TelemetryRecorder | None":
     }
     if value == "auto":
         value = _beside_output(args, TELEMETRY_SUFFIX)
-    return TelemetryRecorder(path=value, cli=cli_info,
-                             resumed_from=getattr(args, "resumed_from", None))
+    resumed_from = getattr(args, "resumed_from", None)
+    if resumed_from is not None and value is not None:
+        # A resume replays the interrupted run's argv, path included: its
+        # stream goes beside the old one, which stays in the ledger.
+        stem, suffix = (
+            (value[:-len(TELEMETRY_SUFFIX)], TELEMETRY_SUFFIX)
+            if value.endswith(TELEMETRY_SUFFIX) else os.path.splitext(value)
+        )
+        attempt = 0
+        while os.path.exists(value):
+            attempt += 1
+            value = f"{stem}.resume{attempt}{suffix}"
+    return TelemetryRecorder(path=value, cli=cli_info, resumed_from=resumed_from)
 
 
 def _checkpoint_path(args: argparse.Namespace,
@@ -1056,7 +1067,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     The manifest's ``cli.argv`` block is the exact command line; replaying
     it re-resolves the same ``--checkpoint`` journal (plan-digest keyed
     when the path was implicit), so completed trials are skipped and the
-    finished document is byte-identical to an uninterrupted run's.
+    finished document is byte-identical to an uninterrupted run's.  The
+    replayed run's telemetry goes to a fresh path beside the recorded one
+    (``_telemetry_recorder``), so the interrupted run stays in the ledger.
     """
     tail = _open_run(args.run_id, args.runs_dir)
     manifest = tail.manifest

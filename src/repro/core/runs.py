@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import heapq
 import math
+# The C accessor ``collections.namedtuple`` builds its fields from.
+from collections import _tuplegetter  # type: ignore[attr-defined]
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -33,21 +35,36 @@ from repro.topology.graph import Topology
 #: Stand-in for "still present at the end of the observation window".
 FOREVER = math.inf
 
+#: ``Interval(join, leave)`` without its ``__new__`` frame, for
+#: :meth:`Run.from_trace`, which makes the ``leave >= join`` check itself.
+_new_interval = tuple.__new__
 
-@dataclass(frozen=True)
-class Interval:
+
+class Interval(tuple):
     """A half-open presence interval ``[join, leave)``.
 
     ``leave`` is :data:`FOREVER` when the entity never left within the
-    observation horizon.
+    observation horizon.  A ``(join, leave)`` tuple underneath, built in
+    one ``tuple.__new__`` (like :class:`~repro.sim.trace.TraceEvent`);
+    intervals pickle, hash and compare by value.
     """
 
-    join: float
-    leave: float = FOREVER
+    __slots__ = ()
+    __match_args__ = ("join", "leave")
 
-    def __post_init__(self) -> None:
-        if self.leave < self.join:
-            raise ValueError(f"leave {self.leave} before join {self.join}")
+    def __new__(cls, join: float, leave: float = FOREVER) -> "Interval":
+        if leave < join:
+            raise ValueError(f"leave {leave} before join {join}")
+        return _new_interval(cls, (join, leave))
+
+    join = _tuplegetter(0, "When the entity joined.")
+    leave = _tuplegetter(1, "When it left (:data:`FOREVER`: it did not).")
+
+    def __getnewargs__(self) -> tuple[float, float]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Interval(join={self.join!r}, leave={self.leave!r})"
 
     def contains(self, t: float) -> bool:
         """Is the entity present at instant ``t``?"""
@@ -117,26 +134,27 @@ class Run:
         values: dict[int, object] = {}
         intervals: dict[int, Interval] = {}
         last_time = 0.0
-        for event in events:
-            kind = event.kind
+        for time, kind, data in events:
             if kind == JOIN:
-                data = event.data
                 entity = data["entity"]
                 if entity in values:
                     raise ValueError(f"entity {entity} joined twice")
-                joins[entity] = event.time
+                joins[entity] = time
                 values[entity] = data.get("value")
             elif kind == LEAVE:
-                entity = event.data["entity"]
-                if entity not in joins:
+                entity = data["entity"]
+                joined = joins.pop(entity, None)
+                if joined is None:
                     raise ValueError(f"entity {entity} left without joining")
-                intervals[entity] = Interval(joins.pop(entity), event.time)
+                if time < joined:
+                    raise ValueError(f"leave {time} before join {joined}")
+                intervals[entity] = _new_interval(Interval, (joined, time))
             else:
                 continue
-            if event.time > last_time:
-                last_time = event.time
+            if time > last_time:
+                last_time = time
         for entity, join_time in joins.items():
-            intervals[entity] = Interval(join_time, FOREVER)
+            intervals[entity] = _new_interval(Interval, (join_time, FOREVER))
         if horizon is None:
             horizon = last_time
         return cls(intervals, horizon, values=values, events=events)
@@ -171,7 +189,7 @@ class Run:
     def present_at(self, t: float) -> frozenset[int]:
         """Entities present at instant ``t``."""
         return frozenset(
-            e for e, iv in self._intervals.items() if iv.contains(t)
+            e for e, (join, leave) in self._intervals.items() if join <= t < leave
         )
 
     def stable_core(self, t0: float, t1: float) -> frozenset[int]:
@@ -184,15 +202,16 @@ class Run:
         if t1 < t0:
             raise ValueError(f"empty window [{t0}, {t1}]")
         return frozenset(
-            e for e, iv in self._intervals.items() if iv.covers(t0, t1)
+            e for e, (join, leave) in self._intervals.items()
+            if join <= t0 and t1 < leave
         )
 
     def transients(self, t0: float, t1: float) -> frozenset[int]:
         """Entities present at some, but not every, instant of ``[t0, t1]``."""
         return frozenset(
             e
-            for e, iv in self._intervals.items()
-            if iv.overlaps(t0, t1) and not iv.covers(t0, t1)
+            for e, (join, leave) in self._intervals.items()
+            if join <= t1 and t0 < leave and not (join <= t0 and t1 < leave)
         )
 
     # ------------------------------------------------------------------

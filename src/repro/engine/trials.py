@@ -14,7 +14,9 @@ instead of calling these functions in a loop.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.analysis.metrics import message_cost, relative_error
@@ -280,18 +282,17 @@ def run_query(config: QueryConfig) -> QueryOutcome:
         notify_leaves=config.notify_leaves,
     )
 
-    arrival_index = [0]
-
-    def factory() -> Process:
-        value = config.value_of(arrival_index[0])
-        arrival_index[0] += 1
-        if complete:
-            return RequestCollectNode(value)
-        if config.protocol == "ft_wave":
-            return FaultTolerantWaveNode(
-                value, period=1.0, timeout=config.detector_timeout
-            )
-        return WaveNode(value)
+    # The process constructor and the arrival values, bound once: each
+    # call makes the next arrival's process, in a C-level ``partial`` that
+    # adds no frame to the per-arrival path.
+    make: Callable[[Any], Process] = WaveNode
+    if complete:
+        make = RequestCollectNode
+    elif config.protocol == "ft_wave":
+        make = partial(
+            FaultTolerantWaveNode, period=1.0, timeout=config.detector_timeout
+        )
+    factory = partial(next, map(make, map(config.value_of, itertools.count())))
 
     pids = build_population(sim, config, factory)
     querier_pid = pids[0]

@@ -44,20 +44,11 @@ class FaultTolerantWaveNode(WaveNode, HeartbeatNode):
 
     def __init__(self, value: Any = None, period: float = 1.0,
                  timeout: float = 3.0) -> None:
-        # The MRO runs WaveNode.__init__ -> HeartbeatNode.__init__ with the
-        # detector's defaults; fix the timing parameters afterwards (the
-        # validation in HeartbeatNode.__init__ already ran on defaults, so
-        # re-validate here).
-        super().__init__(value)
-        if period <= 0 or timeout <= period:
-            from repro.sim.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"need 0 < period < timeout, got period={period}, "
-                f"timeout={timeout}"
-            )
-        self.period = period
-        self.timeout = timeout
+        # WaveNode's __init__ ends its chain, so the detector's runs (and
+        # validates the timing) here; it re-sets the base fields to the
+        # same fresh values.
+        WaveNode.__init__(self, value)
+        HeartbeatNode.__init__(self, value, period=period, timeout=timeout)
 
     # ------------------------------------------------------------------
     # Cooperative event dispatch (both parents are event consumers)

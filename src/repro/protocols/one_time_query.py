@@ -66,7 +66,18 @@ class WaveNode(AggregatingProcess):
     """A process speaking the wave protocol (relay and/or querier)."""
 
     def __init__(self, value: Any = None) -> None:
-        super().__init__(value)
+        # ``Process.__init__`` and ``AggregatingProcess.__init__``, inline:
+        # replacement churn builds one node per event, and this makes it
+        # one frame (see "Per-event budget" in docs/SCALING.md).  The chain
+        # stops here; a subclass with a second base calls that base's
+        # ``__init__`` itself (``FaultTolerantWaveNode``).
+        self.pid = -1
+        self.value = value
+        self._sim = None
+        self._timers = {}
+        self._timer_ids = 0
+        self._alive = False
+        self.results = []
         self._states: dict[int, _WaveState] = {}
         #: Count of subtrees lost because the parent departed before the
         #: echo could be reported (diagnostic, also traced).
@@ -238,6 +249,8 @@ class WaveNode(AggregatingProcess):
                 self._close(state)
 
     def on_neighbor_leave(self, pid: int) -> None:
+        if not self._states:  # no wave has reached this node
+            return
         for state in list(self._states.values()):
             if state.closed:
                 continue

@@ -25,6 +25,10 @@ from repro.sim.latency import DelayModel, LossModel, NoLoss, UniformDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
 
+# ``TraceEvent(time, kind, data)`` without its ``__new__`` frame: the join
+# and leave events the membership path appends itself.
+_new_event = tuple.__new__
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
 
@@ -129,6 +133,8 @@ class Network:
         ] = {}
         self._delays: Histogram | None = None
         self._delivered: Counter | None = None
+        self._joined: Counter | None = None
+        self._left: Counter | None = None
         self._transport_rng: "random.Random | None" = None
 
     # ------------------------------------------------------------------
@@ -182,28 +188,31 @@ class Network:
         slot_of = self._slot_of
         if pid in slot_of:
             raise MembershipError(f"process {pid} is already present")
-        neighbor_ids = sorted(set(neighbors))
-        # Probe per attachment point, O(|neighbors|): a set difference with
+        neighbor_ids = sorted(neighbors)
+        adjacent = set(neighbor_ids)
+        # Probe per attachment point, O(|neighbors|): the keys view's ``>=``
+        # looks each point up, where a set difference with
         # ``slot_of.keys()`` walks the whole membership (O(n²) to spawn n).
         # ``pid`` itself is absent here, so a self-loop fails this check.
-        for other in neighbor_ids:
-            if other not in slot_of:
-                missing = [p for p in neighbor_ids if p not in slot_of]
-                raise MembershipError(
-                    f"cannot attach {pid} to absent processes {missing}"
-                )
+        if not slot_of.keys() >= adjacent:
+            missing = sorted(p for p in adjacent if p not in slot_of)
+            raise MembershipError(
+                f"cannot attach {pid} to absent processes {missing}"
+            )
+        if len(adjacent) < len(neighbor_ids):  # a point given twice
+            neighbor_ids = sorted(adjacent)
         # Take a slot (a recycled hole if there is one) and enter the indexes.
         dense = self._dense
         if self._free:
             slot = self._free.pop()
             self._procs[slot] = proc
-            self._adj[slot] = set()
+            self._adj[slot] = adjacent
             self._slot_pid[slot] = pid
             self._dense_pos[slot] = len(dense)
         else:
             slot = len(self._procs)
             self._procs.append(proc)
-            self._adj.append(set())
+            self._adj.append(adjacent)
             self._slot_pid.append(pid)
             self._dense_pos.append(len(dense))
         dense.append(slot)
@@ -219,7 +228,6 @@ class Network:
         if neighbor_ids:
             # ``_link`` inlined: the endpoints are known present and distinct.
             adj = self._adj
-            adj[slot].update(neighbor_ids)
             for other in neighbor_ids:
                 adj[slot_of[other]].add(pid)
                 if journals:
@@ -230,14 +238,24 @@ class Network:
             for journal in journals.values():
                 journal.append(("join", pid, pid))
         sim = self._sim
-        sim.metrics.inc("membership.joins")
-        sim.trace.record(
-            sim._now, tr.JOIN, entity=pid, degree=len(neighbor_ids),
-            value=getattr(proc, "value", None),
-            neighbors=tuple(neighbor_ids),
-        )
+        joined = self._joined
+        if joined is None:
+            joined = self._joined = sim.metrics.counter("membership.joins")
+        joined.value += 1
+        data = {
+            "entity": pid, "degree": len(neighbor_ids),
+            "value": getattr(proc, "value", None),
+            "neighbors": tuple(neighbor_ids),
+        }
+        trace = sim.trace
+        if tr.JOIN in trace.retain_only:
+            trace.tallies[tr.JOIN] += 1
+            trace._events.append(_new_event(tr.TraceEvent, (sim._now, tr.JOIN, data)))
+        else:
+            trace.record(sim._now, tr.JOIN, **data)
         proc._alive = True
-        proc.on_start()
+        if proc._starts:
+            proc.on_start()
         if not self.notify_joins:
             return
         # In complete mode every present process is a neighbor of the
@@ -245,10 +263,13 @@ class Network:
         to_notify = neighbor_ids
         if self.complete:
             to_notify = [other for other in self._sorted if other != pid]
+        procs = self._procs
         for other in to_notify:
             other_slot = slot_of.get(other)
             if other_slot is not None:  # may have left during callbacks
-                self._procs[other_slot].on_neighbor_join(pid)
+                neighbor = procs[other_slot]
+                if neighbor._hears_joins:
+                    neighbor.on_neighbor_join(pid)
 
     def remove_process(self, pid: int) -> Process:
         """Remove ``pid`` from the system; in-flight messages to it drop.
@@ -262,9 +283,11 @@ class Network:
         slot = slot_of.get(pid)
         if slot is None:
             raise MembershipError(f"process {pid} is not present")
-        proc = self._procs[slot]
+        procs = self._procs
+        proc = procs[slot]
         proc._alive = False
-        proc.on_stop()
+        if proc._stops:
+            proc.on_stop()
         former_neighbors: list[int] = []
         all_adj = self._adj
         if self.complete:
@@ -281,7 +304,7 @@ class Network:
         del slot_of[pid]
         ordered = self._sorted
         del ordered[bisect_left(ordered, pid)]
-        self._procs[slot] = None
+        procs[slot] = None
         all_adj[slot] = None
         dense = self._dense
         pos = self._dense_pos[slot]
@@ -291,13 +314,25 @@ class Network:
             self._dense_pos[last] = pos
         self._free.append(slot)
         sim = self._sim
-        sim.metrics.inc("membership.leaves")
-        sim.trace.record(sim._now, tr.LEAVE, entity=pid)
+        left = self._left
+        if left is None:
+            left = self._left = sim.metrics.counter("membership.leaves")
+        left.value += 1
+        trace = sim.trace
+        if tr.LEAVE in trace.retain_only:
+            trace.tallies[tr.LEAVE] += 1
+            trace._events.append(
+                _new_event(tr.TraceEvent, (sim._now, tr.LEAVE, {"entity": pid}))
+            )
+        else:
+            trace.record(sim._now, tr.LEAVE, entity=pid)
         if self.notify_leaves:
             for other in former_neighbors:
                 other_slot = slot_of.get(other)
                 if other_slot is not None:
-                    self._procs[other_slot].on_neighbor_leave(pid)
+                    neighbor = procs[other_slot]
+                    if neighbor._hears_leaves:
+                        neighbor.on_neighbor_leave(pid)
         return proc
 
     # ------------------------------------------------------------------

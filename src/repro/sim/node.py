@@ -41,6 +41,18 @@ class Process:
     __slots__ = ("pid", "value", "_sim", "_timers", "_timer_ids", "_alive",
                  "__weakref__")
 
+    # Whether the class overrides ``on_start``/``on_stop``/
+    # ``on_neighbor_join``/``on_neighbor_leave``: the network's membership
+    # path calls a hook only where one is defined, not the no-ops below.
+    _starts = _stops = _hears_joins = _hears_leaves = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._starts = cls.on_start is not Process.on_start
+        cls._stops = cls.on_stop is not Process.on_stop
+        cls._hears_joins = cls.on_neighbor_join is not Process.on_neighbor_join
+        cls._hears_leaves = cls.on_neighbor_leave is not Process.on_neighbor_leave
+
     def __init__(self, value: Any = None) -> None:
         self.pid: int = -1
         self.value = value
@@ -86,12 +98,12 @@ class Process:
         This is the *only* membership information available to a process —
         the geography dimension of the model.
         """
-        return self.sim.network.neighbors(self.pid)
+        return (self._sim or self.sim).network.neighbors(self.pid)
 
     def degree(self) -> int:
         """How many neighbors this process currently has (O(1); no
         neighbor set is materialised)."""
-        return self.sim.network.degree(self.pid)
+        return (self._sim or self.sim).network.degree(self.pid)
 
     def random_neighbor(self) -> int | None:
         """A uniformly random current neighbor, or ``None`` if isolated.
@@ -146,8 +158,15 @@ class Process:
         sim = self._sim or self.sim
         network = sim.network
         pid = self.pid
+        slot = network._slot_of.get(pid)
+        # The adjacency set sorted in place of a ``neighbors()`` frozenset
+        # copy; an absent process or a complete graph asks ``neighbors``.
+        targets = (
+            sorted(network.neighbors(pid)) if slot is None or network.complete
+            else sorted(network._adj[slot])
+        )
         sent = 0
-        for neighbor in sorted(network.neighbors(pid)):
+        for neighbor in targets:
             if neighbor == exclude:
                 continue
             network.send(

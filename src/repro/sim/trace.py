@@ -23,7 +23,8 @@ sink; *reading* a kind that was recorded but dropped raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+# The C accessor ``collections.namedtuple`` builds its fields from.
+from collections import _tuplegetter  # type: ignore[attr-defined]
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -58,20 +59,48 @@ DELIVERY_ABANDONED = "delivery_abandoned"
 
 _ASK_FOR_MEMORY = 'run with trace_sink="memory" (or load a "jsonl" stream)'
 
+#: ``TraceEvent(time, kind, data)`` without its ``__new__`` frame: where
+#: every event :meth:`TraceLog.record` builds is built.
+_new_event = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One observable fact, at one instant."""
 
-    time: float
-    kind: str
-    data: dict[str, Any] = field(default_factory=dict)
+class TraceEvent(tuple):
+    """One observable fact, at one instant.
+
+    A tuple underneath — ``(time, kind, data)``, in that order — built in
+    one ``tuple.__new__``, like :class:`~repro.sim.messages.Message` (a
+    frozen dataclass pays an ``object.__setattr__`` per field, on every
+    retained event).  Attribute assignment raises ``AttributeError``;
+    events pickle and compare by value, and ``event[key]`` reads
+    ``data``.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("time", "kind", "data")
+
+    def __new__(
+        cls, time: float, kind: str, data: dict[str, Any] | None = None
+    ) -> "TraceEvent":
+        return _new_event(cls, (time, kind, {} if data is None else data))
+
+    time = _tuplegetter(0, "Simulation time of the fact.")
+    kind = _tuplegetter(1, "Event kind (``join``, ``send``, a protocol milestone ...).")
+    data = _tuplegetter(2, "The event's fields.")
+
+    def __getnewargs__(self) -> tuple[Any, ...]:
+        return tuple(self)
 
     def __getitem__(self, key: str) -> Any:
         return self.data[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceEvent(time={self.time!r}, kind={self.kind!r}, "
+            f"data={self.data!r})"
+        )
 
 
 class TraceLog:
@@ -98,6 +127,12 @@ class TraceLog:
         #: calling :meth:`record`: the same count, without the keyword
         #: arguments nobody reads.
         self.count_only: set[str] = set()
+        #: The kinds recorded so far that the sink retains but neither
+        #: observes nor counts.  For these the membership call sites
+        #: (``Network.add_process``/``remove_process``) bump
+        #: ``tallies[kind]`` and append the event to the retained list
+        #: themselves, without a :meth:`record` frame.
+        self.retain_only: set[str] = set()
         #: Events recorded per kind: what :meth:`count`, :meth:`summary`
         #: and ``len`` report.
         self.tallies: dict[str, int] = {}
@@ -141,7 +176,7 @@ class TraceLog:
                 counter.value += 1
         if not retained and not observed:
             return None
-        event = TraceEvent(time, kind, data)
+        event = _new_event(TraceEvent, (time, kind, data))
         if retained:
             self._events.append(event)
         if observed:
@@ -152,11 +187,12 @@ class TraceLog:
         """Ask the sink about ``kind`` (once per log)."""
         retained = self._sink.retains(kind)
         observed = self._sink.observes(kind)
+        counted = self._sink_counts and not observed
         if not retained and not observed:
             self.count_only.add(kind)
-        policy = self._policy[kind] = (
-            retained, observed, self._sink_counts and not observed,
-        )
+        elif retained and not observed and not counted:
+            self.retain_only.add(kind)
+        policy = self._policy[kind] = (retained, observed, counted)
         return policy
 
     def close(self) -> None:

@@ -39,10 +39,30 @@ class UniformAttachment(AttachmentRule):
         self.k = k
 
     def choose(self, network: "Network", rng: random.Random) -> list[int]:
-        present = network.present_sorted()
-        if not present:
-            return []
-        return rng.sample(present, min(self.k, len(present)))
+        """Draw for draw ``rng.sample(present_sorted, min(k, n))``.
+
+        When ``random.sample`` would take its set branch (``n > 21`` and
+        ``k <= 5``) its draws are made here: one ``randbelow(n)`` per
+        point — a ``getrandbits`` loop over ``n``'s bit length — redrawn
+        while it repeats an index already taken, points in draw order.
+        Otherwise (the pool branch) ``rng.sample`` itself draws.
+        """
+        present = network._sorted
+        n = len(present)
+        k = self.k if self.k < n else n
+        if n <= 21 or k > 5:
+            return rng.sample(present, k) if n else []
+        getrandbits = rng.getrandbits
+        bits = n.bit_length()
+        taken: list[int] = []
+        chosen: list[int] = []
+        for _ in range(k):
+            index = getrandbits(bits)
+            while index >= n or index in taken:
+                index = getrandbits(bits)
+            taken.append(index)
+            chosen.append(present[index])
+        return chosen
 
     def __repr__(self) -> str:
         return f"UniformAttachment(k={self.k})"

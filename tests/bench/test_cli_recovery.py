@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.engine.recovery.chaos import SigintAfter
 from repro.engine.recovery.checkpoint import load_checkpoint
 from repro.engine.telemetry import TELEMETRY_SUFFIX
-from repro.obs.ledger import load_telemetry
+from repro.obs.ledger import load_telemetry, scan_runs
 
 SWEEP = ["sweep", "--rates", "0,8", "--trials", "2", "--n", "8"]
 
@@ -123,7 +123,7 @@ class TestResumeCommand:
         # The replayed run's manifest records the resume provenance and
         # the ledger reports it as "resumed".
         replayed, _, summary = load_telemetry(
-            str(tmp_path / f"results{TELEMETRY_SUFFIX}")
+            str(tmp_path / f"results.resume1{TELEMETRY_SUFFIX}")
         )
         assert replayed.resumed_from == manifest.run_id
         assert summary is not None
@@ -174,8 +174,56 @@ class TestResumeCommand:
         assert main(["resume", str(telemetry)]) == 0
         assert f"resuming run {manifest.run_id}" in capsys.readouterr().err
         assert out.read_bytes() == first
-        replayed, _, _ = load_telemetry(str(telemetry))
+        replayed, _, _ = load_telemetry(str(tmp_path / f"a.resume1{TELEMETRY_SUFFIX}"))
         assert replayed.resumed_from == manifest.run_id
+
+    def test_an_interrupted_yaml_run_skips_its_journalled_trials(
+        self, tmp_path, capsys
+    ):
+        experiment = tmp_path / "tiny.yaml"
+        experiment.write_text(
+            "name: tiny\ngrid: {churn_rate: [0.0, 8.0]}\n"
+            "base: {n: 8, horizon: 60.0}\ntrials: 2\n"
+        )
+        reference = tmp_path / "reference.json"
+        assert main(["experiment", "run", str(experiment),
+                     "--output", str(reference)]) == 0
+        out = tmp_path / "a.json"
+        ckpt = str(tmp_path / "a.ckpt")
+        telemetry = tmp_path / f"a{TELEMETRY_SUFFIX}"
+        with pytest.MonkeyPatch.context() as mp:
+            arm_interrupt(mp, 1)
+            assert main(["experiment", "run", str(experiment),
+                         "--output", str(out), "--checkpoint", ckpt,
+                         "--telemetry", str(telemetry)]) == 130
+        assert load_checkpoint(ckpt).completed == {0}
+        assert not out.exists()
+        capsys.readouterr()
+        assert main(["resume", str(telemetry)]) == 0
+        assert "every trial will re-execute" not in capsys.readouterr().err
+        assert out.read_bytes() == reference.read_bytes()
+        _, _, summary = load_telemetry(
+            str(tmp_path / f"a.resume1{TELEMETRY_SUFFIX}")
+        )
+        assert summary["resumed_trials"] == 1
+        assert load_checkpoint(ckpt).completed == {0, 1, 2, 3}
+
+    def test_resume_keeps_the_interrupted_runs_telemetry(
+        self, tmp_path, capsys
+    ):
+        manifest, out, reference = self._interrupted_run(tmp_path, capsys)
+        old_stream = (tmp_path / f"results{TELEMETRY_SUFFIX}").read_bytes()
+        assert main(["resume", manifest.run_id, "--dir", str(tmp_path)]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+        assert (tmp_path / f"results{TELEMETRY_SUFFIX}").read_bytes() == old_stream
+        capsys.readouterr()
+        assert main(["runs", "show", manifest.run_id, "--dir", str(tmp_path)]) == 0
+        assert manifest.run_id in capsys.readouterr().out
+        resumed = [
+            entry["manifest"] for entry in scan_runs(str(tmp_path))
+            if entry["manifest"].run_id != manifest.run_id
+        ]
+        assert [run.resumed_from for run in resumed] == [manifest.run_id]
 
     def test_resume_without_telemetry_argv_fails_cleanly(
         self, tmp_path, capsys

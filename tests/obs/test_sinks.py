@@ -166,12 +166,13 @@ class TestNoEventIsBuiltForNobody:
 
         built = []
 
-        def counting_event(time, kind, data):
-            built.append(kind)
-            return real(time, kind, data)
+        # The construction point: a TraceEvent is one ``tuple.__new__``.
+        def counting_event(cls, fields):
+            built.append(fields[1])
+            return real(cls, fields)
 
-        real = trace_mod.TraceEvent
-        monkeypatch.setattr(trace_mod, "TraceEvent", counting_event)
+        real = trace_mod._new_event
+        monkeypatch.setattr(trace_mod, "_new_event", counting_event)
         log = TraceLog(sink=sink)
         log.record(0.0, "join", entity=1)
         for i in range(20):

@@ -27,8 +27,14 @@ two of every three events are membership events): 70.5 calls per event
 while each replacement still went through ``Simulator.spawn``/``kill``, the
 checked ``sim``/``rng`` properties and three sorted copies of the
 membership, 46.5 when that was removed (44.5 under CPython 3.11 just
-before the run loop dropped its second peek), 41.7 with one peek, 41.6
-now.
+before the run loop dropped its second peek), 41.7 with one peek, 42.5
+under CPython 3.11 before one replacement became one membership step,
+13.6 now: one ``ChurnModel._step`` frame with the victim, attachment and
+gap draws inline and no ``Simulator.spawn``, a join/leave event appended
+by the network without a ``TraceLog.record`` frame, no call to an
+inherited no-op hook, and a one-frame ``WaveNode.__init__``.  The memory
+sink's storm row went 14.5 → 12.9 with it (a ``TraceEvent`` is one
+``tuple.__new__``).
 
 The heartbeat path E22 runs (fault-tolerant wave, ``dup-flood``, ``full``
 resilience, null sink): 32.2 calls per event with two peeks per event in
@@ -105,7 +111,7 @@ def profiled_run(sim: Simulator, horizon: float) -> float:
 @pytest.mark.parametrize("n, make_sink, backend, ceiling", [
     pytest.param(500, CountingSink, "heap", 13.0,
                  id="500-CountingSink-heap-32.0"),
-    pytest.param(500, MemorySink, "heap", 16.5,
+    pytest.param(500, MemorySink, "heap", 15.0,
                  id="500-MemorySink-heap-30.0"),
     pytest.param(500, NullSink, "heap", 13.0,
                  id="500-NullSink-heap-26.0"),
@@ -140,7 +146,7 @@ def test_python_calls_per_executed_event_under_replacement_churn():
     """One cell of the E4 sweep, built the way ``engine.trials`` builds it:
     n = 32 wave nodes on an ER overlay, replacement churn at rate 4.0 with
     the querier immortal, one COUNT query."""
-    n, ceiling = 32, 48.0
+    n, ceiling = 32, 15.5
     sim = Simulator(seed=2007)
     topo = generators.make("er", n, sim.rng_for("topology"))
     arrivals = itertools.count()
