@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 
@@ -58,6 +59,16 @@ class TestInterval:
         assert Interval(1.0, 4.0).length == 3.0
         assert math.isinf(Interval(1.0).length)
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_an_immutable_value(self, protocol):
+        iv = Interval(1.0, 4.0)
+        assert pickle.loads(pickle.dumps(iv, protocol=protocol)) == iv
+        assert type(pickle.loads(pickle.dumps(iv, protocol=protocol))) is Interval
+        assert {iv: 1}[Interval(1.0, 4.0)] == 1
+        assert repr(Interval(1.0)) == "Interval(join=1.0, leave=inf)"
+        with pytest.raises(AttributeError):
+            iv.join = 0.0  # type: ignore[misc]
+
 
 class TestRunConstruction:
     def test_from_trace(self):
@@ -97,6 +108,12 @@ class TestRunConstruction:
         log.record(1.0, "leave", entity=0)
         with pytest.raises(ValueError):
             Run.from_trace(log)
+
+    def test_leave_before_join_rejected(self):
+        events = [TraceEvent(5.0, "join", {"entity": 0}),
+                  TraceEvent(3.0, "leave", {"entity": 0})]
+        with pytest.raises(ValueError, match="leave 3.0 before join 5.0"):
+            Run.from_trace(events)
 
     def test_static_constructor(self):
         run = Run.static(5, horizon=100.0)

@@ -38,6 +38,39 @@ class TestLifecycle:
         proc = sim.spawn(Process(value=3))
         assert str(proc.pid) in repr(proc)
 
+    def test_membership_hooks_run_where_a_class_defines_them(self, sim):
+        """The network skips the base class's no-op hooks, per class, and
+        still calls every hook a class (or one of its bases) defines."""
+        heard = []
+
+        class Listener(Process):
+            def on_start(self):
+                heard.append(("start", self.pid))
+
+            def on_neighbor_join(self, pid):
+                heard.append(("join", self.pid, pid))
+
+            def on_neighbor_leave(self, pid):
+                heard.append(("leave", self.pid, pid))
+
+        class Heir(Listener):
+            def on_stop(self):
+                heard.append(("stop", self.pid))
+
+        assert not (Process._starts or Process._stops
+                    or Process._hears_joins or Process._hears_leaves)
+        assert (Listener._starts, Listener._stops) == (True, False)
+        assert Heir._stops and Heir._hears_joins and Heir._hears_leaves
+        first = sim.spawn(Listener()).pid
+        second = sim.spawn(Heir(), [first]).pid
+        plain = sim.spawn(Process(), [first, second]).pid
+        sim.kill(second)
+        assert heard == [
+            ("start", first), ("start", second), ("join", first, second),
+            ("join", first, plain), ("join", second, plain),
+            ("stop", second), ("leave", first, second),
+        ]
+
 
 class TestTimers:
     def test_timer_fires(self, sim):

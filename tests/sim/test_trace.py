@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
+
 from repro.core.runs import Run
-from repro.sim.trace import DELIVER, JOIN, LEAVE, SEND, TraceLog, merge_logs
+from repro.sim.trace import (
+    DELIVER, JOIN, LEAVE, SEND, TraceEvent, TraceLog, merge_logs,
+)
 
 
 def build_log() -> TraceLog:
@@ -93,3 +99,48 @@ class TestMergeLogs:
 
     def test_merge_empty(self):
         assert len(merge_logs([])) == 0
+
+
+class TestTraceEvent:
+    """A ``TraceEvent`` is an immutable, tuple-backed value."""
+
+    def test_fields(self):
+        event = TraceEvent(time=1.5, kind=JOIN, data={"entity": 3})
+        assert (event.time, event.kind, event["entity"]) == (1.5, JOIN, 3)
+        assert event.get("value", "none") == "none"
+        assert TraceEvent(0.0, LEAVE).data == {}
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        event = TraceEvent(2.0, JOIN, {"entity": 1, "neighbors": (0, 2)})
+        restored = pickle.loads(pickle.dumps(event, protocol=protocol))
+        assert type(restored) is TraceEvent
+        assert restored == event
+
+    def test_immutable_and_readable(self):
+        event = TraceEvent(2.0, LEAVE, {"entity": 1})
+        with pytest.raises(AttributeError):
+            event.time = 3.0  # type: ignore[misc]
+        assert repr(event) == (
+            "TraceEvent(time=2.0, kind='leave', data={'entity': 1})"
+        )
+
+    def test_the_appended_membership_events_equal_recorded_ones(self):
+        """A join/leave the network appends itself (``retain_only``)
+        equals the one ``record`` builds."""
+        from repro.sim.node import Process
+        from repro.sim.scheduler import Simulator
+
+        sim = Simulator(seed=1)
+        for _ in range(3):
+            sim.spawn(Process(value=7), [0] if sim.network.population() else [])
+        sim.kill(1)
+        assert JOIN in sim.trace.retain_only and LEAVE in sim.trace.retain_only
+        by_record = TraceLog()
+        by_record.record(0.0, JOIN, entity=0, degree=0, value=7, neighbors=())
+        for pid in (1, 2):
+            by_record.record(0.0, JOIN, entity=pid, degree=1, value=7,
+                             neighbors=(0,))
+        by_record.record(0.0, LEAVE, entity=1)
+        assert sim.trace.events() == by_record.events()
+        assert sim.trace.summary() == by_record.summary()
