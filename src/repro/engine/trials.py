@@ -281,7 +281,17 @@ def run_query(config: QueryConfig) -> QueryOutcome:
         complete=complete,
         notify_leaves=config.notify_leaves,
     )
+    try:
+        return _query_outcome(sim, config, complete)
+    finally:
+        # After the outcome and its metrics snapshot: the trial frees
+        # itself without waiting for a cyclic collection.
+        sim.close()
 
+
+def _query_outcome(
+    sim: Simulator, config: QueryConfig, complete: bool
+) -> QueryOutcome:
     # The process constructor and the arrival values, bound once: each
     # call makes the next arrival's process, in a C-level ``partial`` that
     # adds no frame to the per-arrival path.
@@ -478,7 +488,13 @@ def run_gossip(config: GossipConfig) -> GossipOutcome:
     if config.mode not in ("avg", "count"):
         raise ConfigurationError(f"unknown gossip mode {config.mode!r}")
     sim = _make_simulator(config, delay_model=config.delay or UniformDelay())
+    try:
+        return _gossip_outcome(sim, config)
+    finally:
+        sim.close()  # see run_query
 
+
+def _gossip_outcome(sim: Simulator, config: GossipConfig) -> GossipOutcome:
     arrival_index = [0]
 
     def factory() -> Process:
@@ -626,7 +642,15 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationOutcome:
             f"{config.broadcast_at}"
         )
     sim = _make_simulator(config, delay_model=config.delay or UniformDelay())
+    try:
+        return _dissemination_outcome(sim, config)
+    finally:
+        sim.close()  # see run_query
 
+
+def _dissemination_outcome(
+    sim: Simulator, config: DisseminationConfig
+) -> DisseminationOutcome:
     def factory():
         if config.protocol == "flood":
             return FloodNode(1.0)

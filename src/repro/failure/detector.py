@@ -104,9 +104,10 @@ class HeartbeatNode(AggregatingProcess):
         :meth:`repro.resilience.transport.ReliableTransport.detector_timeout`);
         otherwise the static ``timeout`` applies.
         """
-        now = self.now
+        sim = self._sim
+        now = sim._now
         timeout = self.timeout
-        transport = self._sim.network.resilience
+        transport = sim.network.resilience
         if transport is not None and transport.spec.adaptive_detector:
             # The adaptive threshold never drops below ``period + min_rto``
             # (nor is the fallback below ``timeout``): a target heard
@@ -131,7 +132,7 @@ class HeartbeatNode(AggregatingProcess):
                 continue
             self._suspected.add(target)
             self.suspicions_raised += 1
-            self._sim.metrics.inc("detector.suspicions")
+            sim.metrics.inc("detector.suspicions")
             self.record(SUSPECT, target=target)
             self.on_suspect(target)
 
@@ -147,7 +148,7 @@ class HeartbeatNode(AggregatingProcess):
     def on_message(self, message: Message) -> None:
         if message.kind == HEARTBEAT:
             sender = message.sender
-            self._last_heard[sender] = self.now
+            self._last_heard[sender] = self._sim._now
             if sender in self._suspected:
                 self._restore(sender)
 

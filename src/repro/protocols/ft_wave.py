@@ -58,16 +58,23 @@ class FaultTolerantWaveNode(WaveNode, HeartbeatNode):
         HeartbeatNode.on_start(self)
 
     def on_message(self, message: Message) -> None:
-        # Each layer reads only its own kinds: a heartbeat goes straight
-        # to the detector, everything else to the wave.
+        # Each layer reads only its own kinds: a heartbeat is the
+        # detector's (``HeartbeatNode.on_message``, inline: most of an E22
+        # cell's deliveries are heartbeats), everything else the wave's.
         if message.kind == HEARTBEAT:
-            HeartbeatNode.on_message(self, message)
+            sender = message.sender
+            self._last_heard[sender] = self._sim._now
+            if sender in self._suspected:
+                self._restore(sender)
         else:
             WaveNode.on_message(self, message)
 
     def on_timer(self, name: str, payload: Any) -> None:
-        WaveNode.on_timer(self, name, payload)
-        HeartbeatNode.on_timer(self, name, payload)
+        # The same split by timer name: the wave owns only its deadline.
+        if name == "wave-deadline":
+            WaveNode.on_timer(self, name, payload)
+        else:
+            HeartbeatNode.on_timer(self, name, payload)
 
     def on_neighbor_join(self, pid: int) -> None:
         HeartbeatNode.on_neighbor_join(self, pid)

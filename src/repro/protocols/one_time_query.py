@@ -51,15 +51,17 @@ class _WaveState:
     pending: set[int]
     contributions: dict[int, Any]
     closed: bool = False
-    # Origin-only: called with the folded contributions when the wave
-    # completes (or the deadline fires).
-    on_complete: Any = None
+    # Origin-only: the query the origin resolves when the wave completes
+    # (or the deadline fires).  Data, not a callback: a closure over the
+    # querier would make the querier a reference cycle.
+    aggregate: Aggregate | None = None
+    issued_at: float = 0.0
     deadline_timer: int | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
     @property
     def is_origin(self) -> bool:
-        return self.on_complete is not None
+        return self.aggregate is not None
 
 
 class WaveNode(AggregatingProcess):
@@ -101,33 +103,13 @@ class WaveNode(AggregatingProcess):
             deadline: optional time budget for a partial return.
         """
         qid = self.announce_query(aggregate)
-        issued_at = self.now
-
-        def resolve(contributions: dict[int, Any]) -> None:
-            self.resolve_query(qid, aggregate, contributions, issued_at)
-
-        self.start_wave(qid, ttl=ttl, deadline=deadline, on_complete=resolve)
-        return qid
-
-    def start_wave(
-        self,
-        qid: int,
-        ttl: int | None = None,
-        deadline: float | None = None,
-        on_complete: Any = None,
-    ) -> None:
-        """Launch a raw wave (no query announcement) with a completion
-        callback.
-
-        This is the building block :meth:`issue_query` wraps with the
-        query announcement and the resolving callback.
-        """
         state = _WaveState(
             qid=qid,
             parent=None,
             pending=set(),
             contributions={self.pid: self.value},
-            on_complete=on_complete or (lambda contributions: None),
+            aggregate=aggregate,
+            issued_at=self.now,
         )
         self._states[qid] = state
         wire_ttl = UNBOUNDED if ttl is None else ttl
@@ -139,6 +121,7 @@ class WaveNode(AggregatingProcess):
         if deadline is not None:
             state.deadline_timer = self.set_timer(deadline, "wave-deadline", qid)
         self._check_complete(state)
+        return qid
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -217,7 +200,9 @@ class WaveNode(AggregatingProcess):
                     qid=state.qid,
                     unreachable=tuple(sorted(unreachable)),
                 )
-            state.on_complete(dict(state.contributions))
+            self.resolve_query(
+                state.qid, state.aggregate, state.contributions, state.issued_at
+            )
             return
         if state.parent is not None and state.parent in self.neighbors():
             self.send(

@@ -173,6 +173,11 @@ class ReliableTransport:
                 "ResilienceSpec.resolve() returns None for it"
             )
         self.spec = spec
+        #: The kinds :meth:`outbound` and :meth:`inbound` both return
+        #: unchanged when the payload carries no ``RID_KEY``: the excluded
+        #: kinds, never acks.  ``Network.send``/``_deliver`` skip both
+        #: calls for such a message.
+        self.passthrough = frozenset(spec.exclude_kinds) - {ACK}
         self._sim: "Simulator | None" = None
         self._next_rid = 0
         self._pending: dict[int, _Pending] = {}

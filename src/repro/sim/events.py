@@ -33,7 +33,7 @@ import heapq
 import itertools
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.sim.errors import SchedulingError
@@ -58,25 +58,36 @@ CALENDAR_THRESHOLD = 2048
 _COMPACT_FLOOR = 64
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: ``[time, priority, seq, action, label,
+    cancelled]``.
+
+    A ``list`` so that the queues order events by comparing them in C —
+    ``heapq`` and ``insort`` compare lists element by element, and ``seq``
+    is unique, so a comparison never reaches ``action`` — and so that one
+    is built in one C call, without a Python ``__init__`` frame.  The hot
+    paths index it (``event[0]`` is the time, ``event[3]`` the action);
+    everything else reads the named properties.
 
     Attributes:
         time: simulation time at which the event fires.
         priority: tie-break between events at the same instant (lower first).
         seq: global sequence number; makes ordering total.
-        action: zero-argument callable executed when the event fires.
+        action: zero-argument callable executed when the event fires
+            (``None`` once its queue is cleared, as ``Simulator.close``
+            clears it).
         label: human-readable tag used in traces and debugging.
         cancelled: cooperatively-cancelled events are skipped when popped.
     """
 
-    time: float
-    priority: int
-    seq: int
-    action: Callable[[], Any] = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ()
+
+    time = property(itemgetter(0))
+    priority = property(itemgetter(1))
+    seq = property(itemgetter(2))
+    action = property(itemgetter(3))
+    label = property(itemgetter(4))
+    cancelled = property(itemgetter(5))
 
     def cancel(self) -> None:
         """Mark this event so the scheduler skips it.
@@ -89,7 +100,7 @@ class Event:
         storage early; without it ``len(queue)`` counts the event until
         then.
         """
-        self.cancelled = True
+        self[5] = True
 
 
 def _discarded(queue: "HeapEventQueue | CalendarEventQueue") -> None:
@@ -105,9 +116,9 @@ def _discarded(queue: "HeapEventQueue | CalendarEventQueue") -> None:
 class HeapEventQueue:
     """Binary-heap event queue: O(log n) push/pop.
 
-    The heap holds ``(time, priority, seq, event)`` entries, so ``heapq``
-    orders them by comparing tuples in C; ``seq`` is unique, so a
-    comparison never reaches the :class:`Event` (or its action).
+    The heap holds the :class:`Event` lists themselves, so ``heapq``
+    orders them by comparing ``(time, priority, seq)`` in C; ``seq`` is
+    unique, so a comparison never reaches the action.
     """
 
     #: Live-event count above which :meth:`push` calls ``_promote``: never,
@@ -115,7 +126,7 @@ class HeapEventQueue:
     _threshold: float = math.inf
 
     def __init__(self, counter: Iterator[int] | None = None) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[Event] = []
         self._counter = itertools.count() if counter is None else counter
         self._live = 0
         self._tombstones = 0
@@ -141,9 +152,8 @@ class HeapEventQueue:
         """Schedule ``action`` at ``time`` and return the event handle."""
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
-        seq = next(self._counter)
-        event = Event(time, priority, seq, action, label)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        event = Event((time, priority, next(self._counter), action, label, False))
+        heapq.heappush(self._heap, event)
         self._live += 1
         if self._live > self._threshold:
             self._promote()
@@ -157,8 +167,8 @@ class HeapEventQueue:
         """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
+            event = heapq.heappop(heap)
+            if event[5]:
                 _discarded(self)
                 continue
             self._live -= 1
@@ -168,7 +178,7 @@ class HeapEventQueue:
     def peek_time(self) -> float | None:
         """Return the firing time of the earliest live event, or ``None``."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][5]:
             heapq.heappop(heap)
             _discarded(self)
         return heap[0][0] if heap else None
@@ -188,7 +198,7 @@ class HeapEventQueue:
 
     def compact(self) -> None:
         """Drop cancelled entries and re-heapify; memory stays O(live)."""
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        self._heap = [event for event in self._heap if not event[5]]
         heapq.heapify(self._heap)
         self._live = len(self._heap)
         self._tombstones = 0
@@ -198,10 +208,13 @@ class HeapEventQueue:
         heap, self._heap = self._heap, []
         self._live = 0
         self._tombstones = 0
-        return [entry[3] for entry in heap if not entry[3].cancelled]
+        return [event for event in heap if not event[5]]
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event, and its action: a handle kept past
+        ``clear`` holds no reference into the simulation."""
+        for event in self._heap:
+            event[3] = None
         self._heap.clear()
         self._live = 0
         self._tombstones = 0
@@ -221,10 +234,10 @@ class CalendarEventQueue:
     seq)`` — because same-instant events always share a bucket (identical
     times hash identically) and the in-bucket sort uses the full key.
 
-    Buckets hold :class:`Event` objects, not the heap's key tuples: an
-    ``insort`` into a bucket of a handful of events makes ≈ 1.5
-    comparisons, and building the tuple costs as much as that saves
-    (measured on the n=10⁴ ping storm: no gain either way).
+    Buckets hold the :class:`Event` lists, the same entries the heap
+    holds, so ``insort`` and the bucket-front comparisons order them in C
+    with no Python ``__lt__`` frame: an ``insort`` makes 3–5.5 comparisons
+    on the ping storm (n = 10⁵ to 10³), and none reaches the action.
     """
 
     MIN_BUCKETS = 16
@@ -261,7 +274,7 @@ class CalendarEventQueue:
         while nbuckets < count:
             nbuckets *= 2
         if count >= 2:
-            times = sorted(event.time for event in events)
+            times = sorted(event[0] for event in events)
             span = times[-1] - times[0]
             width = (2.0 * span / count) if span > 0.0 else 1.0
             width = max(width, 1e-9)
@@ -273,17 +286,17 @@ class CalendarEventQueue:
         self._buckets = buckets = [[] for _ in range(nbuckets)]
         self._live = count
         self._tombstones = 0
-        self._vcur = int(min((e.time for e in events), default=0.0) / width)
+        self._vcur = int(min((e[0] for e in events), default=0.0) / width)
         mask = self._mask
         for event in events:
-            insort(buckets[int(event.time / width) & mask], event)
+            insort(buckets[int(event[0] / width) & mask], event)
 
     def _maybe_resize(self) -> None:
         if self._live > 2 * self._nbuckets or (
             self._nbuckets > self.MIN_BUCKETS and self._live < self._nbuckets // 4
         ):
             self._rebuild(
-                [e for b in self._buckets for e in b if not e.cancelled]
+                [e for b in self._buckets for e in b if not e[5]]
             )
 
     # -- queue API ------------------------------------------------------
@@ -299,7 +312,7 @@ class CalendarEventQueue:
         """Schedule ``action`` at ``time`` and return the event handle."""
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
-        event = Event(time, priority, next(self._counter), action, label)
+        event = Event((time, priority, next(self._counter), action, label, False))
         v = int(time / self._width)
         insort(self._buckets[v & self._mask], event)
         if v < self._vcur:
@@ -322,12 +335,12 @@ class CalendarEventQueue:
         v = self._vcur
         for _ in range(self._nbuckets):
             bucket = self._buckets[v & self._mask]
-            while bucket and bucket[0].cancelled:
+            while bucket and bucket[0][5]:
                 del bucket[0]
                 _discarded(self)
             if bucket:
                 event = bucket[0]
-                if int(event.time / width) == v:
+                if int(event[0] / width) == v:
                     self._vcur = v
                     if remove:
                         del bucket[0]
@@ -336,14 +349,14 @@ class CalendarEventQueue:
             v += 1
         best: Event | None = None
         for bucket in self._buckets:
-            while bucket and bucket[0].cancelled:
+            while bucket and bucket[0][5]:
                 del bucket[0]
                 _discarded(self)
             if bucket and (best is None or bucket[0] < best):
                 best = bucket[0]
         if best is None:
             return None
-        self._vcur = int(best.time / width)
+        self._vcur = int(best[0] / width)
         if remove:
             del self._buckets[self._vcur & self._mask][0]
             self._live -= 1
@@ -360,8 +373,8 @@ class CalendarEventQueue:
         bucket = self._buckets[self._vcur & self._mask]
         if (
             bucket
-            and not bucket[0].cancelled
-            and int(bucket[0].time / self._width) == self._vcur
+            and not bucket[0][5]
+            and int(bucket[0][0] / self._width) == self._vcur
         ):
             event = bucket.pop(0)
             self._live -= 1
@@ -379,12 +392,12 @@ class CalendarEventQueue:
         bucket = self._buckets[self._vcur & self._mask]
         if (
             bucket
-            and not bucket[0].cancelled
-            and int(bucket[0].time / self._width) == self._vcur
+            and not bucket[0][5]
+            and int(bucket[0][0] / self._width) == self._vcur
         ):
-            return bucket[0].time
+            return bucket[0][0]
         event = self._scan(remove=False) if self._live else None
-        return None if event is None else event.time
+        return None if event is None else event[0]
 
     def note_cancelled(self) -> None:
         """Account for an event cancelled through its handle; compact the
@@ -400,13 +413,17 @@ class CalendarEventQueue:
         live = 0
         for bucket in self._buckets:
             if bucket:
-                bucket[:] = [e for e in bucket if not e.cancelled]
+                bucket[:] = [e for e in bucket if not e[5]]
                 live += len(bucket)
         self._live = live
         self._tombstones = 0
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event, and its action (see
+        :meth:`HeapEventQueue.clear`)."""
+        for bucket in self._buckets:
+            for event in bucket:
+                event[3] = None
         self._buckets = [[] for _ in range(self._nbuckets)]
         self._live = 0
         self._tombstones = 0

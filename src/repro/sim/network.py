@@ -503,11 +503,17 @@ class Network:
             raise TopologyError(
                 f"process {sender} cannot reach {receiver}: not a neighbor"
             )
-        if self.resilience is not None:
+        resilience = self.resilience
+        if resilience is not None and (
+            message.kind not in resilience.passthrough
+            or "res_rid" in message.payload
+        ):
             # The recovery layer may wrap the message (session id payload
             # key) and register it for acknowledgement tracking; control
-            # traffic and retransmissions pass through unchanged.
-            message = self.resilience.outbound(message)
+            # traffic and retransmissions pass through unchanged.  A kind
+            # it passes through both ways without a session id (heartbeats)
+            # skips the call.
+            message = resilience.outbound(message)
         sim = self._sim
         kind = message.kind
         trace = sim.trace
@@ -642,11 +648,16 @@ class Network:
                 sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
                 sender=message.sender, receiver=message.receiver,
             )
-        if self.resilience is not None:
+        resilience = self.resilience
+        if resilience is not None and (
+            message.kind not in resilience.passthrough
+            or "res_rid" in message.payload
+        ):
             # Acks are consumed and data is acknowledged + deduplicated
             # here, after the delivery is traced (the network did deliver
-            # it) but before the protocol sees it.
-            message = self.resilience.inbound(message)
+            # it) but before the protocol sees it.  The check above is the
+            # one ``send`` makes.
+            message = resilience.inbound(message)
             if message is None:
                 return
         receiver.on_message(message)

@@ -15,13 +15,18 @@ from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import TraceSink
-from repro.sim.errors import SchedulingError
+from repro.sim.errors import SchedulingError, SimulationError
 from repro.sim.events import Event, EventQueue, PRIORITY_MEMBERSHIP, PRIORITY_NORMAL
 from repro.sim.latency import DelayModel, LossModel
 from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.rng import SeedSequence
 from repro.sim.trace import TraceLog
+
+
+def _raise_closed(*args: Any, **kwargs: Any) -> Any:
+    """What ``run`` and ``spawn`` become on a closed simulator."""
+    raise SimulationError("the simulator is closed")
 
 
 class Simulator:
@@ -72,6 +77,7 @@ class Simulator:
         self._process_seeds = self.seeds.spawn("process")
         self._process_streams: dict[int, random.Random] = {}
         self._events_executed = 0
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Clock & randomness
@@ -214,14 +220,14 @@ class Simulator:
             # Empty, or only cancelled events left (``pop`` drops those
             # before it raises).
             return False
-        time = event.time
+        time = event[0]
         if time < self._now:
             raise SchedulingError(
-                f"time went backwards: {time} < {self._now} ({event.label})"
+                f"time went backwards: {time} < {self._now} ({event[4]})"
             )
         self._now = time
         self._events_executed += 1
-        event.action()
+        event[3]()
         return True
 
     def run(self, until: float | None = None, max_events: int = 5_000_000) -> float:
@@ -265,6 +271,34 @@ class Simulator:
         if until is not None:
             self._now = until
         return self._now
+
+    def close(self) -> None:
+        """Cut the simulation's reference cycles, so that reference
+        counting frees it (see "Memory: a trial frees itself" in
+        ``docs/SCALING.md``): drop every pending event's action, clear each
+        present process's timers and simulator, empty the network and
+        detach it from the simulator, resilience layer and fault injector.
+
+        The clock, trace and metrics stay readable.  Idempotent; afterwards
+        :meth:`run` and :meth:`spawn` raise
+        :class:`~repro.sim.errors.SimulationError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        # Instance attributes over the methods, so that neither pays a check.
+        self.run = self.spawn = _raise_closed  # type: ignore[method-assign]
+        self.queue.clear()
+        network = self.network
+        for proc in network._procs:
+            if proc is not None:
+                proc._timers.clear()
+                proc._sim = None
+        for slots in (network._slot_of, network._procs, network._adj,
+                      network._slot_pid, network._free, network._dense,
+                      network._dense_pos, network._sorted):
+            slots.clear()
+        network._sim = network.resilience = network.fault_injector = None
 
     # ------------------------------------------------------------------
     # Observability

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sim.errors import SchedulingError
 from repro.sim.events import (
     CalendarEventQueue,
+    Event,
     EventQueue,
     HeapEventQueue,
     PRIORITY_LATE,
@@ -197,3 +200,108 @@ def test_bare_cancel_survives_promotion():
     assert popped == ["1", "2", "4", "5", "late0", "late1", "late3", "late4",
                       "late5"]
     assert len(queue) == 0 and not queue
+
+
+class Incomparable:
+    """An action the queues must never compare: every comparison fails."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def _compared(self, other: object) -> bool:
+        raise AssertionError(f"compared the action of event {self.name}")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _compared
+    __hash__ = object.__hash__
+
+    def __call__(self) -> None:
+        pass
+
+
+def _promoted() -> EventQueue:
+    """An adaptive queue already migrated to its calendar backend."""
+    queue = EventQueue(calendar_threshold=4)
+    for t in range(6):
+        queue.push(100.0 + t, noop, label=f"filler{t}")
+    assert queue.backend == "calendar"
+    return queue
+
+
+@pytest.mark.parametrize("make", [
+    HeapEventQueue, CalendarEventQueue, EventQueue, _promoted,
+], ids=["heap", "calendar", "adaptive", "promoted"])
+class TestEvent:
+    """The event a push returns: a ``[time, priority, seq, action, label,
+    cancelled]`` list that orders by ``(time, priority, seq)`` and is
+    never compared past ``seq``."""
+
+    def test_fields(self, make):
+        queue = make()
+        event = queue.push(2.5, noop, priority=PRIORITY_LATE, label="x")
+        assert isinstance(event, Event) and isinstance(event, list)
+        assert (event.time, event.priority, event.label) == (2.5, PRIORITY_LATE, "x")
+        assert event.action is noop and event.cancelled is False
+        assert list(event) == [2.5, PRIORITY_LATE, event.seq, noop, "x", False]
+
+    def test_seq_counts_pushes(self, make):
+        queue = make()
+        first = queue.push(1.0, noop)
+        second = queue.push(0.5, noop)
+        assert second.seq == first.seq + 1
+
+    def test_cancel(self, make):
+        queue = make()
+        event = queue.push(1.0, noop, label="gone")
+        queue.push(1.0, noop, label="kept")
+        event.cancel()
+        event.cancel()
+        assert event.cancelled is True and event[5] is True
+        assert queue.pop().label == "kept"
+
+    def test_same_time_ties_pop_by_priority_then_seq(self, make):
+        queue = make()
+        pushed = [
+            queue.push(1.0, Incomparable(str(i)), priority=priority, label=str(i))
+            for i, priority in enumerate([1, 0, -1, 0, 1, -1, 0, -1])
+        ]
+        expected = [e.label for e in sorted(pushed, key=lambda e: (e.priority, e.seq))]
+        assert [queue.pop().label for _ in pushed] == expected
+
+    def test_actions_are_never_compared(self, make):
+        queue = make()
+        rng = random.Random(7)
+        for i in range(300):
+            queue.push(float(rng.randrange(20)), Incomparable(str(i)),
+                       priority=rng.choice([-1, 0, 1]), label=str(i))
+        popped = []
+        while queue.peek_time() is not None:
+            event = queue.pop()
+            popped.append((event.time, event.priority, event.seq))
+        assert popped == sorted(popped)
+
+    def test_order_survives_compaction(self, make):
+        queue = make()
+        events = [
+            queue.push(float(i % 5), Incomparable(str(i)), priority=i % 3 - 1,
+                       label=str(i))
+            for i in range(40)
+        ]
+        for event in events[::2]:
+            event.cancel()
+            queue.note_cancelled()
+        queue.compact()
+        popped = []
+        while queue.peek_time() is not None:
+            popped.append(queue.pop())
+        assert [(e.time, e.priority, e.seq) for e in popped] == sorted(
+            (e.time, e.priority, e.seq) for e in popped
+        )
+        kept = [e.label for e in popped if not e.label.startswith("filler")]
+        assert sorted(kept, key=int) == [e.label for e in events[1::2]]
+
+    def test_clear_drops_the_actions(self, make):
+        queue = make()
+        event = queue.push(1.0, Incomparable("kept-handle"))
+        queue.clear()
+        assert event.action is None
+        assert len(queue) == 0 and queue.peek_time() is None
