@@ -78,6 +78,9 @@ class FaultInjector:
         self.plan = plan
         self.protected = frozenset(protected)
         self._sim: "Simulator | None" = None
+        #: The ``"faults"`` stream, bound at :meth:`install` (streams are
+        #: derived from their name, so binding early draws nothing).
+        self._rng: random.Random | None = None
         self._factory: Callable[[], "Process"] | None = None
         self._attachment: AttachmentRule = UniformAttachment(2)
         #: Open message-level windows as (spec index, spec), in spec order;
@@ -99,7 +102,9 @@ class FaultInjector:
     @property
     def rng(self) -> random.Random:
         """The dedicated fault randomness stream."""
-        return self.sim.rng_for("faults")
+        if self._rng is None:
+            raise SimulationError("fault injector is not installed")
+        return self._rng
 
     def install(
         self,
@@ -128,6 +133,7 @@ class FaultInjector:
                 "process factory to build the replacement entities"
             )
         self._sim = sim
+        self._rng = sim.rng_for("faults")
         self._factory = factory
         if attachment is not None:
             self._attachment = attachment
@@ -300,7 +306,7 @@ class FaultInjector:
             min(message.sender, message.receiver),
             max(message.sender, message.receiver),
         )
-        rng = self.rng
+        rng = self._rng
         extra_delay = 0.0
         copies = 0
         for index, spec in self.windows:

@@ -70,11 +70,17 @@ class FaultTolerantWaveNode(WaveNode, HeartbeatNode):
             WaveNode.on_message(self, message)
 
     def on_timer(self, name: str, payload: Any) -> None:
-        # The same split by timer name: the wave owns only its deadline.
-        if name == "wave-deadline":
+        # The same split by timer name: the wave owns only its deadline,
+        # the detector the rest (``HeartbeatNode.on_timer``, inline: its
+        # beats and sweeps are most of an E22 cell's timer fires).
+        if name == "fd-beat":
+            self.broadcast(HEARTBEAT)
+            self.set_timer(self.period, "fd-beat", None)
+        elif name == "fd-check":
+            self._check_silences()
+            self.set_timer(self.period, "fd-check", None)
+        elif name == "wave-deadline":
             WaveNode.on_timer(self, name, payload)
-        else:
-            HeartbeatNode.on_timer(self, name, payload)
 
     def on_neighbor_join(self, pid: int) -> None:
         HeartbeatNode.on_neighbor_join(self, pid)

@@ -67,6 +67,18 @@ class _WaveState:
 class WaveNode(AggregatingProcess):
     """A process speaking the wave protocol (relay and/or querier)."""
 
+    # A leave matters to the wave only while a wave it waits on is open
+    # here, so a plain wave node hears leaves (``_hears_leaves``, per
+    # instance) only then.  A subclass with its own ``on_neighbor_leave``
+    # (a failure detector, a churn estimator) hears them always.
+    _idle_hears_leaves = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._idle_hears_leaves = (
+            cls.on_neighbor_leave is not WaveNode.on_neighbor_leave
+        )
+
     def __init__(self, value: Any = None) -> None:
         # ``Process.__init__`` and ``AggregatingProcess.__init__``, inline:
         # replacement churn builds one node per event, and this makes it
@@ -80,7 +92,11 @@ class WaveNode(AggregatingProcess):
         self._timer_ids = 0
         self._alive = False
         self.results = []
+        # Every wave that reached this node, closed ones included: a
+        # later copy of a query is declined by its qid.
         self._states: dict[int, _WaveState] = {}
+        self._open_waves = 0
+        self._hears_leaves = self._idle_hears_leaves
         #: Count of subtrees lost because the parent departed before the
         #: echo could be reported (diagnostic, also traced).
         self.orphaned_subtrees = 0
@@ -111,7 +127,7 @@ class WaveNode(AggregatingProcess):
             aggregate=aggregate,
             issued_at=self.now,
         )
-        self._states[qid] = state
+        self._open(state)
         wire_ttl = UNBOUNDED if ttl is None else ttl
         if wire_ttl != 0:
             child_ttl = UNBOUNDED if wire_ttl == UNBOUNDED else wire_ttl - 1
@@ -148,7 +164,7 @@ class WaveNode(AggregatingProcess):
             pending=set(),
             contributions={self.pid: self.value},
         )
-        self._states[qid] = state
+        self._open(state)
         if ttl != 0:
             child_ttl = UNBOUNDED if ttl == UNBOUNDED else ttl - 1
             # hop depth travels with the query so the network can histogram
@@ -178,6 +194,11 @@ class WaveNode(AggregatingProcess):
     # Completion
     # ------------------------------------------------------------------
 
+    def _open(self, state: _WaveState) -> None:
+        self._states[state.qid] = state
+        self._open_waves += 1
+        self._hears_leaves = True
+
     def _check_complete(self, state: _WaveState) -> None:
         if state.closed or state.pending:
             return
@@ -186,6 +207,9 @@ class WaveNode(AggregatingProcess):
     def _close(self, state: _WaveState) -> None:
         """Fold this node's subtree result upward (or resolve at origin)."""
         state.closed = True
+        self._open_waves -= 1
+        if not self._open_waves:
+            self._hears_leaves = self._idle_hears_leaves
         if state.is_origin:
             if state.deadline_timer is not None:
                 self.cancel_timer(state.deadline_timer)
@@ -234,7 +258,7 @@ class WaveNode(AggregatingProcess):
                 self._close(state)
 
     def on_neighbor_leave(self, pid: int) -> None:
-        if not self._states:  # no wave has reached this node
+        if not self._open_waves:
             return
         for state in list(self._states.values()):
             if state.closed:

@@ -34,6 +34,7 @@ resilience.abandoned + resilience.unreachable + resilience.breaker_blocked``
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.resilience.spec import ResilienceSpec, retry_delay
@@ -42,6 +43,9 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import random
+
+    from repro.obs.metrics import Metrics
     from repro.sim.scheduler import Simulator
 
 #: Payload key carrying the session id on wrapped messages.
@@ -178,7 +182,11 @@ class ReliableTransport:
         #: kinds, never acks.  ``Network.send``/``_deliver`` skip both
         #: calls for such a message.
         self.passthrough = frozenset(spec.exclude_kinds) - {ACK}
+        # Bound by :meth:`install`: the simulator, its metrics and the
+        # ``"resilience"`` stream, read on every message and timer.
         self._sim: "Simulator | None" = None
+        self._metrics: "Metrics | None" = None
+        self._rng: "random.Random | None" = None
         self._next_rid = 0
         self._pending: dict[int, _Pending] = {}
         self._seen: set[int] = set()
@@ -197,14 +205,10 @@ class ReliableTransport:
                 "a resilience layer is already installed on this simulator"
             )
         self._sim = sim
+        self._metrics = sim.metrics
+        self._rng = sim.rng_for("resilience")
         sim.network.resilience = self
         return self
-
-    @property
-    def sim(self) -> "Simulator":
-        if self._sim is None:
-            raise ConfigurationError("resilience layer is not installed")
-        return self._sim
 
     @property
     def pending_count(self) -> int:
@@ -255,9 +259,9 @@ class ReliableTransport:
             kind=message.kind,
             payload={**message.payload, RID_KEY: rid},
         )
-        state = _Pending(rid, message, wrapped, self.sim.now)
+        state = _Pending(rid, message, wrapped, self._sim._now)
         self._pending[rid] = state
-        self.sim.metrics.inc("resilience.sends")
+        self._metrics.inc("resilience.sends")
         self._arm_timer(state)
         return wrapped
 
@@ -275,10 +279,10 @@ class ReliableTransport:
             return message
         self._send_ack(message.receiver, message.sender, rid)
         if rid in self._seen:
-            self.sim.metrics.inc("resilience.duplicates_suppressed")
+            self._metrics.inc("resilience.duplicates_suppressed")
             return None
         self._seen.add(rid)
-        self.sim.metrics.inc("resilience.delivered")
+        self._metrics.inc("resilience.delivered")
         payload = {k: v for k, v in message.payload.items() if k != RID_KEY}
         return Message(
             sender=message.sender,
@@ -288,14 +292,14 @@ class ReliableTransport:
         )
 
     def _send_ack(self, acker: int, target: int, rid: int) -> None:
-        network = self.sim.network
+        network = self._sim.network
         reachable = network.has_edge(acker, target)
         if not network.is_present(acker) or not reachable:
             # The sender vanished (or the link did) between send and
             # delivery; its retransmission path will sort itself out.
-            self.sim.metrics.inc("resilience.acks_unsendable")
+            self._metrics.inc("resilience.acks_unsendable")
             return
-        self.sim.metrics.inc("resilience.acks_sent")
+        self._metrics.inc("resilience.acks_sent")
         network.send(Message(
             sender=acker, receiver=target, kind=ACK, payload={RID_KEY: rid},
         ))
@@ -303,31 +307,31 @@ class ReliableTransport:
     def _handle_ack(self, message: Message) -> None:
         rid = message.payload.get(RID_KEY)
         state = self._pending.get(rid)
+        sim = self._sim
+        metrics = self._metrics
         if state is None:
             # A duplicate ack (retransmission raced the first ack).
-            self.sim.metrics.inc("resilience.acks_duplicate")
+            metrics.inc("resilience.acks_duplicate")
             return
-        self.sim.metrics.inc("resilience.acks_received")
+        metrics.inc("resilience.acks_received")
         if state.timer is not None:
             state.timer.cancel()
-            self.sim.queue.note_cancelled()
+            sim.queue.note_cancelled()
             state.timer = None
         link = _link_key(state.original.sender, state.original.receiver)
         if not state.retransmitted:
             # Karn's rule: only unambiguous (never-retransmitted) exchanges
             # produce RTT samples.
-            rtt = self.sim.now - state.last_sent
+            rtt = sim._now - state.last_sent
             estimator = self._rtt.get(link)
             if estimator is None:
                 estimator = self._rtt[link] = LinkRtt()
             estimator.sample(rtt)
-            self.sim.metrics.observe("resilience.rtt", rtt)
+            metrics.observe("resilience.rtt", rtt)
         breaker = self._breakers.get(link)
         if breaker is not None and breaker.record_success():
-            self.sim.metrics.inc("resilience.breaker_closed")
-            self.sim.trace.record(
-                self.sim.now, BREAKER_CLOSE, a=link[0], b=link[1],
-            )
+            metrics.inc("resilience.breaker_closed")
+            sim.trace.record(sim._now, BREAKER_CLOSE, a=link[0], b=link[1])
         del self._pending[rid]
 
     # ------------------------------------------------------------------
@@ -346,20 +350,19 @@ class ReliableTransport:
 
     def _arm_timer(self, state: _Pending) -> None:
         delay = retry_delay(
-            self.spec, self.sim.rng_for("resilience"),
-            state.attempts, self._rto_for(state),
+            self.spec, self._rng, state.attempts, self._rto_for(state)
         )
         rid = state.rid
-        state.timer = self.sim.schedule(
-            delay, lambda: self._on_timer(rid), label=f"resilience:rto:{rid}",
+        state.timer = self._sim.schedule(
+            delay, partial(self._on_timer, rid), label=f"resilience:rto:{rid}",
         )
 
     def _hold_timer(self, state: _Pending, delay: float) -> None:
         """Re-arm without consuming retry budget (breaker cooldown)."""
         rid = state.rid
-        state.timer = self.sim.schedule(
+        state.timer = self._sim.schedule(
             max(delay, self.spec.min_rto),
-            lambda: self._on_timer(rid),
+            partial(self._on_timer, rid),
             label=f"resilience:hold:{rid}",
         )
 
@@ -368,8 +371,9 @@ class ReliableTransport:
         if state is None:  # pragma: no cover - acked timers are cancelled
             return
         state.timer = None
-        now = self.sim.now
-        metrics = self.sim.metrics
+        sim = self._sim
+        now = sim._now
+        metrics = self._metrics
         metrics.inc("resilience.timer_fired")
         link = _link_key(state.original.sender, state.original.receiver)
         breaker = self._breaker_for(link)
@@ -385,21 +389,21 @@ class ReliableTransport:
             breaker.state = CircuitBreaker.HALF_OPEN
             probing = True
             metrics.inc("resilience.breaker_half_open")
-            self.sim.trace.record(
+            sim.trace.record(
                 now, BREAKER_HALF_OPEN, a=link[0], b=link[1],
             )
         elif breaker is not None:
             # A genuine timeout: the previous transmission went unanswered.
             if breaker.record_failure(now):
                 metrics.inc("resilience.breaker_opened")
-                self.sim.trace.record(
+                sim.trace.record(
                     now, BREAKER_OPEN, a=link[0], b=link[1],
                     failures=breaker.failures,
                 )
         if state.attempts >= self.spec.max_retries + 1:
             self._abandon(state, "max_retries")
             return
-        network = self.sim.network
+        network = sim.network
         if not network.is_present(state.original.sender):
             self._abandon(state, "sender_departed")
             return
@@ -422,7 +426,7 @@ class ReliableTransport:
         state.retransmitted = True
         state.last_sent = now
         metrics.inc("resilience.retransmits")
-        self.sim.trace.record(
+        sim.trace.record(
             now, tr.RETRANSMIT, rid=rid, msg_kind=state.original.kind,
             sender=state.original.sender, receiver=receiver,
             attempt=state.attempts,
@@ -433,7 +437,8 @@ class ReliableTransport:
     def _abandon(self, state: _Pending, reason: str) -> None:
         del self._pending[state.rid]
         self.abandoned += 1
-        self.sim.metrics.inc("resilience.abandoned")
+        sim = self._sim
+        self._metrics.inc("resilience.abandoned")
         original = state.original
         data: dict[str, Any] = {
             "rid": state.rid,
@@ -446,8 +451,8 @@ class ReliableTransport:
         qid = original.payload.get("qid")
         if qid is not None:
             data["qid"] = qid
-        self.sim.trace.record(self.sim.now, tr.DELIVERY_ABANDONED, **data)
-        network = self.sim.network
+        sim.trace.record(sim._now, tr.DELIVERY_ABANDONED, **data)
+        network = sim.network
         if network.is_present(original.sender):
             network.process(original.sender).on_delivery_abandoned(original)
 

@@ -25,9 +25,10 @@ from repro.sim.latency import DelayModel, LossModel, NoLoss, UniformDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
 
-# ``TraceEvent(time, kind, data)`` without its ``__new__`` frame: the join
-# and leave events the membership path appends itself.
-_new_event = tuple.__new__
+# ``TraceEvent(time, kind, data)`` and ``Message(...)`` without a
+# ``__new__`` frame: the join and leave events the membership path appends
+# itself, and the messages of a fan-out.
+_new_event = _new_message = tuple.__new__
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
@@ -483,119 +484,179 @@ class Network:
         """Override the delay model on one link (adversary constructions)."""
         self._edge_delays[(min(a, b), max(a, b))] = model
 
-    def _delay_for(self, a: int, b: int) -> DelayModel:
-        return self._edge_delays.get((min(a, b), max(a, b)), self.delay_model)
+    def send(
+        self, message: Message, receivers: Iterable[int] | None = None
+    ) -> None:
+        """Accept a message, or a fan-out of one, for delivery.
 
-    def send(self, message: Message) -> None:
-        """Accept a message for delivery.
+        With ``receivers`` the message is a template (its ``receiver`` is
+        ignored): each receiver, in order, gets its own ``Message(sender,
+        receiver, kind, dict(payload))``, sent exactly as one ``send`` per
+        receiver would send it — the same checks, ids, counters, trace
+        records, draws and queued deliveries in the same order.  What the
+        messages of one call share (the kind's counter handles, the
+        resilience test, the transport stream, the default delay model) is
+        looked up once per call.
 
-        Enforces the geography constraint: the receiver must be a current
-        neighbor of the sender (unless the graph is complete).
+        Enforces the geography constraint: each receiver must be a current
+        neighbor of the sender (unless the graph is complete).  The sender
+        is checked once per call; a receiver that fails the check raises
+        after the messages before it were sent.
         """
-        sender, receiver = message.sender, message.receiver
+        sender = message.sender
         sender_slot = self._slot_of.get(sender)
         if sender_slot is None:
             raise MembershipError(f"sender {sender} is not present")
-        if self.complete:
-            if receiver == sender or receiver not in self._slot_of:
-                raise TopologyError(f"process {sender} cannot reach {receiver}")
-        elif receiver not in self._adj[sender_slot]:
-            raise TopologyError(
-                f"process {sender} cannot reach {receiver}: not a neighbor"
-            )
-        resilience = self.resilience
-        if resilience is not None and (
-            message.kind not in resilience.passthrough
-            or "res_rid" in message.payload
-        ):
-            # The recovery layer may wrap the message (session id payload
-            # key) and register it for acknowledgement tracking; control
-            # traffic and retransmissions pass through unchanged.  A kind
-            # it passes through both ways without a session id (heartbeats)
-            # skips the call.
-            message = resilience.outbound(message)
-        sim = self._sim
-        kind = message.kind
-        trace = sim.trace
-        per_kind = self._kinds.get(kind)
-        if per_kind is None:
-            metrics = sim.metrics
-            sink = trace.sink
-            per_kind = self._kinds[kind] = (
-                metrics.counter("net.sent"), metrics.counter(f"net.sent.{kind}"),
-                f"deliver:{kind}", sink.counter(tr.SEND, kind),
-                sink.counter(tr.DELIVER, kind),
-            )
-        sent, sent_kind, deliver_label, sink_sent, sink_delivered = per_kind
-        msg_id = next(self._msg_ids)
-        sent.value += 1
-        sent_kind.value += 1
-        if tr.SEND in trace.count_only:
-            trace.tallies[tr.SEND] += 1
-            if sink_sent is not None:
-                sink_sent.value += 1
+        if receivers is None:
+            receivers = (message.receiver,)
+            payload = None
         else:
-            trace.record(
-                sim._now, tr.SEND, msg_id=msg_id, msg_kind=kind,
-                sender=sender, receiver=receiver,
-            )
+            payload = message.payload
+        kind = message.kind
+        sim = self._sim
+        now = sim._now
+        trace = sim.trace
+        counted = tr.SEND in trace.count_only
+        adjacent = None if self.complete else self._adj[sender_slot]
+        resilience = self.resilience
+        # The recovery layer may wrap a message (session id payload key)
+        # and register it for acknowledgement tracking; control traffic
+        # and retransmissions pass through unchanged.  A kind it passes
+        # through both ways without a session id (heartbeats) skips the
+        # call.
+        wraps = resilience is not None and (
+            kind not in resilience.passthrough or "res_rid" in message.payload
+        )
         rng = self._transport_rng
         if rng is None:
             rng = self._transport_rng = sim.rng_for("transport")
-        if self.loss_model is not None and self.loss_model.is_lost(rng):
-            self._lose(message, msg_id, "loss", counter="net.dropped.loss")
-            return
         injector = self.fault_injector
-        effect = (
-            injector.send_effect(message)
-            if injector is not None and injector.windows
-            else None
+        send_effect = (
+            injector.send_effect
+            if injector is not None and injector.windows else None
         )
-        if effect is not None and effect.drop:
-            self._lose(
-                message, msg_id, effect.reason or "fault",
-                counter="net.dropped.fault",
-            )
-            return
-        delay_model = (
-            self._delay_for(sender, receiver) if self._edge_delays
-            else self.delay_model
-        )
-        delay = delay_model.sample(rng)
-        histogram = self._delays
-        if histogram is None:
-            histogram = self._delays = sim.metrics.histogram("net.delivery_delay")
-        # Histogram.observe, inline (it defines the update; keep the two
-        # in step).
-        histogram.count += 1
-        histogram.sum += delay
-        histogram.counts[bisect_left(histogram.buckets, delay)] += 1
-        delays = [delay]
-        if effect is not None:
-            if effect.extra_delay > 0.0:
-                delays[0] += effect.extra_delay
-                sim.metrics.observe("faults.extra_delay", effect.extra_delay)
-            if effect.copies > 0:
-                # Duplicates reuse the original msg_id (they *are* the same
-                # message, redelivered) and draw their delays from the
-                # fault stream so transport randomness is untouched.
-                fault_rng = sim.rng_for("faults")
-                sim.metrics.inc("faults.duplicates", effect.copies)
-                delays += [delay_model.sample(fault_rng) for _ in range(effect.copies)]
-        # Straight onto the queue, with the check ``Simulator.at`` makes.
-        now = sim._now
-        deliver = partial(self._deliver, message, msg_id, sink_delivered)
-        for delay in delays:
-            deliver_at = now + delay
-            if self.fifo:
-                channel = (sender, receiver)
-                deliver_at = max(deliver_at, self._last_delivery.get(channel, 0.0))
-                self._last_delivery[channel] = deliver_at
-            if deliver_at < now:
-                raise SchedulingError(
-                    f"cannot schedule at {deliver_at} < now ({now})"
+        # ``UniformDelay.sample`` (``rng.uniform``'s own expression) is
+        # drawn inline for the default model; any other model draws in
+        # its ``sample``.
+        uniform = self.delay_model
+        if type(uniform) is UniformDelay:
+            low = uniform.low
+            span = uniform.high - low
+        else:
+            uniform = None
+        sent = None
+        for receiver in receivers:
+            if payload is not None:
+                message = _new_message(
+                    Message, (sender, receiver, kind, dict(payload))
                 )
-            sim.queue.push(deliver_at, deliver, label=deliver_label)
+            if adjacent is None:
+                if receiver == sender or receiver not in self._slot_of:
+                    raise TopologyError(
+                        f"process {sender} cannot reach {receiver}"
+                    )
+            elif receiver not in adjacent:
+                raise TopologyError(
+                    f"process {sender} cannot reach {receiver}: not a neighbor"
+                )
+            if wraps:
+                message = resilience.outbound(message)
+            if sent is None:
+                # Bound at the first accepted message: an instrument shows
+                # in a snapshot only once written.
+                (sent, sent_kind, deliver_label, sink_sent,
+                 sink_delivered) = self._kinds.get(kind) or self._bind_kind(kind)
+            msg_id = next(self._msg_ids)
+            sent.value += 1
+            sent_kind.value += 1
+            if counted:
+                trace.tallies[tr.SEND] += 1
+                if sink_sent is not None:
+                    sink_sent.value += 1
+            else:
+                trace.record(
+                    now, tr.SEND, msg_id=msg_id, msg_kind=kind,
+                    sender=sender, receiver=receiver,
+                )
+            if self.loss_model is not None and self.loss_model.is_lost(rng):
+                self._lose(message, msg_id, "loss", counter="net.dropped.loss")
+                continue
+            effect = send_effect(message) if send_effect is not None else None
+            if effect is not None and effect.drop:
+                self._lose(
+                    message, msg_id, effect.reason or "fault",
+                    counter="net.dropped.fault",
+                )
+                continue
+            delay_model = (
+                self._edge_delays.get(
+                    (sender, receiver) if sender < receiver
+                    else (receiver, sender),
+                    self.delay_model,
+                )
+                if self._edge_delays else self.delay_model
+            )
+            if delay_model is uniform:
+                delay = low + span * rng.random()
+            else:
+                delay = delay_model.sample(rng)
+            histogram = self._delays
+            if histogram is None:
+                histogram = self._delays = sim.metrics.histogram(
+                    "net.delivery_delay"
+                )
+            # Histogram.observe, inline (it defines the update; keep the
+            # two in step).
+            histogram.count += 1
+            histogram.sum += delay
+            histogram.counts[bisect_left(histogram.buckets, delay)] += 1
+            delays = [delay]
+            if effect is not None:
+                if effect.extra_delay > 0.0:
+                    delays[0] += effect.extra_delay
+                    sim.metrics.observe("faults.extra_delay", effect.extra_delay)
+                if effect.copies > 0:
+                    # Duplicates reuse the original msg_id (they *are* the
+                    # same message, redelivered) and draw their delays from
+                    # the fault stream so transport randomness is untouched.
+                    fault_rng = sim.rng_for("faults")
+                    sim.metrics.inc("faults.duplicates", effect.copies)
+                    for _ in range(effect.copies):
+                        delays.append(
+                            low + span * fault_rng.random()
+                            if delay_model is uniform
+                            else delay_model.sample(fault_rng)
+                        )
+            # Straight onto the queue, with the check ``Simulator.at``
+            # makes.  ``sim.queue.push`` is looked up per delivery: a push
+            # may migrate the queue to another backend, which rebinds it.
+            action = partial(self._deliver, message, msg_id, sink_delivered)
+            for delay in delays:
+                deliver_at = now + delay
+                if self.fifo:
+                    channel = (sender, receiver)
+                    deliver_at = max(
+                        deliver_at, self._last_delivery.get(channel, 0.0)
+                    )
+                    self._last_delivery[channel] = deliver_at
+                if deliver_at < now:
+                    raise SchedulingError(
+                        f"cannot schedule at {deliver_at} < now ({now})"
+                    )
+                sim.queue.push(deliver_at, action, label=deliver_label)
+
+    def _bind_kind(
+        self, kind: str
+    ) -> tuple[Counter, Counter, str, Counter | None, Counter | None]:
+        """Bind the per-kind handles ``send`` writes (once per kind)."""
+        metrics = self._sim.metrics
+        sink = self._sim.trace.sink
+        handles = self._kinds[kind] = (
+            metrics.counter("net.sent"), metrics.counter(f"net.sent.{kind}"),
+            f"deliver:{kind}", sink.counter(tr.SEND, kind),
+            sink.counter(tr.DELIVER, kind),
+        )
+        return handles
 
     def _lose(
         self, message: Message, msg_id: int, reason: str, counter: str
@@ -636,7 +697,7 @@ class Network:
             delivered = self._delivered = sim.metrics.counter("net.delivered")
         delivered.value += 1
         hops = message.payload.get("hops")
-        if isinstance(hops, int):
+        if hops is not None and isinstance(hops, int):
             sim.metrics.observe("net.delivery_hops", hops, buckets=HOP_BUCKETS)
         trace = sim.trace
         if tr.DELIVER in trace.count_only:
@@ -660,4 +721,5 @@ class Network:
             message = resilience.inbound(message)
             if message is None:
                 return
-        receiver.on_message(message)
+        if receiver._hears_messages:
+            receiver.on_message(message)

@@ -42,9 +42,10 @@ class Process:
                  "__weakref__")
 
     # Whether the class overrides ``on_start``/``on_stop``/
-    # ``on_neighbor_join``/``on_neighbor_leave``: the network's membership
-    # path calls a hook only where one is defined, not the no-ops below.
-    _starts = _stops = _hears_joins = _hears_leaves = False
+    # ``on_neighbor_join``/``on_neighbor_leave``/``on_message``: the
+    # network's membership and delivery paths call a hook only where one
+    # is defined, not the no-ops below.
+    _starts = _stops = _hears_joins = _hears_leaves = _hears_messages = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -52,6 +53,7 @@ class Process:
         cls._stops = cls.on_stop is not Process.on_stop
         cls._hears_joins = cls.on_neighbor_join is not Process.on_neighbor_join
         cls._hears_leaves = cls.on_neighbor_leave is not Process.on_neighbor_leave
+        cls._hears_messages = cls.on_message is not Process.on_message
 
     def __init__(self, value: Any = None) -> None:
         self.pid: int = -1
@@ -152,28 +154,25 @@ class Process:
         """Send ``kind`` to every current neighbor; return how many were sent.
 
         ``exclude`` skips one neighbor (typically the process the triggering
-        message came from).  Each message goes to the network the way
-        :meth:`send` sends it, without a :meth:`send` frame per neighbor.
+        message came from).  The neighbors, in increasing order, are one
+        fan-out ``Network.send``: each gets its own copy of ``payload``,
+        exactly as a :meth:`send` to each would send it.
         """
         sim = self._sim or self.sim
         network = sim.network
         pid = self.pid
         slot = network._slot_of.get(pid)
-        # The adjacency set sorted in place of a ``neighbors()`` frozenset
+        # The adjacency set itself in place of a ``neighbors()`` frozenset
         # copy; an absent process or a complete graph asks ``neighbors``.
-        targets = (
-            sorted(network.neighbors(pid)) if slot is None or network.complete
-            else sorted(network._adj[slot])
+        adjacent = (
+            network.neighbors(pid) if slot is None or network.complete
+            else network._adj[slot]
         )
-        sent = 0
-        for neighbor in targets:
-            if neighbor == exclude:
-                continue
-            network.send(
-                _new_message(Message, (pid, neighbor, kind, dict(payload)))
-            )
-            sent += 1
-        return sent
+        targets = sorted(adjacent)
+        if exclude in adjacent:
+            targets.remove(exclude)
+        network.send(_new_message(Message, (pid, None, kind, payload)), targets)
+        return len(targets)
 
     def set_timer(self, delay: float, name: str, payload: Any = None) -> int:
         """Schedule :meth:`on_timer` after ``delay``; return a cancel handle."""
