@@ -29,8 +29,8 @@ The surface groups into:
 * **Observability** — :class:`Metrics` and the pluggable trace sinks
   (:class:`MemorySink`, :class:`JsonlStreamSink`, :class:`NullSink`,
   :class:`CountingSink`) selected per trial via ``trace_sink=...``, plus
-  the causal analysis layer: :class:`HappensBeforeDAG` /
-  :class:`InfluenceReport`, the streaming invariant checkers behind
+  the causal analysis layer: :class:`InfluenceReport` (and the deprecated
+  :class:`HappensBeforeDAG`), the streaming invariant checkers behind
   :class:`CheckingSink` / :func:`check_trace`, and the timeline exporters
   (:func:`write_chrome_trace`, :func:`ascii_timeline`,
   :func:`write_engine_trace` for merged engine + simulation views).

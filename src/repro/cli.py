@@ -628,7 +628,7 @@ def _configure_trace(trace_cmd: argparse.ArgumentParser) -> None:
 
     analyze = trace_sub.add_parser(
         "analyze",
-        help="build the happens-before DAG and report causal influence",
+        help="count happens-before edges and report causal influence",
     )
     analyze.add_argument("path", help="JSONL trace file (--trace-sink jsonl)")
     analyze.add_argument("--qid", type=int, default=None,
@@ -1099,7 +1099,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.causal import HappensBeforeDAG
+    from repro.obs.causal import InfluenceReport, happens_before
     from repro.obs.check import check_trace
     from repro.obs.export import (
         ascii_timeline,
@@ -1113,18 +1113,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         log = TraceLog.load_jsonl(args.path) if args.path else None
         if args.trace_command == "analyze":
-            dag = HappensBeforeDAG(log)
+            families = [message for *_, message in happens_before(log)]
             print(f"trace: {args.path}")
-            print(f"  events         : {len(dag.events)}")
-            print(f"  program edges  : {dag.program_edges}")
-            print(f"  message edges  : {dag.message_edges}")
-            queries = dag.query_indices()
-            if not queries:
+            print(f"  events         : {len(log)}")
+            print(f"  program edges  : {families.count(False)}")
+            print(f"  message edges  : {families.count(True)}")
+            if not any(e.kind in ("query_issued", "query_returned") for e in log):
                 print("  no queries in this trace; nothing to analyze")
                 return 0
-            report = dag.influence(args.qid)
             print()
-            print(report)
+            print(InfluenceReport.from_trace(log, args.qid))
             return 0
 
         if args.trace_command == "check":

@@ -4,8 +4,7 @@ The executor hands back a flat :class:`TrialResult` per trial — plain,
 picklable, JSON-able data.  :class:`ResultStore` groups them by grid point,
 computes per-point summaries, and serialises everything as a canonical JSON
 document that downstream consumers (``repro.analysis.tables``,
-``repro.analysis.compare``, ``benchmarks/emit_bench.py``) read without ever
-touching simulator objects.
+``benchmarks/emit_bench.py``) read without ever touching simulator objects.
 
 Canonical form: trials sorted by plan index, keys sorted, fixed indent, and
 — by default — **no wall-clock timing**, so the same plan produces a

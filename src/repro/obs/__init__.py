@@ -11,8 +11,9 @@
   with ``trace_sink=...`` or ``--trace-sink``;
 * :mod:`repro.obs.codec` — the tuple/frozenset-preserving JSON codec
   shared by trace persistence and the streaming sink;
-* :mod:`repro.obs.causal` — the happens-before DAG over a trace and the
-  per-query causal influence report;
+* :mod:`repro.obs.causal` — the happens-before relation over a trace,
+  computed by one pass and never stored, and the per-query causal
+  influence report;
 * :mod:`repro.obs.check` — streaming trace invariant checkers and the
   :class:`~repro.obs.check.CheckingSink` decorator;
 * :mod:`repro.obs.export` — Chrome Trace Format (Perfetto) and ASCII

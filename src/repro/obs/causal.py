@@ -1,116 +1,140 @@
 """Happens-before analysis: the causal structure behind a trace.
 
-The paper's solvability arguments are *causal* arguments: a one-time query
-can only be answered correctly if the answer causally depends on the state
-of every live entity — and under churn the adversary can keep some live
-entity outside the querier's causal past forever.  This module makes that
-argument inspectable per trial: it rebuilds the happens-before partial
-order (Lamport's relation, specialised to this simulator's event
-vocabulary) from any trace stream and answers causal-past / causal-future /
-influence queries about it.
+The paper's solvability arguments are causal: a one-time query is answered
+correctly only if its verdict causally depends on every live entity, and
+under churn the adversary can keep some live entity outside the querier's
+causal past forever.  This module makes that inspectable per trial.  The
+happens-before relation (Lamport's, over this simulator's event vocabulary)
+is never stored: :func:`happens_before` states its edge rule once and every
+query is a pass over its edges.  A memory-sink trace and a JSONL file of
+the same trial give the same report::
 
-The DAG is built from two edge families:
-
-* **program order** — for each entity, its events in record order (joins,
-  sends, deliveries, timer firings, protocol milestones, its departure).
-  A ``join`` event is also threaded into the program order of the
-  neighbors it attaches to, because those processes observe the arrival
-  (the ``on_neighbor_join`` callback); ``edge_up``/``edge_down`` events
-  thread into both endpoints for the same reason.
-* **message order** — every ``deliver`` (and ``drop`` / ``msg_lost``) is
-  preceded by its ``send``, matched on the trace's per-simulation
-  ``msg_id``, so a message lost in transit still appears in its sender's
-  causal structure — distinguishable from one that was never sent.
-
-Both families only ever point from earlier record positions to later ones,
-so the result is a DAG and longest-path depths are a single forward pass.
-
-Build one from a live :class:`~repro.sim.trace.TraceLog` that retained
-everything (a raw ``Simulator``, or a trial run with
-``trace_sink="memory"``) or from a streamed JSONL file — the two yield the
-identical DAG for the same trial, which is covered by tests::
-
-    outcome = run_query(QueryConfig(..., trace_sink="memory"))
-    dag = HappensBeforeDAG.from_trace(outcome.trace)
-    dag = HappensBeforeDAG.from_jsonl("trial.jsonl")
-    report = dag.influence()          # the first returned query
+    report = InfluenceReport.from_trace(outcome.trace)  # lowest returned qid
+    report = InfluenceReport.from_jsonl("trial.jsonl", qid=0)
     report.outside_causal_past       # live entities the verdict never saw
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.runs import Run
 from repro.sim import trace as tr
 from repro.sim.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace -> obs)
-    from repro.sim.trace import TraceEvent, TraceLog
+#: The ``data`` fields naming the owners of the kinds that have no ``entity``.
+_OWNER_FIELDS = {tr.SEND: ("sender",), tr.DELIVER: ("receiver",), tr.DROP: (),
+                 "edge_up": ("a", "b"), "edge_down": ("a", "b")}
+#: ``{qid: (first issue index, first return index)}``.
+_Queries = dict[int, tuple[int | None, int | None]]
 
-#: Event kinds whose ``data`` carries endpoints rather than an ``entity``.
-_EDGE_KINDS = ("edge_up", "edge_down")
 
-
-def owners_of(event: TraceEvent) -> tuple[int, ...]:
-    """The entities whose *state* the event reflects.
-
-    ``send`` belongs to the sender, ``deliver`` to the receiver, ``drop``
-    to nobody (the message died in the network), topology events to both
-    endpoints, and everything recorded through
-    :meth:`repro.sim.node.Process.record` to its ``entity``.
-    """
-    if event.kind == tr.SEND:
-        return (event["sender"],)
-    if event.kind == tr.DELIVER:
-        return (event["receiver"],)
-    if event.kind == tr.DROP:
-        return ()
-    if event.kind in _EDGE_KINDS:
-        return (event["a"], event["b"])
+def owners_of(event: tr.TraceEvent) -> tuple[int, ...]:
+    """The entities whose *state* the event reflects: a ``send``'s sender,
+    a ``deliver``'s receiver, nobody for a ``drop`` (the message died in
+    the network), both endpoints of a topology event, and otherwise the
+    ``entity`` that :meth:`repro.sim.node.Process.record` wrote."""
+    fields = _OWNER_FIELDS.get(event.kind)
+    if fields is not None:
+        return tuple(event[field] for field in fields)
     entity = event.get("entity")
-    if entity is None:
-        return ()
-    return (int(entity),)
+    return () if entity is None else (int(entity),)
 
 
-def threads_of(event: TraceEvent) -> tuple[int, ...]:
-    """The program-order lanes the event participates in.
-
-    Superset of :func:`owners_of`: a ``join`` also threads into the lanes
-    of the neighbors it attached to, because they observe the arrival.
-    """
-    owners = owners_of(event)
+def threads_of(event: tr.TraceEvent) -> tuple[int, ...]:
+    """The program-order lanes of the event: its :func:`owners_of`, and for
+    a ``join`` also the neighbors it attached to (they observe it)."""
     if event.kind == tr.JOIN:
-        neighbors = event.get("neighbors") or ()
-        return owners + tuple(int(n) for n in neighbors)
-    return owners
+        return owners_of(event) + tuple(int(n) for n in event.get("neighbors") or ())
+    return owners_of(event)
+
+
+def happens_before(events: Iterable[tr.TraceEvent]) -> Iterator[tuple[int, int, bool]]:
+    """Every happens-before edge ``(src, dst, is_message)`` between record
+    positions ``src < dst``, in ``dst`` order.  **Program order**: per
+    event, an edge from the previous event of each lane in
+    :func:`threads_of` (two lanes may repeat one).  **Message order**:
+    ``send`` → its ``deliver``/``drop``/``msg_lost``, matched on
+    ``msg_id``, so a message lost in transit still shows in its sender's
+    causal structure."""
+    last_in_lane: dict[int, int] = {}
+    send_index: dict[int, int] = {}
+    for i, event in enumerate(events):
+        for lane in threads_of(event):
+            prev = last_in_lane.get(lane)
+            if prev is not None and prev != i:
+                yield prev, i, False
+            last_in_lane[lane] = i
+        if event.kind == tr.SEND:
+            msg_id = event.get("msg_id")
+            if msg_id is not None:
+                send_index[msg_id] = i
+        elif event.kind in (tr.DELIVER, tr.DROP, tr.MSG_LOST):
+            src = send_index.get(event.get("msg_id"))
+            if src is not None:
+                yield src, i, True
+
+
+def _in_range(events: Sequence[tr.TraceEvent], index: int) -> int:
+    if 0 <= index < len(events):
+        return index
+    raise ConfigurationError(f"event index {index} out of range 0..{len(events) - 1}")
+
+
+def _past_and_depth(events: Sequence[tr.TraceEvent],
+                    index: int) -> tuple[frozenset[int], int]:
+    """The causal past of ``index`` (inclusive), one backward pass over the
+    edges ending by it; then its depth, one forward pass over that past."""
+    edges = list(happens_before(islice(events, _in_range(events, index) + 1)))
+    past = {index}
+    for src, dst, _ in reversed(edges):
+        if dst in past:
+            past.add(src)
+    depths = dict.fromkeys(past, 0)
+    for src, dst, _ in edges:
+        if dst in past and depths[src] >= depths[dst]:
+            depths[dst] = depths[src] + 1
+    return frozenset(past), depths[index]
+
+
+def _query_indices(events: Iterable[tr.TraceEvent]) -> _Queries:
+    queries: _Queries = {}
+    for i, event in enumerate(events):
+        if event.kind in ("query_issued", "query_returned"):
+            issue, ret = queries.get(event["qid"], (None, None))
+            if event.kind == "query_issued" and issue is None:
+                issue = i
+            elif event.kind == "query_returned" and ret is None:
+                ret = i
+            queries[event["qid"]] = (issue, ret)
+    return queries
+
+
+def _verdict(queries: _Queries, qid: int | None) -> tuple[int | None, int]:
+    """``(issue index, return index)`` of ``qid``, or of the lowest returned qid."""
+    returned = sorted(q for q, (_, ret) in queries.items() if ret is not None)
+    if qid is None and not returned:
+        raise ConfigurationError("trace contains no returned query")
+    entry = queries.get(returned[0] if qid is None else qid, (None, None))
+    if entry[1] is None:
+        raise ConfigurationError(f"query {qid} never returned in this trace"
+                                 + (f"; returned qids: {returned}" if returned else ""))
+    return entry
 
 
 @dataclass(frozen=True)
 class InfluenceReport:
-    """Causal accounting of one query verdict.
-
-    Attributes:
-        qid: the query id the report is about.
-        querier: the entity that issued (and returned) the query.
-        issue_time / verdict_time: when the query was issued / returned.
-        verdict_index: DAG index of the ``query_returned`` event.
-        causal_depth: length of the longest happens-before chain ending at
-            the verdict — how many sequential causal steps the answer took.
-        past_events: number of events in the verdict's causal past
-            (including the verdict itself).
-        influencing_entities: entities with at least one event in the
-            verdict's causal past — exactly the entities whose state could
-            have influenced the answer.
-        present_at_verdict: entities present in the system at verdict time.
-        outside_causal_past: live entities the verdict does *not* causally
-            depend on.  Non-empty means no protocol run along this causal
-            structure could have counted them — the paper's unsolvability
-            witness, per trial.
-    """
+    """Causal accounting of one query verdict: ``verdict_index`` is the
+    record position of its ``query_returned``, ``causal_depth`` the longest
+    happens-before chain ending there, ``past_events`` the size of its
+    causal past (verdict included), ``influencing_entities`` the owners of
+    the events in it.  A non-empty ``outside_causal_past`` (live at the
+    verdict, outside that past) is the paper's unsolvability witness: no
+    protocol run along this causal structure could have counted them."""
 
     qid: int
     querier: int
@@ -123,224 +147,94 @@ class InfluenceReport:
     present_at_verdict: frozenset[int]
     outside_causal_past: frozenset[int]
 
+    @classmethod
+    def from_trace(cls, source: tr.TraceLog | Iterable[tr.TraceEvent],
+                   qid: int | None = None) -> InfluenceReport:
+        """The report on ``qid`` (default: the lowest returned qid).  A
+        :class:`TraceLog` whose sink dropped events is refused: analyse
+        ``trace_sink="memory"`` logs or streamed JSONL files."""
+        tr.require_complete(source, "InfluenceReport.from_trace")
+        events = list(source)
+        issue, index = _verdict(_query_indices(events), qid)
+        verdict = events[index]
+        past, depth = _past_and_depth(events, index)
+        influencing = frozenset(o for i in past for o in owners_of(events[i]))
+        live = Run.from_trace(events).present_at(verdict.time)
+        return cls(
+            qid=verdict["qid"], querier=verdict["entity"],
+            issue_time=verdict.time if issue is None else events[issue].time,
+            verdict_time=verdict.time, verdict_index=index, causal_depth=depth,
+            past_events=len(past), influencing_entities=influencing,
+            present_at_verdict=live, outside_causal_past=live - influencing,
+        )
+
+    @classmethod
+    def from_jsonl(cls, path: str | Path, qid: int | None = None) -> InfluenceReport:
+        """:meth:`from_trace` over a JSONL trace file (saved or streamed)."""
+        return cls.from_trace(tr.TraceLog.load_jsonl(path), qid)
+
     @property
     def covers_all_live(self) -> bool:
         """Did the answer causally depend on every live entity?"""
         return not self.outside_causal_past
 
     def __str__(self) -> str:
-        coverage = "covers all live entities" if self.covers_all_live else (
-            f"misses {len(self.outside_causal_past)} live entities "
-            f"{sorted(self.outside_causal_past)}"
-        )
-        return (
-            f"query {self.qid} by {self.querier}: verdict at "
-            f"t={self.verdict_time:.2f}, causal depth {self.causal_depth}, "
-            f"past of {self.past_events} events over "
-            f"{len(self.influencing_entities)} entities; {coverage}"
-        )
+        missed = sorted(self.outside_causal_past)
+        coverage = (f"misses {len(missed)} live entities {missed}" if missed
+                    else "covers all live entities")
+        return (f"query {self.qid} by {self.querier}: verdict at "
+                f"t={self.verdict_time:.2f}, causal depth {self.causal_depth}, "
+                f"past of {self.past_events} events over "
+                f"{len(self.influencing_entities)} entities; {coverage}")
 
 
 class HappensBeforeDAG:
-    """The happens-before partial order over one trace's events.
+    """Deprecated: use :meth:`InfluenceReport.from_trace` (goes next release)."""
 
-    Indices are positions in the event sequence handed to the constructor
-    (record order).  Every edge points from a lower index to a higher one.
-    """
-
-    def __init__(self, events: Iterable[TraceEvent]) -> None:
-        self.events: list[TraceEvent] = list(events)
-        n = len(self.events)
-        self._succ: list[list[int]] = [[] for _ in range(n)]
-        self._pred: list[list[int]] = [[] for _ in range(n)]
-        self.program_edges = 0
-        self.message_edges = 0
-        self._build()
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    def __init__(self, events: Iterable[tr.TraceEvent]) -> None:
+        warnings.warn("HappensBeforeDAG is deprecated; use InfluenceReport.from_trace",
+                      DeprecationWarning, stacklevel=2)
+        self.events: list[tr.TraceEvent] = list(events)
+        flags = [message for *_, message in happens_before(self.events)]
+        self.message_edges, self.program_edges = sum(flags), flags.count(False)
 
     @classmethod
-    def from_trace(cls, log: TraceLog | Iterable[TraceEvent]) -> "HappensBeforeDAG":
-        """Build from a trace log (or any event iterable) in record order.
-
-        A :class:`TraceLog` whose sink dropped events is refused (the DAG
-        would lack transport edges): analyse ``trace_sink="memory"`` logs
-        or streamed JSONL files.
-        """
+    def from_trace(cls, log: tr.TraceLog | Iterable[tr.TraceEvent]) -> HappensBeforeDAG:
         tr.require_complete(log, "HappensBeforeDAG.from_trace")
         return cls(log)
 
     @classmethod
-    def from_jsonl(cls, path: str | Path) -> "HappensBeforeDAG":
-        """Build from a JSONL trace file (saved or streamed)."""
+    def from_jsonl(cls, path: str | Path) -> HappensBeforeDAG:
         return cls(tr.TraceLog.load_jsonl(path))
-
-    def _add_edge(self, src: int, dst: int) -> None:
-        if src == dst:
-            return
-        self._succ[src].append(dst)
-        self._pred[dst].append(src)
-
-    def _build(self) -> None:
-        last_in_lane: dict[int, int] = {}
-        send_index: dict[int, int] = {}
-        for i, event in enumerate(self.events):
-            for lane in threads_of(event):
-                prev = last_in_lane.get(lane)
-                if prev is not None and prev != i:
-                    self._add_edge(prev, i)
-                    self.program_edges += 1
-                last_in_lane[lane] = i
-            if event.kind == tr.SEND:
-                msg_id = event.get("msg_id")
-                if msg_id is not None:
-                    send_index[msg_id] = i
-            elif event.kind in (tr.DELIVER, tr.DROP, tr.MSG_LOST):
-                src = send_index.get(event.get("msg_id"))
-                if src is not None:
-                    self._add_edge(src, i)
-                    self.message_edges += 1
-
-    # ------------------------------------------------------------------
-    # Structure queries
-    # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    @property
-    def edge_count(self) -> int:
-        return self.program_edges + self.message_edges
-
     def successors(self, index: int) -> tuple[int, ...]:
-        """Immediate happens-before successors of event ``index``."""
-        return tuple(self._succ[index])
-
+        return tuple(d for s, d, _ in happens_before(self.events) if s == index)
     def predecessors(self, index: int) -> tuple[int, ...]:
-        """Immediate happens-before predecessors of event ``index``."""
-        return tuple(self._pred[index])
-
+        return tuple(s for s, d, _ in happens_before(self.events) if d == index)
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        """All edges as ``(src, dst)`` index pairs (for DAG comparison)."""
-        return frozenset(
-            (src, dst) for src, succ in enumerate(self._succ) for dst in succ
-        )
+        return frozenset((s, d) for s, d, _ in happens_before(self.events))
 
     def causal_past(self, index: int) -> frozenset[int]:
-        """Indices of events that happen-before ``index``, inclusive."""
-        return self._closure(index, self._pred)
+        return _past_and_depth(self.events, index)[0]
+    def depth(self, index: int) -> int:
+        return _past_and_depth(self.events, index)[1]
 
     def causal_future(self, index: int) -> frozenset[int]:
-        """Indices of events that ``index`` happens-before, inclusive."""
-        return self._closure(index, self._succ)
-
-    def _closure(self, index: int, adjacency: list[list[int]]) -> frozenset[int]:
-        if not 0 <= index < len(self.events):
-            raise ConfigurationError(
-                f"event index {index} out of range 0..{len(self.events) - 1}"
-            )
-        seen = {index}
-        frontier = [index]
-        while frontier:
-            node = frontier.pop()
-            for other in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return frozenset(seen)
+        future = {_in_range(self.events, index)}
+        for src, dst, _ in happens_before(self.events):
+            if src in future:
+                future.add(dst)
+        return frozenset(future)
 
     def concurrent(self, a: int, b: int) -> bool:
-        """Are events ``a`` and ``b`` causally unordered?"""
-        if a == b:
-            return False
-        return b not in self.causal_future(a) and b not in self.causal_past(a)
+        return a != b and b not in self.causal_future(a) | self.causal_past(a)
 
-    def depth(self, index: int) -> int:
-        """Longest happens-before chain ending at ``index`` (edge count)."""
-        past = self.causal_past(index)
-        depths: dict[int, int] = {}
-        for i in sorted(past):
-            preds = [depths[p] for p in self._pred[i] if p in depths]
-            depths[i] = max(preds, default=-1) + 1
-        return depths[index]
-
-    def entities_in(self, indices: Iterable[int]) -> frozenset[int]:
-        """Entities owning at least one of the given events."""
-        owners: set[int] = set()
-        for i in indices:
-            owners.update(owners_of(self.events[i]))
-        return frozenset(owners)
-
-    # ------------------------------------------------------------------
-    # Query influence
-    # ------------------------------------------------------------------
-
-    def query_indices(self) -> dict[int, tuple[int | None, int | None]]:
-        """``{qid: (issue_index, return_index)}`` for every query seen."""
-        queries: dict[int, tuple[int | None, int | None]] = {}
-        for i, event in enumerate(self.events):
-            if event.kind == "query_issued":
-                issue, ret = queries.get(event["qid"], (None, None))
-                queries[event["qid"]] = (i if issue is None else issue, ret)
-            elif event.kind == "query_returned":
-                issue, ret = queries.get(event["qid"], (None, None))
-                queries[event["qid"]] = (issue, i if ret is None else ret)
-        return queries
-
+    def query_indices(self) -> _Queries:
+        return _query_indices(self.events)
     def verdict_index(self, qid: int | None = None) -> int:
-        """Index of the ``query_returned`` event for ``qid`` (or the first
-        returned query when ``qid`` is ``None``)."""
-        queries = self.query_indices()
-        candidates = sorted(
-            q for q, (_, ret) in queries.items() if ret is not None
-        )
-        if qid is None:
-            if not candidates:
-                raise ConfigurationError("trace contains no returned query")
-            qid = candidates[0]
-        entry = queries.get(qid)
-        if entry is None or entry[1] is None:
-            raise ConfigurationError(
-                f"query {qid} never returned in this trace"
-                + (f"; returned qids: {candidates}" if candidates else "")
-            )
-        return entry[1]
-
+        return _verdict(_query_indices(self.events), qid)[1]
     def influence(self, qid: int | None = None) -> InfluenceReport:
-        """Causal accounting of one query's verdict; see
-        :class:`InfluenceReport`."""
-        verdict_index = self.verdict_index(qid)
-        verdict = self.events[verdict_index]
-        issue_index, _ = self.query_indices()[verdict["qid"]]
-        issue_time = (
-            self.events[issue_index].time
-            if issue_index is not None
-            else verdict.time
-        )
-        past = self.causal_past(verdict_index)
-        influencing = self.entities_in(past)
-        live = Run.from_trace(self.events).present_at(verdict.time)
-        return InfluenceReport(
-            qid=verdict["qid"],
-            querier=verdict["entity"],
-            issue_time=issue_time,
-            verdict_time=verdict.time,
-            verdict_index=verdict_index,
-            causal_depth=self.depth(verdict_index),
-            past_events=len(past),
-            influencing_entities=influencing,
-            present_at_verdict=live,
-            outside_causal_past=live - influencing,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"HappensBeforeDAG(events={len(self.events)}, "
-            f"program_edges={self.program_edges}, "
-            f"message_edges={self.message_edges})"
-        )
+        return InfluenceReport.from_trace(self.events, qid)

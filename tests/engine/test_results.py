@@ -7,10 +7,8 @@ import json
 
 import pytest
 
-from repro.analysis.compare import compare_documents
 from repro.analysis.tables import render_result_document
 from repro.engine.plan import build_plan
-from repro.engine.executor import run_plan
 from repro.engine.results import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
@@ -180,29 +178,6 @@ class TestAnalysisConsumers:
         assert "completeness" in table
         # one row per grid point
         assert table.count("\n") >= 4
-
-    def test_compare_documents_pairs_on_common_seeds(self):
-        plan_kwargs = dict(
-            kind="query",
-            grid={"churn_rate": [0.0]},
-            base={"n": 8, "topology": "er", "aggregate": "COUNT",
-                  "horizon": 120.0},
-            trials=2, root_seed=5,
-        )
-        doc_a = run_plan(build_plan("a", **plan_kwargs)).document()
-        doc_b = run_plan(build_plan("b", **plan_kwargs)).document()
-        comparison = compare_documents(doc_a, doc_b, metric="completeness",
-                                       name_a="a", name_b="b")
-        assert comparison.n == 2
-        assert comparison.ties == 2  # identical seeds, identical runs
-
-    def test_compare_documents_no_common_pairs(self):
-        doc_a = _store().document()
-        other = ResultStore(plan=PLAN_META, results=[
-            _result(0, rate=9.0, seed=999, trial=7),
-        ]).document()
-        with pytest.raises(ValueError, match="no .*pairs"):
-            compare_documents(doc_a, other)
 
 
 class TestSchemaVersioning:

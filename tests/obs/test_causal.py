@@ -1,4 +1,4 @@
-"""Happens-before DAG construction and causal influence reports."""
+"""The happens-before kernel and the causal influence report."""
 
 from __future__ import annotations
 
@@ -8,9 +8,16 @@ import pytest
 
 from repro.api import ChurnSpec, QueryConfig, run_query
 from repro.core.runs import Run
-from repro.obs.causal import HappensBeforeDAG, owners_of, threads_of
+from repro.obs.causal import (
+    HappensBeforeDAG,
+    InfluenceReport,
+    _past_and_depth,
+    happens_before,
+    owners_of,
+    threads_of,
+)
 from repro.sim.errors import ConfigurationError
-from repro.sim.trace import TraceEvent
+from repro.sim.trace import TraceEvent, TraceLog
 
 
 def ev(time: float, kind: str, **data) -> TraceEvent:
@@ -50,47 +57,44 @@ def test_owners_and_threads():
 
 
 def test_dag_edge_families():
-    dag = HappensBeforeDAG(SYNTHETIC)
-    assert len(dag) == 9
-    assert dag.message_edges == 2                   # msg 1 and msg 2
-    edges = dag.edge_set()
-    assert (3, 4) in edges and (5, 6) in edges      # send -> deliver
-    assert (0, 1) in edges                          # join 1 observed by 0
-    assert (6, 8) in edges                          # querier program order
-    # Every edge points forward in record order (DAG property).
-    assert all(src < dst for src, dst in edges)
+    edges = list(happens_before(SYNTHETIC))
+    assert sum(message for *_, message in edges) == 2   # msg 1 and msg 2
+    pairs = {(src, dst) for src, dst, _ in edges}
+    assert (3, 4) in pairs and (5, 6) in pairs      # send -> deliver
+    assert (0, 1) in pairs                          # join 1 observed by 0
+    assert (6, 8) in pairs                          # querier program order
+    # Every edge points forward, and edges come out in ``dst`` order.
+    assert all(src < dst for src, dst, _ in edges)
+    assert [dst for _, dst, _ in edges] == sorted(dst for _, dst, _ in edges)
 
 
 def test_causal_past_future_and_concurrency():
-    dag = HappensBeforeDAG(SYNTHETIC)
-    past = dag.causal_past(8)
+    past, _ = _past_and_depth(SYNTHETIC, 8)
     assert past == frozenset({0, 1, 2, 3, 4, 5, 6, 8})  # join 2 not seen
-    assert dag.causal_future(3) >= {3, 4, 5, 6, 8}
-    assert not dag.concurrent(3, 4)                 # message-ordered
-    assert dag.concurrent(6, 7)                     # unrelated branches
-    assert not dag.concurrent(6, 6)
-    with pytest.raises(ConfigurationError):
-        dag.causal_past(99)
+    assert _past_and_depth(SYNTHETIC, 0) == (frozenset({0}), 0)
+    for index in (-1, 99):
+        with pytest.raises(ConfigurationError, match="out of range 0..8"):
+            _past_and_depth(SYNTHETIC, index)
 
 
 def test_depth_is_longest_chain():
-    dag = HappensBeforeDAG(SYNTHETIC)
     # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 6 -> 8: seven edges.
-    assert dag.depth(8) == 7
-    assert dag.depth(0) == 0
+    assert _past_and_depth(SYNTHETIC, 8)[1] == 7
+    assert InfluenceReport.from_trace(SYNTHETIC).causal_depth == 7
 
 
 def test_influence_report_flags_unseen_live_entity():
-    dag = HappensBeforeDAG(SYNTHETIC)
-    report = dag.influence()
+    report = InfluenceReport.from_trace(SYNTHETIC)
     assert report.qid == 0 and report.querier == 0
     assert report.issue_time == 1.0 and report.verdict_time == 4.0
+    assert report.verdict_index == 8 and report.past_events == 8
     assert report.influencing_entities == frozenset({0, 1})
     assert report.present_at_verdict == frozenset({0, 1, 2})
     # Entity 2 is live at the verdict but causally invisible to it.
     assert report.outside_causal_past == frozenset({2})
     assert not report.covers_all_live
     assert "misses 1 live entities" in str(report)
+    assert InfluenceReport.from_trace(SYNTHETIC, qid=0) == report
 
 
 def test_live_at_half_open_intervals():
@@ -99,19 +103,17 @@ def test_live_at_half_open_intervals():
         ev(5.0, "join", entity=1),
         ev(9.0, "leave", entity=1),
     ]
-    run = Run.from_trace(HappensBeforeDAG(events).events)
+    run = Run.from_trace(events)
     assert run.present_at(4.0) == frozenset({0})
     assert run.present_at(5.0) == frozenset({0, 1})
     assert run.present_at(9.0) == frozenset({0})    # [join, leave)
 
 
 def test_verdict_index_errors_name_the_qid():
-    dag = HappensBeforeDAG(SYNTHETIC[:8])           # no query_returned
     with pytest.raises(ConfigurationError, match="no returned query"):
-        dag.verdict_index()
-    full = HappensBeforeDAG(SYNTHETIC)
+        InfluenceReport.from_trace(SYNTHETIC[:8])   # no query_returned
     with pytest.raises(ConfigurationError, match="query 7 never returned"):
-        full.verdict_index(7)
+        InfluenceReport.from_trace(SYNTHETIC, qid=7)
 
 
 def test_static_trial_verdict_covers_all_live():
@@ -120,7 +122,7 @@ def test_static_trial_verdict_covers_all_live():
         trace_sink="memory",
     ))
     assert outcome.ok
-    report = HappensBeforeDAG.from_trace(outcome.trace).influence()
+    report = InfluenceReport.from_trace(outcome.trace)
     assert report.covers_all_live
     assert report.causal_depth >= 2                 # at least query round trip
 
@@ -132,7 +134,7 @@ def test_churn_trial_leaves_live_entities_outside_causal_past():
         n=12, topology="er", aggregate="COUNT", horizon=120.0, seed=2007,
         churn=ChurnSpec(kind="replacement", rate=4.0), trace_sink="memory",
     ))
-    report = HappensBeforeDAG.from_trace(outcome.trace).influence()
+    report = InfluenceReport.from_trace(outcome.trace)
     assert len(report.outside_causal_past) >= 1
     assert not report.covers_all_live
     assert report.outside_causal_past <= report.present_at_verdict
@@ -147,11 +149,42 @@ def test_jsonl_and_memory_sinks_yield_identical_dag(tmp_path):
     path = tmp_path / "trial.jsonl"
     run_query(replace(config, trace_sink="jsonl", trace_path=str(path)))
 
-    from_memory = HappensBeforeDAG.from_trace(memory_outcome.trace)
-    from_file = HappensBeforeDAG.from_jsonl(path)
-    assert len(from_memory) == len(from_file)
-    assert from_memory.edge_set() == from_file.edge_set()
-    assert from_memory.program_edges == from_file.program_edges
-    assert from_memory.message_edges == from_file.message_edges
+    assert list(happens_before(memory_outcome.trace)) == list(
+        happens_before(TraceLog.load_jsonl(path))
+    )
     # Influence reports are frozen dataclasses: exact equality holds.
-    assert from_memory.influence() == from_file.influence()
+    assert InfluenceReport.from_trace(memory_outcome.trace) == (
+        InfluenceReport.from_jsonl(path)
+    )
+
+
+def test_deprecated_facade_keeps_todays_values():
+    with pytest.warns(DeprecationWarning, match="InfluenceReport.from_trace"):
+        dag = HappensBeforeDAG(SYNTHETIC)
+    assert len(dag) == 9
+    assert (dag.program_edges, dag.message_edges) == (8, 2)
+    assert [dag.successors(i) for i in range(9)] == [
+        (1,), (2, 4), (3,), (4, 6), (5,), (6, 7), (8,), (), ()]
+    assert [dag.predecessors(i) for i in range(9)] == [
+        (), (0,), (1,), (2,), (1, 3), (4,), (3, 5), (5,), (6,)]
+    assert dag.edge_set() == {(0, 1), (1, 2), (1, 4), (2, 3), (3, 4), (3, 6),
+                              (4, 5), (5, 6), (5, 7), (6, 8)}
+    assert dag.causal_past(8) == frozenset({0, 1, 2, 3, 4, 5, 6, 8})
+    assert dag.causal_future(3) == frozenset({3, 4, 5, 6, 7, 8})
+    assert dag.causal_future(7) == frozenset({7})
+    assert not dag.concurrent(3, 4)                 # message-ordered
+    assert dag.concurrent(6, 7)                     # unrelated branches
+    assert not dag.concurrent(6, 6)
+    assert (dag.depth(8), dag.depth(0)) == (7, 0)
+    assert dag.query_indices() == {0: (2, 8)}
+    assert dag.verdict_index() == 8
+    assert dag.influence() == InfluenceReport.from_trace(SYNTHETIC)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        dag.causal_future(99)
+    with pytest.raises(ConfigurationError, match="query 7 never returned"):
+        dag.verdict_index(7)
+    # Two lanes sharing their previous event repeat the edge, as before.
+    with pytest.warns(DeprecationWarning):
+        pair = HappensBeforeDAG([ev(0.0, "edge_up", a=3, b=4),
+                                 ev(1.0, "edge_down", a=3, b=4)])
+    assert pair.successors(0) == (1, 1) and pair.program_edges == 2

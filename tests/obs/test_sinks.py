@@ -134,11 +134,11 @@ class TestDroppedIsLoud:
                 helper(lean)
 
     def test_whole_stream_readers_refuse_a_log_that_dropped_events(self, lean):
-        from repro.obs.causal import HappensBeforeDAG
+        from repro.obs.causal import InfluenceReport
         from repro.obs.check import check_trace
         from repro.obs.export import ascii_timeline, to_chrome_trace
 
-        for reader in (HappensBeforeDAG.from_trace, to_chrome_trace,
+        for reader in (InfluenceReport.from_trace, to_chrome_trace,
                        ascii_timeline, check_trace):
             with pytest.raises(ConfigurationError,
                                match="retained 1 of 3 events"):
