@@ -29,8 +29,8 @@ The surface groups into:
 * **Observability** — :class:`Metrics` and the pluggable trace sinks
   (:class:`MemorySink`, :class:`JsonlStreamSink`, :class:`NullSink`,
   :class:`CountingSink`) selected per trial via ``trace_sink=...``, plus
-  the causal analysis layer: :class:`InfluenceReport` (and the deprecated
-  :class:`HappensBeforeDAG`), the streaming invariant checkers behind
+  the causal analysis layer: :class:`InfluenceReport` and
+  :func:`owners_of`, the streaming invariant checkers behind
   :class:`CheckingSink` / :func:`check_trace`, and the timeline exporters
   (:func:`write_chrome_trace`, :func:`ascii_timeline`,
   :func:`write_engine_trace` for merged engine + simulation views).
@@ -183,7 +183,7 @@ from repro.obs.sinks import (
     TraceSink,
     make_sink,
 )
-from repro.obs.causal import HappensBeforeDAG, InfluenceReport, owners_of
+from repro.obs.causal import InfluenceReport
 from repro.obs.check import (
     CheckingSink,
     InvariantChecker,
@@ -326,7 +326,7 @@ from repro.sim.latency import (
 )
 from repro.sim.rng import SeedSequence
 from repro.sim.scheduler import Simulator
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLog, owners_of
 from repro.topology import generators
 from repro.topology.attachment import UniformAttachment
 from repro.topology.generators import ring
@@ -428,7 +428,6 @@ __all__ = [
     "Counter",
     "CountingSink",
     "Gauge",
-    "HappensBeforeDAG",
     "Histogram",
     "InfluenceReport",
     "InvariantChecker",

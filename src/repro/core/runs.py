@@ -29,7 +29,8 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from repro.sim.errors import ConfigurationError
-from repro.sim.trace import JOIN, LEAVE, TraceEvent, TraceLog
+from repro.sim import trace as tr
+from repro.sim.trace import TraceEvent, TraceLog
 from repro.topology.graph import Topology
 
 #: Stand-in for "still present at the end of the observation window".
@@ -134,23 +135,24 @@ class Run:
         values: dict[int, object] = {}
         intervals: dict[int, Interval] = {}
         last_time = 0.0
+        presence = tr.PRESENCE
         for time, kind, data in events:
-            if kind == JOIN:
-                entity = data["entity"]
+            effect = presence.get(kind)
+            if effect is None:
+                continue
+            entity = data["entity"]
+            if effect > 0:
                 if entity in values:
                     raise ValueError(f"entity {entity} joined twice")
                 joins[entity] = time
                 values[entity] = data.get("value")
-            elif kind == LEAVE:
-                entity = data["entity"]
+            else:
                 joined = joins.pop(entity, None)
                 if joined is None:
                     raise ValueError(f"entity {entity} left without joining")
                 if time < joined:
                     raise ValueError(f"leave {time} before join {joined}")
                 intervals[entity] = _new_interval(Interval, (joined, time))
-            else:
-                continue
             if time > last_time:
                 last_time = time
         for entity, join_time in joins.items():
@@ -269,7 +271,9 @@ class Run:
         A hop over edge ``(u, v)`` departing at time ``d`` requires the edge
         to be continuously present over ``[d, d + hop_time]`` and arrives at
         ``d + hop_time``.  Departure may wait for an edge to appear.  Only
-        arrivals at or before ``deadline`` count.
+        arrivals at or before ``deadline`` count.  A zero-time hop may
+        cross a contact at the instant it closes (``arrives <= leave``):
+        influence passes at that instant, as the causal kernel lets it.
 
         Returns a map ``{node: earliest arrival time}`` (the source maps to
         ``start``).
@@ -289,9 +293,11 @@ class Run:
                     arrives = departure + hop_time
                     if arrives > deadline:
                         continue
-                    # The edge must survive the whole hop.  ``covers`` is
-                    # strict at the right end (half-open interval).
-                    if not interval.covers(departure, arrives):
+                    # The edge must survive the hop (a zero-time one may
+                    # end as it closes).
+                    if arrives > interval.leave or (
+                        hop_time and arrives == interval.leave
+                    ):
                         continue
                     if arrives < best.get(other, FOREVER):
                         best[other] = arrives
@@ -423,12 +429,9 @@ def union_entities(runs: Iterable[Run]) -> frozenset[int]:
 
 
 def _edge_intervals(events: Iterable[TraceEvent]) -> dict[int, dict[int, list[Interval]]]:
-    """Replay a trace's topology events into per-edge presence intervals.
-
-    A join opens an edge to each attachment neighbor that is present,
-    ``edge_up``/``edge_down`` open and close one edge, and a leave closes
-    the leaver's open edges (found through ``open_at``, its incident index).
-    """
+    """Replay a trace's contact effects (:data:`repro.sim.trace.CONTACT`)
+    into per-edge presence intervals; a detach closes the leaver's open
+    contacts, found through ``open_at``, its incident index."""
     adjacency: dict[int, dict[int, list[Interval]]] = {}
     open_at: dict[int, dict[int, float]] = {}
     present: set[int] = set()
@@ -449,22 +452,20 @@ def _edge_intervals(events: Iterable[TraceEvent]) -> dict[int, dict[int, list[In
         near[b].append(Interval(started, when))
 
     for event in events:
-        kind = event.kind
-        if kind == JOIN:
+        contact = tr.CONTACT.get(event.kind)
+        if contact == tr.ATTACH:
             entity = event["entity"]
-            present.add(entity)
-            for neighbor in event.get("neighbors", ()):
-                if neighbor in present:
-                    open_edge(entity, neighbor, event.time)
-        elif kind == LEAVE:
+            for other in tr.attached(event, present):
+                open_edge(entity, other, event.time)
+        elif contact == tr.DETACH:
             entity = event["entity"]
-            present.discard(entity)
-            for neighbor in list(open_at.get(entity, ())):
-                close_edge(entity, neighbor, event.time)
-        elif kind == "edge_up":
-            open_edge(event["a"], event["b"], event.time)
-        elif kind == "edge_down":
-            close_edge(event["a"], event["b"], event.time)
+            for other in list(open_at.get(entity, ())):
+                close_edge(entity, other, event.time)
+        elif contact == tr.OPEN:
+            open_edge(*tr.owners_of(event), event.time)
+        elif contact == tr.CLOSE:
+            close_edge(*tr.owners_of(event), event.time)
+        tr.track(present, event)
     for a, near in list(open_at.items()):
         for b in list(near):
             if a < b:

@@ -23,7 +23,7 @@ from typing import Any
 from repro.protocols.base import AggregatingProcess
 from repro.sim.errors import ConfigurationError
 from repro.sim.messages import Message
-from repro.sim.trace import TraceLog
+from repro.sim.trace import LEAVE, TraceLog
 
 HEARTBEAT = "FD_HEARTBEAT"
 SUSPECT = "suspect"
@@ -182,7 +182,7 @@ def detection_latency(log: TraceLog, departed: int) -> float | None:
     """
     leave_time = None
     for event in log:
-        if event.kind == "leave" and event["entity"] == departed:
+        if event.kind == LEAVE and event["entity"] == departed:
             leave_time = event.time
         elif (
             leave_time is not None
@@ -202,7 +202,7 @@ def false_suspicions(log: TraceLog) -> int:
     departed: set[int] = set()
     count = 0
     for event in log:
-        if event.kind == "leave":
+        if event.kind == LEAVE:
             departed.add(event["entity"])
         elif event.kind == SUSPECT and event["target"] not in departed:
             count += 1

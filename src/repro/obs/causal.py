@@ -16,7 +16,6 @@ the same trial give the same report::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -26,55 +25,35 @@ from repro.core.runs import Run
 from repro.sim import trace as tr
 from repro.sim.errors import ConfigurationError
 
-#: The ``data`` fields naming the owners of the kinds that have no ``entity``.
-_OWNER_FIELDS = {tr.SEND: ("sender",), tr.DELIVER: ("receiver",), tr.DROP: (),
-                 "edge_up": ("a", "b"), "edge_down": ("a", "b")}
 #: ``{qid: (first issue index, first return index)}``.
 _Queries = dict[int, tuple[int | None, int | None]]
-
-
-def owners_of(event: tr.TraceEvent) -> tuple[int, ...]:
-    """The entities whose *state* the event reflects: a ``send``'s sender,
-    a ``deliver``'s receiver, nobody for a ``drop`` (the message died in
-    the network), both endpoints of a topology event, and otherwise the
-    ``entity`` that :meth:`repro.sim.node.Process.record` wrote."""
-    fields = _OWNER_FIELDS.get(event.kind)
-    if fields is not None:
-        return tuple(event[field] for field in fields)
-    entity = event.get("entity")
-    return () if entity is None else (int(entity),)
-
-
-def threads_of(event: tr.TraceEvent) -> tuple[int, ...]:
-    """The program-order lanes of the event: its :func:`owners_of`, and for
-    a ``join`` also the neighbors it attached to (they observe it)."""
-    if event.kind == tr.JOIN:
-        return owners_of(event) + tuple(int(n) for n in event.get("neighbors") or ())
-    return owners_of(event)
 
 
 def happens_before(events: Iterable[tr.TraceEvent]) -> Iterator[tuple[int, int, bool]]:
     """Every happens-before edge ``(src, dst, is_message)`` between record
     positions ``src < dst``, in ``dst`` order.  **Program order**: per
     event, an edge from the previous event of each lane in
-    :func:`threads_of` (two lanes may repeat one).  **Message order**:
-    ``send`` → its ``deliver``/``drop``/``msg_lost``, matched on
-    ``msg_id``, so a message lost in transit still shows in its sender's
-    causal structure."""
+    :func:`~repro.sim.trace.lanes_of` (two lanes may repeat one).
+    **Message order**: the event that opens a message → each event that
+    ends it, matched on ``msg_id``, so a message lost in transit still
+    shows in its sender's causal structure (:data:`~repro.sim.trace.MESSAGE`)."""
     last_in_lane: dict[int, int] = {}
-    send_index: dict[int, int] = {}
+    opened_at: dict[int, int] = {}
+    present: set[int] = set()
     for i, event in enumerate(events):
-        for lane in threads_of(event):
+        for lane in tr.lanes_of(event, present):
             prev = last_in_lane.get(lane)
             if prev is not None and prev != i:
                 yield prev, i, False
             last_in_lane[lane] = i
-        if event.kind == tr.SEND:
+        tr.track(present, event)
+        role = tr.MESSAGE.get(event.kind)
+        if role == tr.OPENS:
             msg_id = event.get("msg_id")
             if msg_id is not None:
-                send_index[msg_id] = i
-        elif event.kind in (tr.DELIVER, tr.DROP, tr.MSG_LOST):
-            src = send_index.get(event.get("msg_id"))
+                opened_at[msg_id] = i
+        elif role == tr.ENDS:
+            src = opened_at.get(event.get("msg_id"))
             if src is not None:
                 yield src, i, True
 
@@ -158,7 +137,7 @@ class InfluenceReport:
         issue, index = _verdict(_query_indices(events), qid)
         verdict = events[index]
         past, depth = _past_and_depth(events, index)
-        influencing = frozenset(o for i in past for o in owners_of(events[i]))
+        influencing = frozenset(o for i in past for o in tr.owners_of(events[i]))
         live = Run.from_trace(events).present_at(verdict.time)
         return cls(
             qid=verdict["qid"], querier=verdict["entity"],
@@ -186,55 +165,3 @@ class InfluenceReport:
                 f"t={self.verdict_time:.2f}, causal depth {self.causal_depth}, "
                 f"past of {self.past_events} events over "
                 f"{len(self.influencing_entities)} entities; {coverage}")
-
-
-class HappensBeforeDAG:
-    """Deprecated: use :meth:`InfluenceReport.from_trace` (goes next release)."""
-
-    def __init__(self, events: Iterable[tr.TraceEvent]) -> None:
-        warnings.warn("HappensBeforeDAG is deprecated; use InfluenceReport.from_trace",
-                      DeprecationWarning, stacklevel=2)
-        self.events: list[tr.TraceEvent] = list(events)
-        flags = [message for *_, message in happens_before(self.events)]
-        self.message_edges, self.program_edges = sum(flags), flags.count(False)
-
-    @classmethod
-    def from_trace(cls, log: tr.TraceLog | Iterable[tr.TraceEvent]) -> HappensBeforeDAG:
-        tr.require_complete(log, "HappensBeforeDAG.from_trace")
-        return cls(log)
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> HappensBeforeDAG:
-        return cls(tr.TraceLog.load_jsonl(path))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def successors(self, index: int) -> tuple[int, ...]:
-        return tuple(d for s, d, _ in happens_before(self.events) if s == index)
-    def predecessors(self, index: int) -> tuple[int, ...]:
-        return tuple(s for s, d, _ in happens_before(self.events) if d == index)
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((s, d) for s, d, _ in happens_before(self.events))
-
-    def causal_past(self, index: int) -> frozenset[int]:
-        return _past_and_depth(self.events, index)[0]
-    def depth(self, index: int) -> int:
-        return _past_and_depth(self.events, index)[1]
-
-    def causal_future(self, index: int) -> frozenset[int]:
-        future = {_in_range(self.events, index)}
-        for src, dst, _ in happens_before(self.events):
-            if src in future:
-                future.add(dst)
-        return frozenset(future)
-
-    def concurrent(self, a: int, b: int) -> bool:
-        return a != b and b not in self.causal_future(a) | self.causal_past(a)
-
-    def query_indices(self) -> _Queries:
-        return _query_indices(self.events)
-    def verdict_index(self, qid: int | None = None) -> int:
-        return _verdict(_query_indices(self.events), qid)[1]
-    def influence(self, qid: int | None = None) -> InfluenceReport:
-        return InfluenceReport.from_trace(self.events, qid)

@@ -24,7 +24,6 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.obs.causal import owners_of
 from repro.obs.codec import encode_value
 from repro.sim import trace as tr
 from repro.sim.errors import ConfigurationError
@@ -37,22 +36,20 @@ NETWORK_LANE = -1
 
 #: Lane symbols in decreasing display priority: when several events share
 #: an ASCII time bucket, the earliest entry in this table wins the cell.
-#: Kind names are literals (not ``tr.JOIN`` etc.) so this module can load
-#: while ``repro.sim.trace`` is still initializing.
 SYMBOLS: tuple[tuple[str, str], ...] = (
     ("query_returned", "R"),
     ("query_issued", "Q"),
     ("bcast_delivered", "b"),
     ("bcast_issued", "B"),
-    ("join", "J"),
-    ("leave", "L"),
-    ("fault_injected", "F"),
-    ("fault_cleared", "f"),
-    ("msg_lost", "!"),
-    ("drop", "x"),
-    ("deliver", "d"),
-    ("send", "s"),
-    ("timer", "t"),
+    (tr.JOIN, "J"),
+    (tr.LEAVE, "L"),
+    (tr.FAULT_INJECTED, "F"),
+    (tr.FAULT_CLEARED, "f"),
+    (tr.MSG_LOST, "!"),
+    (tr.DROP, "x"),
+    (tr.DELIVER, "d"),
+    (tr.SEND, "s"),
+    (tr.TIMER, "t"),
 )
 
 _SYMBOL_FOR = dict(SYMBOLS)
@@ -94,7 +91,7 @@ def to_chrome_trace(
     trace_events: list[dict[str, Any]] = []
     lanes: set[int] = set()
     for event in events:
-        owners = owners_of(event) or (NETWORK_LANE,)
+        owners = tr.owners_of(event) or (NETWORK_LANE,)
         ts = event.time * time_scale
         for lane in owners:
             lanes.add(lane)
@@ -356,7 +353,7 @@ def ascii_timeline(
         col = min(width - 1, int((event.time - t0) / span * (width - 1)))
         priority = _PRIORITY.get(event.kind, _OTHER_PRIORITY)
         symbol = _SYMBOL_FOR.get(event.kind, OTHER_SYMBOL)
-        for lane in owners_of(event) or (NETWORK_LANE,):
+        for lane in tr.owners_of(event) or (NETWORK_LANE,):
             row = cells.setdefault(lane, [(-1, "") for _ in range(width)])
             current = row[col]
             if not current[1] or priority < current[0]:

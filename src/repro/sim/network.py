@@ -248,6 +248,8 @@ class Network:
             "value": getattr(proc, "value", None),
             "neighbors": tuple(neighbor_ids),
         }
+        if self.complete:  # the join attaches to everyone present
+            data["complete"] = True
         trace = sim.trace
         if tr.JOIN in trace.retain_only:
             trace.tallies[tr.JOIN] += 1
@@ -388,7 +390,7 @@ class Network:
         if b in self._adj[slot_a]:
             return
         self._link(a, b)
-        self._sim.trace.record(self._sim.now, "edge_up", a=min(a, b), b=max(a, b))
+        self._sim.trace.record(self._sim.now, tr.EDGE_UP, a=min(a, b), b=max(a, b))
         self._procs[slot_a].on_neighbor_join(b)
         self._procs[slot_b].on_neighbor_join(a)
 
@@ -402,7 +404,7 @@ class Network:
             return
         self._adj[slot_a].discard(b)
         self._adj[slot_b].discard(a)
-        self._sim.trace.record(self._sim.now, "edge_down", a=min(a, b), b=max(a, b))
+        self._sim.trace.record(self._sim.now, tr.EDGE_DOWN, a=min(a, b), b=max(a, b))
         self._procs[slot_a].on_neighbor_leave(b)
         self._procs[slot_b].on_neighbor_leave(a)
 

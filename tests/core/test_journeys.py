@@ -108,6 +108,28 @@ class TestJourneys:
         assert graph.journey_exists(0, 2, start=0.0, deadline=10.0,
                                     hop_time=1.0)
 
+    def test_only_a_zero_hop_crosses_a_contact_at_its_closing_instant(self):
+        log = static_line_log(1)
+        log.record(1.0, "join", entity=1, neighbors=(0,))
+        log.record(1.0, "edge_down", a=0, b=1)        # the contact [1, 1)
+        log.record(2.0, "edge_up", a=0, b=1)
+        log.record(4.0, "edge_down", a=0, b=1)
+        graph = Run.from_trace(log)
+        assert graph.journey_exists(0, 1, 0.0, 1.0)
+        assert not graph.journey_exists(0, 1, 1.5, 1.9)
+        assert graph.journey_exists(0, 1, 2.5, 5.0, hop_time=1.0)
+        assert not graph.journey_exists(0, 1, 3.0, 5.0, hop_time=1.0)
+
+    def test_complete_flagged_run_reaches_every_copresent_entity(self):
+        log = TraceLog()
+        for entity in range(3):
+            log.record(0.0, "join", entity=entity, complete=True)
+        log.record(1.0, "leave", entity=1)
+        log.record(2.0, "join", entity=3, complete=True)
+        graph = Run.from_trace(log)
+        assert graph.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        assert graph.reachable(3, 2.0, deadline=2.0) == {0, 2, 3}
+
     def test_directionality_of_time(self):
         """Journeys are not symmetric: an edge that exists early helps
         early hops only."""

@@ -159,6 +159,7 @@ class TestMembershipQueries:
         run = make_run()
         assert run.present_at(0.0) == {0, 1}
         assert run.present_at(3.0) == {0, 1, 2}
+        assert run.present_at(5.0) == {0, 2}  # [join, leave)
         assert run.present_at(7.0) == {0, 2, 3}
         assert run.present_at(9.0) == {0, 3}
 

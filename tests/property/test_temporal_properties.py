@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.churn.models import ReplacementChurn
 from repro.core.runs import Run
 from repro.engine.trials import QueryConfig, run_query
-from repro.obs.causal import InfluenceReport, _past_and_depth, owners_of
+from repro.obs.causal import InfluenceReport, _past_and_depth
 from repro.sim.latency import ConstantDelay
-from repro.sim.trace import TraceEvent, TraceLog
+from repro.sim.trace import TraceEvent, TraceLog, owners_of
 from repro.synchronous.flooding import KnowledgeFlood
 from repro.synchronous.runner import SynchronousSystem, build_from_topology
 from repro.topology import generators as gen
@@ -127,24 +126,6 @@ class TestJourneyProperties:
         assert 0 in graph.reachable(0, 0.0, deadline=100.0)
 
 
-def complete_graph_run(events: list[TraceEvent]) -> Run:
-    """The run of a trial on the complete graph, whose network records no
-    edges (its joins carry no neighbors): every join is rewritten to
-    attach to every entity present at that instant, so every pair present
-    at the same time counts as an edge."""
-    present: set[int] = set()
-    rewritten = []
-    for event in events:
-        if event.kind == "join":
-            data = {**event.data, "neighbors": tuple(sorted(present))}
-            event = TraceEvent(event.time, "join", data)
-            present.add(event["entity"])
-        elif event.kind == "leave":
-            present.discard(event["entity"])
-        rewritten.append(event)
-    return Run.from_trace(rewritten)
-
-
 def actual_outside_potential(events: list[TraceEvent], run: Run) -> dict[int, float]:
     """Entities in the verdict's causal past with no journey to the querier
     that ends by the verdict, each starting at the time of its earliest
@@ -165,11 +146,7 @@ def actual_outside_potential(events: list[TraceEvent], run: Run) -> dict[int, fl
 class TestActualWithinPotential:
     """Actual influence (the verdict's happens-before past) lies inside
     potential influence (``Run``'s journeys): every entity whose state
-    reached the verdict had a journey to the querier by the verdict.
-
-    A complete-graph trial (``request_collect``) records no edges, so its
-    potential side is :func:`complete_graph_run`: every pair present at
-    the same time counts as an edge."""
+    reached the verdict had a journey to the querier by the verdict."""
 
     @given(seeds, st.sampled_from([None, 1.0, 4.0]), st.sampled_from(["er", "ring"]))
     @settings(max_examples=24, deadline=None)
@@ -194,14 +171,8 @@ class TestActualWithinPotential:
             churn=(lambda f: ReplacementChurn(f, rate=rate)) if rate else None,
         ))
         events = list(outcome.trace)
-        assert actual_outside_potential(events, complete_graph_run(events)) == {}
+        assert actual_outside_potential(events, Run.from_trace(events)) == {}
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the edge rule carries influence over an edge at the instant its "
-        "half-open presence interval closes (a join whose edge goes down "
-        "at the same instant; an edge_down threading both endpoints); "
-        "see FOUND in CHANGES.md"
-    ))
     @given(seeds, st.integers(min_value=3, max_value=14))
     @example(81, 3)  # join 1 (neighbor 0) and edge_down(0, 1) at one instant
     @settings(max_examples=40, deadline=None)

@@ -161,9 +161,10 @@ PINS = {
         _faults_and_resilience, "resilience.retransmits",
         "6ed9e9b85e02883e242ee4d9cc56cf14b23100d807a60b5e6bf289c223f8f12e",
     ),
+    # Without its joins' ``complete=True`` fields: b62d8b45ae5b2e13...
     "leave_races_delivery": (
         _leave_races_delivery, "net.dropped.receiver_absent",
-        "b62d8b45ae5b2e13d6be37d06b67c2708842a7e8333d8a605e2f9347c6f53891",
+        "c1f1a21a130f641343ed5e4add824d99d7cc011cf4cd60da0c6e11fb4899c390",
     ),
     "on_bucket_bounds": (
         _on_bucket_bounds, "net.delivered",

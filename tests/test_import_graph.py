@@ -132,7 +132,7 @@ class TestLibraryImports:
         modules, report = loaded_after(
             "import repro.api\nreport.append(str(len(repro.api.__all__)))"
         )
-        assert report == ["208"]
+        assert report == ["207"]
         # Whoever asks for everything pays for everything — except the
         # optional graph library, which still waits for a generator call.
         assert len(repro_modules(modules)) > 80
