@@ -16,8 +16,8 @@ Two interchangeable implementations honour that contract:
 :class:`EventQueue` — the type the simulator actually uses — starts as a
 heap and migrates to a calendar queue when the live-event count crosses
 :data:`CALENDAR_THRESHOLD`.  The switch is unobservable: both backends
-pop in the identical total order (proven by the differential suite in
-``tests/sim/test_event_ordering_differential.py``).
+pop in the identical total order (the queue differential in
+``tests/reference/`` holds both to the reference model's sorted list).
 
 Cancellation is cooperative and lazy (:meth:`Event.cancel` just sets a
 flag), but not leaky: both backends count tombstones and compact their

@@ -250,6 +250,7 @@ class Network:
         }
         if self.complete:  # the join attaches to everyone present
             data["complete"] = True
+            data["degree"] = len(slot_of) - 1
         trace = sim.trace
         if tr.JOIN in trace.retain_only:
             trace.tallies[tr.JOIN] += 1

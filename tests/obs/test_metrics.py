@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -14,6 +15,8 @@ from repro.obs.metrics import (
     strip_timings,
 )
 from repro.sim.errors import ConfigurationError
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
 class TestCounter:
@@ -27,6 +30,8 @@ class TestCounter:
     def test_decrease_rejected(self):
         with pytest.raises(ConfigurationError):
             Counter("x").inc(-1)
+        with pytest.raises(ConfigurationError, match=r"counter 'x' cannot decrease \(amount=-1\)"):
+            Metrics().inc("x", -1)
 
 
 class TestGauge:
@@ -58,6 +63,27 @@ class TestHistogram:
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(ConfigurationError):
             Histogram("x", buckets=(2.0, 1.0))
+
+    @given(
+        bounds=st.lists(_finite, min_size=1, max_size=12, unique=True).map(sorted),
+        values=st.lists(st.one_of(_finite, st.integers(-50, 50)), max_size=30),
+        on_bound=st.lists(st.integers(0, 11), max_size=6),
+    )
+    def test_observe_matches_linear_scan(self, bounds, values, on_bound):
+        """The slot is the first bound >= the value, else the overflow, both
+        through ``Histogram.observe`` and ``Metrics.observe``."""
+        buckets = tuple(bounds)
+        values = list(values) + [buckets[i % len(buckets)] for i in on_bound]
+        values += [buckets[0] - 1.0, buckets[-1] + 1.0]  # below first, above last
+        expected = [0] * (len(buckets) + 1)
+        for value in values:
+            expected[next((i for i, b in enumerate(buckets) if value <= b), len(buckets))] += 1
+        histogram, metrics = Histogram("h", buckets), Metrics()
+        for value in values:
+            histogram.observe(value)
+            metrics.observe("h", value, buckets=buckets)
+        assert histogram.counts == expected and histogram.count == len(values)
+        assert metrics.snapshot()["histograms"]["h"] == histogram.summary()
 
 
 class TestMetricsRegistry:

@@ -189,6 +189,7 @@ class TestBareCancel:
 def test_bare_cancel_survives_promotion():
     queue = EventQueue(calendar_threshold=8)
     early = [queue.push(float(t), noop, label=str(t)) for t in range(6)]
+    assert queue.backend == "heap"
     early[0].cancel()
     early[3].cancel()
     late = [queue.push(10.0 + t, noop, label=f"late{t}") for t in range(6)]
@@ -299,9 +300,38 @@ class TestEvent:
         kept = [e.label for e in popped if not e.label.startswith("filler")]
         assert sorted(kept, key=int) == [e.label for e in events[1::2]]
 
+    def test_the_pushed_handle_is_the_popped_event(self, make):
+        queue = make()
+        first, doomed = (queue.push(1.0, Incomparable(x), label=x) for x in ("a", "b"))
+        doomed.cancel()
+        queue.note_cancelled()
+        assert queue.pop() is first and first < doomed  # an Event stays orderable
+
+    def test_nan_time_and_empty_pop_raise(self, make):
+        queue = make()
+        with pytest.raises(SchedulingError, match="event time is NaN"):
+            queue.push(float("nan"), noop)
+        for _ in iter(queue.peek_time, None):
+            queue.pop()
+        with pytest.raises(SchedulingError, match="pop from empty event queue"):
+            queue.pop()
+
     def test_clear_drops_the_actions(self, make):
         queue = make()
         event = queue.push(1.0, Incomparable("kept-handle"))
         queue.clear()
         assert event.action is None
         assert len(queue) == 0 and queue.peek_time() is None
+
+
+def test_compact_and_drain_live_keep_the_live_events():
+    heap = HeapEventQueue()
+    handles = [heap.push(1.0, Incomparable(str(i))) for i in range(200)]
+    for handle in handles[1::3] + handles[2::3]:
+        handle.cancel()
+        heap.note_cancelled()  # tombstones outnumber the live: compacts on the way
+    assert heap.storage_size() < len(handles)
+    heap.compact()
+    assert heap.storage_size() == len(heap) == len(handles[::3])
+    assert sorted(heap.drain_live(), key=lambda e: e.seq) == handles[::3]
+    assert len(heap) == heap.storage_size() == 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.errors import MembershipError, TopologyError
+from repro.sim.errors import MembershipError, SchedulingError, TopologyError
 from repro.sim.latency import BernoulliLoss, ConstantDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
@@ -129,8 +129,29 @@ class TestTransport:
 
     def test_send_to_non_neighbor_rejected(self, sim):
         a, b = sim.spawn(Recorder()), sim.spawn(Recorder())
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match=r"process 0 cannot reach 1: not a neighbor"):
             a.send(b.pid, "PING")
+
+    def test_send_from_absent_sender_rejected(self, sim):
+        a = sim.spawn(Recorder())
+        b = sim.spawn(Recorder(), neighbors=[a.pid])
+        sim.kill(b.pid)
+        with pytest.raises(MembershipError, match=r"sender 1 is not present"):
+            sim.network.send(Message(b.pid, a.pid, "X", {}))
+
+    @pytest.mark.parametrize("delay, error", [
+        (-0.5, r"cannot schedule at 1\.5 < now \(2\.0\)"),
+        (float("nan"), r"event time is NaN"),
+    ], ids=["negative", "nan"])
+    def test_delivery_scheduling_guards(self, delay, error):
+        model = ConstantDelay()
+        model.delay = delay  # past ConstantDelay's own validation
+        sim = Simulator(seed=1, delay_model=model)
+        a = sim.spawn(Recorder())
+        b = sim.spawn(Recorder(), neighbors=[a.pid])
+        sim.run(until=2.0)
+        with pytest.raises(SchedulingError, match=error):
+            a.send(b.pid, "X")
 
     def test_delivery_respects_delay(self):
         sim = Simulator(seed=0, delay_model=ConstantDelay(2.5))
@@ -230,10 +251,54 @@ class TestCompleteMode:
 
     def test_send_to_self_rejected(self, complete_sim):
         a = complete_sim.spawn(Recorder())
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match=r"process 0 cannot reach 0$"):
             a.send(a.pid, "PING")
 
     def test_send_to_absent_rejected(self, complete_sim):
         a = complete_sim.spawn(Recorder())
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match=r"process 0 cannot reach 999$"):
             a.send(999, "PING")
+
+
+def _chorded_ring(complete: bool) -> Simulator:
+    """Eight processes: a ring with chords 4-1 and 6-3, or a complete
+    network without process 6."""
+    sim = Simulator(seed=2007, complete=complete)
+    for i in range(8):
+        ring = [i - 1] * (i > 0) + [0] * (i == 7) + [i - 3] * (i in (4, 6))
+        sim.spawn(Recorder(), [] if complete else ring)
+    if complete:
+        sim.kill(6)
+    return sim
+
+
+class TestFanOut:
+    """``Network.send`` with receivers: one message per receiver, in order,
+    until a receiver the sender cannot reach raises."""
+
+    @pytest.mark.parametrize("complete, receivers, sent, error", [
+        (False, [3, 1, 2, 5], [3, 1], "process 4 cannot reach 2: not a neighbor"),
+        (False, [0], [], "process 4 cannot reach 0: not a neighbor"),
+        (True, [1, 2, 4], [1, 2], "process 4 cannot reach 4$"),
+        (True, [1, 6, 2], [1], "process 4 cannot reach 6$"),
+        (True, [3, 99], [3], "process 4 cannot reach 99$"),
+    ], ids=["ring-midway", "ring-first", "complete-self", "complete-gone", "complete-never"])
+    def test_an_unreachable_receiver_raises_after_the_ones_before_it(
+        self, complete, receivers, sent, error
+    ):
+        sim = _chorded_ring(complete)
+        with pytest.raises(TopologyError, match=error):
+            sim.network.send(Message(4, None, "PROBE", {"note": "x"}), receivers)
+        assert [e["receiver"] for e in sim.trace.events("send")] == sent
+        assert len(sim.queue) == len(sent)
+
+    def test_an_absent_sender_or_no_receiver_sends_nothing(self):
+        sim = _chorded_ring(complete=True)
+        with pytest.raises(MembershipError, match=r"sender 6 is not present"):
+            sim.network.send(Message(6, None, "PROBE", {}), [1, 2])
+        ghost = Recorder()
+        ghost.pid, ghost._sim = 6, sim
+        with pytest.raises(MembershipError, match=r"process 6 is not present"):
+            ghost.broadcast("X")
+        sim.network.send(Message(4, None, "PROBE", {}), [])
+        assert sim.trace.count("send") == 0 and len(sim.queue) == 0

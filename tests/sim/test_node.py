@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.errors import ProtocolError
+from repro.resilience.transport import install_resilience
+from repro.sim.errors import ProtocolError, SchedulingError
+from repro.sim.latency import ConstantDelay
+from repro.sim.network import Network
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
 
@@ -23,6 +26,9 @@ class TestLifecycle:
         proc = Process()
         with pytest.raises(ProtocolError):
             _ = proc.sim
+        for act in (lambda: proc.send(0, "X"), lambda: proc.set_timer(1.0, "t")):
+            with pytest.raises(ProtocolError, match=r"process -1 is not attached to a simulator"):
+                act()
 
     def test_alive_flag(self, sim):
         proc = sim.spawn(Process())
@@ -53,14 +59,18 @@ class TestLifecycle:
             def on_neighbor_leave(self, pid):
                 heard.append(("leave", self.pid, pid))
 
+            def on_message(self, message):
+                heard.append(("message", self.pid))
+
         class Heir(Listener):
             def on_stop(self):
                 heard.append(("stop", self.pid))
 
-        assert not (Process._starts or Process._stops
+        assert not (Process._starts or Process._stops or Process._hears_messages
                     or Process._hears_joins or Process._hears_leaves)
         assert (Listener._starts, Listener._stops) == (True, False)
         assert Heir._stops and Heir._hears_joins and Heir._hears_leaves
+        assert Listener._hears_messages and Heir._hears_messages  # inherited
         first = sim.spawn(Listener()).pid
         second = sim.spawn(Heir(), [first]).pid
         plain = sim.spawn(Process(), [first, second]).pid
@@ -102,8 +112,10 @@ class TestTimers:
 
     def test_negative_timer_rejected(self, sim):
         node = sim.spawn(TimerNode())
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match=r"timer delay must be >= 0, got -1\.0"):
             node.set_timer(-1.0, "tick")
+        with pytest.raises(SchedulingError, match=r"event time is NaN"):
+            node.set_timer(float("nan"), "tick")
 
     def test_multiple_timers_ordered(self, sim):
         node = sim.spawn(TimerNode())
@@ -158,3 +170,58 @@ class TestActions:
         other_sim = Simulator(seed=0)
         b = other_sim.spawn(Process())
         assert b.rng.random() == first
+
+
+class TestFanOut:
+    """``broadcast`` is one fan-out ``Network.send``: the sorted neighbors
+    but ``exclude``, each with its own copy of the payload; a receiver that
+    defines no ``on_message`` is not called."""
+
+    def test_broadcast_is_one_call_into_the_network(self, sim, monkeypatch):
+        hub = sim.spawn(Process())
+        spokes = [sim.spawn(Process(), [hub.pid]).pid for _ in range(3)]
+        calls, send = [], Network.send
+
+        def counted(network, message, receivers=None):
+            calls.append(receivers)
+            return send(network, message, receivers)
+
+        monkeypatch.setattr(Network, "send", counted)
+        assert hub.broadcast("R", hops=1) == 3
+        assert hub.broadcast("R", exclude=spokes[1], hops=1) == 2
+        assert hub.broadcast("R", exclude=99, hops=1) == 3
+        assert calls == [spokes, [spokes[0], spokes[2]], spokes]
+        payloads = []
+        while sim.queue:  # ``partial(_deliver, message, msg_id, counter)``
+            payloads.append(sim.queue.pop().action.args[0].payload)
+        assert payloads == [{"hops": 1}] * 8 and len(set(map(id, payloads))) == 8
+
+    @pytest.mark.parametrize("resilience", [None, "full"])
+    def test_a_deaf_receiver_is_counted_and_traced_but_never_called(
+        self, monkeypatch, resilience
+    ):
+        class Deaf(Process):
+            """Defines no ``on_message``."""
+
+        class Pinger(Process):
+            def on_start(self):
+                self.set_timer(0.5, "ping")
+
+            def on_timer(self, name, payload):
+                self.broadcast("PING")
+                self.set_timer(1.0, "ping")
+
+        def called(self, message):
+            raise AssertionError("inherited no-op on_message was called")
+
+        assert not (Process._hears_messages or Deaf._hears_messages)
+        monkeypatch.setattr(Process, "on_message", called)
+        sim = Simulator(seed=2007, delay_model=ConstantDelay(1.0))
+        deaf = sim.spawn(Deaf()).pid
+        sim.spawn(Pinger(), [deaf])
+        install_resilience(resilience, sim)
+        sim.run(until=5.0)
+        # Pings leave at 0.5, 1.5, 2.5 and 3.5 and take 1.0 each.
+        delivered = [e for e in sim.trace.events("deliver") if e["receiver"] == deaf]
+        assert len(delivered) == 4 and sim.metrics.value("net.delivered") >= 4
+        assert sim.metrics.value("resilience.acks_sent") == (4 if resilience else 0)

@@ -66,8 +66,9 @@ class TestClockAndScheduling:
             sim.schedule(0.1, reschedule)
 
         sim.schedule(0.1, reschedule)
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match=r"exceeded max_events=100; runaway"):
             sim.run(max_events=100)
+        assert sim.events_executed == 100
 
     def test_events_executed_counter(self, sim):
         sim.schedule(1.0, lambda: None)
