@@ -36,9 +36,9 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from concurrent.futures import as_completed
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar,
+)
 
 from repro.engine.plan import ExperimentPlan, TrialSpec
 from repro.engine.recovery.checkpoint import (
@@ -70,6 +70,9 @@ from repro.engine.trials import (
     run_query,
 )
 from repro.sim.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 
 #: A source: ``(result, fresh)`` pairs in plan order; ``fresh`` is false
 #: only for a result resumed from a checkpoint journal.
@@ -501,6 +504,11 @@ class ParallelExecutor(TrialExecutor):
     def _ensure_pool(self) -> _ProcessPool:
         """The persistent pool, created on first use and kept warm."""
         if self._pool is None:
+            # Imported where a pool starts: ``concurrent.futures.process``
+            # loads ``multiprocessing``, ``pickle`` and ``socket``, which a
+            # serial run never needs.
+            from concurrent.futures import ProcessPoolExecutor as _ProcessPool
+
             warm_start = time.time()
             self._pool = _ProcessPool(
                 max_workers=self.jobs, initializer=_warm_worker
@@ -598,6 +606,8 @@ class ParallelExecutor(TrialExecutor):
         items = list(items)
         if self.jobs == 1 or len(items) <= 1:
             return super().map(fn, items, progress=progress)
+        from concurrent.futures import as_completed
+
         pool = self._ensure_pool()
         futures = [pool.submit(fn, item) for item in items]
         if progress is not None:

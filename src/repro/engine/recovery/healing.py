@@ -38,7 +38,6 @@ import tempfile
 import time
 import weakref
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -248,6 +247,9 @@ class PoolHealer:
             if entry[0] == "ready":
                 return self._completed(entry[1], *entry[2])
             self.dispatch(entry[1])
+        # Imported where a pool runs: a serial run loads no process pool.
+        from concurrent.futures.process import BrokenProcessPool
+
         future, task = self.window.popleft()
         try:
             payloads, meta = future.result()
@@ -278,6 +280,8 @@ class PoolHealer:
         whole window for replay, in plan order, ahead of anything already
         queued.  Chunks that finished before the break keep their results;
         only genuinely lost ones re-run."""
+        from concurrent.futures.process import BrokenProcessPool
+
         lost: list[tuple[ChunkTask, Any]] = [(first_dead, None)]
         for future, task in self.window:
             outcome = None

@@ -22,11 +22,8 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-import socket
 import threading
 import time
-import uuid
 from typing import IO, TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.obs.codec import open_journal
@@ -47,6 +44,10 @@ _encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every line
 
 def new_run_id() -> str:
     """A sortable, collision-safe run id: UTC stamp + random tail."""
+    # ``uuid``, ``socket`` and ``platform`` load where a manifest is
+    # written, not in every process that imports the engine.
+    import uuid
+
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     return f"{stamp}-{uuid.uuid4().hex[:6]}"
 
@@ -64,6 +65,9 @@ def plan_digest(plan: "ExperimentPlan") -> str:
 
 def host_info() -> dict[str, Any]:
     """The host fields of a run manifest."""
+    import platform
+    import socket
+
     return {
         "hostname": socket.gethostname(),
         "platform": platform.platform(),

@@ -8,8 +8,10 @@ peek at global state.
 
 State is slot-backed for scale (see ``docs/SCALING.md``): each entity
 occupies a recycled slot in parallel arrays (process object, adjacency
-set, pid), with a dense slot list for O(1) uniform sampling.  Pids remain
-globally unique and are never reused — slots are storage, not identity.
+set, pid), with a dense slot list for O(1) uniform sampling.  On a complete
+network an entity's adjacency set is ``None`` until an explicit link
+touches it.  Pids remain globally unique and are never reused — slots are
+storage, not identity.
 """
 
 from __future__ import annotations
@@ -190,18 +192,24 @@ class Network:
         if pid in slot_of:
             raise MembershipError(f"process {pid} is already present")
         neighbor_ids = sorted(neighbors)
-        adjacent = set(neighbor_ids)
-        # Probe per attachment point, O(|neighbors|): the keys view's ``>=``
-        # looks each point up, where a set difference with
-        # ``slot_of.keys()`` walks the whole membership (O(n²) to spawn n).
-        # ``pid`` itself is absent here, so a self-loop fails this check.
-        if not slot_of.keys() >= adjacent:
-            missing = sorted(p for p in adjacent if p not in slot_of)
-            raise MembershipError(
-                f"cannot attach {pid} to absent processes {missing}"
-            )
-        if len(adjacent) < len(neighbor_ids):  # a point given twice
-            neighbor_ids = sorted(adjacent)
+        if neighbor_ids:
+            adjacent: set[int] | None = set(neighbor_ids)
+            # Probe per attachment point, O(|neighbors|): the keys view's
+            # ``>=`` looks each point up, where a set difference with
+            # ``slot_of.keys()`` walks the whole membership (O(n²) to spawn
+            # n).  ``pid`` itself is absent here, so a self-loop fails.
+            if not slot_of.keys() >= adjacent:
+                missing = sorted(p for p in adjacent if p not in slot_of)
+                raise MembershipError(
+                    f"cannot attach {pid} to absent processes {missing}"
+                )
+            if len(adjacent) < len(neighbor_ids):  # a point given twice
+                neighbor_ids = sorted(adjacent)
+        else:
+            # A complete network answers neighbors from completeness: an
+            # entity holds an adjacency set only once an explicit link
+            # touches it (``None`` reads as empty).
+            adjacent = None if self.complete else set()
         # Take a slot (a recycled hole if there is one) and enter the indexes.
         dense = self._dense
         if self._free:
@@ -230,7 +238,12 @@ class Network:
             # ``_link`` inlined: the endpoints are known present and distinct.
             adj = self._adj
             for other in neighbor_ids:
-                adj[slot_of[other]].add(pid)
+                other_slot = slot_of[other]
+                other_adj = adj[other_slot]
+                if other_adj is None:  # complete: its first explicit link
+                    adj[other_slot] = {pid}
+                else:
+                    other_adj.add(pid)
                 if journals:
                     lo, hi = (pid, other) if pid < other else (other, pid)
                     for journal in journals.values():
@@ -279,9 +292,10 @@ class Network:
         """Remove ``pid`` from the system; in-flight messages to it drop.
 
         On complete graphs with silent departures (``notify_leaves=False``)
-        this is O(1): no neighbor list is materialised because nobody gets
-        notified and no adjacency needs patching.  Otherwise it is
-        O(degree) plus the notification fan-out.
+        this is O(explicit links): no neighbor list is materialised because
+        nobody gets notified.  Otherwise it is O(degree) plus the
+        notification fan-out.  The leaver's explicit links (attachment
+        points, :meth:`add_edge`) are unlinked on every network.
         """
         slot_of = self._slot_of
         slot = slot_of.get(pid)
@@ -292,18 +306,20 @@ class Network:
         proc._alive = False
         if proc._stops:
             proc.on_stop()
+        sim = self._sim
+        # A departed pid never draws again (a rejoin is a new pid).
+        sim._process_streams.pop(pid, None)
         former_neighbors: list[int] = []
         all_adj = self._adj
-        if self.complete:
-            if self.notify_leaves:
+        adj = all_adj[slot]
+        if self.notify_leaves:
+            if self.complete:
                 former_neighbors = list(self._sorted)
                 del former_neighbors[bisect_left(former_neighbors, pid)]
-        else:
-            adj = all_adj[slot]
-            if self.notify_leaves:
+            else:
                 former_neighbors = sorted(adj)
-            for other in adj:
-                all_adj[slot_of[other]].discard(pid)
+        for other in adj or ():
+            all_adj[slot_of[other]].discard(pid)
         # Free the slot: out of the indexes, swap-removed from the dense list.
         del slot_of[pid]
         ordered = self._sorted
@@ -317,7 +333,6 @@ class Network:
             dense[pos] = last
             self._dense_pos[last] = pos
         self._free.append(slot)
-        sim = self._sim
         left = self._left
         if left is None:
             left = self._left = sim.metrics.counter("membership.leaves")
@@ -375,8 +390,12 @@ class Network:
     def _link(self, a: int, b: int) -> None:
         if a == b:
             raise TopologyError(f"self-loop on process {a}")
-        self._adj[self._slot_of[a]].add(b)
-        self._adj[self._slot_of[b]].add(a)
+        adj = self._adj
+        for slot, other in ((self._slot_of[a], b), (self._slot_of[b], a)):
+            if adj[slot] is None:  # complete: its first explicit link
+                adj[slot] = {other}
+            else:
+                adj[slot].add(other)
         if self._journals:
             lo, hi = (a, b) if a < b else (b, a)
             for journal in self._journals.values():
@@ -388,7 +407,7 @@ class Network:
         slot_b = self._slot_of.get(b)
         if slot_a is None or slot_b is None:
             raise MembershipError(f"both endpoints of ({a}, {b}) must be present")
-        if b in self._adj[slot_a]:
+        if b in (self._adj[slot_a] or ()):
             return
         self._link(a, b)
         self._sim.trace.record(self._sim.now, tr.EDGE_UP, a=min(a, b), b=max(a, b))
@@ -401,9 +420,10 @@ class Network:
         slot_b = self._slot_of.get(b)
         if slot_a is None or slot_b is None:
             raise MembershipError(f"both endpoints of ({a}, {b}) must be present")
-        if b not in self._adj[slot_a]:
+        adj_a = self._adj[slot_a]
+        if adj_a is None or b not in adj_a:
             return
-        self._adj[slot_a].discard(b)
+        adj_a.discard(b)
         self._adj[slot_b].discard(a)
         self._sim.trace.record(self._sim.now, tr.EDGE_DOWN, a=min(a, b), b=max(a, b))
         self._procs[slot_a].on_neighbor_leave(b)
@@ -413,9 +433,11 @@ class Network:
         """All current links as sorted pairs (analysis-layer view)."""
         result: set[tuple[int, int]] = set()
         for slot in self._dense:
-            a = self._slot_pid[slot]
-            for b in self._adj[slot]:
-                result.add((a, b) if a < b else (b, a))
+            adj = self._adj[slot]
+            if adj:
+                a = self._slot_pid[slot]
+                for b in adj:
+                    result.add((a, b) if a < b else (b, a))
         return result
 
     def open_topology_journal(self) -> int:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.churn.spec import ChurnSpec
+from repro.engine.trials import QueryConfig, run_query
 from repro.faults.injector import FaultInjector, SendEffect, install_plan
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.sim import trace as tr
@@ -176,6 +178,18 @@ class TestLinkFlap:
         assert len(sim.network.edges()) == 3
         counters = sim.metrics_snapshot()["counters"]
         assert counters["faults.injected.link_flap"] == 2
+
+    def test_flaps_on_a_complete_network_under_churn(self):
+        # A churn join's attachment points are explicit links on a complete
+        # network too; a leave used to keep them, so a flap drew a pair
+        # with a departed end and raised MembershipError on every seed.
+        outcome = run_query(QueryConfig(
+            n=10, protocol="request_collect", seed=0, faults="flaky-links",
+            churn=ChurnSpec(kind="replacement", rate=2.0),
+        ))
+        counters = outcome.metrics["counters"]
+        assert counters["membership.leaves"] > 100
+        assert counters["faults.links_severed"] > 0
 
 
 class TestPartition:

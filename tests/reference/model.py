@@ -221,6 +221,9 @@ class RefSim:
 
     add_edge, remove_edge = partialmethod(link, up=True), partialmethod(link, up=False)
 
+    def edges(self):
+        return {(a, b) for a in self.adj for b in self.adj[a] if a < b}
+
     def set_edge_delay(self, a, b, model):
         self.edge_delays[min(a, b), max(a, b)] = model
 

@@ -2,7 +2,7 @@
 queue backends pop in ``RefQueue``'s order, and one protocol body run through
 ``Simulator`` and ``RefSim`` across arrival × topology × attachment × delay ×
 transport × queue × sink leaves the same trace (as the sink retains it),
-counts, metrics, stream states and pending events.  A hot-path change proves
+counts, metrics, links, stream states and pending events.  A hot-path change proves
 itself with an axis or an ``@example``; each names its ``EVIDENCE``.
 """
 
@@ -153,19 +153,22 @@ def run(s, fast, sink=None):
     model.installed = sim.rng_for("churn").getstate()  # for EVIDENCE
     if fast and s["migrate"]:  # to the calendar mid-run, likely mid-fan-out
         sim.queue._threshold = len(sim.queue) + 10
-    if s["extras"]:  # joins, leaves and an edge opened and closed
+    if s["extras"]:  # joins, leaves and an edge opened, closed and reopened
         rng, network = sim.rng_for("joins"), sim.network
         choose = partial(rule[0]().choose, network, rng) if fast else partial(rule[1], sim, rng)
         for at in (1.5, 3.0, 11.0, 19.0):
             sim.schedule_join(at, node, lambda view: choose())
         sim.schedule_leave(2.2, 1)
         sim.schedule_leave(4.4, n - 1)
-        for at, edge in ((1.0, sim.network.add_edge), (2.5, sim.network.remove_edge)):
-            sim.schedule(at, lambda edge=edge: {0, n // 2} <= set(
-                sim.network.present_sorted()) and edge(0, n // 2), label="edge")
+        far = n - 1 if complete else n // 2  # n // 2 is a hole on a complete network
+        for at, edge in ((1.0, network.add_edge), (2.5, network.remove_edge),
+                         (3.0, network.add_edge)):
+            sim.schedule(at, lambda edge=edge: {0, far} <= set(
+                network.present_sorted()) and edge(0, far), label="edge")
     sim.run(until=s["horizon"])
     return sim, model, dict(
         metrics=sim.metrics_snapshot(), present=sim.network.present_sorted(),
+        edges=sorted(sim.network.edges()),
         streams=[sim.rng_for(name).getstate() for name in ("churn", "transport")],
         churn=(model.joins, model.leaves, model.rejected), pending=[
             (e[0], e[1], e[2], e[4]) for e in (sim.queue.pop() for _ in iter(
@@ -197,6 +200,10 @@ EVIDENCE = {
     "silent joins": lambda f, m: m.joins and not f.metrics.value("net.sent.HELLO"),
     "joins, leaves and edges": lambda f, m: f.trace.count("edge_up") and f.trace.count(
         "edge_down") and f.metrics.value("membership.joins") > 12 + m.joins,
+    # Reopened, its far end left with the link open; no edge names a leaver.
+    "complete-network edges": lambda f, m: f.network.complete and f.trace.count(
+        "edge_up") == 2 and f.trace.count("edge_down") == 1 and all(
+        map(f.network.is_present, sum(f.network.edges(), ()))),
     "migrating queue": lambda f, m: f.queue.backend == "calendar",
     "null sink": lambda f, m: f.trace.retained < len(f.trace),
     "counting sink": lambda f, m: f.trace.sink.summary(),
@@ -220,7 +227,8 @@ EXAMPLES = [
     # The five fault-free send-path pins: chords on an 8-ring, seed 2007.
     case("loss", "static", "ring", loss=True), case("fifo", fifo=True),
     case("edge override", delay="edge"), case("on a bucket bound", delay="constant"),
-    case("receiver absent", "complete with holes", complete=True, extras=True),
+    case("receiver absent", "complete with holes", "complete-network edges", complete=True,
+         extras=True),
     # The twelve membership cells: attachment rule x churn on a 12-ring.
     *(case(*CELLS.get((rule, kind), ()), arrival=kind, attachment=rule, n=12, horizon=30.0,
            immortal="first", extras=True) for rule in ("uniform-2", "degree", "chain")

@@ -128,6 +128,28 @@ class TestLibraryImports:
         assert version[0].isdigit()
         assert repro_modules(modules) == {"repro", "repro.version"}
 
+    def test_a_serial_experiment_loads_no_process_pool(self, tmp_path):
+        # The pool machinery (``multiprocessing``, ``pickle``, ``socket``)
+        # and the manifest's host and run-id modules load where a pool
+        # starts and a manifest is written, not in every trial process.
+        path = tmp_path / "one.yaml"
+        path.write_text(
+            "schema: repro-experiment\nversion: 1\nname: one-trial\n"
+            "kind: query\nbase: {n: 6}\ntrials: 1\nroot_seed: 7\n",
+            encoding="utf-8",
+        )
+        modules, report = loaded_after(
+            "from repro.experiments.loader import load_experiment\n"
+            "from repro.experiments.runner import run_experiment\n"
+            f"run = run_experiment(load_experiment({str(path)!r}),"
+            " executor='serial')\n"
+            "report.append(str(len(run.store)))\n"
+        )
+        assert report == ["1"]
+        assert "repro.engine.executor" in modules
+        assert not {"multiprocessing", "concurrent.futures.process", "socket",
+                    "uuid"} & modules
+
     def test_the_facade_is_eager_and_complete(self):
         modules, report = loaded_after(
             "import repro.api\nreport.append(str(len(repro.api.__all__)))"
