@@ -13,9 +13,10 @@ the querier about a process some journey reaches within the query window,
 so journey reachability is the exact *upper bound* on what any protocol
 can achieve in a run.  Snapshots classify the run along the
 temporal-connectivity hierarchy (Casteigts, *Finding Structure in Dynamic
-Networks*).  Presence intervals and join values come from one scan of the
-trace; edge intervals are read from the same events on the first edge,
-journey or snapshot query, so checking a specification never pays for them.
+Networks*).  Presence intervals and join values come from one pass over
+the trace's :class:`~repro.sim.trace.MembershipFold`; edge intervals are
+replayed from the same fold on the first edge, journey or snapshot query,
+so checking a specification never pays for them.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from repro.obs.sinks import NullSink
 from repro.sim.errors import ConfigurationError
 from repro.sim import trace as tr
-from repro.sim.trace import TraceEvent, TraceLog
+from repro.sim.trace import MembershipFold, TraceEvent, TraceLog
 from repro.topology.graph import Topology
 
 #: Stand-in for "still present at the end of the observation window".
@@ -95,19 +97,23 @@ class Run:
             class predicates in :mod:`repro.core.arrival` test consistency
             with the declared generative model, not the model itself.
         values: each entity's value when it joined.
-        events: the trace events the edge intervals are read from (none:
-            a run without edges).
+        membership: the fold the edge intervals are replayed from, as far
+            as it reaches now (none: a run without edges).
     """
 
     def __init__(
         self, intervals: dict[int, Interval], horizon: float, *,
-        values: dict[int, object] | None = None, events: Iterable[TraceEvent] = (),
+        values: dict[int, object] | None = None,
+        membership: MembershipFold | None = None,
     ) -> None:
         self._intervals = dict(intervals)
         self.horizon = float(horizon)
         #: Entity id -> the value its join event carried (``None`` if none).
         self.values = values if values is not None else {}
-        self._events = events
+        self._membership = membership if membership is not None else MembershipFold()
+        # A live log's fold grows on; the run covers what was folded when
+        # it was built.
+        self._changes = len(self._membership.kinds)
         # node -> {neighbor: presence intervals of the edge}; one list per
         # edge, shared by both endpoints.  Built on the first edge query.
         self._adjacency: dict[int, dict[int, list[Interval]]] | None = None
@@ -122,30 +128,37 @@ class Run:
     ) -> "Run":
         """Build a run from the join/leave events of a trace.
 
-        ``events`` is a :class:`TraceLog` or any iterable of trace events in
-        record order.  ``horizon`` defaults to the last membership event.
+        ``events`` is a :class:`TraceLog`, whose membership fold is read
+        (under every sink), or any iterable of trace events in record
+        order, which is recorded into a fresh log's fold.  ``horizon``
+        defaults to the last membership event.
 
         Raises:
             ValueError: on malformed membership sequences (leave without
                 join, double join — entity ids are never reused).
         """
-        if iter(events) is events:  # one-shot: keep it for the edge query
-            events = list(events)
+        if not isinstance(events, TraceLog):
+            log, folded = TraceLog(NullSink()), tr.CONTACT
+            for time, kind, data in events:
+                if kind in folded:
+                    log.record(time, kind, **data)
+            events = log
+        membership = events.membership
         joins: dict[int, float] = {}
         values: dict[int, object] = {}
         intervals: dict[int, Interval] = {}
         last_time = 0.0
-        presence = tr.PRESENCE
-        for time, kind, data in events:
-            effect = presence.get(kind)
-            if effect is None:
+        for time, kind, entity, value in zip(
+            membership.times, membership.kinds, membership.entities,
+            membership.values,
+        ):
+            if kind > tr.JOINED_ALL:  # a contact opened or closed
                 continue
-            entity = data["entity"]
-            if effect > 0:
+            if kind:
                 if entity in values:
                     raise ValueError(f"entity {entity} joined twice")
                 joins[entity] = time
-                values[entity] = data.get("value")
+                values[entity] = value
             else:
                 joined = joins.pop(entity, None)
                 if joined is None:
@@ -159,7 +172,7 @@ class Run:
             intervals[entity] = _new_interval(Interval, (join_time, FOREVER))
         if horizon is None:
             horizon = last_time
-        return cls(intervals, horizon, values=values, events=events)
+        return cls(intervals, horizon, values=values, membership=membership)
 
     @classmethod
     def static(cls, n: int, horizon: float) -> "Run":
@@ -221,9 +234,9 @@ class Run:
     # ------------------------------------------------------------------
 
     def _adjacent(self) -> dict[int, dict[int, list[Interval]]]:
-        """The edge intervals, read from the run's events on first use."""
+        """The edge intervals, replayed from the run's fold on first use."""
         if self._adjacency is None:
-            self._adjacency = _edge_intervals(self._events)
+            self._adjacency = _edge_intervals(self._membership, self._changes)
         return self._adjacency
 
     def edges(self) -> list[tuple[int, int]]:
@@ -428,10 +441,15 @@ def union_entities(runs: Iterable[Run]) -> frozenset[int]:
     return frozenset(result)
 
 
-def _edge_intervals(events: Iterable[TraceEvent]) -> dict[int, dict[int, list[Interval]]]:
-    """Replay a trace's contact effects (:data:`repro.sim.trace.CONTACT`)
-    into per-edge presence intervals; a detach closes the leaver's open
-    contacts, found through ``open_at``, its incident index."""
+def _edge_intervals(
+    membership: MembershipFold, changes: int
+) -> dict[int, dict[int, list[Interval]]]:
+    """Replay a fold's first ``changes`` changes into per-edge presence
+    intervals (the contact effects of :data:`repro.sim.trace.CONTACT`): a
+    join attaches to its present ``links`` — to everyone present if it
+    joined a complete network — a contact opens and closes, and a leave
+    detaches the leaver from its open contacts, found through
+    ``open_at``, its incident index."""
     adjacency: dict[int, dict[int, list[Interval]]] = {}
     open_at: dict[int, dict[int, float]] = {}
     present: set[int] = set()
@@ -451,21 +469,28 @@ def _edge_intervals(events: Iterable[TraceEvent]) -> dict[int, dict[int, list[In
             near[b] = adjacency.setdefault(b, {})[a] = []
         near[b].append(Interval(started, when))
 
-    for event in events:
-        contact = tr.CONTACT.get(event.kind)
-        if contact == tr.ATTACH:
-            entity = event["entity"]
-            for other in tr.attached(event, present):
-                open_edge(entity, other, event.time)
-        elif contact == tr.DETACH:
-            entity = event["entity"]
+    links = membership.links
+    for index, (when, kind, entity, value) in enumerate(zip(
+        membership.times, membership.kinds[:changes], membership.entities,
+        membership.values,
+    )):
+        if kind == tr.OPENED:
+            open_edge(entity, value, when)
+        elif kind == tr.CLOSED:
+            close_edge(entity, value, when)
+        elif kind == tr.LEFT:
             for other in list(open_at.get(entity, ())):
-                close_edge(entity, other, event.time)
-        elif contact == tr.OPEN:
-            open_edge(*tr.owners_of(event), event.time)
-        elif contact == tr.CLOSE:
-            close_edge(*tr.owners_of(event), event.time)
-        tr.track(present, event)
+                close_edge(entity, other, when)
+            present.discard(entity)
+        else:
+            attached = (
+                [other for other in present if other != entity]
+                if kind == tr.JOINED_ALL
+                else [other for other in links.get(index, ()) if other in present]
+            )
+            for other in attached:
+                open_edge(entity, other, when)
+            present.add(entity)
     for a, near in list(open_at.items()):
         for b in list(near):
             if a < b:

@@ -14,14 +14,18 @@ what happens to each recorded event:
   counts.
 * :class:`NullSink` — discard outright (perf mode).
 
-**The spec checker keeps working under every sink.**  The membership and
-protocol-milestone events (joins/leaves, ``query_issued``/
-``query_returned``, ``bcast_issued``/``bcast_delivered``, …) that
-:mod:`repro.core` consumes are always retained in memory; the sink policy
-governs only the high-volume transport and timer firehose
-(:data:`TRANSPORT_KINDS`).  That is what makes a ``--trace-sink null``
-sweep produce the same result document as a memory-sink sweep, only
-cheaper.
+**The spec checker keeps working under every sink.**  The
+protocol-milestone events (``query_issued``/``query_returned``,
+``bcast_issued``/``bcast_delivered``, …) that :mod:`repro.core` consumes
+are retained in memory by every sink, and the membership and contact
+events (:data:`FOLDED_KINDS`) are folded by the TraceLog into its
+:class:`~repro.sim.trace.MembershipFold` under every sink, which is what
+``Run.from_trace`` reads.  The sink policy governs the events themselves:
+:class:`MemorySink` keeps them all, :class:`JsonlStreamSink` writes them
+all, and the null and counting sinks retain neither the high-volume
+transport and timer firehose (:data:`TRANSPORT_KINDS`) nor the folded
+kinds.  That is what makes a ``--trace-sink null`` sweep produce the same
+result document as a memory-sink sweep, only cheaper.
 """
 
 from __future__ import annotations
@@ -39,12 +43,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trace -> sinks)
     from repro.sim.trace import TraceEvent
 
 #: The high-volume substrate kinds a space-saving sink may drop without
-#: breaking the specification checker.  Everything else (membership,
-#: protocol milestones, detector output, topology changes) is low-volume
-#: and always retained by the TraceLog.
+#: breaking the specification checker.
 TRANSPORT_KINDS = frozenset(
     {"send", "deliver", "drop", "timer", "msg_lost", "retransmit"}
 )
+
+#: The membership and contact kinds (``repro.sim.trace.CONTACT``): every
+#: TraceLog folds them into its membership fold, so a space-saving sink
+#: drops them too.  Everything else (protocol milestones, detector output,
+#: fault and partition records) is low-volume and retained.
+FOLDED_KINDS = frozenset({"join", "leave", "edge_up", "edge_down"})
+
+_UNRETAINED = TRANSPORT_KINDS | FOLDED_KINDS
 
 #: The transport kinds a :class:`CountingSink` counts where they happen
 #: rather than through :meth:`TraceSink.emit`.
@@ -60,10 +70,11 @@ class TraceSink(abc.ABC):
     def retains(self, kind: str) -> bool:
         """Should the TraceLog keep events of ``kind`` in memory?
 
-        Default policy: retain everything except the transport firehose.
-        :class:`MemorySink` overrides this to retain all kinds.
+        Default policy: retain everything except the transport firehose
+        and the folded membership kinds.  :class:`MemorySink` overrides
+        this to retain all kinds.
         """
-        return kind not in TRANSPORT_KINDS
+        return kind not in _UNRETAINED
 
     def observes(self, kind: str) -> bool:
         """Should the TraceLog hand events of ``kind`` to :meth:`emit`?

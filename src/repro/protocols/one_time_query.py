@@ -59,10 +59,6 @@ class _WaveState:
     deadline_timer: int | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def is_origin(self) -> bool:
-        return self.aggregate is not None
-
 
 class WaveNode(AggregatingProcess):
     """A process speaking the wave protocol (relay and/or querier)."""
@@ -210,7 +206,7 @@ class WaveNode(AggregatingProcess):
         self._open_waves -= 1
         if not self._open_waves:
             self._hears_leaves = self._idle_hears_leaves
-        if state.is_origin:
+        if state.aggregate is not None:  # the origin
             if state.deadline_timer is not None:
                 self.cancel_timer(state.deadline_timer)
                 state.deadline_timer = None

@@ -2,8 +2,9 @@
 
 :class:`ReliableTransport` interposes on the two ends of
 :class:`repro.sim.network.Network` transport — ``send`` (outbound) and
-``_deliver`` (inbound) — and turns the fire-and-forget channel every
-protocol uses into an acknowledged, deduplicated, retransmitting session:
+each queued ``PendingDelivery`` (inbound) — and turns the fire-and-forget
+channel every protocol uses into an acknowledged, deduplicated,
+retransmitting session:
 
 * **outbound** — each tracked message is wrapped with a session id
   (``res_rid`` in the payload), registered as pending, and armed with a
@@ -179,7 +180,7 @@ class ReliableTransport:
         self.spec = spec
         #: The kinds :meth:`outbound` and :meth:`inbound` both return
         #: unchanged when the payload carries no ``RID_KEY``: the excluded
-        #: kinds, never acks.  ``Network.send``/``_deliver`` skip both
+        #: kinds, never acks.  ``Network.send``/``PendingDelivery`` skip both
         #: calls for such a message.
         self.passthrough = frozenset(spec.exclude_kinds) - {ACK}
         # Bound by :meth:`install`: the simulator, its metrics and the
@@ -266,7 +267,7 @@ class ReliableTransport:
         return wrapped
 
     # ------------------------------------------------------------------
-    # Inbound interposition (Network._deliver)
+    # Inbound interposition (PendingDelivery, a queued delivery)
     # ------------------------------------------------------------------
 
     def inbound(self, message: Message) -> Message | None:

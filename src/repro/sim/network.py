@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.sim import trace as tr
@@ -27,10 +26,11 @@ from repro.sim.latency import DelayModel, LossModel, NoLoss, UniformDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
 
-# ``TraceEvent(time, kind, data)`` and ``Message(...)`` without a
-# ``__new__`` frame: the join and leave events the membership path appends
-# itself, and the messages of a fan-out.
-_new_event = _new_message = tuple.__new__
+# ``TraceEvent(time, kind, data)``, ``Message(...)`` and
+# ``PendingDelivery(...)`` without a ``__new__`` frame: the join and leave
+# events the membership path keeps itself, the messages of a fan-out and
+# their queued deliveries.
+_new_event = _new_message = _new_delivery = tuple.__new__
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import random
@@ -114,11 +114,6 @@ class Network:
         self._dense_pos: list[int] = []
         self._sorted: list[int] = []
         self._edge_delays: dict[tuple[int, int], DelayModel] = {}
-        # Topology journals: incremental consumers (PartitionFault's
-        # watchdog) subscribe to joins and new links instead of rescanning
-        # the whole graph every tick.  Empty dict = zero hot-path cost.
-        self._journals: dict[int, list[tuple[str, int, int]]] = {}
-        self._journal_tokens = itertools.count()
         # Simulation-local message ids keep traces reproducible regardless
         # of how many messages other simulations in this Python process
         # have created.
@@ -233,7 +228,6 @@ class Network:
             ordered.append(pid)
         else:
             insort(ordered, pid)
-        journals = self._journals
         if neighbor_ids:
             # ``_link`` inlined: the endpoints are known present and distinct.
             adj = self._adj
@@ -244,32 +238,43 @@ class Network:
                     adj[other_slot] = {pid}
                 else:
                     other_adj.add(pid)
-                if journals:
-                    lo, hi = (pid, other) if pid < other else (other, pid)
-                    for journal in journals.values():
-                        journal.append(("edge", lo, hi))
-        if journals:
-            for journal in journals.values():
-                journal.append(("join", pid, pid))
         sim = self._sim
         joined = self._joined
         if joined is None:
             joined = self._joined = sim.metrics.counter("membership.joins")
         joined.value += 1
-        data = {
-            "entity": pid, "degree": len(neighbor_ids),
-            "value": getattr(proc, "value", None),
-            "neighbors": tuple(neighbor_ids),
-        }
-        if self.complete:  # the join attaches to everyone present
-            data["complete"] = True
-            data["degree"] = len(slot_of) - 1
         trace = sim.trace
-        if tr.JOIN in trace.retain_only:
-            trace.tallies[tr.JOIN] += 1
-            trace._events.append(_new_event(tr.TraceEvent, (sim._now, tr.JOIN, data)))
-        else:
+        value, neighbors = getattr(proc, "value", None), tuple(neighbor_ids)
+        # ``(retained, observed, counted, contact)``, once the log has asked
+        # its sink about joins (its first join goes through ``record``).
+        policy = trace._policy.get(tr.JOIN)
+        if policy is None or policy[0] or policy[1]:  # the event is kept or read
+            data = {
+                "entity": pid, "degree": len(neighbor_ids),
+                "value": value, "neighbors": neighbors,
+            }
+            if self.complete:  # the join attaches to everyone present
+                data["complete"] = True
+                data["degree"] = len(slot_of) - 1
+        if policy is None or policy[1]:
             trace.record(sim._now, tr.JOIN, **data)
+        else:
+            # What ``TraceLog.record`` does with a kind the sink does not
+            # observe, inline (a join names no message kind, so nothing is
+            # counted): the tally, the fold and, if the sink retains joins,
+            # the event — no frame.
+            trace.tallies[tr.JOIN] += 1
+            membership = trace.membership
+            if neighbors:
+                membership.links[len(membership.kinds)] = neighbors
+            membership.times.append(sim._now)
+            membership.kinds.append(tr.JOINED_ALL if self.complete else tr.JOINED)
+            membership.entities.append(pid)
+            membership.values.append(value)
+            if policy[0]:
+                trace._events.append(
+                    _new_event(tr.TraceEvent, (sim._now, tr.JOIN, data))
+                )
         proc._alive = True
         if proc._starts:
             proc.on_start()
@@ -338,13 +343,21 @@ class Network:
             left = self._left = sim.metrics.counter("membership.leaves")
         left.value += 1
         trace = sim.trace
-        if tr.LEAVE in trace.retain_only:
-            trace.tallies[tr.LEAVE] += 1
-            trace._events.append(
-                _new_event(tr.TraceEvent, (sim._now, tr.LEAVE, {"entity": pid}))
-            )
-        else:
+        policy = trace._policy.get(tr.LEAVE)
+        if policy is None or policy[1]:
             trace.record(sim._now, tr.LEAVE, entity=pid)
+        else:
+            # ``TraceLog.record``, inline, as for a join.
+            trace.tallies[tr.LEAVE] += 1
+            membership = trace.membership
+            membership.times.append(sim._now)
+            membership.kinds.append(tr.LEFT)
+            membership.entities.append(pid)
+            membership.values.append(None)
+            if policy[0]:
+                trace._events.append(
+                    _new_event(tr.TraceEvent, (sim._now, tr.LEAVE, {"entity": pid}))
+                )
         if self.notify_leaves:
             for other in former_neighbors:
                 other_slot = slot_of.get(other)
@@ -396,10 +409,6 @@ class Network:
                 adj[slot] = {other}
             else:
                 adj[slot].add(other)
-        if self._journals:
-            lo, hi = (a, b) if a < b else (b, a)
-            for journal in self._journals.values():
-                journal.append(("edge", lo, hi))
 
     def add_edge(self, a: int, b: int) -> None:
         """Create a link between two present processes (dynamic topology)."""
@@ -439,28 +448,6 @@ class Network:
                 for b in adj:
                     result.add((a, b) if a < b else (b, a))
         return result
-
-    def open_topology_journal(self) -> int:
-        """Start recording joins and new links; returns a drain token.
-
-        Incremental consumers (e.g. the partition watchdog) use this to
-        observe topology growth in O(changes) instead of rescanning the
-        whole graph.  Entries are ``("join", pid, pid)`` and
-        ``("edge", lo, hi)`` tuples.
-        """
-        token = next(self._journal_tokens)
-        self._journals[token] = []
-        return token
-
-    def drain_topology_journal(self, token: int) -> list[tuple[str, int, int]]:
-        """Return and reset the entries recorded since the last drain."""
-        entries = self._journals[token]
-        self._journals[token] = []
-        return entries
-
-    def close_topology_journal(self, token: int) -> None:
-        """Stop recording for ``token`` (idempotent)."""
-        self._journals.pop(token, None)
 
     # ------------------------------------------------------------------
     # Sampling (scale workloads)
@@ -655,7 +642,9 @@ class Network:
             # Straight onto the queue, with the check ``Simulator.at``
             # makes.  ``sim.queue.push`` is looked up per delivery: a push
             # may migrate the queue to another backend, which rebinds it.
-            action = partial(self._deliver, message, msg_id, sink_delivered)
+            action = _new_delivery(
+                PendingDelivery, (self, message, msg_id, sink_delivered)
+            )
             for delay in delays:
                 deliver_at = now + delay
                 if self.fifo:
@@ -703,12 +692,24 @@ class Network:
             receiver=message.receiver, reason=reason,
         )
 
-    def _deliver(
-        self, message: Message, msg_id: int, sink_delivered: Counter | None
-    ) -> None:
-        sim = self._sim
-        slot = self._slot_of.get(message.receiver)
-        receiver = self._procs[slot] if slot is not None else None
+
+class PendingDelivery(tuple):
+    """A message in flight: the action its delivery event runs.
+
+    A ``(network, message, msg_id, sink_delivered)`` tuple built in one
+    ``tuple.__new__``, like :class:`~repro.sim.messages.Message`: one
+    object per queued delivery, where a ``partial`` of a bound method
+    costs three.  Calling it delivers the message, or drops it if its
+    receiver has left.
+    """
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        network, message, msg_id, sink_delivered = self
+        sim = network._sim
+        slot = network._slot_of.get(message.receiver)
+        receiver = network._procs[slot] if slot is not None else None
         if receiver is None or not receiver._alive:
             sim.metrics.inc("net.dropped.receiver_absent")
             sim.trace.record(
@@ -717,9 +718,9 @@ class Network:
                 reason="receiver_absent",
             )
             return
-        delivered = self._delivered
+        delivered = network._delivered
         if delivered is None:
-            delivered = self._delivered = sim.metrics.counter("net.delivered")
+            delivered = network._delivered = sim.metrics.counter("net.delivered")
         delivered.value += 1
         hops = message.payload.get("hops")
         if hops is not None and isinstance(hops, int):
@@ -734,7 +735,7 @@ class Network:
                 sim._now, tr.DELIVER, msg_id=msg_id, msg_kind=message.kind,
                 sender=message.sender, receiver=message.receiver,
             )
-        resilience = self.resilience
+        resilience = network.resilience
         if resilience is not None and (
             message.kind not in resilience.passthrough
             or "res_rid" in message.payload
@@ -742,7 +743,7 @@ class Network:
             # Acks are consumed and data is acknowledged + deduplicated
             # here, after the delivery is traced (the network did deliver
             # it) but before the protocol sees it.  The check above is the
-            # one ``send`` makes.
+            # one ``Network.send`` makes.
             message = resilience.inbound(message)
             if message is None:
                 return

@@ -11,7 +11,6 @@ membership, which is exactly the paper's locality constraint.
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.errors import MembershipError, ProtocolError
@@ -19,9 +18,10 @@ from repro.sim.events import Event
 from repro.sim.messages import Message
 from repro.sim.trace import TIMER
 
-# ``Message(sender, receiver, kind, payload)`` without its ``__new__``
-# frame: the per-event send paths build the tuple directly.
-_new_message = tuple.__new__
+# ``Message(sender, receiver, kind, payload)`` and ``PendingTimer(...)``
+# without a ``__new__`` frame: the per-event send and timer paths build
+# the tuple directly.
+_new_message = _new_timer = tuple.__new__
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulator
@@ -182,7 +182,7 @@ class Process:
         self._timer_ids = timer_id = self._timer_ids + 1
         self._timers[timer_id] = sim.queue.push(
             sim._now + delay,
-            partial(self._fire_timer, timer_id, name, payload),
+            _new_timer(PendingTimer, (self, timer_id, name, payload)),
             label=f"timer:{self.pid}:{name}",
         )
         return timer_id
@@ -194,20 +194,10 @@ class Process:
             event.cancel()
             self.sim.queue.note_cancelled()
 
-    def _fire_timer(self, timer_id: int, name: str, payload: Any) -> None:
-        self._timers.pop(timer_id, None)
-        if self._alive:
-            sim = self._sim or self.sim
-            trace = sim.trace
-            if TIMER in trace.count_only:
-                trace.tallies[TIMER] += 1
-            else:
-                trace.record(sim._now, TIMER, entity=self.pid, name=name)
-            self.on_timer(name, payload)
-
     def record(self, kind: str, **data: Any) -> None:
         """Write a protocol-level event to the simulation trace."""
-        self.sim.trace.record(self.now, kind, entity=self.pid, **data)
+        sim = self._sim or self.sim
+        sim.trace.record(sim._now, kind, entity=self.pid, **data)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (override in subclasses)
@@ -240,3 +230,28 @@ class Process:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(pid={self.pid}, value={self.value!r})"
+
+
+class PendingTimer(tuple):
+    """A timer set and not yet fired: the action its event runs.
+
+    A ``(process, timer_id, name, payload)`` tuple built in one
+    ``tuple.__new__``, like :class:`~repro.sim.messages.Message`: one
+    object per pending timer, where a ``partial`` of a bound method costs
+    three.  Calling it fires the timer: the process forgets the handle
+    and, if still alive, traces the firing and runs :meth:`Process.on_timer`.
+    """
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        process, timer_id, name, payload = self
+        process._timers.pop(timer_id, None)
+        if process._alive:
+            sim = process._sim or process.sim
+            trace = sim.trace
+            if TIMER in trace.count_only:
+                trace.tallies[TIMER] += 1
+            else:
+                trace.record(sim._now, TIMER, entity=process.pid, name=name)
+            process.on_timer(name, payload)

@@ -10,15 +10,19 @@ contacts, its role in a message — is declared once here, in
 :data:`OWNER_FIELDS`, :data:`PRESENCE`, :data:`CONTACT` and :data:`MESSAGE`;
 ``Run``, the causal kernel, the liveness checkers and the exporter read it.
 
-Storage is delegated to a pluggable :class:`repro.obs.sinks.TraceSink`.
-A raw :class:`TraceLog` (and a raw ``Simulator``) defaults to
-:class:`~repro.obs.sinks.MemorySink`, which keeps every event in memory;
-space-saving sinks (:class:`~repro.obs.sinks.JsonlStreamSink`,
+A run is its membership over time, so every log folds the membership and
+contact kinds into one :class:`MembershipFold` as they are recorded —
+compact columns, not events — and :meth:`repro.core.runs.Run.from_trace`
+reads the fold.  Storage of the events themselves is delegated to a
+pluggable :class:`repro.obs.sinks.TraceSink`.  A raw :class:`TraceLog`
+(and a raw ``Simulator``) defaults to :class:`~repro.obs.sinks.MemorySink`,
+which keeps every event in memory; space-saving sinks
+(:class:`~repro.obs.sinks.JsonlStreamSink`,
 :class:`~repro.obs.sinks.CountingSink`,
 :class:`~repro.obs.sinks.NullSink` — the trial configs' default) stream or
-drop the high-volume transport events while the membership and
-protocol-milestone events the specification checker relies on are always
-retained.  Per-kind counts are maintained unconditionally, so
+drop the high-volume transport events and the folded membership events,
+and retain the protocol-milestone events the specification checker
+reads.  Per-kind counts are maintained unconditionally, so
 :meth:`TraceLog.count` and :meth:`TraceLog.summary` are exact under every
 sink; *reading* a kind that was recorded but dropped raises
 :class:`~repro.sim.errors.ConfigurationError` instead of returning nothing.
@@ -27,6 +31,7 @@ sink; *reading* a kind that was recorded but dropped raises
 from __future__ import annotations
 
 import json
+from array import array
 # The C accessor ``collections.namedtuple`` builds its fields from.
 from collections import _tuplegetter  # type: ignore[attr-defined]
 from pathlib import Path
@@ -127,6 +132,42 @@ def track(present: set[int], event: TraceEvent) -> int:
     return effect
 
 
+#: A change in :attr:`MembershipFold.kinds`: a leave, a join, a join
+#: flagged ``complete`` (it attaches to everyone present), a contact
+#: opened (``edge_up``) and a contact closed (``edge_down``).
+LEFT, JOINED, JOINED_ALL, OPENED, CLOSED = 0, 1, 2, 3, 4
+
+
+class MembershipFold:
+    """Who is present when, and which contacts open and close: the
+    :data:`CONTACT` kinds of one log, folded as they are recorded.
+
+    One entry per change, in record order, across four columns:
+    ``times`` (doubles), ``kinds`` (one byte: :data:`LEFT`,
+    :data:`JOINED`, :data:`JOINED_ALL`, :data:`OPENED` or :data:`CLOSED`),
+    ``entities`` (who joined or left; a contact's ``a``) and ``values``
+    (a join's ``value``, ``None`` for a leave; a contact's ``b``).
+    ``links`` maps a join's index to the ``neighbors`` it named, for the
+    joins that named any.  The fold never judges what it is fed:
+    :meth:`repro.core.runs.Run.from_trace` raises on a malformed
+    membership sequence.  A reader that wants what was appended since
+    some point keeps ``len(fold.kinds)`` as its cursor.
+
+    :meth:`TraceLog.record` is where the fold is fed; the network's join
+    and leave make the same appends in place for a kind the sink does not
+    observe (keep the three in step).
+    """
+
+    __slots__ = ("times", "kinds", "entities", "values", "links")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.kinds = bytearray()
+        self.entities: list[Any] = []
+        self.values: list[Any] = []
+        self.links: dict[int, tuple[Any, ...]] = {}
+
+
 _ASK_FOR_MEMORY = 'run with trace_sink="memory" (or load a "jsonl" stream)'
 
 #: ``TraceEvent(time, kind, data)`` without its ``__new__`` frame: where
@@ -185,27 +226,28 @@ class TraceLog:
 
     def __init__(self, sink: TraceSink | None = None) -> None:
         self._sink: TraceSink = sink if sink is not None else MemorySink()
-        # Per kind, asked of the sink once: (retained, observed, counted)
-        # — kept in memory, handed to ``emit``, and bumped on the sink's
-        # own per-message-kind ``counter`` (a kind it does not observe).
-        self._policy: dict[str, tuple[bool, bool, bool]] = {}
+        # Per kind, asked of the sink once: (retained, observed, counted,
+        # contact) — kept in memory, handed to ``emit``, bumped on the
+        # sink's own per-message-kind ``counter`` (a kind it does not
+        # observe), and its :data:`CONTACT` effect, which the membership
+        # fold applies (``None``: not folded).  ``Network.add_process`` and
+        # ``remove_process`` read it to fold a join or leave the sink does
+        # not observe in place, without a :meth:`record` frame.
+        self._policy: dict[str, tuple[bool, bool, bool, str | None]] = {}
         self._sink_counts = type(self._sink).counter is not TraceSink.counter
         #: The kinds recorded so far that the sink neither retains nor
         #: observes.  For these the per-event call sites (send, deliver,
         #: timer fire) bump ``tallies[kind]`` — and the sink's ``counter``
-        #: for the message kind, if it keeps one — themselves instead of
-        #: calling :meth:`record`: the same count, without the keyword
-        #: arguments nobody reads.
+        #: for the message kind — themselves instead of calling
+        #: :meth:`record`: the same count, without the keyword arguments
+        #: nobody reads.
         self.count_only: set[str] = set()
-        #: The kinds recorded so far that the sink retains but neither
-        #: observes nor counts.  For these the membership call sites
-        #: (``Network.add_process``/``remove_process``) bump
-        #: ``tallies[kind]`` and append the event to the retained list
-        #: themselves, without a :meth:`record` frame.
-        self.retain_only: set[str] = set()
         #: Events recorded per kind: what :meth:`count`, :meth:`summary`
         #: and ``len`` report.
         self.tallies: dict[str, int] = {}
+        #: The membership and contact changes recorded so far, under
+        #: every sink: what :meth:`repro.core.runs.Run.from_trace` reads.
+        self.membership = MembershipFold()
         self._events: list[TraceEvent] = []
 
     @property
@@ -234,9 +276,28 @@ class TraceLog:
         tallies = self.tallies
         tallies[kind] = tallies.get(kind, 0) + 1
         try:
-            retained, observed, counted = self._policy[kind]
+            retained, observed, counted, contact = self._policy[kind]
         except KeyError:
-            retained, observed, counted = self._classify(kind)
+            retained, observed, counted, contact = self._classify(kind)
+        if contact is not None:
+            # The fold (the network makes these appends itself for a join
+            # or leave the sink does not observe).
+            membership = self.membership
+            if contact == ATTACH:
+                entity, value = data["entity"], data.get("value")
+                code = JOINED_ALL if data.get("complete") else JOINED
+                neighbors = data.get("neighbors")
+                if neighbors:
+                    membership.links[len(membership.kinds)] = tuple(neighbors)
+            elif contact == DETACH:
+                entity, value, code = data["entity"], None, LEFT
+            else:
+                entity, value = data["a"], data["b"]
+                code = OPENED if contact == OPEN else CLOSED
+            membership.times.append(time)
+            membership.kinds.append(code)
+            membership.entities.append(entity)
+            membership.values.append(value)
         if counted:
             msg_kind = data.get("msg_kind")
             counter = (
@@ -253,16 +314,14 @@ class TraceLog:
             self._sink.emit(event)
         return event
 
-    def _classify(self, kind: str) -> tuple[bool, bool, bool]:
+    def _classify(self, kind: str) -> tuple[bool, bool, bool, str | None]:
         """Ask the sink about ``kind`` (once per log)."""
         retained = self._sink.retains(kind)
         observed = self._sink.observes(kind)
         counted = self._sink_counts and not observed
         if not retained and not observed:
             self.count_only.add(kind)
-        elif retained and not observed and not counted:
-            self.retain_only.add(kind)
-        policy = self._policy[kind] = (retained, observed, counted)
+        policy = self._policy[kind] = (retained, observed, counted, CONTACT.get(kind))
         return policy
 
     def close(self) -> None:
@@ -328,7 +387,10 @@ class TraceLog:
 
     def membership_events(self) -> list[TraceEvent]:
         """Return the events that change membership (:data:`PRESENCE`), in
-        time order (retained by every sink)."""
+        time order (an error under a sink that folds them without
+        retaining them; :attr:`membership` holds them under every sink)."""
+        for kind in PRESENCE:
+            self._require_retained(kind)
         return [e for e in self._events if e.kind in PRESENCE]
 
     def message_count(self) -> int:
@@ -348,16 +410,26 @@ class TraceLog:
         """Write the retained events as JSON Lines; returns how many.
 
         Tuples and frozensets in event data are encoded with type markers
-        so :meth:`load_jsonl` round-trips them exactly.  To persist the
-        *full* stream under a space-saving sink, record through a
+        so :meth:`load_jsonl` round-trips them exactly.  A log whose sink
+        folded membership or contact events without retaining them (the
+        null and counting sinks) raises
+        :class:`~repro.sim.errors.ConfigurationError`: the file would load
+        as a run with nobody in it.  To persist the *full* stream under a
+        space-saving sink, record through a
         :class:`~repro.obs.sinks.JsonlStreamSink` instead.
         """
+        self._require_folded_kinds()
         path = Path(path)
         with path.open("w", encoding="utf-8") as handle:
             for event in self._events:
                 record = encode_event(event.time, event.kind, event.data)
                 handle.write(json.dumps(record) + "\n")
         return len(self._events)
+
+    def _require_folded_kinds(self) -> None:
+        """Refuse to write out a log that dropped a :data:`CONTACT` kind."""
+        for kind in CONTACT:
+            self._require_retained(kind)
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "TraceLog":
@@ -395,8 +467,14 @@ def merge_logs(logs: Iterable[TraceLog]) -> TraceLog:
     """Merge several logs into one, re-sorted by time (stable).
 
     Useful when analysing a batch of independent trials together.  Only
-    retained events merge; use memory sinks when a full merge matters.
+    retained events merge; use memory sinks when a full merge matters.  A
+    log that dropped a membership or contact kind raises
+    :class:`~repro.sim.errors.ConfigurationError`, as
+    :meth:`TraceLog.save_jsonl` does.
     """
+    logs = list(logs)
+    for log in logs:
+        log._require_folded_kinds()
     merged = TraceLog()
     events = sorted(
         (e for log in logs for e in log), key=lambda e: e.time

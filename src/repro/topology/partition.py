@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.events import PRIORITY_MEMBERSHIP
+from repro.sim.trace import JOINED, JOINED_ALL, OPENED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
@@ -86,11 +87,12 @@ class PartitionFault:
         self._severed: list[tuple[int, int]] = []
         self.active = False
         # Incremental watchdog state: instead of rescanning every present
-        # pid and every edge each tick (O(n + E)), the watchdog subscribes
-        # to the network's topology journal and tracks only what it has
-        # not yet resolved — unadopted newcomers and edges with at least
-        # one unassigned endpoint.
-        self._journal_token: int | None = None
+        # pid and every edge each tick (O(n + E)), the watchdog reads the
+        # joins and opened contacts the trace's membership fold gained
+        # since its cursor, and tracks only what it has not yet resolved —
+        # unadopted newcomers and edges with at least one unassigned
+        # endpoint.
+        self._cursor: int | None = None
         self._pending_adoption: set[int] = set()
         self._watch_edges: set[tuple[int, int]] = set()
 
@@ -135,7 +137,7 @@ class PartitionFault:
         rng = self.sim.rng_for("partition")
         self._assignment = self.groups(present, rng)
         self.active = True
-        self._journal_token = network.open_topology_journal()
+        self._cursor = len(self.sim.trace.membership.kinds)
         self._pending_adoption = {
             pid for pid in present if pid not in self._assignment
         }
@@ -172,13 +174,18 @@ class PartitionFault:
         if not self.active:
             return
         network = self.sim.network
-        if self._journal_token is not None:
-            for kind, a, b in network.drain_topology_journal(self._journal_token):
-                if kind == "join":
-                    if a not in self._assignment:
-                        self._pending_adoption.add(a)
-                else:
-                    self._watch_edges.add((a, b))
+        membership = self.sim.trace.membership
+        entities, start = membership.entities, self._cursor
+        for index, kind in enumerate(membership.kinds[start:], start):
+            pid = entities[index]
+            if kind == OPENED:
+                self._watch_edges.add((pid, membership.values[index]))
+            elif (kind == JOINED or kind == JOINED_ALL) and pid not in self._assignment:
+                # Its join links need no watching: a newcomer takes the
+                # one side its assigned neighbors share, so none of them
+                # can become a cross edge.
+                self._pending_adoption.add(pid)
+        self._cursor = len(membership.kinds)
         # Adopt newcomers into the side they attached to (their first
         # surviving neighbor's side); ambiguous ones retry next tick.
         for pid in sorted(self._pending_adoption):
@@ -214,9 +221,7 @@ class PartitionFault:
             return
         self.active = False
         network = self.sim.network
-        if self._journal_token is not None:
-            network.close_topology_journal(self._journal_token)
-            self._journal_token = None
+        self._cursor = None
         self._pending_adoption.clear()
         self._watch_edges.clear()
         restored = 0

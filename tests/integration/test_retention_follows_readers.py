@@ -2,10 +2,11 @@
 
 A trial retains what its checker reads.  The three trial configs default
 to the ``"null"`` sink, so a default-config outcome holds every
-membership / protocol-milestone event and *no* transport event — and
-everything decided from the trace (verdict, metrics block, per-kind
-counts, invariant violations) equals the full-retention run's.  Counted,
-never timed.
+protocol-milestone event, the membership and contact changes folded
+(not as events), and *no* transport event — and everything decided from
+the trace (verdict, metrics block, per-kind counts, invariant violations,
+the run's presence and edge intervals) equals the full-retention run's.
+Counted, never timed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.engine.trials import (
     run_gossip,
     run_query,
 )
-from repro.obs.sinks import TRANSPORT_KINDS
+from repro.obs.sinks import FOLDED_KINDS, TRANSPORT_KINDS
 from repro.sim.errors import ConfigurationError
 
 TRIALS = {
@@ -57,6 +58,9 @@ def _decided(outcome) -> dict:
         "presence": {
             pid: outcome.run.interval(pid) for pid in outcome.run.entities()
         },
+        "edges": {
+            pair: outcome.run.presence(*pair) for pair in outcome.run.edges()
+        },
     }
 
 
@@ -71,19 +75,22 @@ def test_default_sink_retains_what_the_checker_reads(trial, stress, check):
     lean = run(config)
     full = run(replace(config, trace_sink="memory"))
 
+    dropped = TRANSPORT_KINDS | FOLDED_KINDS
     transport = sum(lean.trace.count(kind) for kind in TRANSPORT_KINDS)
-    assert transport > 0
-    assert lean.trace.retained == len(lean.trace) - transport
-    assert not any(event.kind in TRANSPORT_KINDS for event in lean.trace)
+    folded = sum(lean.trace.count(kind) for kind in FOLDED_KINDS)
+    assert transport > 0 and folded > 0
+    assert lean.trace.retained == len(lean.trace) - transport - folded
+    assert not any(event.kind in dropped for event in lean.trace)
     assert full.trace.retained == len(full.trace) == len(lean.trace)
 
     assert _decided(lean) == _decided(full)
-    # The retained events are the full run's, minus the transport kinds.
+    # The retained events are the full run's, minus the transport and
+    # folded kinds.
     assert [(e.time, e.kind, e.data) for e in lean.trace] == [
-        (e.time, e.kind, e.data) for e in full.trace
-        if e.kind not in TRANSPORT_KINDS
+        (e.time, e.kind, e.data) for e in full.trace if e.kind not in dropped
     ]
 
-    with pytest.raises(ConfigurationError, match="'send'"):
-        lean.trace.events("send")
+    for kind in ("send", "join"):
+        with pytest.raises(ConfigurationError, match=f"'{kind}'"):
+            lean.trace.events(kind)
     assert len(full.trace.events("send")) == full.messages

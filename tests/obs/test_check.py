@@ -124,7 +124,8 @@ def test_checking_sink_delegates_retention_to_inner():
 
     checked_null = CheckingSink(NullSink())
     assert not checked_null.retains("send")
-    assert checked_null.retains("join")
+    assert not checked_null.retains("join")
+    assert checked_null.retains("query_issued")
     checked_memory = CheckingSink(MemorySink())
     assert checked_memory.retains("send")
 

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.check import CheckingSink
 from repro.obs.codec import decode_value, encode_value
 from repro.obs.sinks import (
+    FOLDED_KINDS,
     SINK_NAMES,
     TRANSPORT_KINDS,
     CountingSink,
@@ -17,7 +18,7 @@ from repro.obs.sinks import (
     make_sink,
 )
 from repro.sim.errors import ConfigurationError
-from repro.sim.trace import TraceLog
+from repro.sim.trace import CONTACT, PRESENCE, TraceLog
 
 
 class TestMakeSink:
@@ -51,13 +52,17 @@ class TestMakeSink:
 class TestRetentionPolicy:
     def test_memory_retains_everything(self):
         sink = MemorySink()
-        assert all(sink.retains(kind) for kind in TRANSPORT_KINDS | {"join"})
+        assert all(sink.retains(kind) for kind in TRANSPORT_KINDS | FOLDED_KINDS)
+
+    def test_the_folded_kinds_are_the_contact_kinds(self):
+        assert FOLDED_KINDS == set(CONTACT) >= set(PRESENCE)
 
     @pytest.mark.parametrize("sink_cls", [NullSink, CountingSink])
-    def test_space_savers_drop_only_transport(self, sink_cls):
+    def test_space_savers_drop_transport_and_folded_kinds(self, sink_cls):
         sink = sink_cls()
         assert not any(sink.retains(kind) for kind in TRANSPORT_KINDS)
-        for kind in ("join", "leave", "query_issued", "query_returned"):
+        assert not any(sink.retains(kind) for kind in FOLDED_KINDS)
+        for kind in ("query_issued", "query_returned", "partition_split"):
             assert sink.retains(kind)
 
     def test_counts_stay_exact_under_every_sink(self):
@@ -73,11 +78,18 @@ class TestRetentionPolicy:
                                log.count("join"), log.summary(), len(log))
         assert summaries["memory"] == summaries["null"] == summaries["counts"]
 
-    def test_membership_retained_under_null_sink(self):
+    def test_membership_folded_not_retained_under_null_sink(self):
+        from repro.core.runs import Interval, Run
+
         log = TraceLog(sink=NullSink())
-        log.record(0.0, "join", entity=1)
+        log.record(0.0, "join", entity=1, value=3)
         log.record(1.0, "send", src=1, dst=2)
-        assert [e.kind for e in log.membership_events()] == ["join"]
+        log.record(2.0, "leave", entity=1)
+        assert log.retained == 0
+        run = Run.from_trace(log)
+        assert run.interval(1) == Interval(0.0, 2.0) and run.values == {1: 3}
+        with pytest.raises(ConfigurationError, match="'join'.*memory"):
+            log.membership_events()
         with pytest.raises(ConfigurationError, match="'send'.*memory"):
             log.events("send")
         assert log.count("send") == 1
@@ -90,7 +102,7 @@ class TestDroppedIsLoud:
     @pytest.fixture
     def lean(self):
         log = TraceLog(sink=NullSink())
-        log.record(0.0, "join", entity=1)
+        log.record(0.0, "query_issued", qid=0, entity=1)
         log.record(1.0, "send", msg_id=0, msg_kind="X", sender=1, receiver=2)
         log.record(2.0, "drop", msg_id=0, msg_kind="X", reason="loss")
         return log
@@ -113,10 +125,11 @@ class TestDroppedIsLoud:
         assert lean.between(0.0, 9.0, kind="msg_lost") == []
 
     def test_retained_kinds_and_unfiltered_reads_still_answer(self, lean):
-        assert [e.kind for e in lean.events("join")] == ["join"]
-        assert lean.first("join") is lean.last("join")
-        assert [e.kind for e in lean.events()] == ["join"]
-        assert [e.kind for e in lean.between(0.0, 9.0)] == ["join"]
+        issued = "query_issued"
+        assert [e.kind for e in lean.events(issued)] == [issued]
+        assert lean.first(issued) is lean.last(issued)
+        assert [e.kind for e in lean.events()] == [issued]
+        assert [e.kind for e in lean.between(0.0, 9.0)] == [issued]
 
     def test_metrics_helpers_inherit_the_error(self, lean):
         from repro.analysis.metrics import (
@@ -151,9 +164,12 @@ class TestDroppedIsLoud:
         from repro.obs.check import check_trace
 
         log = TraceLog(sink=NullSink())
-        log.record(0.0, "join", entity=1)
+        log.record(0.0, "partition_split", sides=(1, 1))
         assert log.retained == len(log)
         assert check_trace(log) == []
+        log.record(1.0, "join", entity=1)  # folded, not retained
+        with pytest.raises(ConfigurationError, match="retained 1 of 2"):
+            check_trace(log)
 
 
 class TestNoEventIsBuiltForNobody:
@@ -186,8 +202,8 @@ class TestNoEventIsBuiltForNobody:
     def test_null_sink_builds_exactly_the_retained_events(self, monkeypatch):
         log, built = self._constructions(monkeypatch, NullSink())
         assert len(log) == 42
-        assert log.retained == 2
-        assert built == ["join", "query_issued"]
+        assert log.retained == 1
+        assert built == ["query_issued"]
 
     def test_counting_sink_builds_exactly_the_retained_events(
         self, monkeypatch
@@ -197,7 +213,7 @@ class TestNoEventIsBuiltForNobody:
         sink = CountingSink()
         log, built = self._constructions(monkeypatch, sink)
         assert len(log) == 42
-        assert built == ["join", "query_issued"]
+        assert built == ["query_issued"]
         assert sink.summary() == {"deliver": {"X": 20}, "send": {"X": 20}}
 
     @pytest.mark.parametrize("make", [
@@ -213,8 +229,9 @@ class TestNoEventIsBuiltForNobody:
 
     def test_record_returns_none_only_for_an_unbuilt_event(self):
         log = TraceLog(sink=NullSink())
-        assert log.record(0.0, "join", entity=1).kind == "join"
+        assert log.record(0.0, "query_issued", entity=1).kind == "query_issued"
         assert log.record(1.0, "send", msg_id=0) is None
+        assert log.record(2.0, "join", entity=1) is None
         assert TraceLog().record(1.0, "send", msg_id=0).kind == "send"
 
     def test_retains_is_asked_once_per_kind(self):
@@ -228,8 +245,8 @@ class TestNoEventIsBuiltForNobody:
         log = TraceLog(sink=Probe())
         for i in range(5):
             log.record(float(i), "send", msg_id=i)
-            log.record(float(i), "join", entity=i)
-        assert asked == ["send", "join"]
+            log.record(float(i), "query_issued", entity=i)
+        assert asked == ["send", "query_issued"]
         assert log.retained == 5
 
 
@@ -244,7 +261,7 @@ class TestConstantMemory:
         log.record(1.0, "query_issued", qid=1)
         assert len(log) == 100_002
         assert log.count("send") == 100_000
-        assert log.retained == 2  # join + query_issued only
+        assert log.retained == 1  # query_issued only: the join is folded
 
     def test_counting_sink_summarises_dropped_firehose(self):
         log = TraceLog(sink=CountingSink())
@@ -257,7 +274,7 @@ class TestConstantMemory:
             "deliver": {"WAVE_QUERY": 1},
             "send": {"WAVE_ECHO": 1, "WAVE_QUERY": 3},
         }
-        assert log.retained == 1
+        assert log.retained == 0
 
 
 class TestJsonlStreamSink:
@@ -286,7 +303,8 @@ class TestJsonlStreamSink:
     def test_retention_matches_space_savers(self, tmp_path):
         sink = JsonlStreamSink(tmp_path / "t.jsonl")
         assert not sink.retains("send")
-        assert sink.retains("join")
+        assert not sink.retains("join")
+        assert sink.retains("query_issued")
 
     def test_close_idempotent_and_lazy_open(self, tmp_path):
         path = tmp_path / "lazy.jsonl"
@@ -393,7 +411,7 @@ class TestEmitIsOnlyCalledWhenOverridden:
         log.record(0.0, "join", entity=1, neighbors=(), degree=0, value=None)
         log.record(1.0, "timer", entity=1, name="t")
         assert seen == ["join", "timer"]
-        assert log.retained == 1
+        assert log.retained == 0
 
         counting = CountingSink()
         log = TraceLog(sink=counting)
@@ -514,9 +532,9 @@ class TestCountPathMatchesEmitPath:
 
     def test_send_deliver_and_timer_never_enter_record(self, monkeypatch):
         """Under the counting sink, once the first event of a kind has
-        decided it, the storm's sends, deliveries and timer fires are
-        counted where they happen: ``TraceLog.record`` is not called for
-        any of them again."""
+        decided it, the storm's sends, deliveries and timer fires — and its
+        joins and leaves, folded in place — are counted where they happen:
+        ``TraceLog.record`` is not called for any of them again."""
         from repro.sim import trace as trace_mod
 
         sim = ping_storm(CountingSink(), "plain")
@@ -534,5 +552,6 @@ class TestCountPathMatchesEmitPath:
         after = sim.trace.summary()
         for kind in ("send", "deliver", "timer"):
             assert after[kind] - before[kind] > 500, kind
-        assert {"send", "deliver", "timer"}.isdisjoint(recorded)
-        assert "join" in recorded and "drop" in recorded
+        assert after["join"] > before["join"] and after["leave"] > before["leave"]
+        assert {"send", "deliver", "timer", "join", "leave"}.isdisjoint(recorded)
+        assert "drop" in recorded

@@ -5,15 +5,19 @@ keeps (see "Memory: what an entity costs" in ``docs/SCALING.md``).  The
 contracts below hold the core to keeping only live state, each stated on
 the object itself so that they mean the same under every Python version:
 a random stream carries no instance dictionary, a complete network's
-entity holds no adjacency set until an explicit link touches it, and a
-departed entity's process stream is released.
+entity holds no adjacency set until an explicit link touches it, a
+departed entity's process stream is released, a sink that keeps no
+membership event retains none (the trace's fold holds the membership),
+and a pending timer or delivery is one tuple, not a ``partial``.
 
 The last test holds a storm-shaped simulator (n = 2 000 ping nodes on a
 complete network with silent churn and the counting sink, built but not
 run) to a tracemalloc ceiling of bytes per entity, about 15 % above what
 this code measures; the count repeats exactly for a given interpreter.
 History (CPython 3.11): 4 444.5 B per entity with a ``__dict__`` per
-stream and an empty adjacency set per entity, 3 892.5 B without them.
+stream and an empty adjacency set per entity, 3 892.5 B without them,
+3 434.7 B with each join folded into columns instead of retained as an
+event and the first timer queued as one ``PendingTimer``.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from repro.obs.sinks import CountingSink
-from repro.sim.node import Process
+from repro.obs.sinks import CountingSink, NullSink
+from repro.sim.messages import Message
+from repro.sim.network import PendingDelivery
+from repro.sim.node import PendingTimer, Process
 from repro.sim.rng import SeedSequence
 from repro.sim.scheduler import Simulator
 
@@ -132,8 +139,61 @@ class TestDepartedStreamReleased:
             before, stayer.random()]
 
 
+class TestMembershipIsFoldedNotRetained:
+    @pytest.mark.parametrize("sink", [NullSink, CountingSink])
+    def test_joins_leaves_and_links_leave_no_event(self, sink):
+        sim = Simulator(seed=5, trace_sink=sink())
+        for i in range(6):
+            sim.spawn(PingNode(0), [i - 1] if i else [])
+        sim.kill(2)
+        sim.network.add_edge(0, 5)
+        sim.network.remove_edge(0, 5)
+        sim.schedule_leave(1.5, 4)
+        sim.run(until=3.0)
+        summary = sim.trace.summary()
+        assert (summary["join"], summary["leave"]) == (6, 2)
+        assert summary["edge_up"] == summary["edge_down"] == 1
+        assert summary["timer"] > 6 and summary["send"] > 0
+        assert sim.trace.retained == 0
+        assert len(sim.trace.membership.kinds) == 8 + 2  # joins, leaves, contacts
+
+
+class TestOneRecordPerPendingEvent:
+    def test_a_pending_timer_and_delivery_are_one_tuple_each(self):
+        received = []
+
+        class Probe(Process):
+            def on_timer(self, name, payload):
+                received.append((name, payload))
+
+            def on_message(self, message):
+                received.append(message)
+
+        sim = Simulator(seed=1, complete=True)
+        a, b = (sim.spawn(Probe()) for _ in range(2))
+        a.set_timer(0.5, "tick", payload=5)
+        a.send(b.pid, "PING", hops=1)
+        pending = sorted((sim.queue.pop() for _ in iter(sim.queue.peek_time, None)),
+                         key=lambda event: event[4])
+        (_, _, _, deliver, deliver_label, _), (_, _, _, fire, fire_label, _) = pending
+        assert (deliver_label, fire_label) == ("deliver:PING", f"timer:{a.pid}:tick")
+        assert type(fire) is PendingTimer and type(deliver) is PendingDelivery
+        assert tuple(fire) == (a, 1, "tick", 5)
+        sent = Message(a.pid, b.pid, "PING", {"hops": 1})
+        assert deliver[1:3] == (sent, 0)
+        four = sys.getsizeof((None,) * 4)
+        assert sys.getsizeof(fire) == sys.getsizeof(deliver) == four
+        for action in (fire, deliver):  # its fields, and nothing else
+            referents = sorted(map(id, gc.get_referents(action)))
+            assert referents == sorted(map(id, [type(action), *action]))
+        fire()
+        deliver()
+        assert received == [("tick", 5), sent]
+        assert a._timers == {}
+
+
 def test_bytes_per_entity_of_a_storm_shaped_simulator():
-    n, ceiling = 2_000, 4_480
+    n, ceiling = 2_000, 3_950
     gc.collect()
     tracemalloc.start()
     try:

@@ -192,8 +192,8 @@ class TestFanOut:
         assert hub.broadcast("R", exclude=99, hops=1) == 3
         assert calls == [spokes, [spokes[0], spokes[2]], spokes]
         payloads = []
-        while sim.queue:  # ``partial(_deliver, message, msg_id, counter)``
-            payloads.append(sim.queue.pop().action.args[0].payload)
+        while sim.queue:  # ``PendingDelivery(network, message, msg_id, counter)``
+            payloads.append(sim.queue.pop().action[1].payload)
         assert payloads == [{"hops": 1}] * 8 and len(set(map(id, payloads))) == 8
 
     @pytest.mark.parametrize("resilience", [None, "full"])

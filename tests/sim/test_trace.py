@@ -7,8 +7,11 @@ import pickle
 import pytest
 
 from repro.core.runs import Run
+from repro.obs.sinks import NullSink
+from repro.sim.errors import ConfigurationError
 from repro.sim.trace import (
-    DELIVER, JOIN, LEAVE, SEND, TraceEvent, TraceLog, merge_logs,
+    CLOSED, DELIVER, EDGE_DOWN, EDGE_UP, JOIN, JOINED, JOINED_ALL, LEAVE, LEFT,
+    OPENED, SEND, MembershipFold, TraceEvent, TraceLog, merge_logs,
 )
 
 
@@ -100,6 +103,16 @@ class TestMergeLogs:
     def test_merge_empty(self):
         assert len(merge_logs([])) == 0
 
+    def test_merge_refuses_a_log_that_folded_membership_away(self):
+        """Merging would lose the null-sink log's join (only its fold
+        holds it), so the merge raises instead."""
+        kept = TraceLog()
+        kept.record(0.0, JOIN, entity=0)
+        folded = TraceLog(NullSink())
+        folded.record(1.0, JOIN, entity=1)
+        with pytest.raises(ConfigurationError, match="'join' events were recorded"):
+            merge_logs([kept, folded])
+
 
 class TestTraceEvent:
     """A ``TraceEvent`` is an immutable, tuple-backed value."""
@@ -126,21 +139,32 @@ class TestTraceEvent:
         )
 
     def test_the_appended_membership_events_equal_recorded_ones(self):
-        """A join/leave the network appends itself (``retain_only``)
-        equals the one ``record`` builds."""
+        """The fold entries the network appends itself (a kind the sink
+        only counts) equal the ones ``record`` folds from the events."""
         from repro.sim.node import Process
         from repro.sim.scheduler import Simulator
 
-        sim = Simulator(seed=1)
-        for _ in range(3):
-            sim.spawn(Process(value=7), [0] if sim.network.population() else [])
-        sim.kill(1)
-        assert JOIN in sim.trace.retain_only and LEAVE in sim.trace.retain_only
-        by_record = TraceLog()
-        by_record.record(0.0, JOIN, entity=0, degree=0, value=7, neighbors=())
-        for pid in (1, 2):
-            by_record.record(0.0, JOIN, entity=pid, degree=1, value=7,
-                             neighbors=(0,))
-        by_record.record(0.0, LEAVE, entity=1)
-        assert sim.trace.events() == by_record.events()
-        assert sim.trace.summary() == by_record.summary()
+        def fold_of(sink, complete):
+            sim = Simulator(seed=1, trace_sink=sink, complete=complete)
+            for _ in range(4):
+                sim.spawn(Process(value=7), [0] if sim.network.population() else [])
+            sim.kill(1)
+            sim.network.add_edge(2, 3)
+            sim.network.remove_edge(0, 3)
+            sim.network.remove_edge(2, 3)
+            sim.kill(3)
+            return sim.trace, sim.trace.membership
+
+        for complete in (False, True):
+            lean, appended = fold_of(NullSink(), complete)
+            full, recorded = fold_of(None, complete)
+            assert {JOIN, LEAVE, EDGE_UP, EDGE_DOWN} <= lean.count_only
+            assert lean.retained == 0 and lean.summary() == full.summary()
+            for column in MembershipFold.__slots__:
+                assert getattr(appended, column) == getattr(recorded, column)
+            joined = JOINED_ALL if complete else JOINED
+            assert recorded.kinds == bytearray(
+                [joined] * 4 + [LEFT, OPENED, CLOSED, CLOSED, LEFT])
+            assert recorded.entities == [0, 1, 2, 3, 1, 2, 0, 2, 3]
+            assert recorded.values == [7] * 4 + [None, 3, 3, 3, None]
+            assert recorded.links == {1: (0,), 2: (0,), 3: (0,)}

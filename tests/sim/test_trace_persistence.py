@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.spec import OneTimeQuerySpec
+from repro.sim.errors import ConfigurationError
 from repro.sim.latency import UniformDelay
 from repro.sim.messages import Message
 from repro.sim.node import Process
@@ -36,17 +37,32 @@ class TestTracePersistence:
         assert event["result"] == frozenset({1.0, 2.0})
 
     def test_loaded_trace_spec_checkable(self, tmp_path):
-        """A persisted simulation trace can be re-audited offline."""
+        """A persisted simulation trace can be re-audited offline (a
+        memory trace: the null sink folds membership without keeping it)."""
         from repro.engine.trials import QueryConfig, run_query
 
         outcome = run_query(QueryConfig(n=10, topology="er", aggregate="SUM",
-                                        seed=4, horizon=100))
+                                        seed=4, horizon=100,
+                                        trace_sink="memory"))
         path = tmp_path / "sim.jsonl"
         outcome.trace.save_jsonl(path)
         loaded = TraceLog.load_jsonl(path)
         verdicts = OneTimeQuerySpec().check(loaded, horizon=100)
         assert len(verdicts) == 1
         assert verdicts[0].ok
+
+    def test_folded_membership_refuses_to_save(self, tmp_path):
+        """A default (null-sink) trial trace folds its joins and leaves
+        without keeping them; saving it would write a run with nobody in
+        it, so it raises instead of writing a file."""
+        from repro.engine.trials import QueryConfig, run_query
+
+        outcome = run_query(QueryConfig(n=10, topology="er", aggregate="SUM",
+                                        seed=4, horizon=100))
+        path = tmp_path / "sim.jsonl"
+        with pytest.raises(ConfigurationError, match="'join' events were recorded"):
+            outcome.trace.save_jsonl(path)
+        assert not path.exists()
 
     def test_unknown_objects_degrade_to_repr(self, tmp_path):
         log = TraceLog()

@@ -150,6 +150,30 @@ class TestLibraryImports:
         assert not {"multiprocessing", "concurrent.futures.process", "socket",
                     "uuid"} & modules
 
+    def test_writing_an_experiment_document_loads_no_metadata_reader(
+        self, tmp_path
+    ):
+        # The document's ``repro_version`` stamp answers from the source
+        # tree: no ``importlib.metadata``, whose ``email`` package imports
+        # ``socket``.
+        path = tmp_path / "one.yaml"
+        output = tmp_path / "one.json"
+        path.write_text(
+            "schema: repro-experiment\nversion: 1\nname: one-trial\n"
+            "kind: query\nbase: {n: 6}\ntrials: 1\nroot_seed: 7\n",
+            encoding="utf-8",
+        )
+        modules, report = loaded_after(
+            "import io\n"
+            "from repro.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            f"report.append(str(main(['experiment', 'run', {str(path)!r},"
+            f" '--output', {str(output)!r}])))\n"
+        )
+        assert report == ["0"]
+        assert '"repro_version"' in output.read_text(encoding="utf-8")
+        assert not {"importlib.metadata", "email", "socket"} & modules
+
     def test_the_facade_is_eager_and_complete(self):
         modules, report = loaded_after(
             "import repro.api\nreport.append(str(len(repro.api.__all__)))"

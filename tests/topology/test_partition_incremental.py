@@ -1,9 +1,10 @@
 """The incremental partition watchdog vs the legacy full scan.
 
 The watchdog used to rescan every present pid and every edge per tick —
-O(n + E) even on quiet ticks.  It now drains the network's topology
-journal and tracks only unresolved work (unadopted newcomers, edges with
-an unassigned endpoint).  These tests pin the equivalence: under joins,
+O(n + E) even on quiet ticks.  It now reads the joins and opened
+contacts the trace's membership fold gained since its cursor, and tracks
+only unresolved work (unadopted newcomers, edges with an unassigned
+endpoint).  These tests pin the equivalence: under joins,
 leaves and rewiring during the split, the incremental sweep must sever
 exactly what the full scan would, adopt the same newcomers to the same
 sides, and leave no cross edge standing.
@@ -59,7 +60,7 @@ class TestIncrementalEquivalence:
         fault.install(sim)
         sim.run(until=6)
         # A chain of newcomers: each attaches to the previous one, so only
-        # journal-driven adoption (not a one-shot scan) resolves them all.
+        # cursor-driven adoption (not a one-shot scan) resolves them all.
         anchor = pids[0]
         chain = []
         for _ in range(4):
@@ -104,11 +105,9 @@ class TestIncrementalEquivalence:
         fault.install(sim)
         sim.run(until=20)
         assert not fault.active
-        assert fault._journal_token is None
+        assert fault._cursor is None  # it reads the trace's fold no more
         assert not fault._pending_adoption
         assert not fault._watch_edges
-        # The network keeps no orphaned journal either.
-        assert not sim.network._journals
         assert snapshot(sim.network).is_connected()
 
     def test_matches_brute_force_reference_under_stress(self):
