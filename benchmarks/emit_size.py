@@ -1,7 +1,8 @@
 """Emit the size ledger: physical lines under ``src/repro`` and under
-``tests``, and the width of the ``repro.api`` facade, as a flat BENCH
-payload that ``repro bench diff`` gates in CI (every metric
-lower-is-better; see ROADMAP aim 2).
+``tests``, the width of the ``repro.api`` facade and the number of
+committed mutants (``tests/mutants/*.diff``), as a flat BENCH payload that
+``repro bench diff`` gates in CI (every metric lower-is-better but
+``mutants``; see ROADMAP aim 2).
 
 Run:  python benchmarks/emit_size.py [--output FILE]
 """
@@ -37,6 +38,7 @@ if __name__ == "__main__":
         "telemetry_loc": loc(SRC / "engine" / "telemetry.py"),
         "cli_loc": loc(SRC / "cli.py"),
         "api_names": len(repro.api.__all__),
+        "mutants": len(list((TESTS / "mutants").glob("*.diff"))),
     }
     Path(args.output).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}: {payload}")

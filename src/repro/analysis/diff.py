@@ -55,6 +55,8 @@ BENCH_THRESHOLDS: dict[str, tuple[float, bool]] = {
     "parallel_wall_s": (0.50, False),
     "speedup": (0.50, True),
     "events_executed_total": (0.0, False),
+    # The size ledger's count of committed mutants: dropping one fails.
+    "mutants": (0.0, True),
 }
 
 #: Prefix/suffix rules for BENCH payload metrics with no exact entry above.

@@ -739,6 +739,8 @@ def _resumed(
             yield preloaded[spec.index], False
         else:
             yield next(fresh)
+    # Nothing is left, but the pool records its last chunk after yielding it.
+    yield from fresh
 
 
 def _resolve_backend(

@@ -3,7 +3,7 @@
 The fault plane (:mod:`repro.faults`) breaks the *simulated* system;
 this module breaks the **harness itself** — the worker pool, the result
 store, the operator's keyboard — at exact, reproducible points, so the
-conformance suite in ``tests/engine/test_chaos_engine.py`` can prove
+engine conformance matrix (``tests/engine/test_conformance.py``) can prove
 that resume-after-every-failure-point reassembles the baseline bytes.
 
 Every injector is count-based (fire on the Nth trial / chunk / append),

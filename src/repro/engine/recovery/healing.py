@@ -231,8 +231,17 @@ class PoolHealer:
         return bool(self.window or self.replay)
 
     def dispatch(self, task: ChunkTask) -> None:
-        """Submit ``task`` behind everything in flight."""
-        future = self.pool.submit_chunk(task, self._ensure_heartbeat_dir())
+        """Submit ``task`` behind everything in flight.  A pool that broke
+        since the last step refuses the submission; the task then waits
+        as a failed future, and the break is absorbed in plan order."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            future = self.pool.submit_chunk(task, self._ensure_heartbeat_dir())
+        except BrokenProcessPool as exc:
+            future = Future()
+            future.set_exception(exc)
         self.window.append((future, task))
 
     def step(self) -> Any:

@@ -18,7 +18,8 @@ Determinism contract: the spec configures *wall-clock shape only*.  For a
 fixed plan, every spec — serial or parallel, any worker count, any chunk
 size — produces the byte-identical canonical result document.  The chunk
 layout, worker scheduling and calibration trial can never leak into
-results; ``tests/engine/test_chunking.py`` pins this.
+results; the backend axis of ``tests/engine/test_conformance.py`` pins
+this.
 """
 
 from __future__ import annotations

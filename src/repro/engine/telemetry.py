@@ -15,7 +15,8 @@ the live file.  The summary's counts and per-worker health are the
 Determinism contract (the faults/resilience idiom): telemetry is pure
 observation.  ``run_plan(plan, telemetry=...)`` produces the byte-identical
 result document to ``run_plan(plan)`` under every backend, chunk size and
-stream container — pinned by ``tests/engine/test_telemetry.py``.
+stream container — pinned by the engine conformance matrix
+(``tests/engine/test_conformance.py``).
 """
 
 from __future__ import annotations

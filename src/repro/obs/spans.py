@@ -30,8 +30,8 @@ on one host share a clock base.
 
 Determinism contract: spans observe wall-clock shape only.  Nothing in
 this module is reachable from trial execution, so telemetry enabled vs
-disabled produces byte-identical result documents (pinned by
-``tests/engine/test_telemetry.py``).
+disabled produces byte-identical result documents (pinned by the
+observers axis of ``tests/engine/test_conformance.py``).
 """
 
 from __future__ import annotations

@@ -114,6 +114,10 @@ def test_bench_rule_gates_wall_time_families_lower_is_better(name):
     assert _bench_rule(name) == (0.50, False)
 
 
+def test_bench_rule_gates_the_mutant_count_higher_is_better():
+    assert _bench_rule("mutants") == (0.0, True)
+
+
 def test_bench_rule_leaves_descriptive_fields_ungated():
     assert _bench_rule("n") is None
     assert _bench_rule("seed") is None

@@ -8,6 +8,7 @@ import pytest
 
 from repro.churn.models import PhasedChurn, ReplacementChurn
 from repro.churn.spec import resolve_churn
+from repro.engine.executor import run_plan
 from repro.engine.plan import ChurnSpec, ExperimentPlan, TrialSpec, build_plan
 from repro.engine.trials import GossipConfig, QueryConfig
 from repro.sim.errors import ConfigurationError
@@ -208,3 +209,39 @@ class TestChurnSpec:
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert hash(spec) == hash(ChurnSpec(kind="finite", rate=2.0,
                                             total_arrivals=10))
+
+
+def _grid_plan(rates, trials=2):
+    return build_plan(
+        "determinism", kind="query", grid={"churn_rate": rates},
+        base={"n": 10, "topology": "er", "aggregate": "COUNT", "horizon": 150.0},
+        trials=trials, root_seed=77,
+    )
+
+
+class TestSeedStability:
+    """Trial seeds depend only on ``(root_seed, trial index)``: growing the
+    sweep grid never perturbs the seeds, or the results, of the grid
+    points that were already there."""
+
+    def test_seeds_unchanged_when_grid_grows(self):
+        def seeds(plan):
+            return {(s.point, s.trial): s.seed for s in plan.specs}
+
+        small, grown = seeds(_grid_plan([0.0, 2.0])), seeds(_grid_plan([0.0, 2.0, 8.0]))
+        assert {key: grown[key] for key in small} == small
+
+    def test_results_unchanged_when_grid_grows(self):
+        """Indices shift; the physics does not."""
+        def records(rates):
+            return {
+                (r.point, r.trial): {k: v for k, v in r.to_record().items() if k != "index"}
+                for r in run_plan(_grid_plan(rates)).results
+            }
+
+        small, grown = records([0.0, 2.0]), records([0.0, 2.0, 8.0])
+        assert {key: grown[key] for key in small} == small
+
+    def test_trials_extension_preserves_seed_prefix(self):
+        short = [s.seed for s in _grid_plan([0.0], trials=3).specs]
+        assert [s.seed for s in _grid_plan([0.0], trials=6).specs][:3] == short

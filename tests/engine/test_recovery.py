@@ -1,12 +1,10 @@
 """Checkpoint/resume: the ``repro-run-checkpoint`` journal contract.
 
-The crash-safety contract mirrors the chunking identity suite: a run
-interrupted at *any* point and resumed from its journal must reassemble
-the byte-identical canonical document an uninterrupted run produces —
-across the serial backend, warm-pool parallel dispatch, the streaming
-JSONL container, and plans with genuinely failed trials.  The journal
-itself must survive torn tails, corrupt lines and duplicate entries by
-keeping the valid prefix and re-executing the rest.
+The journal keeps its valid prefix through torn tails, corrupt lines,
+digest mismatches and duplicate entries, and refuses another plan's
+journal.  That a run interrupted at any point resumes to the baseline
+bytes — every backend, the streaming container, every way of finishing
+it — is the disruption axis of ``tests/engine/test_conformance.py``.
 """
 
 from __future__ import annotations
@@ -16,38 +14,23 @@ import os
 
 import pytest
 
-from repro.engine.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    run_plan,
-    stream_plan,
-)
+from repro.engine.executor import run_plan, stream_plan
 from repro.engine.plan import build_plan
 from repro.engine.recovery.chaos import SigintAfter, tear_file_tail
 from repro.engine.recovery.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
     CheckpointError,
-    CheckpointState,
     CheckpointWriter,
     load_checkpoint,
     record_digest,
     result_from_record,
 )
-from repro.engine.results import load_document
 from repro.engine.telemetry import TelemetryRecorder, plan_digest
 from repro.experiments.runner import run_experiment
 from repro.obs.ledger import find_run, load_telemetry, run_status, scan_runs
 from repro.sim.errors import ConfigurationError
-
-# Same plan shape as tests/engine/test_chunking.py: churn_rate 8.0 yields
-# genuinely failed trials, so resume identity covers unhappy verdicts too.
-PLAN = build_plan(
-    "recovery-plan", kind="query",
-    grid={"churn_rate": [0.0, 8.0]},
-    base={"n": 8, "topology": "er", "aggregate": "COUNT", "horizon": 150.0},
-    trials=5, root_seed=13,
-)
+from tests.engine.conftest import PLAN
 
 OTHER_PLAN = build_plan(
     "other-plan", kind="query",
@@ -57,31 +40,11 @@ OTHER_PLAN = build_plan(
 )
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    return run_plan(PLAN, executor=SerialExecutor())
-
-
-@pytest.fixture(scope="module")
-def baseline_json(baseline):
-    return baseline.to_json()
-
-
-def interrupt_run(plan, ckpt, after, **kwargs):
-    """Run ``plan`` with a checkpoint, chaos-SIGINT'd after ``after``
-    trial completions; returns the checkpoint path."""
-    with pytest.raises(KeyboardInterrupt):
-        run_plan(
-            plan, checkpoint=ckpt, progress=SigintAfter(after), **kwargs
-        )
-    return ckpt
-
-
 class TestJournalFormat:
-    def test_header_and_round_trip(self, baseline, tmp_path):
+    def test_header_and_round_trip(self, reference, tmp_path):
         ckpt = str(tmp_path / "run.ckpt.jsonl")
         doc = run_plan(PLAN, checkpoint=ckpt).to_json()
-        assert doc == baseline.to_json()
+        assert doc == reference.json
         state = load_checkpoint(ckpt, plan=PLAN)
         header = state.header
         assert header["schema"] == CHECKPOINT_SCHEMA
@@ -181,6 +144,20 @@ class TestJournalRecovery:
         with pytest.raises(CheckpointError, match="different plan"):
             run_plan(OTHER_PLAN, checkpoint=ckpt)
 
+    def test_foreign_journal_leaves_an_existing_stream_untouched(
+        self, tmp_path
+    ):
+        ckpt = str(tmp_path / "other.ckpt")
+        run_plan(OTHER_PLAN, checkpoint=ckpt)
+        out = tmp_path / "keep.jsonl"
+        stream_plan(OTHER_PLAN, str(out))
+        before = out.read_bytes()
+        # Everything is resolved and verified before the stream file is
+        # created: a rejected call must not truncate what is already there.
+        with pytest.raises(CheckpointError, match="different plan"):
+            stream_plan(PLAN, str(out), checkpoint=ckpt)
+        assert out.read_bytes() == before
+
     def test_missing_empty_and_foreign_files_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint journal"):
             load_checkpoint(str(tmp_path / "absent.jsonl"))
@@ -199,160 +176,11 @@ class TestJournalRecovery:
         with pytest.raises(CheckpointError, match="unsupported checkpoint"):
             load_checkpoint(str(future))
 
-    def test_closed_writer_refuses_appends(self, baseline, tmp_path):
+    def test_closed_writer_refuses_appends(self, reference, tmp_path):
         writer = CheckpointWriter(str(tmp_path / "w.jsonl"), PLAN)
         writer.close()
         with pytest.raises(CheckpointError, match="closed"):
-            writer.append(baseline.results[0])
-
-
-class TestResumeIdentity:
-    """Interrupt-at-every-prefix differential: resume must always
-    reassemble the baseline bytes, and re-execute only what is missing."""
-
-    def test_serial_resume_at_every_prefix(self, baseline_json, tmp_path):
-        for after in range(1, len(PLAN)):
-            ckpt = str(tmp_path / f"serial-{after}.jsonl")
-            interrupt_run(PLAN, ckpt, after)
-            assert load_checkpoint(ckpt).completed == set(range(after))
-            resumed = run_plan(PLAN, checkpoint=ckpt)
-            assert resumed.to_json() == baseline_json
-
-    def test_resume_runs_only_missing_trials(self, baseline_json, tmp_path):
-        ckpt = str(tmp_path / "count.jsonl")
-        interrupt_run(PLAN, ckpt, 4)
-        executed: list[int] = []
-        resumed = run_plan(
-            PLAN, checkpoint=ckpt,
-            progress=lambda done, total, r: executed.append(r.index),
-        )
-        assert resumed.to_json() == baseline_json
-        assert sorted(executed) == list(range(4, len(PLAN)))
-
-    def test_resume_from_without_writer(self, baseline_json, tmp_path):
-        ckpt = str(tmp_path / "ro.jsonl")
-        interrupt_run(PLAN, ckpt, 6)
-        before = os.path.getsize(ckpt)
-        resumed = run_plan(PLAN, resume_from=ckpt)
-        assert resumed.to_json() == baseline_json
-        # resume_from= is read-only: the journal is untouched.
-        assert os.path.getsize(ckpt) == before
-
-    def test_resume_from_accepts_loaded_state(self, baseline_json, tmp_path):
-        ckpt = str(tmp_path / "state.jsonl")
-        interrupt_run(PLAN, ckpt, 3)
-        state = load_checkpoint(ckpt)
-        assert isinstance(state, CheckpointState)
-        assert run_plan(PLAN, resume_from=state).to_json() == baseline_json
-
-    def test_parallel_interrupt_resumes_serially(self, baseline_json, tmp_path):
-        # Cross-backend resume: interrupted under the warm pool, finished
-        # in-process — the journal is backend-agnostic.
-        ckpt = str(tmp_path / "xbackend.jsonl")
-        executor = ParallelExecutor(jobs=2, chunk=1)
-        try:
-            interrupt_run(PLAN, ckpt, 3, executor=executor)
-        finally:
-            executor.close()
-        resumed = run_plan(PLAN, checkpoint=ckpt, executor=SerialExecutor())
-        assert resumed.to_json() == baseline_json
-
-    def test_pool_journals_in_plan_order_and_resumes_on_the_pool(
-        self, baseline_json, tmp_path
-    ):
-        first = str(tmp_path / "first.jsonl")
-        second = str(tmp_path / "second.jsonl")
-        executor = ParallelExecutor(jobs=2, chunk=1)
-        try:
-            interrupt_run(PLAN, first, 4, executor=executor)
-            # The journal sits in the one dispatch loop's consumer, so its
-            # lines follow plan order whatever order the workers finish in.
-            assert list(load_checkpoint(first).records) == [0, 1, 2, 3]
-            resumed = run_plan(
-                PLAN, executor=executor, checkpoint=second, resume_from=first,
-            )
-        finally:
-            executor.close()
-        assert resumed.to_json() == baseline_json
-        assert list(load_checkpoint(second).records) == list(range(len(PLAN)))
-
-    @pytest.mark.parametrize("chunk", [1, 7, len(PLAN)])
-    def test_serial_interrupt_resumes_in_parallel(
-        self, baseline_json, tmp_path, chunk
-    ):
-        ckpt = str(tmp_path / f"to-par-{chunk}.jsonl")
-        interrupt_run(PLAN, ckpt, 5)
-        executor = ParallelExecutor(jobs=2, chunk=chunk)
-        try:
-            resumed = run_plan(PLAN, checkpoint=ckpt, executor=executor)
-        finally:
-            executor.close()
-        assert resumed.to_json() == baseline_json
-
-    def test_fully_complete_journal_resumes_without_executing(
-        self, baseline_json, tmp_path
-    ):
-        ckpt = str(tmp_path / "done.jsonl")
-        run_plan(PLAN, checkpoint=ckpt)
-        executed: list[int] = []
-        again = run_plan(
-            PLAN, checkpoint=ckpt,
-            progress=lambda done, total, r: executed.append(r.index),
-        )
-        assert again.to_json() == baseline_json
-        assert executed == []
-
-    def test_torn_journal_tail_resumes_cleanly(self, baseline_json, tmp_path):
-        ckpt = str(tmp_path / "torn.jsonl")
-        interrupt_run(PLAN, ckpt, 6)
-        tear_file_tail(ckpt, drop_bytes=9)
-        with pytest.warns(RuntimeWarning, match="torn final checkpoint"):
-            resumed = run_plan(PLAN, checkpoint=ckpt)
-        assert resumed.to_json() == baseline_json
-
-
-class TestStreamResume:
-    def test_stream_resume_is_byte_identical(self, tmp_path):
-        reference = str(tmp_path / "reference.jsonl")
-        stream_plan(PLAN, reference)
-        for after in (1, 4, len(PLAN) - 1):
-            ckpt = str(tmp_path / f"s{after}.ckpt")
-            out = str(tmp_path / f"s{after}.jsonl")
-            with pytest.raises(KeyboardInterrupt):
-                stream_plan(
-                    PLAN, out, checkpoint=ckpt, progress=SigintAfter(after)
-                )
-            ran = stream_plan(PLAN, out, checkpoint=ckpt)
-            assert ran == len(PLAN)
-            with open(out, "rb") as fresh, open(reference, "rb") as ref:
-                assert fresh.read() == ref.read()
-
-    def test_foreign_journal_leaves_an_existing_stream_untouched(
-        self, tmp_path
-    ):
-        ckpt = str(tmp_path / "other.ckpt")
-        run_plan(OTHER_PLAN, checkpoint=ckpt)
-        out = tmp_path / "keep.jsonl"
-        stream_plan(OTHER_PLAN, str(out))
-        before = out.read_bytes()
-        # Everything is resolved and verified before the stream file is
-        # created: a rejected call must not truncate what is already there.
-        with pytest.raises(CheckpointError, match="different plan"):
-            stream_plan(PLAN, str(out), checkpoint=ckpt)
-        assert out.read_bytes() == before
-
-    def test_stream_resume_document_matches_canonical(
-        self, baseline, tmp_path
-    ):
-        ckpt = str(tmp_path / "doc.ckpt")
-        out = str(tmp_path / "doc.jsonl")
-        with pytest.raises(KeyboardInterrupt):
-            stream_plan(PLAN, out, checkpoint=ckpt, progress=SigintAfter(2))
-        stream_plan(PLAN, out, checkpoint=ckpt)
-        reassembled = json.dumps(
-            load_document(out), indent=2, sort_keys=True
-        ) + "\n"
-        assert reassembled == baseline.to_json()
+            writer.append(reference.results[0])
 
 
 class TestRunExperimentResume:
@@ -400,14 +228,15 @@ class TestTelemetryIntegration:
         ledger = scan_runs(str(tmp_path / "runs"))
         assert [e["status"] for e in ledger] == ["interrupted"]
 
-    def test_resumed_run_records_provenance(self, baseline_json, tmp_path):
+    def test_resumed_run_records_provenance(self, reference, tmp_path):
         ckpt = str(tmp_path / "p.ckpt")
-        interrupt_run(PLAN, ckpt, 4)
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(PLAN, checkpoint=ckpt, progress=SigintAfter(4))
         tpath = str(tmp_path / "runs" / "resumed.jsonl")
         recorder = TelemetryRecorder(path=tpath, resumed_from="run-000abc")
         resumed = run_plan(PLAN, checkpoint=ckpt, telemetry=recorder)
         recorder.close()  # caller-owned recorders close explicitly
-        assert resumed.to_json() == baseline_json
+        assert resumed.to_json() == reference.json
         manifest, _, summary = load_telemetry(tpath)
         assert manifest.resumed_from == "run-000abc"
         assert summary["resumed_trials"] == 4
@@ -429,33 +258,3 @@ class TestTelemetryIntegration:
         with pytest.raises(ConfigurationError, match="no run matching"):
             find_run("zzz-does-not-exist", directory)
         assert find_run(ids[0], directory)["manifest"].run_id == ids[0]
-
-
-class TestTornStreamTail:
-    """Satellite regression: a crash mid-append to the streaming JSONL
-    container leaves a torn final line that ``load_document`` tolerates."""
-
-    def test_torn_final_stream_line_is_dropped(self, baseline, tmp_path):
-        out = str(tmp_path / "stream.jsonl")
-        stream_plan(PLAN, out)
-        intact = load_document(out)
-        tear_file_tail(out, drop_bytes=5)
-        with pytest.warns(RuntimeWarning, match="torn final stream line"):
-            torn = load_document(out)
-
-        def trial_count(doc):
-            return sum(len(point["trials"]) for point in doc["points"])
-
-        assert trial_count(intact) == len(PLAN)
-        assert trial_count(torn) == len(PLAN) - 1
-
-    def test_mid_stream_corruption_still_raises(self, tmp_path):
-        out = str(tmp_path / "stream.jsonl")
-        stream_plan(PLAN, out)
-        with open(out, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        lines[2] = "{ garbage"
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match="corrupt"):
-            load_document(out)

@@ -1,20 +1,18 @@
-"""Self-healing warm pool: worker death mid-chunk never perturbs results.
+"""Self-healing warm pool: the pieces, unit by unit.
 
-Two layers of coverage.  The pure policy (backoff schedule, respawn
-bounds, quarantine threshold, partition decisions) is unit-tested
-without forking anything; the integration layer SIGKILLs real pool
-workers — an innocent bystander via the chaos injector, then a genuine
-poison trial that kills every worker it touches — and pins the
-byte-identity and telemetry contracts from docs/RECOVERY.md.
+The pure policy (backoff schedule, respawn bounds, quarantine threshold),
+kill attribution, partition and replay order run on a stand-in pool, and
+the heartbeat slot on real files; none of them needs a worker to die.
+That a SIGKILLed bystander or a poison trial never perturbs the document
+is the ``kill`` / ``lethal`` disruption of
+``tests/engine/test_conformance.py``; a plan where every trial is lethal
+aborts here.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import os
 import signal
-import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -22,14 +20,7 @@ import pytest
 
 import repro.engine.executor as executor_module
 import repro.engine.recovery.healing as healing
-from repro.engine.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    execute_trial,
-    run_plan,
-)
-from repro.engine.plan import build_plan
-from repro.engine.recovery.chaos import KillWorkerAtChunk
+from repro.engine.executor import ParallelExecutor, run_plan
 from repro.engine.recovery.healing import (
     MAX_RESPAWN_BACKOFF_S,
     RESPAWN_BACKOFF_S,
@@ -41,33 +32,8 @@ from repro.engine.recovery.healing import (
     quarantine_threshold,
     respawn_backoff,
 )
-from repro.engine.telemetry import TelemetryRecorder
-from repro.obs.ledger import load_telemetry
 from repro.sim.errors import ConfigurationError
-
-PLAN = build_plan(
-    "healing-plan", kind="query",
-    grid={"churn_rate": [0.0, 8.0]},
-    base={"n": 8, "topology": "er", "aggregate": "COUNT", "horizon": 150.0},
-    trials=5, root_seed=13,
-)
-
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pre-fork monkeypatching needs the fork start method",
-)
-
-
-@pytest.fixture(scope="module")
-def baseline_json():
-    return run_plan(PLAN, executor=SerialExecutor()).to_json()
-
-
-@pytest.fixture()
-def no_backoff(monkeypatch):
-    """Zero out the parent-side respawn delay so healing tests run fast;
-    the executor looks the schedule up through its module namespace."""
-    monkeypatch.setattr(executor_module, "respawn_backoff", lambda n: 0.0)
+from tests.engine.conftest import PLAN, fork_only
 
 
 class TestPolicy:
@@ -113,14 +79,19 @@ class StubPool:
     """The two calls a :class:`PoolHealer` makes on its pool, with no pool
     behind them: every chunk finishes at submission (its payloads are its
     trials' plan indices), except the submissions numbered in ``broken``,
-    which die with the pool."""
+    which die with the pool, and in ``refused``, which a pool that already
+    broke turns away."""
 
-    def __init__(self, broken=()):
+    def __init__(self, broken=(), refused=()):
         self.broken = set(broken)
+        self.refused = set(refused)
         self.submitted = []
         self.replaced = []
 
     def submit_chunk(self, task, heartbeat):
+        if len(self.submitted) in self.refused:
+            self.refused.discard(len(self.submitted))
+            raise BrokenProcessPool("the pool broke before this submission")
         future = Future()
         if len(self.submitted) in self.broken:
             future.set_exception(BrokenProcessPool("worker died"))
@@ -240,6 +211,22 @@ class TestReplayOrder:
         assert pool.replaced == [1] and healer.respawns == 1
 
 
+    def test_a_refused_submission_is_absorbed_as_a_break(self):
+        pool = StubPool(refused={1})
+        healer = PoolHealer(pool)
+        try:
+            healer.dispatch(ChunkTask(batch=tuple(PLAN.specs[0:2])))
+            healer.dispatch(ChunkTask(batch=tuple(PLAN.specs[2:4])))
+            outcomes = [healer.step() for _ in range(3)]
+            assert not healer.pending
+        finally:
+            healer.close()
+        assert outcomes[1] is None  # the break, absorbed in plan order
+        consumed = [i for outcome in outcomes if outcome for i in outcome[1]]
+        assert consumed == [0, 1, 2, 3]
+        assert pool.replaced == [1] and healer.respawns == 1
+
+
 class TestHeartbeatSlot:
     """The death-attribution channel itself: one memory-mapped slot per
     worker pid.  Counted, never timed."""
@@ -345,109 +332,14 @@ class TestHeartbeatSlot:
 
 
 @fork_only
-class TestRealWorkerDeath:
-    """Integration: SIGKILL real warm-pool workers."""
+def test_everything_poison_aborts_with_worker_pool_error(monkeypatch, no_backoff):
+    def lethal(spec):
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    def test_innocent_worker_kill_heals_byte_identically(
-        self, baseline_json, no_backoff, tmp_path
-    ):
-        tpath = str(tmp_path / "telemetry.jsonl")
-        recorder = TelemetryRecorder(path=tpath)
-        executor = ParallelExecutor(jobs=2, chunk=2)
-        chaos = KillWorkerAtChunk(executor, chunk=1)
-        try:
-            store = run_plan(
-                PLAN, executor=executor, progress=chaos, telemetry=recorder,
-            )
-            assert chaos.fired and chaos.victim is not None
-            assert store.to_json() == baseline_json
-            assert executor.respawns >= 1
-        finally:
-            executor.close()
-        recorder.close()
-        manifest, spans, summary = load_telemetry(tpath)
-        kinds = {span.name for span in spans}
-        assert "worker_respawned" in kinds
-        recovery = summary["recovery"]
-        assert recovery["engine.recovery.worker_respawns"] >= 1
-        # An innocent bystander's death must never quarantine anything.
-        assert recovery["engine.recovery.poison_quarantined"] == 0
-        assert summary["counts"]["quarantined"] == 0
-
-    POISON_INDEX = 4
-
-    @pytest.fixture()
-    def poison_one_trial(self, monkeypatch, no_backoff):
-        real = execute_trial
-
-        def selective(spec):
-            if spec.index == self.POISON_INDEX:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(spec)
-
-        monkeypatch.setattr(executor_module, "execute_trial", selective)
-
-    def test_poison_trial_is_quarantined_in_place(
-        self, baseline_json, poison_one_trial, tmp_path
-    ):
-        tpath = str(tmp_path / "telemetry.jsonl")
-        recorder = TelemetryRecorder(path=tpath)
-        executor = ParallelExecutor(jobs=2, chunk=2)
-        try:
-            store = run_plan(PLAN, executor=executor, telemetry=recorder)
-            # A poison trial needs one isolated re-run per retry plus the
-            # confirming kill, so at least threshold pool breaks happened.
-            assert executor.respawns >= quarantine_threshold(executor.retries)
-        finally:
-            executor.close()
-        recorder.close()
-        results = {r.index: r for r in store.results}
-        poisoned = results[self.POISON_INDEX]
-        assert poisoned.status == "quarantined"
-        assert poisoned.ok is False and poisoned.wall_time == 0.0
-        clean = [r for r in store.results if r.index != self.POISON_INDEX]
-        assert len(clean) == len(PLAN) - 1
-        assert all(r.status != "quarantined" for r in clean)
-        _, spans, summary = load_telemetry(tpath)
-        kinds = [span.name for span in spans]
-        assert "worker_respawned" in kinds
-        assert "chunk_redispatched" in kinds
-        recovery = summary["recovery"]
-        assert recovery["engine.recovery.poison_quarantined"] == 1
-        assert recovery["engine.recovery.worker_respawns"] == executor.respawns
-        assert recovery["engine.recovery.trials_redispatched"] >= 1
-
-    def test_poison_and_clean_documents_differ_only_at_the_poison_trial(
-        self, baseline_json, poison_one_trial
-    ):
-        executor = ParallelExecutor(jobs=2, chunk=2)
-        try:
-            healed = json.loads(run_plan(PLAN, executor=executor).to_json())
-        finally:
-            executor.close()
-        reference = json.loads(baseline_json)
-        # Same plan block, same point layout; only the poisoned point's
-        # trial record and summary may differ.
-        assert healed["plan"] == reference["plan"]
-        assert [p["point"] for p in healed["points"]] == [
-            p["point"] for p in reference["points"]
-        ]
-        diffs = sum(
-            1 for h, r in zip(healed["points"], reference["points"])
-            if h != r
-        )
-        assert diffs == 1
-
-    def test_everything_poison_aborts_with_worker_pool_error(
-        self, monkeypatch, no_backoff
-    ):
-        def lethal(spec):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(executor_module, "execute_trial", lethal)
-        executor = ParallelExecutor(jobs=2, chunk=2)
-        try:
-            with pytest.raises(WorkerPoolError, match="giving up"):
-                run_plan(PLAN, executor=executor)
-        finally:
-            executor.close()
+    monkeypatch.setattr(executor_module, "execute_trial", lethal)
+    executor = ParallelExecutor(jobs=2, chunk=2)
+    try:
+        with pytest.raises(WorkerPoolError, match="giving up"):
+            run_plan(PLAN, executor=executor)
+    finally:
+        executor.close()

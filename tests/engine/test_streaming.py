@@ -1,11 +1,10 @@
-"""StreamingResultStore: the JSONL container must be indistinguishable
-from the canonical document once loaded.
+"""StreamingResultStore: the JSONL container format.
 
-The contract: ``stream_plan`` writes one header line plus one line per
-trial; ``load_document`` reassembles the byte-for-byte canonical schema-v2
-document from it, under both executor backends, with summaries recomputed
-per point.  Unsupported or foreign streams fail up front with the typed
-errors, exactly like the canonical loader.
+``stream_plan`` writes one header line plus one line per trial, and
+``load_document`` reassembles the canonical schema-v2 document from it
+(the byte-identity of that round trip on every backend is a cell of
+``tests/engine/test_conformance.py``).  Unsupported, foreign or corrupt
+streams fail with the typed errors, exactly like the canonical loader.
 """
 
 from __future__ import annotations
@@ -14,84 +13,25 @@ import json
 
 import pytest
 
-from repro.engine.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    run_plan,
-    stream_plan,
-)
-from repro.engine.plan import build_plan
-from repro.engine.results import (
-    ResultStore,
-    StreamingResultStore,
-    load_document,
-)
+from repro.engine.executor import stream_plan
+from repro.engine.results import StreamingResultStore, load_document
 from repro.obs.codec import SchemaVersionError
 from repro.sim.errors import ConfigurationError
-
-
-@pytest.fixture(scope="module")
-def plan():
-    return build_plan(
-        "stream-test", kind="gossip",
-        grid={"n": [8, 12]}, base={"topology": "er", "rounds": 20},
-        trials=2, root_seed=2007,
-    )
-
-
-@pytest.fixture(scope="module")
-def reference(plan):
-    return run_plan(plan, executor=SerialExecutor())
-
-
-def _canon(document):
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-class TestRoundTrip:
-    def test_serial_stream_reassembles_canonical_document(
-        self, plan, reference, tmp_path
-    ):
-        path = str(tmp_path / "run.jsonl")
-        count = stream_plan(plan, path)
-        assert count == len(plan.specs)
-        assert _canon(load_document(path)) == _canon(reference.document())
-
-    def test_parallel_stream_is_byte_identical_too(
-        self, plan, reference, tmp_path
-    ):
-        path = str(tmp_path / "run-par.jsonl")
-        stream_plan(plan, path, executor=ParallelExecutor(2))
-        assert _canon(load_document(path)) == _canon(reference.document())
-
-    def test_store_load_rehydrates_results(self, plan, reference, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        stream_plan(plan, path)
-        store = ResultStore.load(path)
-        assert len(store) == len(reference)
-        assert [r.index for r in store.results] == [
-            r.index for r in reference.results
-        ]
-
-    def test_streaming_twice_is_deterministic(self, plan, tmp_path):
-        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        stream_plan(plan, a)
-        stream_plan(plan, b)
-        assert open(a).read() == open(b).read()
+from tests.engine.conftest import PLAN
 
 
 class TestContainerFormat:
-    def test_header_line_carries_envelope(self, plan, tmp_path):
+    def test_header_line_carries_envelope(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        stream_plan(plan, path)
+        stream_plan(PLAN, path)
         with open(path) as handle:
             header = json.loads(handle.readline())
             body = [json.loads(line) for line in handle if line.strip()]
         assert header["schema"] == "repro-engine-results"
         assert header["version"] == 2
         assert header["format"] == "jsonl-stream"
-        assert header["plan"]["name"] == "stream-test"
-        assert len(body) == len(plan.specs)
+        assert header["plan"]["name"] == PLAN.name
+        assert len(body) == len(PLAN.specs)
         for entry in body:
             assert set(entry) == {"point", "record"}
 
@@ -121,7 +61,16 @@ class TestContainerFormat:
         with pytest.raises(ConfigurationError):
             load_document(str(path))
 
+    def test_mid_stream_corruption_still_raises(self, reference, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        lines = reference.stream.decode("utf-8").splitlines()
+        lines[2] = "{ garbage"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match="corrupt"):
+            load_document(str(path))
+
     def test_canonical_json_still_loads(self, reference, tmp_path):
-        path = str(tmp_path / "plain.json")
-        reference.write(path)
-        assert _canon(load_document(path)) == _canon(reference.document())
+        path = tmp_path / "plain.json"
+        path.write_text(reference.json)
+        document = load_document(str(path))
+        assert json.dumps(document, indent=2, sort_keys=True) + "\n" == reference.json

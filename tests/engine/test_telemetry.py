@@ -1,31 +1,24 @@
-"""Engine telemetry: byte-identity contract, ledger, live tail, profiling.
+"""Engine telemetry: manifest and span content, the ledger, the live tail
+and profiling.
 
-The telemetry plane follows the faults/resilience differential idiom
-(`tests/faults/test_differential.py`): recording a run's manifest, spans
-and worker health must never change a byte of the result document — under
-the serial backend, warm-pool parallel dispatch at every chunk size, the
-streaming JSONL container, and runs with failed and quarantined trials.
+That recording a run never changes a byte of its result document — on
+every backend and chunk size, the streaming container, and runs with
+failed and quarantined trials — is the observers axis of
+``tests/engine/test_conformance.py``.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    execute_trial,
-    run_plan,
-    stream_plan,
-)
+from repro.engine.executor import run_plan, stream_plan
 from repro.engine.plan import build_plan
-from repro.engine.results import SCHEMA_NAME, SCHEMA_VERSION, load_document
+from repro.engine.results import SCHEMA_NAME, SCHEMA_VERSION
 from repro.engine.spec import ExecutorSpec
 from repro.engine.telemetry import (
     TELEMETRY_SUFFIX,
@@ -43,115 +36,11 @@ from repro.obs.ledger import (
 )
 from repro.obs.spans import span_tree
 from repro.sim.errors import ConfigurationError
-
-# churn_rate 8.0 produces genuinely failed trials, so the identity checks
-# cover unhappy verdicts too (same plan shape as tests/engine/test_chunking).
-PLAN = build_plan(
-    "telemetry-plan", kind="query",
-    grid={"churn_rate": [0.0, 8.0]},
-    base={"n": 8, "topology": "er", "aggregate": "COUNT", "horizon": 150.0},
-    trials=5, root_seed=13,
-)
-
-CHUNK_SIZES = [1, 7, len(PLAN)]
-
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pre-fork monkeypatching needs the fork start method",
-)
-
-
-@pytest.fixture(scope="module")
-def baseline_doc() -> str:
-    return run_plan(PLAN).to_json()
+from tests.engine.conftest import PLAN
 
 
 def tpath(tmp_path, name="run") -> str:
     return str(tmp_path / f"{name}{TELEMETRY_SUFFIX}")
-
-
-class TestByteIdentity:
-    def test_serial(self, tmp_path, baseline_doc):
-        doc = run_plan(PLAN, telemetry=tpath(tmp_path)).to_json()
-        assert doc == baseline_doc
-
-    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    def test_parallel_every_chunk_size(self, tmp_path, chunk, baseline_doc):
-        spec = ExecutorSpec.parallel(jobs=2, chunk=chunk)
-        doc = run_plan(PLAN, executor=spec,
-                       telemetry=tpath(tmp_path)).to_json()
-        assert doc == baseline_doc
-
-    def test_parallel_adaptive_chunking(self, tmp_path, baseline_doc):
-        spec = ExecutorSpec.parallel(jobs=2)  # chunk=None: calibrate
-        doc = run_plan(PLAN, executor=spec,
-                       telemetry=tpath(tmp_path)).to_json()
-        assert doc == baseline_doc
-
-    def test_streaming_jsonl(self, tmp_path):
-        plain = str(tmp_path / "plain.jsonl")
-        observed = str(tmp_path / "observed.jsonl")
-        spec = ExecutorSpec.parallel(jobs=2, chunk=3)
-        stream_plan(PLAN, plain, executor=spec)
-        stream_plan(PLAN, observed, executor=spec,
-                    telemetry=tpath(tmp_path))
-        with open(plain, "rb") as a, open(observed, "rb") as b:
-            assert a.read() == b.read()
-        assert dict(load_document(plain)) == dict(load_document(observed))
-
-    def test_recorder_instance_reports_every_trial(self, tmp_path,
-                                                   baseline_doc):
-        recorder = TelemetryRecorder(path=tpath(tmp_path))
-        doc = run_plan(PLAN, telemetry=recorder).to_json()
-        recorder.close()
-        assert doc == baseline_doc
-        manifest, spans, summary = load_telemetry(recorder.path)
-        assert summary is not None and summary["trials"] == len(PLAN)
-
-
-@fork_only
-class TestQuarantineIdentity:
-    """Telemetry on a quarantining run changes nothing in the document."""
-
-    #: Orders of magnitude above an innocent trial's 1-30 ms, so a host
-    #: stall cannot quarantine one; the poisoned trial never returns at all.
-    WATCHDOG = 2.0
-    HANG_INDEX = 3
-
-    @pytest.fixture()
-    def hang_one_trial(self, monkeypatch):
-        import repro.engine.executor as executor_module
-
-        real = execute_trial
-        never = threading.Event()
-
-        def selective(spec):
-            if spec.index == self.HANG_INDEX:
-                never.wait()  # the abandoned daemon thread dies with its process
-            return real(spec)
-
-        monkeypatch.setattr(executor_module, "execute_trial", selective)
-
-    def test_quarantined_run_is_byte_identical(self, hang_one_trial,
-                                               tmp_path):
-        plain = run_plan(
-            PLAN, executor=SerialExecutor(watchdog=self.WATCHDOG)
-        ).to_json()
-        executor = ParallelExecutor(jobs=2, chunk=7, watchdog=self.WATCHDOG)
-        try:
-            observed = run_plan(
-                PLAN, executor=executor, telemetry=tpath(tmp_path)
-            ).to_json()
-        finally:
-            executor.close()
-        assert observed == plain
-        _, spans, summary = load_telemetry(tpath(tmp_path))
-        assert summary["counts"]["quarantined"] == 1
-        statuses = [
-            s.attrs.get("status") for s in spans if s.name == "trial"
-            if s.attrs.get("index") == self.HANG_INDEX
-        ]
-        assert statuses == ["quarantined"]
 
 
 class TestTelemetryContent:
@@ -167,7 +56,7 @@ class TestTelemetryContent:
     def test_manifest_identity_fields(self, run):
         manifest = run.manifest
         assert manifest.run_id
-        assert manifest.plan["name"] == "telemetry-plan"
+        assert manifest.plan["name"] == PLAN.name
         assert manifest.plan["n_trials"] == len(PLAN)
         assert manifest.plan["digest"] == plan_digest(PLAN)
         assert manifest.executor["backend"] == "parallel"

@@ -10,17 +10,16 @@ per-chunk rounding of ``queue_wait_s`` that the wire format applies.
 
 from __future__ import annotations
 
-import threading
 from types import SimpleNamespace
 
 import pytest
 
-import repro.engine.executor as executor_module
-from repro.engine.executor import SerialExecutor, execute_trial, run_plan
+from repro.engine.executor import SerialExecutor, run_plan
 from repro.engine.plan import build_plan
 from repro.engine.spec import ExecutorSpec
 from repro.engine.telemetry import TELEMETRY_SUFFIX, TelemetryRecorder
 from repro.obs.ledger import RunManifest, TelemetryTail, trial_outcome
+from tests.engine.conftest import WATCHDOG, poisoned_trial  # noqa: F401 - a fixture
 
 # churn_rate 8.0 produces genuinely failed trials.
 PLAN = build_plan(
@@ -63,16 +62,8 @@ class TestSummaryAgreesWithTop:
         assert_agree(tail)
         assert tail.counts["ok"] and tail.counts["failed"]
 
-    def test_quarantining_run(self, tmp_path, monkeypatch):
-        never = threading.Event()
-
-        def hang_index_1(spec):
-            if spec.index == 1:
-                never.wait()  # the abandoned daemon thread dies with us
-            return execute_trial(spec)
-
-        monkeypatch.setattr(executor_module, "execute_trial", hang_index_1)
-        run_plan(PLAN, executor=SerialExecutor(watchdog=1.0),
+    def test_quarantining_run(self, tmp_path, poisoned_trial):
+        run_plan(PLAN, executor=SerialExecutor(watchdog=WATCHDOG),
                  telemetry=tpath(tmp_path))
         tail = tail_of(tpath(tmp_path))
         assert_agree(tail)
