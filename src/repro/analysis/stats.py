@@ -94,10 +94,12 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
     """
     if not values:
         raise ValueError("summarize of no values")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     m = mean(values)
     s = stddev(values)
-    # Two-sided normal critical value via inverse error function.
-    z = _z_value(confidence)
+    # Two-sided normal critical value.
+    z = _norm_ppf((1 + confidence) / 2)
     half = z * s / math.sqrt(len(values))
     return Summary(
         count=len(values),
@@ -110,55 +112,16 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
     )
 
 
-def _z_value(confidence: float) -> float:
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    # Inverse CDF of the standard normal at (1 + confidence) / 2 via
-    # bisection on erf — no scipy dependency needed.
-    target = confidence
-
-    def erf_sym(z: float) -> float:
-        return math.erf(z / math.sqrt(2))
-
-    low, high = 0.0, 10.0
-    for _ in range(80):
-        mid = (low + high) / 2
-        if erf_sym(mid) < target:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    rng: random.Random,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval for the mean."""
-    if not values:
-        raise ValueError("bootstrap of no values")
-    means = []
-    n = len(values)
-    for _ in range(resamples):
-        sample = [values[rng.randrange(n)] for _ in range(n)]
-        means.append(sum(sample) / n)
-    alpha = (1 - confidence) / 2
-    return quantile(means, alpha), quantile(means, 1 - alpha)
-
-
 def _norm_cdf(z: float) -> float:
     """Standard normal CDF."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2)))
 
 
 def _norm_ppf(p: float) -> float:
-    """Standard normal inverse CDF via bisection on :func:`math.erf`.
-
-    Same scipy-free idiom as :func:`_z_value`; ``p`` is clamped away from
-    the endpoints so degenerate bootstrap distributions (every resample on
-    one side of the point estimate) stay finite.
+    """Standard normal inverse CDF via bisection on :func:`math.erf` (no
+    scipy dependency); ``p`` is clamped away from the endpoints so
+    degenerate bootstrap distributions (every resample on one side of the
+    point estimate) stay finite.
     """
     p = min(max(p, 1e-9), 1.0 - 1e-9)
     low, high = -10.0, 10.0

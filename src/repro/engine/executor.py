@@ -62,12 +62,10 @@ from repro.engine.results import (
 from repro.engine.spec import ExecutorSpec
 from repro.engine.telemetry import TelemetryRecorder, resolve_recorder
 from repro.engine.trials import (
+    KINDS,
     DisseminationOutcome,
     GossipOutcome,
     QueryOutcome,
-    run_dissemination,
-    run_gossip,
-    run_query,
 )
 from repro.sim.errors import ConfigurationError
 
@@ -116,15 +114,9 @@ def execute_trial(spec: TrialSpec) -> TrialResult:
     wall-clock-derived, so canonical documents stay byte-identical.
     """
     start = time.perf_counter()
-    config = spec.to_config()
-    if spec.kind == "query":
-        outcome: Any = run_query(config)
-    elif spec.kind == "gossip":
-        outcome = run_gossip(config)
-    elif spec.kind == "dissemination":
-        outcome = run_dissemination(config)
-    else:  # pragma: no cover - to_config already rejects unknown kinds
-        raise ConfigurationError(f"unknown trial kind {spec.kind!r}")
+    config = spec.to_config()  # rejects an unknown kind
+    _, runner = KINDS[spec.kind]
+    outcome = runner(config)
     wall = time.perf_counter() - start
     timings = (
         outcome.metrics.get("timings") if isinstance(outcome.metrics, dict) else None

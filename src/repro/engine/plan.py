@@ -28,11 +28,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.churn.spec import ChurnBuilder, ChurnSpec
 from repro.faults.spec import FaultPlan
 from repro.resilience.spec import ResilienceSpec
-from repro.engine.trials import (
-    DisseminationConfig,
-    GossipConfig,
-    QueryConfig,
-)
+from repro.engine.trials import KINDS
 from repro.sim.errors import ConfigurationError
 from repro.sim.rng import iter_seeds
 from repro.wire import field_defaults, reject_unknown
@@ -50,11 +46,15 @@ VALUE_FUNCTIONS: dict[str, Callable[[int], float]] = {
 }
 
 
-_CONFIG_TYPES = {
-    "query": QueryConfig,
-    "gossip": GossipConfig,
-    "dissemination": DisseminationConfig,
-}
+def _config_type(kind: str) -> type:
+    """The config type of trial ``kind``; an unknown kind names the known."""
+    try:
+        return KINDS[kind][0]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown trial kind {kind!r}; use {', '.join(KINDS)}"
+        ) from None
+
 
 #: Spec keys that are translated rather than passed to the config verbatim.
 _SPECIAL_KEYS = ("churn_rate", "churn", "value_of", "faults", "resilience")
@@ -91,15 +91,9 @@ class TrialSpec:
         merged.update(dict(self.labels))
         return merged
 
-    def to_config(self) -> QueryConfig | GossipConfig | DisseminationConfig:
+    def to_config(self) -> Any:
         """Materialise the (possibly unpicklable) config for execution."""
-        try:
-            config_type = _CONFIG_TYPES[self.kind]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown trial kind {self.kind!r}; use "
-                f"{', '.join(sorted(_CONFIG_TYPES))}"
-            ) from None
+        config_type = _config_type(self.kind)
         params: dict[str, Any] = dict(self.overrides)
         params.update(dict(self.point))
         params["seed"] = self.seed
@@ -220,10 +214,7 @@ def build_plan(
     :func:`repro.sim.rng.iter_seeds` and shared across grid points (paired
     comparisons); pass ``seeds`` to pin them explicitly instead.
     """
-    if kind not in _CONFIG_TYPES:
-        raise ConfigurationError(
-            f"unknown trial kind {kind!r}; use {', '.join(sorted(_CONFIG_TYPES))}"
-        )
+    _config_type(kind)
     if seeds is None:
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")

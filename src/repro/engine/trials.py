@@ -5,7 +5,10 @@ This is the lowest layer of the experiment engine.  A config object —
 — describes a complete scenario (population, topology, protocol, churn,
 delays) and the matching ``run_*`` function executes it on a fresh
 :class:`~repro.sim.scheduler.Simulator` and returns an outcome carrying the
-specification verdict, the ground truth and the cost metrics.
+specification verdict, the ground truth and the cost metrics.  The three
+kinds share one kernel (:func:`_install`, :func:`_simulate`,
+:func:`_measured`): only the protocol, the trial's one scheduled action and
+the check differ.  :data:`KINDS` registers each kind's config and runner.
 
 Import the configs and runners from :mod:`repro.api`; orchestrate many
 trials through :mod:`repro.engine.plan` and :mod:`repro.engine.executor`
@@ -15,12 +18,12 @@ instead of calling these functions in a loop.
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.analysis.metrics import message_cost, relative_error
-from repro.churn.models import ChurnModel
 from repro.churn.spec import ChurnBuilder, ChurnSpec, resolve_churn
 from repro.core.aggregates import Aggregate, by_name
 from repro.core.dissemination_spec import (
@@ -43,7 +46,7 @@ from repro.protocols.one_time_query import WaveNode
 from repro.protocols.request_collect import RequestCollectNode
 from repro.resilience.degradation import CoverageReport
 from repro.resilience.spec import ResilienceSpec
-from repro.resilience.transport import install_resilience
+from repro.resilience.transport import ReliableTransport, install_resilience
 from repro.sim import trace as tr
 from repro.sim.errors import ConfigurationError
 from repro.sim.latency import BernoulliLoss, DelayModel, UniformDelay
@@ -62,24 +65,6 @@ LARGE_TRIAL_THRESHOLD = 10_000
 _warned_memory_sink_scale = False
 
 
-def _warn_memory_sink_at_scale(n: int) -> None:
-    """One-time warning for in-memory tracing at 10⁴⁺ entities."""
-    global _warned_memory_sink_scale
-    if _warned_memory_sink_scale:
-        return
-    _warned_memory_sink_scale = True
-    import warnings
-
-    warnings.warn(
-        f"in-memory trace sink with n={n} >= {LARGE_TRIAL_THRESHOLD}: every "
-        "trace event is retained, which dominates memory at this scale. "
-        "Leave trace_sink at its default ('null') or use 'counts' / "
-        "'jsonl' for large runs.",
-        ResourceWarning,
-        stacklevel=3,
-    )
-
-
 def _make_simulator(config: Any, **kwargs: Any) -> Simulator:
     """Construct the trial simulator with the configured trace sink.
 
@@ -96,11 +81,22 @@ def _make_simulator(config: Any, **kwargs: Any) -> Simulator:
     the run still proceeds, but peak memory will be dominated by retained
     trace events.
     """
+    global _warned_memory_sink_scale
     sink = make_sink(config.trace_sink, path=config.trace_path)
-    if isinstance(sink, MemorySink):
-        n = getattr(config, "n", 0)
-        if isinstance(n, int) and n >= LARGE_TRIAL_THRESHOLD:
-            _warn_memory_sink_at_scale(n)
+    n = getattr(config, "n", 0)
+    if (isinstance(sink, MemorySink) and isinstance(n, int)
+            and n >= LARGE_TRIAL_THRESHOLD and not _warned_memory_sink_scale):
+        _warned_memory_sink_scale = True
+        import warnings
+
+        warnings.warn(
+            f"in-memory trace sink with n={n} >= {LARGE_TRIAL_THRESHOLD}: "
+            "every trace event is retained, which dominates memory at this "
+            "scale. Leave trace_sink at its default ('null') or use "
+            "'counts' / 'jsonl' for large runs.",
+            ResourceWarning,
+            stacklevel=2,
+        )
     if getattr(config, "check_invariants", False):
         sink = CheckingSink(sink)
     return Simulator(seed=config.seed, trace_sink=sink, **kwargs)
@@ -143,11 +139,13 @@ class QueryConfig:
             :data:`repro.obs.sinks.SINK_NAMES` (``"memory"``/``"jsonl"``/
             ``"null"``/``"counts"``) or a prebuilt sink instance.  A trial
             retains what its checker reads: the default ``"null"`` keeps
-            the membership and protocol-milestone events (so verdicts and
-            documents are identical under every sink) and drops the
-            transport firehose; ask for ``"memory"`` (or ``"jsonl"``) when
-            you will read ``send``/``deliver``/… events off the outcome —
-            reading a dropped kind raises ``ConfigurationError``.
+            the protocol-milestone events, folds the membership and contact
+            events (:data:`repro.obs.sinks.FOLDED_KINDS`) into the log's
+            membership fold (so verdicts and documents are identical under
+            every sink) and drops the rest; ask for ``"memory"`` (or
+            ``"jsonl"``) when you will read ``send``/``deliver``/``join``/…
+            events off the outcome — reading a dropped kind raises
+            ``ConfigurationError``.
         trace_path: output file for the ``"jsonl"`` sink.
         check_invariants: verify the four trace invariants online (see
             :mod:`repro.obs.check`); violations are counted under
@@ -244,7 +242,7 @@ def reachable_now(network: Network, start: int) -> frozenset[int]:
 
 def build_population(
     sim: Simulator,
-    config: QueryConfig,
+    config: QueryConfig | GossipConfig | DisseminationConfig,
     factory: Callable[[], Process],
 ) -> list[int]:
     """Spawn the initial population wired per the configured topology."""
@@ -266,6 +264,55 @@ def build_population(
     return pids
 
 
+def _install(
+    sim: Simulator,
+    config: QueryConfig | GossipConfig | DisseminationConfig,
+    factory: Callable[[], Process],
+    protect: bool,
+    stop_at: float | None = None,
+) -> tuple[int, ReliableTransport | None]:
+    """Build the population, then install churn, the fault plan and the
+    resilience layer around its first entity, the anchor.
+
+    With ``protect`` the anchor is immortal under churn and exempt from
+    fault victims.  Returns the anchor's pid and the resilience transport
+    (``None`` when none is configured).
+    """
+    anchor = build_population(sim, config, factory)[0]
+    protected = (anchor,) if protect else ()
+    churn_builder = resolve_churn(config.churn)
+    if churn_builder is not None:
+        model = churn_builder(factory)
+        model.immortal.update(protected)
+        model.install(sim, stop_at=stop_at)
+    install_plan(config.faults, sim, factory=factory, protected=protected)
+    return anchor, install_resilience(config.resilience, sim)
+
+
+def _simulate(
+    sim: Simulator, at: float, action: Callable[[], None], label: str,
+    until: float,
+) -> tr.TraceLog:
+    """Schedule the trial's one action, run to ``until`` under the
+    ``simulate`` timer and close the trace, which is returned."""
+    sim.at(at, action, label=label)
+    with sim.metrics.timer("simulate"):
+        sim.run(until=until)
+    sim.trace.close()
+    return sim.trace
+
+
+def _measured(sim: Simulator) -> dict[str, Any]:
+    """The cost fields every outcome carries.  Called last, so the metrics
+    snapshot includes the ``check`` timer."""
+    return {
+        "messages": message_cost(sim.trace),
+        "trace": sim.trace,
+        "events_executed": sim.events_executed,
+        "metrics": sim.metrics_snapshot(include_timing=True),
+    }
+
+
 def run_query(config: QueryConfig) -> QueryOutcome:
     """Execute a scenario end to end and check it against the spec."""
     if config.protocol not in ("wave", "ft_wave", "request_collect"):
@@ -274,24 +321,6 @@ def run_query(config: QueryConfig) -> QueryOutcome:
             "or 'request_collect'"
         )
     complete = config.protocol == "request_collect"
-    sim = _make_simulator(
-        config,
-        delay_model=config.delay or UniformDelay(),
-        loss_model=BernoulliLoss(config.loss_rate) if config.loss_rate else None,
-        complete=complete,
-        notify_leaves=config.notify_leaves,
-    )
-    try:
-        return _query_outcome(sim, config, complete)
-    finally:
-        # After the outcome and its metrics snapshot: the trial frees
-        # itself without waiting for a cyclic collection.
-        sim.close()
-
-
-def _query_outcome(
-    sim: Simulator, config: QueryConfig, complete: bool
-) -> QueryOutcome:
     # The process constructor and the arrival values, bound once: each
     # call makes the next arrival's process, in a C-level ``partial`` that
     # adds no frame to the per-arrival path.
@@ -303,105 +332,84 @@ def _query_outcome(
             FaultTolerantWaveNode, period=1.0, timeout=config.detector_timeout
         )
     factory = partial(next, map(make, map(config.value_of, itertools.count())))
+    # ``closing`` runs after the outcome and its metrics snapshot are
+    # built: the trial frees itself without waiting for a cyclic collection.
+    with closing(_make_simulator(
+        config,
+        delay_model=config.delay or UniformDelay(),
+        loss_model=BernoulliLoss(config.loss_rate) if config.loss_rate else None,
+        complete=complete,
+        notify_leaves=config.notify_leaves,
+    )) as sim:
+        querier_pid, transport = _install(
+            sim, config, factory, config.protect_querier, config.churn_stop
+        )
+        issue_state: dict[str, Any] = {"reachable": frozenset(), "issued": False}
 
-    pids = build_population(sim, config, factory)
-    querier_pid = pids[0]
+        def issue() -> None:
+            if not sim.network.is_present(querier_pid):
+                return  # the querier died before the query; outcome: no query
+            issue_state["reachable"] = reachable_now(sim.network, querier_pid)
+            issue_state["issued"] = True
+            querier = sim.network.process(querier_pid)
+            if complete:
+                assert isinstance(querier, RequestCollectNode)
+                querier.issue_query(config.aggregate_obj(), deadline=config.deadline)
+            else:
+                assert isinstance(querier, WaveNode)
+                querier.issue_query(
+                    config.aggregate_obj(), ttl=config.ttl, deadline=config.deadline
+                )
 
-    churn_model: ChurnModel | None = None
-    churn_builder = resolve_churn(config.churn)
-    if churn_builder is not None:
-        churn_model = churn_builder(factory)
-        if config.protect_querier:
-            churn_model.immortal.add(querier_pid)
-        churn_model.install(sim, stop_at=config.churn_stop)
-
-    install_plan(
-        config.faults, sim, factory=factory,
-        protected=(querier_pid,) if config.protect_querier else (),
-    )
-    transport = install_resilience(config.resilience, sim)
-
-    issue_state: dict[str, Any] = {"reachable": frozenset(), "issued": False}
-
-    def issue() -> None:
-        if not sim.network.is_present(querier_pid):
-            return  # the querier died before the query; outcome: no query
-        issue_state["reachable"] = reachable_now(sim.network, querier_pid)
-        issue_state["issued"] = True
-        querier = sim.network.process(querier_pid)
-        if complete:
-            assert isinstance(querier, RequestCollectNode)
-            querier.issue_query(config.aggregate_obj(), deadline=config.deadline)
-        else:
-            assert isinstance(querier, WaveNode)
-            querier.issue_query(
-                config.aggregate_obj(), ttl=config.ttl, deadline=config.deadline
+        trace = _simulate(
+            sim, config.query_at, issue, "experiment:issue-query", config.horizon
+        )
+        with sim.metrics.timer("check"):
+            run = Run.from_trace(trace, horizon=max(sim.now, config.horizon))
+            # If the querier never got to ask (it left first), a vacuous
+            # non-terminating record lets callers count the failure.
+            records = extract_queries(trace)
+            record = records[0] if records else QueryRecord(
+                qid=-1, querier=querier_pid, aggregate=config.aggregate,
+                issue_time=config.query_at, return_time=None,
             )
 
-    sim.at(config.query_at, issue, label="experiment:issue-query")
-    with sim.metrics.timer("simulate"):
-        sim.run(until=config.horizon)
+            spec = OneTimeQuerySpec(restrict_core_to=issue_state["reachable"] or None)
+            verdict = spec.check_query(trace, record, run)
 
-    trace = sim.trace
-    trace.close()
-    with sim.metrics.timer("check"):
-        run = Run.from_trace(trace, horizon=max(sim.now, config.horizon))
-        records = extract_queries(trace)
-        if not records:
-            # The querier never got to ask (it left first); report a vacuous
-            # non-terminating record so callers can count the failure.
-            record = QueryRecord(
-                qid=-1,
-                querier=querier_pid,
-                aggregate=config.aggregate,
-                issue_time=config.query_at,
-                return_time=None,
+            truth, error = _ground_truth(
+                config, run, record, issue_state["reachable"]
             )
-        else:
-            record = records[0]
 
-        spec = OneTimeQuerySpec(restrict_core_to=issue_state["reachable"] or None)
-        verdict = spec.check_query(trace, record, run)
+        coverage_report = None
+        if (
+            transport is not None
+            and transport.spec.partial_results
+            and issue_state["issued"]
+        ):
+            coverage_report = CoverageReport.from_query(
+                trace, record, issue_state["reachable"]
+            )
 
-        truth, error = _ground_truth(
-            config, run, record, issue_state["reachable"]
+        local_result = None
+        if sim.network.is_present(querier_pid):
+            results = getattr(sim.network.process(querier_pid), "results", None)
+            if results:
+                local_result = results[0]
+
+        return QueryOutcome(
+            config=config,
+            verdict=verdict,
+            record=record,
+            local_result=local_result,
+            truth=truth,
+            error=error,
+            run=run,
+            querier=querier_pid,
+            reachable_at_issue=issue_state["reachable"],
+            coverage_report=coverage_report,
+            **_measured(sim),
         )
-
-    coverage_report = None
-    if (
-        transport is not None
-        and transport.spec.partial_results
-        and issue_state["issued"]
-    ):
-        coverage_report = CoverageReport.from_query(
-            trace, record, issue_state["reachable"]
-        )
-
-    querier_proc = (
-        sim.network.process(querier_pid)
-        if sim.network.is_present(querier_pid)
-        else None
-    )
-    local_result = None
-    if querier_proc is not None and getattr(querier_proc, "results", None):
-        local_result = querier_proc.results[0]
-
-    return QueryOutcome(
-        config=config,
-        verdict=verdict,
-        record=record,
-        local_result=local_result,
-        truth=truth,
-        error=error,
-        messages=message_cost(trace),
-        run=run,
-        trace=trace,
-        querier=querier_pid,
-        reachable_at_issue=issue_state["reachable"],
-        events_executed=sim.events_executed,
-        metrics=sim.metrics_snapshot(include_timing=True),
-        coverage_report=coverage_report,
-    )
 
 
 def _ground_truth(
@@ -487,81 +495,50 @@ def run_gossip(config: GossipConfig) -> GossipOutcome:
     """Execute a push-sum scenario and measure estimate accuracy."""
     if config.mode not in ("avg", "count"):
         raise ConfigurationError(f"unknown gossip mode {config.mode!r}")
-    sim = _make_simulator(config, delay_model=config.delay or UniformDelay())
-    try:
-        return _gossip_outcome(sim, config)
-    finally:
-        sim.close()  # see run_query
+    # Arrival ``i`` gets the ``i``-th value and weight (see run_query).
+    values: Iterator[float] = map(config.value_of, itertools.count())
+    weights: Iterator[float] = itertools.repeat(1.0)
+    if config.mode == "count":  # the seed node (index 0) carries the unit weight
+        values = itertools.repeat(1.0)
+        weights = itertools.chain((1.0,), itertools.repeat(0.0))
+    make = partial(PushSumNode, period=config.period)
+    factory = partial(next, map(make, values, weights))
 
+    with closing(
+        _make_simulator(config, delay_model=config.delay or UniformDelay())
+    ) as sim:
+        reader_pid, _ = _install(sim, config, factory, config.protect_reader)
+        read_time = config.rounds * config.period
+        state: dict[str, float] = {"estimate": float("nan"), "truth": float("nan")}
 
-def _gossip_outcome(sim: Simulator, config: GossipConfig) -> GossipOutcome:
-    arrival_index = [0]
+        def read() -> None:
+            if not sim.network.is_present(reader_pid):
+                return
+            node = sim.network.process(reader_pid)
+            assert isinstance(node, PushSumNode)
+            state["estimate"] = node.read_estimate()
+            present = sim.network.present_sorted()
+            if config.mode == "count":
+                state["truth"] = float(len(present))
+            else:
+                values = [float(sim.network.process(pid).value) for pid in present]
+                state["truth"] = sum(values) / len(values) if values else float("nan")
 
-    def factory() -> Process:
-        index = arrival_index[0]
-        arrival_index[0] += 1
-        if config.mode == "avg":
-            return PushSumNode(
-                value=config.value_of(index), weight=1.0, period=config.period
-            )
-        # count mode: the seed node (index 0) carries the unit weight.
-        return PushSumNode(
-            value=1.0, weight=1.0 if index == 0 else 0.0, period=config.period
+        trace = _simulate(
+            sim, read_time, read, "experiment:read-estimate",
+            read_time + 2 * config.period,
         )
-
-    query_config = QueryConfig(n=config.n, topology=config.topology, seed=config.seed)
-    pids = build_population(sim, query_config, factory)
-    reader_pid = pids[0]
-
-    churn_builder = resolve_churn(config.churn)
-    if churn_builder is not None:
-        model = churn_builder(factory)
-        if config.protect_reader:
-            model.immortal.add(reader_pid)
-        model.install(sim)
-
-    install_plan(
-        config.faults, sim, factory=factory,
-        protected=(reader_pid,) if config.protect_reader else (),
-    )
-    install_resilience(config.resilience, sim)
-
-    read_time = config.rounds * config.period
-    state: dict[str, float] = {"estimate": float("nan"), "truth": float("nan")}
-
-    def read() -> None:
-        if not sim.network.is_present(reader_pid):
-            return
-        node = sim.network.process(reader_pid)
-        assert isinstance(node, PushSumNode)
-        state["estimate"] = node.read_estimate()
-        present = sim.network.present_sorted()
-        if config.mode == "count":
-            state["truth"] = float(len(present))
-        else:
-            values = [float(sim.network.process(pid).value) for pid in present]
-            state["truth"] = sum(values) / len(values) if values else float("nan")
-
-    sim.at(read_time, read, label="experiment:read-estimate")
-    with sim.metrics.timer("simulate"):
-        sim.run(until=read_time + 2 * config.period)
-
-    sim.trace.close()
-    with sim.metrics.timer("check"):
-        run = Run.from_trace(sim.trace, horizon=sim.now)
-    estimate = state["estimate"]
-    return GossipOutcome(
-        config=config,
-        estimate=estimate,
-        truth=state["truth"],
-        error=relative_error(estimate, state["truth"]),
-        messages=message_cost(sim.trace),
-        run=run,
-        trace=sim.trace,
-        read_time=read_time,
-        events_executed=sim.events_executed,
-        metrics=sim.metrics_snapshot(include_timing=True),
-    )
+        with sim.metrics.timer("check"):
+            run = Run.from_trace(trace, horizon=sim.now)
+        return GossipOutcome(
+            config=config,
+            estimate=state["estimate"],
+            truth=state["truth"],
+            error=relative_error(state["estimate"], state["truth"]),
+            run=run,
+            read_time=read_time,
+            **_measured(sim),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -641,72 +618,49 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationOutcome:
             f"audit time {config.audit_at} must follow broadcast time "
             f"{config.broadcast_at}"
         )
-    sim = _make_simulator(config, delay_model=config.delay or UniformDelay())
-    try:
-        return _dissemination_outcome(sim, config)
-    finally:
-        sim.close()  # see run_query
 
+    factory: Callable[[], Process] = partial(FloodNode, 1.0)
+    if config.protocol == "anti_entropy":
+        factory = partial(AntiEntropyNode, 1.0, period=config.ae_period)
 
-def _dissemination_outcome(
-    sim: Simulator, config: DisseminationConfig
-) -> DisseminationOutcome:
-    def factory():
-        if config.protocol == "flood":
-            return FloodNode(1.0)
-        return AntiEntropyNode(1.0, period=config.ae_period)
+    with closing(
+        _make_simulator(config, delay_model=config.delay or UniformDelay())
+    ) as sim:
+        origin_pid, _ = _install(sim, config, factory, config.protect_origin)
 
-    if isinstance(config.topology, Topology):
-        topo = config.topology
-    else:
-        topo = generators.make(config.topology, config.n, sim.rng_for("topology"))
-    pids = []
-    for node in sorted(topo.nodes()):
-        neighbors = [p for p in topo.neighbors(node) if p < node]
-        pids.append(sim.spawn(factory(), neighbors).pid)
-    origin_pid = pids[0]
+        def publish() -> None:
+            if sim.network.is_present(origin_pid):
+                sim.network.process(origin_pid).broadcast_value(config.value)
 
-    churn_builder = resolve_churn(config.churn)
-    if churn_builder is not None:
-        model = churn_builder(factory)
-        if config.protect_origin:
-            model.immortal.add(origin_pid)
-        model.install(sim)
-
-    install_plan(
-        config.faults, sim, factory=factory,
-        protected=(origin_pid,) if config.protect_origin else (),
-    )
-    install_resilience(config.resilience, sim)
-
-    def publish() -> None:
-        if sim.network.is_present(origin_pid):
-            sim.network.process(origin_pid).broadcast_value(config.value)
-
-    sim.at(config.broadcast_at, publish, label="experiment:broadcast")
-    with sim.metrics.timer("simulate"):
-        sim.run(until=config.audit_at)
-
-    sim.trace.close()
-    records = extract_broadcasts(sim.trace)
-    if not records:
-        raise ConfigurationError(
-            "the broadcast never happened (origin departed first?)"
+        trace = _simulate(
+            sim, config.broadcast_at, publish, "experiment:broadcast",
+            config.audit_at,
         )
-    record = records[0]
-    with sim.metrics.timer("check"):
-        run = Run.from_trace(sim.trace, horizon=config.audit_at)
-        verdict = DisseminationSpec().check_broadcast(
-            sim.trace, record, at=config.audit_at, run=run
+        records = extract_broadcasts(trace)
+        if not records:
+            raise ConfigurationError(
+                "the broadcast never happened (origin departed first?)"
+            )
+        record = records[0]
+        with sim.metrics.timer("check"):
+            run = Run.from_trace(trace, horizon=config.audit_at)
+            verdict = DisseminationSpec().check_broadcast(
+                trace, record, at=config.audit_at, run=run
+            )
+        return DisseminationOutcome(
+            config=config,
+            verdict=verdict,
+            record=record,
+            run=run,
+            origin=origin_pid,
+            **_measured(sim),
         )
-    return DisseminationOutcome(
-        config=config,
-        verdict=verdict,
-        record=record,
-        messages=message_cost(sim.trace),
-        run=run,
-        trace=sim.trace,
-        origin=origin_pid,
-        events_executed=sim.events_executed,
-        metrics=sim.metrics_snapshot(include_timing=True),
-    )
+
+
+#: The trial kinds: each kind's config type and runner.  Plans, the
+#: executor and the experiment schema read the kind set from here alone.
+KINDS: dict[str, tuple[type, Callable[[Any], Any]]] = {
+    "query": (QueryConfig, run_query),
+    "gossip": (GossipConfig, run_gossip),
+    "dissemination": (DisseminationConfig, run_dissemination),
+}

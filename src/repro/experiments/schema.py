@@ -35,6 +35,7 @@ from repro.churn.spec import ChurnSpec
 # reaches every lowering.
 from repro.engine import plan as engine_plan
 from repro.engine.spec import ExecutorSpec
+from repro.engine.trials import KINDS
 from repro.faults.spec import FaultPlan
 from repro.resilience.spec import ResilienceSpec
 from repro.sim.errors import ConfigurationError
@@ -47,8 +48,8 @@ EXPERIMENT_VERSION = 1
 BOUNDARY_SCHEMA = "repro-solvability-boundary"
 BOUNDARY_VERSION = 1
 
-#: Trial kinds an experiment may declare (the engine's config registry).
-EXPERIMENT_KINDS = ("query", "gossip", "dissemination")
+#: Trial kinds an experiment may declare: the engine's kind registry.
+EXPERIMENT_KINDS = tuple(KINDS)
 
 #: Comparison operators allowed in ``expect``/``refine`` verdict rules.
 VERDICT_OPS: dict[str, Any] = {

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.analysis.stats import (
-    bootstrap_ci,
     bootstrap_mean_ci,
     mean,
     paired_differences,
@@ -104,19 +103,19 @@ class TestSummarize:
 class TestBootstrap:
     def test_contains_mean_for_tight_data(self):
         values = [10.0, 10.1, 9.9, 10.0, 10.05]
-        low, high = bootstrap_ci(values, random.Random(0))
-        assert low <= 10.0 <= high
-        assert high - low < 0.5
+        ci = bootstrap_mean_ci(values, seed=0)
+        assert ci.low <= 10.0 <= ci.high
+        assert ci.width < 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_ci([], random.Random(0))
+            bootstrap_mean_ci([], seed=0)
 
     def test_deterministic_given_rng(self):
         values = [1.0, 5.0, 3.0]
-        a = bootstrap_ci(values, random.Random(4))
-        b = bootstrap_ci(values, random.Random(4))
-        assert a == b
+        a = bootstrap_mean_ci(values, seed=4)
+        b = bootstrap_mean_ci(values, seed=4)
+        assert (a.low, a.high) == (b.low, b.high)
 
 
 class TestProportion:

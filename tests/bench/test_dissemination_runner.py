@@ -70,3 +70,10 @@ class TestValidation:
             run_dissemination(DisseminationConfig(
                 broadcast_at=50.0, audit_at=20.0,
             ))
+
+    @pytest.mark.parametrize("n", [6, 10], ids=["fewer", "more"])
+    def test_prebuilt_topology_wrong_nodes_rejected(self, n):
+        # The one population builder checks a prebuilt topology against
+        # nodes 0..n-1 for every trial kind.
+        with pytest.raises(ConfigurationError, match="0..n-1"):
+            run_dissemination(DisseminationConfig(n=n, topology=ring(8)))

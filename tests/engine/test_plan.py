@@ -10,7 +10,8 @@ from repro.churn.models import PhasedChurn, ReplacementChurn
 from repro.churn.spec import resolve_churn
 from repro.engine.executor import run_plan
 from repro.engine.plan import ChurnSpec, ExperimentPlan, TrialSpec, build_plan
-from repro.engine.trials import GossipConfig, QueryConfig
+from repro.engine.trials import KINDS, GossipConfig, QueryConfig
+from repro.experiments.schema import EXPERIMENT_KINDS, ExperimentDef
 from repro.sim.errors import ConfigurationError
 from repro.sim.rng import iter_seeds
 
@@ -190,6 +191,37 @@ class TestTrialSpecToConfig:
         assert spec.point_dict() == {"family": "ring"}
         config = spec.to_config()
         assert not hasattr(config, "family")
+
+
+class TestKindRegistry:
+    """``KINDS`` is the one list of trial kinds: plans, the executor and
+    the experiment schema all read it."""
+
+    def test_experiment_kinds_are_the_registry_in_order(self):
+        assert EXPERIMENT_KINDS == tuple(KINDS)
+        assert EXPERIMENT_KINDS == ("query", "gossip", "dissemination")
+
+    @pytest.mark.parametrize("reject", [
+        lambda: build_plan("p", kind="teleport"),
+        lambda: TrialSpec(kind="teleport", index=0, trial=0, seed=0).to_config(),
+        lambda: ExperimentDef(name="e", kind="teleport"),
+    ], ids=["build_plan", "to_config", "experiment"])
+    def test_unknown_kind_names_every_kind(self, reject):
+        with pytest.raises(ConfigurationError, match="teleport") as info:
+            reject()
+        for kind in KINDS:
+            assert kind in str(info.value)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_each_kind_runs_as_registered(self, kind):
+        config_type, runner = KINDS[kind]
+        spec = build_plan("p", kind=kind, base={"n": 6}, seeds=[3]).specs[0]
+        config = spec.to_config()
+        assert type(config) is config_type
+        record = run_plan(build_plan(
+            "p", kind=kind, base={"n": 6}, seeds=[3]
+        )).results[0]
+        assert record.messages == runner(config).messages
 
 
 class TestChurnSpec:

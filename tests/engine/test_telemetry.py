@@ -247,23 +247,6 @@ class TestLedger:
         run_id = entries[0]["manifest"].run_id
         assert find_run(run_id, runs)["manifest"].run_id == run_id
 
-    def test_find_rejects_missing_and_ambiguous(self, tmp_path):
-        runs = str(tmp_path)
-        with pytest.raises(ConfigurationError, match="no run"):
-            find_run("zzz", runs)
-        for name in ("a", "b"):
-            run_plan(PLAN, telemetry=str(
-                tmp_path / f"run-{name}{TELEMETRY_SUFFIX}"
-            ))
-        ids = [e["manifest"].run_id for e in scan_runs(runs)]
-        prefix = ids[0][: next(
-            i for i in range(len(ids[0]))
-            if not ids[1].startswith(ids[0][:i + 1])
-        )]
-        if prefix:  # the shared timestamp prefix is ambiguous
-            with pytest.raises(ConfigurationError, match="ambiguous"):
-                find_run(prefix, runs)
-
     def test_missing_directory_is_empty(self, tmp_path):
         assert scan_runs(str(tmp_path / "absent")) == []
 
