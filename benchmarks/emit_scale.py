@@ -14,7 +14,10 @@ Per size the payload records ``events_per_sec_n<N>`` (higher is better),
 ``peak_rss_kb_n<N>``, ``sim_wall_s_n<N>`` and ``setup_s_n<N>`` (lower is
 better; set-up is the spawn loop alone) — names ``repro bench diff``
 gates by family, so committing this file as a baseline turns scale
-regressions into CI failures.
+regressions into CI failures.  The full curve also runs n = 10³ and
+3·10³ with each queue backend pinned (``events_per_sec_n1000_heap``,
+``..._calendar``): the sizes where the adaptive queue's promotion to the
+calendar is closest to a toss-up.
 
 Run:  PYTHONPATH=src python benchmarks/emit_scale.py [--output FILE]
 
@@ -45,6 +48,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.churn.models import ReplacementChurn
 from repro.obs.sinks import CountingSink
+from repro.sim.events import CalendarEventQueue, EventQueue
 from repro.sim.node import Process
 from repro.sim.scheduler import Simulator
 
@@ -57,6 +61,20 @@ PERIOD = 1.0
 SIZES: dict[int, float] = {32: 200.0, 1_000: 60.0, 10_000: 12.0, 100_000: 4.0}
 
 SMOKE_SIZES: dict[int, float] = {32: 50.0, 10_000: 2.0}
+
+#: Sizes the full curve runs again with each queue backend pinned: the
+#: adaptive queue promotes to the calendar above ``CALENDAR_THRESHOLD``
+#: pending events, and these sizes sit just above it, where the heap has
+#: measured faster per event.  Their scalars carry a ``_heap`` /
+#: ``_calendar`` suffix (``events_per_sec_n1000_heap``).
+PINNED_SIZES: dict[int, float] = {1_000: 60.0, 3_000: 20.0}
+
+#: The pinned backends: the heap that never promotes, and the calendar
+#: from the first push.
+PINNED_QUEUES = {
+    "heap": lambda: EventQueue(calendar_threshold=None),
+    "calendar": CalendarEventQueue,
+}
 
 #: Set-up-only sizes for ``--check``'s set-up shape assertion.  The pair
 #: has to straddle n ~ 3000: below it the ~20 us/entity of real work (one
@@ -91,10 +109,16 @@ def _peak_rss_kb() -> float:
     return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def spawn_population(n: int, seed: int = 2007) -> tuple[Simulator, list[int], float]:
-    """Spawn the storm's ``n`` entities; returns (sim, pids, set-up seconds)."""
+def spawn_population(
+    n: int, seed: int = 2007, queue: str | None = None,
+) -> tuple[Simulator, list[int], float]:
+    """Spawn the storm's ``n`` entities; returns (sim, pids, set-up seconds).
+    ``queue`` pins a backend from :data:`PINNED_QUEUES` (default: the
+    adaptive queue)."""
     sim = Simulator(seed=seed, complete=True, notify_leaves=False,
                     notify_joins=False, trace_sink=CountingSink())
+    if queue is not None:
+        sim.queue = PINNED_QUEUES[queue]()
     t0 = time.perf_counter()
     pids = [sim.spawn(PingNode(1.0)).pid for _ in range(n)]
     return sim, pids, time.perf_counter() - t0
@@ -130,14 +154,17 @@ def replacement_us(n: int, repeats: int = 3) -> float:
     return best * 1e6
 
 
-def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
+def run_scale_trial(
+    n: int, horizon: float, seed: int = 2007, queue: str | None = None,
+) -> dict:
     """One ping-storm trial; returns the per-size measurement dict.
 
     ``peak_rss_kb`` is the *process* high-water mark, so when sizes run in
     increasing order each value reflects the largest trial so far — only
-    the largest n's reading is a true per-trial figure.
+    the largest n's reading is a true per-trial figure.  ``queue`` pins
+    the backend (see :func:`spawn_population`).
     """
-    sim, pids, setup_s = spawn_population(n, seed)
+    sim, pids, setup_s = spawn_population(n, seed, queue)
     rng = sim.rng_for("scale-churn")
     for _ in range(n // 20):
         at = rng.uniform(0.1, horizon)
@@ -155,7 +182,8 @@ def run_scale_trial(n: int, horizon: float, seed: int = 2007) -> dict:
         "events_per_sec": round(sim.events_executed / sim_wall_s, 1)
         if sim_wall_s > 0 else 0.0,
         "peak_rss_kb": _peak_rss_kb(),
-        "queue_backend": sim.queue.backend,
+        "queue_backend": queue or sim.queue.backend,
+        "queue_pinned": queue is not None,
     }
 
 
@@ -172,13 +200,19 @@ def main() -> int:
     args = parser.parse_args()
 
     sizes = SMOKE_SIZES if args.smoke else SIZES
+    runs = [(n, horizon, None) for n, horizon in sizes.items()]
+    if not args.smoke:
+        runs += [(n, horizon, queue) for n, horizon in PINNED_SIZES.items()
+                 for queue in PINNED_QUEUES]
     points = []
-    for n in sorted(sizes):  # increasing, so ru_maxrss stays interpretable
-        point = run_scale_trial(n, sizes[n])
+    # Increasing n, so ru_maxrss stays interpretable.
+    for n, horizon, queue in sorted(runs, key=lambda run: (run[0], run[2] or "")):
+        point = run_scale_trial(n, horizon, queue=queue)
+        pinned = " (pinned)" if queue else ""
         print(f"n={n:>6}: {point['events_per_sec']:>9.0f} ev/s "
               f"({point['events']} events in {point['sim_wall_s']}s, "
-              f"setup {point['setup_s']:.3f}s, queue={point['queue_backend']}, "
-              f"rss {point['peak_rss_kb'] / 1024:.0f} MB)")
+              f"setup {point['setup_s']:.3f}s, queue={point['queue_backend']}"
+              f"{pinned}, rss {point['peak_rss_kb'] / 1024:.0f} MB)")
         points.append(point)
 
     payload = {
@@ -194,9 +228,16 @@ def main() -> int:
         },
         "points": points,
     }
-    # Flat per-size scalars so `repro bench diff` gates them by family.
+    # Flat per-size scalars so `repro bench diff` gates them by family.  A
+    # pinned point's peak RSS is the high-water mark of the points before
+    # it, so it gets none.
     for point in points:
         n = point["n"]
+        if point["queue_pinned"]:
+            suffix = f"n{n}_{point['queue_backend']}"
+            payload[f"events_per_sec_{suffix}"] = point["events_per_sec"]
+            payload[f"sim_wall_s_{suffix}"] = point["sim_wall_s"]
+            continue
         payload[f"events_per_sec_n{n}"] = point["events_per_sec"]
         payload[f"peak_rss_kb_n{n}"] = point["peak_rss_kb"]
         payload[f"sim_wall_s_n{n}"] = point["sim_wall_s"]
@@ -208,7 +249,7 @@ def main() -> int:
     print(f"wrote {args.output}")
 
     if args.check:
-        by_n = {p["n"]: p for p in points}
+        by_n = {p["n"]: p for p in points if not p["queue_pinned"]}
         small, large = by_n[32], by_n[10_000]
         small_cost = 1.0 / small["events_per_sec"]
         large_cost = 1.0 / large["events_per_sec"]

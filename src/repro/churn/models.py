@@ -216,7 +216,7 @@ class ChurnModel(abc.ABC):
             if lifetime is not None:
                 self._schedule(
                     lifetime, partial(self._step, pid),
-                    f"churn:lifetime-leave:{pid}",
+                    "churn:lifetime-leave",
                 )
             if self._remaining is not None:
                 self._remaining -= 1
@@ -308,7 +308,7 @@ class ArrivalDepartureChurn(ChurnModel):
                 if pid not in immortal:
                     self._schedule(
                         self.lifetimes.sample(self._rng), partial(self._step, pid),
-                        f"churn:lifetime-leave:{pid}",
+                        "churn:lifetime-leave",
                     )
         self._schedule_step()
 

@@ -69,19 +69,22 @@ class DisseminationVerdict:
     integral: bool
     present: frozenset[int] = frozenset()
     notes: tuple[str, ...] = ()
+    #: ``False`` for a broadcast that never happened (the origin left
+    #: first; its record's ``bid`` is negative): the broadcast fails.
+    issued: bool = True
 
     @property
     def coverage(self) -> float:
-        """Fraction of the obligation set covered (1.0 if it is empty)."""
+        """Fraction of the obligation set covered (if empty: 1.0 once issued)."""
         if not self.obligation:
-            return 1.0
+            return float(self.issued)
         return len(self.obligation & self.covered) / len(self.obligation)
 
     @property
     def population_coverage(self) -> float:
         """Fraction of the audit-time population holding the value."""
         if not self.present:
-            return 1.0
+            return float(self.issued)
         return len(self.present & self.covered) / len(self.present)
 
     @property
@@ -90,7 +93,7 @@ class DisseminationVerdict:
 
     @property
     def ok(self) -> bool:
-        return self.complete and self.integral
+        return self.issued and self.complete and self.integral
 
     def __str__(self) -> str:
         status = "OK" if self.ok else "FAIL"
@@ -188,6 +191,7 @@ class DisseminationSpec:
             integral=integral,
             present=run.present_at(at),
             notes=tuple(notes),
+            issued=record.bid >= 0,
         )
 
     def check(self, log: TraceLog, at: float) -> list[DisseminationVerdict]:

@@ -168,7 +168,7 @@ def _summarise(spec: TrialSpec, outcome: Any, wall: float) -> TrialResult:
         return TrialResult.from_spec(
             spec,
             ok=outcome.ok,
-            terminated=True,
+            terminated=outcome.verdict.issued,
             result=outcome.coverage,
             truth=outcome.population_coverage,
             error=1.0 - outcome.coverage,

@@ -636,12 +636,10 @@ def run_dissemination(config: DisseminationConfig) -> DisseminationOutcome:
             sim, config.broadcast_at, publish, "experiment:broadcast",
             config.audit_at,
         )
-        records = extract_broadcasts(trace)
-        if not records:
-            raise ConfigurationError(
-                "the broadcast never happened (origin departed first?)"
-            )
-        record = records[0]
+        # An origin that left before it could publish recorded nothing: a
+        # vacuous record (bid -1) audits as a failed broadcast.
+        record = (extract_broadcasts(trace)
+                  or [BroadcastRecord(-1, origin_pid, config.broadcast_at)])[0]
         with sim.metrics.timer("check"):
             run = Run.from_trace(trace, horizon=config.audit_at)
             verdict = DisseminationSpec().check_broadcast(

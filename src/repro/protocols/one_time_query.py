@@ -32,6 +32,7 @@ from typing import Any
 
 from repro.core.aggregates import Aggregate, SET
 from repro.protocols.base import AggregatingProcess, merge_contributions
+from repro.sim.events import Event
 from repro.sim.messages import Message
 
 WAVE_QUERY = "WAVE_QUERY"
@@ -56,7 +57,7 @@ class _WaveState:
     # querier would make the querier a reference cycle.
     aggregate: Aggregate | None = None
     issued_at: float = 0.0
-    deadline_timer: int | None = None
+    deadline_timer: Event | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
 
@@ -84,8 +85,6 @@ class WaveNode(AggregatingProcess):
         self.pid = -1
         self.value = value
         self._sim = None
-        self._timers = {}
-        self._timer_ids = 0
         self._alive = False
         self.results = []
         # Every wave that reached this node, closed ones included: a
@@ -209,7 +208,6 @@ class WaveNode(AggregatingProcess):
         if state.aggregate is not None:  # the origin
             if state.deadline_timer is not None:
                 self.cancel_timer(state.deadline_timer)
-                state.deadline_timer = None
             unreachable = state.extra.get("unreachable")
             if unreachable:
                 # Degraded completion: the delivery layer gave up on some
@@ -250,7 +248,6 @@ class WaveNode(AggregatingProcess):
             state = self._states.get(payload)
             if state is not None and not state.closed:
                 state.pending.clear()
-                state.deadline_timer = None
                 self._close(state)
 
     def on_neighbor_leave(self, pid: int) -> None:

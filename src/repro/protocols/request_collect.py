@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.core.aggregates import Aggregate, SET
 from repro.protocols.base import AggregatingProcess
+from repro.sim.events import Event
 from repro.sim.messages import Message
 
 REQUEST = "RC_REQUEST"
@@ -30,7 +31,7 @@ class _PendingQuery:
     issued_at: float
     expected: set[int]
     contributions: dict[int, Any]
-    deadline_timer: int | None = None
+    deadline_timer: Event | None = None
     done: bool = False
     extra: dict[str, Any] = field(default_factory=dict)
 

@@ -316,9 +316,7 @@ class ReliableTransport:
             return
         metrics.inc("resilience.acks_received")
         if state.timer is not None:
-            state.timer.cancel()
-            sim.queue.note_cancelled()
-            state.timer = None
+            sim.cancel(state.timer)
         link = _link_key(state.original.sender, state.original.receiver)
         if not state.retransmitted:
             # Karn's rule: only unambiguous (never-retransmitted) exchanges
@@ -353,25 +351,22 @@ class ReliableTransport:
         delay = retry_delay(
             self.spec, self._rng, state.attempts, self._rto_for(state)
         )
-        rid = state.rid
         state.timer = self._sim.schedule(
-            delay, partial(self._on_timer, rid), label=f"resilience:rto:{rid}",
+            delay, partial(self._on_timer, state.rid), label="resilience:rto",
         )
 
     def _hold_timer(self, state: _Pending, delay: float) -> None:
         """Re-arm without consuming retry budget (breaker cooldown)."""
-        rid = state.rid
         state.timer = self._sim.schedule(
             max(delay, self.spec.min_rto),
-            partial(self._on_timer, rid),
-            label=f"resilience:hold:{rid}",
+            partial(self._on_timer, state.rid),
+            label="resilience:hold",
         )
 
     def _on_timer(self, rid: int) -> None:
         state = self._pending.get(rid)
         if state is None:  # pragma: no cover - acked timers are cancelled
             return
-        state.timer = None
         sim = self._sim
         now = sim._now
         metrics = self._metrics

@@ -74,9 +74,11 @@ class Event(list):
         priority: tie-break between events at the same instant (lower first).
         seq: global sequence number; makes ordering total.
         action: zero-argument callable executed when the event fires
-            (``None`` once its queue is cleared, as ``Simulator.close``
-            clears it).
-        label: human-readable tag used in traces and debugging.
+            (``None`` once the simulator has run or cancelled it, or its
+            queue is cleared, as ``Simulator.close`` clears it).
+        label: the kind of event (``"timer"``, ``"leave"``,
+            ``"deliver:PING"``, ...), for debugging and per-layer
+            profiles; never an entity or an id.
         cancelled: cooperatively-cancelled events are skipped when popped.
     """
 
@@ -90,15 +92,12 @@ class Event(list):
     cancelled = property(itemgetter(5))
 
     def cancel(self) -> None:
-        """Mark this event so the scheduler skips it.
+        """Mark this event so its queue skips it, any number of times.
 
-        Safe on its own, any number of times: the queue drops the entry
-        when it surfaces and the run ends normally.  Following the first
-        call with ``queue.note_cancelled()`` (as :meth:`Process.cancel_timer
-        <repro.sim.node.Process.cancel_timer>` does) additionally takes the
-        event out of ``len(queue)`` at once and lets the queue compact its
-        storage early; without it ``len(queue)`` counts the event until
-        then.
+        A queue-level flag: ``len(queue)`` counts the event until the queue
+        drops it.  :meth:`Simulator.cancel
+        <repro.sim.scheduler.Simulator.cancel>`, the simulator's one
+        cancellation path, also drops the action and tells the queue.
         """
         self[5] = True
 
@@ -186,9 +185,9 @@ class HeapEventQueue:
     def note_cancelled(self) -> None:
         """Account for an event cancelled through its handle.
 
-        :meth:`Event.cancel` does not know about the queue, so the scheduler
-        calls this to keep ``len()`` accurate.  Once tombstones outnumber
-        live events (i.e. exceed half the heap) the storage is compacted.
+        :meth:`Event.cancel` does not know about the queue, so
+        ``Simulator.cancel`` calls this to keep ``len()`` accurate.  Once
+        tombstones outnumber live events the storage is compacted.
         """
         if self._live > 0:
             self._live -= 1
@@ -255,11 +254,10 @@ class CalendarEventQueue:
         #: back, so the forward scan can never miss an event.
         self._vcur = 0
 
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
+    # The live and tombstone counts work as the heap's do.
+    __len__ = HeapEventQueue.__len__
+    __bool__ = HeapEventQueue.__bool__
+    note_cancelled = HeapEventQueue.note_cancelled
 
     def storage_size(self) -> int:
         """Number of entries physically held (live + tombstones)."""
@@ -398,15 +396,6 @@ class CalendarEventQueue:
             return bucket[0][0]
         event = self._scan(remove=False) if self._live else None
         return None if event is None else event[0]
-
-    def note_cancelled(self) -> None:
-        """Account for an event cancelled through its handle; compact the
-        buckets once tombstones outnumber live events."""
-        if self._live > 0:
-            self._live -= 1
-            self._tombstones += 1
-            if self._tombstones > max(self._live, _COMPACT_FLOOR):
-                self.compact()
 
     def compact(self) -> None:
         """Drop cancelled entries; memory stays O(live)."""

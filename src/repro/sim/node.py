@@ -38,8 +38,7 @@ class Process:
     # The base class is slotted so 10⁵-entity populations do not pay a
     # per-process ``__dict__``.  Subclasses without ``__slots__`` still
     # get one for their own attributes, so protocol code is unaffected.
-    __slots__ = ("pid", "value", "_sim", "_timers", "_timer_ids", "_alive",
-                 "__weakref__")
+    __slots__ = ("pid", "value", "_sim", "_alive", "__weakref__")
 
     # Whether the class overrides ``on_start``/``on_stop``/
     # ``on_neighbor_join``/``on_neighbor_leave``/``on_message``: the
@@ -59,8 +58,6 @@ class Process:
         self.pid: int = -1
         self.value = value
         self._sim: "Simulator | None" = None
-        self._timers: dict[int, Event] = {}
-        self._timer_ids = 0
         self._alive = False
 
     # ------------------------------------------------------------------
@@ -131,8 +128,14 @@ class Process:
         last = len(dense) - 1
         if last <= 0:
             return None
+        # ``rng.randrange(last)``, draw for draw, without its two frames.
+        getrandbits = rng.getrandbits
+        bits = last.bit_length()
+        index = getrandbits(bits)
+        while index >= last:
+            index = getrandbits(bits)
         slot_pid = network._slot_pid
-        other = slot_pid[dense[rng.randrange(last)]]
+        other = slot_pid[dense[index]]
         return slot_pid[dense[last]] if other == pid else other
 
     # ------------------------------------------------------------------
@@ -174,25 +177,28 @@ class Process:
         network.send(_new_message(Message, (pid, None, kind, payload)), targets)
         return len(targets)
 
-    def set_timer(self, delay: float, name: str, payload: Any = None) -> int:
-        """Schedule :meth:`on_timer` after ``delay``; return a cancel handle."""
+    def set_timer(self, delay: float, name: str, payload: Any = None) -> Event:
+        """Schedule :meth:`on_timer` after ``delay``; return its queued
+        event, the handle :meth:`cancel_timer` takes."""
         if delay < 0:
             raise ProtocolError(f"timer delay must be >= 0, got {delay}")
         sim = self._sim or self.sim
-        self._timer_ids = timer_id = self._timer_ids + 1
-        self._timers[timer_id] = sim.queue.push(
-            sim._now + delay,
-            _new_timer(PendingTimer, (self, timer_id, name, payload)),
-            label=f"timer:{self.pid}:{name}",
-        )
-        return timer_id
+        timer = _new_timer(PendingTimer, (self, name, payload))
+        return sim.queue.push(sim._now + delay, timer, label=TIMER)
 
-    def cancel_timer(self, timer_id: int) -> None:
-        """Cancel a pending timer; cancelling a fired timer is a no-op."""
-        event = self._timers.pop(timer_id, None)
-        if event is not None:
-            event.cancel()
-            self.sim.queue.note_cancelled()
+    def cancel_timer(self, timer: Event) -> None:
+        """Cancel a pending timer (a no-op once it fired or was cancelled);
+        a pending handle that is not one of this process's timers raises
+        :class:`ProtocolError`."""
+        action = timer[3]
+        if action is None:
+            return
+        # The label says that the event is a timer: an instrumented queue
+        # (``perf/``'s probes) may wrap the action in a closure.
+        if timer[4] != TIMER or type(action) is PendingTimer and action[0] is not self:
+            raise ProtocolError(f"process {self.pid} cancelled a handle that "
+                                f"is not one of its timers ({timer[4]!r})")
+        (self._sim or self.sim).cancel(timer)
 
     def record(self, kind: str, **data: Any) -> None:
         """Write a protocol-level event to the simulation trace."""
@@ -235,18 +241,17 @@ class Process:
 class PendingTimer(tuple):
     """A timer set and not yet fired: the action its event runs.
 
-    A ``(process, timer_id, name, payload)`` tuple built in one
-    ``tuple.__new__``, like :class:`~repro.sim.messages.Message`: one
-    object per pending timer, where a ``partial`` of a bound method costs
-    three.  Calling it fires the timer: the process forgets the handle
-    and, if still alive, traces the firing and runs :meth:`Process.on_timer`.
+    A ``(process, name, payload)`` tuple built in one ``tuple.__new__``,
+    like :class:`~repro.sim.messages.Message`: one object per pending
+    timer, where a ``partial`` of a bound method costs three; its queued
+    event is the timer's only handle.  Calling it fires the timer: if the
+    process is alive, it traces the firing and runs :meth:`Process.on_timer`.
     """
 
     __slots__ = ()
 
     def __call__(self) -> None:
-        process, timer_id, name, payload = self
-        process._timers.pop(timer_id, None)
+        process, name, payload = self
         if process._alive:
             sim = process._sim or process.sim
             trace = sim.trace

@@ -143,6 +143,15 @@ class Simulator:
         """Schedule ``action`` at the current instant (after pending ties)."""
         return self.queue.push(self._now, action, label=label)
 
+    def cancel(self, event: Event) -> None:
+        """Cancel a pending event: flag it, drop its action and take it out
+        of ``len(queue)``.  A no-op once it has fired, was cancelled or was
+        cleared by :meth:`close`."""
+        if event[3] is not None and not event[5]:
+            event[5] = True
+            event[3] = None
+            self.queue.note_cancelled()
+
     # ------------------------------------------------------------------
     # Membership actions (used by churn models and experiment drivers)
     # ------------------------------------------------------------------
@@ -205,7 +214,7 @@ class Simulator:
                 self.kill(pid)
 
         return self.schedule(
-            delay, _leave, priority=PRIORITY_MEMBERSHIP, label=f"leave:{pid}"
+            delay, _leave, priority=PRIORITY_MEMBERSHIP, label="leave"
         )
 
     # ------------------------------------------------------------------
@@ -227,7 +236,10 @@ class Simulator:
             )
         self._now = time
         self._events_executed += 1
-        event[3]()
+        # A fired handle holds nothing: cancelling it is a no-op.
+        action = event[3]
+        event[3] = None
+        action()
         return True
 
     def run(self, until: float | None = None, max_events: int = 5_000_000) -> float:
@@ -275,8 +287,8 @@ class Simulator:
     def close(self) -> None:
         """Cut the simulation's reference cycles, so that reference
         counting frees it (see "Memory: a trial frees itself" in
-        ``docs/SCALING.md``): drop every pending event's action, clear each
-        present process's timers and simulator, empty the network and
+        ``docs/SCALING.md``): drop every pending event's action, detach
+        each present process from the simulator, empty the network and
         detach it from the simulator, resilience layer and fault injector.
 
         The clock, trace and metrics stay readable.  Idempotent; afterwards
@@ -292,7 +304,6 @@ class Simulator:
         network = self.network
         for proc in network._procs:
             if proc is not None:
-                proc._timers.clear()
                 proc._sim = None
         for slots in (network._slot_of, network._procs, network._adj,
                       network._slot_pid, network._free, network._dense,

@@ -6,7 +6,9 @@ import pytest
 
 from repro.api import (
     DisseminationConfig,
+    build_plan,
     run_dissemination,
+    run_plan,
 )
 from repro.churn.models import ReplacementChurn
 from repro.sim.errors import ConfigurationError
@@ -58,6 +60,42 @@ class TestChurn:
             return outcome.population_coverage
 
         assert population_coverage("anti_entropy") > population_coverage("flood")
+
+    def test_origin_gone_before_the_broadcast_is_a_failed_trial(self):
+        # As a query whose querier left reports a failed record, a
+        # broadcast whose origin left first fails its trial instead of
+        # aborting the plan.
+        plan = build_plan(
+            "d", kind="dissemination", grid={"churn_rate": [8.0]},
+            base={"n": 8, "protect_origin": False, "broadcast_at": 30.0},
+            trials=4,
+        )
+        results = run_plan(plan).results
+        assert len(results) == 4
+        for result in results:
+            assert not result.ok and not result.terminated
+            assert (result.result, result.truth, result.error) == (0.0, 0.0, 1.0)
+
+    def test_unissued_outcome(self):
+        outcome = run_dissemination(DisseminationConfig(
+            n=8, protocol="flood", seed=0, broadcast_at=30.0,
+            protect_origin=False,
+            churn=lambda f: ReplacementChurn(f, rate=8.0),
+        ))
+        assert outcome.record.bid == -1
+        assert outcome.record.origin == outcome.origin
+        assert outcome.record.deliveries == ()
+        assert not outcome.verdict.issued and not outcome.ok
+        assert outcome.coverage == outcome.population_coverage == 0.0
+
+    def test_faults_spare_the_protected_origin(self):
+        # ``chaos-mix`` crashes the origin of this trial unless the fault
+        # plan is installed with the origin protected.
+        outcome = run_dissemination(DisseminationConfig(
+            n=12, audit_at=40.0, seed=2007, faults="chaos-mix",
+            resilience="full",
+        ))
+        assert outcome.verdict.issued and outcome.ok
 
 
 class TestValidation:

@@ -144,7 +144,7 @@ class TestClose:
         sim = Simulator(seed=3)
         first = sim.spawn(WaveNode(1.0))
         sim.spawn(WaveNode(2.0), [first.pid])
-        first.set_timer(10.0, "later")
+        self.pending = first.set_timer(10.0, "later")
         sim.at(1.0, lambda: first.issue_query(by_name("COUNT")))
         sim.run(until=5.0)
         return sim
@@ -152,11 +152,11 @@ class TestClose:
     def test_close_cuts_the_references(self):
         sim = self.started()
         processes = [sim.network.process(pid) for pid in (0, 1)]
-        pending = processes[0]._timers[1]
+        assert self.pending.action is not None
         sim.close()
         assert len(sim.queue) == 0
-        assert pending.action is None
-        assert all(p._sim is None and not p._timers for p in processes)
+        assert self.pending.action is None
+        assert all(p._sim is None for p in processes)
         network = sim.network
         assert network.population() == 0
         assert network._sim is None

@@ -78,7 +78,7 @@ class RefProcess:
         self.timer_ids += 1
         action = partial(self.fire, self.timer_ids, name, payload)
         self.timers[self.timer_ids] = self.sim.queue.push(
-            self.sim.now + delay, action, label=f"timer:{self.pid}:{name}")
+            self.sim.now + delay, action, label="timer")
         return self.timer_ids
 
     def cancel_timer(self, timer_id):
@@ -190,7 +190,7 @@ class RefSim:
 
     def schedule_leave(self, delay, pid):
         return self.schedule(delay, lambda: pid in self.procs and self.kill(pid),
-                             priority=PRIORITY_MEMBERSHIP, label=f"leave:{pid}")
+                             priority=PRIORITY_MEMBERSHIP, label="leave")
 
     def neighbors(self, pid):
         if pid not in self.procs:
@@ -319,7 +319,7 @@ class RefChurn:
         self.sim, self.stop_at, self.rng = sim, stop_at, sim.rng_for("churn")
         for pid in sorted(set(sim.procs) - self.immortal) if self.doom_initial else ():
             self.push(self.lifetimes.sample(self.rng), partial(self.step, pid),
-                      f"churn:lifetime-leave:{pid}")
+                      "churn:lifetime-leave")
         if self.phases:
             self.phase_ends = sim.now + self.phases[not self.running]
             self.push(max(0.0, self.phase_ends - sim.now), self.flip, "churn:phase-flip")
@@ -364,7 +364,7 @@ class RefChurn:
             sim.metrics.inc("churn.joins")
             if lifetime is not None:
                 self.push(lifetime, partial(self.step, proc.pid),
-                          f"churn:lifetime-leave:{proc.pid}")
+                          "churn:lifetime-leave")
             if self.remaining is not None:
                 self.remaining -= 1
                 if not self.remaining:

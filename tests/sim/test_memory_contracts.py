@@ -8,7 +8,8 @@ a random stream carries no instance dictionary, a complete network's
 entity holds no adjacency set until an explicit link touches it, a
 departed entity's process stream is released, a sink that keeps no
 membership event retains none (the trace's fold holds the membership),
-and a pending timer or delivery is one tuple, not a ``partial``.
+and a pending timer or delivery is one tuple, not a ``partial``, whose
+queued event is the only handle anything keeps.
 
 The last test holds a storm-shaped simulator (n = 2 000 ping nodes on a
 complete network with silent churn and the counting sink, built but not
@@ -17,7 +18,9 @@ this code measures; the count repeats exactly for a given interpreter.
 History (CPython 3.11): 4 444.5 B per entity with a ``__dict__`` per
 stream and an empty adjacency set per entity, 3 892.5 B without them,
 3 434.7 B with each join folded into columns instead of retained as an
-event and the first timer queued as one ``PendingTimer``.
+event and the first timer queued as one ``PendingTimer``, 3 122.9 B with
+the queued event as the timer's only handle (no per-process timer table,
+no timer id) and a fixed ``"timer"`` label in place of a string per timer.
 """
 
 from __future__ import annotations
@@ -171,29 +174,30 @@ class TestOneRecordPerPendingEvent:
 
         sim = Simulator(seed=1, complete=True)
         a, b = (sim.spawn(Probe()) for _ in range(2))
-        a.set_timer(0.5, "tick", payload=5)
+        handle = a.set_timer(0.5, "tick", payload=5)
         a.send(b.pid, "PING", hops=1)
         pending = sorted((sim.queue.pop() for _ in iter(sim.queue.peek_time, None)),
                          key=lambda event: event[4])
         (_, _, _, deliver, deliver_label, _), (_, _, _, fire, fire_label, _) = pending
-        assert (deliver_label, fire_label) == ("deliver:PING", f"timer:{a.pid}:tick")
+        assert pending[1] is handle  # the queued event is the timer's handle
+        assert (deliver_label, fire_label) == ("deliver:PING", "timer")
         assert type(fire) is PendingTimer and type(deliver) is PendingDelivery
-        assert tuple(fire) == (a, 1, "tick", 5)
+        assert tuple(fire) == (a, "tick", 5)
         sent = Message(a.pid, b.pid, "PING", {"hops": 1})
         assert deliver[1:3] == (sent, 0)
-        four = sys.getsizeof((None,) * 4)
-        assert sys.getsizeof(fire) == sys.getsizeof(deliver) == four
+        assert sys.getsizeof(fire) == sys.getsizeof((None,) * 3)
+        assert sys.getsizeof(deliver) == sys.getsizeof((None,) * 4)
         for action in (fire, deliver):  # its fields, and nothing else
             referents = sorted(map(id, gc.get_referents(action)))
             assert referents == sorted(map(id, [type(action), *action]))
         fire()
         deliver()
         assert received == [("tick", 5), sent]
-        assert a._timers == {}
+        assert not hasattr(a, "_timers")  # no per-process table of handles
 
 
 def test_bytes_per_entity_of_a_storm_shaped_simulator():
-    n, ceiling = 2_000, 3_950
+    n, ceiling = 2_000, 3_600
     gc.collect()
     tracemalloc.start()
     try:

@@ -103,6 +103,51 @@ class TestTimers:
         node.cancel_timer(timer)  # must not raise
         assert len(node.fired) == 1
 
+    def test_cancel_fired_timer_leaves_the_queue_alone(self, sim):
+        node = sim.spawn(TimerNode())
+        fired = node.set_timer(1.0, "tick")
+        node.set_timer(3.0, "later")
+        sim.run(until=2.0)
+        assert fired.action is None  # a fired handle holds nothing
+        assert len(sim.queue) == 1
+        node.cancel_timer(fired)
+        assert len(sim.queue) == 1
+        sim.run()
+        assert [f[0] for f in node.fired] == ["tick", "later"]
+
+    def test_cancel_counts_a_pending_timer_once(self, sim):
+        node = sim.spawn(TimerNode())
+        timer = node.set_timer(2.0, "tick")
+        node.set_timer(3.0, "kept")
+        node.cancel_timer(timer)
+        node.cancel_timer(timer)
+        assert len(sim.queue) == 1
+
+    def test_foreign_handle_rejected(self, sim):
+        node, other = sim.spawn(TimerNode()), sim.spawn(TimerNode())
+        theirs = other.set_timer(1.0, "tick")
+        event = sim.schedule(1.0, lambda: None)
+        for handle in (theirs, event):
+            with pytest.raises(ProtocolError, match=r"not one of its timers"):
+                node.cancel_timer(handle)
+        assert len(sim.queue) == 2
+        sim.run()
+        assert [f[0] for f in other.fired] == ["tick"]
+
+    def test_cancel_through_a_wrapping_queue(self, sim):
+        # A profiler that wraps each queued action (as the benchmark's
+        # probes do) leaves the label to say that an event is a timer.
+        push = sim.queue.push
+        sim.queue.push = lambda time, action, **kw: push(
+            time, lambda: action(), **kw)
+        node = sim.spawn(TimerNode())
+        timer = node.set_timer(1.0, "tick")
+        with pytest.raises(ProtocolError, match=r"not one of its timers"):
+            node.cancel_timer(sim.schedule(1.0, lambda: None))
+        node.cancel_timer(timer)
+        sim.run()
+        assert node.fired == []
+
     def test_timer_suppressed_after_departure(self, sim):
         node = sim.spawn(TimerNode())
         node.set_timer(5.0, "tick")

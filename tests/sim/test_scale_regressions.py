@@ -117,17 +117,23 @@ class TestTombstoneBound:
     def test_scheduler_timer_churn_does_not_leak(self):
         class Rearm(Process):
             def on_start(self):
+                self.spare = self.set_timer(50.0, "spare")
                 self.set_timer(1.0, "t")
 
             def on_timer(self, name, payload):
-                # cancel_timer + set_timer churn on every fire
-                self.cancel_timer("t")
+                # On every fire, cancel a pending timer and set a fresh one:
+                # the spare never fires, and 10⁴ cancelled spares pass
+                # through the queue.
+                assert name == "t"
+                self.cancel_timer(self.spare)
+                self.spare = self.set_timer(50.0, "spare")
                 self.set_timer(1.0, "t")
 
         sim = Simulator(seed=3)
         for _ in range(20):
             sim.spawn(Rearm(0))
         sim.run(until=500.0)
+        assert len(sim.queue) == 2 * 20  # one tick and one spare each
         assert sim.queue.storage_size() <= 2 * max(len(sim.queue), _COMPACT_FLOOR) + 1
 
 
@@ -185,6 +191,25 @@ class TestUniformSampling:
             procs[1].random_neighbor()
         lone = Simulator(seed=11, complete=True).spawn(_Null(0))
         assert lone.random_neighbor() is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_neighbor_draws_as_randrange(self, seed):
+        # ``random_neighbor`` draws ``rng.randrange(last)`` inline: the
+        # same index, the same stream state after, for every ``last``.
+        sim = Simulator(seed=seed, complete=True, notify_joins=False)
+        network = sim.network
+        procs = [sim.spawn(_Null(0))]
+        shadow = random.Random()
+        for last in range(1, 301):
+            procs.append(sim.spawn(_Null(0)))
+            for proc in (procs[0], procs[last // 2], procs[-1]):
+                rng = proc.rng
+                shadow.setstate(rng.getstate())
+                other = network._slot_pid[network._dense[shadow.randrange(last)]]
+                expected = (network._slot_pid[network._dense[last]]
+                            if other == proc.pid else other)
+                assert proc.random_neighbor() == expected
+                assert rng.getstate() == shadow.getstate()
 
 
 class TestPopulationBuildIsLinear:

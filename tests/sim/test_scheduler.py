@@ -113,20 +113,23 @@ class TestClockAndScheduling:
         assert order == ["c", "a", "b"]
 
 
+@pytest.fixture(params=["heap", "calendar"])
+def any_sim(request):
+    """A simulator on either queue backend (the calendar one holding six
+    far-future events)."""
+    sim = Simulator(seed=1)
+    if request.param == "calendar":
+        sim.queue = EventQueue(calendar_threshold=4)
+        for i in range(6):
+            sim.schedule(50.0 + i, lambda: None)
+        assert sim.queue.backend == "calendar"
+    return sim
+
+
 class TestBareEventCancel:
     """``sim.schedule(...).cancel()`` with no ``note_cancelled()``: the run
     must end normally on both queue backends (it used to die with ``pop
     from empty event queue`` once only cancelled entries were left)."""
-
-    @pytest.fixture(params=["heap", "calendar"])
-    def any_sim(self, request):
-        sim = Simulator(seed=1)
-        if request.param == "calendar":
-            sim.queue = EventQueue(calendar_threshold=4)
-            for i in range(6):
-                sim.schedule(50.0 + i, lambda: None)
-            assert sim.queue.backend == "calendar"
-        return sim
 
     def test_only_event_cancelled(self):
         sim = Simulator(seed=1)
@@ -172,6 +175,49 @@ class TestBareEventCancel:
         while sim.step():
             steps += 1
         assert steps == 1 and len(sim.queue) == 0
+
+
+class TestCancel:
+    """``Simulator.cancel``, the one cancellation path: it takes a pending
+    event out of ``len(queue)`` at once, and a fired, cancelled or cleared
+    event is left alone."""
+
+    def test_cancel_skips_and_uncounts_the_event(self, any_sim):
+        sim, fired = any_sim, []
+        pending = len(sim.queue)
+        event = sim.schedule(1.0, lambda: fired.append("cancelled"))
+        sim.schedule(2.0, lambda: fired.append("kept"))
+        sim.cancel(event)
+        sim.cancel(event)  # a second cancel counts nothing
+        assert len(sim.queue) == pending + 1
+        assert event.cancelled and event.action is None
+        sim.run(until=3.0)
+        assert fired == ["kept"]
+
+    def test_a_fired_event_holds_nothing_and_cancels_to_nothing(self, any_sim):
+        sim = any_sim
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert fired.action is None and not fired.cancelled
+        pending = len(sim.queue)
+        sim.cancel(fired)
+        assert len(sim.queue) == pending and not fired.cancelled
+
+    def test_cancel_from_inside_its_own_action_is_a_noop(self):
+        sim = Simulator(seed=1)
+        handle = []
+        handle.append(sim.schedule(1.0, lambda: sim.cancel(handle[0])))
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert len(sim.queue) == 1
+
+    def test_cancel_after_close_is_a_noop(self):
+        sim = Simulator(seed=1)
+        event = sim.schedule(1.0, lambda: None)
+        sim.close()
+        sim.cancel(event)
+        assert len(sim.queue) == 0 and not event.cancelled
 
 
 class TestRandomStreams:
